@@ -88,7 +88,7 @@ fn main() {
                         for op in work {
                             match op {
                                 YcsbOp::Read(k) => {
-                                    kv.get(tid, &make_key(k), |v| v.len());
+                                    kv.get(&make_key(k), |v| v.len());
                                 }
                                 YcsbOp::Update(k) => kv.set(tid, make_key(k), value),
                             }

@@ -16,7 +16,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use kvserver::{KvServer, PipeOp, ServerConfig, WireClient};
-use kvstore::{KvBackend, KvStore};
+use kvstore::{KvBackend, KvStore, ShardedKvStore};
 use montage::{Advancer, EpochSys, EsysConfig};
 use montage_bench::harness::{env_scale, env_threads};
 use montage_bench::report::{self, JsonReport, PersistCost};
@@ -157,13 +157,13 @@ fn main() {
                     }
                 };
 
-                let handle = KvServer::start(
+                let handle = KvServer::start_sharded(
                     ServerConfig {
                         max_conns: threads + 2,
                         sync_every: (mode == "sync1").then_some(1),
                         ..Default::default()
                     },
-                    kv,
+                    ShardedKvStore::from_shards(vec![kv]),
                 )
                 .expect("bind loopback");
                 let addr = handle.addr();

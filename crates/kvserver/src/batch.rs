@@ -18,10 +18,9 @@
 
 use montage::sync::uninstrumented::{AtomicU64, Ordering};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
-use kvstore::protocol::Session;
-use kvstore::{ShardedKvStore, StoreLease};
+use kvstore::protocol::{verb, Session};
+use kvstore::StoreLease;
 
 use crate::frame::Request;
 use crate::server::Shared;
@@ -122,16 +121,15 @@ pub(crate) fn bucket(n: usize) -> usize {
 /// Executes one sweep's batch and queues replies; see the module docs for
 /// the fence/ack ordering contract. `conns` indices in `batch` refer to the
 /// worker's connection table.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     widx: usize,
     conns: &mut [Conn],
     batch: Vec<(usize, Request)>,
     session: &Session,
-    store: &Arc<ShardedKvStore>,
     lease: &StoreLease,
     shared: &Shared,
 ) {
+    let store = &shared.store;
     let ws = &shared.stats.workers[widx];
     ws.batches.fetch_add(1, Ordering::Relaxed);
     ws.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -184,14 +182,14 @@ pub(crate) fn execute(
                     let out = match line.split_whitespace().nth(1) {
                         Some("close") => {
                             if c.session.take().is_some() {
-                                shared.detach_session();
+                                shared.sessions.release();
                             }
                             "CLOSED\r\n".to_string()
                         }
                         Some(arg) => match arg.parse::<u64>() {
                             // Re-attaching rides the slot the connection
                             // already holds; only a fresh attach claims one.
-                            Ok(sid) if c.session.is_some() || shared.try_attach_session() => {
+                            Ok(sid) if c.session.is_some() || shared.sessions.try_claim() => {
                                 c.session = Some(sid);
                                 format!("SESSION {sid}\r\n")
                             }
@@ -238,10 +236,7 @@ pub(crate) fn execute(
                 if cmd == "scan" {
                     ws.scans.fetch_add(1, Ordering::Relaxed);
                 }
-                let is_mutation = matches!(
-                    cmd,
-                    "set" | "add" | "replace" | "cas" | "delete" | "touch" | "incr" | "decr"
-                );
+                let is_mutation = verb(cmd).is_some_and(|v| v.mutates);
                 if is_mutation {
                     if let Some(shard) = line
                         .split_whitespace()

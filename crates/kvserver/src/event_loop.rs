@@ -71,7 +71,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                if !shared.registry.try_admit() {
+                if !shared.conns.try_claim() {
                     // Over capacity: shed with a clean refusal. The socket is
                     // blocking here (accepted sockets don't inherit the
                     // listener's nonblocking flag), so the error line lands

@@ -9,9 +9,6 @@
 //! far beyond the configured cap (those are discarded as they stream in —
 //! the value never accumulates in memory).
 
-/// Commands that carry a data block after the command line.
-const STORAGE_CMDS: [&str; 4] = ["set", "add", "replace", "cas"];
-
 /// Command lines longer than this are rejected (memcached caps at 1024 too;
 /// keys are ≤ 32 bytes here, so this is generous).
 pub const MAX_LINE: usize = 1024;
@@ -122,7 +119,7 @@ impl RequestReader {
 
         let is_storage = tokens
             .first()
-            .is_some_and(|c| STORAGE_CMDS.contains(&c.as_str()));
+            .is_some_and(|c| kvstore::protocol::verb(c).is_some_and(|v| v.has_data));
         let nbytes = if is_storage && tokens.len() >= 5 {
             tokens[4].parse::<usize>().ok()
         } else {

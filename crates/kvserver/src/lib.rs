@@ -18,10 +18,11 @@
 //!
 //! The pieces:
 //!
-//! * **Connection registry** ([`registry`]) — admission control. Montage
-//!   `ThreadId`s are a per-*worker* resource here (each worker owns one
-//!   lazily filled [`kvstore::StoreLease`]); connections only count against
-//!   `max_conns`, so ten thousand sockets need four ids, not ten thousand.
+//! * **Admission** ([`server`]) — two capped counters, one for live
+//!   connections (`max_conns`) and one for attached durable sessions
+//!   (`max_sessions`). Montage `ThreadId`s are a per-*worker* resource
+//!   (each worker owns one lazily filled [`kvstore::StoreLease`]), so ten
+//!   thousand sockets need four ids, not ten thousand.
 //! * **Request framing** ([`frame`]) — pipelined commands, command lines and
 //!   data blocks split across packets, bare-`\n` line endings, length
 //!   mismatches, and oversized values (discarded in a streaming fashion, so
@@ -40,11 +41,9 @@ mod batch;
 pub mod client;
 mod event_loop;
 pub mod frame;
-pub mod registry;
 pub mod server;
 mod worker;
 
 pub use client::{PipeOp, WireClient};
 pub use frame::{Request, RequestReader};
-pub use registry::SessionRegistry;
 pub use server::{KvServer, ServerConfig, ServerHandle};

@@ -33,10 +33,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use kvstore::{KvStore, ShardedKvStore};
+use kvstore::ShardedKvStore;
 
 use crate::batch::{fence_quantile_us, ServerStats, FENCE_HIST_BUCKETS, HIST_BUCKETS};
-use crate::registry::SessionRegistry;
 
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -104,7 +103,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The worker count `start` will actually use.
+    /// The worker count [`KvServer::start_sharded`] will actually use.
     pub fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -116,8 +115,52 @@ impl ServerConfig {
     }
 }
 
+/// A counter with a cap — admission control. Montage worker ids are a
+/// per-*worker* resource (each worker owns one lazily filled
+/// [`kvstore::StoreLease`] for its lifetime), so what remains per
+/// connection or attached session is one slot here.
+pub(crate) struct Slots {
+    cap: usize,
+    used: AtomicUsize,
+}
+
+impl Slots {
+    pub(crate) fn new(cap: usize) -> Self {
+        Slots {
+            cap,
+            used: AtomicUsize::new(0),
+        }
+    }
+
+    pub(crate) fn used(&self) -> usize {
+        self.used.load(Ordering::Acquire)
+    }
+
+    /// Claims a slot; `false` means at capacity and the caller must shed.
+    /// Pair every successful claim with exactly one [`Slots::release`].
+    pub(crate) fn try_claim(&self) -> bool {
+        let mut cur = self.used.load(Ordering::Acquire);
+        loop {
+            if cur >= self.cap {
+                return false;
+            }
+            match self
+                .used
+                .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    pub(crate) fn release(&self) {
+        self.used.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 pub(crate) struct Shared {
-    pub(crate) registry: Arc<SessionRegistry>,
+    pub(crate) store: Arc<ShardedKvStore>,
     pub(crate) cfg: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     /// Crash-style stop: workers tear connections down without draining
@@ -128,37 +171,14 @@ pub(crate) struct Shared {
     /// Mutations since start, for the sync-every-N barrier (server-wide,
     /// like a log sequence number).
     pub(crate) mutations: AtomicU64,
+    /// Live connections against `max_conns`; an over-capacity connect is
+    /// shed at accept with `SERVER_ERROR busy` instead of queueing.
+    pub(crate) conns: Slots,
     /// Durable sessions currently attached (each `session <id>` attach
     /// holds one slot against `max_sessions` until detach or disconnect).
-    pub(crate) sessions: AtomicUsize,
+    pub(crate) sessions: Slots,
     /// Per-worker group-commit counters.
     pub(crate) stats: ServerStats,
-}
-
-impl Shared {
-    /// Claims a session slot; `false` sheds the attach.
-    pub(crate) fn try_attach_session(&self) -> bool {
-        let mut cur = self.sessions.load(Ordering::Acquire);
-        loop {
-            if cur >= self.cfg.max_sessions {
-                return false;
-            }
-            match self.sessions.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Returns a slot claimed by [`Shared::try_attach_session`].
-    pub(crate) fn detach_session(&self) {
-        self.sessions.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 pub struct KvServer;
@@ -166,15 +186,10 @@ pub struct KvServer;
 impl KvServer {
     /// Binds, spawns the accept loop and workers, and returns a handle.
     /// Serving happens on background threads; the caller keeps the handle
-    /// to stop it.
-    pub fn start(cfg: ServerConfig, store: Arc<KvStore>) -> std::io::Result<ServerHandle> {
-        Self::start_sharded(cfg, ShardedKvStore::single(store))
-    }
-
-    /// [`KvServer::start`] over a sharded store. Workers route each key to
-    /// its owning shard and lease per-shard worker ids lazily; `sync`,
-    /// `stats`, and shutdown fan out across every shard, and a faulted
-    /// shard degrades only the keys it owns.
+    /// to stop it. Workers route each key to its owning shard and lease
+    /// per-shard worker ids lazily; `sync`, `stats`, and shutdown fan out
+    /// across every shard, and a faulted shard degrades only the keys it
+    /// owns. (A one-pool server is the same call with a 1-shard store.)
     pub fn start_sharded(
         cfg: ServerConfig,
         store: Arc<ShardedKvStore>,
@@ -189,16 +204,15 @@ impl KvServer {
             .resolved_workers()
             .min(store.min_id_capacity().unwrap_or(usize::MAX))
             .max(1);
-        let max_conns = cfg.max_conns;
-        let n_shards = store.n_shards();
         let shared = Arc::new(Shared {
-            registry: SessionRegistry::new(store, max_conns),
+            conns: Slots::new(cfg.max_conns),
+            sessions: Slots::new(cfg.max_sessions),
+            stats: ServerStats::new(workers, store.n_shards()),
+            store,
             cfg,
             shutdown: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             mutations: AtomicU64::new(0),
-            sessions: AtomicUsize::new(0),
-            stats: ServerStats::new(workers, n_shards),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || crate::event_loop::run(listener, accept_shared));
@@ -217,7 +231,7 @@ impl KvServer {
 /// group-commit counters: per-worker batch-size histograms, fence counts,
 /// and the acks-per-fence amortization ratio.
 pub(crate) fn stats_reply(shared: &Shared) -> String {
-    let store = shared.registry.store();
+    let store = &shared.store;
     let mut out = String::new();
     let mut stat = |name: &str, value: u64| {
         out.push_str(&format!("STAT {name} {value}\r\n"));
@@ -227,11 +241,8 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     // DRAM the scan index costs (ROADMAP item 3): the per-stripe ordered
     // mirrors, reported like memcached's hash-table overhead lines.
     stat("ordered_mirror_bytes", store.ordered_mirror_bytes() as u64);
-    stat("curr_connections", shared.registry.active() as u64);
-    stat(
-        "curr_sessions",
-        shared.sessions.load(Ordering::Acquire) as u64,
-    );
+    stat("curr_connections", shared.conns.used() as u64);
+    stat("curr_sessions", shared.sessions.used() as u64);
     stat("total_mutations", shared.mutations.load(Ordering::Acquire));
     stat("shards", store.n_shards() as u64);
     // Store-wide aggregates keep the single-pool stat names so existing
@@ -399,8 +410,8 @@ impl ServerHandle {
     }
 
     /// Live connection count.
-    pub fn active_sessions(&self) -> usize {
-        self.shared.registry.active()
+    pub fn active_conns(&self) -> usize {
+        self.shared.conns.used()
     }
 
     /// Graceful stop: refuse new connections, let every worker finish its
@@ -408,20 +419,38 @@ impl ServerHandle {
     /// epoch sync so every acked mutation is persistent.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.accept.join(); // joins workers too
-                                    // Final barrier across every shard; a faulted shard cannot sync and
-                                    // is skipped (its loss is already the fault plan's fact on disk).
-        let _ = self.shared.registry.store().sync();
+        // The accept thread joins the workers before it exits.
+        let _ = self.accept.join();
+        // Final barrier across every shard; a faulted shard cannot sync and
+        // is skipped (its loss is already the fault plan's fact on disk).
+        let _ = self.shared.store.sync();
     }
 
     /// Simulated server crash: sever every connection mid-stream (queued
     /// replies are discarded, not drained) and stop all threads **without**
     /// the final sync, leaving the pool exactly as buffered durability left
-    /// it. Pair with [`pmem::PmemPool::crash`] and
-    /// [`montage::recovery::recover`] to exercise crash-restart.
+    /// it. Pair with [`ShardedKvStore::crash_pools`] and
+    /// [`ShardedKvStore::recover`] to exercise crash-restart.
     pub fn crash(self) {
         self.shared.crashed.store(true, Ordering::Release);
         self.shared.shutdown.store(true, Ordering::Release);
         let _ = self.accept.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cap_is_enforced_and_slots_recycle() {
+        let slots = Slots::new(2);
+        assert!(slots.try_claim(), "first claim");
+        assert!(slots.try_claim(), "second claim");
+        assert!(!slots.try_claim(), "third claim must be shed");
+        assert_eq!(slots.used(), 2);
+        slots.release();
+        assert_eq!(slots.used(), 1);
+        assert!(slots.try_claim(), "slot freed by release");
     }
 }

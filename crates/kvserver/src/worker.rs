@@ -67,9 +67,8 @@ pub(crate) struct Conn {
 }
 
 pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
-    let store = Arc::clone(shared.registry.store());
-    let lease = Arc::new(store.lease());
-    let session = Session::sharded(Arc::clone(&store), Arc::clone(&lease));
+    let lease = Arc::new(shared.store.lease());
+    let session = Session::sharded(Arc::clone(&shared.store), Arc::clone(&lease));
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; READ_CHUNK];
     let mut idle_sweeps: u32 = 0;
@@ -165,7 +164,7 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
 
         if !batch.is_empty() {
             progressed = true;
-            crate::batch::execute(widx, &mut conns, batch, &session, &store, &lease, &shared);
+            crate::batch::execute(widx, &mut conns, batch, &session, &lease, &shared);
         }
 
         // Flush phase: strictly after the batch (and its fence).
@@ -204,7 +203,7 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
     // point of `crash()` is to model acks that never escaped the machine.
     for nc in inbox.drain() {
         let _ = nc.stream.shutdown(Shutdown::Both);
-        shared.registry.release();
+        shared.conns.release();
     }
     let graceful = !shared.crashed.load(Ordering::Acquire);
     let now = Instant::now();
@@ -219,9 +218,9 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
 fn retire(c: &mut Conn, shared: &Shared) {
     let _ = c.stream.shutdown(Shutdown::Both);
     if c.session.take().is_some() {
-        shared.detach_session(); // disconnect releases the session slot
+        shared.sessions.release(); // disconnect releases the session slot
     }
-    shared.registry.release();
+    shared.conns.release();
 }
 
 /// Writes as much queued output as the socket accepts right now.

@@ -5,25 +5,34 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kvserver::{KvServer, ServerConfig, WireClient};
-use kvstore::{KvBackend, KvStore};
+use kvstore::{KvBackend, KvStore, ShardedKvStore};
 use montage::{EpochSys, EsysConfig};
 use pmem::{PmemConfig, PmemPool};
 
 fn dram_server(cfg: ServerConfig) -> kvserver::ServerHandle {
     let store = Arc::new(KvStore::new(KvBackend::Dram, 8, 100_000));
-    KvServer::start(cfg, store).expect("bind")
+    KvServer::start_sharded(cfg, ShardedKvStore::from_shards(vec![store])).expect("bind")
 }
 
-fn montage_store(max_threads: usize) -> (Arc<EpochSys>, Arc<KvStore>) {
-    let esys = EpochSys::format(
-        PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
+fn montage_store(max_threads: usize) -> (Arc<EpochSys>, Arc<ShardedKvStore>) {
+    let store = ShardedKvStore::format(
+        1,
+        PmemConfig::strict_for_test(64 << 20),
         EsysConfig {
             max_threads,
             ..Default::default()
         },
+        8,
+        100_000,
     );
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys.clone()), 8, 100_000));
+    let esys = store.shard(0).esys().expect("montage shard").clone();
     (esys, store)
+}
+
+/// The store a restart finds on `esys`'s durable image.
+fn recovered_store(esys: &EpochSys) -> Arc<ShardedKvStore> {
+    let pools = vec![esys.pool().crash()];
+    ShardedKvStore::recover(pools, EsysConfig::default(), 8, 100_000, 2).0
 }
 
 #[test]
@@ -135,7 +144,7 @@ fn churn_beyond_max_threads_reuses_ids() {
     // Only 2 Montage thread ids exist; 40 sequential connections must all
     // succeed because disconnects return ids to the pool.
     let (_esys, store) = montage_store(2);
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
     for i in 0..40 {
         let mut c = WireClient::connect(h.addr()).unwrap();
         assert_eq!(
@@ -148,14 +157,14 @@ fn churn_beyond_max_threads_reuses_ids() {
         // Give the server a beat to retire the worker and free the id.
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(h.active_sessions(), 0);
+    assert_eq!(h.active_conns(), 0);
     h.shutdown();
 }
 
 #[test]
 fn over_capacity_connect_is_refused_then_recovers() {
     let (_esys, store) = montage_store(2);
-    let h = KvServer::start(
+    let h = KvServer::start_sharded(
         ServerConfig {
             max_conns: 2,
             ..Default::default()
@@ -192,7 +201,7 @@ fn over_capacity_connect_is_refused_then_recovers() {
 #[test]
 fn sync_every_n_advances_epochs() {
     let (esys, store) = montage_store(4);
-    let h = KvServer::start(
+    let h = KvServer::start_sharded(
         ServerConfig {
             sync_every: Some(4),
             ..Default::default()
@@ -215,15 +224,14 @@ fn sync_every_n_advances_epochs() {
 #[test]
 fn graceful_shutdown_persists_acked_writes() {
     let (esys, store) = montage_store(4);
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
     let mut c = WireClient::connect(h.addr()).unwrap();
     assert_eq!(c.set("durable", 9, b"kept").unwrap(), "STORED");
     drop(c);
     h.shutdown(); // ends with a full epoch sync
 
-    let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
-    let kv2 = Arc::new(KvStore::recover(rec.esys.clone(), 8, 100_000, &rec));
-    let h2 = KvServer::start(ServerConfig::default(), kv2).expect("bind");
+    let kv2 = recovered_store(&esys);
+    let h2 = KvServer::start_sharded(ServerConfig::default(), kv2).expect("bind");
     let mut c2 = WireClient::connect(h2.addr()).unwrap();
     assert_eq!(c2.get("durable").unwrap(), Some((9, b"kept".to_vec())));
     h2.shutdown();
@@ -276,7 +284,7 @@ fn panicking_handler_costs_only_its_own_connection() {
 #[test]
 fn stats_reports_persistence_counters() {
     let (_esys, store) = montage_store(4);
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
     let mut c = WireClient::connect(h.addr()).unwrap();
     assert_eq!(c.set("k", 0, b"v").unwrap(), "STORED");
     c.sync().unwrap();
@@ -301,9 +309,9 @@ fn faulted_pool_degrades_to_errors_not_panics() {
     // server itself stays up and `stats` keeps answering.
     let mut cfg = PmemConfig::strict_for_test(64 << 20);
     cfg.chaos.crash_at_event = Some(1);
-    let esys = EpochSys::format(PmemPool::new(cfg), EsysConfig::default());
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys), 8, 100_000));
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let store =
+        ShardedKvStore::format_pools(vec![PmemPool::new(cfg)], EsysConfig::default(), 8, 100_000);
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
 
     let mut c = WireClient::connect(h.addr()).unwrap();
     let reply = c.set("k", 0, b"v").unwrap();
@@ -337,7 +345,7 @@ fn crash_restart_recovers_consistent_prefix() {
     const SYNC_EVERY: u64 = 8;
 
     let (esys, store) = montage_store(WRITERS + 2);
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
     let addr = h.addr();
 
     fn checksum(t: usize, c: u64) -> u64 {
@@ -390,10 +398,9 @@ fn crash_restart_recovers_consistent_prefix() {
     }
 
     // Restart on the durable image.
-    let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
-    let kv2 = Arc::new(KvStore::recover(rec.esys.clone(), 8, 100_000, &rec));
+    let kv2 = recovered_store(&esys);
     let recovered_len = kv2.len();
-    let h2 = KvServer::start(ServerConfig::default(), kv2).expect("bind");
+    let h2 = KvServer::start_sharded(ServerConfig::default(), kv2).expect("bind");
     let mut c2 = WireClient::connect(h2.addr()).unwrap();
 
     let mut found = 0;
@@ -547,7 +554,7 @@ fn session_rid_dedupes_and_shows_in_stats() {
 #[test]
 fn session_replay_survives_crash_restart() {
     let (esys, store) = montage_store(4);
-    let h = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let h = KvServer::start_sharded(ServerConfig::default(), store).expect("bind");
     let mut c = WireClient::connect(h.addr()).unwrap();
     c.session(4242).unwrap();
     assert_eq!(c.set_rid("ctr", 0, b"0", 1).unwrap(), "STORED");
@@ -556,9 +563,8 @@ fn session_replay_survives_crash_restart() {
     c.sync().unwrap();
     h.crash(); // the ack for rid 3 may or may not have reached the client
 
-    let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
-    let kv2 = Arc::new(KvStore::recover(rec.esys.clone(), 8, 100_000, &rec));
-    let h2 = KvServer::start(ServerConfig::default(), kv2).expect("bind");
+    let kv2 = recovered_store(&esys);
+    let h2 = KvServer::start_sharded(ServerConfig::default(), kv2).expect("bind");
     let mut c2 = WireClient::connect(h2.addr()).unwrap();
     c2.session(4242).unwrap();
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kvserver::{KvServer, ServerConfig};
-use kvstore::{KvBackend, KvStore};
+use kvstore::{KvBackend, KvStore, ShardedKvStore};
 use montage::{Advancer, EpochSys, EsysConfig};
 use pmem::{PmemConfig, PmemPool};
 
@@ -53,13 +53,13 @@ fn ten_thousand_connections_on_four_workers() {
         1 << 16,
         usize::MAX / 2,
     ));
-    let handle = KvServer::start(
+    let handle = KvServer::start_sharded(
         ServerConfig {
             max_conns: n + 50,
             read_timeout: Duration::from_secs(120),
             ..Default::default()
         },
-        store,
+        ShardedKvStore::from_shards(vec![store]),
     )
     .expect("bind");
 
@@ -85,7 +85,7 @@ fn ten_thousand_connections_on_four_workers() {
     // moment to drain into the workers' tables.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let active = handle.active_sessions();
+        let active = handle.active_conns();
         if active == n {
             break;
         }
@@ -109,13 +109,13 @@ fn ten_thousand_connections_on_four_workers() {
     let status = child.wait().expect("wait wire_blast");
     assert!(status.success());
 
-    // Quits drain: every slot returns to the registry.
+    // Quits drain: every connection slot is released.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while handle.active_sessions() > 0 {
+    while handle.active_conns() > 0 {
         assert!(
             Instant::now() < deadline,
             "{} connections never released",
-            handle.active_sessions()
+            handle.active_conns()
         );
         std::thread::sleep(Duration::from_millis(50));
     }

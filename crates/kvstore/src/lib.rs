@@ -11,8 +11,16 @@
 //! * [`KvBackend::Montage`] — items are Montage payloads: the cache is fully
 //!   persistent and recoverable.
 //!
+//! This *is* a Montage structure in the paper's sense (Sec. 3, Fig. 2): a
+//! transient index — per-stripe hash map, LRU order, key-ordered mirror —
+//! over persistent [`KV_TAG`] payloads, rebuilt by [`KvStore::recover`].
+//! Every mutation (`set`, `delete`, `update`, `detected_update`) is the same
+//! sequence — lock the key's stripe, open the backend's operation window,
+//! optionally read and decide, apply — and each storage verb (read, create,
+//! overwrite, free) meets the backend in exactly one place.
+//!
 //! The memcached item layout (key, flags, value) is preserved in the item
-//! bytes; LRU is per-shard with stamp-ordered eviction.
+//! bytes; LRU is per-stripe with stamp-ordered eviction.
 
 pub mod protocol;
 pub mod router;
@@ -45,6 +53,9 @@ pub type Key = [u8; 32];
 /// Payload tag used for Montage-backed items.
 pub const KV_TAG: u16 = 6;
 
+/// Montage item layout: key bytes then value bytes.
+const KEY_BYTES: usize = 32;
+
 /// Item storage backend.
 #[derive(Clone)]
 pub enum KvBackend {
@@ -59,7 +70,145 @@ enum ItemRef {
     Montage(PHandle<[u8]>),
 }
 
-struct Shard {
+/// An [`ItemRef`] only ever meets the backend that created it.
+fn mismatch() -> ! {
+    unreachable!("item/backend mismatch")
+}
+
+fn nvm_alloc(r: &Ralloc, value: &[u8]) -> (POff, u32) {
+    let off = r.alloc(value.len().max(1));
+    r.pool().write_bytes(off, value);
+    (off, value.len() as u32)
+}
+
+fn montage_new(esys: &EpochSys, g: &OpGuard<'_>, key: &Key, value: &[u8]) -> PHandle<[u8]> {
+    let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
+    bytes.extend_from_slice(key);
+    bytes.extend_from_slice(value);
+    esys.pnew_bytes(g, KV_TAG, &bytes)
+}
+
+impl KvBackend {
+    /// Opens the window one mutation runs in. On Montage that is `begin_op`:
+    /// every payload write inside it — and the session descriptor — carries
+    /// one epoch. Transient backends have nothing to open.
+    fn open(&self, tid: usize) -> Window<'_> {
+        match self {
+            KvBackend::Dram => Window::Dram,
+            KvBackend::Nvm(r) => Window::Nvm(r),
+            KvBackend::Montage(esys) => Window::Montage(esys, esys.begin_op(ThreadId(tid))),
+        }
+    }
+
+    /// The read verb: applies `f` to the item's value bytes where they lie.
+    fn read<R>(&self, item: &ItemRef, f: impl FnOnce(&[u8]) -> R) -> R {
+        match (self, item) {
+            (_, ItemRef::Dram(b)) => f(b),
+            (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
+                r.pool().media_read(*len as usize);
+                // SAFETY: (both lines) the ItemRef was produced by this
+                // arena's own append, so `off..off+len` is in bounds and the
+                // bytes are initialized.
+                let ptr = unsafe { r.pool().at::<u8>(*off) };
+                f(unsafe { std::slice::from_raw_parts(ptr, *len as usize) })
+            }
+            (KvBackend::Montage(esys), ItemRef::Montage(h)) => esys.peek_bytes_unsafe(*h, |b| {
+                esys.pool().media_read(b.len());
+                f(&b[KEY_BYTES..])
+            }),
+            _ => mismatch(),
+        }
+    }
+}
+
+/// An open mutation window ([`KvBackend::open`]): the write verbs of the
+/// backend ladder — create, overwrite, free — and the session descriptor
+/// that must share the window's epoch.
+enum Window<'a> {
+    Dram,
+    Nvm(&'a Ralloc),
+    Montage(&'a EpochSys, OpGuard<'a>),
+}
+
+impl Window<'_> {
+    fn create(&self, key: &Key, value: &[u8]) -> ItemRef {
+        match self {
+            Window::Dram => ItemRef::Dram(value.into()),
+            Window::Nvm(r) => {
+                let (off, len) = nvm_alloc(r, value);
+                ItemRef::Nvm(off, len)
+            }
+            Window::Montage(esys, g) => ItemRef::Montage(montage_new(esys, g, key, value)),
+        }
+    }
+
+    /// Replaces the item's value, in place where the backend supports it.
+    fn overwrite(&self, item: &mut ItemRef, key: &Key, value: &[u8]) {
+        match (self, item) {
+            (_, ItemRef::Dram(b)) if b.len() == value.len() => b.copy_from_slice(value),
+            (_, ItemRef::Dram(b)) => *b = value.into(),
+            (Window::Nvm(r), ItemRef::Nvm(off, len)) if *len as usize == value.len() => {
+                r.pool().write_bytes(*off, value);
+            }
+            (Window::Nvm(r), ItemRef::Nvm(off, len)) => {
+                r.dealloc(*off);
+                (*off, *len) = nvm_alloc(r, value);
+            }
+            (Window::Montage(esys, g), ItemRef::Montage(h)) => {
+                let same_len = esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
+                if same_len {
+                    *h = esys
+                        .set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
+                        .expect("stripe lock orders epochs");
+                } else {
+                    let resized = montage_new(esys, g, key, value);
+                    let _ = esys.pdelete(g, *h);
+                    *h = resized;
+                }
+            }
+            _ => mismatch(),
+        }
+    }
+
+    fn free(&self, item: ItemRef) {
+        match (self, item) {
+            (_, ItemRef::Dram(_)) => {}
+            (Window::Nvm(r), ItemRef::Nvm(off, _)) => r.dealloc(off),
+            (Window::Montage(esys, g), ItemRef::Montage(h)) => {
+                let _ = esys.pdelete(g, h);
+            }
+            _ => mismatch(),
+        }
+    }
+
+    /// Writes a session descriptor inside this window, over the session's
+    /// previous one if it has one. Transient backends dedupe in DRAM only:
+    /// there is no crash to survive, so nothing is persisted.
+    fn describe(
+        &self,
+        prev: Option<PHandle<[u8]>>,
+        sid: u64,
+        rid: u64,
+        op_kind: u8,
+        result: &[u8],
+    ) -> Option<PHandle<[u8]>> {
+        let Window::Montage(esys, g) = self else {
+            return None;
+        };
+        let desc = session_table::encode_descriptor(sid, rid, op_kind, result);
+        Some(match prev {
+            // Fixed-size descriptor: always a same-length overwrite, so uid
+            // cancellation keeps exactly one durable version.
+            Some(h) => esys
+                .set_bytes(g, h, |b| b.copy_from_slice(&desc))
+                .expect("session slot lock orders epochs"),
+            None => esys.pnew_bytes(g, SESSION_TAG, &desc),
+        })
+    }
+}
+
+/// One lock stripe of the transient index.
+struct Stripe {
     map: HashMap<Key, (ItemRef, u64)>,
     lru: BTreeMap<u64, Key>,
     /// Key-ordered mirror of `map`'s key set, maintained at every insert
@@ -69,9 +218,9 @@ struct Shard {
     next_stamp: u64,
 }
 
-impl Shard {
+impl Stripe {
     fn new() -> Self {
-        Shard {
+        Stripe {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             ordered: BTreeSet::new(),
@@ -79,24 +228,43 @@ impl Shard {
         }
     }
 
-    fn touch(&mut self, key: &Key) {
-        if let Some((_, stamp)) = self.map.get(key) {
-            let old = *stamp;
-            self.lru.remove(&old);
-            let new = self.next_stamp;
-            self.next_stamp += 1;
-            self.lru.insert(new, *key);
-            self.map.get_mut(key).unwrap().1 = new;
-        }
+    /// Indexes a key the stripe does not hold, as its most recently used.
+    fn insert(&mut self, key: Key, item: ItemRef) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.map.insert(key, (item, stamp));
+        self.lru.insert(stamp, key);
+        self.ordered.insert(key);
+    }
+
+    fn remove(&mut self, key: &Key) -> Option<ItemRef> {
+        let (item, stamp) = self.map.remove(key)?;
+        self.lru.remove(&stamp);
+        self.ordered.remove(key);
+        Some(item)
+    }
+
+    /// Marks the key most recently used and hands back its item.
+    fn touch(&mut self, key: &Key) -> Option<&mut ItemRef> {
+        let (item, stamp) = self.map.get_mut(key)?;
+        self.lru.remove(stamp);
+        *stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.lru.insert(*stamp, *key);
+        Some(item)
+    }
+
+    /// The least recently used key — the eviction victim.
+    fn oldest(&self) -> Option<Key> {
+        self.lru.values().next().copied()
     }
 }
 
-/// The cache. `capacity` bounds items per shard (memcached's memory cap).
+/// The cache. `capacity` bounds items per stripe (memcached's memory cap).
 pub struct KvStore {
     backend: KvBackend,
-    shards: Box<[Mutex<Shard>]>,
-    capacity_per_shard: usize,
-    len: AtomicUsize,
+    stripes: Box<[Mutex<Stripe>]>,
+    capacity_per_stripe: usize,
     evictions: AtomicUsize,
     /// Detectable-operations state: one durable descriptor per session (see
     /// [`session_table`]). Descriptors live in this store's pool, so in a
@@ -105,17 +273,13 @@ pub struct KvStore {
     sessions: SessionTable,
 }
 
-/// Montage item layout: key bytes then value bytes.
-const KEY_BYTES: usize = 32;
-
 impl KvStore {
-    pub fn new(backend: KvBackend, shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0);
+    pub fn new(backend: KvBackend, stripes: usize, capacity: usize) -> Self {
+        assert!(stripes > 0);
         KvStore {
             backend,
-            capacity_per_shard: (capacity / shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            len: AtomicUsize::new(0),
+            capacity_per_stripe: (capacity / stripes).max(1),
+            stripes: (0..stripes).map(|_| Mutex::new(Stripe::new())).collect(),
             evictions: AtomicUsize::new(0),
             sessions: SessionTable::default(),
         }
@@ -127,24 +291,17 @@ impl KvStore {
     /// across the crash.
     pub fn recover(
         esys: Arc<EpochSys>,
-        shards: usize,
+        stripes: usize,
         capacity: usize,
         rec: &RecoveredState,
     ) -> Self {
-        let store = Self::new(KvBackend::Montage(esys), shards, capacity);
+        let store = Self::new(KvBackend::Montage(esys), stripes, capacity);
         for item in rec.shards.iter().flatten() {
             match item.tag {
                 KV_TAG => {
                     let key: Key = rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap());
-                    let mut shard = store.shards[store.index(&key)].lock();
-                    let stamp = shard.next_stamp;
-                    shard.next_stamp += 1;
-                    shard
-                        .map
-                        .insert(key, (ItemRef::Montage(item.handle()), stamp));
-                    shard.lru.insert(stamp, key);
-                    shard.ordered.insert(key);
-                    store.len.fetch_add(1, Ordering::Relaxed);
+                    let handle = ItemRef::Montage(item.handle());
+                    store.stripe(&key).lock().insert(key, handle);
                 }
                 SESSION_TAG => {
                     let Some((sid, rid, op_kind, result)) =
@@ -167,11 +324,10 @@ impl KvStore {
     }
 
     /// Registers the calling worker; returns the id to pass to operations.
+    /// Panics when the Montage thread table is fully leased.
     pub fn register_thread(&self) -> usize {
-        match &self.backend {
-            KvBackend::Montage(esys) => esys.register_thread().0,
-            _ => 0,
-        }
+        self.try_register_thread()
+            .expect("more than max_threads threads registered")
     }
 
     /// Fallible worker registration for connection-oriented front-ends:
@@ -223,14 +379,14 @@ impl KvStore {
         }
     }
 
-    fn index(&self, key: &Key) -> usize {
+    fn stripe(&self, key: &Key) -> &Mutex<Stripe> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        &self.stripes[(h.finish() as usize) % self.stripes.len()]
     }
 
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.stripes.iter().map(|s| s.lock().map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -241,159 +397,25 @@ impl KvStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// DRAM held by the per-stripe ordered mirrors (ROADMAP item 3's
-    /// accounting fragment): every key the `BTreeSet`s index, costed at the
-    /// key bytes plus two words of amortized B-tree node bookkeeping
-    /// (leaves hold 5..=11 keys, so edge pointers and lengths stay under
-    /// 16 bytes per key even at worst-case fill). An estimate by design —
-    /// the 32-byte keys dominate — but it moves with occupancy, which is
-    /// what capacity planning needs.
+    /// DRAM held by the per-stripe ordered mirrors: every key the
+    /// `BTreeSet`s index, costed at the key bytes plus two words of
+    /// amortized B-tree node bookkeeping (leaves hold 5..=11 keys, so edge
+    /// pointers and lengths stay under 16 bytes per key even at worst-case
+    /// fill). An estimate by design — the 32-byte keys dominate — but it
+    /// moves with occupancy, which is what capacity planning needs.
     pub fn ordered_mirror_bytes(&self) -> usize {
         const PER_KEY: usize = std::mem::size_of::<Key>() + 2 * std::mem::size_of::<usize>();
-        self.shards
+        self.stripes
             .iter()
             .map(|s| s.lock().ordered.len() * PER_KEY)
             .sum()
     }
 
-    fn make_item(&self, tid: usize, key: &Key, value: &[u8]) -> ItemRef {
-        match &self.backend {
-            KvBackend::Dram => ItemRef::Dram(value.into()),
-            KvBackend::Nvm(r) => {
-                let off = r.alloc(value.len().max(1));
-                r.pool().write_bytes(off, value);
-                ItemRef::Nvm(off, value.len() as u32)
-            }
-            KvBackend::Montage(esys) => {
-                let g = esys.begin_op(ThreadId(tid));
-                let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                bytes.extend_from_slice(key);
-                bytes.extend_from_slice(value);
-                ItemRef::Montage(esys.pnew_bytes(&g, KV_TAG, &bytes))
-            }
-        }
-    }
-
-    fn free_item(&self, tid: usize, item: ItemRef) {
-        match (&self.backend, item) {
-            (_, ItemRef::Dram(_)) => {}
-            (KvBackend::Nvm(r), ItemRef::Nvm(off, _)) => r.dealloc(off),
-            (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
-                let g = esys.begin_op(ThreadId(tid));
-                let _ = esys.pdelete(&g, h);
-            }
-            _ => unreachable!("item/backend mismatch"),
-        }
-    }
-
     /// memcached `get`: applies `f` to the value bytes on hit.
-    pub fn get<R>(&self, _tid: usize, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let mut shard = self.shards[self.index(key)].lock();
-        shard.touch(key);
-        let (item, _) = shard.map.get(key)?;
-        Some(match (&self.backend, item) {
-            (_, ItemRef::Dram(b)) => f(b),
-            (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
-                r.pool().media_read(*len as usize);
-                // SAFETY: (both lines) the ItemRef was produced by this
-                // arena's own append, so `off..off+len` is in bounds and the
-                // bytes are initialized.
-                let ptr = unsafe { r.pool().at::<u8>(*off) };
-                f(unsafe { std::slice::from_raw_parts(ptr, *len as usize) })
-            }
-            (KvBackend::Montage(esys), ItemRef::Montage(h)) => esys.peek_bytes_unsafe(*h, |b| {
-                esys.pool().media_read(b.len());
-                f(&b[KEY_BYTES..])
-            }),
-            _ => unreachable!("item/backend mismatch"),
-        })
-    }
-
-    /// memcached `set`: insert or overwrite.
-    pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
-        let mut shard = self.shards[self.index(&key)].lock();
-        self.set_locked(tid, &mut shard, key, value);
-    }
-
-    /// [`KvStore::set`] under an already-held shard lock (the locked
-    /// read-modify-write path applies its verdict without releasing).
-    fn set_locked(&self, tid: usize, shard: &mut Shard, key: Key, value: &[u8]) {
-        if let Some((item, _)) = shard.map.get_mut(&key) {
-            // Update in place where the backend supports it.
-            match (&self.backend, &mut *item) {
-                (_, ItemRef::Dram(b)) if b.len() == value.len() => {
-                    b.copy_from_slice(value);
-                }
-                (_, ItemRef::Dram(b)) => *b = value.into(),
-                (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) if *len as usize == value.len() => {
-                    r.pool().write_bytes(*off, value);
-                }
-                (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
-                    r.dealloc(*off);
-                    let noff = r.alloc(value.len().max(1));
-                    r.pool().write_bytes(noff, value);
-                    *off = noff;
-                    *len = value.len() as u32;
-                }
-                (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
-                    let same_len =
-                        esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
-                    let g = esys.begin_op(ThreadId(tid));
-                    if same_len {
-                        *h = esys
-                            .set_bytes(&g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
-                            .expect("shard lock orders epochs");
-                    } else {
-                        let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                        bytes.extend_from_slice(&key);
-                        bytes.extend_from_slice(value);
-                        let nh = esys.pnew_bytes(&g, KV_TAG, &bytes);
-                        let _ = esys.pdelete(&g, *h);
-                        *h = nh;
-                    }
-                }
-                _ => unreachable!("item/backend mismatch"),
-            }
-            shard.touch(&key);
-            return;
-        }
-        // Insert (with LRU eviction at capacity).
-        if shard.map.len() >= self.capacity_per_shard {
-            if let Some((&oldest, &victim)) = shard.lru.iter().next() {
-                shard.lru.remove(&oldest);
-                if let Some((item, _)) = shard.map.remove(&victim) {
-                    shard.ordered.remove(&victim);
-                    self.free_item(tid, item);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let item = self.make_item(tid, &key, value);
-        let stamp = shard.next_stamp;
-        shard.next_stamp += 1;
-        shard.map.insert(key, (item, stamp));
-        shard.lru.insert(stamp, key);
-        shard.ordered.insert(key);
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// memcached `delete`.
-    pub fn delete(&self, tid: usize, key: &Key) -> bool {
-        let mut shard = self.shards[self.index(key)].lock();
-        self.delete_locked(tid, &mut shard, key)
-    }
-
-    /// [`KvStore::delete`] under an already-held shard lock.
-    fn delete_locked(&self, tid: usize, shard: &mut Shard, key: &Key) -> bool {
-        let Some((item, stamp)) = shard.map.remove(key) else {
-            return false;
-        };
-        shard.lru.remove(&stamp);
-        shard.ordered.remove(key);
-        self.free_item(tid, item);
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        true
+    pub fn get<R>(&self, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let mut stripe = self.stripe(key).lock();
+        let item = stripe.touch(key)?;
+        Some(self.backend.read(item, f))
     }
 
     /// Ordered inclusive range scan: every stripe is walked under its lock
@@ -406,13 +428,11 @@ impl KvStore {
             return Vec::new();
         }
         let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
-        for stripe in self.shards.iter() {
-            let shard = stripe.lock();
-            for key in shard.ordered.range(*lo..=*hi) {
-                let value = self
-                    .read_value_locked(&shard, key)
-                    .expect("ordered mirrors map");
-                out.push((*key, value));
+        for stripe in self.stripes.iter() {
+            let stripe = stripe.lock();
+            for key in stripe.ordered.range(*lo..=*hi) {
+                let (item, _) = stripe.map.get(key).expect("ordered mirrors map");
+                out.push((*key, self.backend.read(item, <[u8]>::to_vec)));
             }
         }
         out.sort_by_key(|e| e.0);
@@ -420,30 +440,21 @@ impl KvStore {
         out
     }
 
-    /// The key's current value bytes under an already-held shard lock —
-    /// the read half of every locked read-modify-write.
-    fn read_value_locked(&self, shard: &Shard, key: &Key) -> Option<Vec<u8>> {
-        let (item, _) = shard.map.get(key)?;
-        Some(match (&self.backend, item) {
-            (_, ItemRef::Dram(b)) => b.to_vec(),
-            (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
-                r.pool().media_read(*len as usize);
-                // SAFETY: (both lines) the ItemRef was produced by this
-                // arena's own append, so `off..off+len` is in bounds and the
-                // bytes are initialized.
-                let ptr = unsafe { r.pool().at::<u8>(*off) };
-                unsafe { std::slice::from_raw_parts(ptr, *len as usize) }.to_vec()
-            }
-            (KvBackend::Montage(esys), ItemRef::Montage(h)) => esys.peek_bytes_unsafe(*h, |b| {
-                esys.pool().media_read(b.len());
-                b[KEY_BYTES..].to_vec()
-            }),
-            _ => unreachable!("item/backend mismatch"),
-        })
+    /// memcached `set`: insert or overwrite. Blind — the old value is never
+    /// read (on NVM that read is a charged media access).
+    pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
+        let mut stripe = self.stripe(&key).lock();
+        self.upsert(&mut stripe, &self.backend.open(tid), &key, value);
+    }
+
+    /// memcached `delete`.
+    pub fn delete(&self, tid: usize, key: &Key) -> bool {
+        let mut stripe = self.stripe(key).lock();
+        self.remove(&mut stripe, &self.backend.open(tid), key)
     }
 
     /// An atomic read-modify-write: runs `decide` on the key's current
-    /// value and applies its verdict while **holding the shard lock across
+    /// value and applies its verdict while **holding the stripe lock across
     /// both**, so two racing mutations of one key serialize — the second
     /// decides against the first's result. This is what makes the
     /// sessionless protocol path's conditional ops (`cas`/`add`/`incr`)
@@ -456,26 +467,9 @@ impl KvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let mut shard = self.shards[self.index(key)].lock();
-        let current = self.read_value_locked(&shard, key);
-        let (write, reply) = decide(current.as_deref());
-        match &self.backend {
-            KvBackend::Montage(esys) => {
-                let g = esys.begin_op(ThreadId(tid));
-                self.apply_montage_write(esys, &g, &mut shard, key, write);
-            }
-            _ => match write {
-                DetectedWrite::Keep => {}
-                DetectedWrite::Delete => {
-                    self.delete_locked(tid, &mut shard, key);
-                }
-                DetectedWrite::Upsert(v) => self.set_locked(tid, &mut shard, *key, &v),
-            },
-        }
-        reply
+        let mut stripe = self.stripe(key).lock();
+        self.decide_and_apply(&mut stripe, &self.backend.open(tid), key, decide)
     }
-
-    // ---- detectable operations ------------------------------------------
 
     /// A detectable mutation: routes `(sid, rid)` through the session table,
     /// and if the request id is new, runs `decide` on the key's current
@@ -512,7 +506,7 @@ impl KvStore {
         // racing retries of the same request serialize on the slot (the
         // loser answered from the winner's descriptor) while unrelated
         // sessions run concurrently — contending, at most, on the mutated
-        // key's shard lock like any other mutation.
+        // key's stripe lock like any other mutation.
         let slot = self.sessions.slot(sid);
         let mut entry = slot.lock();
         if let Some(rec) = entry.as_ref() {
@@ -527,28 +521,11 @@ impl KvStore {
                 return DetectOutcome::Stale { last_rid: rec.rid };
             }
         }
-        let (result, handle) = match &self.backend {
-            KvBackend::Montage(esys) => {
-                let mut shard = self.shards[self.index(key)].lock();
-                let g = esys.begin_op(ThreadId(tid));
-                let current = self.read_value_locked(&shard, key);
-                let (write, result) = decide(current.as_deref());
-                self.apply_montage_write(esys, &g, &mut shard, key, write);
-                let desc = session_table::encode_descriptor(sid, rid, op_kind, &result);
-                let handle = match entry.as_ref().and_then(|r| r.handle) {
-                    // Fixed-size descriptor: always a same-length overwrite,
-                    // so uid cancellation keeps exactly one durable version.
-                    Some(h) => esys
-                        .set_bytes(&g, h, |b| b.copy_from_slice(&desc))
-                        .expect("session slot lock orders epochs"),
-                    None => esys.pnew_bytes(&g, SESSION_TAG, &desc),
-                };
-                (result, Some(handle))
-            }
-            // Transient backends dedupe in DRAM only; the mutation itself
-            // runs the same locked read-modify-write as the plain path.
-            _ => (self.update(tid, key, decide), None),
-        };
+        let mut stripe = self.stripe(key).lock();
+        let window = self.backend.open(tid);
+        let result = self.decide_and_apply(&mut stripe, &window, key, decide);
+        let prev = entry.as_ref().and_then(|r| r.handle);
+        let handle = window.describe(prev, sid, rid, op_kind, &result);
         *entry = Some(SessionRecord {
             rid,
             op_kind,
@@ -559,78 +536,45 @@ impl KvStore {
         DetectOutcome::Applied(result)
     }
 
-    /// Applies a [`DetectedWrite`] to a Montage shard under the caller's
-    /// already-open operation guard (same index/LRU bookkeeping as
-    /// [`KvStore::set`]/[`KvStore::delete`], but no nested `begin_op`).
-    fn apply_montage_write(
+    /// The locked read → decide → apply every conditional mutation is.
+    fn decide_and_apply(
         &self,
-        esys: &Arc<EpochSys>,
-        g: &OpGuard<'_>,
-        shard: &mut Shard,
+        stripe: &mut Stripe,
+        window: &Window<'_>,
         key: &Key,
-        write: DetectedWrite,
-    ) {
-        let pdelete_item = |item: ItemRef| match item {
-            ItemRef::Montage(h) => {
-                let _ = esys.pdelete(g, h);
-            }
-            _ => unreachable!("item/backend mismatch"),
+        decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
+    ) -> Vec<u8> {
+        let (write, reply) = match stripe.map.get(key) {
+            Some((item, _)) => self.backend.read(item, |b| decide(Some(b))),
+            None => decide(None),
         };
         match write {
             DetectedWrite::Keep => {}
             DetectedWrite::Delete => {
-                if let Some((item, stamp)) = shard.map.remove(key) {
-                    shard.lru.remove(&stamp);
-                    shard.ordered.remove(key);
-                    pdelete_item(item);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                }
+                self.remove(stripe, window, key);
             }
-            DetectedWrite::Upsert(value) => {
-                if let Some((item, _)) = shard.map.get_mut(key) {
-                    let ItemRef::Montage(h) = item else {
-                        unreachable!("item/backend mismatch")
-                    };
-                    let same_len =
-                        esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
-                    if same_len {
-                        *h = esys
-                            .set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(&value))
-                            .expect("shard lock orders epochs");
-                    } else {
-                        let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                        bytes.extend_from_slice(key);
-                        bytes.extend_from_slice(&value);
-                        let nh = esys.pnew_bytes(g, KV_TAG, &bytes);
-                        let _ = esys.pdelete(g, *h);
-                        *h = nh;
-                    }
-                    shard.touch(key);
-                    return;
-                }
-                if shard.map.len() >= self.capacity_per_shard {
-                    if let Some((&oldest, &victim)) = shard.lru.iter().next() {
-                        shard.lru.remove(&oldest);
-                        if let Some((item, _)) = shard.map.remove(&victim) {
-                            shard.ordered.remove(&victim);
-                            pdelete_item(item);
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                bytes.extend_from_slice(key);
-                bytes.extend_from_slice(&value);
-                let item = ItemRef::Montage(esys.pnew_bytes(g, KV_TAG, &bytes));
-                let stamp = shard.next_stamp;
-                shard.next_stamp += 1;
-                shard.map.insert(*key, (item, stamp));
-                shard.lru.insert(stamp, *key);
-                shard.ordered.insert(*key);
-                self.len.fetch_add(1, Ordering::Relaxed);
+            DetectedWrite::Upsert(value) => self.upsert(stripe, window, key, &value),
+        }
+        reply
+    }
+
+    /// Overwrites the key's item, or creates it — evicting the stripe's
+    /// least recently used item first when the stripe is full.
+    fn upsert(&self, stripe: &mut Stripe, window: &Window<'_>, key: &Key, value: &[u8]) {
+        if let Some(item) = stripe.touch(key) {
+            return window.overwrite(item, key, value);
+        }
+        if stripe.map.len() >= self.capacity_per_stripe {
+            if let Some(victim) = stripe.oldest() {
+                self.remove(stripe, window, &victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        stripe.insert(*key, window.create(key, value));
+    }
+
+    fn remove(&self, stripe: &mut Stripe, window: &Window<'_>, key: &Key) -> bool {
+        stripe.remove(key).map(|item| window.free(item)).is_some()
     }
 
     /// Exactly-once counters and table occupancy for this store.
@@ -681,11 +625,11 @@ mod tests {
             let kv = KvStore::new(backend, 4, 1000);
             let tid = kv.register_thread();
             kv.set(tid, make_key(1), b"hello");
-            assert_eq!(kv.get(tid, &make_key(1), |v| v.to_vec()).unwrap(), b"hello");
+            assert_eq!(kv.get(&make_key(1), |v| v.to_vec()).unwrap(), b"hello");
             kv.set(tid, make_key(1), b"world");
-            assert_eq!(kv.get(tid, &make_key(1), |v| v.to_vec()).unwrap(), b"world");
+            assert_eq!(kv.get(&make_key(1), |v| v.to_vec()).unwrap(), b"world");
             assert!(kv.delete(tid, &make_key(1)));
-            assert!(kv.get(tid, &make_key(1), |_| ()).is_none());
+            assert!(kv.get(&make_key(1), |_| ()).is_none());
             assert!(!kv.delete(tid, &make_key(1)));
         }
     }
@@ -697,7 +641,7 @@ mod tests {
             let tid = kv.register_thread();
             kv.set(tid, make_key(9), b"short");
             kv.set(tid, make_key(9), &vec![7u8; 500]);
-            assert_eq!(kv.get(tid, &make_key(9), |v| v.len()).unwrap(), 500);
+            assert_eq!(kv.get(&make_key(9), |v| v.len()).unwrap(), 500);
         }
     }
 
@@ -708,14 +652,11 @@ mod tests {
         kv.set(tid, make_key(1), b"a");
         kv.set(tid, make_key(2), b"b");
         kv.set(tid, make_key(3), b"c");
-        kv.get(tid, &make_key(1), |_| ()); // touch 1 → 2 is now LRU
+        kv.get(&make_key(1), |_| ()); // touch 1 → 2 is now LRU
         kv.set(tid, make_key(4), b"d");
         assert_eq!(kv.evictions(), 1);
-        assert!(
-            kv.get(tid, &make_key(2), |_| ()).is_none(),
-            "LRU victim is 2"
-        );
-        assert!(kv.get(tid, &make_key(1), |_| ()).is_some());
+        assert!(kv.get(&make_key(2), |_| ()).is_none(), "LRU victim is 2");
+        assert!(kv.get(&make_key(1), |_| ()).is_some());
     }
 
     #[test]
@@ -747,7 +688,7 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(
-                kv.get(tid, &make_key(1), |v| v.to_vec()).unwrap(),
+                kv.get(&make_key(1), |v| v.to_vec()).unwrap(),
                 b"400",
                 "racing read-modify-writes must not lose updates"
             );
@@ -757,7 +698,7 @@ mod tests {
             });
             assert_eq!(r, b"kept");
             kv.update(tid, &make_key(1), |_| (DetectedWrite::Delete, vec![]));
-            assert!(kv.get(tid, &make_key(1), |_| ()).is_none());
+            assert!(kv.get(&make_key(1), |_| ()).is_none());
         }
     }
 
@@ -798,10 +739,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let tid = kv.register_thread();
         for sid in 0..4u64 {
             assert_eq!(
-                kv.get(tid, &make_key(sid), |v| v.to_vec()).unwrap(),
+                kv.get(&make_key(sid), |v| v.to_vec()).unwrap(),
                 b"50",
                 "session {sid} lost updates"
             );
@@ -828,17 +768,10 @@ mod tests {
         esys.sync();
         let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
         let kv2 = KvStore::recover(rec.esys.clone(), 4, 1000, &rec);
-        let tid2 = kv2.register_thread();
         assert_eq!(kv2.len(), 49);
-        assert!(kv2.get(tid2, &make_key(7), |_| ()).is_none());
-        assert_eq!(
-            kv2.get(tid2, &make_key(8), |v| v.to_vec()).unwrap(),
-            b"updated"
-        );
-        assert_eq!(
-            kv2.get(tid2, &make_key(33), |v| v.to_vec()).unwrap(),
-            b"v33"
-        );
+        assert!(kv2.get(&make_key(7), |_| ()).is_none());
+        assert_eq!(kv2.get(&make_key(8), |v| v.to_vec()).unwrap(), b"updated");
+        assert_eq!(kv2.get(&make_key(33), |v| v.to_vec()).unwrap(), b"v33");
     }
 
     #[test]
@@ -855,7 +788,7 @@ mod tests {
                 for i in 0..5000u64 {
                     let k = make_key((i * 7 + t * 13) % 1000);
                     if i % 2 == 0 {
-                        if kv.get(0, &k, |_| ()).is_some() {
+                        if kv.get(&k, |_| ()).is_some() {
                             hits += 1;
                         }
                     } else {

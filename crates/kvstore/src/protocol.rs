@@ -1,4 +1,4 @@
-//! memcached text-protocol surface over [`crate::KvStore`].
+//! memcached text-protocol surface over [`crate::ShardedKvStore`].
 //!
 //! The Kjellqvist et al. variant the paper benchmarks links the client
 //! directly against the cache, dispensing with sockets — so this module
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::session_table::{DetectOutcome, DetectedWrite};
-use crate::{Key, KvStore, ShardedKvStore, StoreError, StoreLease};
+use crate::{Key, ShardedKvStore, StoreError, StoreLease};
 
 const META: usize = 20; // flags u32 + expires_at_ms u64 + cas u64
 
@@ -72,9 +72,30 @@ impl Clock for SystemClock {
     }
 }
 
-/// One client session. Commands route through a [`ShardedKvStore`] (a
-/// plain [`KvStore`] is wrapped as its 1-shard case), with worker ids
-/// leased lazily per shard through the session's [`StoreLease`].
+/// What the layers in front of a session must know about a command verb
+/// before executing it: the framer whether a data block follows the line,
+/// the batcher whether it mutates (pins its key's shard, owes a fence).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Verb {
+    pub has_data: bool,
+    pub mutates: bool,
+}
+
+/// Classifies a command verb; `None` for verbs the protocol does not know
+/// (a session answers those `ERROR`). The one place that lists the verbs
+/// [`Session::execute_with`] dispatches.
+pub fn verb(cmd: &str) -> Option<Verb> {
+    let (has_data, mutates) = match cmd {
+        "get" | "gets" | "scan" => (false, false),
+        "set" | "add" | "replace" | "cas" => (true, true),
+        "delete" | "touch" | "incr" | "decr" => (false, true),
+        _ => return None,
+    };
+    Some(Verb { has_data, mutates })
+}
+
+/// One client session. Commands route through a [`ShardedKvStore`], with
+/// worker ids leased lazily per shard through the session's [`StoreLease`].
 pub struct Session {
     store: Arc<ShardedKvStore>,
     lease: Arc<StoreLease>,
@@ -87,6 +108,12 @@ struct Item {
     expires_at: u64,
     cas: u64,
     data: Vec<u8>,
+}
+
+impl Item {
+    fn expired(&self, now_ms: u64) -> bool {
+        self.expires_at != 0 && self.expires_at <= now_ms
+    }
 }
 
 fn make_item_at(flags: u32, expires_at: u64, cas: u64, data: &[u8]) -> Vec<u8> {
@@ -239,23 +266,8 @@ impl MutOp<'_> {
 }
 
 impl Session {
-    pub fn new(store: Arc<KvStore>) -> Self {
-        let store = ShardedKvStore::single(store);
-        let lease = Arc::new(store.lease());
-        Session::sharded(store, lease)
-    }
-
-    /// Wraps an already-leased worker id (the server's session registry
-    /// leases ids per connection and returns them on disconnect; the
-    /// session does not own the id).
-    pub fn with_tid(store: Arc<KvStore>, tid: usize) -> Self {
-        let store = ShardedKvStore::single(store);
-        let lease = Arc::new(store.lease_prefilled(vec![Some(tid)]));
-        Session::sharded(store, lease)
-    }
-
-    /// A session over a sharded store with a caller-managed lease (the
-    /// server's registry shares one lease per connection).
+    /// A session over `store` operating under `lease`'s worker ids (a
+    /// server worker shares one lease between its session and its batches).
     pub fn sharded(store: Arc<ShardedKvStore>, lease: Arc<StoreLease>) -> Self {
         Session {
             store,
@@ -283,7 +295,7 @@ impl Session {
     /// descriptor table.
     pub fn execute_with(&self, line: &str, data: &[u8], session_id: Option<u64>) -> String {
         let mut parts = line.split_whitespace();
-        let Some(cmd) = parts.next() else {
+        let Some(cmd) = parts.next().filter(|c| verb(c).is_some()) else {
             return "ERROR".into();
         };
         let mut args: Vec<&str> = parts.collect();
@@ -328,9 +340,7 @@ impl Session {
         let new_cas = self.store.next_cas();
         let decide = |raw: Option<&[u8]>| -> (DetectedWrite, Vec<u8>) {
             let parsed = raw.map(parse_item);
-            let expired = parsed
-                .as_ref()
-                .is_some_and(|it| it.expires_at != 0 && it.expires_at <= now_ms);
+            let expired = parsed.as_ref().is_some_and(|it| it.expired(now_ms));
             let cur = if expired { None } else { parsed.as_ref() };
             let (mut write, reply) = op.decide(cur, now_ms, new_cas);
             if expired && matches!(write, DetectedWrite::Keep) {
@@ -365,13 +375,24 @@ impl Session {
     /// expired items like memcached does.
     fn fetch(&self, key: &Key) -> Option<Item> {
         let item = self.store.get(key, parse_item)?;
-        if item.expires_at != 0 && item.expires_at <= self.clock.now_ms() {
-            // Best-effort: on a faulted or id-starved shard the expired item
-            // stays resident but is still filtered out of every reply.
-            let _ = self.store.delete(&self.lease, key);
-            return None;
+        let now_ms = self.clock.now_ms();
+        if !item.expired(now_ms) {
+            return Some(item);
         }
-        Some(item)
+        // Reap under the stripe lock, and only what is still expired there:
+        // a `set` acked since the read above must not be deleted by a
+        // reader. Best-effort: on a faulted or id-starved shard the expired
+        // item stays resident but is still filtered out of every reply.
+        let _ = self.store.update(&self.lease, key, |raw| {
+            let still_expired = raw.is_some_and(|b| parse_item(b).expired(now_ms));
+            let write = if still_expired {
+                DetectedWrite::Delete
+            } else {
+                DetectedWrite::Keep
+            };
+            (write, Vec::new())
+        });
+        None
     }
 
     fn do_get(&self, args: &[&str], with_cas: bool) -> String {
@@ -427,7 +448,7 @@ impl Session {
         let mut out = String::new();
         for (key, raw) in self.store.scan(&lo, &hi, limit) {
             let it = parse_item(&raw);
-            if it.expires_at != 0 && it.expires_at <= now_ms {
+            if it.expired(now_ms) {
                 continue;
             }
             let name = key_text(&key);
@@ -531,12 +552,34 @@ fn server_error(e: &StoreError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KvBackend;
-    use montage::{EpochSys, EsysConfig};
-    use pmem::{PmemConfig, PmemPool};
+    use crate::{KvBackend, KvStore};
+    use montage::EsysConfig;
+    use pmem::PmemConfig;
+
+    fn session_over(store: &Arc<ShardedKvStore>) -> Session {
+        Session::sharded(store.clone(), Arc::new(store.lease()))
+    }
+
+    fn one_shard(backend: KvBackend) -> Arc<ShardedKvStore> {
+        ShardedKvStore::from_shards(vec![Arc::new(KvStore::new(backend, 8, 10_000))])
+    }
 
     fn session(backend: KvBackend) -> Session {
-        Session::new(Arc::new(KvStore::new(backend, 8, 10_000)))
+        session_over(&one_shard(backend))
+    }
+
+    fn montage_store() -> Arc<ShardedKvStore> {
+        ShardedKvStore::format(
+            1,
+            PmemConfig::strict_for_test(32 << 20),
+            EsysConfig::default(),
+            8,
+            10_000,
+        )
+    }
+
+    fn crash_and_recover(store: &ShardedKvStore) -> Arc<ShardedKvStore> {
+        ShardedKvStore::recover(store.crash_pools(), EsysConfig::default(), 8, 10_000, 1).0
     }
 
     #[test]
@@ -680,13 +723,13 @@ mod tests {
         // Two connections land on different workers; without the shard lock
         // held across read-decide-write, racing `incr`s interleave and lose
         // updates. 4 racers × 250 increments must land on exactly 1000.
-        let store = Arc::new(KvStore::new(KvBackend::Dram, 8, 10_000));
-        Session::new(store.clone()).execute("set ctr 0 0 1", b"0");
+        let store = one_shard(KvBackend::Dram);
+        session_over(&store).execute("set ctr 0 0 1", b"0");
         let mut handles = vec![];
         for _ in 0..4 {
             let store = store.clone();
             handles.push(std::thread::spawn(move || {
-                let s = Session::new(store);
+                let s = session_over(&store);
                 for _ in 0..250 {
                     let r = s.execute("incr ctr 1", b"");
                     assert!(r.parse::<u64>().is_ok(), "{r}");
@@ -696,7 +739,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let s = Session::new(store);
+        let s = session_over(&store);
         let r = s.execute("get ctr", b"");
         assert!(r.contains("1000"), "lost updates: {r}");
     }
@@ -705,13 +748,13 @@ mod tests {
     fn sessionless_add_stores_exactly_once_under_races() {
         // `add` is check-then-act: two racers must never both see "absent"
         // and both reply STORED.
-        let store = Arc::new(KvStore::new(KvBackend::Dram, 8, 10_000));
+        let store = one_shard(KvBackend::Dram);
         for round in 0..50 {
             let mut handles = vec![];
             for _ in 0..4 {
                 let store = store.clone();
                 handles.push(std::thread::spawn(move || {
-                    Session::new(store).execute(&format!("add k{round} 0 0 1"), b"x")
+                    session_over(&store).execute(&format!("add k{round} 0 0 1"), b"x")
                 }));
             }
             let stored = handles
@@ -772,18 +815,82 @@ mod tests {
     }
 
     #[test]
+    fn expired_read_does_not_delete_a_racing_set() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// A clock that, the first time it is read, lets a second session's
+        /// `set k` land, then reports a time past the old item's expiry —
+        /// the interleaving where `get` has read the expired item but not
+        /// yet reaped it.
+        struct RacingClock {
+            racer: Session,
+            raced: AtomicBool,
+        }
+        impl Clock for RacingClock {
+            fn now_ms(&self) -> u64 {
+                if !self.raced.swap(true, Ordering::Relaxed) {
+                    assert_eq!(self.racer.execute("set k 0 0 5", b"fresh"), "STORED");
+                }
+                2_000
+            }
+        }
+
+        let store = one_shard(KvBackend::Dram);
+        let key = key_of("k").unwrap();
+        let lease = store.lease();
+        // Expires at 1_000 ms; the racing clock reads 2_000.
+        let stale = make_item_at(0, 1_000, 0, b"stale");
+        store.set(&lease, key, &stale).unwrap();
+        let clock = Arc::new(RacingClock {
+            racer: session_over(&store),
+            raced: AtomicBool::new(false),
+        });
+        let s = session_over(&store).with_clock(clock);
+        // This read saw the expired item: a miss either way.
+        assert_eq!(s.execute("get k", b""), "END");
+        // The acked `set` must have survived the reader's lazy reap.
+        let r = s.execute("get k", b"");
+        assert!(r.starts_with("VALUE k 0 5\r\nfresh\r\n"), "{r}");
+    }
+
+    #[test]
+    fn every_dispatched_verb_is_classified_and_the_rest_answer_error() {
+        let s = session(KvBackend::Dram);
+        let (read, mutate, store) = ((false, false), (false, true), (true, true));
+        for (name, class) in [
+            ("get", read),
+            ("gets", read),
+            ("scan", read),
+            ("set", store),
+            ("add", store),
+            ("replace", store),
+            ("cas", store),
+            ("delete", mutate),
+            ("touch", mutate),
+            ("incr", mutate),
+            ("decr", mutate),
+        ] {
+            let v = verb(name).unwrap_or_else(|| panic!("{name} is not classified"));
+            assert_eq!((v.has_data, v.mutates), class, "{name}");
+            // With no arguments every dispatched verb answers something
+            // more specific than the unknown-verb reply.
+            assert_ne!(s.execute(name, b""), "ERROR", "{name} is not dispatched");
+        }
+        // Server-level verbs (`sync`, `stats`, `session`, `quit`) never
+        // reach a session; like any unknown verb they answer `ERROR` here.
+        for unknown in ["bogus", "GET", "flush_all", "sync", "stats", "session"] {
+            assert_eq!(verb(unknown), None);
+            assert_eq!(s.execute(unknown, b""), "ERROR");
+        }
+    }
+
+    #[test]
     fn protocol_over_montage_backend_survives_crash() {
-        let esys = EpochSys::format(
-            PmemPool::new(PmemConfig::strict_for_test(32 << 20)),
-            EsysConfig::default(),
-        );
-        let store = Arc::new(KvStore::new(KvBackend::Montage(esys.clone()), 8, 10_000));
-        let s = Session::new(store);
+        let store = montage_store();
+        let s = session_over(&store);
         assert_eq!(s.execute("set persisted 3 0 9", b"important"), "STORED");
-        esys.sync();
-        let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 1);
-        let store2 = KvStore::recover(rec.esys.clone(), 8, 10_000, &rec);
-        let s2 = Session::new(Arc::new(store2));
+        store.sync().unwrap();
+        let s2 = session_over(&crash_and_recover(&store));
         let r = s2.execute("get persisted", b"");
         assert!(r.contains("VALUE persisted 3 9"), "{r}");
         assert!(r.contains("important"));
@@ -791,30 +898,25 @@ mod tests {
 
     #[test]
     fn detected_ops_replay_across_crash() {
-        let esys = EpochSys::format(
-            PmemPool::new(PmemConfig::strict_for_test(32 << 20)),
-            EsysConfig::default(),
-        );
-        let store = Arc::new(KvStore::new(KvBackend::Montage(esys.clone()), 8, 10_000));
-        let s = Session::new(store.clone());
+        let store = montage_store();
+        let s = session_over(&store);
         let sid = Some(4242);
         assert_eq!(s.execute_with("set ctr 0 0 1 rid=1", b"0", sid), "STORED");
         assert_eq!(s.execute_with("incr ctr 1 rid=2", b"", sid), "1");
         assert_eq!(s.execute_with("incr ctr 1 rid=3", b"", sid), "2");
-        esys.sync();
-        assert_eq!(store.detect_stats().descriptors, 1);
-        let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 1);
-        let store2 = Arc::new(KvStore::recover(rec.esys.clone(), 8, 10_000, &rec));
+        store.sync().unwrap();
+        assert_eq!(store.detect_stats_merged().descriptors, 1);
+        let store2 = crash_and_recover(&store);
         // The descriptor survived with its rid and recorded reply.
         assert_eq!(
-            store2.session_descriptor(4242),
+            store2.shard_session_descriptor(0, 4242),
             Some((3, 7, b"2".to_vec())) // rid 3, OP_INCR, reply "2"
         );
-        let s2 = Session::new(store2.clone());
+        let s2 = session_over(&store2);
         // A blind retry of the in-flight rid replays; the next rid applies.
         assert_eq!(s2.execute_with("incr ctr 1 rid=3", b"", sid), "2");
         assert_eq!(s2.execute_with("incr ctr 1 rid=4", b"", sid), "3");
-        let stats = store2.detect_stats();
+        let stats = store2.detect_stats_merged();
         assert_eq!(stats.dedupe_hits, 1);
         assert_eq!(stats.replayed_acks, 1, "the replay crossed the crash");
         assert!(stats.table_bytes > 0);

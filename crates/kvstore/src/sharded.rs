@@ -48,7 +48,7 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Per-shard outcome of a parallel recovery.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardRecovery {
     pub shard: usize,
     /// Payloads rebuilt into the shard's index.
@@ -111,12 +111,6 @@ impl ShardedKvStore {
             router,
             cas_counter: AtomicU64::new(0),
         })
-    }
-
-    /// Wraps a single store — the degenerate 1-shard case the unsharded
-    /// server and protocol paths run on.
-    pub fn single(store: Arc<KvStore>) -> Arc<Self> {
-        Self::from_shards(vec![store])
     }
 
     /// Formats `n_shards` fresh Montage shards, each on its own pool built
@@ -184,44 +178,25 @@ impl ShardedKvStore {
                         // tripped fault plan, or it would re-poison itself.
                         let mut fresh_cfg = *pool.config();
                         fresh_cfg.chaos = Default::default();
-                        match montage::try_recover(pool, esys_cfg, sweep_threads) {
+                        let mut report = ShardRecovery {
+                            shard,
+                            ..Default::default()
+                        };
+                        let store = match montage::try_recover(pool, esys_cfg, sweep_threads) {
                             Ok(rec) => {
-                                let store = KvStore::recover(
-                                    rec.esys.clone(),
-                                    stripes,
-                                    cap_per_shard,
-                                    &rec,
-                                );
-                                let r = &rec.report;
-                                (
-                                    Arc::new(store),
-                                    ShardRecovery {
-                                        shard,
-                                        survivors: r.survivors,
-                                        cancelled: r.cancelled,
-                                        discarded_recent: r.discarded_recent,
-                                        quarantined: r.quarantined.len(),
-                                        fatal: None,
-                                    },
-                                )
+                                report.survivors = rec.report.survivors;
+                                report.cancelled = rec.report.cancelled;
+                                report.discarded_recent = rec.report.discarded_recent;
+                                report.quarantined = rec.report.quarantined.len();
+                                KvStore::recover(rec.esys.clone(), stripes, cap_per_shard, &rec)
                             }
                             Err(e) => {
+                                report.fatal = Some(e);
                                 let esys = EpochSys::format(PmemPool::new(fresh_cfg), esys_cfg);
-                                let store =
-                                    KvStore::new(KvBackend::Montage(esys), stripes, cap_per_shard);
-                                (
-                                    Arc::new(store),
-                                    ShardRecovery {
-                                        shard,
-                                        survivors: 0,
-                                        cancelled: 0,
-                                        discarded_recent: 0,
-                                        quarantined: 0,
-                                        fatal: Some(e),
-                                    },
-                                )
+                                KvStore::new(KvBackend::Montage(esys), stripes, cap_per_shard)
                             }
-                        }
+                        };
+                        (Arc::new(store), report)
                     })
                 })
                 .collect();
@@ -281,18 +256,6 @@ impl ShardedKvStore {
         StoreLease {
             tids: (0..self.shards.len()).map(|_| Mutex::new(None)).collect(),
             store: self.clone(),
-            owned: true,
-        }
-    }
-
-    /// Wraps worker ids the caller already owns (one per shard, `None` for
-    /// not-yet-leased). The handle will not unregister them on drop.
-    pub fn lease_prefilled(self: &Arc<Self>, tids: Vec<Option<usize>>) -> StoreLease {
-        assert_eq!(tids.len(), self.shards.len());
-        StoreLease {
-            tids: tids.into_iter().map(Mutex::new).collect(),
-            store: self.clone(),
-            owned: false,
         }
     }
 
@@ -302,7 +265,7 @@ impl ShardedKvStore {
     /// served even on a faulted shard — they reflect transient state and
     /// promise nothing about durability.
     pub fn get<R>(&self, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.shards[self.shard_of(key)].get(0, key, f)
+        self.shards[self.shard_of(key)].get(key, f)
     }
 
     /// Ordered inclusive range scan across **every** shard: keys hash
@@ -323,41 +286,43 @@ impl ShardedKvStore {
         out
     }
 
-    /// `set` routes to the owning shard, refusing mutations on a faulted
-    /// one (its durable image is frozen; accepting would lie).
-    pub fn set(&self, lease: &StoreLease, key: Key, value: &[u8]) -> Result<(), StoreError> {
-        let shard = self.shard_of(&key);
+    /// Where a mutation of `key` runs: the owning shard's store and the
+    /// lease's worker id there. Refuses a faulted shard (its durable image
+    /// is frozen; accepting the mutation would lie about durability).
+    fn route(&self, lease: &StoreLease, key: &Key) -> Result<(&KvStore, usize), StoreError> {
+        let shard = self.shard_of(key);
         self.check_shard(shard)?;
-        let tid = lease.tid(shard)?;
-        self.shards[shard].set(tid, key, value);
+        Ok((&self.shards[shard], lease.tid(shard)?))
+    }
+
+    /// Blind `set` on the owning shard (see [`KvStore::set`]) — a library
+    /// entry point; the wire path goes through `update`/`detected`.
+    pub fn set(&self, lease: &StoreLease, key: Key, value: &[u8]) -> Result<(), StoreError> {
+        let (store, tid) = self.route(lease, &key)?;
+        store.set(tid, key, value);
         Ok(())
     }
 
-    /// `delete` routes to the owning shard; same fault policy as `set`.
+    /// Blind `delete` on the owning shard; a library entry point like `set`.
     pub fn delete(&self, lease: &StoreLease, key: &Key) -> Result<bool, StoreError> {
-        let shard = self.shard_of(key);
-        self.check_shard(shard)?;
-        let tid = lease.tid(shard)?;
-        Ok(self.shards[shard].delete(tid, key))
+        let (store, tid) = self.route(lease, key)?;
+        Ok(store.delete(tid, key))
     }
 
     /// A plain (sessionless) atomic read-modify-write (see
     /// [`KvStore::update`]): routes to the owning shard, which holds its
-    /// shard lock across read+decide+write — the protocol's conditional
+    /// stripe lock across read+decide+write — the protocol's conditional
     /// ops (`cas`/`add`/`incr`/…) stay atomic even without a session,
-    /// matching the detected path's serialization. Same fault policy as
-    /// [`ShardedKvStore::set`]; on a healthy shard the decision's reply
-    /// bytes come back.
+    /// matching the detected path's serialization. A faulted shard refuses;
+    /// on a healthy one the decision's reply bytes come back.
     pub fn update(
         &self,
         lease: &StoreLease,
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Result<Vec<u8>, StoreError> {
-        let shard = self.shard_of(key);
-        self.check_shard(shard)?;
-        let tid = lease.tid(shard)?;
-        Ok(self.shards[shard].update(tid, key, decide))
+        let (store, tid) = self.route(lease, key)?;
+        Ok(store.update(tid, key, decide))
     }
 
     /// A detectable mutation (see [`KvStore::detected_update`]): routes to
@@ -373,10 +338,8 @@ impl ShardedKvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Result<DetectOutcome, StoreError> {
-        let shard = self.shard_of(key);
-        self.check_shard(shard)?;
-        let tid = lease.tid(shard)?;
-        Ok(self.shards[shard].detected_update(tid, sid, rid, op_kind, key, decide))
+        let (store, tid) = self.route(lease, key)?;
+        Ok(store.detected_update(tid, sid, rid, op_kind, key, decide))
     }
 
     /// Allocates a fresh memcached cas id, unique across the store's whole
@@ -587,9 +550,6 @@ impl ShardedKvStore {
 pub struct StoreLease {
     store: Arc<ShardedKvStore>,
     tids: Box<[Mutex<Option<usize>>]>,
-    /// Leases made through [`ShardedKvStore::lease`] are returned on drop;
-    /// prefilled wrappers borrow ids the caller owns.
-    owned: bool,
 }
 
 impl StoreLease {
@@ -616,9 +576,6 @@ impl StoreLease {
 
 impl Drop for StoreLease {
     fn drop(&mut self) {
-        if !self.owned {
-            return;
-        }
         for (shard, slot) in self.tids.iter().enumerate() {
             if let Some(tid) = slot.lock().take() {
                 self.store.shard(shard).unregister_thread(tid);
@@ -632,7 +589,7 @@ impl Drop for StoreLease {
 /// `BEGIN_OP`/`END_OP` window (see [`montage::EpochSys::pin_epoch`]).
 ///
 /// Usage contract (the event-driven server's batch loop):
-/// 1. `pin_key` each mutation's shard before executing it — best-effort; a
+/// 1. `pin_shard` each mutation's shard before executing it — best-effort; a
 ///    shard that cannot be pinned (faulted, out of ids, transient backend)
 ///    simply runs its ops unpinned and unamortized.
 /// 2. Execute the batch's operations **on the same thread** that holds the
@@ -658,16 +615,6 @@ impl ShardedKvStore {
 }
 
 impl<'a> StoreBatch<'a> {
-    /// Pins the shard owning a raw protocol key. Keys the protocol would
-    /// reject route nowhere and are a no-op (the op itself will produce the
-    /// protocol error).
-    pub fn pin_key(&mut self, key: &[u8]) -> Result<(), StoreError> {
-        match self.store.shard_of_bytes(key) {
-            Some(shard) => self.pin_shard(shard),
-            None => Ok(()),
-        }
-    }
-
     /// Pins `shard`'s epoch system (idempotent; transient shards no-op).
     pub fn pin_shard(&mut self, shard: usize) -> Result<(), StoreError> {
         if self.pins[shard].is_some() {
@@ -775,6 +722,37 @@ mod tests {
                     .unwrap_or_else(|e| panic!("round {round}: {e}"));
             }
         }
+    }
+
+    #[test]
+    fn montage_ids_bind_to_leases_not_connections() {
+        // Ids are a per-*worker* resource: a worker's lease acquires one
+        // lazily at its first op on a shard and holds it for the worker's
+        // lifetime, so the id table bounds workers, never connections.
+        let store = ShardedKvStore::format(
+            1,
+            PmemConfig::strict_for_test(1 << 20),
+            EsysConfig {
+                max_threads: 2,
+                ..Default::default()
+            },
+            4,
+            1024,
+        );
+        let key = make_key(1);
+        let a = store.lease();
+        let b = store.lease();
+        store.set(&a, key, b"1").expect("worker a gets an id");
+        store.set(&b, key, b"2").expect("worker b gets an id");
+        // Both ids are held by live workers; a third worker's first op is
+        // refused until one of them retires.
+        let c = store.lease();
+        assert!(
+            store.set(&c, key, b"3").is_err(),
+            "id table exhausted, op must be refused"
+        );
+        drop(a);
+        store.set(&c, key, b"3").expect("freed id reused");
     }
 
     #[test]

@@ -15,26 +15,27 @@
 //! printf 'set greeting 0 0 5\r\nhello\r\nget greeting\r\nsync\r\nquit\r\n' | nc 127.0.0.1 <port>
 //! ```
 
-use std::sync::Arc;
-
 use montage_suite::kvserver::{KvServer, ServerConfig, WireClient};
-use montage_suite::kvstore::{KvBackend, KvStore};
-use montage_suite::montage::{EpochSys, EsysConfig};
-use montage_suite::pmem::{PmemConfig, PmemPool};
+use montage_suite::kvstore::ShardedKvStore;
+use montage_suite::montage::EsysConfig;
+use montage_suite::pmem::PmemConfig;
 
 const OPS: u64 = 3000;
 
 fn main() {
     // --- Boot: a strict-mode pool so crash() has a durable image to keep.
-    let esys = EpochSys::format(
-        PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
+    // One shard here; more shards are the same calls with a larger count.
+    let store = ShardedKvStore::format(
+        1,
+        PmemConfig::strict_for_test(64 << 20),
         EsysConfig {
             max_threads: 8,
             ..Default::default()
         },
+        8,
+        100_000,
     );
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys.clone()), 8, 100_000));
-    let server = KvServer::start(ServerConfig::default(), store).expect("bind");
+    let server = KvServer::start_sharded(ServerConfig::default(), store.clone()).expect("bind");
     println!("kvserver listening on {}", server.addr());
 
     // --- A few thousand wire ops from a plain blocking client.
@@ -74,16 +75,16 @@ fn main() {
 
     // --- Crash: sever connections, stop threads, no final sync.
     server.crash();
-    let rec =
-        montage_suite::montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
-    let recovered = KvStore::recover(rec.esys.clone(), 8, 100_000, &rec);
+    let (recovered, report) =
+        ShardedKvStore::recover(store.crash_pools(), EsysConfig::default(), 8, 100_000, 2);
+    assert!(report.is_clean(), "{report:?}");
     println!(
         "crash: recovered {} items from the durable image",
         recovered.len()
     );
 
     // --- Restart on the recovered pool; clients reconnect.
-    let server2 = KvServer::start(ServerConfig::default(), Arc::new(recovered)).expect("rebind");
+    let server2 = KvServer::start_sharded(ServerConfig::default(), recovered).expect("rebind");
     let mut c2 = WireClient::connect(server2.addr()).expect("reconnect");
     let (flags, val) = c2.get("wal").unwrap().expect("synced write must survive");
     assert_eq!((flags, val.as_slice()), (7, &b"must-survive"[..]));

@@ -42,7 +42,7 @@ fn main() {
     for op in YcsbAWorkload::new(RECORDS, OPS, 7) {
         match op {
             YcsbOp::Read(k) => {
-                if kv.get(tid, &make_key(k), |_| ()).is_some() {
+                if kv.get(&make_key(k), |_| ()).is_some() {
                     hits += 1;
                 }
             }
@@ -71,7 +71,6 @@ fn main() {
         start.elapsed().as_secs_f64()
     );
     assert_eq!(kv2.len() as u64, RECORDS);
-    let tid2 = kv2.register_thread();
-    assert!(kv2.get(tid2, &make_key(1), |_| ()).is_some());
+    assert!(kv2.get(&make_key(1), |_| ()).is_some());
     println!("kvstore_cache OK");
 }

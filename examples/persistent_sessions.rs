@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use kvstore::protocol::Session;
-use kvstore::{KvBackend, KvStore};
-use montage::{EpochSys, EsysConfig};
+use kvstore::ShardedKvStore;
+use montage::EsysConfig;
 use pmem::{PmemConfig, PmemPool};
 
 const POOL_BYTES: usize = 64 << 20;
@@ -31,12 +31,19 @@ fn main() {
     }
 
     let cfg = PmemConfig::strict_for_test(POOL_BYTES);
-    let (esys, store, generation) = match PmemPool::load_from_file(&path, cfg) {
+    let session_over =
+        |store: &Arc<ShardedKvStore>| Session::sharded(store.clone(), Arc::new(store.lease()));
+    let (store, generation) = match PmemPool::load_from_file(&path, cfg) {
         Ok(pool) => {
             // A previous run left persistent state: recover it.
-            let rec = montage::recovery::recover(pool, EsysConfig::default(), 2);
-            let store = Arc::new(KvStore::recover(rec.esys.clone(), 8, 100_000, &rec));
-            let session = Session::new(store.clone());
+            let (store, report) =
+                ShardedKvStore::recover(vec![pool], EsysConfig::default(), 8, 100_000, 2);
+            assert_eq!(
+                report.fatal_shards(),
+                0,
+                "snapshot unrecoverable: {report:?}"
+            );
+            let session = session_over(&store);
             let gen_resp = session.execute("get generation", b"");
             let generation: u64 = gen_resp
                 .lines()
@@ -47,18 +54,19 @@ fn main() {
                 "recovered {} items from a previous process (generation {generation})",
                 store.len()
             );
-            (rec.esys, store, generation)
+            (store, generation)
         }
         Err(_) => {
             println!("no snapshot found; formatting a fresh pool");
-            let esys = EpochSys::format(PmemPool::new(cfg), EsysConfig::default());
-            let store = Arc::new(KvStore::new(KvBackend::Montage(esys.clone()), 8, 100_000));
-            (esys, store, 0)
+            (
+                ShardedKvStore::format(1, cfg, EsysConfig::default(), 8, 100_000),
+                0,
+            )
         }
     };
 
     // Do this run's work through the memcached protocol.
-    let session = Session::new(store.clone());
+    let session = session_over(&store);
     let generation = generation + 1;
     let gen_str = generation.to_string();
     assert_eq!(
@@ -82,7 +90,8 @@ fn main() {
     }
 
     // Persist and snapshot — the moral equivalent of unmounting the DAX file.
-    esys.sync();
+    store.sync().expect("healthy pool syncs");
+    let esys = store.shard(0).esys().expect("montage shard");
     esys.pool().save_to_file(&path).expect("snapshot failed");
     println!("state synced and snapshotted to {}", path.display());
 }

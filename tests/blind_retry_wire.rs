@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use kvserver::{KvServer, ServerConfig, WireClient};
 use kvstore::protocol::Session;
-use kvstore::{KvBackend, KvStore};
+use kvstore::{KvBackend, KvStore, ShardedKvStore};
 use montage::{EpochSys, EsysConfig, RecoveryError};
 use pmem::{PmemConfig, PmemPool};
 use pmem_chaos::{crash_sweep, SweepConfig};
@@ -89,9 +89,8 @@ fn drive(c: &mut WireClient, acked: &AtomicU64) {
 
 fn run_workload(pool: &PmemPool, acked: &AtomicU64) {
     acked.store(0, Ordering::SeqCst);
-    let esys = EpochSys::format(pool.clone(), esys_cfg());
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys), NBUCKETS, CAPACITY));
-    let h = KvServer::start(
+    let store = ShardedKvStore::format_pools(vec![pool.clone()], esys_cfg(), NBUCKETS, CAPACITY);
+    let h = KvServer::start_sharded(
         ServerConfig {
             workers: 1,
             sync_every: Some(1),
@@ -110,19 +109,19 @@ fn run_workload(pool: &PmemPool, acked: &AtomicU64) {
 /// Recovery check for one crash point: blind retry from the first unacked
 /// rid must be exactly-once.
 fn verify(durable: PmemPool, crash_at: u64, acked: &AtomicU64) -> Result<(), String> {
-    let rec = match montage::try_recover(durable, esys_cfg(), 2) {
-        Err(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
-        Err(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
-        Ok(rec) => rec,
-    };
-    if !rec.report.quarantined.is_empty() {
+    let (kv, report) = ShardedKvStore::recover(vec![durable], esys_cfg(), NBUCKETS, CAPACITY, 2);
+    match &report.shards[0].fatal {
+        Some(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
+        Some(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
+        None => {}
+    }
+    if report.quarantined() != 0 {
         return Err(format!(
-            "crash_at={crash_at}: clean crash quarantined payloads: {:?}",
-            rec.report.quarantined
+            "crash_at={crash_at}: clean crash quarantined {} payloads",
+            report.quarantined()
         ));
     }
-    let kv = Arc::new(KvStore::recover(rec.esys.clone(), NBUCKETS, CAPACITY, &rec));
-    let h = KvServer::start(ServerConfig::default(), kv)
+    let h = KvServer::start_sharded(ServerConfig::default(), kv)
         .map_err(|e| format!("crash_at={crash_at}: rebind failed: {e}"))?;
     let mut c = WireClient::connect(h.addr())
         .map_err(|e| format!("crash_at={crash_at}: reconnect failed: {e}"))?;
@@ -216,7 +215,7 @@ fn ctr_key() -> kvstore::Key {
 /// Item bytes are `flags u32 | expires_at u64 | cas u64 | data`; the
 /// counter's data is its decimal text.
 fn counter_value(store: &KvStore) -> Option<u64> {
-    store.get(0, &ctr_key(), |b| {
+    store.get(&ctr_key(), |b| {
         std::str::from_utf8(&b[20..])
             .expect("counter data is decimal text")
             .parse::<u64>()
@@ -243,7 +242,8 @@ fn retry_collapsed_histories_are_durably_linearizable() {
             NBUCKETS,
             4096,
         ));
-        let session = Session::new(Arc::clone(&store));
+        let sharded = ShardedKvStore::from_shards(vec![Arc::clone(&store)]);
+        let session = Session::sharded(Arc::clone(&sharded), Arc::new(sharded.lease()));
         let sid = 1000 + seed;
         let mut rng = SmallRng::seed_from_u64(0xB11D ^ seed);
         let clock = Recorder::<CtrOp, CtrRet>::shared_clock();

@@ -22,10 +22,8 @@
 //! Lives in the root suite because it needs `kvserver` (the wire path) and
 //! `pmem-chaos` (the sweep driver) together.
 
-use std::sync::Arc;
-
 use kvserver::{KvServer, PipeOp, ServerConfig, WireClient};
-use kvstore::{KvBackend, KvStore};
+use kvstore::ShardedKvStore;
 use montage::{EsysConfig, RecoveryError};
 use pmem::{PmemConfig, PmemPool};
 use pmem_chaos::{crash_sweep, SweepConfig};
@@ -54,9 +52,8 @@ fn value(k: usize, r: u64) -> String {
 /// Drives the pipelined workload until it finishes or the injected crash
 /// poisons the pool under the server (surfacing as wire errors).
 fn run_workload(pool: &PmemPool) {
-    let esys = montage::EpochSys::format(pool.clone(), esys_cfg());
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys), NBUCKETS, CAPACITY));
-    let h = KvServer::start(
+    let store = ShardedKvStore::format_pools(vec![pool.clone()], esys_cfg(), NBUCKETS, CAPACITY);
+    let h = KvServer::start_sharded(
         ServerConfig {
             workers: 1,
             sync_every: Some(1),
@@ -92,19 +89,19 @@ fn run_workload(pool: &PmemPool) {
 /// Recovery check for one crash point: the recovered image must be an
 /// epoch-consistent cut of the round history.
 fn verify(durable: PmemPool, crash_at: u64) -> Result<(), String> {
-    let rec = match montage::try_recover(durable, esys_cfg(), 2) {
-        Err(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
-        Err(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
-        Ok(rec) => rec,
-    };
-    if !rec.report.quarantined.is_empty() {
+    let (kv, report) = ShardedKvStore::recover(vec![durable], esys_cfg(), NBUCKETS, CAPACITY, 2);
+    match &report.shards[0].fatal {
+        Some(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
+        Some(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
+        None => {}
+    }
+    if report.quarantined() != 0 {
         return Err(format!(
-            "crash_at={crash_at}: clean crash quarantined payloads: {:?}",
-            rec.report.quarantined
+            "crash_at={crash_at}: clean crash quarantined {} payloads",
+            report.quarantined()
         ));
     }
-    let kv = Arc::new(KvStore::recover(rec.esys.clone(), NBUCKETS, CAPACITY, &rec));
-    let h = match KvServer::start(ServerConfig::default(), kv) {
+    let h = match KvServer::start_sharded(ServerConfig::default(), kv) {
         Ok(h) => h,
         Err(e) => return Err(format!("crash_at={crash_at}: rebind failed: {e}")),
     };

@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kvstore::protocol::{Clock, Session};
-use kvstore::{KvBackend, KvStore};
-use montage::{EpochSys, EsysConfig};
-use pmem::{PmemConfig, PmemPool};
+use kvstore::ShardedKvStore;
+use montage::EsysConfig;
+use pmem::PmemConfig;
 
 struct MockClock(AtomicU64);
 
@@ -37,6 +37,17 @@ fn esys_cfg() -> EsysConfig {
     }
 }
 
+fn session(store: &Arc<ShardedKvStore>) -> Session {
+    Session::sharded(Arc::clone(store), Arc::new(store.lease()))
+}
+
+fn crash_restart(store: &ShardedKvStore) -> Arc<ShardedKvStore> {
+    let (recovered, report) =
+        ShardedKvStore::recover(store.crash_pools(), esys_cfg(), STRIPES, CAPACITY, 1);
+    assert!(report.is_clean(), "clean crash must recover: {report:?}");
+    recovered
+}
+
 fn scan_keys(s: &Session) -> Vec<String> {
     let reply = s.execute("scan a z 1000", b"");
     reply
@@ -48,17 +59,15 @@ fn scan_keys(s: &Session) -> Vec<String> {
 
 #[test]
 fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
-    let esys = EpochSys::format(
-        PmemPool::new(PmemConfig::strict_for_test(16 << 20)),
+    let store = ShardedKvStore::format(
+        1,
+        PmemConfig::strict_for_test(16 << 20),
         esys_cfg(),
-    );
-    let store = Arc::new(KvStore::new(
-        KvBackend::Montage(esys.clone()),
         STRIPES,
         CAPACITY,
-    ));
+    );
     let clock = Arc::new(MockClock(AtomicU64::new(1_000_000)));
-    let s = Session::new(Arc::clone(&store)).with_clock(clock.clone());
+    let s = session(&store).with_clock(clock.clone());
 
     // Five immortal keys, two with a 1-second TTL.
     for k in ["k1", "k2", "k3", "k4", "k5"] {
@@ -100,14 +109,12 @@ fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
     );
     assert_eq!(store.ordered_mirror_bytes(), CAPACITY * per_key);
 
-    esys.sync();
+    store.sync().unwrap();
 
     // Hard crash, recovery, and a fresh protocol session over the same
     // (frozen) clock.
-    let rec =
-        montage::try_recover(esys.pool().crash(), esys_cfg(), 1).expect("clean crash must recover");
-    let store2 = Arc::new(KvStore::recover(rec.esys.clone(), STRIPES, CAPACITY, &rec));
-    let s2 = Session::new(Arc::clone(&store2)).with_clock(clock.clone());
+    let store2 = crash_restart(&store);
+    let s2 = session(&store2).with_clock(clock.clone());
 
     // The evicted key and the reaped key must not resurrect — not in the
     // index, not in the mirror, not over the wire.
@@ -134,16 +141,9 @@ fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
 
     // And the reap itself is durable: a second crash-restart must not
     // bring e2 back resident.
-    rec.esys.sync();
-    let rec2 = montage::try_recover(rec.esys.pool().crash(), esys_cfg(), 1)
-        .expect("second crash must recover");
-    let store3 = Arc::new(KvStore::recover(
-        rec2.esys.clone(),
-        STRIPES,
-        CAPACITY,
-        &rec2,
-    ));
-    let s3 = Session::new(Arc::clone(&store3)).with_clock(clock);
+    store2.sync().unwrap();
+    let store3 = crash_restart(&store2);
+    let s3 = session(&store3).with_clock(clock);
     assert_eq!(store3.len(), CAPACITY - 1);
     assert_eq!(store3.ordered_mirror_bytes(), (CAPACITY - 1) * per_key);
     assert_eq!(scan_keys(&s3).len(), CAPACITY - 1);

@@ -33,8 +33,9 @@ use pmem_chaos::{crash_sweep, SweepConfig};
 const NBUCKETS: usize = 8;
 const CAPACITY: usize = 100_000;
 
-fn dram_store() -> Arc<KvStore> {
-    Arc::new(KvStore::new(KvBackend::Dram, NBUCKETS, CAPACITY))
+fn dram_store() -> Arc<ShardedKvStore> {
+    let shard = KvStore::new(KvBackend::Dram, NBUCKETS, CAPACITY);
+    ShardedKvStore::from_shards(vec![Arc::new(shard)])
 }
 
 fn esys_cfg() -> EsysConfig {
@@ -49,7 +50,7 @@ fn esys_cfg() -> EsysConfig {
 
 #[test]
 fn partial_frame_is_reaped_after_idle_timeout() {
-    let h = KvServer::start(
+    let h = KvServer::start_sharded(
         ServerConfig {
             workers: 1,
             idle_timeout: Duration::from_millis(200),
@@ -118,7 +119,7 @@ fn stat_value(stats: &[(String, u64)], name: &str) -> u64 {
 
 #[test]
 fn session_cap_sheds_and_close_releases_slots() {
-    let h = KvServer::start(
+    let h = KvServer::start_sharded(
         ServerConfig {
             workers: 1,
             max_sessions: 2,
@@ -289,9 +290,8 @@ fn drive(c: &mut WireClient, acked: &AtomicU64) {
 
 fn run_workload(pool: &PmemPool, acked: &AtomicU64) {
     acked.store(0, Ordering::SeqCst);
-    let esys = EpochSys::format(pool.clone(), esys_cfg());
-    let store = Arc::new(KvStore::new(KvBackend::Montage(esys), NBUCKETS, CAPACITY));
-    let h = KvServer::start(
+    let store = ShardedKvStore::format_pools(vec![pool.clone()], esys_cfg(), NBUCKETS, CAPACITY);
+    let h = KvServer::start_sharded(
         ServerConfig {
             workers: 1,
             sync_every: Some(1),
@@ -307,19 +307,19 @@ fn run_workload(pool: &PmemPool, acked: &AtomicU64) {
 }
 
 fn verify(durable: PmemPool, crash_at: u64, acked: &AtomicU64) -> Result<(), String> {
-    let rec = match montage::try_recover(durable, esys_cfg(), 2) {
-        Err(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
-        Err(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
-        Ok(rec) => rec,
-    };
-    if !rec.report.quarantined.is_empty() {
+    let (kv, report) = ShardedKvStore::recover(vec![durable], esys_cfg(), NBUCKETS, CAPACITY, 2);
+    match &report.shards[0].fatal {
+        Some(RecoveryError::UnformattedPool) => return Ok(()), // pre-format crash
+        Some(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
+        None => {}
+    }
+    if report.quarantined() != 0 {
         return Err(format!(
-            "crash_at={crash_at}: clean crash quarantined payloads: {:?}",
-            rec.report.quarantined
+            "crash_at={crash_at}: clean crash quarantined {} payloads",
+            report.quarantined()
         ));
     }
-    let kv = Arc::new(KvStore::recover(rec.esys.clone(), NBUCKETS, CAPACITY, &rec));
-    let h = KvServer::start(ServerConfig::default(), kv)
+    let h = KvServer::start_sharded(ServerConfig::default(), kv)
         .map_err(|e| format!("crash_at={crash_at}: rebind failed: {e}"))?;
     let mut c = WireClient::connect(h.addr())
         .map_err(|e| format!("crash_at={crash_at}: reconnect failed: {e}"))?;
