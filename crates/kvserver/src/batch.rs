@@ -1,12 +1,15 @@
 //! Epoch-aligned group commit: executing one worker sweep's request batch.
 //!
-//! A worker hands this module everything it framed in one sweep — requests
-//! from *all* of its readable connections. The batch executes inside one
-//! epoch window: the first mutation routed to a shard pins that shard's
-//! epoch ([`kvstore::StoreBatch`]), every later mutation in the batch rides
-//! the same pin, and only after the last request executes do the pins drop
-//! and — when the `sync_every` counter crossed a multiple of N — the touched
-//! shards get **one** epoch sync each for the whole batch.
+//! A worker hands this module its connection table once per sweep, after the
+//! read phase: the batch is every request then buffered on *all* of its
+//! connections, framed and executed in place ([`Frame`] borrows the
+//! connection's reader; the reply lands in the connection's `out`). The
+//! batch executes inside one epoch window: the first mutation routed to a
+//! shard pins that shard's epoch ([`kvstore::StoreBatch`]), every later
+//! mutation in the batch rides the same pin, and only after the last request
+//! executes do the pins drop and — when the `sync_every` counter crossed a
+//! multiple of N — the touched shards get **one** epoch sync each for the
+//! whole batch.
 //!
 //! The ordering invariant that makes this group commit rather than ack
 //! batching: replies are only *queued* here, into each connection's output
@@ -18,13 +21,14 @@
 
 use montage::sync::uninstrumented::{AtomicU64, Ordering};
 use std::panic::AssertUnwindSafe;
+use std::time::Instant;
 
 use kvstore::protocol::{verb, Session};
 use kvstore::StoreLease;
 
-use crate::frame::Request;
+use crate::frame::Frame;
 use crate::server::Shared;
-use crate::worker::Conn;
+use crate::worker::{Conn, MAX_REQS_PER_CONN};
 
 /// Batch-size histogram bucket floors (powers of two, last is open-ended):
 /// bucket `i` counts batches of size in `[HIST_BUCKETS[i], HIST_BUCKETS[i+1])`.
@@ -119,21 +123,20 @@ pub(crate) fn bucket(n: usize) -> usize {
 }
 
 /// Executes one sweep's batch and queues replies; see the module docs for
-/// the fence/ack ordering contract. `conns` indices in `batch` refer to the
-/// worker's connection table.
+/// the fence/ack ordering contract. Requests are framed straight out of
+/// each connection's reader and executed in place — conn-major, at most
+/// [`MAX_REQS_PER_CONN`] per connection — with replies written into that
+/// connection's `out`. Returns how many requests ran.
 pub(crate) fn execute(
     widx: usize,
     conns: &mut [Conn],
-    batch: Vec<(usize, Request)>,
+    now: Instant,
     session: &Session,
     lease: &StoreLease,
     shared: &Shared,
-) {
+) -> usize {
     let store = &shared.store;
     let ws = &shared.stats.workers[widx];
-    ws.batches.fetch_add(1, Ordering::Relaxed);
-    ws.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    ws.hist[bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
 
     let mut sb = store.batch(lease);
     // Shards owed a fence this batch — tracked independently of the pins,
@@ -148,154 +151,173 @@ pub(crate) fn execute(
     // mutations to *that* shard are severed — the rest of the group commit
     // proceeds.
     let mut conn_shards: Vec<(usize, usize)> = Vec::new();
+    let mut requests: usize = 0;
     let mut batch_muts: u64 = 0;
     let mut acks: u64 = 0;
 
-    for (ci, req) in batch {
-        let c = &mut conns[ci];
+    for (ci, c) in conns.iter_mut().enumerate() {
         if c.dead || c.closing {
-            continue; // a quit/fatal error already cut this conn's stream
+            continue;
         }
-        if !batch_cis.contains(&ci) {
-            batch_cis.push(ci);
-        }
-        match req {
-            Request::Cmd {
-                line,
-                data,
-                noreply,
-            } => {
-                let cmd = line.split_whitespace().next().unwrap_or("");
-                if cmd == "quit" {
+        let mut framed = 0usize;
+        // A quit or fatal error cuts the connection's stream: what it sent
+        // after that stays unframed and is dropped with the connection.
+        while framed < MAX_REQS_PER_CONN && !c.closing {
+            let Some(frame) = c.reader.next_frame() else {
+                break;
+            };
+            framed += 1;
+            let (line, data, noreply) = match frame {
+                Frame::Cmd {
+                    line,
+                    data,
+                    noreply,
+                } => (line, data, noreply),
+                Frame::BadDataChunk => {
+                    c.out.extend_from_slice(b"CLIENT_ERROR bad data chunk\r\n");
+                    acks += 1;
+                    continue;
+                }
+                Frame::TooLarge => {
+                    c.out
+                        .extend_from_slice(b"SERVER_ERROR object too large for cache\r\n");
+                    acks += 1;
+                    continue;
+                }
+                Frame::LineTooLong => {
+                    c.out.extend_from_slice(b"CLIENT_ERROR line too long\r\n");
+                    acks += 1;
                     c.closing = true;
                     continue;
                 }
-                if cmd == "session" {
-                    // Durable session attach: the client's exactly-once
-                    // identity, carried across reconnects. It lives on the
-                    // connection, not in the store — descriptors appear only
-                    // once a rid-carrying mutation lands in a shard.
-                    // `session close` detaches; attaches are counted against
-                    // `max_sessions` (one slot per attached connection, held
-                    // until detach or disconnect) so an adversarial client
-                    // mix cannot grow the descriptor tables without bound.
-                    let out = match line.split_whitespace().nth(1) {
-                        Some("close") => {
-                            if c.session.take().is_some() {
-                                shared.sessions.release();
-                            }
-                            "CLOSED\r\n".to_string()
+            };
+            let cmd = line.split_whitespace().next().unwrap_or("");
+            if cmd == "quit" {
+                c.closing = true;
+                continue;
+            }
+            if cmd == "session" {
+                // Durable session attach: the client's exactly-once
+                // identity, carried across reconnects. It lives on the
+                // connection, not in the store — descriptors appear only
+                // once a rid-carrying mutation lands in a shard.
+                // `session close` detaches; attaches are counted against
+                // `max_sessions` (one slot per attached connection, held
+                // until detach or disconnect) so an adversarial client
+                // mix cannot grow the descriptor tables without bound.
+                let out = match line.split_whitespace().nth(1) {
+                    Some("close") => {
+                        if c.session.take().is_some() {
+                            shared.sessions.release();
                         }
-                        Some(arg) => match arg.parse::<u64>() {
-                            // Re-attaching rides the slot the connection
-                            // already holds; only a fresh attach claims one.
-                            Ok(sid) if c.session.is_some() || shared.sessions.try_claim() => {
-                                c.session = Some(sid);
-                                format!("SESSION {sid}\r\n")
-                            }
-                            Ok(_) => {
-                                c.closing = true;
-                                "SERVER_ERROR too many sessions\r\n".to_string()
-                            }
-                            Err(_) => "CLIENT_ERROR bad session id\r\n".into(),
-                        },
-                        None => "CLIENT_ERROR bad session id\r\n".into(),
-                    };
-                    if !noreply {
-                        c.out.extend_from_slice(out.as_bytes());
-                        acks += 1;
+                        "CLOSED\r\n".to_string()
                     }
-                    continue;
-                }
-                if cmd == "stats" {
-                    if !noreply {
-                        c.out
-                            .extend_from_slice(crate::server::stats_reply(shared).as_bytes());
-                        acks += 1;
-                    }
-                    continue;
-                }
-                if cmd == "sync" {
-                    // An explicit barrier is a batch-cut point: drop our own
-                    // pins first (syncing a shard we pinned would wait on
-                    // ourselves), sync every shard, then let the rest of the
-                    // batch re-pin lazily.
-                    let _ = sb.finish();
-                    fence_shards.clear();
-                    conn_shards.clear();
-                    let out = match store.sync() {
-                        Ok(()) => "SYNCED\r\n".into(),
-                        Err(e) => format!("SERVER_ERROR {e}\r\n"),
-                    };
-                    if !noreply {
-                        c.out.extend_from_slice(out.as_bytes());
-                        acks += 1;
-                    }
-                    continue;
-                }
-                if cmd == "scan" {
-                    ws.scans.fetch_add(1, Ordering::Relaxed);
-                }
-                let is_mutation = verb(cmd).is_some_and(|v| v.mutates);
-                if is_mutation {
-                    if let Some(shard) = line
-                        .split_whitespace()
-                        .nth(1)
-                        .and_then(|k| store.shard_of_bytes(k.as_bytes()))
-                    {
-                        let _ = sb.pin_shard(shard);
-                        if !fence_shards.contains(&shard) {
-                            fence_shards.push(shard);
+                    Some(arg) => match arg.parse::<u64>() {
+                        // Re-attaching rides the slot the connection
+                        // already holds; only a fresh attach claims one.
+                        Ok(sid) if c.session.is_some() || shared.sessions.try_claim() => {
+                            c.session = Some(sid);
+                            format!("SESSION {sid}\r\n")
                         }
-                        if !conn_shards.contains(&(ci, shard)) {
-                            conn_shards.push((ci, shard));
+                        Ok(_) => {
+                            c.closing = true;
+                            "SERVER_ERROR too many sessions\r\n".to_string()
                         }
-                    }
-                }
-                let conn_session = c.session;
-                let out = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    if shared.cfg.panic_on_cmd.as_deref() == Some(cmd) {
-                        panic!("injected handler panic on '{cmd}'");
-                    }
-                    session.execute_with(&line, &data, conn_session)
-                })) {
-                    Ok(out) => out,
-                    Err(_) => {
-                        // The handler died mid-command; its state may be
-                        // inconsistent, so answer, then drop only this
-                        // connection. The unwind stops here — the worker and
-                        // its other connections never notice.
-                        c.out.extend_from_slice(b"SERVER_ERROR internal error\r\n");
-                        acks += 1;
-                        c.closing = true;
-                        continue;
-                    }
+                        Err(_) => "CLIENT_ERROR bad session id\r\n".into(),
+                    },
+                    None => "CLIENT_ERROR bad session id\r\n".into(),
                 };
-                if is_mutation {
-                    batch_muts += 1;
-                }
                 if !noreply {
                     c.out.extend_from_slice(out.as_bytes());
-                    c.out.extend_from_slice(b"\r\n");
                     acks += 1;
                 }
+                continue;
             }
-            Request::BadDataChunk => {
-                c.out.extend_from_slice(b"CLIENT_ERROR bad data chunk\r\n");
-                acks += 1;
+            if cmd == "stats" {
+                if !noreply {
+                    c.out
+                        .extend_from_slice(crate::server::stats_reply(shared).as_bytes());
+                    acks += 1;
+                }
+                continue;
             }
-            Request::TooLarge => {
-                c.out
-                    .extend_from_slice(b"SERVER_ERROR object too large for cache\r\n");
-                acks += 1;
+            if cmd == "sync" {
+                // An explicit barrier is a batch-cut point: drop our own
+                // pins first (syncing a shard we pinned would wait on
+                // ourselves), sync every shard, then let the rest of the
+                // batch re-pin lazily.
+                let _ = sb.finish();
+                fence_shards.clear();
+                conn_shards.clear();
+                let out = match store.sync() {
+                    Ok(()) => "SYNCED\r\n".into(),
+                    Err(e) => format!("SERVER_ERROR {e}\r\n"),
+                };
+                if !noreply {
+                    c.out.extend_from_slice(out.as_bytes());
+                    acks += 1;
+                }
+                continue;
             }
-            Request::LineTooLong => {
-                c.out.extend_from_slice(b"CLIENT_ERROR line too long\r\n");
+            if cmd == "scan" {
+                ws.scans.fetch_add(1, Ordering::Relaxed);
+            }
+            // The session announces a mutation's shard just before it
+            // touches the store: pin it for the batch's window, and owe it
+            // this batch's fence.
+            let mut on_shard = |shard: usize| {
+                let _ = sb.pin_shard(shard);
+                if !fence_shards.contains(&shard) {
+                    fence_shards.push(shard);
+                }
+                if !conn_shards.contains(&(ci, shard)) {
+                    conn_shards.push((ci, shard));
+                }
+            };
+            // The reply is written in place; whatever must not reach the
+            // peer — a half-written reply of a handler that died, or any
+            // reply to `noreply` — is cut back to this mark.
+            let mark = c.out.len();
+            let (out, conn_session) = (&mut c.out, c.session);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if shared.cfg.panic_on_cmd.as_deref() == Some(cmd) {
+                    panic!("injected handler panic on '{cmd}'");
+                }
+                session.execute_into(line, data, conn_session, &mut on_shard, out);
+            }));
+            if outcome.is_err() {
+                // The handler died mid-command; its state may be
+                // inconsistent, so answer, then drop only this
+                // connection. The unwind stops here — the worker and
+                // its other connections never notice.
+                c.out.truncate(mark);
+                c.out.extend_from_slice(b"SERVER_ERROR internal error\r\n");
                 acks += 1;
                 c.closing = true;
+                continue;
+            }
+            if verb(cmd).is_some_and(|v| v.mutates) {
+                batch_muts += 1;
+            }
+            if noreply {
+                c.out.truncate(mark);
+            } else {
+                c.out.extend_from_slice(b"\r\n");
+                acks += 1;
             }
         }
+        c.after_framing(framed, now, shared.cfg.idle_timeout);
+        if framed > 0 {
+            batch_cis.push(ci);
+            requests += framed;
+        }
     }
+    if requests == 0 {
+        return 0;
+    }
+    ws.batches.fetch_add(1, Ordering::Relaxed);
+    ws.requests.fetch_add(requests as u64, Ordering::Relaxed);
+    ws.hist[bucket(requests)].fetch_add(1, Ordering::Relaxed);
 
     // Group commit: pins drop first (see module docs), then the periodic
     // barrier — one sync per touched shard for the *whole* batch, where the
@@ -369,6 +391,7 @@ pub(crate) fn execute(
         }
     }
     ws.acks.fetch_add(acks, Ordering::Relaxed);
+    requests
 }
 
 #[cfg(test)]

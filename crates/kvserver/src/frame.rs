@@ -13,14 +13,18 @@
 /// keys are ≤ 32 bytes here, so this is generous).
 pub const MAX_LINE: usize = 1024;
 
-/// One framed request, ready for execution.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Request {
-    /// A complete command line (CRLF stripped, `noreply` stripped) plus its
-    /// data block (empty for non-storage commands).
+/// One framed request, ready for execution, borrowed from the reader
+/// ([`RequestReader::next_frame`]): the data block where it lies in the
+/// buffer, the line from the reader's reused line text.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A complete command line (CRLF, surrounding whitespace and `noreply`
+    /// stripped; the whitespace between tokens as sent — the session
+    /// tokenizes on it) plus its data block (empty for non-storage
+    /// commands).
     Cmd {
-        line: String,
-        data: Vec<u8>,
+        line: &'a str,
+        data: &'a [u8],
         noreply: bool,
     },
     /// A storage command whose data block was not terminated by CRLF where
@@ -36,15 +40,91 @@ pub enum Request {
     LineTooLong,
 }
 
-/// Streaming reassembler: feed raw socket bytes in, pull [`Request`]s out.
+/// A [`Frame`] that owns its bytes ([`RequestReader::next_request`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Request {
+    Cmd {
+        line: String,
+        data: Vec<u8>,
+        noreply: bool,
+    },
+    BadDataChunk,
+    TooLarge,
+    LineTooLong,
+}
+
+impl Frame<'_> {
+    fn to_request(self) -> Request {
+        match self {
+            Frame::Cmd {
+                line,
+                data,
+                noreply,
+            } => Request::Cmd {
+                line: line.to_owned(),
+                data: data.to_vec(),
+                noreply,
+            },
+            Frame::BadDataChunk => Request::BadDataChunk,
+            Frame::TooLarge => Request::TooLarge,
+            Frame::LineTooLong => Request::LineTooLong,
+        }
+    }
+}
+
+/// What framing needs to know of a command line.
+struct LineShape {
+    /// The command within the line's text: surrounding whitespace and a
+    /// trailing `noreply` token trimmed off.
+    span: std::ops::Range<usize>,
+    noreply: bool,
+    /// The data block length a storage command announces, if it parses.
+    nbytes: Option<usize>,
+}
+
+impl LineShape {
+    fn of(text: &str) -> LineShape {
+        let at = text.len() - text.trim_start().len();
+        let mut line = text.trim();
+        let noreply = match line.strip_suffix("noreply") {
+            Some(rest) if rest.is_empty() || rest.ends_with(char::is_whitespace) => {
+                line = rest.trim_end();
+                true
+            }
+            _ => false,
+        };
+        let mut tokens = line.split_whitespace();
+        let is_storage = tokens
+            .next()
+            .is_some_and(|c| kvstore::protocol::verb(c).is_some_and(|v| v.has_data));
+        let nbytes = match is_storage {
+            true => tokens.nth(3).and_then(|t| t.parse::<usize>().ok()),
+            false => None,
+        };
+        LineShape {
+            span: at..at + line.len(),
+            noreply,
+            nbytes,
+        }
+    }
+}
+
+/// Streaming reassembler: feed raw socket bytes in, pull [`Frame`]s out.
 pub struct RequestReader {
     buf: Vec<u8>,
+    /// Cursor: `buf[..pos]` is consumed. Frames advance it; only `feed`
+    /// moves bytes, so a backlog of any depth frames in linear time.
+    pos: usize,
+    /// The current command line as text (lossily transcoded if it was not
+    /// UTF-8): what a frame's `line` borrows. Reused, so steady-state
+    /// framing allocates nothing.
+    line: String,
     /// Remaining value bytes of an oversized storage command being discarded.
     skip: usize,
     /// When true, a discard is waiting for its trailing newline.
     skip_trailer: bool,
     /// Whether the active discard is an oversized value (reported as
-    /// [`Request::TooLarge`]) rather than a silent length-mismatch resync.
+    /// [`Frame::TooLarge`]) rather than a silent length-mismatch resync.
     skip_oversize: bool,
     max_value: usize,
 }
@@ -53,6 +133,8 @@ impl RequestReader {
     pub fn new(max_value: usize) -> Self {
         RequestReader {
             buf: Vec::new(),
+            pos: 0,
+            line: String::new(),
             skip: 0,
             skip_trailer: false,
             skip_oversize: false,
@@ -60,91 +142,103 @@ impl RequestReader {
         }
     }
 
-    /// Appends raw bytes read from the socket.
+    /// Appends raw bytes read from the socket. Consumed bytes are dropped
+    /// here, at most once per call and only once they are at least half
+    /// the buffer — so each byte is moved at most once however deep the
+    /// unframed backlog, and a drained buffer costs nothing to reset.
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos >= self.buf.len() / 2 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed (for tests / introspection).
+    /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
+    }
+
+    /// [`RequestReader::next_frame`], owning its bytes.
+    pub fn next_request(&mut self) -> Option<Request> {
+        self.next_frame().map(Frame::to_request)
     }
 
     /// Extracts the next complete request, or `None` if more bytes are
-    /// needed. Call repeatedly to drain pipelined commands.
-    pub fn next_request(&mut self) -> Option<Request> {
+    /// needed. Call repeatedly to drain pipelined commands. The frame
+    /// borrows the reader: execute it (or copy it) before the next call.
+    pub fn next_frame(&mut self) -> Option<Frame<'_>> {
         // Finish any discard in progress first (oversized value or
         // length-mismatch resync).
         if self.skip > 0 || self.skip_trailer {
-            let n = self.skip.min(self.buf.len());
-            self.buf.drain(..n);
+            let n = self.skip.min(self.buffered());
+            self.pos += n;
             self.skip -= n;
             if self.skip > 0 {
                 return None; // more value bytes still in flight
             }
             self.skip_trailer = true;
             // Consume through the terminating newline.
-            match self.buf.iter().position(|&b| b == b'\n') {
+            match self.find_newline(self.pos) {
                 Some(i) => {
-                    self.buf.drain(..=i);
+                    self.pos = i + 1;
                     self.skip_trailer = false;
                     if self.skip_oversize {
                         self.skip_oversize = false;
-                        return Some(Request::TooLarge);
+                        return Some(Frame::TooLarge);
                     }
                     // Resync complete; fall through to the next command.
                 }
                 None => {
-                    self.buf.clear(); // mismatch garbage; keep discarding
+                    self.pos = self.buf.len(); // mismatch garbage; keep discarding
                     return None;
                 }
             }
         }
 
-        let nl = match self.buf.iter().position(|&b| b == b'\n') {
+        let start = self.pos;
+        let nl = match self.find_newline(start) {
             Some(i) => i,
-            None if self.buf.len() > MAX_LINE => return Some(Request::LineTooLong),
+            None if self.buffered() > MAX_LINE => return Some(Frame::LineTooLong),
             None => return None,
         };
         let mut line_end = nl;
-        if line_end > 0 && self.buf[line_end - 1] == b'\r' {
+        if line_end > start && self.buf[line_end - 1] == b'\r' {
             line_end -= 1;
         }
-        let line = String::from_utf8_lossy(&self.buf[..line_end]).into_owned();
-        let mut tokens: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
-        let noreply = tokens.last().is_some_and(|t| t == "noreply");
-        if noreply {
-            tokens.pop();
-        }
-
-        let is_storage = tokens
-            .first()
-            .is_some_and(|c| kvstore::protocol::verb(c).is_some_and(|v| v.has_data));
-        let nbytes = if is_storage && tokens.len() >= 5 {
-            tokens[4].parse::<usize>().ok()
-        } else {
-            None
-        };
+        self.line.clear();
+        self.line
+            .push_str(&String::from_utf8_lossy(&self.buf[start..line_end]));
+        // The shape is indices: the cursor moves (and a discard may start)
+        // before anything is borrowed out.
+        let LineShape {
+            span,
+            noreply,
+            nbytes,
+        } = LineShape::of(&self.line);
 
         let Some(nbytes) = nbytes else {
             // No data block follows: either a non-storage command, or a
             // malformed storage line the session will answer with
             // CLIENT_ERROR. Consume the line only.
-            self.buf.drain(..=nl);
-            return Some(Request::Cmd {
-                line: tokens.join(" "),
-                data: Vec::new(),
+            self.pos = nl + 1;
+            return Some(Frame::Cmd {
+                line: &self.line[span],
+                data: &[],
                 noreply,
             });
         };
 
         if nbytes > self.max_value {
             // Discard the value as it streams in; never buffer it whole.
-            self.buf.drain(..=nl);
+            self.pos = nl + 1;
             self.skip = nbytes;
             self.skip_trailer = false;
             self.skip_oversize = true;
-            return self.next_request();
+            return self.next_frame();
         }
 
         // Wait until the whole data block plus at least one terminator byte
@@ -154,51 +248,37 @@ impl RequestReader {
         if self.buf.len() < data_end + 1 {
             return None;
         }
-        match self.buf[data_end] {
-            b'\n' => {
-                let data = self.buf[data_start..data_end].to_vec();
-                self.buf.drain(..=data_end);
-                Some(Request::Cmd {
-                    line: tokens.join(" "),
-                    data,
-                    noreply,
-                })
-            }
-            b'\r' => {
-                // CRLF possibly split across packets: need one more byte.
-                if self.buf.len() < data_end + 2 {
-                    return None;
-                }
-                if self.buf[data_end + 1] == b'\n' {
-                    let data = self.buf[data_start..data_end].to_vec();
-                    self.buf.drain(..=data_end + 1);
-                    Some(Request::Cmd {
-                        line: tokens.join(" "),
-                        data,
-                        noreply,
-                    })
-                } else {
-                    self.resync_after(data_end);
-                    Some(Request::BadDataChunk)
-                }
-            }
+        let terminator = match self.buf[data_end] {
+            b'\n' => 1,
+            // CRLF possibly split across packets: need one more byte.
+            b'\r' if self.buf.len() < data_end + 2 => return None,
+            b'\r' if self.buf[data_end + 1] == b'\n' => 2,
             _ => {
                 self.resync_after(data_end);
-                Some(Request::BadDataChunk)
+                return Some(Frame::BadDataChunk);
             }
-        }
+        };
+        self.pos = data_end + terminator;
+        Some(Frame::Cmd {
+            line: &self.line[span],
+            data: &self.buf[data_start..data_end],
+            noreply,
+        })
+    }
+
+    fn find_newline(&self, from: usize) -> Option<usize> {
+        let i = self.buf[from..].iter().position(|&b| b == b'\n')?;
+        Some(from + i)
     }
 
     /// Length mismatch: drop everything through the next newline at or after
     /// `from`, so the reader realigns on the next command. If the newline is
     /// not buffered yet, arrange to keep discarding as bytes arrive.
     fn resync_after(&mut self, from: usize) {
-        match self.buf[from..].iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                self.buf.drain(..from + i + 1);
-            }
+        match self.find_newline(from) {
+            Some(i) => self.pos = i + 1,
             None => {
-                self.buf.clear();
+                self.pos = self.buf.len();
                 self.skip = 0;
                 self.skip_trailer = true;
                 self.skip_oversize = false;
@@ -338,6 +418,59 @@ mod tests {
         let mut r = RequestReader::new(1024);
         r.feed(&[b'a'; MAX_LINE + 1]);
         assert_eq!(r.next_request(), Some(Request::LineTooLong));
+    }
+
+    #[test]
+    fn deep_backlog_frames_in_linear_time() {
+        // One `feed` of > 4 MiB of pipelined `noreply` sets: a framer that
+        // moves the unconsumed tail per request does ~80 GB of memmove here
+        // (tens of seconds); the cursor moves nothing.
+        const REQS: usize = 40_000;
+        let value = [b'v'; 80];
+        let mut backlog = Vec::new();
+        for i in 0..REQS {
+            backlog.extend_from_slice(format!("set k{i:05} 0 0 80 noreply\r\n").as_bytes());
+            backlog.extend_from_slice(&value);
+            backlog.extend_from_slice(b"\r\n");
+        }
+        assert!(backlog.len() >= 4 << 20);
+        let mut r = RequestReader::new(1024);
+        let started = std::time::Instant::now();
+        r.feed(&backlog);
+        for i in 0..REQS {
+            let line = format!("set k{i:05} 0 0 80");
+            let want = Frame::Cmd {
+                line: &line,
+                data: &value,
+                noreply: true,
+            };
+            assert_eq!(r.next_frame(), Some(want), "request {i}");
+        }
+        assert_eq!(r.next_frame(), None);
+        assert_eq!(r.buffered(), 0);
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "framing a {REQS}-request backlog took {took:?}"
+        );
+    }
+
+    #[test]
+    fn frames_borrow_and_feed_compacts_behind_the_cursor() {
+        let mut r = RequestReader::new(1024);
+        r.feed(b"  get   a  b \r\nset k 0 0 2\r\nhi\r\nget par");
+        // Inner spacing is the sender's; the session tokenizes on it.
+        assert_eq!(r.next_request(), Some(cmd("get   a  b", b"", false)));
+        assert_eq!(r.next_request(), Some(cmd("set k 0 0 2", b"hi", false)));
+        assert_eq!(r.next_request(), None);
+        assert_eq!(r.buffered(), "get par".len(), "consumed bytes do not count");
+        r.feed(b"tial\r\n");
+        assert_eq!(r.buffered(), "get partial\r\n".len());
+        assert_eq!(r.next_request(), Some(cmd("get partial", b"", false)));
+        // A line that is not UTF-8 is framed from its lossy transcoding.
+        r.feed(b"get k\xff noreply\r\n");
+        assert_eq!(r.next_request(), Some(cmd("get k\u{fffd}", b"", true)));
+        assert_eq!(r.buffered(), 0);
     }
 
     #[test]

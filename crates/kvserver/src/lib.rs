@@ -45,5 +45,5 @@ pub mod server;
 mod worker;
 
 pub use client::{PipeOp, WireClient};
-pub use frame::{Request, RequestReader};
+pub use frame::{Frame, Request, RequestReader};
 pub use server::{KvServer, ServerConfig, ServerHandle};

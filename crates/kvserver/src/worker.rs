@@ -3,8 +3,8 @@
 //! Each worker owns a private connection table (no locks on the hot path —
 //! the accept loop hands new sockets over through an inbox) and one lazily
 //! filled [`kvstore::StoreLease`] shared by everything it serves. A sweep
-//! is: adopt new connections, read every readable socket, frame what
-//! arrived, execute the whole harvest as one batch under a shared epoch
+//! is: adopt new connections, read every readable socket, frame and execute
+//! in place everything then buffered as one batch under a shared epoch
 //! window ([`crate::batch`]), and only then flush the queued replies — the
 //! flush-after-fence ordering is what turns per-sweep batching into group
 //! commit.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use kvstore::protocol::Session;
 
 use crate::event_loop::Inbox;
-use crate::frame::{Request, RequestReader};
+use crate::frame::RequestReader;
 use crate::server::Shared;
 
 /// Read-syscall buffer size.
@@ -31,7 +31,7 @@ const READ_CHUNK: usize = 16 << 10;
 /// Per-connection read budget per sweep.
 const MAX_READ_PER_CONN: usize = 64 << 10;
 /// Per-connection framed-request budget per sweep.
-const MAX_REQS_PER_CONN: usize = 512;
+pub(crate) const MAX_REQS_PER_CONN: usize = 512;
 /// A connection whose unflushed output exceeds this is dropped — a peer
 /// that stops reading must not balloon server memory.
 const MAX_OUT_BUFFER: usize = 16 << 20;
@@ -66,6 +66,26 @@ pub(crate) struct Conn {
     pub session: Option<u64>,
 }
 
+impl Conn {
+    /// Slow-loris bookkeeping, once per sweep after framing: a frame the
+    /// peer started must be finished within `idle_timeout`. Completing any
+    /// request (or draining the buffer) resets the clock; trickling bytes
+    /// does not.
+    pub(crate) fn after_framing(&mut self, framed: usize, now: Instant, idle_timeout: Duration) {
+        if framed > 0 || self.reader.buffered() == 0 {
+            self.partial_since = None;
+        } else if self.partial_since.is_none() {
+            self.partial_since = Some(now);
+        }
+        if self
+            .partial_since
+            .is_some_and(|t| now.duration_since(t) > idle_timeout)
+        {
+            self.dead = true;
+        }
+    }
+}
+
 pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
     let lease = Arc::new(shared.store.lease());
     let session = Session::sharded(Arc::clone(&shared.store), Arc::clone(&lease));
@@ -96,10 +116,9 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
         }
 
         let now = Instant::now();
-        let mut batch: Vec<(usize, Request)> = Vec::new();
         let mut progressed = false;
 
-        for (ci, c) in conns.iter_mut().enumerate() {
+        for c in conns.iter_mut() {
             if c.dead {
                 continue;
             }
@@ -134,37 +153,11 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
                     }
                 }
             }
-            if c.dead {
-                continue;
-            }
-            let mut framed = 0usize;
-            while framed < MAX_REQS_PER_CONN {
-                match c.reader.next_request() {
-                    Some(req) => {
-                        batch.push((ci, req));
-                        framed += 1;
-                    }
-                    None => break,
-                }
-            }
-            // Slow-loris reap: a frame the peer started must be finished
-            // within `idle_timeout`. Completing any request (or draining
-            // the buffer) resets the clock; trickling bytes does not.
-            if framed > 0 || c.reader.buffered() == 0 {
-                c.partial_since = None;
-            } else if c.partial_since.is_none() {
-                c.partial_since = Some(now);
-            }
-            if c.partial_since
-                .is_some_and(|t| now.duration_since(t) > shared.cfg.idle_timeout)
-            {
-                c.dead = true;
-            }
         }
 
-        if !batch.is_empty() {
+        // Frame and execute phase: everything now buffered, as one batch.
+        if crate::batch::execute(widx, &mut conns, now, &session, &lease, &shared) > 0 {
             progressed = true;
-            crate::batch::execute(widx, &mut conns, batch, &session, &lease, &shared);
         }
 
         // Flush phase: strictly after the batch (and its fence).

@@ -12,7 +12,7 @@
 //!   persistent and recoverable.
 //!
 //! This *is* a Montage structure in the paper's sense (Sec. 3, Fig. 2): a
-//! transient index — per-stripe hash map, LRU order, key-ordered mirror —
+//! transient index — per-stripe hash map, recency list, key-ordered mirror —
 //! over persistent [`KV_TAG`] payloads, rebuilt by [`KvStore::recover`].
 //! Every mutation (`set`, `delete`, `update`, `detected_update`) is the same
 //! sequence — lock the key's stripe, open the backend's operation window,
@@ -20,7 +20,9 @@
 //! overwrite, free) meets the backend in exactly one place.
 //!
 //! The memcached item layout (key, flags, value) is preserved in the item
-//! bytes; LRU is per-stripe with stamp-ordered eviction.
+//! bytes; eviction is exact LRU per stripe. A key is hashed once per
+//! operation, with the store's keyed hasher: the same 64 bits pick the
+//! stripe and the bucket inside it.
 
 pub mod protocol;
 pub mod router;
@@ -38,8 +40,9 @@ pub use sharded::{
 use session_table::{SessionRecord, SessionTable};
 
 use montage::sync::uninstrumented::{AtomicUsize, Ordering};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId};
@@ -207,62 +210,179 @@ impl Window<'_> {
     }
 }
 
+/// A key and its hash under the store's keyed hasher, computed once per
+/// operation ([`KvStore::locate`]). The high half of the hash picks the
+/// stripe; the stripe's map takes the whole of it through [`PreHashed`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct HashedKey {
+    hash: u64,
+    key: Key,
+}
+
+impl Hash for HashedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The stripe maps' hasher: hands back the `u64` a [`HashedKey`] wrote. The
+/// protection against crafted keys is the keyed hash that produced it.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("stripe maps are keyed by HashedKey only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One node of the recency list: 40 bytes per resident key.
+struct LruNode {
+    key: Key,
+    /// Towards the oldest.
+    prev: u32,
+    /// Towards the newest; on the free list, the next free slot.
+    next: u32,
+}
+
+/// A stripe's recency order, exact LRU: an intrusive doubly-linked list
+/// over a slab, so a touch is unlink + push-newest — O(1), no allocation.
+/// Slot 0 is the sentinel closing the ring (`next` of it is the oldest key,
+/// `prev` of it the newest); removed slots are chained through `next` from
+/// `free` and reused before the slab grows. Replacing the policy (CLOCK, a
+/// shared-lock `get`) is a change to this type alone.
+struct Lru {
+    nodes: Vec<LruNode>,
+    /// Head of the free-slot chain; 0 (the sentinel, never free) ends it.
+    free: u32,
+}
+
+impl Lru {
+    fn new() -> Self {
+        let sentinel = LruNode {
+            key: [0; KEY_BYTES],
+            prev: 0,
+            next: 0,
+        };
+        Lru {
+            nodes: vec![sentinel],
+            free: 0,
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let LruNode { prev, next, .. } = self.nodes[slot as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+    }
+
+    fn link_newest(&mut self, slot: u32) {
+        let newest = std::mem::replace(&mut self.nodes[0].prev, slot);
+        self.nodes[newest as usize].next = slot;
+        self.nodes[slot as usize].prev = newest;
+        self.nodes[slot as usize].next = 0;
+    }
+
+    /// Admits `key` as the most recently used; returns its slot.
+    fn push_newest(&mut self, key: Key) -> u32 {
+        let slot = match self.free {
+            0 => {
+                let slot = u32::try_from(self.nodes.len()).expect("stripe holds < 2^32 keys");
+                self.nodes.push(LruNode {
+                    key,
+                    prev: 0,
+                    next: 0,
+                });
+                slot
+            }
+            slot => {
+                self.free = self.nodes[slot as usize].next;
+                self.nodes[slot as usize].key = key;
+                slot
+            }
+        };
+        self.link_newest(slot);
+        slot
+    }
+
+    /// Marks a live slot most recently used.
+    fn touch(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.link_newest(slot);
+    }
+
+    /// Retires a live slot to the free chain.
+    fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.nodes[slot as usize].next = self.free;
+        self.free = slot;
+    }
+
+    /// The least recently used key — the eviction victim.
+    fn oldest(&self) -> Option<Key> {
+        match self.nodes[0].next {
+            0 => None,
+            slot => Some(self.nodes[slot as usize].key),
+        }
+    }
+}
+
 /// One lock stripe of the transient index.
 struct Stripe {
-    map: HashMap<Key, (ItemRef, u64)>,
-    lru: BTreeMap<u64, Key>,
+    /// Item and recency-list slot per key.
+    map: HashMap<HashedKey, (ItemRef, u32), BuildHasherDefault<PreHashed>>,
+    lru: Lru,
     /// Key-ordered mirror of `map`'s key set, maintained at every insert
     /// and removal — what gives `scan` its per-stripe ordered walk without
     /// sorting under the lock.
     ordered: BTreeSet<Key>,
-    next_stamp: u64,
 }
 
 impl Stripe {
     fn new() -> Self {
         Stripe {
-            map: HashMap::new(),
-            lru: BTreeMap::new(),
+            map: HashMap::default(),
+            lru: Lru::new(),
             ordered: BTreeSet::new(),
-            next_stamp: 0,
         }
     }
 
     /// Indexes a key the stripe does not hold, as its most recently used.
-    fn insert(&mut self, key: Key, item: ItemRef) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.map.insert(key, (item, stamp));
-        self.lru.insert(stamp, key);
-        self.ordered.insert(key);
+    fn insert(&mut self, at: HashedKey, item: ItemRef) {
+        let slot = self.lru.push_newest(at.key);
+        self.map.insert(at, (item, slot));
+        self.ordered.insert(at.key);
     }
 
-    fn remove(&mut self, key: &Key) -> Option<ItemRef> {
-        let (item, stamp) = self.map.remove(key)?;
-        self.lru.remove(&stamp);
-        self.ordered.remove(key);
+    fn remove(&mut self, at: &HashedKey) -> Option<ItemRef> {
+        let (item, slot) = self.map.remove(at)?;
+        self.lru.remove(slot);
+        self.ordered.remove(&at.key);
         Some(item)
     }
 
     /// Marks the key most recently used and hands back its item.
-    fn touch(&mut self, key: &Key) -> Option<&mut ItemRef> {
-        let (item, stamp) = self.map.get_mut(key)?;
-        self.lru.remove(stamp);
-        *stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.lru.insert(*stamp, *key);
+    fn touch(&mut self, at: &HashedKey) -> Option<&mut ItemRef> {
+        let (item, slot) = self.map.get_mut(at)?;
+        self.lru.touch(*slot);
         Some(item)
-    }
-
-    /// The least recently used key — the eviction victim.
-    fn oldest(&self) -> Option<Key> {
-        self.lru.values().next().copied()
     }
 }
 
 /// The cache. `capacity` bounds items per stripe (memcached's memory cap).
 pub struct KvStore {
     backend: KvBackend,
+    /// Keyed per store instance (SipHash under a random key): a remote
+    /// client cannot aim its keys at one stripe's lock and eviction budget.
+    hasher: RandomState,
     stripes: Box<[Mutex<Stripe>]>,
     capacity_per_stripe: usize,
     evictions: AtomicUsize,
@@ -278,6 +398,7 @@ impl KvStore {
         assert!(stripes > 0);
         KvStore {
             backend,
+            hasher: RandomState::new(),
             capacity_per_stripe: (capacity / stripes).max(1),
             stripes: (0..stripes).map(|_| Mutex::new(Stripe::new())).collect(),
             evictions: AtomicUsize::new(0),
@@ -301,7 +422,8 @@ impl KvStore {
                 KV_TAG => {
                     let key: Key = rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap());
                     let handle = ItemRef::Montage(item.handle());
-                    store.stripe(&key).lock().insert(key, handle);
+                    let (at, stripe) = store.locate(&key);
+                    stripe.lock().insert(at, handle);
                 }
                 SESSION_TAG => {
                     let Some((sid, rid, op_kind, result)) =
@@ -379,10 +501,20 @@ impl KvStore {
         }
     }
 
-    fn stripe(&self, key: &Key) -> &Mutex<Stripe> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) % self.stripes.len()]
+    fn hashed(&self, key: &Key) -> HashedKey {
+        HashedKey {
+            hash: self.hasher.hash_one(key),
+            key: *key,
+        }
+    }
+
+    /// Hashes `key` — the one hash of an operation — and picks its stripe
+    /// from the hash's high half; the stripe's map indexes by the low bits
+    /// and tags by the top seven, so the stripe choice skews neither.
+    fn locate(&self, key: &Key) -> (HashedKey, &Mutex<Stripe>) {
+        let at = self.hashed(key);
+        let stripe = (at.hash >> 32) as usize % self.stripes.len();
+        (at, &self.stripes[stripe])
     }
 
     pub fn len(&self) -> usize {
@@ -413,16 +545,18 @@ impl KvStore {
 
     /// memcached `get`: applies `f` to the value bytes on hit.
     pub fn get<R>(&self, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let mut stripe = self.stripe(key).lock();
-        let item = stripe.touch(key)?;
+        let (at, stripe) = self.locate(key);
+        let mut stripe = stripe.lock();
+        let item = stripe.touch(&at)?;
         Some(self.backend.read(item, f))
     }
 
     /// Ordered inclusive range scan: every stripe is walked under its lock
     /// (a per-stripe atomic snapshot — no torn view of any single stripe),
     /// then the per-stripe runs are merged into one sorted result capped at
-    /// `limit`. Scans are reads: they do not touch the LRU and never
-    /// persist anything.
+    /// `limit`. Each run is already sorted, so only its first `limit` keys
+    /// can reach the result and only those values are copied. Scans are
+    /// reads: they do not touch the LRU and never persist anything.
     pub fn scan(&self, lo: &Key, hi: &Key, limit: usize) -> Vec<(Key, Vec<u8>)> {
         if lo > hi || limit == 0 {
             return Vec::new();
@@ -430,8 +564,11 @@ impl KvStore {
         let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
         for stripe in self.stripes.iter() {
             let stripe = stripe.lock();
-            for key in stripe.ordered.range(*lo..=*hi) {
-                let (item, _) = stripe.map.get(key).expect("ordered mirrors map");
+            for key in stripe.ordered.range(*lo..=*hi).take(limit) {
+                let (item, _) = stripe
+                    .map
+                    .get(&self.hashed(key))
+                    .expect("ordered mirrors map");
                 out.push((*key, self.backend.read(item, <[u8]>::to_vec)));
             }
         }
@@ -443,14 +580,16 @@ impl KvStore {
     /// memcached `set`: insert or overwrite. Blind — the old value is never
     /// read (on NVM that read is a charged media access).
     pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
-        let mut stripe = self.stripe(&key).lock();
-        self.upsert(&mut stripe, &self.backend.open(tid), &key, value);
+        let (at, stripe) = self.locate(&key);
+        let mut stripe = stripe.lock();
+        self.upsert(&mut stripe, &self.backend.open(tid), &at, value);
     }
 
     /// memcached `delete`.
     pub fn delete(&self, tid: usize, key: &Key) -> bool {
-        let mut stripe = self.stripe(key).lock();
-        self.remove(&mut stripe, &self.backend.open(tid), key)
+        let (at, stripe) = self.locate(key);
+        let mut stripe = stripe.lock();
+        self.remove(&mut stripe, &self.backend.open(tid), &at)
     }
 
     /// An atomic read-modify-write: runs `decide` on the key's current
@@ -467,8 +606,9 @@ impl KvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let mut stripe = self.stripe(key).lock();
-        self.decide_and_apply(&mut stripe, &self.backend.open(tid), key, decide)
+        let (at, stripe) = self.locate(key);
+        let mut stripe = stripe.lock();
+        self.decide_and_apply(&mut stripe, &self.backend.open(tid), &at, decide)
     }
 
     /// A detectable mutation: routes `(sid, rid)` through the session table,
@@ -521,9 +661,10 @@ impl KvStore {
                 return DetectOutcome::Stale { last_rid: rec.rid };
             }
         }
-        let mut stripe = self.stripe(key).lock();
+        let (at, stripe) = self.locate(key);
+        let mut stripe = stripe.lock();
         let window = self.backend.open(tid);
-        let result = self.decide_and_apply(&mut stripe, &window, key, decide);
+        let result = self.decide_and_apply(&mut stripe, &window, &at, decide);
         let prev = entry.as_ref().and_then(|r| r.handle);
         let handle = window.describe(prev, sid, rid, op_kind, &result);
         *entry = Some(SessionRecord {
@@ -541,40 +682,41 @@ impl KvStore {
         &self,
         stripe: &mut Stripe,
         window: &Window<'_>,
-        key: &Key,
+        at: &HashedKey,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let (write, reply) = match stripe.map.get(key) {
+        let (write, reply) = match stripe.map.get(at) {
             Some((item, _)) => self.backend.read(item, |b| decide(Some(b))),
             None => decide(None),
         };
         match write {
             DetectedWrite::Keep => {}
             DetectedWrite::Delete => {
-                self.remove(stripe, window, key);
+                self.remove(stripe, window, at);
             }
-            DetectedWrite::Upsert(value) => self.upsert(stripe, window, key, &value),
+            DetectedWrite::Upsert(value) => self.upsert(stripe, window, at, &value),
         }
         reply
     }
 
     /// Overwrites the key's item, or creates it — evicting the stripe's
     /// least recently used item first when the stripe is full.
-    fn upsert(&self, stripe: &mut Stripe, window: &Window<'_>, key: &Key, value: &[u8]) {
-        if let Some(item) = stripe.touch(key) {
-            return window.overwrite(item, key, value);
+    fn upsert(&self, stripe: &mut Stripe, window: &Window<'_>, at: &HashedKey, value: &[u8]) {
+        if let Some(item) = stripe.touch(at) {
+            return window.overwrite(item, &at.key, value);
         }
         if stripe.map.len() >= self.capacity_per_stripe {
-            if let Some(victim) = stripe.oldest() {
-                self.remove(stripe, window, &victim);
+            if let Some(victim) = stripe.lru.oldest() {
+                // The victim is another key: its own hash, on this path only.
+                self.remove(stripe, window, &self.hashed(&victim));
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        stripe.insert(*key, window.create(key, value));
+        stripe.insert(*at, window.create(&at.key, value));
     }
 
-    fn remove(&self, stripe: &mut Stripe, window: &Window<'_>, key: &Key) -> bool {
-        stripe.remove(key).map(|item| window.free(item)).is_some()
+    fn remove(&self, stripe: &mut Stripe, window: &Window<'_>, at: &HashedKey) -> bool {
+        stripe.remove(at).map(|item| window.free(item)).is_some()
     }
 
     /// Exactly-once counters and table occupancy for this store.
@@ -657,6 +799,74 @@ mod tests {
         assert_eq!(kv.evictions(), 1);
         assert!(kv.get(&make_key(2), |_| ()).is_none(), "LRU victim is 2");
         assert!(kv.get(&make_key(1), |_| ()).is_some());
+    }
+
+    /// The list's keys, oldest first, by walking the ring.
+    fn lru_order(lru: &Lru) -> Vec<Key> {
+        let mut order = vec![];
+        let mut slot = lru.nodes[0].next;
+        while slot != 0 {
+            order.push(lru.nodes[slot as usize].key);
+            slot = lru.nodes[slot as usize].next;
+        }
+        order
+    }
+
+    #[test]
+    fn recency_list_matches_a_deque_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::VecDeque;
+
+        const KEYS: u64 = 6;
+        let mut rng = SmallRng::seed_from_u64(0x1a5);
+        let mut lru = Lru::new();
+        let mut model: VecDeque<Key> = VecDeque::new(); // front = oldest
+        let mut slots: HashMap<Key, u32> = HashMap::new();
+        // Cases the walk must reach: touch of the oldest, the newest and a
+        // middle key, touch and removal in a one-key list, removal of the
+        // victim, and a freed slot handed out again.
+        let mut seen = [false; 7];
+        for step in 0..5_000 {
+            let key = make_key(rng.gen_range(0..KEYS));
+            let at = model.iter().position(|k| *k == key);
+            match (rng.gen_range(0..4u32), at) {
+                (0..=1, None) => {
+                    let high_water = lru.nodes.len();
+                    let slot = lru.push_newest(key);
+                    assert!(
+                        !slots.values().any(|s| *s == slot) && slot != 0,
+                        "step {step}: live slot {slot} handed out again"
+                    );
+                    seen[6] |= (slot as usize) < high_water;
+                    slots.insert(key, slot);
+                    model.push_back(key);
+                }
+                (0..=1, Some(i)) => {
+                    seen[0] |= i == 0 && model.len() > 1;
+                    seen[1] |= i == model.len() - 1 && model.len() > 1;
+                    seen[2] |= i > 0 && i < model.len() - 1;
+                    seen[3] |= model.len() == 1;
+                    lru.touch(slots[&key]);
+                    model.remove(i);
+                    model.push_back(key);
+                }
+                (2, Some(i)) => {
+                    seen[4] |= i == 0;
+                    seen[5] |= model.len() == 1;
+                    lru.remove(slots.remove(&key).unwrap());
+                    model.remove(i);
+                }
+                _ => {}
+            }
+            assert_eq!(lru.oldest(), model.front().copied(), "step {step}");
+            assert_eq!(lru_order(&lru), Vec::from(model.clone()), "step {step}");
+        }
+        assert_eq!(seen, [true; 7], "the sequence missed a case");
+        assert!(
+            lru.nodes.len() <= KEYS as usize + 1,
+            "the slab outgrew its live set: freed slots were not reused"
+        );
     }
 
     #[test]

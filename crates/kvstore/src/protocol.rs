@@ -3,7 +3,9 @@
 //! The Kjellqvist et al. variant the paper benchmarks links the client
 //! directly against the cache, dispensing with sockets — so this module
 //! exposes the protocol as a function call: one command line (+ optional
-//! data block) in, one response string out. Implements the core command set
+//! data block) in, one response out — appended to the caller's buffer
+//! ([`Session::execute_into`], what a server's connections use) or returned
+//! as a string ([`Session::execute`]). Implements the core command set
 //! (`get`/`gets`, `set`/`add`/`replace`/`cas`, `delete`, `touch`,
 //! `incr`/`decr`) with memcached item semantics: 32-bit client flags, lazy
 //! expiration, and 64-bit cas ids.
@@ -16,7 +18,7 @@
 //! ## Detectable mutations (exactly-once retries)
 //!
 //! A mutating command may carry a trailing `rid=<n>` token. When the caller
-//! also supplies a session id ([`Session::execute_with`] — the server binds
+//! also supplies a session id ([`Session::execute_into`] — the server binds
 //! one per connection via its `session <id>` command), the mutation routes
 //! through the store's detectable-operations path
 //! ([`crate::ShardedKvStore::detected`]): the command's *decision* — what to
@@ -36,11 +38,12 @@
 //! dense: a session spanning shards leaves gaps in each shard's sequence,
 //! which is why the server cannot detect pipelining by rejecting skips.)
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::session_table::{DetectOutcome, DetectedWrite};
-use crate::{Key, ShardedKvStore, StoreError, StoreLease};
+use crate::{Key, ShardedKvStore, StoreLease};
 
 const META: usize = 20; // flags u32 + expires_at_ms u64 + cas u64
 
@@ -83,7 +86,7 @@ pub struct Verb {
 
 /// Classifies a command verb; `None` for verbs the protocol does not know
 /// (a session answers those `ERROR`). The one place that lists the verbs
-/// [`Session::execute_with`] dispatches.
+/// [`Session::execute_into`] dispatches.
 pub fn verb(cmd: &str) -> Option<Verb> {
     let (has_data, mutates) = match cmd {
         "get" | "gets" | "scan" => (false, false),
@@ -102,18 +105,17 @@ pub struct Session {
     clock: Arc<dyn Clock>,
 }
 
-/// A decoded item: the protocol metadata plus the client's data bytes.
-struct Item {
+/// A decoded item: the protocol metadata plus the client's data bytes,
+/// borrowed from where the store keeps them.
+struct Item<'a> {
     flags: u32,
     expires_at: u64,
     cas: u64,
-    data: Vec<u8>,
+    data: &'a [u8],
 }
 
-impl Item {
-    fn expired(&self, now_ms: u64) -> bool {
-        self.expires_at != 0 && self.expires_at <= now_ms
-    }
+fn expired(expires_at: u64, now_ms: u64) -> bool {
+    expires_at != 0 && expires_at <= now_ms
 }
 
 fn make_item_at(flags: u32, expires_at: u64, cas: u64, data: &[u8]) -> Vec<u8> {
@@ -133,12 +135,12 @@ fn expires_at(exptime_s: u64, now_ms: u64) -> u64 {
     }
 }
 
-fn parse_item(bytes: &[u8]) -> Item {
+fn parse_item(bytes: &[u8]) -> Item<'_> {
     Item {
         flags: u32::from_le_bytes(bytes[..4].try_into().unwrap()),
         expires_at: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
         cas: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-        data: bytes[META..].to_vec(),
+        data: &bytes[META..],
     }
 }
 
@@ -150,19 +152,60 @@ pub const SCAN_MAX_LIMIT: usize = 4096;
 
 /// The client-visible text of a padded key (strips the zero padding
 /// [`key_of`] added; lossy for keys that were never valid UTF-8).
-fn key_text(key: &Key) -> String {
+fn key_text(key: &Key) -> Cow<'_, str> {
     let end = key.iter().position(|&b| b == 0).unwrap_or(key.len());
-    String::from_utf8_lossy(&key[..end]).into_owned()
+    String::from_utf8_lossy(&key[..end])
 }
 
-fn key_of(s: &str) -> Result<Key, String> {
+/// A refused command line: the reply, verbatim.
+type Refused = &'static str;
+
+const BAD_FORMAT: Refused = "CLIENT_ERROR bad command line format";
+
+fn key_of(s: &str) -> Result<Key, Refused> {
     let b = s.as_bytes();
     if b.is_empty() || b.len() > 32 {
-        return Err("CLIENT_ERROR bad key".into());
+        return Err("CLIENT_ERROR bad key");
     }
     let mut k = [0u8; 32];
     k[..b.len()].copy_from_slice(b);
     Ok(k)
+}
+
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends one `VALUE <name> <flags> <len>[ <cas>]\r\n<data>\r\n` block.
+/// Replies travel as UTF-8; the announced length is that of the bytes
+/// actually emitted, so non-UTF-8 values (lossily transcoded) cannot desync
+/// a wire client's framing. A valid value — the common case — is borrowed
+/// by the transcoding and copied once, into `out`.
+fn push_value(out: &mut Vec<u8>, name: &str, item: &Item<'_>, with_cas: bool) {
+    let text = String::from_utf8_lossy(item.data);
+    out.extend_from_slice(b"VALUE ");
+    out.extend_from_slice(name.as_bytes());
+    out.push(b' ');
+    push_decimal(out, u64::from(item.flags));
+    out.push(b' ');
+    push_decimal(out, text.len() as u64);
+    if with_cas {
+        out.push(b' ');
+        push_decimal(out, item.cas);
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 /// One mutating command, parsed down to what its decision needs.
@@ -204,7 +247,7 @@ impl MutOp<'_> {
     /// live item: what to write, and what to reply. Shared verbatim by the
     /// plain path and the detected (exactly-once) path, so retries replay
     /// exactly what a first execution would have said.
-    fn decide(&self, cur: Option<&Item>, now_ms: u64, new_cas: u64) -> (DetectedWrite, String) {
+    fn decide(&self, cur: Option<&Item<'_>>, now_ms: u64, new_cas: u64) -> (DetectedWrite, String) {
         match self {
             MutOp::Store {
                 verb,
@@ -233,7 +276,7 @@ impl MutOp<'_> {
             MutOp::Touch { exptime_s } => match cur {
                 Some(it) => {
                     let bytes =
-                        make_item_at(it.flags, expires_at(*exptime_s, now_ms), new_cas, &it.data);
+                        make_item_at(it.flags, expires_at(*exptime_s, now_ms), new_cas, it.data);
                     (DetectedWrite::Upsert(bytes), "TOUCHED".into())
                 }
                 None => (DetectedWrite::Keep, "NOT_FOUND".into()),
@@ -242,7 +285,7 @@ impl MutOp<'_> {
                 let Some(it) = cur else {
                     return (DetectedWrite::Keep, "NOT_FOUND".into());
                 };
-                let Some(v) = std::str::from_utf8(&it.data)
+                let Some(v) = std::str::from_utf8(it.data)
                     .ok()
                     .and_then(|s| s.trim().parse::<u64>().ok())
                 else {
@@ -264,6 +307,9 @@ impl MutOp<'_> {
         }
     }
 }
+
+/// A command line's arguments: the tokens after the verb, `rid=` stripped.
+type Args<'a> = std::str::SplitWhitespace<'a>;
 
 impl Session {
     /// A session over `store` operating under `lease`'s worker ids (a
@@ -292,39 +338,92 @@ impl Session {
 
     /// [`Session::execute`] with an attached durable session id: mutating
     /// commands carrying `rid=<n>` run exactly-once through the store's
-    /// descriptor table.
+    /// descriptor table. An owning convenience over
+    /// [`Session::execute_into`].
     pub fn execute_with(&self, line: &str, data: &[u8], session_id: Option<u64>) -> String {
-        let mut parts = line.split_whitespace();
-        let Some(cmd) = parts.next().filter(|c| verb(c).is_some()) else {
-            return "ERROR".into();
-        };
-        let mut args: Vec<&str> = parts.collect();
-        // A request id rides as the line's last token.
-        let rid = match args.last().and_then(|t| t.strip_prefix("rid=")) {
-            Some(t) => match t.parse::<u64>() {
-                Ok(r) => {
-                    args.pop();
-                    Some(r)
-                }
-                Err(_) => return "CLIENT_ERROR bad request id".into(),
-            },
-            None => None,
-        };
-        let ctx = match (session_id, rid) {
-            (Some(sid), Some(rid)) => Some((sid, rid)),
-            (None, Some(_)) => return "CLIENT_ERROR rid requires a session".into(),
-            _ => None,
-        };
-        match cmd {
-            "get" => self.do_get(&args, false),
-            "gets" => self.do_get(&args, true),
-            "scan" => self.do_scan(&args),
-            "set" | "add" | "replace" | "cas" => self.do_store(cmd, &args, data, ctx),
-            "delete" => self.do_delete(&args, ctx),
-            "touch" => self.do_touch(&args, ctx),
-            "incr" | "decr" => self.do_arith(cmd == "incr", &args, ctx),
-            _ => "ERROR".into(),
+        // Sized for a one-key `get` of a small value: one allocation, where
+        // growing from empty would take five.
+        let mut out = Vec::with_capacity(256);
+        self.execute_into(line, data, session_id, &mut |_| {}, &mut out);
+        String::from_utf8(out).expect("replies are emitted as UTF-8")
+    }
+
+    /// The one implementation: executes a command line and appends the
+    /// protocol response (without trailing CRLF) to `out` — a `get` writes
+    /// its `VALUE` blocks straight from the stored bytes, allocating
+    /// nothing. A mutation announces the shard it routes to through
+    /// `on_shard` before it touches the store, so a group-commit scope can
+    /// pin that shard ([`crate::StoreBatch::pin_shard`]) on the same
+    /// routing computation. A caller that must retract a reply (a handler
+    /// panic, `noreply`) truncates `out` back to its length before the call.
+    pub fn execute_into(
+        &self,
+        line: &str,
+        data: &[u8],
+        session_id: Option<u64>,
+        on_shard: &mut dyn FnMut(usize),
+        out: &mut Vec<u8>,
+    ) {
+        if let Err(refusal) = self.dispatch(line, data, session_id, on_shard, out) {
+            out.extend_from_slice(refusal.as_bytes());
         }
+    }
+
+    fn dispatch(
+        &self,
+        line: &str,
+        data: &[u8],
+        session_id: Option<u64>,
+        on_shard: &mut dyn FnMut(usize),
+        out: &mut Vec<u8>,
+    ) -> Result<(), Refused> {
+        let mut args = line.split_whitespace();
+        let cmd = args.next().filter(|c| verb(c).is_some()).ok_or("ERROR")?;
+        // A request id rides as the line's last token.
+        let mut ctx = None;
+        if let Some(t) = args
+            .clone()
+            .next_back()
+            .and_then(|t| t.strip_prefix("rid="))
+        {
+            let rid = t
+                .parse::<u64>()
+                .map_err(|_| "CLIENT_ERROR bad request id")?;
+            let sid = session_id.ok_or("CLIENT_ERROR rid requires a session")?;
+            args.next_back();
+            ctx = Some((sid, rid));
+        }
+        let (key, op) = match cmd {
+            "get" | "gets" => {
+                self.do_get(args, cmd == "gets", out);
+                return Ok(());
+            }
+            "scan" => return self.do_scan(args, out),
+            "set" | "add" | "replace" | "cas" => store_op(cmd, args, data)?,
+            "delete" => (key_of(args.next().ok_or(BAD_FORMAT)?)?, MutOp::Delete),
+            "touch" => {
+                let (Some(karg), Some(exptime)) = (args.next(), args.next()) else {
+                    return Err(BAD_FORMAT);
+                };
+                let key = key_of(karg)?;
+                let exptime_s = exptime.parse().map_err(|_| BAD_FORMAT)?;
+                (key, MutOp::Touch { exptime_s })
+            }
+            "incr" | "decr" => {
+                let (Some(karg), Some(delta)) = (args.next(), args.next()) else {
+                    return Err(BAD_FORMAT);
+                };
+                let key = key_of(karg)?;
+                let delta = delta
+                    .parse()
+                    .map_err(|_| "CLIENT_ERROR invalid numeric delta argument")?;
+                let incr = cmd == "incr";
+                (key, MutOp::Arith { incr, delta })
+            }
+            _ => return Err("ERROR"),
+        };
+        self.mutate(ctx, key, op, on_shard, out);
+        Ok(())
     }
 
     /// Runs one mutating command: the op's decision against the key's
@@ -335,56 +434,79 @@ impl Session {
     /// at-least-once retried — but still atomic: both paths hold the key's
     /// shard lock across the decision, so racing `incr`s never lose
     /// updates and racing `add`s never both reply `STORED`).
-    fn mutate(&self, ctx: Option<(u64, u64)>, key: Key, op: MutOp<'_>) -> String {
+    fn mutate(
+        &self,
+        ctx: Option<(u64, u64)>,
+        key: Key,
+        op: MutOp<'_>,
+        on_shard: &mut dyn FnMut(usize),
+        out: &mut Vec<u8>,
+    ) {
         let now_ms = self.clock.now_ms();
         let new_cas = self.store.next_cas();
         let decide = |raw: Option<&[u8]>| -> (DetectedWrite, Vec<u8>) {
             let parsed = raw.map(parse_item);
-            let expired = parsed.as_ref().is_some_and(|it| it.expired(now_ms));
-            let cur = if expired { None } else { parsed.as_ref() };
+            let dead = parsed
+                .as_ref()
+                .is_some_and(|it| expired(it.expires_at, now_ms));
+            let cur = if dead { None } else { parsed.as_ref() };
             let (mut write, reply) = op.decide(cur, now_ms, new_cas);
-            if expired && matches!(write, DetectedWrite::Keep) {
+            if dead && matches!(write, DetectedWrite::Keep) {
                 // Lazy expiry: reap the dead item while we hold the key.
                 write = DetectedWrite::Delete;
             }
             (write, reply.into_bytes())
         };
-        match ctx {
-            Some((sid, rid)) => {
-                match self
-                    .store
-                    .detected(&self.lease, sid, rid, op.kind(), &key, decide)
-                {
-                    Ok(DetectOutcome::Applied(r)) | Ok(DetectOutcome::Replayed(r)) => {
-                        String::from_utf8_lossy(&r).into_owned()
-                    }
-                    Ok(DetectOutcome::Stale { last_rid }) => {
-                        format!("SERVER_ERROR stale request id (last acked {last_rid})")
-                    }
-                    Err(e) => server_error(&e),
-                }
+        let shard = self.store.shard_of(&key);
+        on_shard(shard);
+        let outcome = self
+            .store
+            .route_to(&self.lease, shard)
+            .map(|(kv, tid)| match ctx {
+                Some((sid, rid)) => kv.detected_update(tid, sid, rid, op.kind(), &key, decide),
+                None => DetectOutcome::Applied(kv.update(tid, &key, decide)),
+            });
+        match outcome {
+            Ok(DetectOutcome::Applied(r)) | Ok(DetectOutcome::Replayed(r)) => {
+                out.extend_from_slice(String::from_utf8_lossy(&r).as_bytes())
             }
-            None => match self.store.update(&self.lease, &key, decide) {
-                Ok(reply) => String::from_utf8_lossy(&reply).into_owned(),
-                Err(e) => server_error(&e),
-            },
+            Ok(DetectOutcome::Stale { last_rid }) => {
+                out.extend_from_slice(b"SERVER_ERROR stale request id (last acked ");
+                push_decimal(out, last_rid);
+                out.push(b')');
+            }
+            // The `persistent pool crashed` text of a faulted shard is
+            // load-bearing: clients (and the degradation wire tests) match
+            // on it to distinguish a frozen pool from a transient error.
+            Err(e) => out.extend_from_slice(format!("SERVER_ERROR {e}").as_bytes()),
         }
     }
 
-    /// Fetches live (unexpired) item data + flags (+ cas), lazily deleting
-    /// expired items like memcached does.
-    fn fetch(&self, key: &Key) -> Option<Item> {
-        let item = self.store.get(key, parse_item)?;
+    /// Appends the key's `VALUE` block if it holds a live (unexpired) item,
+    /// lazily deleting an expired one like memcached does. The block is
+    /// written under the stripe lock, straight from the stored bytes; the
+    /// clock is read only after the lock is released, and an item found
+    /// expired then has its block retracted.
+    fn fetch_into(&self, key: &Key, name: &str, with_cas: bool, out: &mut Vec<u8>) {
+        let mark = out.len();
+        let Some(expires_at) = self.store.get(key, |raw| {
+            let item = parse_item(raw);
+            push_value(out, name, &item, with_cas);
+            item.expires_at
+        }) else {
+            return;
+        };
         let now_ms = self.clock.now_ms();
-        if !item.expired(now_ms) {
-            return Some(item);
+        if !expired(expires_at, now_ms) {
+            return;
         }
+        out.truncate(mark);
         // Reap under the stripe lock, and only what is still expired there:
         // a `set` acked since the read above must not be deleted by a
         // reader. Best-effort: on a faulted or id-starved shard the expired
         // item stays resident but is still filtered out of every reply.
         let _ = self.store.update(&self.lease, key, |raw| {
-            let still_expired = raw.is_some_and(|b| parse_item(b).expired(now_ms));
+            let still_expired = raw.is_some_and(|b| expired(parse_item(b).expires_at, now_ms));
             let write = if still_expired {
                 DetectedWrite::Delete
             } else {
@@ -392,34 +514,15 @@ impl Session {
             };
             (write, Vec::new())
         });
-        None
     }
 
-    fn do_get(&self, args: &[&str], with_cas: bool) -> String {
-        let mut out = String::new();
+    fn do_get(&self, args: Args<'_>, with_cas: bool, out: &mut Vec<u8>) {
         for karg in args {
-            let Ok(key) = key_of(karg) else { continue };
-            if let Some(it) = self.fetch(&key) {
-                // Replies travel as UTF-8; announce the length of the bytes
-                // actually emitted so non-UTF-8 values (lossily transcoded)
-                // cannot desync a wire client's framing.
-                let text = String::from_utf8_lossy(&it.data);
-                let flags = it.flags;
-                if with_cas {
-                    out.push_str(&format!(
-                        "VALUE {karg} {flags} {} {}\r\n",
-                        text.len(),
-                        it.cas
-                    ));
-                } else {
-                    out.push_str(&format!("VALUE {karg} {flags} {}\r\n", text.len()));
-                }
-                out.push_str(&text);
-                out.push_str("\r\n");
+            if let Ok(key) = key_of(karg) {
+                self.fetch_into(&key, karg, with_cas, out);
             }
         }
-        out.push_str("END");
-        out
+        out.extend_from_slice(b"END");
     }
 
     /// `scan <lo> <hi> [<limit>]` — ordered inclusive range scan. Keys are
@@ -429,124 +532,70 @@ impl Session {
     /// Expired items are filtered (scans are pure reads — no lazy reaping)
     /// but still count against the limit. An inverted range is simply
     /// empty, not an error.
-    fn do_scan(&self, args: &[&str]) -> String {
-        let (Some(lo_arg), Some(hi_arg)) = (args.first(), args.get(1)) else {
-            return "CLIENT_ERROR bad scan line".into();
+    fn do_scan(&self, mut args: Args<'_>, out: &mut Vec<u8>) -> Result<(), Refused> {
+        let (Some(lo_arg), Some(hi_arg)) = (args.next(), args.next()) else {
+            return Err("CLIENT_ERROR bad scan line");
         };
-        let (lo, hi) = match (key_of(lo_arg), key_of(hi_arg)) {
-            (Ok(lo), Ok(hi)) => (lo, hi),
-            (Err(e), _) | (_, Err(e)) => return e,
-        };
-        let limit = match args.get(2) {
+        let (lo, hi) = (key_of(lo_arg)?, key_of(hi_arg)?);
+        let limit = match args.next() {
             None => SCAN_DEFAULT_LIMIT,
-            Some(t) => match t.parse::<usize>() {
-                Ok(n) => n.min(SCAN_MAX_LIMIT),
-                Err(_) => return "CLIENT_ERROR bad scan limit".into(),
-            },
+            Some(t) => t
+                .parse::<usize>()
+                .map_err(|_| "CLIENT_ERROR bad scan limit")?
+                .min(SCAN_MAX_LIMIT),
         };
         let now_ms = self.clock.now_ms();
-        let mut out = String::new();
         for (key, raw) in self.store.scan(&lo, &hi, limit) {
-            let it = parse_item(&raw);
-            if it.expired(now_ms) {
-                continue;
+            let item = parse_item(&raw);
+            if !expired(item.expires_at, now_ms) {
+                push_value(out, &key_text(&key), &item, false);
             }
-            let name = key_text(&key);
-            let text = String::from_utf8_lossy(&it.data);
-            // As in `do_get`: announce the length of the bytes actually
-            // emitted so lossy transcoding cannot desync client framing.
-            out.push_str(&format!("VALUE {name} {} {}\r\n", it.flags, text.len()));
-            out.push_str(&text);
-            out.push_str("\r\n");
         }
-        out.push_str("END");
-        out
-    }
-
-    fn do_store(&self, cmd: &str, args: &[&str], data: &[u8], ctx: Option<(u64, u64)>) -> String {
-        let min_args = if cmd == "cas" { 5 } else { 4 };
-        if args.len() < min_args {
-            return "CLIENT_ERROR bad command line format".into();
-        }
-        let key = match key_of(args[0]) {
-            Ok(k) => k,
-            Err(e) => return e,
-        };
-        let (Ok(flags), Ok(exptime_s), Ok(nbytes)) = (
-            args[1].parse::<u32>(),
-            args[2].parse::<u64>(),
-            args[3].parse::<usize>(),
-        ) else {
-            return "CLIENT_ERROR bad command line format".into();
-        };
-        let casid = if cmd == "cas" {
-            match args[4].parse::<u64>() {
-                Ok(c) => c,
-                Err(_) => return "CLIENT_ERROR bad command line format".into(),
-            }
-        } else {
-            0
-        };
-        if nbytes != data.len() {
-            return "CLIENT_ERROR bad data chunk".into();
-        }
-        self.mutate(
-            ctx,
-            key,
-            MutOp::Store {
-                verb: cmd,
-                flags,
-                exptime_s,
-                data,
-                casid,
-            },
-        )
-    }
-
-    fn do_delete(&self, args: &[&str], ctx: Option<(u64, u64)>) -> String {
-        let Some(karg) = args.first() else {
-            return "CLIENT_ERROR bad command line format".into();
-        };
-        match key_of(karg) {
-            Ok(key) => self.mutate(ctx, key, MutOp::Delete),
-            Err(e) => e,
-        }
-    }
-
-    fn do_touch(&self, args: &[&str], ctx: Option<(u64, u64)>) -> String {
-        if args.len() < 2 {
-            return "CLIENT_ERROR bad command line format".into();
-        }
-        let key = match key_of(args[0]) {
-            Ok(k) => k,
-            Err(e) => return e,
-        };
-        let Ok(exptime_s) = args[1].parse::<u64>() else {
-            return "CLIENT_ERROR bad command line format".into();
-        };
-        self.mutate(ctx, key, MutOp::Touch { exptime_s })
-    }
-
-    fn do_arith(&self, incr: bool, args: &[&str], ctx: Option<(u64, u64)>) -> String {
-        if args.len() < 2 {
-            return "CLIENT_ERROR bad command line format".into();
-        }
-        let key = match key_of(args[0]) {
-            Ok(k) => k,
-            Err(e) => return e,
-        };
-        let Ok(delta) = args[1].parse::<u64>() else {
-            return "CLIENT_ERROR invalid numeric delta argument".into();
-        };
-        self.mutate(ctx, key, MutOp::Arith { incr, delta })
+        out.extend_from_slice(b"END");
+        Ok(())
     }
 }
 
-/// Maps a refused mutation to its wire reply. The `persistent pool crashed`
-/// prefix is load-bearing: clients (and the degradation wire tests) match
-/// on it to distinguish a frozen pool from a transient error.
-fn server_error(e: &StoreError) -> String {
-    format!("SERVER_ERROR {e}")
+/// Parses a storage command (`set`/`add`/`replace`/`cas`) down to its key
+/// and [`MutOp::Store`]; `data` is the block that followed the line.
+fn store_op<'a>(
+    verb: &'a str,
+    mut args: Args<'a>,
+    data: &'a [u8],
+) -> Result<(Key, MutOp<'a>), Refused> {
+    let (Some(karg), Some(flags), Some(exptime), Some(nbytes)) =
+        (args.next(), args.next(), args.next(), args.next())
+    else {
+        return Err(BAD_FORMAT);
+    };
+    let casid = if verb == "cas" {
+        Some(args.next().ok_or(BAD_FORMAT)?)
+    } else {
+        None
+    };
+    let key = key_of(karg)?;
+    let (Ok(flags), Ok(exptime_s), Ok(nbytes)) = (
+        flags.parse::<u32>(),
+        exptime.parse::<u64>(),
+        nbytes.parse::<usize>(),
+    ) else {
+        return Err(BAD_FORMAT);
+    };
+    let casid = match casid {
+        Some(t) => t.parse::<u64>().map_err(|_| BAD_FORMAT)?,
+        None => 0,
+    };
+    if nbytes != data.len() {
+        return Err("CLIENT_ERROR bad data chunk");
+    }
+    let op = MutOp::Store {
+        verb,
+        flags,
+        exptime_s,
+        data,
+        casid,
+    };
+    Ok((key, op))
 }
 
 #[cfg(test)]
@@ -851,6 +900,62 @@ mod tests {
         // The acked `set` must have survived the reader's lazy reap.
         let r = s.execute("get k", b"");
         assert!(r.starts_with("VALUE k 0 5\r\nfresh\r\n"), "{r}");
+    }
+
+    #[test]
+    fn expired_key_retracts_only_its_own_block_of_a_multi_get() {
+        let s = session(KvBackend::Dram);
+        s.execute("set a 1 0 1", b"A");
+        s.execute("set c 3 0 1", b"C");
+        let stale = make_item_at(2, 1, 0, b"stale"); // expired long ago
+        s.store.set(&s.lease, key_of("b").unwrap(), &stale).unwrap();
+        // `b`'s block is written under its stripe lock, then cut back out
+        // once the clock says it expired; `a`'s before it and `c`'s after
+        // it stand.
+        assert_eq!(
+            s.execute("get a b c", b""),
+            "VALUE a 1 1\r\nA\r\nVALUE c 3 1\r\nC\r\nEND"
+        );
+        assert_eq!(s.execute("delete b", b""), "NOT_FOUND", "lazy delete ran");
+    }
+
+    #[test]
+    fn mutations_announce_their_shard_once_and_reads_never() {
+        let store = crate::ShardedKvStore::format(
+            4,
+            PmemConfig::strict_for_test(8 << 20),
+            EsysConfig::default(),
+            4,
+            10_000,
+        );
+        let s = session_over(&store);
+        let run = |line: &str, data: &[u8]| {
+            let (mut shards, mut out) = (vec![], vec![]);
+            s.execute_into(
+                line,
+                data,
+                Some(7),
+                &mut |shard| shards.push(shard),
+                &mut out,
+            );
+            (shards, String::from_utf8(out).unwrap())
+        };
+        for i in 0..16 {
+            let key = format!("k{i}");
+            let owner = store.shard_of_bytes(key.as_bytes()).unwrap();
+            assert_eq!(
+                run(&format!("set {key} 0 0 1 rid={}", i + 1), b"1"),
+                (vec![owner], "STORED".into())
+            );
+            assert_eq!(run(&format!("incr {key} 1"), b"").0, vec![owner]);
+            assert_eq!(run(&format!("get {key}"), b"").0, vec![]);
+        }
+        // A refused line never reaches the store, so announces nothing.
+        assert_eq!(
+            run("set k0 nope 0 1", b"x"),
+            (vec![], "CLIENT_ERROR bad command line format".into())
+        );
+        assert_eq!(run("scan k0 k9", b"").0, vec![]);
     }
 
     #[test]

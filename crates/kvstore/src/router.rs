@@ -47,9 +47,13 @@ impl ShardRouter {
         self.n_shards
     }
 
-    /// The shard that owns `key`.
+    /// The shard that owns `key`. A one-shard store has nothing to choose
+    /// and hashes nothing.
     #[inline]
     pub fn route(&self, key: &Key) -> usize {
+        if self.n_shards == 1 {
+            return 0;
+        }
         // Multiply-shift instead of `% n`: the low bits of FNV over short,
         // mostly-zero-padded keys are the weakest, and `%` keeps only those.
         (((fnv1a(key) as u128) * (self.n_shards as u128)) >> 64) as usize

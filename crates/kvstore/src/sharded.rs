@@ -286,13 +286,23 @@ impl ShardedKvStore {
         out
     }
 
-    /// Where a mutation of `key` runs: the owning shard's store and the
+    /// Where a mutation routed to `shard` runs: that shard's store and the
     /// lease's worker id there. Refuses a faulted shard (its durable image
-    /// is frozen; accepting the mutation would lie about durability).
-    fn route(&self, lease: &StoreLease, key: &Key) -> Result<(&KvStore, usize), StoreError> {
-        let shard = self.shard_of(key);
+    /// is frozen; accepting the mutation would lie about durability). For
+    /// a caller that has already computed [`ShardedKvStore::shard_of`] —
+    /// the protocol session announces the shard to the batch that pins it,
+    /// then mutates here, on one routing computation.
+    pub fn route_to(
+        &self,
+        lease: &StoreLease,
+        shard: usize,
+    ) -> Result<(&KvStore, usize), StoreError> {
         self.check_shard(shard)?;
         Ok((&self.shards[shard], lease.tid(shard)?))
+    }
+
+    fn route(&self, lease: &StoreLease, key: &Key) -> Result<(&KvStore, usize), StoreError> {
+        self.route_to(lease, self.shard_of(key))
     }
 
     /// Blind `set` on the owning shard (see [`KvStore::set`]) — a library
@@ -600,14 +610,16 @@ impl Drop for StoreLease {
 pub struct StoreBatch<'a> {
     store: &'a ShardedKvStore,
     lease: &'a StoreLease,
-    pins: Box<[Option<montage::EpochPin<'a>>]>,
+    /// One slot per shard, sized at the first pin: a batch of reads never
+    /// allocates.
+    pins: Vec<Option<montage::EpochPin<'a>>>,
 }
 
 impl ShardedKvStore {
     /// Opens a group-commit scope over this store with `lease`'s worker ids.
     pub fn batch<'a>(&'a self, lease: &'a StoreLease) -> StoreBatch<'a> {
         StoreBatch {
-            pins: (0..self.shards.len()).map(|_| None).collect(),
+            pins: Vec::new(),
             store: self,
             lease,
         }
@@ -617,6 +629,9 @@ impl ShardedKvStore {
 impl<'a> StoreBatch<'a> {
     /// Pins `shard`'s epoch system (idempotent; transient shards no-op).
     pub fn pin_shard(&mut self, shard: usize) -> Result<(), StoreError> {
+        if self.pins.is_empty() {
+            self.pins.resize_with(self.store.shards.len(), || None);
+        }
         if self.pins[shard].is_some() {
             return Ok(());
         }
