@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use montage::{EpochSys, EsysConfig, VerifyCell};
-use montage_bench::report::JsonReport;
+use montage_bench::report::{percentile, JsonReport};
 use montage_ds::{tags, MontageHashMap};
 use pmem::{ChaosConfig, POff, PmemConfig, PmemPool};
 use ralloc::Ralloc;
@@ -234,14 +234,6 @@ fn stalled_sync_lats(grace: usize, syncs: usize) -> Vec<u64> {
     victim.join().unwrap();
     lats.sort_unstable();
     lats
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Emits `BENCH_core_primitives.json`: the coalescing counts (PR 1's flush

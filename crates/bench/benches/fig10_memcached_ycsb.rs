@@ -11,18 +11,9 @@ use kvstore::{make_key, KvBackend, KvStore};
 use montage::{Advancer, EpochSys, EsysConfig};
 use montage_bench::harness::{env_scale, env_threads};
 use montage_bench::report;
-use pmem::{LatencyModel, PmemConfig, PmemMode, PmemPool};
+use montage_bench::systems::nvm_pool;
 use ralloc::Ralloc;
 use workloads::ycsb::{YcsbAWorkload, YcsbOp};
-
-fn nvm_pool(bytes: usize) -> PmemPool {
-    PmemPool::new(PmemConfig {
-        size: bytes,
-        mode: PmemMode::Fast,
-        latency: LatencyModel::OPTANE,
-        chaos: Default::default(),
-    })
-}
 
 fn main() {
     let scale = env_scale();

@@ -19,31 +19,15 @@ use kvserver::{KvServer, PipeOp, ServerConfig, WireClient};
 use kvstore::{KvBackend, KvStore, ShardedKvStore};
 use montage::{Advancer, EpochSys, EsysConfig};
 use montage_bench::harness::{env_scale, env_threads};
-use montage_bench::report::{self, JsonReport, PersistCost};
-use pmem::{LatencyModel, PmemConfig, PmemMode, PmemPool};
+use montage_bench::report::{self, percentile, JsonReport, PersistCost};
+use montage_bench::systems::nvm_pool;
+use pmem::PmemPool;
 use ralloc::Ralloc;
 use workloads::ycsb::{YcsbOp, YcsbWorkload};
 
 /// Which server core produced these numbers; recorded in the JSON so the
 /// checked-in baseline can hold before/after rows side by side.
 const SERVER_IMPL: &str = "event";
-
-fn nvm_pool(bytes: usize) -> PmemPool {
-    PmemPool::new(PmemConfig {
-        size: bytes,
-        mode: PmemMode::Fast,
-        latency: LatencyModel::OPTANE,
-        chaos: Default::default(),
-    })
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 fn main() {
     // A socket round-trip per op is ~10x the cost of a library call; run a

@@ -14,8 +14,8 @@ use baselines::TransientGraph;
 use montage::{Advancer, EpochSys, EsysConfig, ThreadId};
 use montage_bench::harness::{env_scale, env_seconds, env_threads};
 use montage_bench::report;
+use montage_bench::systems::nvm_pool;
 use montage_ds::{tags, MontageGraph};
-use pmem::{LatencyModel, PmemConfig, PmemMode, PmemPool};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -164,12 +164,7 @@ fn main() {
                 ("Montage", EsysConfig::default(), true),
             ] {
                 let esys = EpochSys::format(
-                    PmemPool::new(PmemConfig {
-                        size: pool_bytes,
-                        mode: PmemMode::Fast,
-                        latency: LatencyModel::OPTANE,
-                        chaos: Default::default(),
-                    }),
+                    nvm_pool(pool_bytes),
                     EsysConfig {
                         max_threads: threads + 2,
                         ..cfg

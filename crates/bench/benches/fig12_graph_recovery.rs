@@ -15,19 +15,11 @@ use baselines::TransientGraph;
 use montage::{Advancer, EpochSys, EsysConfig, ThreadId};
 use montage_bench::harness::{env_scale, env_threads};
 use montage_bench::report;
+use montage_bench::systems::nvm_pool;
 use montage_ds::{tags, MontageGraph};
 use pmem::{LatencyModel, PmemConfig, PmemMode, PmemPool};
 use ralloc::Ralloc;
 use workloads::graphgen::{GraphDataset, GraphGenConfig};
-
-fn nvm_pool(bytes: usize) -> PmemPool {
-    PmemPool::new(PmemConfig {
-        size: bytes,
-        mode: PmemMode::Strict, // recovery timing needs a crashable pool
-        latency: LatencyModel::OPTANE,
-        chaos: Default::default(),
-    })
-}
 
 fn construct_transient(ds: &GraphDataset, arena: Arena, threads: usize) -> f64 {
     let g = Arc::new(TransientGraph::new(arena, ds.vertices as usize));
@@ -137,12 +129,7 @@ fn main() {
             format!("{t_dram:.3}"),
         ]);
 
-        let r = Ralloc::format(PmemPool::new(PmemConfig {
-            size: pool_bytes,
-            mode: PmemMode::Fast,
-            latency: LatencyModel::OPTANE,
-            chaos: Default::default(),
-        }));
+        let r = Ralloc::format(nvm_pool(pool_bytes));
         let t_nvm = construct_transient(&ds, Arena::Nvm(r), threads);
         report::row(&[
             "Montage (T) construct".into(),
@@ -152,7 +139,12 @@ fn main() {
 
         // Montage construction, then sync + crash + recovery timing.
         let esys = EpochSys::format(
-            nvm_pool(pool_bytes),
+            PmemPool::new(PmemConfig {
+                size: pool_bytes,
+                mode: PmemMode::Strict, // recovery timing needs a crashable pool
+                latency: LatencyModel::OPTANE,
+                chaos: Default::default(),
+            }),
             EsysConfig {
                 max_threads: threads.max(8) + 4,
                 ..Default::default()

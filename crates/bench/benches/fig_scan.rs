@@ -28,29 +28,14 @@ use std::time::Instant;
 use kvserver::{KvServer, ServerConfig, WireClient};
 use kvstore::ShardedKvStore;
 use montage::{Advancer, EsysConfig};
-use montage_bench::harness::env_scale;
-use montage_bench::report::{self, JsonReport};
+use montage_bench::harness::{env_scale, env_usize};
+use montage_bench::report::{self, percentile, JsonReport};
 use pmem::{LatencyModel, PmemConfig, PmemMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SHARDS: usize = 4;
 const PIPELINE: usize = 16;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 struct Knobs {
     records: u64,

@@ -39,25 +39,10 @@ use std::time::Instant;
 use kvserver::{KvServer, ServerConfig, WireClient};
 use kvstore::ShardedKvStore;
 use montage::{Advancer, EsysConfig};
-use montage_bench::harness::env_scale;
-use montage_bench::report::{self, JsonReport, PersistCost};
+use montage_bench::harness::{env_scale, env_usize};
+use montage_bench::report::{self, percentile, JsonReport, PersistCost};
 use pmem::{LatencyModel, PmemConfig, PmemMode};
 use workloads::ycsb::{YcsbOp, YcsbWorkload};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 struct Knobs {
     records: u64,

@@ -62,6 +62,15 @@ pub fn env_scale() -> f64 {
         .unwrap_or(0.04)
 }
 
+/// An integer knob of one figure (`MONTAGE_BENCH_CLIENTS`, …): the variable's
+/// value, or `default` when unset or unparsable.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Runs the paper's 1:1 enqueue:dequeue workload; returns ops/s.
 pub fn run_queue_bench(q: &(impl BenchQueue + ?Sized), p: BenchParams) -> f64 {
     run_queue_with_sync(q, p, u64::MAX, || {})

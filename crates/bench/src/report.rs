@@ -27,6 +27,16 @@ pub fn raw(v: f64) -> String {
     format!("{v:.0}")
 }
 
+/// Nearest-rank percentile (`p` in 0..=1) of an ascending latency sample;
+/// 0 for an empty one.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx]
+}
+
 /// Persistence cost of a measured interval, normalised per operation —
 /// the quantity Montage's write-back buffering is designed to shrink.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -35,7 +35,8 @@ impl SystemHold {
     }
 }
 
-fn nvm_pool(bytes: usize) -> PmemPool {
+/// A fast-mode pool charging Optane latencies — the NVM every figure runs on.
+pub fn nvm_pool(bytes: usize) -> PmemPool {
     PmemPool::new(PmemConfig {
         size: bytes.next_multiple_of(64),
         mode: PmemMode::Fast,

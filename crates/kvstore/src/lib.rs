@@ -146,7 +146,7 @@ impl Window<'_> {
     }
 
     /// Replaces the item's value, in place where the backend supports it.
-    fn overwrite(&self, item: &mut ItemRef, key: &Key, value: &[u8]) {
+    fn overwrite(&self, item: &mut ItemRef, value: &[u8]) {
         match (self, item) {
             (_, ItemRef::Dram(b)) if b.len() == value.len() => b.copy_from_slice(value),
             (_, ItemRef::Dram(b)) => *b = value.into(),
@@ -158,16 +158,11 @@ impl Window<'_> {
                 (*off, *len) = nvm_alloc(r, value);
             }
             (Window::Montage(esys, g), ItemRef::Montage(h)) => {
-                let same_len = esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
-                if same_len {
-                    *h = esys
-                        .set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
-                        .expect("stripe lock orders epochs");
-                } else {
-                    let resized = montage_new(esys, g, key, value);
-                    let _ = esys.pdelete(g, *h);
-                    *h = resized;
-                }
+                // A resized value keeps the item's uid: no crash cut
+                // recovers the key twice.
+                *h = esys
+                    .overwrite_tail(g, *h, KEY_BYTES, value)
+                    .expect("stripe lock orders epochs");
             }
             _ => mismatch(),
         }
@@ -703,7 +698,7 @@ impl KvStore {
     /// least recently used item first when the stripe is full.
     fn upsert(&self, stripe: &mut Stripe, window: &Window<'_>, at: &HashedKey, value: &[u8]) {
         if let Some(item) = stripe.touch(at) {
-            return window.overwrite(item, &at.key, value);
+            return window.overwrite(item, value);
         }
         if stripe.map.len() >= self.capacity_per_stripe {
             if let Some(victim) = stripe.lru.oldest() {

@@ -52,6 +52,8 @@ use montage::sync::{uninstrumented as raw, AtomicBool, AtomicUsize, Mutex, Order
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
 use pmem::PmemFault;
 
+use crate::codec;
+
 /// Metadata payloads (resize descriptors, migration marks) are tagged
 /// `tag | META_TAG_BIT`, keeping them disjoint from the map's data payloads
 /// while sharing its pool. User tags must stay below this bit.
@@ -322,20 +324,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
                 for shard in &rec.shards {
                     s.spawn(|| {
                         for item in shard.iter().filter(|it| it.tag == tag) {
-                            let key = rec.with_bytes(item, |b| {
-                                let mut k = std::mem::MaybeUninit::<K>::uninit();
-                                // SAFETY: the payload starts with a valid K, and
-                                // `b` covers at least size_of::<K>() bytes.
-                                // lint: allow(raw-write): copies pool bytes into a transient stack value, not into the pool
-                                unsafe {
-                                    std::ptr::copy_nonoverlapping(
-                                        b.as_ptr(),
-                                        k.as_mut_ptr() as *mut u8,
-                                        std::mem::size_of::<K>(),
-                                    );
-                                    k.assume_init()
-                                }
-                            });
+                            let key: K = rec.with_bytes(item, codec::key_of);
                             let idx = Self::index_in(&key, dir.curr.buckets.len());
                             let mut chain = dir.curr.buckets[idx].chain.lock();
                             debug_assert!(
@@ -388,18 +377,6 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) % nbuckets
-    }
-
-    fn encode(&self, key: &K, value: &[u8]) -> Vec<u8> {
-        let ksize = std::mem::size_of::<K>();
-        let mut buf = vec![0u8; ksize + value.len()];
-        // SAFETY: `buf` holds `ksize` bytes and K is plain data.
-        // lint: allow(raw-write): serializes the key into a transient Vec; the pool copy goes through pnew_bytes
-        unsafe {
-            std::ptr::copy_nonoverlapping(key as *const K as *const u8, buf.as_mut_ptr(), ksize);
-        }
-        buf[ksize..].copy_from_slice(value);
-        buf
     }
 
     // ---- resize machinery ------------------------------------------------
@@ -688,31 +665,17 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         let existed = self.with_bucket(tid, &key, |chain| {
             let g = self.esys.begin_op(tid);
             if let Some(e) = chain.iter_mut().find(|e| e.key == key) {
-                let same_len = self
+                // In place, copy-on-write or (size changed) a same-uid
+                // replacement; the returned handle replaces the indirection.
+                e.payload = self
                     .esys
-                    .peek_bytes_unsafe(e.payload, |b| b.len() == ksize + value.len());
-                if same_len {
-                    // In-place (or copy-on-write) update through Montage
-                    // `set`; the returned handle replaces the indirection.
-                    e.payload = self
-                        .esys
-                        .set_bytes(&g, e.payload, |b| b[ksize..].copy_from_slice(value))
-                        .expect("bucket lock orders epochs");
-                } else {
-                    // Size changed: same-uid replacement — the new payload
-                    // takes over the old one's identity, so a crash cut
-                    // anywhere in the op recovers exactly one version of the
-                    // key (see `EpochSys::replace_bytes`).
-                    e.payload = self
-                        .esys
-                        .replace_bytes(&g, e.payload, &self.encode(&key, value))
-                        .expect("bucket lock orders epochs");
-                }
+                    .overwrite_tail(&g, e.payload, ksize, value)
+                    .expect("bucket lock orders epochs");
                 true
             } else {
                 let h = self
                     .esys
-                    .pnew_bytes(&g, self.tag, &self.encode(&key, value));
+                    .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
                 chain.push(Entry { key, payload: h });
                 // ord(counter): size estimate only.
                 self.len.fetch_add(1, Ordering::Relaxed);
@@ -750,7 +713,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &self.encode(&key, value));
+                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
             chain.push(Entry { key, payload: h });
             // ord(counter): size estimate only.
             self.len.fetch_add(1, Ordering::Relaxed);

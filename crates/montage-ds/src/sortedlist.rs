@@ -1,6 +1,7 @@
 //! A buffered-persistent **sorted linked list** with consistent
-//! `range(lo, hi)` scans — the range-queryable structure behind the wire
-//! `scan` verb.
+//! `range(lo, hi)` scans — the library's one ordered map. (The wire `scan`
+//! verb does not go through it: `kvstore` walks its own per-stripe key-ordered
+//! mirror.)
 //!
 //! The index is a Harris-style lock-free singly linked list: removal first
 //! *marks* the victim by setting the low tag bit on its `next` pointer (the
@@ -35,14 +36,16 @@
 //! the same spirit as Montage's environment-descriptor scans (paper
 //! Sec. 4.3: rare heavyweight readers, invisible fast paths).
 //!
-//! Payload layout matches the hashmap: key bytes (fixed-size `K: Copy`)
-//! followed by the value bytes.
+//! Payload layout is the shared keyed one (`codec`): key bytes (fixed-size
+//! `K: Copy`) followed by the value bytes.
 
 use montage::sync::{spin_loop, uninstrumented as raw, AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::sync::Arc;
 
 use crossbeam::epoch::{self, Atomic, Owned, Shared};
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
+
+use crate::codec;
 
 /// Deleted-mark on a node's `next` pointer (Harris 2001).
 const MARK: usize = 1;
@@ -128,23 +131,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
             .iter()
             .flatten()
             .filter(|it| it.tag == tag)
-            .map(|item| {
-                let key = rec.with_bytes(item, |b| {
-                    let mut k = std::mem::MaybeUninit::<K>::uninit();
-                    // SAFETY: `encode` laid the key image out as the first
-                    // size_of::<K>() payload bytes.
-                    // lint: allow(raw-write): copies pool bytes into a transient stack value, not into the pool
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            b.as_ptr(),
-                            k.as_mut_ptr() as *mut u8,
-                            std::mem::size_of::<K>(),
-                        );
-                        k.assume_init()
-                    }
-                });
-                (key, item.handle())
-            })
+            .map(|item| (rec.with_bytes(item, codec::key_of), item.handle()))
             .collect();
         items.sort_by_key(|it| it.0);
         debug_assert!(
@@ -177,18 +164,6 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
 
     pub fn esys(&self) -> &Arc<EpochSys> {
         &self.esys
-    }
-
-    fn encode(&self, key: &K, value: &[u8]) -> Vec<u8> {
-        let ksize = std::mem::size_of::<K>();
-        let mut buf = vec![0u8; ksize + value.len()];
-        // SAFETY: `buf` holds at least `ksize` bytes and K is plain data.
-        // lint: allow(raw-write): serializes the key into a transient Vec; the pool copy goes through pnew_bytes
-        unsafe {
-            std::ptr::copy_nonoverlapping(key as *const K as *const u8, buf.as_mut_ptr(), ksize);
-        }
-        buf[ksize..].copy_from_slice(value);
-        buf
     }
 
     // ---- scan coordination ----------------------------------------------
@@ -296,25 +271,17 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
                 // Unmarked under the payload lock ⇒ the handle is live and
                 // a concurrent remove cannot PDELETE it until we unlock.
                 let g = self.esys.begin_op(tid);
-                let same_len = self
+                *payload = self
                     .esys
-                    .peek_bytes_unsafe(*payload, |b| b.len() == ksize + value.len());
-                *payload = if same_len {
-                    self.esys
-                        .set_bytes(&g, *payload, |b| b[ksize..].copy_from_slice(value))
-                        .expect("payload lock orders epochs")
-                } else {
-                    self.esys
-                        .replace_bytes(&g, *payload, &self.encode(&key, value))
-                        .expect("payload lock orders epochs")
-                };
+                    .overwrite_tail(&g, *payload, ksize, value)
+                    .expect("payload lock orders epochs");
                 return true;
             }
             // Absent: link a fresh node in front of `curr`.
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &self.encode(&key, value));
+                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
             let node = Owned::new(Node {
                 key,
                 payload: Mutex::new(h),
@@ -361,7 +328,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &self.encode(&key, value));
+                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
             let node = Owned::new(Node {
                 key,
                 payload: Mutex::new(h),

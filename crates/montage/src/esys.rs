@@ -793,15 +793,13 @@ impl EpochSys {
         }
     }
 
-    /// `set` with a size change: replaces a byte payload's contents with
-    /// `bytes` (whose length may differ), keeping the payload's **uid** so
-    /// the old and new versions cancel correctly at recovery — the newest
-    /// epoch's record for a uid wins. This is the resize primitive a map's
-    /// value update uses in place of a `pnew` + `pdelete` pair, which left
-    /// two unrelated uids and with them a crash cut that recovers both the
-    /// old and the new value of one key.
+    /// The size-changing half of [`overwrite_tail`](Self::overwrite_tail),
+    /// its only caller: replaces a byte payload's contents with `bytes`
+    /// (whose length may differ), keeping the payload's **uid** so the old and
+    /// new versions cancel correctly at recovery — the newest epoch's record
+    /// for a uid wins.
     #[must_use = "replace returns a new handle that must replace the old one"]
-    pub fn replace_bytes(
+    fn replace_bytes(
         &self,
         g: &OpGuard<'_>,
         h: PHandle<[u8]>,
@@ -866,6 +864,31 @@ impl EpochSys {
         // ord(counter): stats tally.
         self.stats.sets_copied.fetch_add(1, Ordering::Relaxed);
         Ok(PHandle::from_raw(nblk))
+    }
+
+    /// The overwrite verb of every keyed structure: replaces everything past
+    /// the payload's first `head_len` bytes (the key image, which an
+    /// overwrite never changes) with `tail`. A same-length tail is a
+    /// [`set_bytes`](Self::set_bytes); any other length is a same-uid
+    /// replacement of `head ‖ tail`. Either way the key keeps its uid, so every
+    /// crash cut recovers exactly one version of it — which a `pnew_bytes` +
+    /// `pdelete` pair does not promise once an epoch boundary may bypass a
+    /// stalled thread between the two.
+    #[must_use = "overwrite may return a new handle that must replace the old one"]
+    pub fn overwrite_tail(
+        &self,
+        g: &OpGuard<'_>,
+        h: PHandle<[u8]>,
+        head_len: usize,
+        tail: &[u8],
+    ) -> Result<PHandle<[u8]>, OldSeeNewException> {
+        let resized = self.peek_bytes_unsafe(h, |b| {
+            (b.len() != head_len + tail.len()).then(|| [&b[..head_len], tail].concat())
+        });
+        match resized {
+            None => self.set_bytes(g, h, |b| b[head_len..].copy_from_slice(tail)),
+            Some(bytes) => self.replace_bytes(g, h, &bytes),
+        }
     }
 
     /// `PDELETE`: logically deletes a payload. The block is reclaimed only
@@ -1334,6 +1357,50 @@ mod tests {
             1,
             "old version untouched"
         );
+    }
+
+    #[test]
+    fn overwrite_tail_keeps_one_uid_through_resizes_and_crash() {
+        const HEAD: &[u8] = b"key-image";
+        // (advance between create and overwrite?, new tail)
+        let cases: [(bool, &[u8]); 5] = [
+            (false, b"same-len"),                     // in place
+            (true, b"SAME-LEN"),                      // copy-on-write, same length
+            (false, b"longer value"),                 // same-epoch resize
+            (true, b"much longer value than before"), // cross-epoch grow
+            (true, b"s"),                             // cross-epoch shrink
+        ];
+        for (advance, tail) in cases {
+            let s = sys(EsysConfig::default());
+            let tid = s.register_thread();
+            let g = s.begin_op(tid);
+            let h = s.pnew_bytes(&g, 4, &[HEAD, b"old-tail"].concat());
+            let uid = Header::uid(s.pool(), h.raw());
+            let g = if advance {
+                drop(g);
+                s.advance_epoch();
+                s.begin_op(tid)
+            } else {
+                g
+            };
+            let h2 = s.overwrite_tail(&g, h, HEAD.len(), tail).unwrap();
+            let in_place = !advance && tail.len() == b"old-tail".len();
+            assert_eq!(h == h2, in_place, "{advance} {tail:?}");
+            assert_eq!(
+                s.stats().sets_in_place.load(Ordering::Relaxed),
+                in_place as u64
+            );
+            assert_eq!(Header::uid(s.pool(), h2.raw()), uid, "uid survives");
+            s.peek_bytes(&g, h2, |b| assert_eq!(b, [HEAD, tail].concat()))
+                .unwrap();
+            drop(g);
+            s.sync();
+            let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
+            assert_eq!(rec.report.survivors, 1, "{advance} {tail:?}");
+            let item = &rec.shards[0][0];
+            assert_eq!((item.uid, item.tag), (uid, 4));
+            rec.with_bytes(item, |b| assert_eq!(b, [HEAD, tail].concat()));
+        }
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //! * [`dcss`] — `CAS_verify`/`load_verify` (double-compare-single-swap on the
 //!   epoch clock) for nonblocking structures
 //! * [`esys`] — `EpochSys`: `BEGIN_OP`/`END_OP`, `PNEW`/`PDELETE`, `get`/`set`,
-//!   `CHECK_EPOCH`, epoch advance, `sync`
+//!   `CHECK_EPOCH`, epoch advance, `sync`; and [`EpochSys::overwrite_tail`],
+//!   the one value-overwrite path of every keyed structure
 //! * [`advancer`] — the background epoch-advancing thread
 //! * [`recovery`] — post-crash sweep, anti-payload cancellation, parallel rebuild
 
@@ -59,7 +60,6 @@ pub mod payload;
 pub mod recovery;
 pub mod sync;
 pub mod tracker;
-pub mod verify1;
 
 pub use advancer::Advancer;
 pub use config::{EsysConfig, FreeStrategy, PersistStrategy};
@@ -70,4 +70,3 @@ pub use payload::{PHandle, PayloadKind, HDR_SIZE};
 pub use recovery::{
     try_recover, QuarantinedPayload, RecoveredItem, RecoveredState, RecoveryReport,
 };
-pub use verify1::{Cas1Error, CountedCell};

@@ -33,6 +33,10 @@
 //! `// lint: allow(<rule>): <reason>` on the flagged line or up to two lines
 //! above — but the reason is mandatory; a bare allow is itself a violation,
 //! so the audit trail stays complete.
+//!
+//! `cargo run -p xtask -- census` reuses the scanner for a report that never
+//! fails: `.rs` lines per crate split at the test module, plain-`pub` items
+//! no other file names, and the waivers in effect (see [`census`]).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -156,31 +160,42 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(),
+        Some("census") => census::run(),
         Some("bench-diff") => bench_diff::run(&args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | bench-diff>");
+            eprintln!("usage: cargo run -p xtask -- <lint | census | bench-diff>");
             ExitCode::from(2)
         }
     }
 }
 
-fn run_lint() -> ExitCode {
+/// Every `.rs` file under the repo root outside the `skip` directories, as
+/// (repo-relative path, source), sorted by path.
+fn read_sources(skip: &[&str]) -> Result<Vec<(String, String)>, ExitCode> {
     let root = repo_root();
     let mut files = Vec::new();
-    collect_rs_files(&root, &root, &mut files);
+    collect_rs_files(&root, &root, skip, &mut files);
     files.sort();
-
-    let mut violations = Vec::new();
-    for rel in &files {
-        let src = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
+    files
+        .into_iter()
+        .map(|rel| match std::fs::read_to_string(root.join(&rel)) {
+            Ok(src) => Ok((rel.to_string_lossy().replace('\\', "/"), src)),
             Err(e) => {
                 eprintln!("xtask: cannot read {}: {e}", rel.display());
-                return ExitCode::FAILURE;
+                Err(ExitCode::FAILURE)
             }
-        };
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        violations.extend(lint_source(&rel, &src));
+        })
+        .collect()
+}
+
+fn run_lint() -> ExitCode {
+    let files = match read_sources(SKIP_DIRS) {
+        Ok(files) => files,
+        Err(code) => return code,
+    };
+    let mut violations = Vec::new();
+    for (rel, src) in &files {
+        violations.extend(lint_source(rel, src));
     }
 
     for v in &violations {
@@ -217,7 +232,7 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+fn collect_rs_files(root: &Path, dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -226,10 +241,10 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if skip.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            collect_rs_files(root, &path, out);
+            collect_rs_files(root, &path, skip, out);
         } else if name.ends_with(".rs") {
             if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_path_buf());
@@ -764,6 +779,143 @@ fn function_bodies(code_lines: &[&str]) -> Vec<FnSpan> {
 }
 
 // ---------------------------------------------------------------------------
+// census: how big each crate is and what nobody calls — the printed list a
+// deletion pass starts from. Report only; it never fails the build.
+// ---------------------------------------------------------------------------
+
+mod census {
+    use super::{cfg_test_tail, is_test_path, read_sources, strip_code};
+    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::process::ExitCode;
+
+    #[derive(Debug, Default, PartialEq)]
+    pub(super) struct Census {
+        /// Crate (or top-level directory) → (non-test lines, test lines).
+        pub lines: BTreeMap<String, (usize, usize)>,
+        /// (file, name) of each plain-`pub` item declared outside test code
+        /// in `crates/*/src` or `shims/*/src` whose name occurs in no other
+        /// file. By name, so a candidate list: a common name hides an unused
+        /// item, never the reverse.
+        pub uncalled: Vec<(String, String)>,
+        /// `// lint: allow(...)` comments in effect.
+        pub waivers: usize,
+    }
+
+    /// The crate a file's lines are booked under.
+    fn unit_of(rel: &str) -> String {
+        let mut parts = rel.split('/');
+        let first = parts.next().unwrap_or_default();
+        match (first, parts.next()) {
+            ("crates" | "shims", Some(name)) => format!("{first}/{name}"),
+            _ => first.to_string(),
+        }
+    }
+
+    fn identifiers(code: &str) -> impl Iterator<Item = &str> {
+        code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+    }
+
+    /// The name a `pub fn|struct|enum|trait|const|static|type|mod` line
+    /// declares; `None` for anything else (`pub(crate)`, `pub use`, fields).
+    fn pub_item(code_line: &str) -> Option<&str> {
+        const KINDS: &[&str] = &[
+            "fn", "struct", "enum", "trait", "const", "static", "type", "mod",
+        ];
+        let mut words = identifiers(code_line.trim_start().strip_prefix("pub ")?).peekable();
+        let mut kind = words.next()?;
+        while matches!(kind, "unsafe" | "async" | "extern")
+            || (kind == "const" && words.peek() == Some(&"fn"))
+        {
+            kind = words.next()?;
+        }
+        KINDS.contains(&kind).then(|| words.next()).flatten()
+    }
+
+    /// `files` is (repo-relative path, source); `mbench/` counts as callers
+    /// but not as lines (it is the frozen benchmark, not the system).
+    pub fn take(files: &[(String, String)]) -> Census {
+        let mut census = Census::default();
+        let mut files_naming: HashMap<&str, usize> = HashMap::new();
+        let mut declared: Vec<(&str, &str)> = Vec::new();
+        let codes: Vec<String> = files.iter().map(|(_, src)| strip_code(src)).collect();
+        for ((rel, src), code) in files.iter().zip(&codes) {
+            for word in identifiers(code).collect::<HashSet<_>>() {
+                *files_naming.entry(word).or_default() += 1;
+            }
+            if rel.starts_with("mbench/") {
+                continue;
+            }
+            let code_lines: Vec<&str> = code.lines().collect();
+            let total = src.lines().count();
+            let non_test = if is_test_path(rel) {
+                0
+            } else {
+                cfg_test_tail(&code_lines)
+            };
+            let booked = census.lines.entry(unit_of(rel)).or_default();
+            booked.0 += non_test;
+            booked.1 += total - non_test;
+            // Fixture strings and docs that quote a waiver have a quote or a
+            // backtick in front of it; a waiver in effect has neither.
+            census.waivers += src
+                .lines()
+                .filter_map(|l| l.split_once("// lint: allow("))
+                .filter(|(before, _)| !before.contains(['"', '`']))
+                .count();
+            let library = (rel.starts_with("crates/") || rel.starts_with("shims/"))
+                && rel.split('/').nth(2) == Some("src");
+            if library {
+                let names = code_lines[..non_test].iter().filter_map(|l| pub_item(l));
+                declared.extend(names.map(|name| (rel.as_str(), name)));
+            }
+        }
+        declared.retain(|(_, name)| files_naming[name] == 1);
+        declared.sort_unstable();
+        declared.dedup();
+        census.uncalled = declared
+            .into_iter()
+            .map(|(rel, name)| (rel.to_string(), name.to_string()))
+            .collect();
+        census
+    }
+
+    pub fn run() -> ExitCode {
+        let files = match read_sources(&["target"]) {
+            Ok(files) => files,
+            Err(code) => return code,
+        };
+        let census = take(&files);
+        println!("{:<22} {:>9} {:>9}", "rust lines", "non-test", "test");
+        let mut sum = (0, 0);
+        for (unit, (non_test, test)) in &census.lines {
+            println!("{unit:<22} {non_test:>9} {test:>9}");
+            sum = (sum.0 + non_test, sum.1 + test);
+        }
+        println!(
+            "{:<22} {:>9} {:>9}   = {}",
+            "total",
+            sum.0,
+            sum.1,
+            sum.0 + sum.1
+        );
+        println!("\nlint waivers in effect: {}", census.waivers);
+        println!(
+            "\npub items named in no other file ({}):",
+            census.uncalled.len()
+        );
+        let mut by_file: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        for (rel, name) in &census.uncalled {
+            by_file.entry(rel).or_default().push(name);
+        }
+        for (rel, names) in by_file {
+            println!("  {rel}: {}", names.join(", "));
+        }
+        ExitCode::SUCCESS
+    }
+}
+
+// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -944,6 +1096,40 @@ mod tests {
         let v = lint("crates/kvstore/src/demo.rs", bare);
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("without a reason"));
+    }
+
+    #[test]
+    fn census_books_lines_and_lists_what_no_other_file_names() {
+        let lib = [
+            "pub fn called() {}",
+            "pub const fn lonely() {}",
+            "pub(crate) fn private() {}",
+            "pub struct Probe; // lint: allow(raw-write): a trailing waiver",
+            "    // lint: allow(raw-write): a waiver on its own line",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    fn t() { super::lonely(); let _ = super::Probe; }",
+            "}",
+        ]
+        .join("\n");
+        let user = "fn main() { demo::called(); }\nconst DOC: &str = \"// lint: allow(raw-write): quoted\";\n";
+        let files = [
+            ("crates/demo/src/lib.rs".to_string(), lib),
+            ("crates/demo/tests/it.rs".to_string(), user.to_string()),
+            (
+                "mbench/src/main.rs".to_string(),
+                "fn f() { Probe; }\n".to_string(),
+            ),
+        ];
+        let census = census::take(&files);
+        assert_eq!(census.lines["crates/demo"], (5, 4 + 2));
+        assert!(!census.lines.contains_key("mbench"), "callers, not lines");
+        assert_eq!(census.waivers, 2, "the quoted one is a string");
+        assert_eq!(
+            census.uncalled,
+            [("crates/demo/src/lib.rs".to_string(), "lonely".to_string())],
+            "named only by its own file's tests; `Probe` has a caller in mbench"
+        );
     }
 }
 

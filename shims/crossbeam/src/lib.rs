@@ -31,10 +31,6 @@ pub mod utils {
         pub const fn new(value: T) -> CachePadded<T> {
             CachePadded { value }
         }
-
-        pub fn into_inner(self) -> T {
-            self.value
-        }
     }
 
     impl<T> Deref for CachePadded<T> {
@@ -392,10 +388,6 @@ pub mod epoch {
                 data: self.untagged_raw() | (tag & low_bits::<T>()),
                 _marker: PhantomData,
             }
-        }
-
-        pub fn as_raw(&self) -> *const T {
-            self.untagged_raw() as *const T
         }
 
         /// # Safety

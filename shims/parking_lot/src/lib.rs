@@ -5,9 +5,8 @@
 //! Poisoning is swallowed (parking_lot mutexes are poison-free): a panicked
 //! critical section yields the inner data as-is, matching parking_lot
 //! semantics closely enough for this workspace's usage (plain `lock()`,
-//! `try_lock()`, `Mutex::default`, guards held across scopes).
+//! `Mutex::default`, guards held across scopes, `Condvar` waits).
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 /// Poison-free mutual exclusion, API-compatible with `parking_lot::Mutex`.
@@ -27,13 +26,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(val),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -43,32 +35,6 @@ impl<T: ?Sized> Mutex<T> {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             },
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
         }
     }
 }
@@ -122,10 +88,6 @@ impl Condvar {
         }
     }
 
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     pub fn notify_all(&self) {
         self.inner.notify_all();
     }
@@ -169,15 +131,6 @@ impl Condvar {
         deadline: std::time::Instant,
     ) -> WaitTimeoutResult {
         let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-        self.wait_for(guard, timeout)
-    }
-
-    /// Blocks until notified or `timeout` elapses; reports which happened.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
         let timed_out = self.requeue(guard, |g| match self.inner.wait_timeout(g, timeout) {
             Ok((g, r)) => (g, r.timed_out()),
             Err(p) => {
@@ -186,74 +139,6 @@ impl Condvar {
             }
         });
         WaitTimeoutResult(timed_out)
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
-    }
-}
-
-/// Poison-free reader-writer lock, API-compatible with `parking_lot::RwLock`.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(val: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(val),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: match self.inner.read() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            },
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: match self.inner.write() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            },
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 }
 
@@ -269,19 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0u32);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn default_and_debug() {
+    fn default_holds_the_default() {
         let m: Mutex<u64> = Mutex::default();
         assert_eq!(*m.lock(), 0);
-        assert!(format!("{m:?}").contains("Mutex"));
     }
 
     #[test]
@@ -314,17 +189,5 @@ mod tests {
         let res = cv.wait_until(&mut g, deadline);
         assert!(res.timed_out());
         assert!(*g, "guard still protects the data after a timeout");
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(5u32);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 10);
-        }
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
     }
 }

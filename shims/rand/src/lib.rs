@@ -14,26 +14,11 @@
 pub trait SeedableRng: Sized {
     /// Seeds deterministically from a single `u64` (SplitMix64 expansion).
     fn seed_from_u64(state: u64) -> Self;
-
-    /// Seeds from OS entropy (here: address + time salt, never used for
-    /// reproducible runs).
-    fn from_entropy() -> Self {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9E37_79B9);
-        let salt = &t as *const u64 as u64;
-        Self::seed_from_u64(t ^ salt.rotate_left(32))
-    }
 }
 
 /// Core RNG interface (subset of `rand::RngCore` + `rand::Rng`).
 pub trait Rng {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 
     /// Uniform value of `T` (subset of `Standard` distribution sampling).
     fn gen<T: RandomValue>(&mut self) -> T
@@ -58,14 +43,6 @@ pub trait Rng {
     {
         debug_assert!((0.0..=1.0).contains(&p));
         self.gen::<f64>() < p
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
     }
 }
 
@@ -276,13 +253,5 @@ mod tests {
         let mut r = SmallRng::seed_from_u64(4);
         let hits = (0..10_000).filter(|_| r.gen_bool(0.9)).count();
         assert!((8_700..9_300).contains(&hits), "p=0.9 hit {hits}/10000");
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut r = SmallRng::seed_from_u64(5);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

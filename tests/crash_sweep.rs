@@ -18,7 +18,9 @@
 //!    power with the victim still parked and require (a) the victim's ops
 //!    recover as a consistent prefix and (b) nothing the peer synced is
 //!    lost — the helpers' write-backs on the victim's behalf must never
-//!    corrupt, and the bypassing fence must still cover acked work.
+//!    corrupt, and the bypassing fence must still cover acked work. The same
+//!    schedule over a Montage-backed `kvstore` whose victim *resizes* values:
+//!    every cut recovers each key exactly once.
 //! 6. A *mid-resize* sweep: a tiny-table workload that drives the hashmap
 //!    through three full online resizes, crashed exhaustively at every
 //!    persistence event — which by construction includes every resize
@@ -362,6 +364,54 @@ fn stall_peer_keys() -> Vec<Key> {
         .collect()
 }
 
+/// Both stall sweeps are exhaustive: their workloads stay far below the limit.
+fn stall_sweep_cfg() -> SweepConfig {
+    SweepConfig {
+        exhaustive_limit: 4096,
+        samples: 64,
+        seed: 0x57A11,
+    }
+}
+
+/// Every event boundary visited, the victim parked at every interior one, no
+/// failure at any.
+fn assert_exhaustive_stall_sweep(report: &pmem_chaos::StallSweepReport) {
+    assert!(
+        report.total_events >= 64,
+        "victim workload too small for a meaningful stall sweep: {} events",
+        report.total_events
+    );
+    assert_eq!(
+        report.stall_points.len() as u64,
+        report.total_events + 1,
+        "stall sweep must be exhaustive"
+    );
+    assert_eq!(
+        report.parked_points as u64, report.total_events,
+        "every interior stall point must park the victim"
+    );
+    report.assert_ok();
+}
+
+/// Recovers the image a stall sweep cut with its victim parked. `Ok(None)`:
+/// the cut fell before the pool header became durable. Helpers writing back
+/// on the victim's behalf must never corrupt a payload, so a quarantined
+/// block is a failure.
+fn recover_stall_cut(durable: PmemPool) -> Result<Option<montage::RecoveredState>, String> {
+    let rec = match montage::try_recover(durable, small_esys_cfg(), 1) {
+        Err(RecoveryError::UnformattedPool) => return Ok(None),
+        Err(e) => return Err(format!("recovery failed: {e}")),
+        Ok(rec) => rec,
+    };
+    if !rec.report.quarantined.is_empty() {
+        return Err(format!(
+            "helping corrupted payloads: {:?}",
+            rec.report.quarantined
+        ));
+    }
+    Ok(Some(rec))
+}
+
 /// Acceptance criterion for the nonblocking advance: at *every* persistence
 /// event of the victim's workload, parking it there must neither block a
 /// peer's puts and syncs (liveness) nor corrupt the durable image cut while
@@ -383,11 +433,7 @@ fn montage_workload_is_consistent_and_live_at_every_stall_point() {
     let peer_keys = stall_peer_keys();
 
     let report = pmem_chaos::stall_sweep(
-        &SweepConfig {
-            exhaustive_limit: 4096,
-            samples: 64,
-            seed: 0x57A11,
-        },
+        &stall_sweep_cfg(),
         PmemConfig::strict_for_test(8 << 20),
         Duration::from_secs(60),
         |pool| {
@@ -418,28 +464,18 @@ fn montage_workload_is_consistent_and_live_at_every_stall_point() {
         },
         |durable, stall_at| {
             let synced = peer_synced.load(Ordering::SeqCst);
-            let rec = match montage::try_recover(durable, small_esys_cfg(), 1) {
-                Err(RecoveryError::UnformattedPool) => {
-                    // Cut before the pool header became durable: only legal
-                    // when the peer never completed a sync on this pool.
-                    return if synced == 0 {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "stall_at={stall_at}: {synced} peer syncs acked on an \
-                             unformatted pool"
-                        ))
-                    };
-                }
-                Err(e) => return Err(format!("stall_at={stall_at}: recovery failed: {e}")),
-                Ok(rec) => rec,
+            let Some(rec) = recover_stall_cut(durable)? else {
+                // Cut before the pool header became durable: only legal
+                // when the peer never completed a sync on this pool.
+                return if synced == 0 {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "stall_at={stall_at}: {synced} peer syncs acked on an \
+                         unformatted pool"
+                    ))
+                };
             };
-            if !rec.report.quarantined.is_empty() {
-                return Err(format!(
-                    "stall_at={stall_at}: helping corrupted payloads: {:?}",
-                    rec.report.quarantined
-                ));
-            }
             let m = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, NBUCKETS, &rec);
             let tid = rec.esys.register_thread();
 
@@ -478,21 +514,97 @@ fn montage_workload_is_consistent_and_live_at_every_stall_point() {
             Ok(())
         },
     );
-    assert!(
-        report.total_events >= 64,
-        "victim workload too small for a meaningful stall sweep: {} events",
-        report.total_events
+    assert_exhaustive_stall_sweep(&report);
+}
+
+/// A Montage-backed `kvstore` under the same stall schedule: the victim
+/// sets four keys, syncs, then overwrites each with a *longer* value — a
+/// resize, which must keep the item's uid (`EpochSys::overwrite_tail`). The
+/// peer only syncs, so every boundary it drives bypasses the parked victim.
+/// A resize written as `pnew` + `pdelete` lets such a boundary land between
+/// the two: the cut then recovers the key's old *and* new payload, and
+/// `KvStore::recover` indexes one, leaks the other and corrupts its recency
+/// list. At every stall point: one payload per recovered key, every value
+/// whole, and the store is the state after some prefix of the victim's ops.
+#[test]
+fn kvstore_resize_stall_sweep_recovers_each_key_once() {
+    use kvstore::{make_key, KvBackend, KvStore};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    const KEYS: u64 = 4;
+    const STRIPES: usize = 2;
+    const CAP: usize = 64;
+    let old = |i: u64| format!("old-{i}").into_bytes();
+    let new = |i: u64| format!("new-{i}-{}", "x".repeat(90)).into_bytes();
+
+    // Victim → peer handoff, as in the hashmap sweep above.
+    let slot: Mutex<Option<Arc<EpochSys>>> = Mutex::new(None);
+
+    let report = pmem_chaos::stall_sweep(
+        &stall_sweep_cfg(),
+        PmemConfig::strict_for_test(8 << 20),
+        Duration::from_secs(60),
+        |pool| {
+            *slot.lock().unwrap() = None;
+            let esys = EpochSys::format(pool.clone(), small_esys_cfg());
+            *slot.lock().unwrap() = Some(esys.clone());
+            let kv = KvStore::new(KvBackend::Montage(esys.clone()), STRIPES, CAP);
+            let tid = kv.register_thread();
+            for i in 0..KEYS {
+                kv.set(tid, make_key(i), &old(i));
+            }
+            let _ = esys.try_sync();
+            for i in 0..KEYS {
+                kv.set(tid, make_key(i), &new(i));
+            }
+        },
+        |_pool| {
+            let Some(esys) = slot.lock().unwrap().clone() else {
+                return; // victim parked inside setup: nothing to drive yet
+            };
+            for _ in 0..3 {
+                if esys.try_sync().is_err() {
+                    return;
+                }
+            }
+        },
+        |durable, _stall_at| {
+            let Some(rec) = recover_stall_cut(durable)? else {
+                return Ok(());
+            };
+            let kv = KvStore::recover(rec.esys.clone(), STRIPES, CAP, &rec);
+            if rec.report.survivors != kv.len() {
+                return Err(format!(
+                    "{} payloads recovered for {} keys — a key survived twice",
+                    rec.report.survivors,
+                    kv.len()
+                ));
+            }
+            // Ops 0..KEYS are the first sets, KEYS..2*KEYS the resizes; the
+            // recovered store must be the state after some prefix of them.
+            let got: Vec<Option<Vec<u8>>> = (0..KEYS)
+                .map(|i| kv.get(&make_key(i), |v| v.to_vec()))
+                .collect();
+            let after_prefix = |done: u64| -> Vec<Option<Vec<u8>>> {
+                (0..KEYS)
+                    .map(|i| match () {
+                        _ if done > KEYS + i => Some(new(i)),
+                        _ if done > i => Some(old(i)),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            if !(0..=2 * KEYS).any(|done| after_prefix(done) == got) {
+                return Err(format!(
+                    "not a prefix of the victim's history (a torn or \
+                     out-of-order value): {got:?}"
+                ));
+            }
+            Ok(())
+        },
     );
-    assert_eq!(
-        report.stall_points.len() as u64,
-        report.total_events + 1,
-        "stall sweep must be exhaustive"
-    );
-    assert_eq!(
-        report.parked_points as u64, report.total_events,
-        "every interior stall point must park the victim"
-    );
-    report.assert_ok();
+    assert_exhaustive_stall_sweep(&report);
 }
 
 // ---- mid-resize crash sweep -------------------------------------------------

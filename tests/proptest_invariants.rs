@@ -163,31 +163,33 @@ proptest! {
         prop_assert_eq!(s.read(&g, h).unwrap(), last);
     }
 
-    /// Skip-list recovery equals a sorted-map oracle for arbitrary synced
-    /// histories (and iteration stays sorted).
+    /// Sorted-list recovery equals a sorted-map oracle for arbitrary synced
+    /// histories whose overwrites keep, grow and shrink the value across
+    /// epoch boundaries — exactly one payload per key survives — and `range`
+    /// stays sorted.
     #[test]
-    fn skiplist_recovery_matches_oracle(ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..100)) {
-        use montage_ds::MontageSkipListMap;
+    fn sorted_list_recovery_matches_oracle(ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..100)) {
+        use montage_ds::MontageSortedList;
         let s = strict_sys(32);
-        let m = MontageSkipListMap::<u64>::new(s.clone(), 8);
+        let m = MontageSortedList::<u64>::new(s.clone(), tags::SORTED_LIST);
         let tid = s.register_thread();
         let mut oracle = std::collections::BTreeMap::new();
         for (i, (k, action)) in ops.iter().enumerate() {
             let k = (*k % 32) as u64;
-            match action % 3 {
+            // Value lengths 4, 4, 12, 1: a put over a put is a same-length,
+            // a longer or a shorter overwrite depending on the history.
+            let value = vec![*action; [4, 4, 12, 1][(*action % 4) as usize]];
+            match action % 5 {
                 0 => {
-                    if m.insert(tid, k, &[*action; 4]) {
-                        oracle.insert(k, vec![*action; 4]);
-                    }
+                    prop_assert_eq!(m.remove(tid, &k), oracle.remove(&k).is_some());
                 }
                 1 => {
-                    m.remove(tid, &k);
-                    oracle.remove(&k);
+                    if m.insert(tid, k, &value) {
+                        prop_assert!(oracle.insert(k, value).is_none());
+                    }
                 }
                 _ => {
-                    if m.update(tid, &k, &[*action; 4]) {
-                        oracle.insert(k, vec![*action; 4]);
-                    }
+                    prop_assert_eq!(m.put(tid, k, &value), oracle.insert(k, value).is_some());
                 }
             }
             if i % 13 == 0 {
@@ -196,47 +198,14 @@ proptest! {
         }
         s.sync();
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
-        let m2 = MontageSkipListMap::<u64>::recover(rec.esys.clone(), 8, &rec);
+        prop_assert_eq!(rec.report.survivors, oracle.len());
+        let m2 = MontageSortedList::<u64>::recover(rec.esys.clone(), tags::SORTED_LIST, &rec);
         let tid2 = rec.esys.register_thread();
         prop_assert_eq!(m2.len(), oracle.len());
-        prop_assert_eq!(m2.keys(), oracle.keys().copied().collect::<Vec<_>>());
-        for (k, v) in &oracle {
-            let got = m2.get(tid2, k, |b| b.to_vec());
-            prop_assert_eq!(got.as_ref(), Some(v));
-        }
-    }
-
-    /// Stack recovery equals a Vec oracle (LIFO preserved) for arbitrary
-    /// synced histories.
-    #[test]
-    fn stack_recovery_matches_oracle(ops in proptest::collection::vec(any::<bool>(), 1..120)) {
-        use montage_ds::MontageStack;
-        let s = strict_sys(32);
-        let st = MontageStack::new(s.clone(), 9);
-        let tid = s.register_thread();
-        let mut oracle: Vec<u32> = Vec::new();
-        for (i, push) in ops.iter().enumerate() {
-            if *push {
-                st.push(tid, &(i as u32).to_le_bytes());
-                oracle.push(i as u32);
-            } else {
-                let got = st.pop(tid);
-                let expect = oracle.pop();
-                prop_assert_eq!(got.is_some(), expect.is_some());
-            }
-            if i % 19 == 0 {
-                s.advance_epoch();
-            }
-        }
-        s.sync();
-        let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
-        let st2 = MontageStack::recover(rec.esys.clone(), 9, &rec);
-        let tid2 = rec.esys.register_thread();
-        while let Some(expect) = oracle.pop() {
-            let got = st2.pop(tid2).unwrap();
-            prop_assert_eq!(got, expect.to_le_bytes().to_vec());
-        }
-        prop_assert!(st2.pop(tid2).is_none());
+        prop_assert_eq!(
+            m2.range(tid2, &0, &u64::MAX),
+            oracle.into_iter().collect::<Vec<_>>()
+        );
     }
 
     /// Graph dataset generator: structurally valid for arbitrary sizes.
