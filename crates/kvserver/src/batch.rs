@@ -8,8 +8,9 @@
 //! shard pins that shard's epoch ([`kvstore::StoreBatch`]), every later
 //! mutation in the batch rides the same pin, and only after the last request
 //! executes do the pins drop and — when the `sync_every` counter crossed a
-//! multiple of N — the touched shards get **one** epoch sync each for the
-//! whole batch.
+//! multiple of N — the touched shards get **one** group sync for the whole
+//! batch: their fences are issued together and awaited together
+//! ([`kvstore::ShardedKvStore::sync_shards`]).
 //!
 //! The ordering invariant that makes this group commit rather than ack
 //! batching: replies are only *queued* here, into each connection's output
@@ -45,6 +46,8 @@ pub(crate) struct WorkerStats {
     /// Group fences issued (one per batch that crossed the sync threshold,
     /// regardless of how many shards it touched).
     pub fences: AtomicU64,
+    /// Nanoseconds this worker spent inside those group fences.
+    pub fence_wall_ns: AtomicU64,
     /// Per-shard fence attempts that blew the `fence_deadline` budget —
     /// each one severed the straggling shard's connections for the batch.
     pub fence_timeouts: AtomicU64,
@@ -57,7 +60,7 @@ pub(crate) struct WorkerStats {
 }
 
 /// Fence-latency histogram resolution: bucket `i` counts per-shard fences
-/// whose wall time fell in `[2^i, 2^(i+1))` microseconds; the last bucket
+/// certified `[2^i, 2^(i+1))` microseconds into their group; the last bucket
 /// is open-ended (≈ half a second and beyond).
 pub(crate) const FENCE_HIST_BUCKETS: usize = 20;
 
@@ -320,38 +323,36 @@ pub(crate) fn execute(
     ws.hist[bucket(requests)].fetch_add(1, Ordering::Relaxed);
 
     // Group commit: pins drop first (see module docs), then the periodic
-    // barrier — one sync per touched shard for the *whole* batch, where the
-    // thread-per-connection server paid one per mutation.
+    // barrier — one group sync over the touched shards for the *whole*
+    // batch, where the thread-per-connection server paid one per mutation.
     drop(sb);
     if batch_muts > 0 {
         let before = shared.mutations.fetch_add(batch_muts, Ordering::AcqRel);
         if let Some(n) = shared.cfg.sync_every {
             if (before + batch_muts) / n > before / n {
+                // One group sync for the batch: every touched shard's
+                // boundary fence is issued before any is awaited, under one
+                // `fence_deadline` budget. A shard that cannot certify
+                // durability inside it is a straggler, and the group commit
+                // proceeds without its unfenced ops rather than holding
+                // every other shard's acks hostage.
+                let fence_start = Instant::now();
+                let outcomes = store.sync_shards(&fence_shards, shared.cfg.fence_deadline);
+                ws.fence_wall_ns
+                    .fetch_add(fence_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let mut fence_failed = false;
                 let mut timed_out: Vec<usize> = Vec::new();
-                for shard in fence_shards {
-                    let fence_start = std::time::Instant::now();
-                    match shared.cfg.fence_deadline {
-                        // The epoch-window deadline: a shard that cannot
-                        // certify durability inside the budget is a
-                        // straggler, and the group commit proceeds without
-                        // its unfenced ops rather than holding every other
-                        // shard's acks hostage.
-                        Some(budget) => match store.sync_shard_deadline(shard, budget) {
-                            Ok(true) => {}
-                            Ok(false) => timed_out.push(shard),
-                            Err(_) => fence_failed = true,
-                        },
-                        None => {
-                            if store.sync_shard(shard).is_err() {
-                                fence_failed = true;
-                            }
-                        }
+                for (&shard, (result, took)) in fence_shards.iter().zip(outcomes) {
+                    match result {
+                        Ok(true) => {}
+                        Ok(false) => timed_out.push(shard),
+                        Err(_) => fence_failed = true,
                     }
-                    // Timeouts and faults count too: a deadline that fires
-                    // is exactly the tail the p99 line is for.
-                    shared.stats.shard_fences[shard]
-                        .record_us(fence_start.elapsed().as_micros() as u64);
+                    // Group start to this shard's verdict — the number a
+                    // `fence_deadline` is compared against. Timeouts and
+                    // faults count too: a deadline that fires is exactly
+                    // the tail the p99 line is for.
+                    shared.stats.shard_fences[shard].record_us(took.as_micros() as u64);
                 }
                 ws.fences.fetch_add(1, Ordering::Relaxed);
                 if fence_failed {

@@ -13,8 +13,9 @@
 //! small pool of workers, each multiplexing its connections with a
 //! nonblocking sweep loop. Everything a worker frames in one sweep executes
 //! as one batch inside a shared epoch window, and the batch ends with
-//! **epoch-aligned group commit**: one epoch sync per touched shard covers
-//! every mutation in the batch, and replies flush only after that fence.
+//! **epoch-aligned group commit**: one group sync over the touched shards
+//! covers every mutation in the batch, and replies flush only after that
+//! fence.
 //!
 //! The pieces:
 //!

@@ -19,9 +19,9 @@
 //!   [`montage::EpochSys::sync`] has returned, i.e. after every mutation
 //!   acked before it has reached the persistence domain;
 //! * with [`ServerConfig::sync_every`] = N, each batch whose mutations carry
-//!   the server-wide counter across a multiple of N ends with one epoch
-//!   sync per touched shard — the group-commit fence — and **no reply from
-//!   that batch is flushed before the fence** (the paper's Fig. 9 "sync per
+//!   the server-wide counter across a multiple of N ends with one group
+//!   sync over the touched shards — the group-commit fence — and **no reply
+//!   from that batch is flushed before the fence** (the paper's Fig. 9 "sync per
 //!   K ops" sweep, amortized across the batch instead of paid per
 //!   mutation);
 //! * [`ServerHandle::shutdown`] ends with a final sync, so a clean shutdown
@@ -60,12 +60,14 @@ pub struct ServerConfig {
     /// byte per second resets `read_timeout` forever but never completes a
     /// frame, so the frame — not the byte — carries the deadline.
     pub idle_timeout: Duration,
-    /// Wall-clock budget for the periodic group fence, per shard. When a
-    /// shard cannot certify durability in time (injected straggler delays,
-    /// a wedged medium), the batch's connections that routed mutations to
-    /// it have their unflushed acks withheld and are severed with
-    /// `SERVER_ERROR timeout`; connections on healthy shards commit
-    /// normally. `None` waits out the fence unconditionally.
+    /// Wall-clock budget for the periodic group fence: one allowance for
+    /// the whole group, measured from the group's start (a batch blocks at
+    /// most one budget plus one epoch advance, however many shards it
+    /// touched). When a shard cannot certify durability in time (injected
+    /// straggler delays, a wedged medium), the batch's connections that
+    /// routed mutations to it have their unflushed acks withheld and are
+    /// severed with `SERVER_ERROR timeout`; connections on healthy shards
+    /// commit normally. `None` waits out the fence unconditionally.
     pub fence_deadline: Option<Duration>,
     /// Cap on concurrently *attached* durable sessions (the `session <id>`
     /// verb). Each attached connection holds one slot until it detaches
@@ -273,6 +275,7 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     stat("gc_workers", workers.len() as u64);
     let mut totals = (0u64, 0u64, 0u64, 0u64);
     let mut timeouts = 0u64;
+    let mut fence_wall_ns = 0u64;
     let mut scans = 0u64;
     let mut hist = [0u64; HIST_BUCKETS.len()];
     for w in workers.iter() {
@@ -281,6 +284,7 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
         totals.2 += w.fences.load(Ordering::Relaxed);
         totals.3 += w.acks.load(Ordering::Relaxed);
         timeouts += w.fence_timeouts.load(Ordering::Relaxed);
+        fence_wall_ns += w.fence_wall_ns.load(Ordering::Relaxed);
         scans += w.scans.load(Ordering::Relaxed);
         for (slot, bucket) in hist.iter_mut().zip(w.hist.iter()) {
             *slot += bucket.load(Ordering::Relaxed);
@@ -292,6 +296,7 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     stat("gc_fences", totals.2);
     stat("gc_acks", totals.3);
     stat("gc_fence_timeouts", timeouts);
+    stat("gc_fence_wall_us", fence_wall_ns / 1000);
     stat(
         "gc_acks_per_fence_x1000",
         (totals.3 * 1000).checked_div(totals.2).unwrap_or(0),

@@ -12,6 +12,7 @@
 
 use montage::sync::uninstrumented::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use montage::{EpochSys, EsysConfig, RecoveryError};
 use parking_lot::Mutex;
@@ -425,54 +426,57 @@ impl ShardedKvStore {
         self.shards[shard].fault()
     }
 
-    /// Syncs every shard's epoch system in parallel (a store-wide durability
-    /// barrier). Faulted shards report errors; healthy shards still sync.
+    /// Syncs every shard's epoch system (a store-wide durability barrier).
+    /// Faulted shards report errors; healthy shards still sync.
     pub fn sync(&self) -> Result<(), StoreError> {
-        let mut first_err = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|i| scope.spawn(move || self.sync_shard(i)))
-                .collect();
-            for h in handles {
-                if let Err(e) = h.join().expect("shard sync panicked") {
-                    first_err.get_or_insert(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let first_err = self
+            .sync_shards(&all, None)
+            .into_iter()
+            .find_map(|r| r.0.err());
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Syncs one shard — the periodic durability barrier on the mutation
     /// path syncs only the shard the mutation routed to, which is what lets
     /// shards scale: barriers on shard A never wait out shard B's epochs.
     pub fn sync_shard(&self, shard: usize) -> Result<(), StoreError> {
-        match self.shards[shard].esys() {
-            Some(esys) => esys
-                .try_sync()
-                .map_err(|fault| StoreError::Faulted { shard, fault }),
-            None => Ok(()),
-        }
+        self.sync_shards(&[shard], None).remove(0).0.map(|_| ())
     }
 
-    /// [`ShardedKvStore::sync_shard`] with a wall-clock budget: `Ok(false)`
-    /// means the shard's epoch system could not certify durability within
-    /// `timeout` (a straggling shard — injected delays, a wedged medium).
-    /// The caller decides what degrades: the server severs the connections
-    /// whose acks were promised behind this fence.
-    pub fn sync_shard_deadline(
+    /// Syncs a set of shards as one group: every shard's boundary fence is
+    /// issued before any is awaited ([`EpochSys::try_sync_group`]), so the
+    /// caller waits for the slowest pool's drain rather than the sum. One
+    /// outcome per entry of `shards`, with the time from the group's start
+    /// to that shard's verdict. `budget` is one wall-clock allowance for the
+    /// whole group: `Ok(false)` means that shard's epoch system could not
+    /// certify durability within it (a straggling shard — injected delays,
+    /// a wedged medium). The caller decides what degrades: the server severs
+    /// the connections whose acks were promised behind that shard's fence.
+    pub fn sync_shards(
         &self,
-        shard: usize,
-        timeout: std::time::Duration,
-    ) -> Result<bool, StoreError> {
-        match self.shards[shard].esys() {
-            Some(esys) => esys
-                .try_sync_deadline(Some(std::time::Instant::now() + timeout))
-                .map_err(|fault| StoreError::Faulted { shard, fault }),
-            None => Ok(true),
-        }
+        shards: &[usize],
+        budget: Option<Duration>,
+    ) -> Vec<(Result<bool, StoreError>, Duration)> {
+        let deadline = budget.map(|b| Instant::now() + b);
+        let montage: Vec<&EpochSys> = shards
+            .iter()
+            .filter_map(|&i| self.shards[i].esys().map(|e| &**e))
+            .collect();
+        let mut synced = EpochSys::try_sync_group(&montage, deadline).into_iter();
+        shards
+            .iter()
+            .map(|&shard| match self.shards[shard].esys() {
+                Some(_) => {
+                    let (result, took) = synced.next().expect("one outcome per Montage shard");
+                    (
+                        result.map_err(|fault| StoreError::Faulted { shard, fault }),
+                        took,
+                    )
+                }
+                None => (Ok(true), Duration::ZERO),
+            })
+            .collect()
     }
 
     /// Freezes and returns every shard's durable image (simulated
@@ -605,7 +609,7 @@ impl Drop for StoreLease {
 /// 2. Execute the batch's operations **on the same thread** that holds the
 ///    batch (the pins announce this thread's lease ids).
 /// 3. `finish` to drop every pin, then issue the shared durability barrier
-///    (`sync_shard` on the returned shards). Never sync a shard while its
+///    (`sync_shards` over the returned shards). Never sync a shard while its
 ///    pin is held — the pinning thread would wait on its own announcement.
 pub struct StoreBatch<'a> {
     store: &'a ShardedKvStore,
@@ -657,7 +661,7 @@ impl<'a> StoreBatch<'a> {
     }
 
     /// Drops every pin and returns the shards that were pinned — the set the
-    /// caller's group fence must `sync_shard`.
+    /// caller's group fence must `sync_shards`.
     pub fn finish(&mut self) -> Vec<usize> {
         let mut touched = Vec::new();
         for (shard, slot) in self.pins.iter_mut().enumerate() {

@@ -29,9 +29,10 @@ impl Advancer {
 
     /// Starts one advancer thread ticking a whole *group* of epoch systems
     /// (one per shard of a sharded store). Each shard keeps its own clock,
-    /// tracker, and write-back rings: a tick advances the shards one after
-    /// another, and an advance on shard `i` fences only shard `i`'s pool —
-    /// shard clocks drift independently, which is exactly the point.
+    /// tracker, and write-back rings: a tick issues every shard's advance,
+    /// then completes them, and an advance on shard `i` fences only shard
+    /// `i`'s pool — shard clocks drift independently, which is exactly the
+    /// point.
     pub fn start_group(group: Vec<Arc<EpochSys>>) -> Advancer {
         Self::start_group_with_period(group, None)
     }
@@ -68,8 +69,13 @@ impl Advancer {
                     if stop2.load(Ordering::Relaxed) {
                         break;
                     }
-                    for esys in &group {
-                        esys.advance_epoch();
+                    // Issue every shard's boundary fence, then complete
+                    // them: the shards' pools drain side by side.
+                    let tickets: Vec<_> = group.iter().map(|e| e.advance_issue()).collect();
+                    for (esys, ticket) in group.iter().zip(tickets) {
+                        if let Some(ticket) = ticket {
+                            esys.advance_complete(ticket);
+                        }
                     }
                 }
             })

@@ -61,13 +61,24 @@
 //! A bucket only ever holds entries of a single epoch `E` at a time. Owners
 //! push into bucket `E % 4` only while registered in epoch `E`; drainers only
 //! drain stale epochs (`advance_epoch` drains `<= e − 1`; `BEGIN_OP` helping
-//! drains the owner's *own* older buckets). Bucket reuse at `E + 4` happens
-//! only after the drain of `E` completed, ordered by the epoch clock (SeqCst
-//! store in `advance_epoch`, SeqCst load in `BEGIN_OP`). A *bypassed*
+//! drains the owner's *own* older buckets). Bucket reuse at `E + 4` normally
+//! happens only after the drain of `E` completed, ordered by the epoch clock
+//! (SeqCst store in `advance_epoch`, SeqCst load in `BEGIN_OP`). A *bypassed*
 //! straggler (see `esys.rs`) can push an epoch-`E` entry after `E`'s boundary
 //! has already run; such an entry belongs to an incomplete, unacknowledged
 //! operation — it is drained by the next boundary, and the payload checksum
 //! quarantines it if a crash cut catches it half-flushed.
+//!
+//! A straggler bypassed for a multiple of four epochs finds those late
+//! entries still in the bucket its next operation is about to relabel. The
+//! owner keeps every label exact. Persist leftovers it writes back itself
+//! before the bucket takes the new epoch. Free leftovers — pinned behind the
+//! reclamation frontier by the owner's own registration, and not to be
+//! tombstoned before the frontier passes them — stay where they are, and the
+//! new retirements queue behind them in the bucket's spill under their own
+//! label. Merging them under the newer label would reclaim a retired payload
+//! *after* the anti-payload that cancels it, and a crash in between
+//! resurrects the deleted key.
 //!
 //! ## Crash consistency at the fence
 //!
@@ -395,12 +406,15 @@ struct PersistBucket {
 }
 
 /// One epoch bucket of retired payloads awaiting reclamation. The ring is
-/// the steady-state path; `spill` absorbs overflow (heap allocation only in
-/// pathological epochs with more retirements than ring capacity).
+/// the steady-state path and holds one epoch's retirements at a time;
+/// `spill` takes `(epoch, block)` pairs the ring cannot: overflow (heap
+/// allocation only in pathological epochs with more retirements than ring
+/// capacity), and everything pushed while an older epoch's leftovers are
+/// still pinned in the bucket. Every spill label is ≥ the ring's.
 struct FreeBucket {
     epoch: AtomicU64,
     ring: Ring,
-    spill: Mutex<Vec<u64>>,
+    spill: Mutex<Vec<(u64, u64)>>,
 }
 
 /// All buffered state of one thread.
@@ -569,15 +583,17 @@ impl Buffers {
         }
 
         let b = &st.persist[(epoch % 4) as usize];
-        debug_assert!(
-            // ord(relaxed): owner-only invariant check.
-            b.ring.is_empty() || b.epoch.load(Ordering::Relaxed) == epoch,
-            "persist bucket reused before being drained (epoch {} vs {})",
-            b.epoch.load(Ordering::Relaxed),
-            epoch
-        );
-        // ord(publish): drainers acquire the bucket epoch before popping.
-        b.epoch.store(epoch, Ordering::Release);
+        // ord(relaxed): the owner is the label's only writer.
+        if b.epoch.load(Ordering::Relaxed) != epoch {
+            // An owner bypassed for a multiple of four epochs meets its own
+            // late pushes here (module docs): write them back under their
+            // own label before the bucket takes the new one.
+            if !b.ring.is_empty() {
+                self.write_back(pool, &b.ring);
+            }
+            // ord(publish): drainers acquire the bucket epoch before popping.
+            b.epoch.store(epoch, Ordering::Release);
+        }
         while b
             .ring
             .push_with(blk.raw(), len, |o, l| clwb_clamped(pool, o, l))
@@ -608,6 +624,13 @@ impl Buffers {
         self.min_pending(tid)
     }
 
+    /// Pops every entry of a persist ring, writing each back (no fence)
+    /// inside its claim window.
+    fn write_back(&self, pool: &PmemPool, ring: &Ring) {
+        let _census = self.claim_scope();
+        while ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
+    }
+
     /// Line flushes thread `tid` has avoided through coalescing so far
     /// (monotonic; exact when read by the owner).
     pub fn coalesced_lines(&self, tid: usize) -> u64 {
@@ -624,8 +647,7 @@ impl Buffers {
         let b = &st.persist[(epoch % 4) as usize];
         // ord(acquire): pairs with the owner's bucket-epoch publish.
         if !b.ring.is_empty() && b.epoch.load(Ordering::Acquire) == epoch {
-            let _census = self.claim_scope();
-            while b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
+            self.write_back(pool, &b.ring);
         }
         self.min_pending(tid)
     }
@@ -636,8 +658,7 @@ impl Buffers {
         for b in st.persist.iter() {
             // ord(acquire): pairs with the owner's bucket-epoch publish.
             if !b.ring.is_empty() && b.epoch.load(Ordering::Acquire) <= epoch {
-                let _census = self.claim_scope();
-                while b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
+                self.write_back(pool, &b.ring);
             }
         }
         self.min_pending(tid)
@@ -678,19 +699,27 @@ impl Buffers {
     pub fn push_free(&self, pool: &PmemPool, tid: usize, epoch: u64, blk: POff) {
         let st = &self.threads[tid];
         let b = &st.free[(epoch % 4) as usize];
-        debug_assert!(
-            (b.ring.is_empty() && b.spill.lock().is_empty())
-                // ord(relaxed): owner-only invariant check.
-                || b.epoch.load(Ordering::Relaxed) == epoch,
-            "free bucket reused before being drained"
-        );
-        // ord(publish): reclaimers acquire the bucket epoch before popping.
-        b.epoch.store(epoch, Ordering::Release);
+        // ord(relaxed): the owner is the label's only writer.
+        if b.epoch.load(Ordering::Relaxed) != epoch {
+            // No persistence event happens under the spill lock, so a parked
+            // thread can never be holding it.
+            let mut spill = b.spill.lock();
+            if !b.ring.is_empty() || !spill.is_empty() {
+                // An owner bypassed for a multiple of four epochs meets its
+                // own retirements, still pinned behind the frontier (module
+                // docs). They keep their label; this one queues behind them
+                // under its own, so neither is reclaimed early or late.
+                spill.push((epoch, blk.raw()));
+                return;
+            }
+            // ord(publish): reclaimers acquire the bucket epoch before popping.
+            b.epoch.store(epoch, Ordering::Release);
+        }
         if b.ring
             .push_with(blk.raw(), 0, |o, _| tombstone_flush(pool, o))
             .is_err()
         {
-            b.spill.lock().push(blk.raw());
+            b.spill.lock().push((epoch, blk.raw()));
         }
     }
 
@@ -705,7 +734,7 @@ impl Buffers {
         if b.epoch.load(Ordering::Acquire) != epoch {
             return Vec::new();
         }
-        self.drain_free_bucket(pool, b)
+        self.drain_free_bucket(pool, b, epoch)
     }
 
     /// Like [`Buffers::take_free`] but for all epochs `<= epoch` (worker-
@@ -715,15 +744,19 @@ impl Buffers {
         let st = &self.threads[tid];
         let mut out = Vec::new();
         for b in st.free.iter() {
+            // The ring's label bounds the spill's from below, so one load
+            // gates both.
             // ord(acquire): pairs with the owner's bucket-epoch publish.
             if b.epoch.load(Ordering::Acquire) <= epoch {
-                out.extend(self.drain_free_bucket(pool, b));
+                out.extend(self.drain_free_bucket(pool, b, epoch));
             }
         }
         out
     }
 
-    fn drain_free_bucket(&self, pool: &PmemPool, b: &FreeBucket) -> Vec<POff> {
+    /// Reclaims bucket `b`'s ring (the caller checked its label) and the
+    /// spilled retirements labelled `<= epoch`.
+    fn drain_free_bucket(&self, pool: &PmemPool, b: &FreeBucket, epoch: u64) -> Vec<POff> {
         let mut blocks = Vec::new();
         // Tombstone + write back inside the claim window (helpers can then
         // finish a parked pass), but collect for deallocation only what WE
@@ -734,12 +767,15 @@ impl Buffers {
                 blocks.push(POff::new(o));
             }
         }
-        let spilled: Vec<u64> = {
-            // No persistence event happens under the spill lock, so a parked
-            // thread can never be holding it.
-            let mut spill = b.spill.lock();
-            spill.drain(..).collect()
-        };
+        let mut spilled = Vec::new();
+        // No persistence event happens under the spill lock, so a parked
+        // thread can never be holding it.
+        b.spill.lock().retain(|&(e, o)| {
+            if e <= epoch {
+                spilled.push(o);
+            }
+            e > epoch
+        });
         for &o in &spilled {
             tombstone_flush(pool, o);
             blocks.push(POff::new(o));
@@ -1246,6 +1282,40 @@ mod tests {
         // End-to-end ledger: all lines distinct, so flushes ≥ pushes; the
         // surplus is exactly the idempotent helper duplicates.
         assert!(p.stats().snapshot().clwbs >= ROUNDS * PER_ROUND);
+    }
+
+    /// A bucket met again a multiple of four epochs later keeps two labels
+    /// apart: the older epoch's leftovers are written back (persist) or left
+    /// in place with the newcomers queued behind them (free), and each free
+    /// entry is reclaimed exactly when the frontier passes its own label.
+    #[test]
+    fn stale_leftovers_keep_their_own_label() {
+        for cap in [2, 64] {
+            let p = pool();
+            let b = Buffers::new(1, cap);
+            push(&b, &p, 0, 5, POff::new(4096), 64);
+            let clwbs = p.stats().snapshot().clwbs;
+            assert_eq!(push(&b, &p, 0, 9, POff::new(8192), 64), 9);
+            assert_eq!(p.stats().snapshot().clwbs, clwbs + 1, "leftover flushed");
+
+            let blk = |i: u64| POff::new(16384 + i * 128);
+            for i in 0..3 {
+                b.push_free(&p, 0, 5, blk(i));
+            }
+            b.push_free(&p, 0, 9, blk(3));
+            b.push_free(&p, 0, 13, blk(4));
+            let sorted = |mut v: Vec<POff>| {
+                v.sort();
+                v
+            };
+            assert!(b.take_free_upto(&p, 0, 4).is_empty());
+            assert_eq!(sorted(b.take_free_upto(&p, 0, 8)), [blk(0), blk(1), blk(2)]);
+            assert_eq!(b.take_free_upto(&p, 0, 12), [blk(3)]);
+            // The ring is free again only once everything older is gone.
+            b.push_free(&p, 0, 17, blk(5));
+            assert_eq!(b.take_free_upto(&p, 0, 13), [blk(4)]);
+            assert_eq!(b.take_free_upto(&p, 0, 17), [blk(5)]);
+        }
     }
 
     #[test]

@@ -1021,8 +1021,19 @@ impl EpochSys {
     ///   entries labelled *e−1* after the boundary just rides a later
     ///   boundary; its `sync` (and hence any ack) waits for that one.
     pub fn advance_epoch(&self) {
+        if let Some(ticket) = self.advance_issue() {
+            self.advance_complete(ticket);
+        }
+    }
+
+    /// First half of an advance: everything up to the boundary fence's
+    /// *issue* (`None` for Montage(T), which has no epochs). Before the
+    /// second half runs, the caller may issue other systems' advances — their
+    /// pools then drain side by side — and another thread may run, and win,
+    /// this same boundary: the clock CAS arbitrates that as it always has.
+    pub(crate) fn advance_issue(&self) -> Option<AdvanceTicket> {
         if self.cfg.persist == PersistStrategy::None {
-            return; // Montage(T): no epochs, no persistence
+            return None; // Montage(T): no epochs, no persistence
         }
         // ord(acquire): the boundary below must see state from the advance
         // that published e (pairs with the SeqCst clock CAS).
@@ -1077,7 +1088,19 @@ impl EpochSys {
             }
         }
 
-        self.pool.sfence();
+        Some(AdvanceTicket {
+            e,
+            stragglers,
+            fence: self.pool.sfence_issue(),
+            reclaimed,
+        })
+    }
+
+    /// Second half: awaits the boundary fence, then ticks and persists the
+    /// clock and frees what the ticket's own pass reclaimed.
+    pub(crate) fn advance_complete(&self, ticket: AdvanceTicket) {
+        let AdvanceTicket { e, stragglers, .. } = ticket;
+        ticket.fence.wait();
         // This fence is the boundary that declares epoch e-1 durable; under
         // `persist-san`, assert that no tracked store from before the
         // previous boundary is still unflushed (no-op otherwise). A bypassed
@@ -1120,7 +1143,7 @@ impl EpochSys {
             self.stats.advances.fetch_add(1, Ordering::Relaxed);
         }
 
-        for blk in reclaimed {
+        for blk in ticket.reclaimed {
             self.ralloc.dealloc(blk);
         }
     }
@@ -1156,71 +1179,102 @@ impl EpochSys {
     /// pool can never make the remaining buffered work durable. The fault is
     /// re-checked every advance so a plan tripping *mid-sync* also unwinds.
     pub fn try_sync(&self) -> Result<(), PmemFault> {
-        self.try_sync_deadline(None).map(|done| {
-            debug_assert!(done, "unbounded sync cannot time out");
-        })
+        let (result, _) = Self::try_sync_group(&[self], None)
+            .pop()
+            .expect("one outcome per system");
+        result.map(|done| debug_assert!(done, "unbounded sync cannot time out"))
     }
 
-    /// [`EpochSys::try_sync`] with a wall-clock deadline: returns
-    /// `Ok(false)` if the durable clock has not crossed the target by
-    /// `deadline` (checked between advances, so the overshoot is bounded by
-    /// one advance). The sync makes real progress up to the deadline —
-    /// advances it drove stay driven — it just stops *waiting*; the caller
-    /// keeps no durability claim for operations acked before the call.
-    /// `None` waits forever (the plain `try_sync` contract).
-    pub fn try_sync_deadline(
-        &self,
+    /// Syncs a *group* of epoch systems (a batch's shards) side by side:
+    /// every system still short of its target has one advance in flight —
+    /// boundary fence issued, not yet awaited — and the loop completes
+    /// whichever fence its device finishes first, then issues that system's
+    /// next advance. The pools drain concurrently: the caller pays the
+    /// slowest system's sync, not the sum, and a healthy system certifies
+    /// without queueing behind a straggler's drain. Returns, per system, the
+    /// verdict and the time from the group's start to it: `Ok(true)`,
+    /// everything completed before the call is durable; `Err`, that system's
+    /// pool faulted (its peers are unaffected); `Ok(false)`, its durable
+    /// clock had not crossed the target by `deadline` — checked after each
+    /// of its advances, so the overshoot is bounded by one advance. A
+    /// timed-out sync made real progress (advances it drove stay driven), it
+    /// just stopped *waiting*; the caller keeps no durability claim for
+    /// operations acked before the call. `None` waits forever.
+    pub fn try_sync_group(
+        group: &[&EpochSys],
         deadline: Option<std::time::Instant>,
-    ) -> Result<bool, PmemFault> {
-        if self.cfg.persist == PersistStrategy::None {
-            return Ok(true);
-        }
-        // ord(counter): stats tally.
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        let target = self.clock().load(Ordering::SeqCst);
-        // ord(relaxed): helper hint only; durability rides the durable-clock
-        // acquire below, never this edge.
-        self.sync_requested.fetch_max(target, Ordering::Relaxed);
-        // Wait on the *durable* clock, not the transient one: the clock can
-        // run ahead of the media when an advance winner parks between its
-        // clock store and its clwb, and "durable" must mean the closing
-        // tick actually reached the durable image.
-        // ord(acquire): pairs with the winner's durable-clock release; the
-        // caller's durability claim covers the boundary's write-backs.
-        while self.durable_clock.load(Ordering::Acquire) < target + 2 {
-            if let Err(f) = self.pool.check_fault() {
-                // ord(relaxed): hint cleanup; no data rides this edge.
-                let _ = self.sync_requested.compare_exchange(
-                    target,
-                    0,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                return Err(f);
+    ) -> Vec<(Result<bool, PmemFault>, std::time::Duration)> {
+        let start = std::time::Instant::now();
+        let mut outcomes = vec![(Ok(true), std::time::Duration::ZERO); group.len()];
+        // Records system `i`'s verdict, once it has one.
+        let mut settled = |i: usize, target: u64| {
+            let sys = group[i];
+            // Wait on the *durable* clock, not the transient one: the clock
+            // can run ahead of the media when an advance winner parks between
+            // its clock store and its clwb, and "durable" must mean the
+            // closing tick actually reached the durable image.
+            // ord(acquire): pairs with the winner's durable-clock release; the
+            // caller's durability claim covers the boundary's write-backs.
+            let short = sys.durable_clock.load(Ordering::Acquire) < target + 2;
+            // Checked even once it has crossed: a plan tripping *at the very
+            // end* of the last advance (after its durable-clock publish) can
+            // still have dropped flushes the caller cares about. Durability
+            // can only be claimed on a pool that is still healthy now.
+            let verdict = match sys.pool.check_fault() {
+                Err(fault) => Err(fault),
+                Ok(()) if !short => Ok(true),
+                Ok(()) if deadline.is_some_and(|d| std::time::Instant::now() >= d) => Ok(false),
+                Ok(()) => return false,
+            };
+            // Clear the helping hint if we were the outermost sync.
+            // ord(relaxed): hint cleanup; no data rides this edge.
+            let _ = sys.sync_requested.compare_exchange(
+                target,
+                0,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            outcomes[i] = (verdict, start.elapsed());
+            true
+        };
+        let issue = |i: usize| group[i].advance_issue().expect("syncing implies epochs");
+        // (system, target, its advance in flight)
+        let mut in_flight = Vec::with_capacity(group.len());
+        for (i, sys) in group.iter().enumerate() {
+            if sys.cfg.persist == PersistStrategy::None {
+                continue;
             }
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                // ord(relaxed): hint cleanup; no data rides this edge.
-                let _ = self.sync_requested.compare_exchange(
-                    target,
-                    0,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                return Ok(false);
+            // ord(counter): stats tally.
+            sys.stats.syncs.fetch_add(1, Ordering::Relaxed);
+            let target = sys.clock().load(Ordering::SeqCst);
+            // ord(relaxed): helper hint only; durability rides the
+            // durable-clock acquire above, never this edge.
+            sys.sync_requested.fetch_max(target, Ordering::Relaxed);
+            if !settled(i, target) {
+                in_flight.push((i, target, issue(i)));
             }
-            self.advance_epoch();
         }
-        // Clear the helping hint if we were the outermost sync.
-        // ord(relaxed): hint cleanup; no data rides this edge.
-        let _ =
-            self.sync_requested
-                .compare_exchange(target, 0, Ordering::Relaxed, Ordering::Relaxed);
-        // A plan tripping *at the very end* of the last advance (after its
-        // durable-clock publish) can still have dropped flushes the caller
-        // cares about. Durability can only be claimed on a pool that is
-        // still healthy now.
-        self.pool.check_fault().map(|()| true)
+        while let Some(n) = (0..in_flight.len()).min_by_key(|&n| in_flight[n].2.fence.ready_at()) {
+            let (i, target, ticket) = in_flight.swap_remove(n);
+            group[i].advance_complete(ticket);
+            if !settled(i, target) {
+                in_flight.push((i, target, issue(i)));
+            }
+        }
+        outcomes
     }
+}
+
+/// An advance between its halves ([`EpochSys::advance_issue`] →
+/// [`EpochSys::advance_complete`]): boundary fence issued, not yet awaited.
+#[must_use = "an issued advance must be completed"]
+pub(crate) struct AdvanceTicket {
+    /// The clock value the boundary was drained at.
+    e: u64,
+    stragglers: usize,
+    fence: pmem::FenceTicket,
+    /// Blocks this pass reclaimed; freed after the fence wait.
+    reclaimed: Vec<POff>,
 }
 
 /// RAII operation scope: created by [`EpochSys::begin_op`]; drop is `END_OP`.
@@ -1403,6 +1457,83 @@ mod tests {
         }
     }
 
+    /// An owner bypassed for a multiple of four epochs meets its own
+    /// `epoch % 4` persist bucket: a late push labelled *e* is still there
+    /// when the next op pushes *e + gap* into the same bucket. The owner
+    /// writes the leftovers back before reusing the bucket, so both labels
+    /// stay exact and both payloads are durable after `sync`.
+    #[test]
+    fn bypassed_owner_meets_its_own_bucket_four_epochs_later() {
+        for (gap, cap) in [(4, 2), (4, 64), (8, 2), (8, 64)] {
+            let s = sys(EsysConfig {
+                persist: PersistStrategy::Buffered(cap),
+                advance_grace_spins: 8,
+                ..Default::default()
+            });
+            let tid = s.register_thread();
+            let g = s.begin_op(tid);
+            let e = g.epoch();
+            for _ in 0..gap {
+                s.advance_epoch(); // bypasses our registration after the grace window
+            }
+            let late = s.pnew_bytes(&g, 7, b"late push labelled e");
+            drop(g);
+            let g = s.begin_op(tid);
+            assert_eq!(g.epoch(), e + gap);
+            let fresh = s.pnew_bytes(&g, 7, b"same bucket, a multiple of four later");
+            drop(g);
+            assert_eq!(Header::epoch(s.pool(), late.raw()), e);
+            assert_eq!(Header::epoch(s.pool(), fresh.raw()), e + gap);
+            s.sync();
+            let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
+            assert_eq!(rec.report.survivors, 2, "gap {gap} cap {cap}");
+        }
+    }
+
+    /// The same meeting in the free buckets: retirements pushed late under
+    /// labels *e* and *e + 1* are still pinned (by the owner itself) when
+    /// the next op retires under *e + gap* and *e + gap + 1*. Labels must
+    /// stay exact — relabelling an old payload's retirement later than its
+    /// anti-payload's would free the deletion record first — and after
+    /// `sync` both deletions hold across a crash.
+    #[test]
+    fn bypassed_owner_meets_its_own_free_bucket_four_epochs_later() {
+        for (gap, cap) in [(4, 2), (4, 64), (8, 2), (8, 64)] {
+            let s = sys(EsysConfig {
+                persist: PersistStrategy::Buffered(cap),
+                advance_grace_spins: 8,
+                ..Default::default()
+            });
+            let tid = s.register_thread();
+            let g = s.begin_op(tid);
+            let doomed: Vec<_> = (0..4u64).map(|i| s.pnew(&g, 7, &i)).collect();
+            let kept = s.pnew(&g, 7, &99u64);
+            drop(g);
+            s.advance_epoch();
+
+            let g = s.begin_op(tid);
+            for _ in 0..gap {
+                s.advance_epoch();
+            }
+            // Late retirements: enough to overflow a capacity-2 ring.
+            for h in &doomed[..3] {
+                s.pdelete(&g, *h).unwrap();
+            }
+            drop(g);
+            let g = s.begin_op(tid);
+            s.pdelete(&g, doomed[3]).unwrap();
+            drop(g);
+
+            s.sync();
+            s.sync(); // reclamation runs two epochs behind
+            let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
+            assert_eq!(rec.report.survivors, 1, "gap {gap} cap {cap}");
+            let item = &rec.shards[0][0];
+            assert_eq!(item.uid, Header::uid(s.pool(), kept.raw()));
+            assert_eq!(rec.read::<u64>(item), 99);
+        }
+    }
+
     #[test]
     fn epoch_advance_moves_clock_and_persists() {
         let s = sys(EsysConfig::default());
@@ -1425,6 +1556,41 @@ mod tests {
         let e0 = s.curr_epoch();
         s.sync();
         assert!(s.curr_epoch() >= e0 + 2);
+    }
+
+    /// The phased group sync only changes who waits for which device, and
+    /// when: each pool sees the events, flushes, fences and drained lines a
+    /// sync of its own would have charged it, and ends at the same durable
+    /// epoch.
+    #[test]
+    fn group_sync_charges_each_pool_what_its_own_sync_would() {
+        let build = |payloads: u8| {
+            let mut cfg = PmemConfig::strict_for_test(8 << 20);
+            cfg.chaos.crash_at_event = Some(u64::MAX); // count events
+            let s = EpochSys::format(PmemPool::new(cfg), EsysConfig::default());
+            let tid = s.register_thread();
+            for i in 0..payloads {
+                let g = s.begin_op(tid);
+                let _ = s.pnew_bytes(&g, 1, &[i; 300]);
+            }
+            s
+        };
+        let grouped: Vec<_> = (1..=3).map(build).collect();
+        let alone: Vec<_> = (1..=3).map(build).collect();
+
+        let group: Vec<&EpochSys> = grouped.iter().map(|s| &**s).collect();
+        for (result, _) in EpochSys::try_sync_group(&group, None) {
+            assert_eq!(result, Ok(true));
+        }
+        for s in &alone {
+            s.try_sync().unwrap();
+        }
+        for (g, a) in grouped.iter().zip(&alone) {
+            assert_eq!(g.pool().stats().snapshot(), a.pool().stats().snapshot());
+            assert_eq!(g.pool().persistence_events(), a.pool().persistence_events());
+            assert_eq!(g.durable_epoch(), a.durable_epoch());
+            assert_eq!(g.durable_epoch(), FIRST_EPOCH + 2);
+        }
     }
 
     #[test]

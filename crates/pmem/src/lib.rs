@@ -53,7 +53,7 @@ mod stats;
 pub use config::{ChaosConfig, LatencyModel, PmemConfig, PmemMode};
 pub use fault::PmemFault;
 pub use layout::{line_of, lines_spanned, POff, CACHE_LINE, ROOT_AREA_SIZE, ROOT_SLOTS};
-pub use pool::PmemPool;
+pub use pool::{FenceTicket, PmemPool};
 #[cfg(feature = "persist-san")]
 pub use san::{SanClass, SanReport, SanSite, SanViolation, MAX_VIOLATIONS};
 pub use stats::{PmemStats, StatsSnapshot};

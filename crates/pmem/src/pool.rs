@@ -524,7 +524,7 @@ impl PmemPool {
         if per_line == 0 || len == 0 {
             return;
         }
-        self.wait_device(per_line * lines_spanned(0, len));
+        wait_until(self.reserve_device(per_line * lines_spanned(0, len)));
     }
 
     // ---- persistence primitives -------------------------------------------
@@ -587,12 +587,24 @@ impl PmemPool {
     /// `SFENCE`: drain this thread's pending write-backs to durable media.
     #[track_caller]
     pub fn sfence(&self) {
+        let ticket = self.sfence_issue();
+        ticket.wait();
+    }
+
+    /// The issue half of [`PmemPool::sfence`]: everything a fence does
+    /// except block on the device — the drain is reserved on this pool's
+    /// `device_busy` timeline and the ticket holds when it completes. A
+    /// thread may issue fences on several pools before waiting on any (the
+    /// drains overlap, as under one hardware `SFENCE` over lines headed to
+    /// different DIMMs), but may claim nothing durable before the wait.
+    #[track_caller]
+    pub fn sfence_issue(&self) -> FenceTicket {
         let lat = &self.inner.config.latency;
         // A fence is a single event: either the whole drain happens before
         // the crash point or none of it does (pending lines die unfenced).
         if self.charge_events(1) == 0 {
             self.inner.stats.on_sfence(0);
-            return;
+            return FenceTicket { done: None };
         }
         #[cfg(feature = "persist-san")]
         self.inner.san.on_sfence(std::panic::Location::caller());
@@ -612,18 +624,15 @@ impl PmemPool {
         // the media drain is *device* time on this pool's write queue.
         spin_ns(lat.fence_base_ns);
         let media_ns = drained * (lat.fence_per_line_ns + lat.media_write_ns);
-        if media_ns > 0 {
-            self.wait_device(media_ns);
+        FenceTicket {
+            done: (media_ns > 0).then(|| self.reserve_device(media_ns)),
         }
     }
 
     /// Reserves `media_ns` of drain time on this pool's simulated NVM device
-    /// and blocks until the reservation completes. The wait sleeps when the
-    /// deadline is far enough out to make a syscall worthwhile and spins the
-    /// final stretch for accuracy, so other threads — including fences on
-    /// *other* pools — keep the CPU while this pool's queue drains. See the
-    /// `device_busy` field docs for why this is a queue and not a spin.
-    fn wait_device(&self, media_ns: u64) {
+    /// and returns when the reservation completes. See the `device_busy`
+    /// field docs for why this is a queue and not a spin.
+    fn reserve_device(&self, media_ns: u64) -> Instant {
         let now = self.inner.origin.elapsed().as_nanos() as u64;
         let done = self
             .inner
@@ -634,24 +643,7 @@ impl PmemPool {
             .expect("device reservation always succeeds")
             .max(now)
             + media_ns;
-        // OS sleeps overshoot by tens of microseconds (timer slack), so a
-        // `sleep(remaining)` would charge a 6µs drain ~70µs of real blocking —
-        // a 10x penalty that lands precisely on callers who batch their drain
-        // work into one fence. Sleep only the stretch the OS can deliver
-        // without running past the deadline, then spin the accurate tail.
-        const SLEEP_SLACK_NS: u64 = 200_000;
-        loop {
-            let now = self.inner.origin.elapsed().as_nanos() as u64;
-            if now >= done {
-                return;
-            }
-            let remaining = done - now;
-            if remaining > SLEEP_SLACK_NS {
-                std::thread::sleep(std::time::Duration::from_nanos(remaining - SLEEP_SLACK_NS));
-            } else {
-                std::hint::spin_loop();
-            }
-        }
+        self.inner.origin + std::time::Duration::from_nanos(done)
     }
 
     /// Convenience: `clwb_range` + `sfence`.
@@ -971,6 +963,50 @@ impl PmemPool {
     }
 }
 
+/// A fence issued by [`PmemPool::sfence_issue`] and not yet waited for.
+#[must_use = "a fence orders nothing until its ticket is waited on"]
+pub struct FenceTicket {
+    done: Option<Instant>,
+}
+
+impl FenceTicket {
+    /// When the device finishes this fence's drain (`None`: nothing was
+    /// queued), so a holder of several tickets can wait on the earliest.
+    pub fn ready_at(&self) -> Option<Instant> {
+        self.done
+    }
+
+    /// Blocks until the device has drained everything the fence queued.
+    pub fn wait(self) {
+        if let Some(done) = self.done {
+            wait_until(done);
+        }
+    }
+}
+
+/// Blocks until `done`: sleeps while the deadline is far enough out to make
+/// a syscall worthwhile, so other threads keep the CPU while a pool's queue
+/// drains, and spins the final stretch for accuracy.
+fn wait_until(done: Instant) {
+    // OS sleeps overshoot by tens of microseconds (timer slack), so a
+    // `sleep(remaining)` would charge a 6µs drain ~70µs of real blocking —
+    // a 10x penalty that lands precisely on callers who batch their drain
+    // work into one fence. Sleep only the stretch the OS can deliver
+    // without running past the deadline, then spin the accurate tail.
+    const SLEEP_SLACK: std::time::Duration = std::time::Duration::from_micros(200);
+    loop {
+        let remaining = done.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return;
+        }
+        if remaining > SLEEP_SLACK {
+            std::thread::sleep(remaining - SLEEP_SLACK);
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
 /// Deterministic per-event roll in `0..1000` for straggler injection
 /// (splitmix64 finalizer over `seed ^ event`): a given (seed, workload)
 /// pair delays the same events on every run.
@@ -1152,6 +1188,72 @@ mod tests {
         assert_eq!(clwbs, 4);
         assert_eq!(fences, 1);
         assert_eq!(drained, 4);
+    }
+
+    /// A pool whose fence drains cost enough to dominate scheduler noise,
+    /// with `lines` lines flushed and awaiting a fence.
+    fn slow_pool_with_pending(per_line_ns: u64, lines: usize) -> PmemPool {
+        let mut cfg = PmemConfig::strict_for_test(1 << 20);
+        cfg.chaos.crash_at_event = Some(u64::MAX); // count events
+        cfg.latency.fence_per_line_ns = per_line_ns;
+        let p = PmemPool::new(cfg);
+        p.clwb_range(POff::new(4096), lines * CACHE_LINE);
+        p
+    }
+
+    #[test]
+    fn issued_fences_on_two_pools_drain_side_by_side() {
+        const PER_LINE_NS: u64 = 100_000;
+        const LINES: u64 = 300;
+        let busy = |p: &PmemPool| p.inner.device_busy.load(Ordering::Acquire);
+        let now = |p: &PmemPool| p.inner.origin.elapsed().as_nanos() as u64;
+        let pools = [
+            slow_pool_with_pending(PER_LINE_NS, LINES as usize),
+            slow_pool_with_pending(PER_LINE_NS, LINES as usize),
+        ];
+
+        let start = Instant::now();
+        let mut tickets = Vec::new();
+        for p in &pools {
+            // Conservation: the pool's timeline takes exactly what the fence
+            // drained — from the issue instant on an idle device, from the
+            // previous reservation on a busy one — whoever waits, whenever.
+            let before = now(p);
+            tickets.push(p.sfence_issue());
+            let reserved_at = busy(p) - LINES * PER_LINE_NS;
+            assert!((before..=now(p)).contains(&reserved_at));
+            p.clwb_range(POff::new(4096), 3 * CACHE_LINE);
+            let queued_behind = busy(p);
+            tickets.push(p.sfence_issue());
+            assert_eq!(busy(p), queued_behind + 3 * PER_LINE_NS);
+        }
+        for t in tickets {
+            t.wait();
+        }
+        let wall = start.elapsed();
+        let one_pool = std::time::Duration::from_nanos((LINES + 3) * PER_LINE_NS);
+        assert!(wall >= one_pool, "a wait returned early: {wall:?}");
+        assert!(
+            wall < one_pool * 3 / 2,
+            "the pools drained one after the other: {wall:?} of a serial {:?}",
+            one_pool * 2
+        );
+    }
+
+    #[test]
+    fn sfence_is_issue_then_wait() {
+        let whole = slow_pool_with_pending(1_000, 7);
+        let split = slow_pool_with_pending(1_000, 7);
+        whole.sfence();
+        split.sfence_issue().wait();
+        assert_eq!(whole.stats().snapshot(), split.stats().snapshot());
+        assert_eq!(whole.persistence_events(), split.persistence_events());
+        assert_eq!(whole.stats().snapshot().lines_drained, 7);
+        let (whole, split) = (whole.crash(), split.crash());
+        let mut images = [[0u8; 7 * CACHE_LINE]; 2];
+        whole.read_bytes(POff::new(4096), &mut images[0]);
+        split.read_bytes(POff::new(4096), &mut images[1]);
+        assert_eq!(images[0], images[1]);
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!   sanitizer's tracked write path and are allowed only inside the module
 //!   allowlist below.
 //! * **flush-no-fence** — a function that issues `clwb`/`clwb_range` but
-//!   never reaches an `sfence` (or `persist_range`, which fences) leaves
-//!   lines parked in the flushed-unfenced state; legitimate deferrals (the
-//!   buffered-persistence drains whose fence is the epoch boundary) must say
-//!   so.
+//!   never reaches an `sfence` (or `sfence_issue`, its split-phase form, or
+//!   `persist_range`, which fences) leaves lines parked in the
+//!   flushed-unfenced state; legitimate deferrals (the buffered-persistence
+//!   drains whose fence is the epoch boundary) must say so. Conversely, a
+//!   function that calls `sfence_issue` and neither waits on the ticket nor
+//!   returns or stores it has issued a fence nobody awaits.
 //! * **ord-justify** — inside the model-checked protocol core
 //!   (`crates/montage`, `crates/montage-ds`), every non-SeqCst
 //!   `Ordering::{Relaxed, Acquire, Release, AcqRel}` must carry an
@@ -565,11 +567,29 @@ fn check_flush_fences(
     }
     for func in function_bodies(code_lines) {
         let body = func.body_text(code_lines);
+        // The converse: a split-phase fence nobody waits for orders nothing.
+        if !has_call(&body, "wait") {
+            for i in (func.body_start..=func.body_end)
+                .filter(|&i| drops_fence_ticket(code_lines, i, func.body_end))
+            {
+                push_checked(
+                    out,
+                    raw_lines,
+                    file,
+                    i,
+                    Rule::FlushNoFence,
+                    "sfence_issue's ticket is neither waited on nor returned \
+                     or stored; a fence that is never awaited orders nothing"
+                        .to_string(),
+                );
+            }
+        }
         let flushes = has_call(&body, "clwb") || has_call(&body, "clwb_range");
         if !flushes {
             continue;
         }
         let fences = has_call(&body, "sfence")
+            || has_call(&body, "sfence_issue")
             || has_call(&body, "persist_range")
             || has_call(&body, "flush_era");
         if fences {
@@ -598,6 +618,33 @@ fn check_flush_fences(
                 .to_string(),
         );
     }
+}
+
+/// True when line `i` issues a split-phase fence as a statement of its own
+/// and its ticket goes nowhere: the value is discarded, or bound to a name
+/// no later line of the body mentions. A call inside a larger expression (a
+/// struct field, an argument, the tail expression) hands the ticket on.
+fn drops_fence_ticket(code_lines: &[&str], i: usize, body_end: usize) -> bool {
+    let line = code_lines[i].trim();
+    if !has_call(line, "sfence_issue") || !line.ends_with("sfence_issue();") {
+        return false;
+    }
+    if line.starts_with("return ") {
+        return false;
+    }
+    let Some(binding) = line.strip_prefix("let ") else {
+        return true;
+    };
+    let name: String = binding
+        .trim_start_matches("mut ")
+        .chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect();
+    name.starts_with('_')
+        || !code_lines[i + 1..=body_end].iter().any(|l| {
+            l.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .any(|w| w == name)
+        })
 }
 
 /// Line index of the file's first `#[cfg(test)]` attribute (in stripped
@@ -1006,6 +1053,37 @@ mod tests {
         for fence in ["p.sfence();", "p.persist_range(o, 8);"] {
             let src = format!("fn f(p: &Pool) {{\n    p.clwb_range(o, 64);\n    {fence}\n}}\n");
             assert!(lint("crates/demo/src/lib.rs", &src).is_empty(), "{fence}");
+        }
+    }
+
+    #[test]
+    fn split_phase_fence_counts_when_its_ticket_is_waited_or_handed_on() {
+        for rest in [
+            "p.sfence_issue().wait();",
+            "let t = p.sfence_issue();\n    q.sfence_issue().wait();\n    t.wait();",
+            "let t = p.sfence_issue();\n    Ticket { fence: t }",
+            "Ticket {\n        fence: p.sfence_issue(),\n    }",
+            "p.sfence_issue()",
+            "return p.sfence_issue();",
+            "tickets.push(p.sfence_issue());",
+        ] {
+            let src = format!("fn f(p: &Pool) {{\n    p.clwb_range(o, 64);\n    {rest}\n}}\n");
+            assert!(lint("crates/demo/src/lib.rs", &src).is_empty(), "{rest}");
+        }
+    }
+
+    #[test]
+    fn split_phase_fence_with_a_dropped_ticket_is_flagged() {
+        for rest in [
+            "p.sfence_issue();",
+            "let _ = p.sfence_issue();",
+            "let _t = p.sfence_issue();",
+            "let t = p.sfence_issue();\n    other(p);",
+        ] {
+            let src = format!("fn f(p: &Pool) {{\n    p.clwb_range(o, 64);\n    {rest}\n}}\n");
+            let v = lint("crates/demo/src/lib.rs", &src);
+            assert_eq!(v.len(), 1, "{rest}");
+            assert_eq!((v[0].rule, v[0].line), (Rule::FlushNoFence, 3), "{rest}");
         }
     }
 

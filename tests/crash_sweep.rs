@@ -1195,3 +1195,71 @@ fn sharded_store_crash_is_contained_to_the_victim_shard() {
     );
     report.assert_ok();
 }
+
+/// The phased group sync under a shard crash: the victim's pool dies at
+/// every persistence event *inside* one `sync_shards` call — between its
+/// boundary fence's issue and wait included, where the healthy shard's fence
+/// is already in flight. The healthy shard must certify and recover every
+/// key it certified; the victim must report the fault and still recover a
+/// clean (possibly empty) image.
+#[test]
+fn group_sync_contains_a_shard_crash_at_every_event_inside_it() {
+    use kvstore::{ShardedKvStore, StoreError};
+    const HEALTHY: usize = 0;
+    const VICTIM: usize = 1;
+
+    // Sets every key, then group-syncs both shards with the victim's plan at
+    // `crash_at`. Returns the victim's event count before and after the
+    // sync, the sync's outcomes, and the pools.
+    let run = |crash_at: u64| {
+        let pools: Vec<PmemPool> = (0..2)
+            .map(|i| {
+                let mut cfg = PmemConfig::strict_for_test(4 << 20);
+                cfg.chaos.crash_at_event = (i == VICTIM).then_some(crash_at);
+                PmemPool::new(cfg)
+            })
+            .collect();
+        let store = ShardedKvStore::format_pools(pools.clone(), small_esys_cfg(), S_STRIPES, S_CAP);
+        let lease = store.lease();
+        for k in 0..S_KEYS {
+            let _ = store.set(&lease, kvstore::make_key(k), &k.to_le_bytes());
+        }
+        let before = pools[VICTIM].persistence_events();
+        let outcomes = store.sync_shards(&[HEALTHY, VICTIM], None);
+        (before, pools[VICTIM].persistence_events(), outcomes, pools)
+    };
+
+    let (first, end, outcomes, _) = run(u64::MAX);
+    assert!(outcomes.iter().all(|(r, _)| *r == Ok(true)));
+    assert!(end - first >= 6, "a sync is two advances: {first}..{end}");
+
+    // A plan at `n` lets exactly the events below `n` take effect.
+    for crash_at in first..=end {
+        let (before, _, outcomes, pools) = run(crash_at);
+        assert_eq!(before, first, "the set phase is deterministic");
+        assert_eq!(outcomes[0].0, Ok(true), "crash_at={crash_at}");
+        assert!(
+            matches!(
+                outcomes[1].0,
+                Err(StoreError::Faulted { shard: VICTIM, .. })
+            ),
+            "crash_at={crash_at}: {:?}",
+            outcomes[1].0
+        );
+
+        let crashed = pools.iter().map(|p| p.crash()).collect();
+        let (store, report) =
+            ShardedKvStore::recover(crashed, small_esys_cfg(), S_STRIPES, S_CAP, 2);
+        assert!(report.shards.iter().all(|s| s.fatal.is_none()));
+        assert_eq!(report.quarantined(), 0, "crash_at={crash_at}");
+        for k in 0..S_KEYS {
+            let key = kvstore::make_key(k);
+            let got = store.get(&key, |b| b.to_vec());
+            if store.shard_of(&key) == HEALTHY {
+                assert_eq!(got, Some(k.to_le_bytes().to_vec()), "crash_at={crash_at}");
+            } else if let Some(v) = got {
+                assert_eq!(v, k.to_le_bytes(), "crash_at={crash_at}: torn value");
+            }
+        }
+    }
+}

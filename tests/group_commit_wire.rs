@@ -26,7 +26,8 @@ use kvserver::{KvServer, PipeOp, ServerConfig, WireClient};
 use kvstore::ShardedKvStore;
 use montage::{EsysConfig, RecoveryError};
 use pmem::{PmemConfig, PmemPool};
-use pmem_chaos::{crash_sweep, SweepConfig};
+use pmem_chaos::{crash_sweep, shard_crash_sweep, SweepConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const KEYS: usize = 8;
 const ROUNDS: u64 = 10;
@@ -197,4 +198,138 @@ fn group_commit_is_cut_consistent_at_every_crash_point() {
         report.crash_points.len(),
         report.failures
     );
+}
+
+// ---- two shards, one group fence per batch ---------------------------------
+
+/// Shard whose pool the sweep crashes; shard 0 stays healthy.
+const VICTIM: usize = 1;
+
+/// Eight key names alternating between the two shards.
+fn two_shard_keys() -> Vec<String> {
+    let router = kvstore::ShardRouter::new(2);
+    let shard_of = |name: &str| {
+        let mut key = [0u8; 32];
+        key[..name.len()].copy_from_slice(name.as_bytes());
+        router.route(&key)
+    };
+    (0..KEYS)
+        .map(|k| {
+            (0..)
+                .map(|i| format!("gk{k}v{i}"))
+                .find(|name| shard_of(name) == k % 2)
+                .expect("some name routes to each shard")
+        })
+        .collect()
+}
+
+/// The same pipelined rounds over a two-shard store: the eight keys straddle
+/// both shards, so every batch ends in one *group* fence over the two pools.
+/// `acked` is the last round whose eight `STORED`s all reached the client.
+fn run_two_shards(pools: &[PmemPool], acked: &AtomicU64) {
+    acked.store(0, Ordering::SeqCst);
+    let store = ShardedKvStore::format_pools(pools.to_vec(), esys_cfg(), NBUCKETS, CAPACITY);
+    let keys = two_shard_keys();
+    let h = KvServer::start_sharded(
+        ServerConfig {
+            workers: 1,
+            sync_every: Some(1),
+            ..Default::default()
+        },
+        store,
+    )
+    .expect("bind");
+    if let Ok(mut c) = WireClient::connect(h.addr()) {
+        for r in 1..=ROUNDS {
+            let vals: Vec<String> = (0..KEYS).map(|k| value(k, r)).collect();
+            let reqs: Vec<PipeOp> = keys
+                .iter()
+                .zip(&vals)
+                .map(|(k, v)| PipeOp::Set(k, v.as_bytes()))
+                .collect();
+            if c.round(&reqs).is_err() {
+                break; // the victim's fence failed: the batch's acks are withheld
+            }
+            acked.store(r, Ordering::SeqCst);
+        }
+    }
+    h.crash();
+}
+
+/// Both shards recover; every key — on the healthy shard and on the victim —
+/// holds a whole value of a round no older than the last acked one. An ack
+/// that escaped a batch whose group fence failed on the victim would show up
+/// here as a victim-shard key behind `acked`.
+fn verify_two_shards(pools: Vec<PmemPool>, crash_at: u64, acked: u64) -> Result<(), String> {
+    let (kv, report) = ShardedKvStore::recover(pools, esys_cfg(), NBUCKETS, CAPACITY, 2);
+    for sr in &report.shards {
+        match &sr.fatal {
+            // The crash predates the victim's pool header: nothing ran.
+            Some(RecoveryError::UnformattedPool) if sr.shard == VICTIM && acked == 0 => {}
+            Some(e) => {
+                return Err(format!(
+                    "crash_at={crash_at}: shard {} fatal: {e}",
+                    sr.shard
+                ))
+            }
+            None => {}
+        }
+    }
+    if report.quarantined() != 0 {
+        return Err(format!(
+            "crash_at={crash_at}: clean crash quarantined payloads"
+        ));
+    }
+    let h = KvServer::start_sharded(ServerConfig::default(), kv)
+        .map_err(|e| format!("crash_at={crash_at}: rebind failed: {e}"))?;
+    let mut c = WireClient::connect(h.addr())
+        .map_err(|e| format!("crash_at={crash_at}: reconnect failed: {e}"))?;
+    for (k, name) in two_shard_keys().iter().enumerate() {
+        let got = c
+            .get(name)
+            .map_err(|e| format!("crash_at={crash_at}: get failed: {e}"))?;
+        let round = match got {
+            None => 0,
+            Some((_, raw)) => (1..=ROUNDS)
+                .find(|&r| value(k, r).as_bytes() == raw)
+                .ok_or_else(|| format!("crash_at={crash_at}: torn value under {name}"))?,
+        };
+        if round < acked {
+            return Err(format!(
+                "crash_at={crash_at}: {name} (shard {}) recovered round {round}, \
+                 but round {acked} was acked",
+                k % 2
+            ));
+        }
+    }
+    h.shutdown();
+    Ok(())
+}
+
+/// Acceptance: with the victim shard's pool dying at every persistence event
+/// of the run — every event inside every group fence included — no ack
+/// outruns either shard's durable image, and the healthy shard recovers
+/// everything it acked.
+#[test]
+fn group_fence_over_two_shards_contains_a_shard_crash() {
+    let cfg = SweepConfig {
+        exhaustive_limit: 384,
+        samples: 64,
+        seed: 0x2_5BA7C4,
+    };
+    let acked = AtomicU64::new(0);
+    let report = shard_crash_sweep(
+        &cfg,
+        PmemConfig::strict_for_test(64 << 20),
+        2,
+        VICTIM,
+        |pools| run_two_shards(pools, &acked),
+        |pools, crash_at| verify_two_shards(pools, crash_at, acked.load(Ordering::SeqCst)),
+    );
+    assert!(
+        report.total_events >= 100,
+        "victim saw too few events to cover the group fences: {}",
+        report.total_events
+    );
+    report.assert_ok();
 }

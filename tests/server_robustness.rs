@@ -255,6 +255,127 @@ fn straggling_shard_fence_times_out_and_severs_only_its_connections() {
     h.crash(); // skip the final sync — it would wait out the straggler
 }
 
+/// `fence_deadline` is one budget for a batch's whole group fence. Two shards
+/// sit on slow media (each line a fence drains costs 10 ms of device time),
+/// one is healthy, and both slow shards owe the first advance of the fence a
+/// full write-back. The group fence issues both drains before waiting on
+/// either and gives up on both stragglers at its first deadline check: the
+/// healthy connection is acked and the stragglers' connection severed after
+/// one *overlapped* advance — well short of the two drains laid end to end,
+/// the least that a fresh budget per shard in turn would cost.
+#[test]
+fn fence_deadline_is_one_budget_for_the_whole_group() {
+    const LINE_NS: u64 = 10_000_000;
+    const SLOW: [usize; 2] = [0, 2];
+    let slow_pool = || {
+        let mut cfg = PmemConfig::strict_for_test(16 << 20);
+        cfg.latency.fence_per_line_ns = LINE_NS;
+        PmemPool::new(cfg)
+    };
+    let pools = [
+        slow_pool(),
+        PmemPool::new(PmemConfig::strict_for_test(16 << 20)),
+        slow_pool(),
+    ];
+    let store = ShardedKvStore::from_shards(
+        pools
+            .iter()
+            .map(|pool| {
+                Arc::new(KvStore::new(
+                    KvBackend::Montage(EpochSys::format(pool.clone(), esys_cfg())),
+                    NBUCKETS,
+                    CAPACITY,
+                ))
+            })
+            .collect(),
+    );
+    let key_on = |shard: usize, nth: usize| {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .filter(|k| store.shard_of_bytes(k.as_bytes()) == Some(shard))
+            .nth(nth)
+            .unwrap()
+    };
+    let h = KvServer::start_sharded(
+        ServerConfig {
+            workers: 1,
+            // The first pair of sets below rides unfenced; the second pair
+            // carries the counter across 4 and owes the group fence.
+            sync_every: Some(4),
+            // Far below one write-back on a slow shard, far above a healthy
+            // shard's whole fence.
+            fence_deadline: Some(Duration::from_millis(40)),
+            ..Default::default()
+        },
+        store.clone(),
+    )
+    .expect("bind");
+    let value = [7u8; 1024];
+    let set_on_both_slow_shards = |nth: usize| {
+        let mut batch = Vec::new();
+        for shard in SLOW {
+            let head = format!("set {} 0 0 {}\r\n", key_on(shard, nth), value.len());
+            batch.extend_from_slice(head.as_bytes());
+            batch.extend_from_slice(&value);
+            batch.extend_from_slice(b"\r\n");
+        }
+        batch
+    };
+
+    // Buffer a kilobyte on each slow shard, then close that epoch: the next
+    // sync's *first* advance has to write it back. (This batch also pays the
+    // worker's one-off superblock carve, off the clock.)
+    let mut slow = WireClient::connect(h.addr()).expect("connect");
+    slow.send_raw(&set_on_both_slow_shards(0)).expect("send");
+    for _ in SLOW {
+        assert_eq!(slow.read_line().expect("unfenced ack"), "STORED");
+    }
+    for shard in SLOW {
+        store.shard(shard).esys().unwrap().advance_epoch();
+    }
+    let drained = |shard: usize| pools[shard].stats().snapshot().lines_drained;
+    let before = SLOW.map(drained);
+
+    let mut fast = WireClient::connect(h.addr()).expect("connect");
+    let start = Instant::now();
+    slow.send_raw(&set_on_both_slow_shards(1)).expect("send");
+    assert_eq!(
+        fast.set(&key_on(1, 0), 0, b"v").expect("healthy set"),
+        "STORED"
+    );
+    assert_eq!(
+        slow.read_line().expect("reply line"),
+        "SERVER_ERROR timeout"
+    );
+    let took = start.elapsed();
+    let mut buf = [0u8; 16];
+    assert!(
+        matches!(slow.read_some(&mut buf), Ok(0) | Err(_)),
+        "timed-out connection must be severed"
+    );
+
+    // What each slow shard's device was charged for its one advance.
+    let drains = [0, 1].map(|i| Duration::from_nanos((drained(SLOW[i]) - before[i]) * LINE_NS));
+    assert!(drains.iter().all(|d| *d > Duration::from_millis(100)));
+    assert!(took >= drains[0].max(drains[1]), "{took:?} vs {drains:?}");
+    assert!(
+        took < (drains[0] + drains[1]) * 3 / 4,
+        "the stragglers were waited out one after the other: {took:?} vs {drains:?}"
+    );
+    // `stats` tells the same story: two timeouts, each straggler's verdict
+    // clocked from the group's start (so past its own drain), and the time
+    // the worker spent inside group fences covering the one that stalled it.
+    let stats = fast.stats().expect("stats");
+    assert_eq!(stat_value(&stats, "gc_fence_timeouts"), 2);
+    for (shard, drain) in SLOW.iter().zip(drains) {
+        let p99 = stat_value(&stats, &format!("shard{shard}_fence_p99_us"));
+        assert!(u128::from(p99) * 2 > drain.as_micros(), "shard {shard}");
+    }
+    let wall = u128::from(stat_value(&stats, "gc_fence_wall_us"));
+    assert!(wall >= drains[0].max(drains[1]).as_micros() && wall <= took.as_micros());
+    h.crash(); // skip the final sync — it would wait out the stragglers
+}
+
 // ---- session close under crash sweep ---------------------------------------
 
 /// Durable session id; `rid=1` seeds the counter, `rid=2..=RIDS` increment.
