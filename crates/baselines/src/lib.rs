@@ -27,7 +27,7 @@ pub mod nvtraverse;
 pub mod pronto;
 pub mod soft;
 pub mod transient;
-pub mod transient_graph;
+mod transient_graph;
 
 pub use api::{BenchMap, BenchQueue, Key32};
 pub use transient::{Arena, TransientHashMap, TransientQueue};

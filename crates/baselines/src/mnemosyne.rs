@@ -34,7 +34,7 @@ struct Write {
 }
 
 /// One durable transaction.
-pub struct Txn<'a> {
+struct Txn<'a> {
     sys: &'a Mnemosyne,
     tid: usize,
     writes: Vec<Write>,
@@ -42,7 +42,7 @@ pub struct Txn<'a> {
 
 impl Txn<'_> {
     /// Buffers a write of `bytes` to `dst`.
-    pub fn write(&mut self, dst: POff, bytes: &[u8]) {
+    fn write(&mut self, dst: POff, bytes: &[u8]) {
         self.writes.push(Write {
             dst,
             bytes: bytes.to_vec(),
@@ -51,7 +51,7 @@ impl Txn<'_> {
 
     /// Commits: append (addr,len,data) records to the redo log, flush them,
     /// fence a commit record, apply the writes in place, flush, fence.
-    pub fn commit(self) {
+    fn commit(self) {
         let pool = &self.sys.pool;
         {
             let mut log = self.sys.logs[self.tid].lock();
@@ -121,7 +121,7 @@ impl Mnemosyne {
         Arc::new(Mnemosyne { ralloc, pool, logs })
     }
 
-    pub fn begin(&self, tid: usize) -> Txn<'_> {
+    fn begin(&self, tid: usize) -> Txn<'_> {
         Txn {
             sys: self,
             tid,

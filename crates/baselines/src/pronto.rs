@@ -53,7 +53,7 @@ pub enum Mode {
 
 /// The semantic log: one region per thread (one contiguous anchored block)
 /// plus, in Full mode, one logger thread servicing flush requests.
-pub struct OpLog {
+struct OpLog {
     pool: PmemPool,
     mode: Mode,
     /// Per-thread log regions plus the persistent table anchoring them.
@@ -69,7 +69,7 @@ pub struct OpLog {
 }
 
 impl OpLog {
-    pub fn new(ralloc: &Ralloc, mode: Mode, max_threads: usize) -> Arc<Self> {
+    fn new(ralloc: &Ralloc, mode: Mode, max_threads: usize) -> Arc<Self> {
         let pool = ralloc.pool().clone();
         let nthreads = max_threads.max(1);
         // One region per thread, anchored through a persistent offset table.
@@ -138,7 +138,7 @@ impl OpLog {
     /// (Full — pair with [`OpLog::wait_durable`] before returning to the
     /// client). Call while holding the structure's lock so sequence order
     /// matches apply order (Pronto serializes per object).
-    pub fn append(&self, tid: usize, entry: &[u8]) {
+    fn append(&self, tid: usize, entry: &[u8]) {
         let region = self.region(tid);
         let total = ENTRY_HDR + entry.len() as u64;
         let (off, len) = {
@@ -180,7 +180,7 @@ impl OpLog {
     }
 
     /// Full mode: block until every posted entry of `tid` is durable.
-    pub fn wait_durable(&self, tid: usize) {
+    fn wait_durable(&self, tid: usize) {
         if self.mode == Mode::Full {
             let mut spins = 0u32;
             while self.requests[tid % self.nthreads].load(Ordering::Acquire) != 0 {
@@ -195,7 +195,7 @@ impl OpLog {
     }
 
     /// Truncates all logs (after a checkpoint). Caller must quiesce ops.
-    pub fn truncate(&self) {
+    fn truncate(&self) {
         for t in 0..self.nthreads {
             let mut pos = self.positions[t].lock();
             *pos = 0;
@@ -207,13 +207,13 @@ impl OpLog {
     }
 
     /// Last assigned global sequence number (for checkpoint stamping).
-    pub fn current_seq(&self) -> u64 {
+    fn current_seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire) - 1
     }
 
     /// Replays all entries with `seq > after_seq`, in sequence order. The
     /// `table` holds each thread's region offset.
-    pub fn replay(
+    fn replay(
         pool: &PmemPool,
         table: POff,
         nthreads: usize,

@@ -148,7 +148,7 @@ impl TransientHashMap {
         self.len() == 0
     }
 
-    pub fn get_with<R>(&self, key: &Key32, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    fn get_with<R>(&self, key: &Key32, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let chain = self.buckets[self.index(key)].lock();
         chain
             .iter()

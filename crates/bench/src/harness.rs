@@ -71,44 +71,28 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Runs the paper's 1:1 enqueue:dequeue workload; returns ops/s.
-pub fn run_queue_bench(q: &(impl BenchQueue + ?Sized), p: BenchParams) -> f64 {
-    run_queue_with_sync(q, p, u64::MAX, || {})
-}
-
-/// Queue workload with a `sync` closure invoked every `ops_per_sync` ops.
-pub fn run_queue_with_sync(
-    q: &(impl BenchQueue + ?Sized),
+/// The one timed driver: `p.threads` workers each build their state with
+/// `setup(t)` (untimed), start together, and run `op(t, &mut state, nth)` —
+/// `nth` counting that worker's ops from 1 — until `p.duration` has passed.
+/// Returns ops/s over all workers.
+fn run_timed<S>(
     p: BenchParams,
-    ops_per_sync: u64,
-    sync: impl Fn() + Sync,
+    setup: impl Fn(usize) -> S + Sync,
+    op: impl Fn(usize, &mut S, u64) + Sync,
 ) -> f64 {
     let stop = AtomicBool::new(false);
     let total = AtomicU64::new(0);
     let barrier = Barrier::new(p.threads + 1);
     std::thread::scope(|s| {
         for t in 0..p.threads {
-            let stop = &stop;
-            let total = &total;
-            let barrier = &barrier;
-            let q = &q;
-            let sync = &sync;
+            let (stop, total, barrier, setup, op) = (&stop, &total, &barrier, &setup, &op);
             s.spawn(move || {
-                let value = value_of(p.value_size, t as u64);
-                let mut gen = QueueOpGen::new(t % 2 == 0);
+                let mut state = setup(t);
                 let mut ops = 0u64;
                 barrier.wait();
                 while !stop.load(Ordering::Relaxed) {
-                    match gen.next() {
-                        workloads::mix::QueueOp::Enqueue => q.enqueue(t, &value),
-                        workloads::mix::QueueOp::Dequeue => {
-                            q.dequeue(t);
-                        }
-                    }
                     ops += 1;
-                    if ops.is_multiple_of(ops_per_sync) {
-                        sync();
-                    }
+                    op(t, &mut state, ops);
                 }
                 total.fetch_add(ops, Ordering::Relaxed);
             });
@@ -119,6 +103,22 @@ pub fn run_queue_with_sync(
         // Scope joins all workers here.
     });
     total.load(Ordering::Relaxed) as f64 / p.duration.as_secs_f64()
+}
+
+/// Runs the paper's 1:1 enqueue:dequeue workload; returns ops/s.
+pub fn run_queue_bench(q: &(impl BenchQueue + ?Sized), p: BenchParams) -> f64 {
+    let setup = |t: usize| {
+        (
+            value_of(p.value_size, t as u64),
+            QueueOpGen::new(t.is_multiple_of(2)),
+        )
+    };
+    run_timed(p, setup, |t, (value, gen), _| match gen.next() {
+        workloads::mix::QueueOp::Enqueue => q.enqueue(t, value),
+        workloads::mix::QueueOp::Dequeue => {
+            q.dequeue(t);
+        }
+    })
 }
 
 /// Preloads `p.preload` keys, then runs the map `mix`; returns ops/s.
@@ -135,51 +135,31 @@ pub fn run_map_with_sync(
     sync: impl Fn() + Sync,
 ) -> f64 {
     preload_map(m, p);
-    let stop = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
-    let barrier = Barrier::new(p.threads + 1);
-    std::thread::scope(|s| {
-        for t in 0..p.threads {
-            let stop = &stop;
-            let total = &total;
-            let barrier = &barrier;
-            let m = &m;
-            let sync = &sync;
-            s.spawn(move || {
-                let value = value_of(p.value_size, t as u64);
-                let mut gen = MapOpGen::new(mix, KeyDist::Uniform, p.key_range, 0xBEEF + t as u64);
-                let mut ops = 0u64;
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    match gen.next() {
-                        MapOp::Get(k) => {
-                            m.get(t, &make_key(k));
-                        }
-                        MapOp::Insert(k) => {
-                            m.insert(t, make_key(k), &value);
-                        }
-                        MapOp::Remove(k) => {
-                            m.remove(t, &make_key(k));
-                        }
-                    }
-                    ops += 1;
-                    if ops.is_multiple_of(ops_per_sync) {
-                        sync();
-                    }
-                }
-                total.fetch_add(ops, Ordering::Relaxed);
-            });
+    let setup = |t: usize| {
+        let gen = MapOpGen::new(mix, KeyDist::Uniform, p.key_range, 0xBEEF + t as u64);
+        (value_of(p.value_size, t as u64), gen)
+    };
+    run_timed(p, setup, |t, (value, gen), nth| {
+        match gen.next() {
+            MapOp::Get(k) => {
+                m.get(t, &make_key(k));
+            }
+            MapOp::Insert(k) => {
+                m.insert(t, make_key(k), value);
+            }
+            MapOp::Remove(k) => {
+                m.remove(t, &make_key(k));
+            }
         }
-        barrier.wait();
-        std::thread::sleep(p.duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed) as f64 / p.duration.as_secs_f64()
+        if nth.is_multiple_of(ops_per_sync) {
+            sync();
+        }
+    })
 }
 
 /// Inserts `p.preload` evenly spaced keys (the paper preloads 0.5 M of the
 /// 1 M key range).
-pub fn preload_map(m: &(impl BenchMap + ?Sized), p: BenchParams) {
+fn preload_map(m: &(impl BenchMap + ?Sized), p: BenchParams) {
     let value = value_of(p.value_size, 0);
     let step = (p.key_range / p.preload).max(1);
     let mut k = 1;
@@ -225,10 +205,9 @@ mod tests {
 
     #[test]
     fn sync_closure_is_invoked() {
-        let q = TransientQueue::new(Arena::Dram);
+        let m = TransientHashMap::new(Arena::Dram, 1024);
         let syncs = AtomicU64::new(0);
-        let p = tiny();
-        run_queue_with_sync(&q, p, 100, || {
+        run_map_with_sync(&m, MapMix::READ_DOMINANT, tiny(), 100, || {
             syncs.fetch_add(1, Ordering::Relaxed);
         });
         assert!(syncs.load(Ordering::Relaxed) > 0);

@@ -11,17 +11,6 @@ pub fn row(fields: &[String]) {
     println!("{}", fields.join(","));
 }
 
-/// Formats throughput in ops/s with three significant digits.
-pub fn tput(v: f64) -> String {
-    if v >= 1e6 {
-        format!("{:.3}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}K", v / 1e3)
-    } else {
-        format!("{v:.0}")
-    }
-}
-
 /// Raw ops/s for machine consumption.
 pub fn raw(v: f64) -> String {
     format!("{v:.0}")
@@ -153,7 +142,7 @@ impl JsonReport {
         out.trim_matches('_').to_string()
     }
 
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"figure\": {},\n", json_str(&self.figure)));
         for (k, v) in &self.fields {
@@ -230,13 +219,6 @@ fn json_field(f: &JsonField) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tput_scales_units() {
-        assert_eq!(tput(12_345_678.0), "12.346M");
-        assert_eq!(tput(12_345.0), "12.3K");
-        assert_eq!(tput(123.0), "123");
-    }
 
     fn snap(clwbs: u64, sfences: u64, lines_drained: u64) -> pmem::StatsSnapshot {
         pmem::StatsSnapshot {

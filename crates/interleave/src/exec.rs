@@ -62,7 +62,7 @@ impl Op {
             _ => None,
         }
     }
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         matches!(
             self,
             Op::Store { .. } | Op::Rmw { .. } | Op::Lock { .. } | Op::Unlock { .. }
@@ -91,13 +91,13 @@ impl Op {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TState {
+pub(crate) enum TState {
     Running,
     Parked,
     Finished,
 }
 
-pub struct ThreadSlot {
+pub(crate) struct ThreadSlot {
     pub state: TState,
     pub pending: Option<Op>,
     /// Set while the thread's latest op was a voluntary yield.
@@ -106,7 +106,7 @@ pub struct ThreadSlot {
 
 /// One record per *granted* schedule point — the counterexample trace.
 #[derive(Clone)]
-pub struct StepRec {
+pub(crate) struct StepRec {
     pub tid: usize,
     pub op: Op,
     pub variant: usize,
@@ -121,8 +121,6 @@ pub struct Choice {
     pub variant: usize,
     /// 1 if picking this choice preempts an enabled, non-yielding thread.
     pub cost: usize,
-    /// 1 if this is a stale-load variant (variant > 0).
-    pub stale: usize,
 }
 
 /// Strategy = the search (DFS, random sampling, or fixed replay).
@@ -133,7 +131,7 @@ pub trait Strategy {
     fn next(&mut self, cands: &[Choice], pending: &[(usize, Op)]) -> Option<Choice>;
 }
 
-pub struct Core {
+pub(crate) struct Core {
     pub threads: Vec<ThreadSlot>,
     pub model: Model,
     /// Addresses known to be touched by ≥ 2 threads (copied from the
@@ -236,7 +234,7 @@ impl Execution {
         self.core.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub fn aborted(&self) -> bool {
+    pub(crate) fn aborted(&self) -> bool {
         self.abort.load(RealOrd::Acquire)
     }
 
@@ -578,7 +576,6 @@ impl Execution {
                         tid: t,
                         variant: v,
                         cost,
-                        stale: usize::from(v > 0),
                     });
                 }
                 pending.push((t, op));

@@ -34,9 +34,9 @@
 //! * `INTERLEAVE_SEED` — seed for sampling.
 //! * `INTERLEAVE_REPLAY` — `tid.variant` comma list: run that one schedule.
 
-pub mod exec;
-pub mod model;
-pub mod sched;
+mod exec;
+mod model;
+mod sched;
 pub mod sync;
 
 use std::panic::AssertUnwindSafe;
@@ -113,11 +113,6 @@ impl Config {
             }
         }
         cfg
-    }
-
-    pub fn with_bound(mut self, b: usize) -> Config {
-        self.preemption_bound = b;
-        self
     }
 
     pub fn with_weaken(mut self, site: &str) -> Config {

@@ -40,12 +40,12 @@ use std::collections::HashMap;
 pub type Loc = usize;
 
 /// Floor view: location -> smallest store sequence number still readable.
-pub type View = HashMap<Loc, u64>;
+pub(crate) type View = HashMap<Loc, u64>;
 
 /// Stores kept per location. Older stores fall off the front; a bounded
 /// history keeps the branching factor of stale loads small while still
 /// exposing one-publish-behind bugs (the kind ordering mistakes cause).
-pub const HIST_CAP: usize = 4;
+pub(crate) const HIST_CAP: usize = 4;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MOrd {
@@ -68,7 +68,7 @@ impl MOrd {
             _ => MOrd::SeqCst,
         }
     }
-    pub fn acq(self) -> bool {
+    pub(crate) fn acq(self) -> bool {
         matches!(self, MOrd::Acquire | MOrd::AcqRel | MOrd::SeqCst)
     }
     pub fn rel(self) -> bool {
@@ -85,7 +85,7 @@ impl MOrd {
     }
 }
 
-pub struct StoreRec {
+pub(crate) struct StoreRec {
     pub seq: u64,
     pub val: u64,
     /// Writer's floor snapshot iff the store had release semantics.
@@ -93,7 +93,7 @@ pub struct StoreRec {
 }
 
 #[derive(Default)]
-pub struct LocState {
+pub(crate) struct LocState {
     /// Oldest..latest, at most [`HIST_CAP`] entries.
     pub stores: Vec<StoreRec>,
 }
@@ -107,7 +107,7 @@ impl LocState {
 }
 
 #[derive(Default)]
-pub struct MutexState {
+pub(crate) struct MutexState {
     pub held_by: Option<usize>,
     /// Floor view left behind by the last unlocker (lock = acquire it).
     pub view: View,

@@ -6,20 +6,10 @@
 //! * [`Random`] — seeded random walk, for the sampled bound-3 CI tier.
 //! * [`Replay`] — follows a recorded `tid.variant` choice list verbatim, for
 //!   reproducing a printed counterexample.
-//! * [`RunToCompletion`] — always picks choice 0 (used by the discovery
-//!   pass that learns which locations are shared).
 
 use std::collections::HashSet;
 
 use crate::exec::{Choice, Op, Strategy};
-
-pub struct RunToCompletion;
-
-impl Strategy for RunToCompletion {
-    fn next(&mut self, cands: &[Choice], _pending: &[(usize, Op)]) -> Option<Choice> {
-        cands.first().copied()
-    }
-}
 
 struct Frame {
     /// Budget- and sleep-filtered choices at frame creation time.

@@ -31,9 +31,68 @@ use crate::frame::Frame;
 use crate::server::Shared;
 use crate::worker::{Conn, MAX_REQS_PER_CONN};
 
-/// Batch-size histogram bucket floors (powers of two, last is open-ended):
-/// bucket `i` counts batches of size in `[HIST_BUCKETS[i], HIST_BUCKETS[i+1])`.
-pub(crate) const HIST_BUCKETS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// A log2 histogram: bucket `i` counts samples in `[2^i, 2^(i+1))` (a zero
+/// sample counts as one); the last bucket is open-ended. Written with
+/// relaxed adds by whoever measures, read by `stats` from any connection.
+pub(crate) struct Log2Hist<const N: usize>([AtomicU64; N]);
+
+impl<const N: usize> Default for Log2Hist<N> {
+    fn default() -> Self {
+        Log2Hist(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl<const N: usize> Log2Hist<N> {
+    fn bucket_of(sample: u64) -> usize {
+        ((63 - sample.max(1).leading_zeros()) as usize).min(N - 1)
+    }
+
+    pub fn record(&self, sample: u64) {
+        self.0[Self::bucket_of(sample)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn snapshot(&self) -> Log2Counts<N> {
+        Log2Counts(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+}
+
+/// A [`Log2Hist`] read out: bucket `i`'s floor is `1 << i`.
+#[derive(Clone, Copy)]
+pub(crate) struct Log2Counts<const N: usize>(pub [u64; N]);
+
+impl<const N: usize> Log2Counts<N> {
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// The `q`th percentile, reported as the floor of the bucket holding
+    /// that rank — quantiles never overstate. `None` when nothing has been
+    /// recorded.
+    pub fn quantile_floor(&self, q: u64) -> Option<u64> {
+        let rank = (self.total() * q).div_ceil(100).max(1);
+        let mut seen = 0u64;
+        let holds_rank = |count: &u64| {
+            seen += count;
+            seen >= rank
+        };
+        self.0.iter().position(holds_rank).map(|i| 1u64 << i)
+    }
+}
+
+impl<const N: usize> std::ops::Add for Log2Counts<N> {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Log2Counts(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
+    }
+}
+
+/// Batch sizes: floors 1, 2, 4 … 64, the last open-ended.
+pub(crate) type BatchHist = Log2Hist<7>;
+
+/// Per-shard fence latency in microseconds from the group's start to the
+/// shard's verdict; the last bucket is ≈ half a second and beyond.
+pub(crate) type FenceHist = Log2Hist<20>;
 
 /// One worker's group-commit counters, written only by that worker and read
 /// by `stats` from any connection.
@@ -55,74 +114,27 @@ pub(crate) struct WorkerStats {
     pub acks: AtomicU64,
     /// Range scans served (`scan` verb) — the only multi-record read.
     pub scans: AtomicU64,
-    /// Batch-size histogram over [`HIST_BUCKETS`].
-    pub hist: [AtomicU64; HIST_BUCKETS.len()],
-}
-
-/// Fence-latency histogram resolution: bucket `i` counts per-shard fences
-/// certified `[2^i, 2^(i+1))` microseconds into their group; the last bucket
-/// is open-ended (≈ half a second and beyond).
-pub(crate) const FENCE_HIST_BUCKETS: usize = 20;
-
-/// One shard's fence-latency histogram, fed by every worker that fences
-/// the shard (so the counters are shared, unlike [`WorkerStats`]). This is
-/// the data behind the `stats` p50/p99 lines operators use to pick a
-/// `fence_deadline` from evidence instead of folklore.
-#[derive(Default)]
-pub(crate) struct ShardFenceStats {
-    pub hist: [AtomicU64; FENCE_HIST_BUCKETS],
-}
-
-impl ShardFenceStats {
-    pub fn record_us(&self, us: u64) {
-        self.hist[fence_bucket(us)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Histogram bucket for a fence that took `us` microseconds.
-pub(crate) fn fence_bucket(us: u64) -> usize {
-    ((63 - us.max(1).leading_zeros()) as usize).min(FENCE_HIST_BUCKETS - 1)
-}
-
-/// The `q`th percentile of a fence-latency histogram, reported as the
-/// floor of the bucket holding that rank — quantiles never overstate.
-/// `None` when no fence has been recorded.
-pub(crate) fn fence_quantile_us(hist: &[u64], q: u64) -> Option<u64> {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = (total * q).div_ceil(100).max(1);
-    let mut seen = 0u64;
-    for (i, count) in hist.iter().enumerate() {
-        seen += count;
-        if seen >= rank {
-            return Some(1u64 << i);
-        }
-    }
-    None
+    /// Requests per batch.
+    pub hist: BatchHist,
 }
 
 pub(crate) struct ServerStats {
     pub workers: Box<[WorkerStats]>,
-    /// Indexed by shard, not worker: fence latency is a property of the
-    /// shard's medium and epoch system, whichever worker pays it.
-    pub shard_fences: Box<[ShardFenceStats]>,
+    /// One fence-latency histogram per shard, fed by every worker that
+    /// fences the shard: fence latency is a property of the shard's medium
+    /// and epoch system, whichever worker pays it. This is the data behind
+    /// the `stats` p50/p99 lines operators use to pick a `fence_deadline`
+    /// from evidence instead of folklore.
+    pub shard_fences: Box<[FenceHist]>,
 }
 
 impl ServerStats {
     pub fn new(workers: usize, shards: usize) -> ServerStats {
         ServerStats {
             workers: (0..workers).map(|_| WorkerStats::default()).collect(),
-            shard_fences: (0..shards).map(|_| ShardFenceStats::default()).collect(),
+            shard_fences: (0..shards).map(|_| FenceHist::default()).collect(),
         }
     }
-}
-
-/// Histogram bucket for a batch of `n` requests.
-pub(crate) fn bucket(n: usize) -> usize {
-    let n = n.max(1);
-    ((usize::BITS - 1 - n.leading_zeros()) as usize).min(HIST_BUCKETS.len() - 1)
 }
 
 /// Executes one sweep's batch and queues replies; see the module docs for
@@ -320,7 +332,7 @@ pub(crate) fn execute(
     }
     ws.batches.fetch_add(1, Ordering::Relaxed);
     ws.requests.fetch_add(requests as u64, Ordering::Relaxed);
-    ws.hist[bucket(requests)].fetch_add(1, Ordering::Relaxed);
+    ws.hist.record(requests as u64);
 
     // Group commit: pins drop first (see module docs), then the periodic
     // barrier — one group sync over the touched shards for the *whole*
@@ -352,7 +364,7 @@ pub(crate) fn execute(
                     // `fence_deadline` is compared against. Timeouts and
                     // faults count too: a deadline that fires is exactly
                     // the tail the p99 line is for.
-                    shared.stats.shard_fences[shard].record_us(took.as_micros() as u64);
+                    shared.stats.shard_fences[shard].record(took.as_micros() as u64);
                 }
                 ws.fences.fetch_add(1, Ordering::Relaxed);
                 if fence_failed {
@@ -400,33 +412,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fence_buckets_and_quantiles() {
-        assert_eq!(fence_bucket(0), 0);
-        assert_eq!(fence_bucket(1), 0);
-        assert_eq!(fence_bucket(2), 1);
-        assert_eq!(fence_bucket(1023), 9);
-        assert_eq!(fence_bucket(u64::MAX), FENCE_HIST_BUCKETS - 1);
+    fn buckets_are_log2_and_quantiles_are_bucket_floors() {
+        let batch = Log2Hist::<7>::bucket_of;
+        let expect = [(1, 0), (2, 1), (3, 1), (4, 2), (7, 2), (63, 5), (64, 6)];
+        for (sample, i) in expect {
+            assert_eq!(batch(sample), i, "{sample}");
+        }
+        assert_eq!(batch(100_000), 6, "the last bucket is open-ended");
 
-        let mut hist = [0u64; FENCE_HIST_BUCKETS];
-        assert_eq!(fence_quantile_us(&hist, 50), None);
-        // 98 fences in [4, 8) us, 2 in [1024, 2048) us.
-        hist[2] = 98;
-        hist[10] = 2;
-        assert_eq!(fence_quantile_us(&hist, 50), Some(4));
-        assert_eq!(fence_quantile_us(&hist, 98), Some(4));
-        assert_eq!(fence_quantile_us(&hist, 99), Some(1024));
-        assert_eq!(fence_quantile_us(&hist, 100), Some(1024));
-    }
+        let fence = Log2Hist::<20>::bucket_of;
+        assert_eq!(fence(0), 0);
+        assert_eq!(fence(1), 0);
+        assert_eq!(fence(2), 1);
+        assert_eq!(fence(1023), 9);
+        assert_eq!(fence(u64::MAX), 19);
 
-    #[test]
-    fn histogram_buckets_are_log2() {
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(3), 1);
-        assert_eq!(bucket(4), 2);
-        assert_eq!(bucket(7), 2);
-        assert_eq!(bucket(63), 5);
-        assert_eq!(bucket(64), 6);
-        assert_eq!(bucket(100_000), 6);
+        let hist = FenceHist::default();
+        assert_eq!(hist.snapshot().quantile_floor(50), None);
+        // 98 fences in [4, 8) us, 2 in [1024, 2048) us — fed as two shards'
+        // histograms, merged the way `stats` merges them.
+        let other = FenceHist::default();
+        for _ in 0..98 {
+            hist.record(5);
+        }
+        other.record(1024);
+        other.record(2047);
+        let merged = hist.snapshot() + other.snapshot();
+        assert_eq!(merged.total(), 100);
+        assert_eq!((merged.0[2], merged.0[10]), (98, 2));
+        assert_eq!(merged.quantile_floor(50), Some(4));
+        assert_eq!(merged.quantile_floor(98), Some(4));
+        assert_eq!(merged.quantile_floor(99), Some(1024));
+        assert_eq!(merged.quantile_floor(100), Some(1024));
     }
 }

@@ -11,7 +11,7 @@
 
 /// Command lines longer than this are rejected (memcached caps at 1024 too;
 /// keys are ≤ 32 bytes here, so this is generous).
-pub const MAX_LINE: usize = 1024;
+const MAX_LINE: usize = 1024;
 
 /// One framed request, ready for execution, borrowed from the reader
 /// ([`RequestReader::next_frame`]): the data block where it lies in the

@@ -39,7 +39,7 @@
 //!   socket.
 
 mod batch;
-pub mod client;
+mod client;
 mod event_loop;
 pub mod frame;
 pub mod server;

@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use kvstore::ShardedKvStore;
 
-use crate::batch::{fence_quantile_us, ServerStats, FENCE_HIST_BUCKETS, HIST_BUCKETS};
+use crate::batch::{Log2Counts, ServerStats, WorkerStats};
 
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -106,7 +106,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The worker count [`KvServer::start_sharded`] will actually use.
-    pub fn resolved_workers(&self) -> usize {
+    fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
         }
@@ -234,22 +234,36 @@ impl KvServer {
 /// and the acks-per-fence amortization ratio.
 pub(crate) fn stats_reply(shared: &Shared) -> String {
     let store = &shared.store;
-    let mut out = String::new();
-    let mut stat = |name: &str, value: u64| {
-        out.push_str(&format!("STAT {name} {value}\r\n"));
+    // Every per-shard vector is read once: the merged lines are folds of
+    // what the per-shard lines print.
+    let pools = store.pool_stats_per_shard();
+    let detects = store.detect_stats_per_shard();
+    let mirrors = store.ordered_mirror_bytes_per_shard();
+    let epochs = store.epochs();
+    let shard_fences: Vec<_> = shared
+        .stats
+        .shard_fences
+        .iter()
+        .map(|h| h.snapshot())
+        .collect();
+    // Behind a `RefCell` so the per-histogram helpers below can share it.
+    let out = std::cell::RefCell::new(String::new());
+    let stat = |name: &str, value: u64| {
+        out.borrow_mut()
+            .push_str(&format!("STAT {name} {value}\r\n"));
     };
     stat("curr_items", store.len() as u64);
     stat("evictions", store.evictions() as u64);
     // DRAM the scan index costs (ROADMAP item 3): the per-stripe ordered
     // mirrors, reported like memcached's hash-table overhead lines.
-    stat("ordered_mirror_bytes", store.ordered_mirror_bytes() as u64);
+    stat("ordered_mirror_bytes", mirrors.iter().sum::<usize>() as u64);
     stat("curr_connections", shared.conns.used() as u64);
     stat("curr_sessions", shared.sessions.used() as u64);
     stat("total_mutations", shared.mutations.load(Ordering::Acquire));
     stat("shards", store.n_shards() as u64);
     // Store-wide aggregates keep the single-pool stat names so existing
     // consumers (dashboards, the degradation tests) read merged counters.
-    if let Some(snap) = store.pool_stats_merged() {
+    if let Some(snap) = pools.iter().flatten().copied().reduce(|a, b| a + b) {
         stat("pmem_clwbs", snap.clwbs);
         stat("pmem_sfences", snap.sfences);
         stat("pmem_lines_drained", snap.lines_drained);
@@ -258,13 +272,16 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
         stat("pmem_torn_lines", snap.torn_lines);
         stat("pmem_quarantined_payloads", snap.quarantined_payloads);
     }
-    if let Some(e) = store.epochs()[0] {
+    if let Some(e) = epochs[0] {
         stat("montage_epoch", e);
     }
     stat("pool_faulted", u64::from(store.fault_any().is_some()));
     // Exactly-once counters: how often the descriptor table answered for a
     // retried request, and what the table costs in pool bytes.
-    let ds = store.detect_stats_merged();
+    let ds = detects
+        .iter()
+        .copied()
+        .fold(kvstore::DetectStats::default(), |a, b| a + b);
     stat("dedupe_hits", ds.dedupe_hits);
     stat("replayed_acks", ds.replayed_acks);
     stat("session_descriptors", ds.descriptors);
@@ -273,92 +290,63 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     // design exists to raise, and per-worker batch-size histograms.
     let workers = &shared.stats.workers;
     stat("gc_workers", workers.len() as u64);
-    let mut totals = (0u64, 0u64, 0u64, 0u64);
-    let mut timeouts = 0u64;
-    let mut fence_wall_ns = 0u64;
-    let mut scans = 0u64;
-    let mut hist = [0u64; HIST_BUCKETS.len()];
-    for w in workers.iter() {
-        totals.0 += w.batches.load(Ordering::Relaxed);
-        totals.1 += w.requests.load(Ordering::Relaxed);
-        totals.2 += w.fences.load(Ordering::Relaxed);
-        totals.3 += w.acks.load(Ordering::Relaxed);
-        timeouts += w.fence_timeouts.load(Ordering::Relaxed);
-        fence_wall_ns += w.fence_wall_ns.load(Ordering::Relaxed);
-        scans += w.scans.load(Ordering::Relaxed);
-        for (slot, bucket) in hist.iter_mut().zip(w.hist.iter()) {
-            *slot += bucket.load(Ordering::Relaxed);
-        }
-    }
-    stat("scan_requests", scans);
-    stat("gc_batches", totals.0);
-    stat("gc_batched_requests", totals.1);
-    stat("gc_fences", totals.2);
-    stat("gc_acks", totals.3);
-    stat("gc_fence_timeouts", timeouts);
-    stat("gc_fence_wall_us", fence_wall_ns / 1000);
+    let total = |counter: fn(&WorkerStats) -> &AtomicU64| -> u64 {
+        workers
+            .iter()
+            .map(|w| counter(w).load(Ordering::Relaxed))
+            .sum()
+    };
+    let (fences, acks) = (total(|w| &w.fences), total(|w| &w.acks));
+    stat("scan_requests", total(|w| &w.scans));
+    stat("gc_batches", total(|w| &w.batches));
+    stat("gc_batched_requests", total(|w| &w.requests));
+    stat("gc_fences", fences);
+    stat("gc_acks", acks);
+    stat("gc_fence_timeouts", total(|w| &w.fence_timeouts));
+    stat("gc_fence_wall_us", total(|w| &w.fence_wall_ns) / 1000);
     stat(
         "gc_acks_per_fence_x1000",
-        (totals.3 * 1000).checked_div(totals.2).unwrap_or(0),
+        (acks * 1000).checked_div(fences).unwrap_or(0),
     );
     // Fence latency (ROADMAP item 2): the distribution an operator reads
     // before picking a `fence_deadline`. Quantiles are log2-bucket floors —
     // they never overstate — and the merged lines aggregate every shard's
     // histogram so the single-shard case still reports.
-    let fence_hists: Vec<[u64; FENCE_HIST_BUCKETS]> = shared
-        .stats
-        .shard_fences
+    let fence_lines = |prefix: &str, hist: &Log2Counts<20>| {
+        if let (Some(p50), Some(p99)) = (hist.quantile_floor(50), hist.quantile_floor(99)) {
+            stat(&format!("{prefix}fence_p50_us"), p50);
+            stat(&format!("{prefix}fence_p99_us"), p99);
+        }
+    };
+    let merged_fences = shard_fences
         .iter()
-        .map(|s| {
-            let mut h = [0u64; FENCE_HIST_BUCKETS];
-            for (slot, bucket) in h.iter_mut().zip(s.hist.iter()) {
-                *slot = bucket.load(Ordering::Relaxed);
-            }
-            h
-        })
-        .collect();
-    let mut merged_hist = [0u64; FENCE_HIST_BUCKETS];
-    for h in &fence_hists {
-        for (m, v) in merged_hist.iter_mut().zip(h.iter()) {
-            *m += v;
+        .copied()
+        .reduce(|a, b| a + b)
+        .expect("a store has at least one shard");
+    stat("fence_samples", merged_fences.total());
+    fence_lines("", &merged_fences);
+    let batch_lines = |prefix: &str, hist: Log2Counts<7>| {
+        for (i, count) in hist.0.iter().enumerate() {
+            stat(&format!("{prefix}batch_hist_{}", 1 << i), *count);
         }
-    }
-    stat("fence_samples", merged_hist.iter().sum());
-    if let (Some(p50), Some(p99)) = (
-        fence_quantile_us(&merged_hist, 50),
-        fence_quantile_us(&merged_hist, 99),
-    ) {
-        stat("fence_p50_us", p50);
-        stat("fence_p99_us", p99);
-    }
-    for (floor, count) in HIST_BUCKETS.iter().zip(hist.iter()) {
-        stat(&format!("gc_batch_hist_{floor}"), *count);
-    }
-    for (widx, w) in workers.iter().enumerate() {
-        stat(
-            &format!("worker{widx}_batches"),
-            w.batches.load(Ordering::Relaxed),
-        );
-        stat(
-            &format!("worker{widx}_requests"),
-            w.requests.load(Ordering::Relaxed),
-        );
-        stat(
-            &format!("worker{widx}_fences"),
-            w.fences.load(Ordering::Relaxed),
-        );
-        for (floor, bucket) in HIST_BUCKETS.iter().zip(w.hist.iter()) {
-            stat(
-                &format!("worker{widx}_batch_hist_{floor}"),
-                bucket.load(Ordering::Relaxed),
-            );
-        }
+    };
+    let batch_hists: Vec<_> = workers.iter().map(|w| w.hist.snapshot()).collect();
+    let merged_batches = batch_hists.iter().copied().reduce(|a, b| a + b);
+    batch_lines(
+        "gc_",
+        merged_batches.expect("a server has at least one worker"),
+    );
+    for (widx, (w, hist)) in workers.iter().zip(batch_hists).enumerate() {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        stat(&format!("worker{widx}_batches"), load(&w.batches));
+        stat(&format!("worker{widx}_requests"), load(&w.requests));
+        stat(&format!("worker{widx}_fences"), load(&w.fences));
+        batch_lines(&format!("worker{widx}_"), hist);
     }
     // Per-shard breakdown: quarantine and fault containment are per-shard
     // facts, and operators need to see *which* shard is degraded.
     if store.n_shards() > 1 {
-        let epochs = store.epochs();
-        for (i, snap) in store.pool_stats_per_shard().into_iter().enumerate() {
+        for (i, snap) in pools.into_iter().enumerate() {
             if let Some(snap) = snap {
                 stat(&format!("shard{i}_pmem_clwbs"), snap.clwbs);
                 stat(&format!("shard{i}_pmem_sfences"), snap.sfences);
@@ -376,27 +364,18 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
             }
             stat(
                 &format!("shard{i}_pool_faulted"),
-                u64::from(store.shard_fault(i).is_some()),
+                u64::from(store.shard(i).fault().is_some()),
             );
-            if let (Some(p50), Some(p99)) = (
-                fence_quantile_us(&fence_hists[i], 50),
-                fence_quantile_us(&fence_hists[i], 99),
-            ) {
-                stat(&format!("shard{i}_fence_p50_us"), p50);
-                stat(&format!("shard{i}_fence_p99_us"), p99);
-            }
+            fence_lines(&format!("shard{i}_"), &shard_fences[i]);
         }
-        for (i, bytes) in store
-            .ordered_mirror_bytes_per_shard()
-            .into_iter()
-            .enumerate()
-        {
+        for (i, bytes) in mirrors.into_iter().enumerate() {
             stat(&format!("shard{i}_ordered_mirror_bytes"), bytes as u64);
         }
-        for (i, d) in store.detect_stats_per_shard().into_iter().enumerate() {
+        for (i, d) in detects.into_iter().enumerate() {
             stat(&format!("shard{i}_descriptors"), d.descriptors);
         }
     }
+    let mut out = out.into_inner();
     out.push_str("END\r\n");
     out
 }

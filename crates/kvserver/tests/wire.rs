@@ -302,6 +302,128 @@ fn stats_reports_persistence_counters() {
     h.shutdown();
 }
 
+/// The `stats` reply is wire surface: `mbench`, `server_robustness` and
+/// operators' dashboards read it by name. Pin the exact ordered name list on
+/// a 1-shard and a 4-shard store, so a rewrite of the reply cannot drop,
+/// rename or reorder a line unnoticed.
+#[test]
+fn stats_names_are_golden_on_one_and_four_shards() {
+    const STORE_WIDE: [&str; 32] = [
+        "curr_items",
+        "evictions",
+        "ordered_mirror_bytes",
+        "curr_connections",
+        "curr_sessions",
+        "total_mutations",
+        "shards",
+        "pmem_clwbs",
+        "pmem_sfences",
+        "pmem_lines_drained",
+        "pmem_crashes",
+        "pmem_injected_crashes",
+        "pmem_torn_lines",
+        "pmem_quarantined_payloads",
+        "montage_epoch",
+        "pool_faulted",
+        "dedupe_hits",
+        "replayed_acks",
+        "session_descriptors",
+        "session_table_bytes",
+        "gc_workers",
+        "scan_requests",
+        "gc_batches",
+        "gc_batched_requests",
+        "gc_fences",
+        "gc_acks",
+        "gc_fence_timeouts",
+        "gc_fence_wall_us",
+        "gc_acks_per_fence_x1000",
+        "fence_samples",
+        "fence_p50_us",
+        "fence_p99_us",
+    ];
+    const BATCH_HIST: [&str; 7] = [
+        "batch_hist_1",
+        "batch_hist_2",
+        "batch_hist_4",
+        "batch_hist_8",
+        "batch_hist_16",
+        "batch_hist_32",
+        "batch_hist_64",
+    ];
+    const PER_WORKER: [&str; 3] = ["batches", "requests", "fences"];
+    const PER_SHARD: [&str; 8] = [
+        "pmem_clwbs",
+        "pmem_sfences",
+        "pmem_injected_crashes",
+        "pmem_quarantined_payloads",
+        "montage_epoch",
+        "pool_faulted",
+        "fence_p50_us",
+        "fence_p99_us",
+    ];
+    const WORKERS: usize = 2;
+    const SETS: u64 = 64;
+
+    for shards in [1usize, 4] {
+        let mut golden: Vec<String> = STORE_WIDE.iter().map(|n| n.to_string()).collect();
+        golden.extend(BATCH_HIST.iter().map(|n| format!("gc_{n}")));
+        for w in 0..WORKERS {
+            golden.extend(PER_WORKER.iter().map(|n| format!("worker{w}_{n}")));
+            golden.extend(BATCH_HIST.iter().map(|n| format!("worker{w}_{n}")));
+        }
+        if shards > 1 {
+            for i in 0..shards {
+                golden.extend(PER_SHARD.iter().map(|n| format!("shard{i}_{n}")));
+            }
+            golden.extend((0..shards).map(|i| format!("shard{i}_ordered_mirror_bytes")));
+            golden.extend((0..shards).map(|i| format!("shard{i}_descriptors")));
+        }
+
+        let store = ShardedKvStore::format(
+            shards,
+            PmemConfig::strict_for_test(16 << 20),
+            EsysConfig::default(),
+            8,
+            100_000,
+        );
+        let cfg = ServerConfig {
+            workers: WORKERS,
+            sync_every: Some(1),
+            ..Default::default()
+        };
+        let h = KvServer::start_sharded(cfg, store).expect("bind");
+        let mut c = WireClient::connect(h.addr()).unwrap();
+        // One set per batch, every ack durable: each set is a one-shard
+        // group fence, and 64 keys reach every one of four shards.
+        for i in 0..SETS {
+            assert_eq!(c.set(&format!("k{i}"), 0, b"v").unwrap(), "STORED");
+        }
+        let stats = c.stats().unwrap();
+        let names: Vec<&str> = stats.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, golden, "{shards} shard(s)");
+
+        let value = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(value("shards"), shards as u64);
+        assert_eq!(value("gc_fences"), SETS);
+        assert_eq!(
+            value("fence_samples"),
+            SETS,
+            "every per-shard histogram's samples, summed"
+        );
+        assert!(value("fence_p50_us") <= value("fence_p99_us"));
+        assert_eq!(value("gc_batch_hist_1"), SETS, "one request per batch");
+        if shards > 1 {
+            for i in 0..shards {
+                let shard = |q: &str| value(&format!("shard{i}_fence_{q}_us"));
+                assert!(shard("p50") <= shard("p99"), "shard {i}");
+            }
+        }
+        c.quit().unwrap();
+        h.shutdown();
+    }
+}
+
 #[test]
 fn faulted_pool_degrades_to_errors_not_panics() {
     // Arm a fault plan that trips almost immediately; traffic after the

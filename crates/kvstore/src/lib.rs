@@ -480,7 +480,7 @@ impl KvStore {
     /// fault plan has tripped. Transient backends never fault.
     pub fn fault(&self) -> Option<pmem::PmemFault> {
         match &self.backend {
-            KvBackend::Montage(esys) => esys.fault(),
+            KvBackend::Montage(esys) => esys.pool().fault(),
             KvBackend::Nvm(r) => r.pool().fault(),
             KvBackend::Dram => None,
         }

@@ -64,7 +64,7 @@ pub trait Clock: Send + Sync {
 }
 
 /// The wall clock.
-pub struct SystemClock;
+struct SystemClock;
 
 impl Clock for SystemClock {
     fn now_ms(&self) -> u64 {
@@ -145,10 +145,10 @@ fn parse_item(bytes: &[u8]) -> Item<'_> {
 }
 
 /// Scan reply cap when the client names no limit.
-pub const SCAN_DEFAULT_LIMIT: usize = 256;
+const SCAN_DEFAULT_LIMIT: usize = 256;
 /// Hard scan reply cap — larger client limits are clamped, bounding any
 /// single reply (the "oversized reply" wire case).
-pub const SCAN_MAX_LIMIT: usize = 4096;
+const SCAN_MAX_LIMIT: usize = 4096;
 
 /// The client-visible text of a padded key (strips the zero padding
 /// [`key_of`] added; lossy for keys that were never valid UTF-8).

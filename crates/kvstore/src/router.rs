@@ -18,7 +18,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Stable FNV-1a hash of a key's bytes.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;

@@ -206,16 +206,6 @@ impl MontageGraph {
         self.slots[vid as usize].lock().adj.len()
     }
 
-    /// Neighbour ids of `vid`.
-    pub fn neighbors(&self, vid: u64) -> Vec<u64> {
-        self.slots[vid as usize]
-            .lock()
-            .adj
-            .keys()
-            .copied()
-            .collect()
-    }
-
     fn lock_pair(&self, a: u64, b: u64) -> (MutexGuard<'_, Slot>, Option<MutexGuard<'_, Slot>>) {
         let (lo, hi) = (a.min(b), a.max(b));
         let first = self.slots[lo as usize].lock();

@@ -50,7 +50,6 @@ use std::sync::Arc;
 use crossbeam::epoch::{self, Atomic, Owned};
 use montage::sync::{uninstrumented as raw, AtomicBool, AtomicUsize, Mutex, Ordering};
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
-use pmem::PmemFault;
 
 use crate::codec;
 
@@ -61,7 +60,7 @@ pub const META_TAG_BIT: u16 = 0x8000;
 
 /// Default resize trigger: average chain length (len / buckets) above this
 /// installs a new level.
-pub const DEFAULT_MAX_LOAD: usize = 4;
+const DEFAULT_MAX_LOAD: usize = 4;
 
 /// Old buckets each write drains from the shared cursor, beyond its own
 /// key's bucket — the amortization that finishes a resize under any
@@ -78,11 +77,11 @@ const MARK_BYTES: usize = 24;
 
 /// A decoded resize descriptor payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResizeDescriptor {
-    pub seq: u64,
-    pub old_cap: u64,
-    pub new_cap: u64,
-    pub done: bool,
+struct ResizeDescriptor {
+    seq: u64,
+    old_cap: u64,
+    new_cap: u64,
+    done: bool,
 }
 
 fn encode_descriptor(d: &ResizeDescriptor) -> [u8; DESC_BYTES] {
@@ -684,24 +683,6 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         });
         self.maybe_resize(tid);
         existed
-    }
-
-    /// Checked [`MontageHashMap::put`] for fault-injection runs: refuses to
-    /// start on a crashed pool and reports a fault plan tripping
-    /// mid-operation, so sweep workloads unwind instead of panicking.
-    pub fn try_put(&self, tid: ThreadId, key: K, value: &[u8]) -> Result<bool, PmemFault> {
-        self.esys.pool().check_fault()?;
-        let existed = self.put(tid, key, value);
-        self.esys.pool().check_fault()?;
-        Ok(existed)
-    }
-
-    /// Checked [`MontageHashMap::remove`]; see [`MontageHashMap::try_put`].
-    pub fn try_remove(&self, tid: ThreadId, key: &K) -> Result<bool, PmemFault> {
-        self.esys.pool().check_fault()?;
-        let existed = self.remove(tid, key);
-        self.esys.pool().check_fault()?;
-        Ok(existed)
     }
 
     /// Inserts only if absent; returns `false` if the key existed.

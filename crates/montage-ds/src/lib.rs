@@ -29,9 +29,9 @@
 mod codec;
 pub mod graph;
 pub mod hashmap;
-pub mod nbqueue;
+mod nbqueue;
 pub mod queue;
-pub mod sortedlist;
+mod sortedlist;
 
 pub use graph::MontageGraph;
 pub use hashmap::MontageHashMap;

@@ -187,23 +187,6 @@ impl MontageNbQueue {
             }
         }
     }
-
-    /// Approximate length (racy, O(n); for tests).
-    pub fn len_approx(&self) -> usize {
-        let eg = epoch::pin();
-        let mut n = 0;
-        let mut cur = self.head.load(&self.esys);
-        loop {
-            // SAFETY: walked from head under the pinned guard.
-            let node = unsafe { node_ref(cur, &eg) };
-            let next = node.next.load(&self.esys);
-            if next == 0 {
-                return n;
-            }
-            n += 1;
-            cur = next;
-        }
-    }
 }
 
 impl Drop for MontageNbQueue {
@@ -243,7 +226,6 @@ mod tests {
         for i in 0..20u32 {
             q.enqueue(tid, &i.to_le_bytes());
         }
-        assert_eq!(q.len_approx(), 20);
         for i in 0..20u32 {
             assert_eq!(q.dequeue(tid).unwrap(), i.to_le_bytes());
         }

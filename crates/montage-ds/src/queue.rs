@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use montage::sync::Mutex;
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
-use pmem::PmemFault;
 
 /// Persistent layout of one item: `seq: u64` then the value bytes.
 const SEQ_BYTES: usize = 8;
@@ -123,42 +122,6 @@ impl MontageQueue {
             .pdelete(&g, h)
             .expect("queue payloads cannot be newer than the op under the lock");
         Some(value)
-    }
-
-    /// Checked [`MontageQueue::enqueue`] for fault-injection runs: refuses
-    /// to start on a crashed pool and reports a fault plan tripping
-    /// mid-operation, so sweep workloads unwind instead of panicking.
-    pub fn try_enqueue(&self, tid: ThreadId, value: &[u8]) -> Result<(), PmemFault> {
-        let mut inner = self.inner.lock();
-        let g = self.esys.try_begin_op(tid)?;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let mut buf = Vec::with_capacity(SEQ_BYTES + value.len());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(value);
-        let h = self.esys.pnew_bytes(&g, self.tag, &buf);
-        inner.items.push_back((seq, h));
-        drop(g);
-        self.esys.pool().check_fault()
-    }
-
-    /// Checked [`MontageQueue::dequeue`]; see [`MontageQueue::try_enqueue`].
-    pub fn try_dequeue(&self, tid: ThreadId) -> Result<Option<Vec<u8>>, PmemFault> {
-        let mut inner = self.inner.lock();
-        let g = self.esys.try_begin_op(tid)?;
-        let Some((_seq, h)) = inner.items.pop_front() else {
-            return Ok(None);
-        };
-        let value = self
-            .esys
-            .peek_bytes(&g, h, |b| b[SEQ_BYTES..].to_vec())
-            .expect("queue payloads cannot be newer than the op under the lock");
-        self.esys
-            .pdelete(&g, h)
-            .expect("queue payloads cannot be newer than the op under the lock");
-        drop(g);
-        self.esys.pool().check_fault()?;
-        Ok(Some(value))
     }
 
     /// Like [`MontageQueue::dequeue`] but avoids copying the value out —

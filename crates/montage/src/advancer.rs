@@ -19,12 +19,7 @@ pub struct Advancer {
 impl Advancer {
     /// Starts an advancer ticking at the system's configured epoch length.
     pub fn start(esys: Arc<EpochSys>) -> Advancer {
-        Self::start_with_period(esys, None)
-    }
-
-    /// Starts an advancer with an explicit period (overriding the config).
-    pub fn start_with_period(esys: Arc<EpochSys>, period: Option<Duration>) -> Advancer {
-        Self::start_group_with_period(vec![esys], period)
+        Self::start_group(vec![esys])
     }
 
     /// Starts one advancer thread ticking a whole *group* of epoch systems
@@ -32,24 +27,21 @@ impl Advancer {
     /// tracker, and write-back rings: a tick issues every shard's advance,
     /// then completes them, and an advance on shard `i` fences only shard
     /// `i`'s pool — shard clocks drift independently, which is exactly the
-    /// point.
+    /// point. The one thread ticks at one period, the group's configured
+    /// epoch length: every caller formats its shards from one `EsysConfig`,
+    /// and the group must agree on it.
     pub fn start_group(group: Vec<Arc<EpochSys>>) -> Advancer {
-        Self::start_group_with_period(group, None)
-    }
-
-    /// [`Advancer::start_group`] with an explicit period (overriding the
-    /// first shard's configured epoch length).
-    pub fn start_group_with_period(
-        group: Vec<Arc<EpochSys>>,
-        period: Option<Duration>,
-    ) -> Advancer {
         assert!(
             !group.is_empty(),
             "advancer needs at least one epoch system"
         );
+        let period = group[0].config().epoch_length;
+        debug_assert!(
+            group.iter().all(|e| e.config().epoch_length == period),
+            "one advancer thread, one period: the group's epoch lengths differ"
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let period = period.unwrap_or(group[0].config().epoch_length);
         let handle = std::thread::Builder::new()
             .name("montage-advancer".into())
             .spawn(move || {

@@ -149,9 +149,6 @@ use pmem::{line_of, POff, PmemPool};
 
 use crate::payload::Header;
 
-/// A payload extent to write back: block offset + total length (header+data).
-pub type PersistEntry = (POff, u32);
-
 /// Number of direct-mapped coalescing-table slots per thread (power of two).
 const DEDUP_SLOTS: usize = 128;
 
@@ -723,23 +720,12 @@ impl Buffers {
         }
     }
 
-    /// Reclaims thread `tid`'s retirements for `epoch`: tombstones each
-    /// block header (scheduling the line for write-back, so the sweep can
-    /// never resurrect it) and returns the blocks for deallocation. The
-    /// caller fences and deallocates.
-    pub fn take_free(&self, pool: &PmemPool, tid: usize, epoch: u64) -> Vec<POff> {
-        let st = &self.threads[tid];
-        let b = &st.free[(epoch % 4) as usize];
-        // ord(acquire): pairs with the owner's bucket-epoch publish.
-        if b.epoch.load(Ordering::Acquire) != epoch {
-            return Vec::new();
-        }
-        self.drain_free_bucket(pool, b, epoch)
-    }
-
-    /// Like [`Buffers::take_free`] but for all epochs `<= epoch` (worker-
-    /// local reclamation in `BEGIN_OP`, and the advance's catch-up over
-    /// buckets skipped while their epoch was pinned by a straggler).
+    /// Reclaims thread `tid`'s retirements for all epochs `<= epoch`
+    /// (worker-local reclamation in `BEGIN_OP`, and the advance's catch-up
+    /// over buckets skipped while their epoch was pinned by a straggler):
+    /// tombstones each block header (scheduling the line for write-back, so
+    /// the sweep can never resurrect it) and returns the blocks for
+    /// deallocation. The caller fences and deallocates.
     pub fn take_free_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) -> Vec<POff> {
         let st = &self.threads[tid];
         let mut out = Vec::new();
@@ -882,13 +868,16 @@ mod tests {
         );
         b.push_free(&p, 0, 7, blk);
         assert!(
-            b.take_free(&p, 0, 6).is_empty(),
-            "wrong epoch yields nothing"
+            b.take_free_upto(&p, 0, 6).is_empty(),
+            "older epoch yields nothing"
         );
-        let freed = b.take_free(&p, 0, 7);
+        let freed = b.take_free_upto(&p, 0, 7);
         assert_eq!(freed, vec![blk]);
         assert_eq!(Header::magic(&p, blk), crate::payload::MAGIC_TOMBSTONE);
-        assert!(b.take_free(&p, 0, 7).is_empty(), "drained bucket is empty");
+        assert!(
+            b.take_free_upto(&p, 0, 7).is_empty(),
+            "drained bucket is empty"
+        );
     }
 
     #[test]
@@ -1338,7 +1327,7 @@ mod tests {
             b.push_free(&p, 0, 7, blk);
             blks.push(blk);
         }
-        let mut freed = b.take_free(&p, 0, 7);
+        let mut freed = b.take_free_upto(&p, 0, 7);
         freed.sort();
         assert_eq!(freed, blks, "ring + spill return every block");
     }

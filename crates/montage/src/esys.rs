@@ -31,8 +31,6 @@ use crate::tracker::{Tracker, IDLE};
 pub(crate) const MAGIC_SLOT: usize = 0;
 /// Root-area slot holding the persistent epoch clock.
 pub(crate) const CLOCK_SLOT: usize = 1;
-/// Root-area slot applications may use for their own persistent root.
-pub const APP_ROOT_SLOT: usize = 2;
 
 const MONTAGE_MAGIC: u64 = 0x4D4F_4E54_4147_4531; // "MONTAGE1"
 
@@ -43,6 +41,14 @@ pub const FIRST_EPOCH: u64 = 4;
 
 /// uid space is handed to threads in blocks of this size.
 const UID_BLOCK: u64 = 1 << 20;
+
+thread_local! {
+    /// Test seam: armed by a unit test to tick the clock once inside
+    /// `enter`'s announce/validate window — the one interleaving a single
+    /// thread cannot otherwise produce. Read only under `cfg!(test)`, a
+    /// constant, so it folds to nothing outside this crate's unit tests.
+    static TICK_AFTER_ANNOUNCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// A registered thread's identity within an [`EpochSys`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -189,12 +195,6 @@ impl EpochSys {
         &self.stats
     }
 
-    /// The application's persistent root slot (a cache line at a well-known
-    /// offset, for storing e.g. a structure's metadata block offset).
-    pub fn app_root(&self) -> POff {
-        POff::root_slot(APP_ROOT_SLOT)
-    }
-
     fn clock(&self) -> &AtomicU64 {
         // SAFETY: the clock slot is a reserved, 8-aligned root word accessed
         // only through this atomic view after format.
@@ -224,11 +224,6 @@ impl EpochSys {
     #[doc(hidden)]
     pub fn debug_min_pending(&self, tid: ThreadId) -> u64 {
         self.buffers.min_pending(tid.0)
-    }
-
-    /// Size of the thread-id table this system was formatted with.
-    pub fn max_threads(&self) -> usize {
-        self.cfg.max_threads
     }
 
     /// Registers the calling thread, returning its id. Panics when
@@ -299,37 +294,16 @@ impl EpochSys {
 
     // ---- BEGIN_OP / END_OP --------------------------------------------------
 
-    /// `BEGIN_OP`: announces an operation in the current epoch and returns an
-    /// RAII guard whose drop is `END_OP` (the paper's `BEGIN_OP_AUTOEND`).
+    /// The one way into an epoch, shared by `BEGIN_OP` and the pin: announces
+    /// `tid` in the current epoch, then pays the two cooperative duties every
+    /// entry owes — help a waiting sync persist our older buffered payloads,
+    /// and run worker-local reclamation. Returns the validated epoch; the
+    /// caller owns the tracker registration (`end_op` releases it).
     ///
     /// Lock freedom: the announce/validate loop only retries when the epoch
     /// clock advanced, which implies system-wide progress (paper Thm. 4.4).
-    pub fn begin_op(&self, tid: ThreadId) -> OpGuard<'_> {
-        // ord(relaxed): pinned[tid] is owner-only (doc on the field).
-        if self.pinned[tid.0].load(Ordering::Relaxed) {
-            // Nested under an EpochPin: the pin's tracker registration is
-            // live, so the op only needs to move it *forward* to the current
-            // clock (the same announce/validate loop; the slot moves
-            // monotonically up and is never IDLE in between, so an advancer's
-            // `wait_all` can neither miss the thread nor deadlock on it).
-            // The guard does not own the registration — drop is a no-op.
-            let epoch = loop {
-                let e = self.clock().load(Ordering::SeqCst);
-                if self.tracker.load(tid.0) == e {
-                    break e;
-                }
-                self.tracker.register(tid.0, e);
-                if self.clock().load(Ordering::SeqCst) == e {
-                    break e;
-                }
-            };
-            return OpGuard {
-                esys: self,
-                tid,
-                epoch,
-                owns: false,
-            };
-        }
+    #[inline]
+    fn enter(&self, tid: ThreadId) -> u64 {
         debug_assert_eq!(
             self.tracker.load(tid.0),
             IDLE,
@@ -338,6 +312,9 @@ impl EpochSys {
         let epoch = loop {
             let e = self.clock().load(Ordering::SeqCst);
             self.tracker.register(tid.0, e);
+            if cfg!(test) && TICK_AFTER_ANNOUNCE.replace(false) {
+                self.advance_epoch();
+            }
             if self.clock().load(Ordering::SeqCst) == e {
                 break e;
             }
@@ -379,27 +356,43 @@ impl EpochSys {
                 }
             }
         }
+        epoch
+    }
 
+    /// `BEGIN_OP`: announces an operation in the current epoch and returns an
+    /// RAII guard whose drop is `END_OP` (the paper's `BEGIN_OP_AUTOEND`).
+    pub fn begin_op(&self, tid: ThreadId) -> OpGuard<'_> {
+        // ord(relaxed): pinned[tid] is owner-only (doc on the field).
+        if !self.pinned[tid.0].load(Ordering::Relaxed) {
+            return OpGuard {
+                esys: self,
+                tid,
+                epoch: self.enter(tid),
+                owns: true,
+            };
+        }
+        // Nested under an EpochPin: the pin's tracker registration is
+        // live, so the op only needs to move it *forward* to the current
+        // clock (the same announce/validate loop; the slot moves
+        // monotonically up and is never IDLE in between, so an advancer's
+        // `wait_all_bounded` can neither miss the thread nor deadlock on it).
+        // The guard does not own the registration — drop is a no-op.
+        let epoch = loop {
+            let e = self.clock().load(Ordering::SeqCst);
+            if self.tracker.load(tid.0) == e {
+                break e;
+            }
+            self.tracker.register(tid.0, e);
+            if self.clock().load(Ordering::SeqCst) == e {
+                break e;
+            }
+        };
         OpGuard {
             esys: self,
             tid,
             epoch,
-            owns: true,
+            owns: false,
         }
-    }
-
-    /// Checked [`EpochSys::begin_op`]: refuses to start an operation on a
-    /// pool whose fault plan has tripped, so cooperative workers unwind
-    /// instead of doing doomed (never-durable) work.
-    pub fn try_begin_op(&self, tid: ThreadId) -> Result<OpGuard<'_>, PmemFault> {
-        self.pool.check_fault()?;
-        Ok(self.begin_op(tid))
-    }
-
-    /// The pool's pending fault, if its fault plan has tripped.
-    #[inline]
-    pub fn fault(&self) -> Option<PmemFault> {
-        self.pool.fault()
     }
 
     /// Pins the calling thread into the epoch system so that a whole *batch*
@@ -408,7 +401,9 @@ impl EpochSys {
     /// register/unregister churn, no per-op `DirWB` fence) and `end_op` is
     /// deferred to the pin's drop. This is the group-commit primitive: N
     /// front-end requests ride one epoch window and the caller issues one
-    /// shared `sync` after dropping the pin.
+    /// shared `sync` after dropping the pin. Refuses (`Err`) to pin on a pool
+    /// whose fault plan has tripped, so cooperative workers unwind instead of
+    /// doing doomed (never-durable) work.
     ///
     /// Semantics:
     /// - Nested ops re-register **forward** to the current clock, so payload
@@ -425,73 +420,22 @@ impl EpochSys {
     /// - Dropping the pin issues the deferred `DirWB` fence (if configured)
     ///   and unregisters the thread; it does **not** sync. Buffered payloads
     ///   drain at the next boundary exactly as for unpinned ops.
-    pub fn pin_epoch(&self, tid: ThreadId) -> EpochPin<'_> {
-        debug_assert_eq!(
-            self.tracker.load(tid.0),
-            IDLE,
-            "pin_epoch inside an operation"
-        );
+    pub fn try_pin_epoch(&self, tid: ThreadId) -> Result<EpochPin<'_>, PmemFault> {
+        self.pool.check_fault()?;
         debug_assert!(
             // ord(relaxed): owner-only flag.
             !self.pinned[tid.0].load(Ordering::Relaxed),
-            "pin_epoch while already pinned"
+            "try_pin_epoch while already pinned"
         );
-        let epoch = loop {
-            let e = self.clock().load(Ordering::SeqCst);
-            self.tracker.register(tid.0, e);
-            if self.clock().load(Ordering::SeqCst) == e {
-                break e;
-            }
-        };
-
-        // Same cooperative duties as BEGIN_OP, hoisted to once per batch:
-        // help a waiting sync persist our older buffered payloads, and run
-        // worker-local reclamation.
-        if matches!(self.cfg.persist, PersistStrategy::Buffered(_)) {
-            // ord(relaxed): a hint; a missed request is caught by the next
-            // boundary (sync never relies on this edge for durability).
-            let want = self.sync_requested.load(Ordering::Relaxed);
-            if want != 0 && self.buffers.min_pending(tid.0) < epoch {
-                let min = self
-                    .buffers
-                    .drain_persist_upto(&self.pool, tid.0, epoch - 1);
-                self.mind.publish(tid.0, min);
-            }
-        }
-        if self.cfg.free == FreeStrategy::WorkerLocal {
-            // ord(relaxed): last_epoch[tid] is owner-only.
-            let last = self.last_epoch[tid.0].swap(epoch, Ordering::Relaxed);
-            if epoch > last {
-                // The frontier scan runs *after* the announce/validate loop
-                // confirmed clock == epoch, so every thread still registered
-                // in an older epoch is visible to it (see `reclaim_limit`);
-                // a bypassed straggler pins the frontier instead of being
-                // freed out from under.
-                let limit = Self::reclaim_limit(epoch, self.tracker.oldest_active());
-                let blocks = self.buffers.take_free_upto(&self.pool, tid.0, limit);
-                if !blocks.is_empty() {
-                    self.pool.sfence();
-                    for b in blocks {
-                        self.ralloc.dealloc(b);
-                    }
-                }
-            }
-        }
-
+        // Same cooperative duties as BEGIN_OP, hoisted to once per batch.
+        let epoch = self.enter(tid);
         // ord(relaxed): owner-only flag.
         self.pinned[tid.0].store(true, Ordering::Relaxed);
-        EpochPin {
+        Ok(EpochPin {
             esys: self,
             tid,
             epoch,
-        }
-    }
-
-    /// Checked [`EpochSys::pin_epoch`]: refuses to pin on a pool whose fault
-    /// plan has tripped (mirrors [`EpochSys::try_begin_op`]).
-    pub fn try_pin_epoch(&self, tid: ThreadId) -> Result<EpochPin<'_>, PmemFault> {
-        self.pool.check_fault()?;
-        Ok(self.pin_epoch(tid))
+        })
     }
 
     fn end_op(&self, tid: ThreadId) {
@@ -599,6 +543,24 @@ impl EpochSys {
         // data bytes as stored (read back from the pool, so `T`'s padding
         // bytes checksum exactly as written), which lets recovery quarantine
         // a torn payload whose header line persisted but data lines did not.
+        let sum = Header::data_sum_pooled(&self.pool, blk, size as u32);
+        self.seal_pnew(g, blk, tag, size, sum);
+        PHandle::from_raw(blk)
+    }
+
+    /// `PNEW` for runtime-sized byte payloads.
+    pub fn pnew_bytes(&self, g: &OpGuard<'_>, tag: u16, bytes: &[u8]) -> PHandle<[u8]> {
+        let blk = self.ralloc.alloc(HDR_SIZE + bytes.len());
+        self.pool.write_bytes(Header::data(blk), bytes);
+        self.seal_pnew(g, blk, tag, bytes.len(), Header::data_sum(bytes));
+        PHandle::from_raw(blk)
+    }
+
+    /// What every `PNEW` does once the data bytes are in `blk`: seals an
+    /// `ALLOC` header with a fresh uid over them (`data_sum` is their
+    /// checksum), queues the block's write-back and counts the payload.
+    #[inline]
+    fn seal_pnew(&self, g: &OpGuard<'_>, blk: POff, tag: u16, size: usize, data_sum: u32) {
         Header::write_new(
             &self.pool,
             blk,
@@ -607,32 +569,11 @@ impl EpochSys {
             g.epoch,
             self.next_uid(g.tid.0),
             size as u32,
-            Header::data_sum_pooled(&self.pool, blk, size as u32),
+            data_sum,
         );
         self.record_persist(g.tid.0, g.epoch, blk, (HDR_SIZE + size) as u32);
         // ord(counter): stats tally.
         self.stats.pnews.fetch_add(1, Ordering::Relaxed);
-        PHandle::from_raw(blk)
-    }
-
-    /// `PNEW` for runtime-sized byte payloads.
-    pub fn pnew_bytes(&self, g: &OpGuard<'_>, tag: u16, bytes: &[u8]) -> PHandle<[u8]> {
-        let blk = self.ralloc.alloc(HDR_SIZE + bytes.len());
-        self.pool.write_bytes(Header::data(blk), bytes);
-        Header::write_new(
-            &self.pool,
-            blk,
-            PayloadKind::Alloc,
-            tag,
-            g.epoch,
-            self.next_uid(g.tid.0),
-            bytes.len() as u32,
-            Header::data_sum(bytes),
-        );
-        self.record_persist(g.tid.0, g.epoch, blk, (HDR_SIZE + bytes.len()) as u32);
-        // ord(counter): stats tally.
-        self.stats.pnews.fetch_add(1, Ordering::Relaxed);
-        PHandle::from_raw(blk)
     }
 
     /// `get`: reads the payload by value (old-see-new alert enabled).
@@ -652,22 +593,9 @@ impl EpochSys {
         unsafe { self.pool.read(Header::data(h.blk)) }
     }
 
-    /// Borrowing read: runs `f` on a reference into the payload. Safe under
-    /// the paper's well-formedness constraint 2 (payload accesses are
-    /// race-free because synchronization happens on transient state).
-    pub fn peek<T: Copy, R>(
-        &self,
-        g: &OpGuard<'_>,
-        h: PHandle<T>,
-        f: impl FnOnce(&T) -> R,
-    ) -> Result<R, OldSeeNewException> {
-        self.osn_check(g, h.blk)?;
-        // SAFETY: the payload holds a valid T (see `read`), and the borrow
-        // ends when `f` returns, before any epoch can retire the block.
-        Ok(f(unsafe { &*self.pool.at::<T>(Header::data(h.blk)) }))
-    }
-
-    /// Borrowing read of a byte payload.
+    /// Borrowing read of a byte payload: runs `f` on a reference into it.
+    /// Safe under the paper's well-formedness constraint 2 (payload accesses
+    /// are race-free because synchronization happens on transient state).
     pub fn peek_bytes<R>(
         &self,
         g: &OpGuard<'_>,
@@ -1179,9 +1107,7 @@ impl EpochSys {
     /// pool can never make the remaining buffered work durable. The fault is
     /// re-checked every advance so a plan tripping *mid-sync* also unwinds.
     pub fn try_sync(&self) -> Result<(), PmemFault> {
-        let (result, _) = Self::try_sync_group(&[self], None)
-            .pop()
-            .expect("one outcome per system");
+        let [(result, _)] = Self::sync_group_into(&[self], None, [SETTLED]);
         result.map(|done| debug_assert!(done, "unbounded sync cannot time out"))
     }
 
@@ -1203,9 +1129,22 @@ impl EpochSys {
     pub fn try_sync_group(
         group: &[&EpochSys],
         deadline: Option<std::time::Instant>,
-    ) -> Vec<(Result<bool, PmemFault>, std::time::Duration)> {
+    ) -> Vec<SyncOutcome> {
+        Self::sync_group_into(group, deadline, vec![SETTLED; group.len()])
+    }
+
+    /// [`EpochSys::try_sync_group`] writing into the caller's `outcomes`
+    /// (one slot per system): a `Vec` for a batch's shards, a one-element
+    /// array for `try_sync`, whose destructure then checks the length at
+    /// compile time.
+    fn sync_group_into<O: AsMut<[SyncOutcome]>>(
+        group: &[&EpochSys],
+        deadline: Option<std::time::Instant>,
+        mut slots: O,
+    ) -> O {
         let start = std::time::Instant::now();
-        let mut outcomes = vec![(Ok(true), std::time::Duration::ZERO); group.len()];
+        let outcomes = slots.as_mut();
+        debug_assert_eq!(outcomes.len(), group.len(), "one outcome per system");
         // Records system `i`'s verdict, once it has one.
         let mut settled = |i: usize, target: u64| {
             let sys = group[i];
@@ -1261,9 +1200,16 @@ impl EpochSys {
                 in_flight.push((i, target, issue(i)));
             }
         }
-        outcomes
+        slots
     }
 }
+
+/// One system's verdict from a group sync, and the time from the group's
+/// start to it (see [`EpochSys::try_sync_group`]).
+type SyncOutcome = (Result<bool, PmemFault>, std::time::Duration);
+
+/// A system with nothing to wait for (Montage(T), or already durable).
+const SETTLED: SyncOutcome = (Ok(true), std::time::Duration::ZERO);
 
 /// An advance between its halves ([`EpochSys::advance_issue`] →
 /// [`EpochSys::advance_complete`]): boundary fence issued, not yet awaited.
@@ -1293,12 +1239,6 @@ impl OpGuard<'_> {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// The registered thread id.
-    #[inline]
-    pub fn tid(&self) -> ThreadId {
-        self.tid
-    }
 }
 
 impl Drop for OpGuard<'_> {
@@ -1309,9 +1249,9 @@ impl Drop for OpGuard<'_> {
     }
 }
 
-/// RAII epoch pin: created by [`EpochSys::pin_epoch`]; while held, the
+/// RAII epoch pin: created by [`EpochSys::try_pin_epoch`]; while held, the
 /// thread's `begin_op`s are nested (non-owning) and END_OP is deferred to
-/// this pin's drop. See `pin_epoch` for the full contract.
+/// this pin's drop. See `try_pin_epoch` for the full contract.
 pub struct EpochPin<'a> {
     esys: &'a EpochSys,
     tid: ThreadId,
@@ -1324,12 +1264,6 @@ impl EpochPin<'_> {
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The pinned thread id.
-    #[inline]
-    pub fn tid(&self) -> ThreadId {
-        self.tid
     }
 }
 
@@ -1901,12 +1835,109 @@ mod tests {
         });
     }
 
+    /// The three ways into an epoch; all of them go through `enter`.
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        BeginOp,
+        Pin,
+        NestedUnderPin,
+    }
+
+    const ENTRIES: [Entry; 3] = [Entry::BeginOp, Entry::Pin, Entry::NestedUnderPin];
+
+    /// Enters an epoch by `way`, hands `inside` the epoch it got, leaves.
+    fn entered(s: &EpochSys, tid: ThreadId, way: Entry, inside: impl FnOnce(u64)) {
+        match way {
+            Entry::BeginOp => inside(s.begin_op(tid).epoch()),
+            Entry::Pin => inside(s.try_pin_epoch(tid).unwrap().epoch()),
+            Entry::NestedUnderPin => {
+                let _pin = s.try_pin_epoch(tid).unwrap();
+                let g = s.begin_op(tid);
+                assert!(!g.owns, "nested guard leaves END_OP to the pin");
+                inside(g.epoch())
+            }
+        }
+    }
+
+    /// The shared `enter`, pinned from each of its callers: the same three
+    /// scenarios must play out whichever way the thread came in.
+    #[test]
+    fn every_way_into_an_epoch_helps_reclaims_and_revalidates() {
+        for way in ENTRIES {
+            // 1. A pending `sync_requested` is helped: the entry writes back
+            // the thread's older buffered payloads; without a request it
+            // leaves them to the boundary.
+            let s = sys(EsysConfig::default());
+            let tid = s.register_thread();
+            let e = {
+                let g = s.begin_op(tid);
+                let _ = s.pnew(&g, 0, &7u64);
+                g.epoch()
+            };
+            s.advance_epoch(); // drains e-1 only: the payload stays buffered
+            entered(&s, tid, way, |epoch| assert_eq!(epoch, e + 1));
+            assert_eq!(s.debug_min_pending(tid), e, "{way:?}: no sync, no help");
+            let clwbs = s.pool().stats().snapshot().clwbs;
+            s.sync_requested.store(e, Ordering::Relaxed);
+            entered(&s, tid, way, |_| {
+                assert_eq!(s.debug_min_pending(tid), u64::MAX, "{way:?}: helped");
+            });
+            assert!(s.pool().stats().snapshot().clwbs > clwbs, "{way:?}");
+
+            // 2. WorkerLocal reclamation frees exactly the retirements behind
+            // `reclaim_limit`: two epochs back, and never past a straggler.
+            for (straggler, freed_per_entry) in [(false, [1, 2, 1]), (true, [0, 3, 1])] {
+                let s = sys(EsysConfig {
+                    free: FreeStrategy::WorkerLocal,
+                    advance_grace_spins: 8,
+                    ..Default::default()
+                });
+                let tid = s.register_thread();
+                let (h1, h2) = {
+                    let g = s.begin_op(tid);
+                    (s.pnew(&g, 0, &1u64), s.pnew(&g, 0, &2u64))
+                };
+                // h1 retires in e0+1 (its anti-payload in e0+2), h2 one later.
+                for h in [h1, h2] {
+                    s.advance_epoch();
+                    s.pdelete(&s.begin_op(tid), h).unwrap();
+                }
+                let old = s.register_thread();
+                let mut parked = straggler.then(|| s.begin_op(old)); // in e0+2
+                let mut freed = [0; 3];
+                for (i, n) in freed.iter_mut().enumerate() {
+                    if i == 1 {
+                        parked.take(); // the straggler moves on after entry 0
+                    }
+                    s.advance_epoch();
+                    let before = s.allocator().stats().deallocs.load(Ordering::Relaxed);
+                    entered(&s, tid, way, |_| ());
+                    *n = s.allocator().stats().deallocs.load(Ordering::Relaxed) - before;
+                }
+                assert_eq!(freed, freed_per_entry, "{way:?} straggler={straggler}");
+            }
+
+            // 3. A clock tick between announce and validate re-announces: the
+            // entry returns the epoch it validated, and is registered there.
+            let s = sys(EsysConfig::default());
+            let tid = s.register_thread();
+            let e = s.curr_epoch();
+            TICK_AFTER_ANNOUNCE.set(true);
+            entered(&s, tid, way, |epoch| {
+                assert_eq!(epoch, e + 1, "{way:?}: the tick forced a second round");
+                assert_eq!(s.curr_epoch(), e + 1);
+                assert_eq!(s.tracker.load(tid.0), e + 1, "{way:?}: announced there");
+            });
+            assert_eq!(s.tracker.load(tid.0), IDLE);
+        }
+    }
+
     #[test]
     fn pinned_ops_share_one_window_and_stay_durable() {
         let s = sys(EsysConfig::default());
         let tid = s.register_thread();
         let (h1, h2) = {
-            let pin = s.pin_epoch(tid);
+            let pin = s.try_pin_epoch(tid).unwrap();
             // Two nested ops under one pin — without the pin the second
             // begin_op would trip the "nested operations" debug assert.
             let h1 = {
@@ -1933,7 +1964,7 @@ mod tests {
     fn nested_op_reregisters_forward_after_advance() {
         let s = sys(EsysConfig::default());
         let tid = s.register_thread();
-        let pin = s.pin_epoch(tid);
+        let pin = s.try_pin_epoch(tid).unwrap();
         let e0 = pin.epoch();
         assert_eq!(s.tracker.load(tid.0), e0);
         // One advance is legal under a pin (it waits only for e0-1).
@@ -1971,7 +2002,7 @@ mod tests {
         };
         // t0 pins and stays pinned: the old advance would spin forever on
         // its slot from the second tick on; the bounded advance bypasses it.
-        let pin = s.pin_epoch(t0);
+        let pin = s.try_pin_epoch(t0).unwrap();
         let e_pin = pin.epoch();
         let d0 = s.allocator().stats().deallocs.load(Ordering::Relaxed);
         for _ in 0..6 {
@@ -2034,7 +2065,7 @@ mod tests {
         let s = sys(EsysConfig::default());
         let tid = s.register_thread();
         {
-            let pin = s.pin_epoch(tid);
+            let pin = s.try_pin_epoch(tid).unwrap();
             drop(pin);
         }
         // After the pin is gone, begin_op owns its registration again.

@@ -27,7 +27,7 @@ use crate::sync::{weaken, AtomicU64, Ordering};
 use crossbeam::utils::CachePadded;
 
 /// Slot value for "nothing unpersisted".
-pub const EMPTY: u64 = u64::MAX;
+const EMPTY: u64 = u64::MAX;
 
 pub struct Mindicator {
     slots: Box<[CachePadded<AtomicU64>]>,
@@ -42,7 +42,7 @@ impl Mindicator {
         }
     }
 
-    /// Publishes thread `tid`'s oldest unpersisted epoch ([`EMPTY`] if none).
+    /// Publishes thread `tid`'s oldest unpersisted epoch (`u64::MAX` if none).
     #[inline]
     pub fn publish(&self, tid: usize, oldest: u64) {
         // ord(publish): the ring entries this slot summarizes must be visible
@@ -50,7 +50,7 @@ impl Mindicator {
         self.slots[tid].store(oldest, weaken("mindicator.publish", Ordering::Release));
     }
 
-    /// Oldest unpersisted epoch across all threads ([`EMPTY`] if none).
+    /// Oldest unpersisted epoch across all threads (`u64::MAX` if none).
     pub fn min(&self) -> u64 {
         self.slots
             .iter()

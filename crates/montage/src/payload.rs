@@ -31,7 +31,7 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
-    pub fn from_u8(v: u8) -> Option<PayloadKind> {
+    fn from_u8(v: u8) -> Option<PayloadKind> {
         match v {
             1 => Some(PayloadKind::Alloc),
             2 => Some(PayloadKind::Update),

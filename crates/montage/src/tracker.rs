@@ -47,31 +47,10 @@ impl Tracker {
         self.slots[tid].load(weaken("tracker.idle.acquire", Ordering::Acquire))
     }
 
-    /// Blocks until no thread is registered in any epoch `<= epoch`
-    /// (the advance step `operation_tracker.wait_all(curr_epoch - 1)`).
-    ///
-    /// A stalled thread can delay this arbitrarily — that is the paper's
-    /// documented liveness caveat for blocking advances. The nonblocking
-    /// advance uses [`Tracker::wait_all_bounded`] instead and helps the
-    /// straggler's write-backs to completion rather than waiting.
-    pub fn wait_all(&self, epoch: u64) {
-        for slot in self.slots.iter() {
-            let mut spins = 0u32;
-            // ord(acquire): seeing the slot leave `epoch` must also show us
-            // the finished op's writes before we retire its blocks.
-            while slot.load(weaken("tracker.idle.acquire", Ordering::Acquire)) <= epoch {
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    crate::sync::yield_now();
-                } else {
-                    crate::sync::spin_loop();
-                }
-            }
-        }
-    }
-
-    /// Bounded [`Tracker::wait_all`]: gives each slot at most `spins`
-    /// spin/yield steps to leave epochs `<= epoch`, then moves on. Returns
+    /// The advance step `operation_tracker.wait_all(curr_epoch - 1)`, bounded:
+    /// gives each slot at most `spins` spin/yield steps to leave epochs
+    /// `<= epoch`, then moves on (an unbounded wait is the paper's documented
+    /// liveness caveat — a stalled thread could delay it arbitrarily). Returns
     /// the number of slots still registered at `<= epoch` when the grace
     /// window ran out — the stragglers the caller is about to bypass.
     ///
@@ -85,8 +64,9 @@ impl Tracker {
         for slot in self.slots.iter() {
             let mut tries = 0usize;
             loop {
-                // ord(acquire): same edge as `wait_all` — pairs with the
-                // Release in `unregister`.
+                // ord(acquire): seeing the slot leave `epoch` must also show
+                // us the finished op's writes before we retire its blocks —
+                // pairs with the Release in `unregister`.
                 if slot.load(weaken("tracker.idle.acquire", Ordering::Acquire)) > epoch {
                     break;
                 }
@@ -119,21 +99,11 @@ impl Tracker {
             .min()
             .unwrap_or(IDLE)
     }
-
-    /// True iff some thread is currently registered in `epoch`.
-    pub fn any_active_in(&self, epoch: u64) -> bool {
-        self.slots
-            .iter()
-            // ord(acquire): pairs with the Release in `unregister`.
-            .any(|s| s.load(Ordering::Acquire) == epoch)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn register_unregister_roundtrip() {
@@ -141,34 +111,17 @@ mod tests {
         assert_eq!(t.load(2), IDLE);
         t.register(2, 7);
         assert_eq!(t.load(2), 7);
-        assert!(t.any_active_in(7));
+        assert_eq!(t.oldest_active(), 7);
         t.unregister(2);
         assert_eq!(t.load(2), IDLE);
-        assert!(!t.any_active_in(7));
+        assert_eq!(t.oldest_active(), IDLE);
     }
 
     #[test]
-    fn wait_all_returns_when_no_old_ops() {
+    fn bounded_wait_passes_newer_ops_and_counts_stragglers() {
         let t = Tracker::new(4);
         t.register(0, 10);
-        t.wait_all(9); // nothing ≤ 9 → returns immediately
-    }
-
-    #[test]
-    fn wait_all_blocks_until_old_op_ends() {
-        let t = Arc::new(Tracker::new(2));
-        t.register(0, 5);
-        let t2 = t.clone();
-        let releaser = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            t2.unregister(0);
-        });
-        let start = std::time::Instant::now();
-        t.wait_all(5);
-        assert!(
-            start.elapsed() >= Duration::from_millis(20),
-            "must wait for the op"
-        );
-        releaser.join().unwrap();
+        assert_eq!(t.wait_all_bounded(9, 8), 0, "nothing ≤ 9");
+        assert_eq!(t.wait_all_bounded(10, 8), 1, "bypassed after the grace");
     }
 }

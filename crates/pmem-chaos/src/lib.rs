@@ -29,9 +29,9 @@
 //!     PmemConfig::strict_for_test(1 << 20),
 //!     |pool| {
 //!         // Workload: must tolerate the pool crashing under it (use the
-//!         // checked try_* operations and unwind-free error paths).
-//!         let _ = pool.try_write_bytes(OFF, b"hello");
-//!         let _ = pool.try_persist_range(OFF, 5);
+//!         // pool's `checked` wrapper and unwind-free error paths).
+//!         let _ = pool.checked(|| pool.write_bytes(OFF, b"hello"));
+//!         let _ = pool.checked(|| pool.persist_range(OFF, 5));
 //!     },
 //!     |durable, _crash_at| {
 //!         // Invariant over the recovered durable image: the value is
@@ -130,13 +130,9 @@ impl SweepReport {
 
 /// Runs `workload` on a fresh pool with the event counter armed but no
 /// crash point (`Some(u64::MAX)`), returning how many persistence events it
-/// performs. This is the sweep's counting pass; it is also useful on its
-/// own for asserting a workload is "big enough" for a meaningful sweep.
-pub fn count_events(mut base: PmemConfig, workload: impl FnOnce(&PmemPool)) -> u64 {
-    base.chaos.crash_at_event = Some(u64::MAX);
-    let pool = PmemPool::new(base);
-    workload(&pool);
-    pool.persistence_events()
+/// performs. This is the one-pool sweeps' counting pass.
+fn count_events(base: PmemConfig, workload: impl FnOnce(&PmemPool)) -> u64 {
+    shard_count_events(base, 1, 0, |pools| workload(&pools[0]))
 }
 
 /// The crash points a sweep of `total_events` visits under `cfg`:
@@ -174,33 +170,15 @@ pub fn crash_sweep(
     mut workload: impl FnMut(&PmemPool),
     mut verify: impl FnMut(PmemPool, u64) -> Result<(), String>,
 ) -> SweepReport {
-    let total_events = count_events(base, &mut workload);
-    let points = crash_points(total_events, cfg);
-    let mut failures = Vec::new();
-    for &crash_at in &points {
-        let mut armed = base;
-        armed.chaos.crash_at_event = Some(crash_at);
-        let pool = PmemPool::new(armed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            workload(&pool);
-            verify(pool.crash(), crash_at)
-        }));
-        match outcome {
-            Ok(Ok(())) => {}
-            Ok(Err(message)) => failures.push(SweepFailure { crash_at, message }),
-            Err(panic) => {
-                failures.push(SweepFailure {
-                    crash_at,
-                    message: format!("panicked instead of degrading: {}", panic_message(panic)),
-                });
-            }
-        }
-    }
-    SweepReport {
-        total_events,
-        crash_points: points,
-        failures,
-    }
+    // The one-pool case of the sharded sweep: one shard, and it is the victim.
+    shard_crash_sweep(
+        cfg,
+        base,
+        1,
+        0,
+        |pools| workload(&pools[0]),
+        |mut images, crash_at| verify(images.pop().expect("one pool, one image"), crash_at),
+    )
 }
 
 /// Counting pass for a multi-pool (sharded) workload: builds `n_shards`
@@ -208,7 +186,7 @@ pub fn crash_sweep(
 /// workload once, and returns how many persistence events the victim shard
 /// performs. Non-victim pools are left unarmed — a sharded sweep injects a
 /// crash into exactly one shard's durable image per run.
-pub fn shard_count_events(
+fn shard_count_events(
     mut base: PmemConfig,
     n_shards: usize,
     victim: usize,
@@ -435,8 +413,8 @@ mod tests {
     /// Workload: write a value, flush it, fence. 3 lines written +
     /// 1 flush-range (3 lines) + 1 fence.
     fn workload(pool: &PmemPool) {
-        let _ = pool.try_write_bytes(OFF, &[7u8; 128]);
-        let _ = pool.try_persist_range(OFF, 128);
+        let _ = pool.checked(|| pool.write_bytes(OFF, &[7u8; 128]));
+        let _ = pool.checked(|| pool.persist_range(OFF, 128));
     }
 
     #[test]
@@ -527,9 +505,9 @@ mod tests {
             &cfg,
             PmemConfig::strict_for_test(1 << 20),
             |pool| {
-                pool.try_write_bytes(OFF, &[1u8; 8])
+                pool.checked(|| pool.write_bytes(OFF, &[1u8; 8]))
                     .expect("workload that refuses to degrade");
-                let _ = pool.try_persist_range(OFF, 8);
+                let _ = pool.checked(|| pool.persist_range(OFF, 8));
             },
             |_, _| Ok(()),
         );
@@ -543,8 +521,8 @@ mod tests {
     /// victim's image may come back partial; the others must be complete.
     fn shard_workload(pools: &[PmemPool]) {
         for pool in pools {
-            let _ = pool.try_write_bytes(OFF, &[7u8; 64]);
-            let _ = pool.try_persist_range(OFF, 64);
+            let _ = pool.checked(|| pool.write_bytes(OFF, &[7u8; 64]));
+            let _ = pool.checked(|| pool.persist_range(OFF, 64));
         }
     }
 
@@ -571,8 +549,8 @@ mod tests {
             move |pool| {
                 // Raw-pool peers never wait on anyone: a parked victim must
                 // not stop this from persisting.
-                let _ = pool.try_write_bytes(c_off, &[9u8; 64]);
-                let _ = pool.try_persist_range(c_off, 64);
+                let _ = pool.checked(|| pool.write_bytes(c_off, &[9u8; 64]));
+                let _ = pool.checked(|| pool.persist_range(c_off, 64));
             },
             |durable, _| {
                 // Per-line all-or-nothing for the victim's value, exactly as

@@ -121,8 +121,8 @@ pub struct ChaosConfig {
     /// Fault plan: `Some(n)` arms the persistence-event counter and poisons
     /// the pool once `n` events (stores, per-line flushes, fences) have
     /// taken effect. After that, flushes and fences are dropped — the
-    /// durable image is frozen exactly as of event `n` — and the checked
-    /// `try_*` pool operations return [`crate::PmemFault::Crashed`].
+    /// durable image is frozen exactly as of event `n` — and
+    /// [`crate::PmemPool::checked`] operations return [`crate::PmemFault::Crashed`].
     /// `Some(u64::MAX)` counts events without ever crashing (used by sweep
     /// harnesses for their counting pass). Event accounting is skipped
     /// entirely when neither this nor [`ChaosConfig::stall_at_event`] is
@@ -183,17 +183,6 @@ impl PmemConfig {
             chaos: ChaosConfig::default(),
         }
     }
-
-    /// Fast-mode config with the Optane latency model — the standard
-    /// benchmark configuration.
-    pub fn bench_nvm(size: usize) -> Self {
-        PmemConfig {
-            size,
-            mode: PmemMode::Fast,
-            latency: LatencyModel::OPTANE,
-            chaos: ChaosConfig::default(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +199,5 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(PmemConfig::strict_for_test(1024).mode, PmemMode::Strict);
-        let b = PmemConfig::bench_nvm(1024);
-        assert_eq!(b.mode, PmemMode::Fast);
-        assert!(b.latency.media_write_ns > 0);
     }
 }

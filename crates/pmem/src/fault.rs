@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// The error returned by the checked (`try_*`) pool operations once the
+/// The error returned by [`crate::PmemPool::checked`] operations once the
 /// fault plan in [`crate::ChaosConfig`] has tripped.
 ///
 /// A tripped plan models a power failure at a precise point in the

@@ -347,7 +347,7 @@ impl PmemPool {
 
     /// Whether the fault plan has tripped.
     #[inline]
-    pub fn is_poisoned(&self) -> bool {
+    fn is_poisoned(&self) -> bool {
         self.inner.poisoned.load(Ordering::Acquire)
     }
 
@@ -653,52 +653,17 @@ impl PmemPool {
         self.sfence();
     }
 
-    // ---- checked variants ---------------------------------------------------
-    //
-    // Same effects as the plain primitives, but they report
-    // [`PmemFault::Crashed`] once the fault plan has tripped — including when
-    // the call itself is what trips it — so cooperative code can unwind
-    // instead of continuing a doomed execution. On an unpoisoned pool they
-    // are exactly the plain primitives.
-
-    /// Checked [`PmemPool::clwb`].
-    #[track_caller]
-    pub fn try_clwb(&self, off: POff) -> Result<(), PmemFault> {
+    /// Runs `op` as a *checked operation*: `Err` without running it once the
+    /// fault plan has tripped, and `Err` after it when `op` itself is what
+    /// trips the plan — so cooperative code (sweep workloads, chaos
+    /// harnesses) unwinds instead of continuing a doomed execution. On an
+    /// unpoisoned pool it is exactly `Ok(op())`. The one checked path: wrap
+    /// any plain verb of this pool or of a structure living in it.
+    #[inline]
+    pub fn checked<R>(&self, op: impl FnOnce() -> R) -> Result<R, PmemFault> {
         self.check_fault()?;
-        self.clwb(off);
-        self.check_fault()
-    }
-
-    /// Checked [`PmemPool::clwb_range`].
-    #[track_caller]
-    pub fn try_clwb_range(&self, off: POff, len: usize) -> Result<(), PmemFault> {
-        self.check_fault()?;
-        self.clwb_range(off, len);
-        self.check_fault()
-    }
-
-    /// Checked [`PmemPool::sfence`].
-    #[track_caller]
-    pub fn try_sfence(&self) -> Result<(), PmemFault> {
-        self.check_fault()?;
-        self.sfence();
-        self.check_fault()
-    }
-
-    /// Checked [`PmemPool::persist_range`].
-    #[track_caller]
-    pub fn try_persist_range(&self, off: POff, len: usize) -> Result<(), PmemFault> {
-        self.check_fault()?;
-        self.persist_range(off, len);
-        self.check_fault()
-    }
-
-    /// Checked [`PmemPool::write_bytes`].
-    #[track_caller]
-    pub fn try_write_bytes(&self, off: POff, src: &[u8]) -> Result<(), PmemFault> {
-        self.check_fault()?;
-        self.write_bytes(off, src);
-        self.check_fault()
+        let out = op();
+        self.check_fault().map(|()| out)
     }
 
     fn drain_line(&self, durable: &mut [u8], line: u64) {
@@ -948,8 +913,8 @@ impl PmemPool {
     }
 
     /// Enables or disables deny mode: panic at the violation site for the
-    /// correctness classes ([`crate::SanClass::is_correctness`]). On by
-    /// default.
+    /// correctness classes ([`crate::SanClass::DirtyAtEpochBoundary`],
+    /// [`crate::SanClass::RecoveryDirtyRead`]). On by default.
     #[cfg(feature = "persist-san")]
     pub fn san_set_deny(&self, deny: bool) {
         self.inner.san.set_deny(deny);
@@ -1416,19 +1381,31 @@ mod tests {
 
     #[test]
     fn checked_ops_report_the_fault() {
+        let healthy = strict_pool();
+        assert_eq!(healthy.checked(|| 7), Ok(7), "healthy pool: Ok(value)");
+
         let p = faulted_pool(1);
         let a = POff::new(4096);
-        assert!(p.try_write_bytes(a, &[1, 2, 3]).is_err(), "trips the plan");
-        assert_eq!(
-            p.try_clwb(a),
-            Err(PmemFault::Crashed { at_event: 1 }),
-            "already poisoned"
+        assert!(
+            p.checked(|| p.write_bytes(a, &[1, 2, 3])).is_err(),
+            "trips the plan inside the closure: Err after it"
         );
-        assert!(p.try_sfence().is_err());
-        assert!(p.try_persist_range(a, 8).is_err());
         // The store itself still landed in the working image (caches).
         // SAFETY: `a` is in bounds; u8 has no alignment requirement.
         assert_eq!(unsafe { p.read::<u8>(a) }, 1);
+        let clwbs = p.stats().snapshot().clwbs;
+        assert_eq!(
+            p.checked(|| p.clwb(a)),
+            Err(PmemFault::Crashed { at_event: 1 }),
+            "already poisoned"
+        );
+        assert!(p.checked(|| p.sfence()).is_err());
+        assert!(p.checked(|| p.persist_range(a, 8)).is_err());
+        assert_eq!(
+            p.stats().snapshot().clwbs,
+            clwbs,
+            "a tripped plan refuses without running the closure"
+        );
     }
 
     #[test]

@@ -69,16 +69,6 @@ pub enum SanClass {
     EmptySfence,
 }
 
-impl SanClass {
-    /// Whether deny mode panics on this class.
-    pub fn is_correctness(self) -> bool {
-        matches!(
-            self,
-            SanClass::DirtyAtEpochBoundary | SanClass::RecoveryDirtyRead
-        )
-    }
-}
-
 /// A source location captured from `#[track_caller]` metadata.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SanSite {

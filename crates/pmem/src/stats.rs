@@ -97,6 +97,8 @@ pub struct StatsSnapshot {
 impl std::ops::Add for StatsSnapshot {
     type Output = StatsSnapshot;
 
+    /// Merges per-pool snapshots into fleet-wide counters — the sharded
+    /// store's `stats` fan-out folds one snapshot per shard pool.
     fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             clwbs: self.clwbs + rhs.clwbs,
@@ -108,14 +110,6 @@ impl std::ops::Add for StatsSnapshot {
             stalls_injected: self.stalls_injected + rhs.stalls_injected,
             quarantined_payloads: self.quarantined_payloads + rhs.quarantined_payloads,
         }
-    }
-}
-
-impl std::iter::Sum for StatsSnapshot {
-    /// Merges per-pool snapshots into fleet-wide counters — the sharded
-    /// store's `stats` fan-out aggregates one snapshot per shard pool.
-    fn sum<I: Iterator<Item = StatsSnapshot>>(iter: I) -> StatsSnapshot {
-        iter.fold(StatsSnapshot::default(), |a, b| a + b)
     }
 }
 

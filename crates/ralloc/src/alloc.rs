@@ -198,7 +198,7 @@ impl Ralloc {
 
     /// Like [`Ralloc::alloc`], but returns `None` instead of panicking when
     /// the heap has no block to give (every superblock carved and full).
-    pub fn try_alloc(&self, size: usize) -> Option<POff> {
+    fn try_alloc(&self, size: usize) -> Option<POff> {
         let c = class_for_size(size);
         self.stats.allocs.fetch_add(1, Ordering::Relaxed);
         with_cache(self.instance, |cache| {
@@ -228,21 +228,8 @@ impl Ralloc {
         })
     }
 
-    /// Returns every block cached by the calling thread to the shared
-    /// structures. Call before a worker thread exits to avoid stranding
-    /// blocks in its (thread-local) cache.
-    pub fn flush_thread_cache(&self) {
-        if let Some(cache) = crate::cache::take_cache(self.instance) {
-            for bin in cache.bins {
-                for off in bin {
-                    self.remote_free(off);
-                }
-            }
-        }
-    }
-
     /// Frees a block directly to its superblock, bypassing the thread cache.
-    pub fn remote_free(&self, off: POff) {
+    fn remote_free(&self, off: POff) {
         let (sb, slot) = self.locate(off);
         let st = &self.sbs[sb as usize];
         // Push onto the superblock's lock-free remote list, linking through

@@ -24,7 +24,7 @@ pub fn cap_for_class(c: usize) -> usize {
     batch_for_class(c) * 2
 }
 
-pub struct ThreadCache {
+pub(crate) struct ThreadCache {
     pub bins: [Vec<POff>; NUM_CLASSES],
 }
 
@@ -54,18 +54,6 @@ pub fn with_cache<R>(id: u64, f: impl FnOnce(&mut ThreadCache) -> R) -> R {
     })
 }
 
-/// Drops this thread's cache for instance `id`, returning any cached blocks
-/// so the caller can return them to the shared pool.
-pub fn take_cache(id: u64) -> Option<ThreadCache> {
-    CACHES.with(|c| {
-        let mut caches = c.borrow_mut();
-        caches
-            .iter()
-            .position(|(i, _)| *i == id)
-            .map(|pos| caches.swap_remove(pos).1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,9 +71,5 @@ mod tests {
         with_cache(901, |c| c.bins[0].push(POff::new(64)));
         with_cache(902, |c| assert!(c.bins[0].is_empty()));
         with_cache(901, |c| assert_eq!(c.bins[0].len(), 1));
-        take_cache(901);
-        take_cache(902);
-        with_cache(901, |c| assert!(c.bins[0].is_empty()));
-        take_cache(901);
     }
 }

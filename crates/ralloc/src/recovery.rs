@@ -51,9 +51,8 @@ impl Ralloc {
         (r, shards)
     }
 
-    /// Re-sweeps an already-open allocator (used by tests to inspect sweep
-    /// behaviour in isolation).
-    pub fn sweep_into_shards<F>(self: &Arc<Self>, k: usize, filter: &F) -> Vec<SweepShard>
+    /// The sweep itself, over an open-but-unswept allocator.
+    fn sweep_into_shards<F>(self: &Arc<Self>, k: usize, filter: &F) -> Vec<SweepShard>
     where
         F: Fn(POff, usize) -> bool + Sync,
     {

@@ -4,7 +4,7 @@
 pub const SB_SIZE: usize = 256 * 1024;
 
 /// Size-class table (bytes). Multiples of 16 so every block is 16-aligned.
-pub const CLASSES: [usize; 23] = [
+const CLASSES: [usize; 23] = [
     16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
     12288, 16384, 24576, 32768, 65536,
 ];

@@ -7,12 +7,6 @@ use rand::Rng;
 
 use crate::zipfian::{KeyDist, KeySampler};
 
-/// Paper constants.
-pub const KEY_RANGE: u64 = 1_000_000;
-pub const PRELOAD: u64 = 500_000;
-pub const NBUCKETS: usize = 1_000_000;
-pub const VALUE_SIZE: usize = 1024;
-
 /// One queue operation (1:1 enqueue:dequeue).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueOp {
@@ -145,7 +139,7 @@ mod tests {
 
     #[test]
     fn map_mix_ratios_are_respected() {
-        let mut g = MapOpGen::new(MapMix::READ_DOMINANT, KeyDist::Uniform, KEY_RANGE, 5);
+        let mut g = MapOpGen::new(MapMix::READ_DOMINANT, KeyDist::Uniform, 1_000_000, 5);
         let mut gets = 0;
         let mut writes = 0;
         for _ in 0..20_000 {

@@ -40,11 +40,6 @@ impl YcsbWorkload {
     pub fn a(records: u64, ops: u64, seed: u64) -> Self {
         Self::with_mix(records, ops, seed, 500)
     }
-
-    /// YCSB-B: 95% reads / 5% updates.
-    pub fn b(records: u64, ops: u64, seed: u64) -> Self {
-        Self::with_mix(records, ops, seed, 950)
-    }
 }
 
 impl Iterator for YcsbWorkload {
@@ -109,7 +104,7 @@ mod tests {
 
     #[test]
     fn ycsb_b_is_read_mostly() {
-        let reads = YcsbWorkload::b(1000, 100_000, 3)
+        let reads = YcsbWorkload::with_mix(1000, 100_000, 3, 950)
             .filter(|op| matches!(op, YcsbOp::Read(_)))
             .count();
         assert!((93_000..97_000).contains(&reads), "reads = {reads}");

@@ -12,7 +12,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -26,7 +25,6 @@ impl Zipfian {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan),
-            zeta2theta,
         }
     }
 
@@ -54,14 +52,6 @@ impl Zipfian {
     /// (YCSB's `ScrambledZipfianGenerator`).
     pub fn sample_scrambled(&self, rng: &mut SmallRng) -> u64 {
         fnv1a64(self.sample(rng)) % self.n
-    }
-
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -36,9 +36,10 @@
 //! above — but the reason is mandatory; a bare allow is itself a violation,
 //! so the audit trail stays complete.
 //!
-//! `cargo run -p xtask -- census` reuses the scanner for a report that never
-//! fails: `.rs` lines per crate split at the test module, plain-`pub` items
-//! no other file names, and the waivers in effect (see [`census`]).
+//! `cargo run -p xtask -- census` reuses the scanner for a report — `.rs`
+//! lines per crate split at the test module, plain-`pub` items no other file
+//! names, and the waivers in effect — that fails when either count has grown
+//! past its checked-in ceiling (see [`census`]).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -827,13 +828,22 @@ fn function_bodies(code_lines: &[&str]) -> Vec<FnSpan> {
 
 // ---------------------------------------------------------------------------
 // census: how big each crate is and what nobody calls — the printed list a
-// deletion pass starts from. Report only; it never fails the build.
+// deletion pass starts from, and a ratchet: the two counts below may fall,
+// never rise.
 // ---------------------------------------------------------------------------
 
 mod census {
     use super::{cfg_test_tail, is_test_path, read_sources, strip_code};
     use std::collections::{BTreeMap, HashMap, HashSet};
     use std::process::ExitCode;
+
+    /// Most `pub` items no other file may name. Every one left is a type a
+    /// named `pub fn` takes or returns, a paper-API verb with a test, a
+    /// checker's oracle, or a shim item mirroring its upstream crate. A
+    /// change that lowers the count lowers this with it.
+    pub(super) const UNNAMED_PUB_CEILING: usize = 21;
+    /// Most `// lint: allow(...)` waivers in effect; same rule.
+    pub(super) const WAIVER_CEILING: usize = 13;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {
@@ -927,6 +937,18 @@ mod census {
         census
     }
 
+    /// What the ratchet objects to; empty when both counts are within their
+    /// ceilings.
+    pub(super) fn over_ceiling(census: &Census) -> Vec<String> {
+        let counts = [
+            ("unnamed pub", census.uncalled.len(), UNNAMED_PUB_CEILING),
+            ("lint waivers", census.waivers, WAIVER_CEILING),
+        ];
+        let over = counts.iter().filter(|(_, count, ceiling)| count > ceiling);
+        over.map(|(what, count, ceiling)| format!("{what}: {count} > ceiling {ceiling}"))
+            .collect()
+    }
+
     pub fn run() -> ExitCode {
         let files = match read_sources(&["target"]) {
             Ok(files) => files,
@@ -958,7 +980,15 @@ mod census {
         for (rel, names) in by_file {
             println!("  {rel}: {}", names.join(", "));
         }
-        ExitCode::SUCCESS
+        let over = over_ceiling(&census);
+        for line in &over {
+            eprintln!("census: {line} (delete or demote, do not raise the ceiling)");
+        }
+        if over.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -1208,6 +1238,21 @@ mod tests {
             [("crates/demo/src/lib.rs".to_string(), "lonely".to_string())],
             "named only by its own file's tests; `Probe` has a caller in mbench"
         );
+        assert!(census::over_ceiling(&census).is_empty());
+    }
+
+    #[test]
+    fn census_fails_past_either_ceiling() {
+        let lonely_pubs: String = (0..=census::UNNAMED_PUB_CEILING)
+            .map(|i| format!("pub fn lonely_{i}() {{}}\n"))
+            .collect();
+        let waivers = "// lint: allow(raw-write): one more\n".repeat(census::WAIVER_CEILING + 1);
+        for (src, complaint) in [(lonely_pubs, "unnamed pub"), (waivers, "lint waivers")] {
+            let census = census::take(&[("crates/demo/src/lib.rs".to_string(), src)]);
+            let over = census::over_ceiling(&census);
+            assert_eq!(over.len(), 1, "{over:?}");
+            assert!(over[0].starts_with(complaint), "{over:?}");
+        }
     }
 }
 

@@ -461,10 +461,20 @@ pub mod epoch {
     mod tests {
         use super::*;
         use std::sync::atomic::AtomicU64 as StdAtomicU64;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+        /// The epoch is process-global: a pin held by one test legitimately
+        /// stalls collection in every other, so the tests of this module run
+        /// one at a time. Each takes this first. (A failed test poisons the
+        /// lock; the rest still run.)
+        fn serial() -> MutexGuard<'static, ()> {
+            static SERIAL: Mutex<()> = Mutex::new(());
+            SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+        }
 
         #[test]
         fn atomic_publish_and_read() {
+            let _serial = serial();
             let a = Atomic::new(41u64);
             let g = pin();
             let s = a.load(Ordering::Acquire, &g);
@@ -475,6 +485,7 @@ pub mod epoch {
 
         #[test]
         fn tags_ride_low_bits() {
+            let _serial = serial();
             let a = Atomic::new(7u64);
             let g = pin();
             let s = a.load(Ordering::Acquire, &g).with_tag(1);
@@ -486,6 +497,7 @@ pub mod epoch {
 
         #[test]
         fn deferred_work_eventually_runs() {
+            let _serial = serial();
             let hits = Arc::new(StdAtomicU64::new(0));
             {
                 let g = pin();
@@ -507,6 +519,7 @@ pub mod epoch {
 
         #[test]
         fn pinned_reader_blocks_reclamation() {
+            let _serial = serial();
             let hits = Arc::new(StdAtomicU64::new(0));
             let reader = pin();
             {
@@ -529,6 +542,7 @@ pub mod epoch {
 
         #[test]
         fn unprotected_defer_runs_immediately() {
+            let _serial = serial();
             let hits = Arc::new(StdAtomicU64::new(0));
             let h = hits.clone();
             unsafe {
@@ -541,6 +555,7 @@ pub mod epoch {
 
         #[test]
         fn concurrent_defer_and_collect_stress() {
+            let _serial = serial();
             let freed = Arc::new(StdAtomicU64::new(0));
             let mut handles = vec![];
             for _ in 0..4 {

@@ -32,11 +32,12 @@ fn concurrent_pushes_and_drains_survive_crash() {
         PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
         EsysConfig {
             persist: PersistStrategy::Buffered(4),
+            epoch_length: Duration::from_millis(1),
             ..Default::default()
         },
     );
     let map = MontageHashMap::<Key>::new(esys.clone(), tags::HASHMAP, 256);
-    let advancer = Advancer::start_with_period(esys.clone(), Some(Duration::from_millis(1)));
+    let advancer = Advancer::start(esys.clone());
 
     std::thread::scope(|s| {
         for w in 0..WORKERS {

@@ -95,16 +95,16 @@ fn run_mixed(pool: &PmemPool, script: &[Op]) {
     for op in script {
         match *op {
             Op::Enq(v) => {
-                let _ = q.try_enqueue(tid, &v.to_le_bytes());
+                let _ = pool.checked(|| q.enqueue(tid, &v.to_le_bytes()));
             }
             Op::Deq => {
-                let _ = q.try_dequeue(tid);
+                let _ = pool.checked(|| q.dequeue(tid));
             }
             Op::Put(k, v) => {
-                let _ = m.try_put(tid, key(k), &v.to_le_bytes());
+                let _ = pool.checked(|| m.put(tid, key(k), &v.to_le_bytes()));
             }
             Op::Remove(k) => {
-                let _ = m.try_remove(tid, &key(k));
+                let _ = pool.checked(|| m.remove(tid, &key(k)));
             }
             Op::Sync => {
                 let _ = esys.try_sync();
@@ -443,7 +443,7 @@ fn montage_workload_is_consistent_and_live_at_every_stall_point() {
             *slot.lock().unwrap() = Some((esys.clone(), map.clone()));
             let tid = esys.register_thread();
             for i in 0..STALL_VICTIM_PUTS {
-                let _ = map.try_put(tid, stall_victim_key(i), &i.to_le_bytes());
+                let _ = pool.checked(|| map.put(tid, stall_victim_key(i), &i.to_le_bytes()));
             }
         },
         |_pool| {
@@ -453,7 +453,8 @@ fn montage_workload_is_consistent_and_live_at_every_stall_point() {
             };
             let tid = esys.register_thread();
             for (j, k) in peer_keys.iter().enumerate() {
-                if map.try_put(tid, *k, &(j as u64).to_le_bytes()).is_err() {
+                let put = || map.put(tid, *k, &(j as u64).to_le_bytes());
+                if esys.pool().checked(put).is_err() {
                     return;
                 }
                 if esys.try_sync().is_err() {
@@ -653,10 +654,10 @@ fn run_resize(pool: &PmemPool, script: &[ROp]) -> usize {
     for op in script {
         match *op {
             ROp::Put(k, v) => {
-                let _ = m.try_put(tid, key(k), &v.to_le_bytes());
+                let _ = pool.checked(|| m.put(tid, key(k), &v.to_le_bytes()));
             }
             ROp::Remove(k) => {
-                let _ = m.try_remove(tid, &key(k));
+                let _ = pool.checked(|| m.remove(tid, &key(k)));
             }
             ROp::Sync => {
                 let _ = esys.try_sync();
