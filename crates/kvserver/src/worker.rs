@@ -141,7 +141,9 @@ pub(crate) fn run(widx: usize, inbox: Arc<Inbox>, shared: Arc<Shared>) {
                         c.last_activity = now;
                         progressed = true;
                         read_bytes += n;
-                        if read_bytes >= MAX_READ_PER_CONN {
+                        // A short read drained the socket: asking again
+                        // would buy a `WouldBlock` for a syscall.
+                        if n < buf.len() || read_bytes >= MAX_READ_PER_CONN {
                             break;
                         }
                     }

@@ -109,6 +109,49 @@ fn framing_survives_hostile_packetisation() {
     h.shutdown();
 }
 
+/// The worker stops reading a connection at the first short read — the
+/// socket is drained — instead of buying a `WouldBlock` with a second
+/// syscall. Nothing may be stranded by that: a request whose second TCP
+/// segment arrives sweeps later, and a pipelined burst several read buffers
+/// long, are both served whole.
+#[test]
+fn short_reads_strand_no_bytes() {
+    let h = dram_server(ServerConfig::default());
+    let mut c = WireClient::connect(h.addr()).unwrap();
+
+    let value = vec![b'x'; 3000];
+    let mut request = b"set halves 1 0 3000\r\n".to_vec();
+    request.extend_from_slice(&value);
+    request.extend_from_slice(b"\r\n");
+    let (first, second) = request.split_at(1500);
+    c.send_raw(first).unwrap();
+    std::thread::sleep(Duration::from_millis(60)); // > one server poll interval
+    c.send_raw(second).unwrap();
+    assert_eq!(c.read_line().unwrap(), "STORED");
+    assert_eq!(c.get("halves").unwrap(), Some((1, value)));
+
+    // 40 × 1 KiB sets in one write: over 40 KiB against a 16 KiB read
+    // buffer, so the sweep sees full reads, then a short one.
+    let body = |i: usize| vec![b'a' + (i % 26) as u8; 1024];
+    let mut burst = Vec::new();
+    for i in 0..40 {
+        burst.extend_from_slice(format!("set burst{i} 0 0 1024\r\n").as_bytes());
+        burst.extend_from_slice(&body(i));
+        burst.extend_from_slice(b"\r\n");
+    }
+    assert!(burst.len() > 40 << 10);
+    c.send_raw(&burst).unwrap();
+    for i in 0..40 {
+        assert_eq!(c.read_line().unwrap(), "STORED", "set {i} of the burst");
+    }
+    for i in [0, 15, 16, 39] {
+        assert_eq!(c.get(&format!("burst{i}")).unwrap(), Some((0, body(i))));
+    }
+
+    c.quit().unwrap();
+    h.shutdown();
+}
+
 #[test]
 fn oversized_value_is_refused_without_buffering() {
     let h = dram_server(ServerConfig {

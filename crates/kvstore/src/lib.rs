@@ -84,13 +84,6 @@ fn nvm_alloc(r: &Ralloc, value: &[u8]) -> (POff, u32) {
     (off, value.len() as u32)
 }
 
-fn montage_new(esys: &EpochSys, g: &OpGuard<'_>, key: &Key, value: &[u8]) -> PHandle<[u8]> {
-    let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-    bytes.extend_from_slice(key);
-    bytes.extend_from_slice(value);
-    esys.pnew_bytes(g, KV_TAG, &bytes)
-}
-
 impl KvBackend {
     /// Opens the window one mutation runs in. On Montage that is `begin_op`:
     /// every payload write inside it — and the session descriptor — carries
@@ -109,11 +102,10 @@ impl KvBackend {
             (_, ItemRef::Dram(b)) => f(b),
             (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
                 r.pool().media_read(*len as usize);
-                // SAFETY: (both lines) the ItemRef was produced by this
-                // arena's own append, so `off..off+len` is in bounds and the
-                // bytes are initialized.
-                let ptr = unsafe { r.pool().at::<u8>(*off) };
-                f(unsafe { std::slice::from_raw_parts(ptr, *len as usize) })
+                // SAFETY: the ItemRef came from this arena's own append, so the
+                // extent is in bounds and initialized; the stripe lock keeps
+                // writers off it.
+                f(unsafe { r.pool().bytes(*off, *len as usize) })
             }
             (KvBackend::Montage(esys), ItemRef::Montage(h)) => esys.peek_bytes_unsafe(*h, |b| {
                 esys.pool().media_read(b.len());
@@ -141,7 +133,7 @@ impl Window<'_> {
                 let (off, len) = nvm_alloc(r, value);
                 ItemRef::Nvm(off, len)
             }
-            Window::Montage(esys, g) => ItemRef::Montage(montage_new(esys, g, key, value)),
+            Window::Montage(esys, g) => ItemRef::Montage(esys.pnew_parts(g, KV_TAG, key, value)),
         }
     }
 
@@ -595,15 +587,19 @@ impl KvStore {
     /// atomic: without the held lock, two connections on different workers
     /// interleave get→decide→set and lose updates. Returns `decide`'s
     /// reply bytes.
+    ///
+    /// Always reads, as the wire's `add`, `replace`, `cas`, `incr`, `decr`,
+    /// `touch` and `delete` must; its plain `set` runs the same path blind.
     pub fn update(
         &self,
         tid: usize,
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let (at, stripe) = self.locate(key);
-        let mut stripe = stripe.lock();
-        self.decide_and_apply(&mut stripe, &self.backend.open(tid), &at, decide)
+        match self.mutate(tid, None, key, false, decide) {
+            DetectOutcome::Applied(reply) => reply,
+            _ => unreachable!("without a session there is nothing to replay"),
+        }
     }
 
     /// A detectable mutation: routes `(sid, rid)` through the session table,
@@ -636,15 +632,31 @@ impl KvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> DetectOutcome {
+        self.mutate(tid, Some((sid, rid, op_kind)), key, false, decide)
+    }
+
+    /// The one path under [`KvStore::update`] (`session` = `None`),
+    /// [`KvStore::detected_update`] (`(sid, rid, op_kind)`) and the wire
+    /// protocol. `blind`: the decision ignores the key's current item, so
+    /// `decide` gets `None` and the item is never read — on NVM a charged
+    /// dereference and a media read of every line about to be overwritten.
+    pub(crate) fn mutate(
+        &self,
+        tid: usize,
+        session: Option<(u64, u64, u8)>,
+        key: &Key,
+        blind: bool,
+        decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
+    ) -> DetectOutcome {
         // Serialization is per session, not per store: the table-wide lock
         // is held only long enough to fetch the session's slot, then two
         // racing retries of the same request serialize on the slot (the
         // loser answered from the winner's descriptor) while unrelated
         // sessions run concurrently — contending, at most, on the mutated
         // key's stripe lock like any other mutation.
-        let slot = self.sessions.slot(sid);
-        let mut entry = slot.lock();
-        if let Some(rec) = entry.as_ref() {
+        let slot = session.map(|(sid, ..)| self.sessions.slot(sid));
+        let mut entry = slot.as_ref().map(|slot| slot.lock());
+        if let (Some((_, rid, _)), Some(Some(rec))) = (session, entry.as_deref()) {
             if rid == rec.rid {
                 self.sessions.dedupe_hits.fetch_add(1, Ordering::Relaxed);
                 if rec.recovered {
@@ -659,39 +671,29 @@ impl KvStore {
         let (at, stripe) = self.locate(key);
         let mut stripe = stripe.lock();
         let window = self.backend.open(tid);
-        let result = self.decide_and_apply(&mut stripe, &window, &at, decide);
-        let prev = entry.as_ref().and_then(|r| r.handle);
-        let handle = window.describe(prev, sid, rid, op_kind, &result);
-        *entry = Some(SessionRecord {
-            rid,
-            op_kind,
-            result: result.clone(),
-            handle,
-            recovered: false,
-        });
-        DetectOutcome::Applied(result)
-    }
-
-    /// The locked read → decide → apply every conditional mutation is.
-    fn decide_and_apply(
-        &self,
-        stripe: &mut Stripe,
-        window: &Window<'_>,
-        at: &HashedKey,
-        decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
-    ) -> Vec<u8> {
-        let (write, reply) = match stripe.map.get(at) {
-            Some((item, _)) => self.backend.read(item, |b| decide(Some(b))),
-            None => decide(None),
+        let (write, reply) = match stripe.map.get(&at) {
+            Some((item, _)) if !blind => self.backend.read(item, |b| decide(Some(b))),
+            _ => decide(None),
         };
         match write {
             DetectedWrite::Keep => {}
             DetectedWrite::Delete => {
-                self.remove(stripe, window, at);
+                self.remove(&mut stripe, &window, &at);
             }
-            DetectedWrite::Upsert(value) => self.upsert(stripe, window, at, &value),
+            DetectedWrite::Upsert(value) => self.upsert(&mut stripe, &window, &at, &value),
         }
-        reply
+        if let (Some((sid, rid, op_kind)), Some(entry)) = (session, entry.as_mut()) {
+            let prev = entry.as_ref().and_then(|r| r.handle);
+            let handle = window.describe(prev, sid, rid, op_kind, &reply);
+            **entry = Some(SessionRecord {
+                rid,
+                op_kind,
+                result: reply.clone(),
+                handle,
+                recovered: false,
+            });
+        }
+        DetectOutcome::Applied(reply)
     }
 
     /// Overwrites the key's item, or creates it — evicting the stripe's

@@ -243,6 +243,11 @@ impl MutOp<'_> {
         }
     }
 
+    /// Whether the decision ignores the key's current item: plain `set` alone.
+    fn is_blind(&self) -> bool {
+        matches!(self, MutOp::Store { verb: "set", .. })
+    }
+
     /// The command's semantics as a pure decision over the key's current
     /// live item: what to write, and what to reply. Shared verbatim by the
     /// plain path and the detected (exactly-once) path, so retries replay
@@ -433,7 +438,8 @@ impl Session {
     /// read-decide-write minus the descriptor (at-most-once acked,
     /// at-least-once retried — but still atomic: both paths hold the key's
     /// shard lock across the decision, so racing `incr`s never lose
-    /// updates and racing `add`s never both reply `STORED`).
+    /// updates and racing `add`s never both reply `STORED`). Plain `set`
+    /// decides the same whatever is there, so its read is skipped.
     fn mutate(
         &self,
         ctx: Option<(u64, u64)>,
@@ -459,13 +465,10 @@ impl Session {
         };
         let shard = self.store.shard_of(&key);
         on_shard(shard);
-        let outcome = self
-            .store
-            .route_to(&self.lease, shard)
-            .map(|(kv, tid)| match ctx {
-                Some((sid, rid)) => kv.detected_update(tid, sid, rid, op.kind(), &key, decide),
-                None => DetectOutcome::Applied(kv.update(tid, &key, decide)),
-            });
+        let outcome = self.store.route_to(&self.lease, shard).map(|(kv, tid)| {
+            let session = ctx.map(|(sid, rid)| (sid, rid, op.kind()));
+            kv.mutate(tid, session, &key, op.is_blind(), decide)
+        });
         match outcome {
             Ok(DetectOutcome::Applied(r)) | Ok(DetectOutcome::Replayed(r)) => {
                 out.extend_from_slice(String::from_utf8_lossy(&r).as_bytes())

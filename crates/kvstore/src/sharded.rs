@@ -303,7 +303,7 @@ impl ShardedKvStore {
     }
 
     /// Blind `set` on the owning shard (see [`KvStore::set`]) — a library
-    /// entry point; the wire path goes through `update`/`detected`.
+    /// entry point; the wire's `set`, as blind, replies and records sessions.
     pub fn set(&self, lease: &StoreLease, key: Key, value: &[u8]) -> Result<(), StoreError> {
         let (store, tid) = self.route(lease, &key)?;
         store.set(tid, key, value);

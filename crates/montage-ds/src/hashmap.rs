@@ -937,11 +937,15 @@ mod tests {
             m.put(tid0, key(i), b"stable");
         }
         let stop = Arc::new(AtomicBool::new(false));
+        // The resizes start only once every reader has read a pass: on a
+        // busy box the writer would otherwise be done before they are scheduled.
+        let reading = Arc::new(std::sync::Barrier::new(4));
         let mut readers = vec![];
         for _ in 0..3 {
             let m = m.clone();
             let s = s.clone();
             let stop = stop.clone();
+            let reading = reading.clone();
             readers.push(std::thread::spawn(move || {
                 let tid = s.register_thread();
                 let mut checks = 0u64;
@@ -953,10 +957,14 @@ mod tests {
                         );
                         checks += 1;
                     }
+                    if checks == 64 {
+                        reading.wait();
+                    }
                 }
                 checks
             }));
         }
+        reading.wait();
         // Writers push the map through several resizes under the readers.
         for i in 64..800 {
             m.put(tid0, key(i), b"x");

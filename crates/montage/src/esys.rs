@@ -479,7 +479,8 @@ impl EpochSys {
 
     // ---- payload operations ---------------------------------------------------
 
-    fn osn_check(&self, g: &OpGuard<'_>, blk: POff) -> Result<(), OldSeeNewException> {
+    /// A payload operation's one charged dereference; yields its epoch.
+    fn osn_check(&self, g: &OpGuard<'_>, blk: POff) -> Result<u64, OldSeeNewException> {
         self.pool.touch(); // NVM payload dereference
         let pe = Header::epoch(&self.pool, blk);
         if pe > g.epoch {
@@ -488,7 +489,7 @@ impl EpochSys {
                 payload_epoch: pe,
             })
         } else {
-            Ok(())
+            Ok(pe)
         }
     }
 
@@ -539,28 +540,44 @@ impl EpochSys {
         // SAFETY: `blk` was sized HDR_SIZE + size above and is still
         // thread-private; T: Copy rules out drop obligations.
         unsafe { self.pool.write(Header::data(blk), val) };
-        // The header seals *after* the data lands: its checksum covers the
-        // data bytes as stored (read back from the pool, so `T`'s padding
-        // bytes checksum exactly as written), which lets recovery quarantine
-        // a torn payload whose header line persisted but data lines did not.
-        let sum = Header::data_sum_pooled(&self.pool, blk, size as u32);
-        self.seal_pnew(g, blk, tag, size, sum);
+        self.seal_pnew(g, blk, tag, size);
         PHandle::from_raw(blk)
     }
 
     /// `PNEW` for runtime-sized byte payloads.
     pub fn pnew_bytes(&self, g: &OpGuard<'_>, tag: u16, bytes: &[u8]) -> PHandle<[u8]> {
-        let blk = self.ralloc.alloc(HDR_SIZE + bytes.len());
-        self.pool.write_bytes(Header::data(blk), bytes);
-        self.seal_pnew(g, blk, tag, bytes.len(), Header::data_sum(bytes));
+        self.pnew_parts(g, tag, bytes, &[])
+    }
+
+    /// `PNEW` of the byte payload `head ‖ tail` — a keyed structure's key
+    /// image and value — each part stored straight into the block.
+    pub fn pnew_parts(&self, g: &OpGuard<'_>, tag: u16, head: &[u8], tail: &[u8]) -> PHandle<[u8]> {
+        let size = head.len() + tail.len();
+        let blk = self.ralloc.alloc(HDR_SIZE + size);
+        self.write_parts(blk, head, tail);
+        self.seal_pnew(g, blk, tag, size);
         PHandle::from_raw(blk)
     }
 
+    /// Stores `head ‖ tail` as the fresh block `blk`'s data bytes, unstaged.
+    fn write_parts(&self, blk: POff, head: &[u8], tail: &[u8]) {
+        self.pool.write_bytes(Header::data(blk), head);
+        if !tail.is_empty() {
+            self.pool
+                .write_bytes(Header::data(blk).add(head.len() as u64), tail);
+        }
+    }
+
     /// What every `PNEW` does once the data bytes are in `blk`: seals an
-    /// `ALLOC` header with a fresh uid over them (`data_sum` is their
-    /// checksum), queues the block's write-back and counts the payload.
+    /// `ALLOC` header with a fresh uid over them, queues the block's
+    /// write-back and counts the payload.
     #[inline]
-    fn seal_pnew(&self, g: &OpGuard<'_>, blk: POff, tag: u16, size: usize, data_sum: u32) {
+    fn seal_pnew(&self, g: &OpGuard<'_>, blk: POff, tag: u16, size: usize) {
+        // The header seals *after* the data lands: its checksum covers the
+        // data bytes as stored (read back from the pool, so a `T`'s padding
+        // bytes checksum exactly as written), which lets recovery quarantine
+        // a torn payload whose header line persisted but data lines did not.
+        let data_sum = Header::data_sum_pooled(&self.pool, blk, size as u32);
         Header::write_new(
             &self.pool,
             blk,
@@ -606,8 +623,7 @@ impl EpochSys {
         let size = Header::size(&self.pool, h.blk) as usize;
         // SAFETY: the header records the payload's byte length, so the slice
         // covers exactly the initialized data area; the borrow ends with `f`.
-        let ptr = unsafe { self.pool.at::<u8>(Header::data(h.blk)) };
-        Ok(f(unsafe { std::slice::from_raw_parts(ptr, size) }))
+        Ok(f(unsafe { self.pool.bytes(Header::data(h.blk), size) }))
     }
 
     /// Byte-payload read without the old-see-new alert.
@@ -615,8 +631,7 @@ impl EpochSys {
         self.pool.touch(); // NVM payload dereference
         let size = Header::size(&self.pool, h.blk) as usize;
         // SAFETY: same slice-validity argument as `peek_bytes`.
-        let ptr = unsafe { self.pool.at::<u8>(Header::data(h.blk)) };
-        f(unsafe { std::slice::from_raw_parts(ptr, size) })
+        f(unsafe { self.pool.bytes(Header::data(h.blk), size) })
     }
 
     /// `set`: applies `f` to the payload. In place when the payload already
@@ -631,13 +646,14 @@ impl EpochSys {
         h: PHandle<T>,
         f: impl FnOnce(&mut T),
     ) -> Result<PHandle<T>, OldSeeNewException> {
-        self.set_raw(g, h.blk, |pool, data| {
+        let pe = self.osn_check(g, h.blk)?;
+        let blk = self.set_raw(g, h.blk, pe, std::mem::size_of::<T>(), |pool, data| {
             // SAFETY: `data` points at a valid T (see `read`); set_raw runs
             // under the operation guard, and constraint 2 makes payload
             // access exclusive, so the &mut cannot alias.
             f(unsafe { &mut *pool.at::<T>(data) })
-        })
-        .map(PHandle::from_raw)
+        });
+        Ok(PHandle::from_raw(blk))
     }
 
     /// `set` for byte payloads.
@@ -648,24 +664,28 @@ impl EpochSys {
         h: PHandle<[u8]>,
         f: impl FnOnce(&mut [u8]),
     ) -> Result<PHandle<[u8]>, OldSeeNewException> {
+        let pe = self.osn_check(g, h.blk)?;
         let size = Header::size(&self.pool, h.blk) as usize;
-        self.set_raw(g, h.blk, |pool, data| {
+        let blk = self.set_raw(g, h.blk, pe, size, |pool, data| {
             // SAFETY: `size` comes from the payload header, and exclusive
             // payload access (constraint 2) makes the &mut slice unique.
             let ptr = unsafe { pool.at::<u8>(data) };
             f(unsafe { std::slice::from_raw_parts_mut(ptr, size) })
-        })
-        .map(PHandle::from_raw)
+        });
+        Ok(PHandle::from_raw(blk))
     }
 
+    /// The body of every same-size `set`; `pe` is the payload's epoch from
+    /// the caller's `osn_check`. `apply` leaves the first `keep` data bytes as
+    /// they are: all a copy-on-write has to carry over from the old version.
     fn set_raw(
         &self,
         g: &OpGuard<'_>,
         blk: POff,
+        pe: u64,
+        keep: usize,
         apply: impl FnOnce(&PmemPool, POff),
-    ) -> Result<POff, OldSeeNewException> {
-        self.osn_check(g, blk)?;
-        let pe = Header::epoch(&self.pool, blk);
+    ) -> POff {
         let size = Header::size(&self.pool, blk);
         let total = HDR_SIZE as u32 + size;
         if pe == g.epoch || self.cfg.persist == PersistStrategy::None {
@@ -683,18 +703,20 @@ impl EpochSys {
             self.record_persist(g.tid.0, g.epoch, blk, total);
             // ord(counter): stats tally.
             self.stats.sets_in_place.fetch_add(1, Ordering::Relaxed);
-            Ok(blk)
+            blk
         } else {
             // Copy-on-write into the current epoch.
+            assert!(keep <= size as usize, "set keeps more than the payload");
             let nblk = self.ralloc.alloc(total as usize);
-            // SAFETY: `blk` is a live payload of `total` bytes and `nblk` a
-            // distinct fresh block of the same size — no overlap.
+            // SAFETY: `blk` is a live payload holding `size >= keep` data
+            // bytes and `nblk` a distinct fresh block of the same size — no
+            // overlap.
             unsafe {
                 // lint: allow(raw-write): the clone is declared via san_mark_dirty below and persisted by record_persist
                 std::ptr::copy_nonoverlapping(
-                    self.pool.at::<u8>(blk) as *const u8,
-                    self.pool.at::<u8>(nblk),
-                    total as usize,
+                    self.pool.at::<u8>(Header::data(blk)) as *const u8,
+                    self.pool.at::<u8>(Header::data(nblk)),
+                    keep,
                 );
             }
             // The pool-to-pool copy is invisible to the sanitizer.
@@ -717,91 +739,81 @@ impl EpochSys {
             self.retire(g, blk, g.epoch);
             // ord(counter): stats tally.
             self.stats.sets_copied.fetch_add(1, Ordering::Relaxed);
-            Ok(nblk)
+            nblk
         }
     }
 
     /// The size-changing half of [`overwrite_tail`](Self::overwrite_tail),
-    /// its only caller: replaces a byte payload's contents with `bytes`
-    /// (whose length may differ), keeping the payload's **uid** so the old and
-    /// new versions cancel correctly at recovery — the newest epoch's record
-    /// for a uid wins.
-    #[must_use = "replace returns a new handle that must replace the old one"]
-    fn replace_bytes(
+    /// its only caller: replaces a byte payload's contents with its first
+    /// `head_len` bytes followed by `tail`, keeping the payload's **uid** so
+    /// the old and new versions cancel correctly at recovery — the newest
+    /// epoch's record for a uid wins.
+    fn replace_raw(
         &self,
         g: &OpGuard<'_>,
-        h: PHandle<[u8]>,
-        bytes: &[u8],
-    ) -> Result<PHandle<[u8]>, OldSeeNewException> {
-        self.osn_check(g, h.blk)?;
-        let blk = h.blk;
-        let pe = Header::epoch(&self.pool, blk);
+        blk: POff,
+        pe: u64,
+        head_len: usize,
+        tail: &[u8],
+    ) -> POff {
         let tag = Header::tag(&self.pool, blk);
         let uid = Header::uid(&self.pool, blk);
         let old_kind = Header::kind(&self.pool, blk).expect("replace of non-payload");
         debug_assert_ne!(
             old_kind,
             PayloadKind::Delete,
-            "replace_bytes of an anti-payload"
+            "replace_raw of an anti-payload"
         );
-        let nblk = self.ralloc.alloc(HDR_SIZE + bytes.len());
-        self.pool.write_bytes(Header::data(nblk), bytes);
-        if pe == g.epoch || self.cfg.persist == PersistStrategy::None {
-            // Same-epoch resize: the new block simply supersedes the old.
+        let size = head_len + tail.len();
+        let nblk = self.ralloc.alloc(HDR_SIZE + size);
+        // SAFETY: the caller checked `head_len` against the live payload's
+        // size; `nblk` is a distinct fresh block, so the stores below land
+        // outside the borrowed extent.
+        let head = unsafe { self.pool.bytes(Header::data(blk), head_len) };
+        self.write_parts(nblk, head, tail);
+        let sum = Header::data_sum_pooled(&self.pool, nblk, size as u32);
+        // Same-epoch resize: the new block simply supersedes the old.
+        // Cross-epoch: an `Update` payload with the same uid in the current
+        // epoch strictly supersedes it at recovery (newest epoch wins).
+        let same_epoch = pe == g.epoch || self.cfg.persist == PersistStrategy::None;
+        let kind = if same_epoch {
+            old_kind
+        } else {
+            PayloadKind::Update
+        };
+        Header::write_new(&self.pool, nblk, kind, tag, g.epoch, uid, size as u32, sum);
+        self.record_persist(g.tid.0, g.epoch, nblk, (HDR_SIZE + size) as u32);
+        if same_epoch {
             // Create-then-tombstone, so no crash cut sees the uid vanish:
             // before the new block's lines land, the old version recovers;
             // in the window where both are flushed, recovery's cancel pass
             // keeps exactly one (same uid, same epoch — either content is a
             // consistent prefix of this still-unacked op); once the
-            // tombstone lands, only the new one.
-            Header::write_new(
-                &self.pool,
-                nblk,
-                old_kind,
-                tag,
-                g.epoch,
-                uid,
-                bytes.len() as u32,
-                Header::data_sum(bytes),
-            );
-            self.record_persist(g.tid.0, g.epoch, nblk, (HDR_SIZE + bytes.len()) as u32);
-            // The old block may already have drained to the media earlier
-            // this epoch; re-queue its tombstoned header so the invalidation
-            // rides the same boundary flush.
+            // tombstone lands, only the new one. The old block may already
+            // have drained to the media earlier this epoch; re-queue its
+            // tombstoned header so the invalidation rides the same boundary
+            // flush.
             Header::tombstone(&self.pool, blk);
             self.record_persist(g.tid.0, g.epoch, blk, HDR_SIZE as u32);
             self.ralloc.dealloc(blk);
         } else {
-            // Cross-epoch resize: an `Update` payload with the same uid in
-            // the current epoch strictly supersedes the old version at
-            // recovery (newest epoch wins); the old block retires on the
-            // usual two-epoch schedule.
-            Header::write_new(
-                &self.pool,
-                nblk,
-                PayloadKind::Update,
-                tag,
-                g.epoch,
-                uid,
-                bytes.len() as u32,
-                Header::data_sum(bytes),
-            );
-            self.record_persist(g.tid.0, g.epoch, nblk, (HDR_SIZE + bytes.len()) as u32);
+            // The old block retires on the usual two-epoch schedule.
             self.retire(g, blk, g.epoch);
         }
         // ord(counter): stats tally.
         self.stats.sets_copied.fetch_add(1, Ordering::Relaxed);
-        Ok(PHandle::from_raw(nblk))
+        nblk
     }
 
     /// The overwrite verb of every keyed structure: replaces everything past
     /// the payload's first `head_len` bytes (the key image, which an
-    /// overwrite never changes) with `tail`. A same-length tail is a
-    /// [`set_bytes`](Self::set_bytes); any other length is a same-uid
-    /// replacement of `head ‖ tail`. Either way the key keeps its uid, so every
-    /// crash cut recovers exactly one version of it — which a `pnew_bytes` +
-    /// `pdelete` pair does not promise once an epoch boundary may bypass a
-    /// stalled thread between the two.
+    /// overwrite never changes) with `tail`, on one charged dereference and
+    /// without reading what it replaces. A same-length tail is a `set` (in
+    /// place, or into a copy that carries over only the head); any other
+    /// length is a same-uid replacement of `head ‖ tail`. Either way the key
+    /// keeps its uid, so every crash cut recovers exactly one version of it —
+    /// which a `pnew_bytes` + `pdelete` pair does not promise once an epoch
+    /// boundary may bypass a stalled thread between the two.
     #[must_use = "overwrite may return a new handle that must replace the old one"]
     pub fn overwrite_tail(
         &self,
@@ -810,13 +822,21 @@ impl EpochSys {
         head_len: usize,
         tail: &[u8],
     ) -> Result<PHandle<[u8]>, OldSeeNewException> {
-        let resized = self.peek_bytes_unsafe(h, |b| {
-            (b.len() != head_len + tail.len()).then(|| [&b[..head_len], tail].concat())
-        });
-        match resized {
-            None => self.set_bytes(g, h, |b| b[head_len..].copy_from_slice(tail)),
-            Some(bytes) => self.replace_bytes(g, h, &bytes),
-        }
+        let pe = self.osn_check(g, h.blk)?;
+        let size = Header::size(&self.pool, h.blk) as usize;
+        assert!(head_len <= size, "overwrite_tail: head past the payload");
+        let blk = if size == head_len + tail.len() {
+            self.set_raw(g, h.blk, pe, head_len, |pool, data| {
+                // SAFETY: the data area holds `head_len + tail.len()` bytes
+                // (checked above), and exclusive payload access (constraint
+                // 2) makes the &mut slice unique.
+                let ptr = unsafe { pool.at::<u8>(data.add(head_len as u64)) };
+                unsafe { std::slice::from_raw_parts_mut(ptr, tail.len()) }.copy_from_slice(tail)
+            })
+        } else {
+            self.replace_raw(g, h.blk, pe, head_len, tail)
+        };
+        Ok(PHandle::from_raw(blk))
     }
 
     /// `PDELETE`: logically deletes a payload. The block is reclaimed only
@@ -832,7 +852,7 @@ impl EpochSys {
     }
 
     fn pdelete_raw(&self, g: &OpGuard<'_>, blk: POff) -> Result<(), OldSeeNewException> {
-        self.osn_check(g, blk)?;
+        let pe = self.osn_check(g, blk)?;
         // ord(counter): stats tally.
         self.stats.pdeletes.fetch_add(1, Ordering::Relaxed);
 
@@ -844,7 +864,6 @@ impl EpochSys {
             return Ok(());
         }
 
-        let pe = Header::epoch(&self.pool, blk);
         if pe == g.epoch {
             match Header::kind(&self.pool, blk).expect("pdelete of non-payload") {
                 PayloadKind::Alloc => {
@@ -1347,47 +1366,70 @@ mod tests {
         );
     }
 
+    /// Every arm of `overwrite_tail` — in place, copy-on-write, same-epoch
+    /// and cross-epoch resize — over heads of 0, 20 and 32 bytes and tails
+    /// from empty to 4 KiB: one charged dereference, the uid kept, and the
+    /// new bytes recovered from a crash image under a verifying checksum.
     #[test]
     fn overwrite_tail_keeps_one_uid_through_resizes_and_crash() {
-        const HEAD: &[u8] = b"key-image";
-        // (advance between create and overwrite?, new tail)
-        let cases: [(bool, &[u8]); 5] = [
-            (false, b"same-len"),                     // in place
-            (true, b"SAME-LEN"),                      // copy-on-write, same length
-            (false, b"longer value"),                 // same-epoch resize
-            (true, b"much longer value than before"), // cross-epoch grow
-            (true, b"s"),                             // cross-epoch shrink
-        ];
-        for (advance, tail) in cases {
-            let s = sys(EsysConfig::default());
-            let tid = s.register_thread();
-            let g = s.begin_op(tid);
-            let h = s.pnew_bytes(&g, 4, &[HEAD, b"old-tail"].concat());
-            let uid = Header::uid(s.pool(), h.raw());
-            let g = if advance {
-                drop(g);
-                s.advance_epoch();
-                s.begin_op(tid)
-            } else {
-                g
-            };
-            let h2 = s.overwrite_tail(&g, h, HEAD.len(), tail).unwrap();
-            let in_place = !advance && tail.len() == b"old-tail".len();
-            assert_eq!(h == h2, in_place, "{advance} {tail:?}");
-            assert_eq!(
-                s.stats().sets_in_place.load(Ordering::Relaxed),
-                in_place as u64
-            );
-            assert_eq!(Header::uid(s.pool(), h2.raw()), uid, "uid survives");
-            s.peek_bytes(&g, h2, |b| assert_eq!(b, [HEAD, tail].concat()))
-                .unwrap();
-            drop(g);
-            s.sync();
-            let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
-            assert_eq!(rec.report.survivors, 1, "{advance} {tail:?}");
-            let item = &rec.shards[0][0];
-            assert_eq!((item.uid, item.tag), (uid, 4));
-            rec.with_bytes(item, |b| assert_eq!(b, [HEAD, tail].concat()));
+        let pattern = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| (i * 7 + salt) as u8).collect()
+        };
+        for head_len in [0usize, 20, 32] {
+            for tail_len in [0usize, 31, 32, 4096] {
+                // (advance between create and overwrite?, old tail's length)
+                for (advance, old_len) in [
+                    (false, tail_len),     // in place
+                    (true, tail_len),      // copy-on-write, same length
+                    (false, tail_len + 5), // same-epoch resize
+                    (true, tail_len + 5),  // cross-epoch shrink
+                    (true, tail_len / 2),  // cross-epoch grow (or 0 → 0)
+                ] {
+                    let at = format!("head {head_len} tail {old_len}→{tail_len} advance {advance}");
+                    let (head, tail) = (pattern(head_len, 1), pattern(tail_len, 13));
+                    let want = [&head[..], &tail[..]].concat();
+                    let s = EpochSys::format(
+                        PmemPool::new(PmemConfig::strict_for_test(4 << 20)),
+                        EsysConfig::default(),
+                    );
+                    let tid = s.register_thread();
+                    let g = s.begin_op(tid);
+                    let h = s.pnew_parts(&g, 4, &head, &pattern(old_len, 99));
+                    let uid = Header::uid(s.pool(), h.raw());
+                    let g = if advance {
+                        drop(g);
+                        s.advance_epoch();
+                        s.begin_op(tid)
+                    } else {
+                        g
+                    };
+                    let touches = s.pool().stats().snapshot().touches;
+                    let h2 = s.overwrite_tail(&g, h, head_len, &tail).unwrap();
+                    assert_eq!(
+                        s.pool().stats().snapshot().touches - touches,
+                        1,
+                        "{at}: one charged dereference"
+                    );
+                    let in_place = !advance && tail_len == old_len;
+                    assert_eq!(h == h2, in_place, "{at}");
+                    assert_eq!(
+                        s.stats().sets_in_place.load(Ordering::Relaxed),
+                        in_place as u64,
+                        "{at}"
+                    );
+                    assert_eq!(Header::uid(s.pool(), h2.raw()), uid, "{at}: uid survives");
+                    s.peek_bytes(&g, h2, |b| assert_eq!(b, want, "{at}"))
+                        .unwrap();
+                    drop(g);
+                    s.sync();
+                    let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
+                    assert_eq!(rec.report.survivors, 1, "{at}");
+                    let item = &rec.shards[0][0];
+                    assert_eq!((item.uid, item.tag), (uid, 4), "{at}");
+                    assert!(Header::checksum_ok(rec.esys.pool(), item.blk), "{at}");
+                    rec.with_bytes(item, |b| assert_eq!(b, want, "{at}"));
+                }
+            }
         }
     }
 

@@ -102,94 +102,52 @@ fn full_sum(kind: u8, tag: u16, epoch: u64, uid: u64, size: u32, data_sum: u32) 
     }
 }
 
-/// Streaming 4-lane multiplicative checksum over a payload's user bytes.
-///
-/// The original byte-at-a-time FNV-1a put ~4k serially dependent multiplies
-/// on every 4 KiB value seal/reseal (~4 µs per update — it dominated the
-/// wire benchmarks). Four independent u64 lanes striding 32-byte blocks keep
-/// the multiplier pipeline full; any flipped byte still flips the folded
-/// result with overwhelming probability, which is all the torn-payload
-/// quarantine at recovery needs. Not a cryptographic or portable format —
-/// sums are only ever compared against ones the same code computed.
-struct DataSum {
-    lanes: [u64; 4],
-    total: u64,
-}
-
 /// FNV-1a 64-bit prime: cheap, odd (so multiplication is invertible), and
 /// good avalanche after the final fold for checksum purposes.
 const SUM_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-impl DataSum {
-    fn new() -> DataSum {
+impl Header {
+    /// Checksum over a payload's user bytes, for the header seal, one pass.
+    ///
+    /// The original byte-at-a-time FNV-1a put ~4k serially dependent
+    /// multiplies on every 4 KiB value seal/reseal (~4 µs per update — it
+    /// dominated the wire benchmarks). Four independent u64 lanes striding
+    /// 32-byte blocks keep the multiplier pipeline full; any flipped byte
+    /// still flips the folded result with overwhelming probability, which is
+    /// all the torn-payload quarantine at recovery needs. Not a cryptographic
+    /// or portable format — sums are only ever compared against ones the same
+    /// code computed.
+    pub fn data_sum(bytes: &[u8]) -> u32 {
         // Distinct lane seeds derived from the FNV-1a 64 offset basis.
-        DataSum {
-            lanes: [0xCBF2_9CE4_8422_2325u64; 4].map({
-                let mut i = 0u64;
-                move |s| {
-                    i += 1;
-                    s.wrapping_mul(SUM_PRIME).wrapping_add(i)
-                }
-            }),
-            total: 0,
-        }
-    }
-
-    /// Absorbs `bytes`, whose length must be a multiple of 32 — every chunk
-    /// except the last fed to a [`DataSum`] must satisfy this so streamed
-    /// and one-shot sums agree.
-    fn blocks(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len() % 32, 0, "non-final chunk must be 32-aligned");
-        self.total += bytes.len() as u64;
-        for blk in bytes.chunks_exact(32) {
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
+        const BASIS: u64 = 0xCBF2_9CE4_8422_2325u64.wrapping_mul(SUM_PRIME);
+        let mut lanes = [1u64, 2, 3, 4].map(|i| BASIS.wrapping_add(i));
+        let (blocks, tail) = bytes.split_at(bytes.len() & !31);
+        for blk in blocks.chunks_exact(32) {
+            for (i, lane) in lanes.iter_mut().enumerate() {
                 let w = u64::from_le_bytes(blk[i * 8..i * 8 + 8].try_into().unwrap());
                 *lane = (*lane ^ w).wrapping_mul(SUM_PRIME);
             }
         }
-    }
-
-    /// Absorbs the final (arbitrary-length) chunk and folds to the sum.
-    fn finish(mut self, tail: &[u8]) -> u32 {
-        let cut = tail.len() & !31;
-        self.blocks(&tail[..cut]);
-        let mut h = self.lanes[0];
-        for &lane in &self.lanes[1..] {
+        let mut h = lanes[0];
+        for &lane in &lanes[1..] {
             h = (h ^ lane).wrapping_mul(SUM_PRIME);
         }
-        for &b in &tail[cut..] {
+        for &b in tail {
             h = (h ^ u64::from(b)).wrapping_mul(SUM_PRIME);
         }
         // Total length in, so content that only differs by trailing zeros
         // cannot alias; fold high into low bits for the 32-bit seal.
-        h = (h ^ (self.total + (tail.len() - cut) as u64)).wrapping_mul(SUM_PRIME);
+        h = (h ^ bytes.len() as u64).wrapping_mul(SUM_PRIME);
         (h ^ (h >> 32)) as u32
-    }
-}
-
-impl Header {
-    /// Checksum over a payload's user bytes, for the header seal (see
-    /// [`DataSum`]).
-    #[inline]
-    pub fn data_sum(bytes: &[u8]) -> u32 {
-        DataSum::new().finish(bytes)
     }
 
     /// [`Header::data_sum`] over the `size` user bytes stored at `blk`'s
-    /// data area in the pool (chunked, so large payloads don't allocate).
+    /// data area in the pool, read where they lie.
     pub fn data_sum_pooled(pool: &PmemPool, blk: POff, size: u32) -> u32 {
-        let mut st = DataSum::new();
-        let mut off = Self::data(blk);
-        let mut left = size as usize;
-        let mut buf = [0u8; 1024];
-        while left > buf.len() {
-            pool.read_bytes(off, &mut buf);
-            st.blocks(&buf);
-            off = off.add(buf.len() as u64);
-            left -= buf.len();
-        }
-        pool.read_bytes(off, &mut buf[..left]);
-        st.finish(&buf[..left])
+        // SAFETY: the caller bounds `size` against the arena (a live payload's
+        // own header, or recovery's `validate_header`); payload access is the
+        // calling operation's alone (constraint 2) while the sum runs.
+        Self::data_sum(unsafe { pool.bytes(Self::data(blk), size as usize) })
     }
 
     /// Writes a fresh header sealing `size` user bytes whose
@@ -227,21 +185,33 @@ impl Header {
         }
     }
 
-    /// Recomputes and rewrites the checksum word from the current header
-    /// fields and the current pool-resident data bytes. Used after an
-    /// in-place `set` mutated the data area.
-    #[inline]
-    pub fn reseal(pool: &PmemPool, blk: POff) {
+    /// The checksum word that seals the block's current header fields —
+    /// with `kind` as the kind byte — and current pool-resident data bytes.
+    fn sum_with_kind(pool: &PmemPool, blk: POff, kind: u8) -> u32 {
         let size = Self::size(pool, blk);
-        let sum = full_sum(
-            // SAFETY: see `magic` — in-bounds header byte.
-            unsafe { pool.read::<u8>(blk.add(4)) },
+        full_sum(
+            kind,
             Self::tag(pool, blk),
             Self::epoch(pool, blk),
             Self::uid(pool, blk),
             size,
             Self::data_sum_pooled(pool, blk, size),
-        );
+        )
+    }
+
+    /// The raw kind byte, valid or not.
+    #[inline]
+    fn kind_byte(pool: &PmemPool, blk: POff) -> u8 {
+        // SAFETY: see `magic` — in-bounds header byte, any bit pattern ok.
+        unsafe { pool.read(blk.add(4)) }
+    }
+
+    /// Recomputes and rewrites the checksum word from the current header
+    /// fields and the current pool-resident data bytes. Used after an
+    /// in-place `set` mutated the data area.
+    #[inline]
+    pub fn reseal(pool: &PmemPool, blk: POff) {
+        let sum = Self::sum_with_kind(pool, blk, Self::kind_byte(pool, blk));
         // SAFETY: the owning operation has exclusive write access to the
         // header during its mutation.
         unsafe { pool.write::<u32>(blk.add(28), &sum) }
@@ -256,21 +226,12 @@ impl Header {
 
     #[inline]
     pub fn kind(pool: &PmemPool, blk: POff) -> Option<PayloadKind> {
-        // SAFETY: see `magic`; the byte is validated by from_u8.
-        PayloadKind::from_u8(unsafe { pool.read::<u8>(blk.add(4)) })
+        PayloadKind::from_u8(Self::kind_byte(pool, blk))
     }
 
     #[inline]
     pub fn set_kind(pool: &PmemPool, blk: POff, kind: PayloadKind) {
-        let size = Self::size(pool, blk);
-        let sum = full_sum(
-            kind as u8,
-            Self::tag(pool, blk),
-            Self::epoch(pool, blk),
-            Self::uid(pool, blk),
-            size,
-            Self::data_sum_pooled(pool, blk, size),
-        );
+        let sum = Self::sum_with_kind(pool, blk, kind as u8);
         // SAFETY: kind transitions happen inside the owning operation (or
         // single-threaded recovery), so the header words cannot race.
         unsafe {
@@ -311,19 +272,9 @@ impl Header {
     /// against the arena before calling (recovery's `validate_header` does).
     #[inline]
     pub fn checksum_ok(pool: &PmemPool, blk: POff) -> bool {
-        // SAFETY: see `magic` — in-bounds header words, any bit pattern ok.
-        let kind = unsafe { pool.read::<u8>(blk.add(4)) };
+        // SAFETY: see `magic` — in-bounds header word, any bit pattern ok.
         let stored = unsafe { pool.read::<u32>(blk.add(28)) };
-        let size = Self::size(pool, blk);
-        stored
-            == full_sum(
-                kind,
-                Self::tag(pool, blk),
-                Self::epoch(pool, blk),
-                Self::uid(pool, blk),
-                size,
-                Self::data_sum_pooled(pool, blk, size),
-            )
+        stored == Self::sum_with_kind(pool, blk, Self::kind_byte(pool, blk))
     }
 
     /// Marks a block as reclaimed. The caller schedules the header line for
@@ -519,9 +470,9 @@ mod tests {
     #[test]
     fn pooled_and_oneshot_sums_agree_at_every_chunk_boundary() {
         // data_sum seals at pnew time from the caller's slice; recovery (and
-        // reseal) recompute with data_sum_pooled's 1 KiB streaming chunks.
-        // The two must agree for every size straddling the lane width (32)
-        // and the chunk size (1024), or valid payloads would be quarantined.
+        // reseal) recompute with data_sum_pooled over the pool's bytes. The
+        // two must agree for every size straddling the lane width (32), or
+        // valid payloads would be quarantined.
         let pool = PmemPool::new(PmemConfig::default());
         let blk = POff::new(8192);
         for size in [0usize, 1, 31, 32, 33, 255, 1023, 1024, 1025, 4096, 5000] {

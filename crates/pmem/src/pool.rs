@@ -465,8 +465,9 @@ impl PmemPool {
         self.inner
             .san
             .on_write(off.raw(), src.len(), std::panic::Location::caller());
-        // SAFETY: `check` verified `[off, off+len)` is in bounds; `src` is a
-        // borrowed slice, so it cannot alias the working image.
+        // SAFETY: `check` verified `[off, off+len)` is in bounds; nothing
+        // stores to `src` while it is borrowed (see `bytes` when it lies in
+        // the working image), so it cannot overlap the destination.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 src.as_ptr(),
@@ -495,6 +496,23 @@ impl PmemPool {
         }
     }
 
+    /// Borrows `len` bytes of the working image at `off`: a read where the
+    /// bytes lie (one sanitizer read over the extent), no copy out.
+    ///
+    /// # Safety
+    /// As for [`PmemPool::at`]; additionally nothing may store to the extent
+    /// while the borrow lives.
+    #[inline]
+    #[track_caller]
+    pub unsafe fn bytes(&self, off: POff, len: usize) -> &[u8] {
+        self.check(off, len);
+        #[cfg(feature = "persist-san")]
+        self.inner
+            .san
+            .on_read(off.raw(), len, std::panic::Location::caller());
+        std::slice::from_raw_parts(self.inner.working.ptr.add(off.raw() as usize), len)
+    }
+
     /// An atomic `u64` view of the 8 bytes at `off` (must be 8-aligned).
     ///
     /// # Safety
@@ -511,6 +529,7 @@ impl PmemPool {
     /// charges `media_read_ns` (a latency, not a bandwidth, cost).
     #[inline]
     pub fn touch(&self) {
+        PmemStats::on_read(&self.inner.stats.touches, 1);
         spin_ns(self.inner.config.latency.media_read_ns);
     }
 
@@ -520,11 +539,12 @@ impl PmemPool {
     /// Free when the latency model's `media_read_line_ns` is zero.
     #[inline]
     pub fn media_read(&self, len: usize) {
-        let per_line = self.inner.config.latency.media_read_line_ns;
-        if per_line == 0 || len == 0 {
-            return;
+        let lines = lines_spanned(0, len);
+        PmemStats::on_read(&self.inner.stats.media_read_lines, lines);
+        let media_ns = self.inner.config.latency.media_read_line_ns * lines;
+        if media_ns > 0 {
+            wait_until(self.reserve_device(media_ns));
         }
-        wait_until(self.reserve_device(per_line * lines_spanned(0, len)));
     }
 
     // ---- persistence primitives -------------------------------------------
@@ -535,21 +555,7 @@ impl PmemPool {
     #[inline]
     #[track_caller]
     pub fn clwb(&self, off: POff) {
-        self.check(off, 1);
-        self.inner.stats.on_clwb();
-        spin_ns(self.inner.config.latency.clwb_issue_ns);
-        if self.charge_events(1) == 0 {
-            return; // cut off by the fault plan: the write-back never starts
-        }
-        #[cfg(feature = "persist-san")]
-        self.inner
-            .san
-            .on_clwb(line_of(off.raw()), 1, 1, std::panic::Location::caller());
-        if self.inner.durable.is_some() {
-            self.inner.pending.lock().insert(line_of(off.raw()));
-        } else {
-            count_add(self.inner.id, 1);
-        }
+        self.clwb_range(off, 1);
     }
 
     /// `CLWB` every cache line in `[off, off+len)`. The issue latency for
@@ -578,9 +584,7 @@ impl PmemPool {
         } else {
             count_add(self.inner.id, eff);
         }
-        for _ in 0..n {
-            self.inner.stats.on_clwb();
-        }
+        self.inner.stats.on_clwb(n);
         spin_ns(self.inner.config.latency.clwb_issue_ns * n);
     }
 

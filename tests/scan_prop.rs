@@ -1,7 +1,16 @@
 //! Property-based store correctness: random scripts over every mutation
 //! entry point (`set`, `delete`, `update`, `detected_update`, a blind retry
-//! of the last request id), `get` and `scan`, replayed against a `BTreeMap`
-//! model that also tracks LRU order.
+//! of the last request id, and the wire protocol's plain `set`), `get` and
+//! `scan`, replayed against a `BTreeMap` model that also tracks LRU order.
+//!
+//! The wire `set` is the one verb the protocol runs *blind* — it never reads
+//! the item it overwrites — where every other decision goes through the
+//! locked read → decide → apply. The model spells out what that reading
+//! path yields for a `set` (an unconditional upsert of the encoded item,
+//! `STORED`, over an absent, a live or an expired key alike; under a session
+//! a first execution, a replay, a stale refusal), so replies and contents
+//! are held byte-identical to it — this file passes unchanged on the commit
+//! before the blind path existed.
 //!
 //! Two layers (same shape as `session_recovery_prop.rs`):
 //!
@@ -24,7 +33,10 @@
 //! the model is keyed by the padded `Key` to pin exactly that contract.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use kvstore::protocol::{Clock, Session};
 use kvstore::{make_key, DetectOutcome, DetectedWrite, Key, KvBackend, KvStore, ShardedKvStore};
 use montage::{EpochSys, EsysConfig, RecoveryError};
 use pmem::{PmemConfig, PmemPool};
@@ -49,10 +61,39 @@ fn esys_cfg() -> EsysConfig {
     }
 }
 
+/// Wire `set`s aim at a few keys, so one script meets them absent, live
+/// and expired.
+const WIRE_KEYS: u64 = 4;
+/// What a [`SOp::Tick`] adds to the sessions' clock: past a 1 s expiry.
+const TICK_MS: u64 = 1500;
+
+/// How a wire `set` is sent.
+#[derive(Clone, Copy, Debug)]
+enum Wire {
+    /// Sessionless.
+    Plain,
+    /// Under the session's next rid: a first execution.
+    Fresh,
+    /// Under the session's current rid again: must replay, not re-apply.
+    Replay,
+    /// Under the rid before the current one: must be refused as stale.
+    Stale,
+}
+
 /// One step of the workload. `limit == 0` means "no limit".
 #[derive(Clone, Copy, Debug)]
 enum SOp {
     Put(u64, u64),
+    /// The protocol's plain `set <k> <flags> <ttl> <len>`, through a
+    /// [`Session`]: flags, data and its length derive from `v`.
+    WireSet {
+        k: u64,
+        v: u64,
+        ttl: u8,
+        how: Wire,
+    },
+    /// Moves the sessions' clock [`TICK_MS`] on.
+    Tick,
     Del(u64),
     /// Locked read-decide-write ([`decide`]) through `update`.
     Update(u64, u64),
@@ -72,6 +113,12 @@ enum SOp {
 fn sop_strategy() -> impl Strategy<Value = SOp> {
     prop_oneof![
         4 => (0..KEYS, any::<u64>()).prop_map(|(k, v)| SOp::Put(k, v)),
+        4 => (0..WIRE_KEYS, any::<u64>(), 0..18u8).prop_map(|(k, v, n)| {
+            use Wire::*;
+            let how = [Plain, Plain, Fresh, Fresh, Replay, Stale][(n / 3) as usize];
+            SOp::WireSet { k, v, ttl: n % 3, how }
+        }),
+        1 => Just(SOp::Tick),
         2 => (0..KEYS).prop_map(SOp::Del),
         3 => (0..KEYS, any::<u64>()).prop_map(|(k, v)| SOp::Update(k, v)),
         3 => (0..KEYS, any::<u64>()).prop_map(|(k, v)| SOp::Detected(k, v)),
@@ -83,18 +130,90 @@ fn sop_strategy() -> impl Strategy<Value = SOp> {
     ]
 }
 
+/// The protocol's item encoding: `flags | expires_at_ms | cas | data`.
+fn item(flags: u32, expires_at: u64, cas: u64, data: &[u8]) -> Vec<u8> {
+    let mut bytes = flags.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&expires_at.to_le_bytes());
+    bytes.extend_from_slice(&cas.to_le_bytes());
+    bytes.extend_from_slice(data);
+    bytes
+}
+
+/// A value the store's own verbs write: shaped as a never-expiring item, so
+/// a wire verb that reads the key it lands on can parse what it finds.
+fn raw(data: &[u8]) -> Vec<u8> {
+    item(0, 0, 0, data)
+}
+
+/// Data bytes of varying length (so overwrites hit both the in-place and
+/// the resize arm).
+fn data_of(v: u64) -> Vec<u8> {
+    v.to_le_bytes()[..1 + (v >> 8) as usize % 8].to_vec()
+}
+
 /// A conditional op's verdict, a pure function of the op's argument and
 /// the key's current value: delete, a failed conditional, or a write whose
-/// length varies (so overwrites hit both the in-place and the resize arm).
-/// The reply is the value the decision saw — comparing it against the
-/// model checks that every backend hands `decide` the right bytes.
+/// length varies. The reply is the value the decision saw — comparing it
+/// against the model checks that every backend hands `decide` the right
+/// bytes.
 fn decide(v: u64, cur: Option<&[u8]>) -> (DetectedWrite, Vec<u8>) {
     let write = match (cur, v % 4) {
         (Some(_), 0) => DetectedWrite::Delete,
         (_, 1) => DetectedWrite::Keep,
-        _ => DetectedWrite::Upsert(v.to_le_bytes()[..1 + (v >> 8) as usize % 8].to_vec()),
+        _ => DetectedWrite::Upsert(raw(&data_of(v))),
     };
     (write, cur.map_or(b"absent".to_vec(), <[u8]>::to_vec))
+}
+
+/// The sessions' clock: moved by [`SOp::Tick`] alone.
+struct ScriptClock(AtomicU64);
+
+impl Clock for ScriptClock {
+    fn now_ms(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Where every script's clock starts.
+const T0_MS: u64 = 1_000_000;
+
+/// A session over `store` on a fresh [`ScriptClock`].
+fn session_over(store: &Arc<ShardedKvStore>) -> (Session, Arc<ScriptClock>) {
+    let clock = Arc::new(ScriptClock(AtomicU64::new(T0_MS)));
+    let session = Session::sharded(store.clone(), Arc::new(store.lease()));
+    (session.with_clock(clock.clone()), clock)
+}
+
+/// The rid a wire `set` step carries (`Some(None)`: sessionless), stepping
+/// the session's counter for a first execution; `None` when the session has
+/// no rid yet to replay or to fall behind, and the step is skipped.
+fn wire_rid(how: Wire, rid: &mut u64) -> Option<Option<u64>> {
+    match how {
+        Wire::Plain => Some(None),
+        Wire::Fresh => {
+            *rid += 1;
+            Some(Some(*rid))
+        }
+        Wire::Replay => (*rid > 0).then_some(Some(*rid)),
+        Wire::Stale => (*rid > 0).then(|| Some(*rid - 1)),
+    }
+}
+
+/// Sends the step's `set` line; `make_key(k)` is the key it names.
+fn wire_set(session: &Session, k: u64, v: u64, ttl: u8, rid: Option<u64>) -> String {
+    let data = data_of(v);
+    let rid = rid.map_or(String::new(), |r| format!(" rid={r}"));
+    let line = format!("set {k} {} {ttl} {}{rid}", v as u32, data.len());
+    session.execute_with(&line, &data, Some(SID))
+}
+
+/// The item that `set` stores at clock `now_ms` under cas id `cas`.
+fn wire_item(v: u64, ttl: u8, now_ms: u64, cas: u64) -> Vec<u8> {
+    let expires_at = match ttl {
+        0 => 0,
+        s => now_ms + u64::from(s) * 1000,
+    };
+    item(v as u32, expires_at, cas, &data_of(v))
 }
 
 /// The reference store: contents in key order, one LRU list (oldest
@@ -192,8 +311,12 @@ fn scan_limit(limit: u8) -> usize {
 /// every step. Panics on divergence (the proptest harness reports the
 /// failing script).
 fn check_live(name: &str, backend: KvBackend, (stripes, cap): (usize, usize), script: &[SOp]) {
-    let kv = KvStore::new(backend, stripes, cap);
+    let store = ShardedKvStore::from_shards(vec![Arc::new(KvStore::new(backend, stripes, cap))]);
+    let kv = store.shard(0);
     let tid = kv.register_thread();
+    let (session, clock) = session_over(&store);
+    // Every wire mutation draws the next cas id, whatever becomes of it.
+    let mut cas = store.next_cas();
     let mut model = Model::new(cap / stripes);
     let mut rid = 0u64;
     let mut last_detected: Option<(Key, Vec<u8>)> = None;
@@ -202,8 +325,37 @@ fn check_live(name: &str, backend: KvBackend, (stripes, cap): (usize, usize), sc
         let mut victim = None;
         match *op {
             SOp::Put(k, v) => {
-                kv.set(tid, make_key(k), &v.to_le_bytes());
-                victim = model.upsert(make_key(k), v.to_le_bytes().to_vec());
+                kv.set(tid, make_key(k), &raw(&v.to_le_bytes()));
+                victim = model.upsert(make_key(k), raw(&v.to_le_bytes()));
+            }
+            SOp::WireSet { k, v, ttl, how } => {
+                let Some(sent) = wire_rid(how, &mut rid) else {
+                    continue;
+                };
+                let reply = wire_set(&session, k, v, ttl, sent);
+                cas += 1;
+                match how {
+                    Wire::Plain | Wire::Fresh => {
+                        assert_eq!(reply, "STORED", "{at}");
+                        let stored = wire_item(v, ttl, clock.now_ms(), cas);
+                        victim = model.upsert(make_key(k), stored);
+                        if sent.is_some() {
+                            last_detected = Some((make_key(k), b"STORED".to_vec()));
+                        }
+                    }
+                    Wire::Replay => {
+                        let (_, recorded) = last_detected.as_ref().expect("a rid was used");
+                        assert_eq!(reply, String::from_utf8_lossy(recorded), "{at}");
+                    }
+                    Wire::Stale => assert_eq!(
+                        reply,
+                        format!("SERVER_ERROR stale request id (last acked {rid})"),
+                        "{at}"
+                    ),
+                }
+            }
+            SOp::Tick => {
+                clock.0.fetch_add(TICK_MS, Ordering::Relaxed);
             }
             SOp::Del(k) => {
                 let existed = kv.delete(tid, &make_key(k));
@@ -281,12 +433,21 @@ fn check_live_backends(script: &[SOp]) {
 fn run_script(pool: &PmemPool, script: &[SOp]) {
     let store = ShardedKvStore::format_pools(vec![pool.clone()], esys_cfg(), STRIPES, CAP);
     let lease = store.lease();
+    let (session, clock) = session_over(&store);
     let mut rid = 0u64;
     let mut last_detected = None;
     for op in script {
         match *op {
             SOp::Put(k, v) => {
-                let _ = store.set(&lease, make_key(k), &v.to_le_bytes());
+                let _ = store.set(&lease, make_key(k), &raw(&v.to_le_bytes()));
+            }
+            SOp::WireSet { k, v, ttl, how } => {
+                if let Some(sent) = wire_rid(how, &mut rid) {
+                    wire_set(&session, k, v, ttl, sent);
+                }
+            }
+            SOp::Tick => {
+                clock.0.fetch_add(TICK_MS, Ordering::Relaxed);
             }
             SOp::Del(k) => {
                 let _ = store.delete(&lease, &make_key(k));
@@ -339,16 +500,28 @@ fn verify_cut(pool: PmemPool, crash_at: u64, script: &[SOp]) -> Result<(), Strin
         ));
     }
 
-    let recovered = store.scan(&[0u8; 32], &[0xFFu8; 32], usize::MAX);
+    // Cas ids are seeded from the epoch clock at the first wire mutation;
+    // the cut is compared with every item's cas field blanked.
+    let mut recovered = store.scan(&[0u8; 32], &[0xFFu8; 32], usize::MAX);
+    for (_, value) in &mut recovered {
+        value[12..20].fill(0);
+    }
     let mut model = Model::new(CAP);
+    let mut now_ms = T0_MS;
     if recovered == model.full_scan() {
         return Ok(());
     }
     for op in script {
         match *op {
             SOp::Put(k, v) => {
-                model.upsert(make_key(k), v.to_le_bytes().to_vec());
+                model.upsert(make_key(k), raw(&v.to_le_bytes()));
             }
+            SOp::WireSet { k, v, ttl, how } => {
+                if matches!(how, Wire::Plain | Wire::Fresh) {
+                    model.upsert(make_key(k), wire_item(v, ttl, now_ms, 0));
+                }
+            }
+            SOp::Tick => now_ms += TICK_MS,
             SOp::Del(k) => {
                 model.remove(&make_key(k));
             }
@@ -366,6 +539,50 @@ fn verify_cut(pool: PmemPool, crash_at: u64, script: &[SOp]) -> Result<(), Strin
          {} entries",
         recovered.len()
     ))
+}
+
+/// The wire `set`'s cases, spelled out: over an absent, a live (same size,
+/// resized) and an expired key; sessionless and under a rid — first
+/// execution, replay, stale — interleaved with the reading verbs, on all
+/// three backends, roomy and evicting.
+#[test]
+fn wire_set_matches_the_reading_path_over_absent_live_and_expired_keys() {
+    use Wire::*;
+    let set = |k, v, ttl, how| SOp::WireSet { k, v, ttl, how };
+    let script = [
+        set(1, 0x0107, 0, Plain), // absent
+        set(1, 0x0109, 0, Plain), // live, same size
+        set(1, 0x0509, 1, Plain), // live, resized, will expire
+        SOp::Tick,
+        set(1, 0x0203, 0, Plain),  // expired
+        set(2, 0x0011, 1, Fresh),  // absent, first execution
+        set(2, 0x0012, 0, Replay), // replayed: not applied
+        SOp::Retry,
+        SOp::Tick,
+        set(2, 0x0313, 1, Fresh), // expired, first execution
+        set(2, 0x0014, 0, Stale), // refused: not applied
+        set(2, 0x0015, 0, Fresh), // live, first execution
+        SOp::Update(2, 6),        // a reading verb sees the wire's bytes
+        SOp::Detected(1, 7),
+        set(1, 0x0016, 0, Replay), // replays the detected op's reply
+        SOp::Get(1),
+        SOp::Sync,
+        set(1, 0x0717, 2, Plain), // copy-on-write arm (Montage)
+        SOp::Del(1),
+        set(1, 0x0018, 0, Fresh), // absent again
+        set(3, 0x0019, 0, Plain),
+        set(0, 0x001a, 0, Plain),
+        SOp::Put(9, 9),
+        SOp::Put(8, 8),
+        SOp::Put(7, 7),
+        set(3, 0x021b, 0, Plain), // the small shape has evicted by now
+        SOp::Scan {
+            lo: 0,
+            hi: 9,
+            limit: 0,
+        },
+    ];
+    check_live_backends(&script);
 }
 
 proptest! {
