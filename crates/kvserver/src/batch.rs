@@ -168,6 +168,12 @@ pub(crate) fn execute(
     let mut conn_shards: Vec<(usize, usize)> = Vec::new();
     let mut requests: usize = 0;
     let mut batch_muts: u64 = 0;
+    // Mutations until this batch is certain to end in a group sync (the
+    // crossing test below); past that, write-backs start as each completes.
+    let until_sync = shared.cfg.sync_every.map(|n| {
+        let start = shared.mutations.load(Ordering::Acquire);
+        (start / n + 1) * n - start
+    });
     let mut acks: u64 = 0;
 
     for (ci, c) in conns.iter_mut().enumerate() {
@@ -313,6 +319,9 @@ pub(crate) fn execute(
             }
             if verb(cmd).is_some_and(|v| v.mutates) {
                 batch_muts += 1;
+                if until_sync.is_some_and(|need| batch_muts >= need) {
+                    sb.write_back();
+                }
             }
             if noreply {
                 c.out.truncate(mark);

@@ -359,6 +359,10 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
                     snap.quarantined_payloads,
                 );
             }
+            if let Some(esys) = store.shard(i).esys() {
+                let backlog = esys.pool().device_backlog().as_micros() as u64;
+                stat(&format!("shard{i}_pmem_device_backlog_us"), backlog);
+            }
             if let Some(e) = epochs[i] {
                 stat(&format!("shard{i}_montage_epoch"), e);
             }

@@ -10,10 +10,16 @@
 //! it. Driven like `alloc_budget.rs` — feed, frame, `execute_into` under a
 //! batch pin, over a Montage-backed one-shard store — and exact: a count
 //! repeats where a wall-clock diff on a shared box does not.
+//!
+//! The second half pins a whole batch's persistence counts through the real
+//! server: a batch that is going to sync starts its write-backs as each
+//! mutation completes (`batch::execute`), which may move *when* a line is
+//! written back and never *how many* are; a batch that will not sync issues
+//! none before its boundary.
 
 use std::sync::Arc;
 
-use kvserver::{Frame, RequestReader};
+use kvserver::{Frame, KvServer, RequestReader, ServerConfig, WireClient};
 use kvstore::protocol::Session;
 use kvstore::{ShardedKvStore, StoreLease};
 use montage::EsysConfig;
@@ -152,4 +158,105 @@ fn a_set_dereferences_once_and_reads_nothing_and_deciding_verbs_still_read() {
     let (reply, charged) = rig.serve("incr n 1", b"");
     assert_eq!(reply, "6");
     assert_eq!(charged, (2, 1), "incr: the read, then the overwrite");
+}
+
+/// Requests per batch: one pipelined packet, one worker sweep.
+const BATCH: usize = 16;
+
+/// A one-worker server over `shards` fresh Montage shards (no background
+/// advancer: every persistence event below is the batch path's own).
+struct Served {
+    store: Arc<ShardedKvStore>,
+    handle: kvserver::ServerHandle,
+    client: WireClient,
+    batches: u64,
+}
+
+impl Served {
+    fn start(shards: usize, sync_every: Option<u64>) -> Served {
+        let store = ShardedKvStore::format(
+            shards,
+            PmemConfig::strict_for_test(16 << 20),
+            EsysConfig::default(),
+            8,
+            1000,
+        );
+        let cfg = ServerConfig {
+            workers: 1,
+            sync_every,
+            ..Default::default()
+        };
+        let handle = KvServer::start_sharded(cfg, Arc::clone(&store)).expect("bind");
+        let client = WireClient::connect(handle.addr()).unwrap();
+        Served {
+            store,
+            handle,
+            client,
+            batches: 0,
+        }
+    }
+
+    /// Sends `BATCH` same-size `set`s to distinct keys as one packet, awaits
+    /// every ack, and returns what the batch added to the pools' counters:
+    /// `(clwbs, sfences, lines_drained)`.
+    fn set_batch(&mut self) -> (u64, u64, u64) {
+        let before = self.store.pool_stats_merged().expect("montage pools");
+        let value = [b'v'; 64];
+        let mut packet = Vec::new();
+        for i in 0..BATCH {
+            packet.extend_from_slice(format!("set key{i} 0 0 {}\r\n", value.len()).as_bytes());
+            packet.extend_from_slice(&value);
+            packet.extend_from_slice(b"\r\n");
+        }
+        self.client.send_raw(&packet).unwrap();
+        for _ in 0..BATCH {
+            assert_eq!(self.client.read_line().unwrap(), "STORED");
+        }
+        self.batches += 1;
+        let after = self.store.pool_stats_merged().expect("montage pools");
+        (
+            after.clwbs - before.clwbs,
+            after.sfences - before.sfences,
+            after.lines_drained - before.lines_drained,
+        )
+    }
+
+    /// Checks every `set_batch` ran as one sweep's batch, and stops.
+    fn finish(mut self) {
+        let stats = self.client.stats().unwrap();
+        let whole = stats.iter().find(|(n, _)| n == "gc_batch_hist_16").unwrap();
+        assert_eq!(whole.1, self.batches, "a packet was split across sweeps");
+        self.client.quit().unwrap();
+        self.handle.shutdown();
+    }
+}
+
+#[test]
+fn a_syncing_batch_writes_back_early_and_not_one_line_more() {
+    // (shards, clwbs, sfences, lines drained) of one 16-`set` batch over
+    // resident keys with every ack durable — the numbers the batch had when
+    // every write-back waited for the group sync.
+    for (shards, counts) in [(1, (50, 4, 50)), (4, (56, 16, 56))] {
+        let mut served = Served::start(shards, Some(1));
+        served.set_batch(); // make the keys resident, and of an older epoch
+        assert_eq!(served.set_batch(), counts, "{shards} shard(s)");
+        served.finish();
+    }
+}
+
+#[test]
+fn a_batch_that_will_not_sync_writes_nothing_back_before_its_boundary() {
+    for sync_every in [None, Some(64)] {
+        let mut served = Served::start(1, sync_every);
+        served.set_batch();
+        served.client.sync().unwrap();
+        // Mutations 17..=32 of a server that fences at 64, or never.
+        assert_eq!(served.set_batch(), (0, 0, 0), "{sync_every:?}");
+        if sync_every.is_some() {
+            served.set_batch();
+            let (clwbs, sfences, _) = served.set_batch();
+            assert!(clwbs > 0 && sfences > 0, "the 64th");
+        }
+        served.finish();
+    }
 }

@@ -395,11 +395,12 @@ fn stats_names_are_golden_on_one_and_four_shards() {
         "batch_hist_64",
     ];
     const PER_WORKER: [&str; 3] = ["batches", "requests", "fences"];
-    const PER_SHARD: [&str; 8] = [
+    const PER_SHARD: [&str; 9] = [
         "pmem_clwbs",
         "pmem_sfences",
         "pmem_injected_crashes",
         "pmem_quarantined_payloads",
+        "pmem_device_backlog_us",
         "montage_epoch",
         "pool_faulted",
         "fence_p50_us",

@@ -641,6 +641,12 @@ impl<'a> StoreBatch<'a> {
         Ok(())
     }
 
+    /// [`montage::EpochPin::write_back`] on every pinned shard, for a batch
+    /// that will end in a group sync: the devices drain under the rest of it.
+    pub fn write_back(&self) {
+        self.pins.iter().flatten().for_each(|pin| pin.write_back());
+    }
+
     /// Drops every pin and returns the shards that were pinned — the set the
     /// caller's group fence must `sync_shards`.
     pub fn finish(&mut self) -> Vec<usize> {

@@ -451,6 +451,25 @@ impl ThreadState {
         let idx = (first_line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
         &self.dedup[idx & (DEDUP_SLOTS - 1)]
     }
+
+    /// Owner-only, inside a claim scope: pops and writes back (no fence) the
+    /// oldest entry of its bucket `b`; `false` when empty. The owner can still
+    /// push `epoch`, so a coalescing promise anchored at the extent dies too.
+    fn pop_own(&self, pool: &PmemPool, b: &PersistBucket, epoch: u64) -> bool {
+        let Some((o, _)) = b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)) else {
+            return false;
+        };
+        let od = self.dedup_at(line_of(o));
+        // ord(relaxed): dedup table is owner-only.
+        if od.epoch.load(Ordering::Relaxed) == epoch
+            // ord(relaxed): owner-only.
+            && od.first.load(Ordering::Relaxed) == line_of(o)
+        {
+            // ord(relaxed): owner-only.
+            od.epoch.store(DEDUP_DEAD, Ordering::Relaxed);
+        }
+        true
+    }
 }
 
 /// `clwb_range` with the extent clamped to the pool. Helper flushes can race
@@ -596,21 +615,9 @@ impl Buffers {
             .push_with(blk.raw(), len, |o, l| clwb_clamped(pool, o, l))
             .is_err()
         {
-            // Full: write back the oldest entry incrementally. The popped
-            // entry leaves this same-epoch bucket, so kill any coalescing
-            // promise anchored at its extent (see module docs).
+            // Full: write back the oldest entry incrementally.
             let _census = self.claim_scope();
-            if let Some((o, _)) = b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)) {
-                let od = st.dedup_at(line_of(o));
-                // ord(relaxed): dedup table is owner-only.
-                if od.epoch.load(Ordering::Relaxed) == epoch
-                    // ord(relaxed): owner-only.
-                    && od.first.load(Ordering::Relaxed) == line_of(o)
-                {
-                    // ord(relaxed): owner-only.
-                    od.epoch.store(DEDUP_DEAD, Ordering::Relaxed);
-                }
-            }
+            st.pop_own(pool, b, epoch);
         }
         // ord(relaxed): dedup table is owner-only.
         d.first.store(first, Ordering::Relaxed);
@@ -618,6 +625,19 @@ impl Buffers {
         d.last.store(last, Ordering::Relaxed);
         // ord(relaxed): owner-only.
         d.epoch.store(epoch, Ordering::Relaxed);
+        self.min_pending(tid)
+    }
+
+    /// Owner-only: writes back (no fence) everything `tid` has buffered, its
+    /// current epoch's bucket included (the overflow path, run to empty).
+    pub fn write_back_own(&self, pool: &PmemPool, tid: usize) -> u64 {
+        let st = &self.threads[tid];
+        for b in st.persist.iter().filter(|b| !b.ring.is_empty()) {
+            let _census = self.claim_scope();
+            // ord(relaxed): the owner is the label's only writer.
+            let epoch = b.epoch.load(Ordering::Relaxed);
+            while st.pop_own(pool, b, epoch) {}
+        }
         self.min_pending(tid)
     }
 

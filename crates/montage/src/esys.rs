@@ -1278,6 +1278,15 @@ pub struct EpochPin<'a> {
 }
 
 impl EpochPin<'_> {
+    /// Starts the pinning thread's buffered write-backs now, without a
+    /// fence, for a batch about to `sync` anyway (nbMontage's syncer writing
+    /// back early): the device drains while the batch goes on working.
+    pub fn write_back(&self) {
+        let (sys, tid) = (self.esys, self.tid.0);
+        sys.mind
+            .publish(tid, sys.buffers.write_back_own(&sys.pool, tid));
+    }
+
     /// The epoch the pin was taken in. Nested ops may run in later epochs
     /// (they re-register forward); this is the *floor* of the batch window.
     #[inline]
@@ -1761,6 +1770,48 @@ mod tests {
             8 * payload_lines,
             "each of the eight sets skipped the payload's line extent"
         );
+    }
+
+    #[test]
+    fn pin_write_back_flushes_now_and_a_later_set_is_flushed_again() {
+        let s = sys(EsysConfig::buffered(64));
+        let tid = s.register_thread();
+        {
+            // Warm-up: carve the size class's superblock.
+            let g = s.begin_op(tid);
+            let _ = s.pnew(&g, 0, &0u64);
+        }
+        s.sync();
+        let clwbs = || s.pool().stats().snapshot().clwbs;
+        let base = clwbs();
+        let pin = s.try_pin_epoch(tid).unwrap();
+        let h = s.pnew(&s.begin_op(tid), 0, &1u64);
+        let payload_lines = pmem::lines_spanned(h.raw().raw(), HDR_SIZE + 8);
+        pin.write_back();
+        assert_eq!(
+            clwbs() - base,
+            payload_lines,
+            "written back before any boundary"
+        );
+        assert_eq!(s.debug_min_pending(tid), u64::MAX, "and the ring is empty");
+        pin.write_back();
+        assert_eq!(clwbs() - base, payload_lines, "an empty ring costs nothing");
+        // Same epoch, in place: the entry that covered these lines is gone,
+        // so this store must queue — and flush — on its own.
+        s.set(&s.begin_op(tid), h, |v| *v = 2).unwrap();
+        assert_eq!(s.stats().sets_in_place.load(Ordering::Relaxed), 1);
+        assert_eq!(s.stats().flushes_coalesced.load(Ordering::Relaxed), 0);
+        drop(pin);
+        s.sync();
+        assert_eq!(
+            clwbs() - base,
+            2 * payload_lines + 2,
+            "plus two clock lines"
+        );
+        let rec = crate::recovery::recover(s.pool().crash(), EsysConfig::buffered(64), 1);
+        let mut items: Vec<u64> = rec.shards.iter().flatten().map(|i| rec.read(i)).collect();
+        items.sort_unstable();
+        assert_eq!(items, [0, 2], "the later store is the durable one");
     }
 
     #[test]

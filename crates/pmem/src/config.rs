@@ -17,34 +17,34 @@ pub enum PmemMode {
 ///
 /// Defaults approximate published Optane DC measurements (Izraelevitz et al.,
 /// "Basic Performance Measurements of the Intel Optane DC Persistent Memory
-/// Module"): a `CLWB` costs little to *issue* but the fence that drains it
-/// pays the media write. We charge a small issue cost per flush plus a drain
-/// cost per outstanding line at the fence, which reproduces the key behaviour
-/// Montage exploits: batching flushes and moving the fence off the critical
-/// path is much cheaper than flush+fence per operation.
+/// Module"): a `CLWB` costs little to *issue*, the write-back it starts then
+/// proceeds on its own, and a fence waits only for write-backs that have not
+/// finished — the asymmetry Montage exploits by writing back early and
+/// fencing late, off the critical path.
 ///
 /// Two kinds of cost are charged differently. Issue costs (`clwb_issue_ns`,
 /// `fence_base_ns`, `media_read_ns`) are CPU time: the calling thread
 /// busy-waits, exactly as the instruction would occupy its core. Drain costs
-/// (`fence_per_line_ns` + `media_write_ns` per outstanding line) are *device*
-/// time: the fence reserves that much time on the pool's serial drain queue
-/// and sleeps until the reservation completes. On hardware an `SFENCE` stalls
-/// only its thread while the DIMM's write-pending queue drains — other
-/// threads keep running, and distinct DIMMs drain in parallel. Consequently
-/// concurrent fences on one pool serialize behind its queue (shared write
-/// bandwidth), while fences on different pools — e.g. the shards of a
-/// multi-pool store — overlap fully.
+/// (`fence_per_line_ns` + `media_write_ns` per line) are *device* time,
+/// reserved **at write-back**: `clwb` queues them on the pool's serial device
+/// timeline — the DIMM's write-pending queue — which runs down in real time
+/// from that moment, whatever the CPU does meanwhile. A fence reserves
+/// nothing; it sleeps for whatever the timeline still holds at issue. So a
+/// fence straight after its `clwb`s pays their whole drain, one issued after
+/// the drain time has passed pays `fence_base_ns` alone, fences on one pool
+/// wait out one shared queue (shared write bandwidth), and distinct pools —
+/// the shards of a multi-pool store — drain side by side.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
     /// Cost to issue one `clwb` (ns).
     pub clwb_issue_ns: u64,
-    /// Cost per pending line drained by an `sfence` (ns).
+    /// Device time to drain one written-back line (ns), queued at `clwb`.
     pub fence_per_line_ns: u64,
     /// Fixed cost of an `sfence` (ns), even with nothing pending.
     pub fence_base_ns: u64,
-    /// Extra write cost per cache line written to NVM media, charged at
-    /// drain time in addition to `fence_per_line_ns` (models Optane's
-    /// ~3x-DRAM write latency / limited write bandwidth).
+    /// Extra device time per cache line written to NVM media, queued with
+    /// `fence_per_line_ns` (models Optane's ~3x-DRAM write latency / limited
+    /// write bandwidth).
     pub media_write_ns: u64,
     /// Cost of a dependent read that misses CPU caches into NVM media
     /// (Optane reads are ~2-4x DRAM latency). Charged by
@@ -52,9 +52,9 @@ pub struct LatencyModel {
     /// once per node dereference.
     pub media_read_ns: u64,
     /// Device occupancy per 64-byte line of *bulk* payload reads, charged
-    /// on the pool's drain queue by [`crate::PmemPool::media_read`]. Models
-    /// a single DIMM's finite read bandwidth; bulk reads and fence drains
-    /// contend for the same device, as they do on Optane hardware. Distinct
+    /// on the pool's device timeline by [`crate::PmemPool::media_read`].
+    /// Models a single DIMM's finite read bandwidth; bulk reads and
+    /// write-back drains contend for the same device, as on Optane. Distinct
     /// from `media_read_ns`, the per-miss *latency* of a dependent pointer
     /// chase (a CPU stall, not queue occupancy).
     pub media_read_line_ns: u64,

@@ -22,8 +22,9 @@
 //! Montage's contribution is about *where* write-backs and fences are placed
 //! (off the application's critical path) and *what* must be persistent at all
 //! (only semantic payloads). Both properties are observable on this simulator:
-//! the latency model charges for every `clwb`/`sfence` exactly where it is
-//! issued, and `Strict` mode loses any line that was never flushed, so the
+//! the latency model charges every `clwb` where it is issued, starts its
+//! drain there, and makes an `sfence` wait for what has not drained yet
+//! ([`LatencyModel`]); `Strict` mode loses any line that was never flushed, so the
 //! crash-consistency tests exercise real recovery logic rather than trusting
 //! the implementation.
 //!

@@ -1,8 +1,7 @@
 //! The pool: working image, durable image, flush/fence, crash.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,28 +17,8 @@ use crate::layout::{line_of, lines_spanned, POff, CACHE_LINE};
 use crate::san::{ProbeGuard, SanReport, SanState};
 use crate::stats::PmemStats;
 
-/// Unique id per pool instance, used to key thread-local write-back queues.
+/// Unique id per pool instance ([`PmemPool::id`]).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Fast-mode per-thread count of unfenced `clwb`s per pool, so a fence
-    /// is charged per line it actually drains (matching hardware, where the
-    /// flush itself is asynchronous and the fence pays the wait). Keyed by
-    /// pool id: the count bump on every buffered `clwb` is O(1), and a fence
-    /// *removes* the pool's entry, so the map only ever holds pools with
-    /// write-backs currently outstanding — it does not grow with the number
-    /// of pools a process creates over its lifetime (bench loops allocate
-    /// thousands).
-    static PENDING_COUNT: RefCell<HashMap<u64, u64>> = RefCell::new(HashMap::new());
-}
-
-fn count_add(id: u64, n: u64) {
-    PENDING_COUNT.with(|c| *c.borrow_mut().entry(id).or_insert(0) += n);
-}
-
-fn count_take(id: u64) -> u64 {
-    PENDING_COUNT.with(|c| c.borrow_mut().remove(&id).unwrap_or(0))
-}
 
 struct Working {
     ptr: *mut u8,
@@ -114,18 +93,18 @@ struct Inner {
     /// Parking state for the stall fault plan; see
     /// [`crate::ChaosConfig::stall_at_event`].
     stall: StallState,
-    /// Timebase for the simulated device drain queue below.
+    /// Fast mode's stand-in for `pending`: a count, pool-global for the same
+    /// reason. Feeds only `lines_drained`; timing lives on `device_busy`.
+    unfenced: AtomicU64,
+    /// Timebase for the simulated device timeline below.
     origin: Instant,
-    /// Nanosecond (since `origin`) at which this pool's simulated NVM
-    /// device finishes draining everything queued so far. Each fence
-    /// *reserves* its drain time here and then blocks — sleeping, not
-    /// spinning — until the reservation completes. On hardware an `SFENCE`
-    /// stalls only the calling thread while the DIMM's write-pending queue
-    /// drains; other threads keep executing, and independent DIMMs drain in
-    /// parallel. Modeling the drain as per-pool serial *device* time (rather
-    /// than a CPU busy-wait) reproduces both properties: concurrent fences
-    /// on one pool queue behind each other, while fences on different pools
-    /// overlap freely.
+    /// Nanosecond (since `origin`) at which this pool's simulated NVM device
+    /// finishes everything queued so far — the DIMM's write-pending queue as
+    /// one serial timeline. A write-back joins it at `clwb` and drains from
+    /// then on, whatever the CPU does next; bulk reads queue on it too. A
+    /// fence reserves nothing: it blocks — sleeping, not spinning — for what
+    /// the timeline still holds at issue. Fences on one pool wait out one
+    /// shared queue; distinct pools drain side by side.
     device_busy: AtomicU64,
     /// Per-cache-line shadow persistency state (the `persist-san`
     /// sanitizer); see the [`crate::san`] module docs.
@@ -173,6 +152,7 @@ impl PmemPool {
                 events: AtomicU64::new(0),
                 poisoned: AtomicBool::new(false),
                 stall: StallState::default(),
+                unfenced: AtomicU64::new(0),
                 origin: Instant::now(),
                 device_busy: AtomicU64::new(0),
                 #[cfg(feature = "persist-san")]
@@ -549,9 +529,9 @@ impl PmemPool {
 
     // ---- persistence primitives -------------------------------------------
 
-    /// `CLWB`: schedule write-back of the cache line containing `off`.
-    /// Durability is guaranteed only after a subsequent [`PmemPool::sfence`]
-    /// from the same thread.
+    /// `CLWB`: start the write-back of the cache line containing `off`. The
+    /// line is durable once a later [`PmemPool::sfence`] — any thread's —
+    /// has returned.
     #[inline]
     #[track_caller]
     pub fn clwb(&self, off: POff) {
@@ -560,7 +540,8 @@ impl PmemPool {
 
     /// `CLWB` every cache line in `[off, off+len)`. The issue latency for
     /// the whole range is charged in one spin (per-line spins would be
-    /// dominated by timer overhead at nanosecond scales).
+    /// dominated by timer overhead at nanosecond scales); the lines' drain
+    /// time then joins the device timeline, where it runs down on its own.
     #[track_caller]
     pub fn clwb_range(&self, off: POff, len: usize) {
         if len == 0 {
@@ -576,19 +557,26 @@ impl PmemPool {
         self.inner
             .san
             .on_clwb(first, n, eff, std::panic::Location::caller());
-        if self.inner.durable.is_some() {
+        // A line already pending in the queue takes no second slot.
+        let queued = if self.inner.durable.is_some() {
             let mut p = self.inner.pending.lock();
-            for i in 0..eff {
-                p.insert(first + i);
-            }
+            (0..eff).filter(|i| p.insert(first + i)).count() as u64
         } else {
-            count_add(self.inner.id, eff);
-        }
+            self.inner.unfenced.fetch_add(eff, Ordering::Relaxed);
+            eff
+        };
         self.inner.stats.on_clwb(n);
-        spin_ns(self.inner.config.latency.clwb_issue_ns * n);
+        let lat = &self.inner.config.latency;
+        spin_ns(lat.clwb_issue_ns * n);
+        // Reserved after the issue spin, so a fence that follows at once
+        // still waits the whole configured drain.
+        let drain_ns = queued * (lat.fence_per_line_ns + lat.media_write_ns);
+        if drain_ns > 0 {
+            self.reserve_device(drain_ns);
+        }
     }
 
-    /// `SFENCE`: drain this thread's pending write-backs to durable media.
+    /// `SFENCE`: returns once every write-back started before it has drained.
     #[track_caller]
     pub fn sfence(&self) {
         let ticket = self.sfence_issue();
@@ -596,14 +584,13 @@ impl PmemPool {
     }
 
     /// The issue half of [`PmemPool::sfence`]: everything a fence does
-    /// except block on the device — the drain is reserved on this pool's
-    /// `device_busy` timeline and the ticket holds when it completes. A
-    /// thread may issue fences on several pools before waiting on any (the
-    /// drains overlap, as under one hardware `SFENCE` over lines headed to
-    /// different DIMMs), but may claim nothing durable before the wait.
+    /// except block on the device. The ticket holds when the pool's timeline
+    /// runs out as of now (`None`: already idle). A thread may issue fences
+    /// on several pools before waiting on any (the drains overlap, as under
+    /// one hardware `SFENCE` over lines headed to different DIMMs), but may
+    /// claim nothing durable before the wait.
     #[track_caller]
     pub fn sfence_issue(&self) -> FenceTicket {
-        let lat = &self.inner.config.latency;
         // A fence is a single event: either the whole drain happens before
         // the crash point or none of it does (pending lines die unfenced).
         if self.charge_events(1) == 0 {
@@ -620,22 +607,26 @@ impl PmemPool {
             }
             lines.len() as u64
         } else {
-            // Fast mode: drain the per-thread pending count.
-            count_take(self.inner.id)
+            self.inner.unfenced.swap(0, Ordering::Relaxed)
         };
         self.inner.stats.on_sfence(drained);
-        // The fence instruction itself is CPU time for the calling thread;
-        // the media drain is *device* time on this pool's write queue.
-        spin_ns(lat.fence_base_ns);
-        let media_ns = drained * (lat.fence_per_line_ns + lat.media_write_ns);
+        // The fence instruction itself is CPU time for the calling thread.
+        spin_ns(self.inner.config.latency.fence_base_ns);
+        let backlog = self.device_backlog();
         FenceTicket {
-            done: (media_ns > 0).then(|| self.reserve_device(media_ns)),
+            done: (!backlog.is_zero()).then(|| Instant::now() + backlog),
         }
     }
 
-    /// Reserves `media_ns` of drain time on this pool's simulated NVM device
-    /// and returns when the reservation completes. See the `device_busy`
-    /// field docs for why this is a queue and not a spin.
+    /// How far behind the medium is: the time this pool's device still needs
+    /// for everything queued on it (zero when idle).
+    pub fn device_backlog(&self) -> std::time::Duration {
+        let busy = self.inner.device_busy.load(Ordering::Acquire);
+        std::time::Duration::from_nanos(busy).saturating_sub(self.inner.origin.elapsed())
+    }
+
+    /// Queues `media_ns` of work on this pool's simulated NVM device (the
+    /// `device_busy` timeline) and returns when it will be done with it.
     fn reserve_device(&self, media_ns: u64) -> Instant {
         let now = self.inner.origin.elapsed().as_nanos() as u64;
         let done = self
@@ -939,13 +930,13 @@ pub struct FenceTicket {
 }
 
 impl FenceTicket {
-    /// When the device finishes this fence's drain (`None`: nothing was
-    /// queued), so a holder of several tickets can wait on the earliest.
+    /// When the device finishes what was queued ahead of this fence (`None`:
+    /// it was idle), so a holder of several tickets can wait on the earliest.
     pub fn ready_at(&self) -> Option<Instant> {
         self.done
     }
 
-    /// Blocks until the device has drained everything the fence queued.
+    /// Blocks until the device has drained everything queued ahead of the fence.
     pub fn wait(self) {
         if let Some(done) = self.done {
             wait_until(done);
@@ -1159,42 +1150,55 @@ mod tests {
         assert_eq!(drained, 4);
     }
 
-    /// A pool whose fence drains cost enough to dominate scheduler noise,
-    /// with `lines` lines flushed and awaiting a fence.
-    fn slow_pool_with_pending(per_line_ns: u64, lines: usize) -> PmemPool {
+    /// A pool whose write-backs cost `per_line_ns` of device time each —
+    /// callers pick it large enough to dominate scheduler noise.
+    fn slow_pool(per_line_ns: u64) -> PmemPool {
         let mut cfg = PmemConfig::strict_for_test(1 << 20);
         cfg.chaos.crash_at_event = Some(u64::MAX); // count events
         cfg.latency.fence_per_line_ns = per_line_ns;
-        let p = PmemPool::new(cfg);
+        PmemPool::new(cfg)
+    }
+
+    /// [`slow_pool`] with `lines` lines flushed and awaiting a fence.
+    fn slow_pool_with_pending(per_line_ns: u64, lines: usize) -> PmemPool {
+        let p = slow_pool(per_line_ns);
         p.clwb_range(POff::new(4096), lines * CACHE_LINE);
         p
+    }
+
+    fn busy(p: &PmemPool) -> u64 {
+        p.inner.device_busy.load(Ordering::Acquire)
+    }
+
+    fn ms(n: u64) -> std::time::Duration {
+        std::time::Duration::from_millis(n)
     }
 
     #[test]
     fn issued_fences_on_two_pools_drain_side_by_side() {
         const PER_LINE_NS: u64 = 100_000;
         const LINES: u64 = 300;
-        let busy = |p: &PmemPool| p.inner.device_busy.load(Ordering::Acquire);
         let now = |p: &PmemPool| p.inner.origin.elapsed().as_nanos() as u64;
-        let pools = [
-            slow_pool_with_pending(PER_LINE_NS, LINES as usize),
-            slow_pool_with_pending(PER_LINE_NS, LINES as usize),
-        ];
+        let pools = [slow_pool(PER_LINE_NS), slow_pool(PER_LINE_NS)];
 
         let start = Instant::now();
         let mut tickets = Vec::new();
         for p in &pools {
-            // Conservation: the pool's timeline takes exactly what the fence
-            // drained — from the issue instant on an idle device, from the
-            // previous reservation on a busy one — whoever waits, whenever.
+            // Conservation: the pool's timeline takes exactly what a
+            // write-back queues, at the write-back — from that instant on an
+            // idle device, from the previous reservation on a busy one —
+            // and a fence adds nothing, whoever waits, whenever.
             let before = now(p);
-            tickets.push(p.sfence_issue());
+            p.clwb_range(POff::new(4096), LINES as usize * CACHE_LINE);
             let reserved_at = busy(p) - LINES * PER_LINE_NS;
             assert!((before..=now(p)).contains(&reserved_at));
-            p.clwb_range(POff::new(4096), 3 * CACHE_LINE);
-            let queued_behind = busy(p);
+            let queued = busy(p);
             tickets.push(p.sfence_issue());
-            assert_eq!(busy(p), queued_behind + 3 * PER_LINE_NS);
+            assert_eq!(busy(p), queued, "a fence reserves nothing");
+            p.clwb_range(POff::new(4096), 3 * CACHE_LINE);
+            assert_eq!(busy(p), queued + 3 * PER_LINE_NS);
+            tickets.push(p.sfence_issue());
+            assert_eq!(busy(p), queued + 3 * PER_LINE_NS);
         }
         for t in tickets {
             t.wait();
@@ -1206,6 +1210,112 @@ mod tests {
             wall < one_pool * 3 / 2,
             "the pools drained one after the other: {wall:?} of a serial {:?}",
             one_pool * 2
+        );
+        assert!(pools.iter().all(|p| p.device_backlog().is_zero()));
+    }
+
+    #[test]
+    fn fence_right_after_clwb_pays_the_whole_drain() {
+        // The calibration shape: 200 lines x 100 us = 20 ms of drain.
+        let p = slow_pool(100_000);
+        let start = Instant::now();
+        p.clwb_range(POff::new(4096), 200 * CACHE_LINE);
+        let issued = start.elapsed();
+        assert!(p.device_backlog() > ms(20) - issued - ms(1));
+        p.sfence();
+        let wall = start.elapsed();
+        assert!(wall >= ms(20), "the fence returned early: {wall:?}");
+        assert!(
+            wall - issued >= ms(19),
+            "the fence paid {:?}",
+            wall - issued
+        );
+        assert!(
+            wall < ms(40),
+            "the fence paid more than the drain: {wall:?}"
+        );
+    }
+
+    #[test]
+    fn fence_pays_only_what_is_left() {
+        // 40 ms of drain; the CPU does something else for half of it.
+        let p = slow_pool_with_pending(100_000, 400);
+        let start = Instant::now();
+        std::thread::sleep(ms(20));
+        let fence = Instant::now();
+        p.sfence();
+        let paid = fence.elapsed();
+        assert!(
+            paid <= ms(20 + 10),
+            "the fence paid {paid:?} of a 40 ms drain"
+        );
+        assert!(start.elapsed() >= ms(39), "the fence returned early");
+    }
+
+    #[test]
+    fn unfenced_clwbs_do_not_land_on_a_later_fence() {
+        // Thread A writes back 20 ms worth of lines and never fences (a map
+        // user's ring-overflow write-backs). Once the device has had its 20
+        // ms, thread B's fence (the allocator's superblock carve) finds it
+        // idle and costs the fence instruction alone.
+        let p = slow_pool(100_000);
+        std::thread::scope(|s| {
+            s.spawn(|| p.clwb_range(POff::new(4096), 200 * CACHE_LINE));
+        });
+        std::thread::sleep(ms(25));
+        let fence = Instant::now();
+        let ticket = p.sfence_issue();
+        assert!(ticket.ready_at().is_none(), "the device is idle");
+        ticket.wait();
+        let paid = fence.elapsed();
+        assert!(paid < ms(10), "B's fence paid {paid:?} for A's write-backs");
+        assert_eq!(
+            p.stats().snapshot().lines_drained,
+            200,
+            "and made them durable"
+        );
+    }
+
+    #[test]
+    fn repeated_clwb_of_a_pending_line_reserves_once() {
+        let p = slow_pool(1_000_000);
+        let off = POff::new(4096);
+        p.clwb(off);
+        let queued = busy(&p);
+        for _ in 0..4 {
+            p.clwb(off);
+        }
+        assert_eq!(busy(&p), queued, "a pending line takes no second slot");
+        p.clwb(off.add(CACHE_LINE as u64));
+        assert_eq!(busy(&p), queued + 1_000_000);
+        p.sfence();
+        p.clwb(off);
+        assert!(busy(&p) > queued + 1_000_000, "drained: a fresh write-back");
+        assert_eq!(
+            p.stats().snapshot().clwbs,
+            7,
+            "every issued clwb is counted"
+        );
+    }
+
+    #[test]
+    fn poisoned_pool_reserves_nothing() {
+        let mut cfg = PmemConfig::strict_for_test(1 << 20);
+        cfg.latency.fence_per_line_ns = 1_000_000;
+        cfg.chaos.crash_at_event = Some(2); // two lines start, then the crash
+        let p = PmemPool::new(cfg);
+        p.clwb_range(POff::new(4096), 4 * CACHE_LINE); // lands inside the range
+        assert!(p.is_poisoned());
+        let queued = busy(&p);
+        assert!(
+            (2_000_000..3_000_000).contains(&queued),
+            "the two that started"
+        );
+        p.clwb_range(POff::new(8192), 4 * CACHE_LINE);
+        assert_eq!(busy(&p), queued);
+        assert!(
+            p.sfence_issue().ready_at().is_none(),
+            "a dropped fence waits for nothing"
         );
     }
 

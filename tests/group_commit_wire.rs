@@ -200,6 +200,91 @@ fn group_commit_is_cut_consistent_at_every_crash_point() {
     );
 }
 
+// ---- the early write-back's window -------------------------------------------
+
+/// Rounds 1 and 2 of the workload over `pool`. Returns the pool's event count
+/// and `lines_drained` as of round 1's acks (`None`: the crash came first).
+fn run_two_rounds(pool: &PmemPool) -> Option<(u64, u64)> {
+    let store = ShardedKvStore::format_pools(vec![pool.clone()], esys_cfg(), NBUCKETS, CAPACITY);
+    let cfg = ServerConfig {
+        workers: 1,
+        sync_every: Some(1),
+        ..Default::default()
+    };
+    let h = KvServer::start_sharded(cfg, store).expect("bind");
+    let mut c = WireClient::connect(h.addr()).expect("connect");
+    let keys: Vec<String> = (0..KEYS).map(|k| format!("gk{k}")).collect();
+    let mut round = |r: u64| {
+        let vals: Vec<String> = (0..KEYS).map(|k| value(k, r)).collect();
+        let sets = keys.iter().zip(&vals);
+        let reqs: Vec<PipeOp> = sets.map(|(k, v)| PipeOp::Set(k, v.as_bytes())).collect();
+        c.round(&reqs).is_ok()
+    };
+    let acked = round(1).then(|| {
+        let at_ack = (
+            pool.persistence_events(),
+            pool.stats().snapshot().lines_drained,
+        );
+        round(2);
+        at_ack
+    });
+    h.crash();
+    acked
+}
+
+/// A batch that will sync starts each mutation's write-backs as the mutation
+/// completes, so for most of the batch there are lines in flight that no
+/// fence has covered yet. Crash at every event of such a batch, with every
+/// in-flight line torn (a strict prefix of it reaches the medium): round 1
+/// was acked, round 2 was not, so each key must come back holding round 1's
+/// value or round 2's, whole — the unacked write absent or complete.
+#[test]
+fn crash_between_an_early_write_back_and_the_fence_keeps_every_key_whole() {
+    let mut base = PmemConfig::strict_for_test(64 << 20);
+    base.chaos.torn_line_permille = 1000;
+    let armed = |crash_at: u64| {
+        let mut cfg = base;
+        cfg.chaos.crash_at_event = Some(crash_at);
+        PmemPool::new(cfg)
+    };
+    let counting = armed(u64::MAX);
+    let (round_2_from, drained_by_round_1) = run_two_rounds(&counting).expect("no crash armed");
+    let round_2_to = counting.persistence_events();
+
+    let mut in_window = 0;
+    for crash_at in round_2_from + 1..=round_2_to {
+        let pool = armed(crash_at);
+        let at_ack = run_two_rounds(&pool);
+        assert_eq!(
+            at_ack,
+            Some((round_2_from, drained_by_round_1)),
+            "{crash_at}"
+        );
+        let durable = pool.crash();
+        // Write-backs were in flight (the crash tore them) and no fence of
+        // round 2 had drained anything: the window this case is about.
+        let stats = pool.stats().snapshot();
+        if stats.torn_lines > 0 && stats.lines_drained == drained_by_round_1 {
+            in_window += 1;
+        }
+        let (kv, report) =
+            ShardedKvStore::recover(vec![durable], esys_cfg(), NBUCKETS, CAPACITY, 2);
+        assert!(report.shards[0].fatal.is_none(), "crash_at={crash_at}");
+        let h = KvServer::start_sharded(ServerConfig::default(), kv).expect("rebind");
+        let mut c = WireClient::connect(h.addr()).expect("reconnect");
+        for k in 0..KEYS {
+            let got = c.get(&format!("gk{k}")).expect("get").map(|(_, raw)| raw);
+            let whole = (1..=2).any(|r| got.as_deref() == Some(value(k, r).as_bytes()));
+            assert!(whole, "crash_at={crash_at}: gk{k} recovered as {got:?}");
+        }
+        h.shutdown();
+    }
+    assert!(
+        in_window >= KEYS,
+        "only {in_window} crash points fell between a write-back and the batch's fence"
+    );
+}
+
 // ---- two shards, one group fence per batch ---------------------------------
 
 /// Shard whose pool the sweep crashes; shard 0 stays healthy.
