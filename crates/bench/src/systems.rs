@@ -168,20 +168,8 @@ pub fn build_queue(sys: QueueSystem, p: &BenchParams) -> (Arc<dyn BenchQueue>, S
                 SystemHold::default(),
             )
         }
-        QueueSystem::MontageT => {
-            let (esys, hold) = montage_sys(p, EsysConfig::transient(), bytes);
-            (
-                Arc::new(MontageQueueAdapter(MontageQueue::new(esys, tags::QUEUE))),
-                hold,
-            )
-        }
-        QueueSystem::Montage => {
-            let (esys, hold) = montage_sys(p, EsysConfig::default(), bytes);
-            (
-                Arc::new(MontageQueueAdapter(MontageQueue::new(esys, tags::QUEUE))),
-                hold,
-            )
-        }
+        QueueSystem::MontageT => montage_queue_with(EsysConfig::transient(), p),
+        QueueSystem::Montage => montage_queue_with(EsysConfig::default(), p),
         QueueSystem::Friedman => {
             let r = Ralloc::format(nvm_pool(bytes));
             (
@@ -302,43 +290,15 @@ pub fn build_map(sys: MapSystem, p: &BenchParams) -> (Arc<dyn BenchMap>, SystemH
                 SystemHold::default(),
             )
         }
-        MapSystem::MontageT => {
-            let (esys, hold) = montage_sys(p, EsysConfig::transient(), bytes);
-            (
-                Arc::new(MontageMapAdapter(MontageHashMap::new(
-                    esys,
-                    tags::HASHMAP,
-                    nbuckets,
-                ))),
-                hold,
-            )
-        }
-        MapSystem::Montage => {
-            let (esys, hold) = montage_sys(p, EsysConfig::default(), bytes);
-            (
-                Arc::new(MontageMapAdapter(MontageHashMap::new(
-                    esys,
-                    tags::HASHMAP,
-                    nbuckets,
-                ))),
-                hold,
-            )
-        }
-        MapSystem::MontageDw => {
-            let cfg = EsysConfig {
+        MapSystem::MontageT => montage_map_with(EsysConfig::transient(), p),
+        MapSystem::Montage => montage_map_with(EsysConfig::default(), p),
+        MapSystem::MontageDw => montage_map_with(
+            EsysConfig {
                 persist: montage::PersistStrategy::DirWB,
                 ..Default::default()
-            };
-            let (esys, hold) = montage_sys(p, cfg, bytes);
-            (
-                Arc::new(MontageMapAdapter(MontageHashMap::new(
-                    esys,
-                    tags::HASHMAP,
-                    nbuckets,
-                ))),
-                hold,
-            )
-        }
+            },
+            p,
+        ),
         MapSystem::Dali => {
             let r = Ralloc::format(nvm_pool(bytes));
             let m = Arc::new(DaliHashMap::new(r, nbuckets));

@@ -3,9 +3,9 @@
 //! lets an advancer trust an idle slot.
 //!
 //! The code under test is the *real* `montage::esys::EpochSys` advance
-//! path and the real `Tracker`/`Mindicator`/`Buffers` protocol — the
-//! harness only shrinks the configuration (2 thread slots, capacity-2
-//! rings, a zero-spin grace window) so bound-2 exploration is exhaustive.
+//! path and the real `Tracker`/`Buffers` protocol — the harness only
+//! shrinks the configuration (2 thread slots, capacity-2 rings, a
+//! zero-spin grace window) so bound-2 exploration is exhaustive.
 //!
 //! Three seeded-weakening fixtures then downgrade one ordering each and
 //! assert the checker produces a counterexample:
@@ -20,18 +20,16 @@ use std::sync::Arc;
 
 use interleave::{check, try_check, Config};
 use montage::buffers::Buffers;
-use montage::mindicator::Mindicator;
 use montage::sync::thread;
 use montage::sync::{spin_loop, AtomicBool, Ordering};
 use montage::tracker::{Tracker, IDLE};
 use montage::{EpochSys, EsysConfig, FreeStrategy, PersistStrategy};
 use pmem::{POff, PmemConfig, PmemPool};
 
-// One thread slot: every boundary scan (tracker, mindicator, per-thread
-// rings) is a single iteration, which keeps exhaustive bound-2 exploration
-// in the hundreds of executions instead of hundreds of thousands. The
-// advancing racer needs no slot of its own — `advance_epoch` never
-// registers.
+// One thread slot: every boundary scan (tracker, per-thread rings) is a
+// single iteration, which keeps exhaustive bound-2 exploration in the
+// hundreds of executions instead of hundreds of thousands. The advancing
+// racer needs no slot of its own — `advance_epoch` never registers.
 fn tiny_esys() -> Arc<EpochSys> {
     let cfg = EsysConfig {
         max_threads: 1,
@@ -141,15 +139,13 @@ fn weakened_durable_mirror_is_caught() {
     );
 }
 
-/// The advancer-side tracker gate, reduced to its three moving parts: a
-/// worker registers, pushes a buffered write-back, publishes its oldest
-/// epoch, and unregisters; an advancer that observes the slot idle must
-/// then see the mindicator/ring state the op left behind, or it will skip
-/// a drain the boundary needs.
+/// The advancer-side tracker gate, reduced to its moving parts: a worker
+/// registers, pushes a buffered write-back, and unregisters; an advancer
+/// that observes the slot idle must then see the ring state the op left
+/// behind, or its `min_pending` gate will skip a drain the boundary needs.
 fn tracker_gate_body() {
     let pool = Arc::new(PmemPool::new(PmemConfig::strict_for_test(1 << 20)));
     let tracker = Arc::new(Tracker::new(1));
-    let mind = Arc::new(Mindicator::new(1));
     let bufs = Arc::new(Buffers::new(1, 2));
     // Stands in for the synchronization `BEGIN_OP` establishes at
     // registration (the SeqCst announce/validate handshake): acquiring it
@@ -159,9 +155,8 @@ fn tracker_gate_body() {
     // for — the fixtures below stay unmasked.
     let registered = Arc::new(AtomicBool::new(false));
 
-    let (t2, m2, b2, p2, r2) = (
+    let (t2, b2, p2, r2) = (
         tracker.clone(),
-        mind.clone(),
         bufs.clone(),
         pool.clone(),
         registered.clone(),
@@ -170,19 +165,18 @@ fn tracker_gate_body() {
         t2.register(0, 10);
         r2.store(true, Ordering::Release);
         b2.push_persist(&p2, 0, 10, POff::new(64 * 1024), 8, || true);
-        m2.publish(0, 10);
         t2.unregister(0);
     });
 
     // Advancer: watch the op appear, then watch it retire, then run the
-    // gated drain exactly the way `advance_epoch` does.
+    // gated drain exactly the way `advance_issue` does.
     while !registered.load(Ordering::Acquire) {
         spin_loop();
     }
     while tracker.load(0) != IDLE {
         spin_loop();
     }
-    if mind.min() < 11 {
+    if bufs.min_pending(0) < 11 {
         bufs.drain_persist_upto(&pool, 0, 10);
     }
     assert_eq!(
@@ -201,7 +195,7 @@ fn idle_tracker_slot_publishes_the_finished_op() {
 }
 
 /// Seeded weakening: the unregister publish downgraded to Relaxed lets the
-/// advancer see the slot idle while the mindicator still reads EMPTY — it
+/// advancer see the slot idle while the ring still reads empty — it
 /// skips the drain and fences with the op's write-back still buffered.
 #[test]
 fn weakened_unregister_is_caught() {

@@ -165,12 +165,12 @@ fn census_body() {
     // A drainer that may park inside its claim window.
     let (b2, p2) = (bufs.clone(), pool.clone());
     let drainer = thread::spawn(move || {
-        b2.drain_persist(&p2, 0, 10);
+        b2.drain_persist_upto(&p2, 0, 10);
     });
 
     // The boundary: drain, then the census-gated helper scan, then the
     // fence-point assertion.
-    bufs.drain_persist(&pool, 0, 10);
+    bufs.drain_persist_upto(&pool, 0, 10);
     let helped = bufs.claims_open();
     if helped {
         bufs.help_drainers(&pool, 0);

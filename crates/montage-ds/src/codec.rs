@@ -1,34 +1,29 @@
 //! The keyed-payload layout shared by the keyed structures
 //! ([`MontageHashMap`](crate::MontageHashMap),
 //! [`MontageSortedList`](crate::MontageSortedList)): the key's byte image
-//! (fixed-size `K: Copy`) followed by the value bytes. Creation encodes,
-//! recovery decodes the key, and an overwrite leaves the key image alone
+//! (fixed-size `K: Copy`) followed by the value bytes. Creation hands both
+//! parts to `EpochSys::pnew_parts`, recovery decodes the key, and an
+//! overwrite leaves the key image alone
 //! (`EpochSys::overwrite_tail` with `size_of::<K>()` as the head).
 
 use std::mem::{size_of, MaybeUninit};
 
-/// `key ‖ value`, ready for `pnew_bytes`.
-pub(crate) fn encode<K: Copy>(key: &K, value: &[u8]) -> Vec<u8> {
-    let ksize = size_of::<K>();
-    let mut buf = vec![0u8; ksize + value.len()];
-    // SAFETY: `buf` holds at least `ksize` bytes, `key` is a valid K of
-    // exactly that size, and the two cannot overlap (fresh allocation).
-    // lint: allow(raw-write): serializes the key into a transient Vec; the pool copy goes through pnew_bytes
-    unsafe {
-        std::ptr::copy_nonoverlapping(key as *const K as *const u8, buf.as_mut_ptr(), ksize);
-    }
-    buf[ksize..].copy_from_slice(value);
-    buf
+/// A key's byte image: the head of a keyed payload (`pnew_parts`' `head`).
+pub(crate) fn key_image<K: Copy>(key: &K) -> &[u8] {
+    // SAFETY: `key` is a live K, readable for exactly `size_of::<K>()` bytes
+    // while the borrow lasts, and `u8` has no alignment requirement. The key
+    // types in use (integers, byte arrays) have no padding bytes.
+    unsafe { std::slice::from_raw_parts(key as *const K as *const u8, size_of::<K>()) }
 }
 
-/// The key a payload written by [`encode`] starts with.
+/// The key a payload created from [`key_image`] starts with.
 pub(crate) fn key_of<K: Copy>(bytes: &[u8]) -> K {
     assert!(
         bytes.len() >= size_of::<K>(),
         "payload shorter than its key"
     );
     let mut k = MaybeUninit::<K>::uninit();
-    // SAFETY: the assert covers the read; `encode` stored a valid K's image
+    // SAFETY: the assert covers the read; creation stored a valid K's image
     // in these bytes, and K: Copy has no drop obligations.
     // lint: allow(raw-write): copies pool bytes into a transient stack value, not into the pool
     unsafe {
@@ -43,11 +38,11 @@ mod tests {
 
     #[test]
     fn key_and_value_round_trip() {
-        let bytes = encode(&0xfeed_f00d_u64, b"value");
+        let bytes = [key_image(&0xfeed_f00d_u64), b"value"].concat();
         assert_eq!(bytes.len(), 8 + 5);
         assert_eq!(key_of::<u64>(&bytes), 0xfeed_f00d);
         assert_eq!(&bytes[8..], b"value");
         let wide: [u8; 32] = std::array::from_fn(|i| i as u8);
-        assert_eq!(key_of::<[u8; 32]>(&encode(&wide, b"")), wide);
+        assert_eq!(key_of::<[u8; 32]>(key_image(&wide)), wide);
     }
 }

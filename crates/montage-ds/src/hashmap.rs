@@ -674,7 +674,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             } else {
                 let h = self
                     .esys
-                    .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
+                    .pnew_parts(&g, self.tag, codec::key_image(&key), value);
                 chain.push(Entry { key, payload: h });
                 // ord(counter): size estimate only.
                 self.len.fetch_add(1, Ordering::Relaxed);
@@ -694,7 +694,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
+                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
             chain.push(Entry { key, payload: h });
             // ord(counter): size estimate only.
             self.len.fetch_add(1, Ordering::Relaxed);

@@ -281,7 +281,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
+                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
             let node = Owned::new(Node {
                 key,
                 payload: Mutex::new(h),
@@ -328,7 +328,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
             let g = self.esys.begin_op(tid);
             let h = self
                 .esys
-                .pnew_bytes(&g, self.tag, &codec::encode(&key, value));
+                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
             let node = Owned::new(Node {
                 key,
                 payload: Mutex::new(h),

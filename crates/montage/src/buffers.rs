@@ -419,8 +419,6 @@ struct ThreadState {
     persist: [PersistBucket; 4],
     free: [FreeBucket; 4],
     dedup: Box<[DedupEntry]>,
-    /// Line flushes avoided by coalescing (owner-written, exact).
-    coalesced: AtomicU64,
 }
 
 impl ThreadState {
@@ -442,7 +440,6 @@ impl ThreadState {
                     last: AtomicU64::new(0),
                 })
                 .collect(),
-            coalesced: AtomicU64::new(0),
         }
     }
 
@@ -567,8 +564,8 @@ impl Buffers {
     /// entry a concurrent boundary drain already flushed, leaving this
     /// push's latest bytes with no resident entry to flush them.
     ///
-    /// Returns the minimum epoch for which this thread still holds
-    /// unpersisted entries (for the mindicator).
+    /// Returns the line flushes coalescing saved: the covered extent's lines
+    /// when the push was coalesced away, 0 when it was enqueued.
     pub fn push_persist(
         &self,
         pool: &PmemPool,
@@ -593,9 +590,7 @@ impl Buffers {
             && d.last.load(Ordering::Relaxed) >= last
             && still_current()
         {
-            // ord(counter): stats tally, read by the owner.
-            st.coalesced.fetch_add(last - first + 1, Ordering::Relaxed);
-            return self.min_pending(tid);
+            return last - first + 1;
         }
 
         let b = &st.persist[(epoch % 4) as usize];
@@ -625,12 +620,12 @@ impl Buffers {
         d.last.store(last, Ordering::Relaxed);
         // ord(relaxed): owner-only.
         d.epoch.store(epoch, Ordering::Relaxed);
-        self.min_pending(tid)
+        0
     }
 
     /// Owner-only: writes back (no fence) everything `tid` has buffered, its
     /// current epoch's bucket included (the overflow path, run to empty).
-    pub fn write_back_own(&self, pool: &PmemPool, tid: usize) -> u64 {
+    pub fn write_back_own(&self, pool: &PmemPool, tid: usize) {
         let st = &self.threads[tid];
         for b in st.persist.iter().filter(|b| !b.ring.is_empty()) {
             let _census = self.claim_scope();
@@ -638,7 +633,6 @@ impl Buffers {
             let epoch = b.epoch.load(Ordering::Relaxed);
             while st.pop_own(pool, b, epoch) {}
         }
-        self.min_pending(tid)
     }
 
     /// Pops every entry of a persist ring, writing each back (no fence)
@@ -648,29 +642,10 @@ impl Buffers {
         while ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
     }
 
-    /// Line flushes thread `tid` has avoided through coalescing so far
-    /// (monotonic; exact when read by the owner).
-    pub fn coalesced_lines(&self, tid: usize) -> u64 {
-        // ord(counter): stats tally; no ordering contract.
-        self.threads[tid].coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Writes back (without fencing) all of thread `tid`'s entries for
-    /// `epoch`. Safe to call concurrently with other drainers and — for
-    /// epochs the owner can no longer push into — with the owner. Returns
-    /// the thread's new minimum pending epoch.
-    pub fn drain_persist(&self, pool: &PmemPool, tid: usize, epoch: u64) -> u64 {
-        let st = &self.threads[tid];
-        let b = &st.persist[(epoch % 4) as usize];
-        // ord(acquire): pairs with the owner's bucket-epoch publish.
-        if !b.ring.is_empty() && b.epoch.load(Ordering::Acquire) == epoch {
-            self.write_back(pool, &b.ring);
-        }
-        self.min_pending(tid)
-    }
-
-    /// Writes back all of `tid`'s entries for every epoch `<= epoch`.
-    pub fn drain_persist_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) -> u64 {
+    /// Writes back (without fencing) all of `tid`'s entries for every epoch
+    /// `<= epoch`. Safe to call concurrently with other drainers and — for
+    /// epochs the owner can no longer push into — with the owner.
+    pub fn drain_persist_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) {
         let st = &self.threads[tid];
         for b in st.persist.iter() {
             // ord(acquire): pairs with the owner's bucket-epoch publish.
@@ -678,7 +653,6 @@ impl Buffers {
                 self.write_back(pool, &b.ring);
             }
         }
-        self.min_pending(tid)
     }
 
     /// Finishes the write-back + release of any of thread `tid`'s ring
@@ -791,8 +765,8 @@ impl Buffers {
 
     /// Minimum epoch with unpersisted entries across **this thread's**
     /// buckets ([`u64::MAX`] if none). Lock-free exact scan: 4 buckets × a
-    /// handful of atomic loads — cheap enough to be the authoritative gate
-    /// in `advance_epoch` (the mindicator remains a monotone hint). A
+    /// handful of atomic loads — the one gate in front of a boundary's
+    /// drains (`advance_issue`) and a worker's sync helping (`enter`). A
     /// claimed-but-unreleased entry is invisible here; the boundary covers
     /// it with [`Buffers::help_drainers`], never by waiting.
     pub fn min_pending(&self, tid: usize) -> u64 {
@@ -828,7 +802,7 @@ mod tests {
             push(&b, &p, 0, 10, POff::new(4096 + i * 128), 64);
         }
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 10);
+        b.drain_persist_upto(&p, 0, 10);
         let after = p.stats().snapshot().clwbs;
         assert_eq!(after - before, 5, "five single-line payloads flushed");
         assert_eq!(b.min_pending(0), u64::MAX);
@@ -857,7 +831,7 @@ mod tests {
         push(&b, &p, 0, 9, POff::new(4096), 64);
         push(&b, &p, 0, 10, POff::new(8192), 64);
         assert_eq!(b.min_pending(0), 9);
-        b.drain_persist(&p, 0, 9);
+        b.drain_persist_upto(&p, 0, 9);
         assert_eq!(b.min_pending(0), 10);
     }
 
@@ -867,8 +841,8 @@ mod tests {
         let b = Buffers::new(1, 8);
         push(&b, &p, 0, 9, POff::new(4096), 64);
         push(&b, &p, 0, 10, POff::new(8192), 64);
-        let min = b.drain_persist_upto(&p, 0, 10);
-        assert_eq!(min, u64::MAX);
+        b.drain_persist_upto(&p, 0, 10);
+        assert_eq!(b.min_pending(0), u64::MAX);
     }
 
     #[test]
@@ -913,12 +887,12 @@ mod tests {
     fn repeated_same_extent_pushes_coalesce_to_one_flush() {
         let p = pool();
         let b = Buffers::new(1, 8);
-        for _ in 0..6 {
-            push(&b, &p, 0, 4, POff::new(4096), 64);
-        }
-        assert_eq!(b.coalesced_lines(0), 5, "five of six pushes coalesced");
+        let saved: u64 = (0..6)
+            .map(|_| push(&b, &p, 0, 4, POff::new(4096), 64))
+            .sum();
+        assert_eq!(saved, 5, "five of six pushes coalesced");
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 4);
+        b.drain_persist_upto(&p, 0, 4);
         assert_eq!(
             p.stats().snapshot().clwbs - before,
             1,
@@ -934,11 +908,11 @@ mod tests {
         // a real enqueue.
         let p = pool();
         let b = Buffers::new(1, 8);
-        b.push_persist(&p, 0, 4, POff::new(4096), 64, || true);
-        b.push_persist(&p, 0, 4, POff::new(4096), 64, || false);
-        assert_eq!(b.coalesced_lines(0), 0, "stale push must not coalesce");
+        let saved = b.push_persist(&p, 0, 4, POff::new(4096), 64, || true)
+            + b.push_persist(&p, 0, 4, POff::new(4096), 64, || false);
+        assert_eq!(saved, 0, "stale push must not coalesce");
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 4);
+        b.drain_persist_upto(&p, 0, 4);
         assert_eq!(
             p.stats().snapshot().clwbs - before,
             2,
@@ -951,14 +925,12 @@ mod tests {
         let p = pool();
         let b = Buffers::new(1, 8);
         // 3-line entry, then a 1-line re-push of its first line: covered.
-        push(&b, &p, 0, 4, POff::new(4096), 192);
-        push(&b, &p, 0, 4, POff::new(4096), 8);
-        assert_eq!(b.coalesced_lines(0), 1);
+        assert_eq!(push(&b, &p, 0, 4, POff::new(4096), 192), 0);
+        assert_eq!(push(&b, &p, 0, 4, POff::new(4096), 8), 1);
         // Growing the extent is NOT covered and must enqueue.
-        push(&b, &p, 0, 4, POff::new(4096), 256);
-        assert_eq!(b.coalesced_lines(0), 1);
+        assert_eq!(push(&b, &p, 0, 4, POff::new(4096), 256), 0);
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 4);
+        b.drain_persist_upto(&p, 0, 4);
         // Entry 1 (3 lines) + entry 3 (4 lines).
         assert_eq!(p.stats().snapshot().clwbs - before, 7);
     }
@@ -967,14 +939,14 @@ mod tests {
     fn coalescing_is_epoch_scoped() {
         let p = pool();
         let b = Buffers::new(1, 8);
-        push(&b, &p, 0, 4, POff::new(4096), 64);
-        b.drain_persist(&p, 0, 4);
+        let mut saved = push(&b, &p, 0, 4, POff::new(4096), 64);
+        b.drain_persist_upto(&p, 0, 4);
         // Same extent, next epoch: the old ring entry is gone, so this push
         // must enqueue again (the table entry's epoch tag misses).
-        push(&b, &p, 0, 5, POff::new(4096), 64);
-        assert_eq!(b.coalesced_lines(0), 0);
+        saved += push(&b, &p, 0, 5, POff::new(4096), 64);
+        assert_eq!(saved, 0);
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 5);
+        b.drain_persist_upto(&p, 0, 5);
         assert_eq!(p.stats().snapshot().clwbs - before, 1);
     }
 
@@ -983,23 +955,19 @@ mod tests {
         let p = pool();
         let b = Buffers::new(1, 2);
         let hot = POff::new(4096);
-        push(&b, &p, 0, 4, hot, 64);
-        push(&b, &p, 0, 4, POff::new(8192), 64);
+        let mut saved = push(&b, &p, 0, 4, hot, 64);
+        saved += push(&b, &p, 0, 4, POff::new(8192), 64);
         // Overflow pops `hot` (the oldest) and writes it back early...
-        push(&b, &p, 0, 4, POff::new(12288), 64);
+        saved += push(&b, &p, 0, 4, POff::new(12288), 64);
         assert_eq!(p.stats().snapshot().clwbs, 1);
         // ...so a new same-epoch push of `hot` must NOT coalesce against the
         // now-dead entry: it must re-enter the ring to reach the boundary.
-        push(&b, &p, 0, 4, hot, 64);
-        assert_eq!(
-            b.coalesced_lines(0),
-            0,
-            "stale table entry must not coalesce"
-        );
+        saved += push(&b, &p, 0, 4, hot, 64);
+        assert_eq!(saved, 0, "stale table entry must not coalesce");
         // That re-push overflows again, writing back 8192's entry.
         assert_eq!(p.stats().snapshot().clwbs, 2);
         let before = p.stats().snapshot().clwbs;
-        b.drain_persist(&p, 0, 4);
+        b.drain_persist_upto(&p, 0, 4);
         assert_eq!(
             p.stats().snapshot().clwbs - before,
             2,
@@ -1018,7 +986,7 @@ mod tests {
             for i in 0..16u64 {
                 push(&b, &p, 0, e, POff::new(4096 + i * 64), 64);
             }
-            b.drain_persist(&p, 0, e);
+            b.drain_persist_upto(&p, 0, e);
             assert_eq!(b.min_pending(0), u64::MAX);
         }
         // 16 distinct lines per round: 12 overflow + 4 drained = 16 clwbs.
@@ -1069,9 +1037,7 @@ mod tests {
                     let done = done_round.load(std::sync::atomic::Ordering::Acquire);
                     // Drain only completed (quiescent) epochs, as the epoch
                     // protocol guarantees.
-                    for r in 0..done {
-                        b.drain_persist(&p, 0, 4 + r);
-                    }
+                    b.drain_persist_upto(&p, 0, 3 + done);
                     if done == ROUNDS {
                         break;
                     }
@@ -1259,9 +1225,7 @@ mod tests {
                 s.spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         let d = done.load(Ordering::Acquire);
-                        for r in 0..d {
-                            b.drain_persist(&p, 0, 4 + r);
-                        }
+                        b.drain_persist_upto(&p, 0, 3 + d);
                         std::thread::yield_now();
                     }
                 });
@@ -1304,7 +1268,8 @@ mod tests {
             let b = Buffers::new(1, cap);
             push(&b, &p, 0, 5, POff::new(4096), 64);
             let clwbs = p.stats().snapshot().clwbs;
-            assert_eq!(push(&b, &p, 0, 9, POff::new(8192), 64), 9);
+            push(&b, &p, 0, 9, POff::new(8192), 64);
+            assert_eq!(b.min_pending(0), 9);
             assert_eq!(p.stats().snapshot().clwbs, clwbs + 1, "leftover flushed");
 
             let blk = |i: u64| POff::new(16384 + i * 128);

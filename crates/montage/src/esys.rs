@@ -23,7 +23,6 @@ use ralloc::Ralloc;
 use crate::buffers::Buffers;
 use crate::config::{EsysConfig, FreeStrategy, PersistStrategy};
 use crate::errors::{EpochChanged, OldSeeNewException};
-use crate::mindicator::Mindicator;
 use crate::payload::{Header, PHandle, PayloadKind, HDR_SIZE};
 use crate::tracker::{Tracker, IDLE};
 
@@ -86,7 +85,6 @@ pub struct EpochSys {
     cfg: EsysConfig,
     tracker: Tracker,
     buffers: Buffers,
-    mind: Mindicator,
     /// Highest clock value known to be *flushed* (clwb + fence issued on a
     /// healthy pool). The transient clock may run ahead of this when an
     /// advance's winner is preempted between its clock store and its clwb;
@@ -145,7 +143,6 @@ impl EpochSys {
         EpochSys {
             tracker: Tracker::new(cfg.max_threads),
             buffers: Buffers::new(cfg.max_threads, cap),
-            mind: Mindicator::new(cfg.max_threads),
             durable_clock: AtomicU64::new(clock_now),
             sync_requested: AtomicU64::new(0),
             next_tid: AtomicUsize::new(0),
@@ -329,10 +326,8 @@ impl EpochSys {
             // boundary (sync never relies on this edge for durability).
             let want = self.sync_requested.load(Ordering::Relaxed);
             if want != 0 && self.buffers.min_pending(tid.0) < epoch {
-                let min = self
-                    .buffers
+                self.buffers
                     .drain_persist_upto(&self.pool, tid.0, epoch - 1);
-                self.mind.publish(tid.0, min);
             }
         }
 
@@ -496,7 +491,6 @@ impl EpochSys {
     fn record_persist(&self, tid: usize, epoch: u64, blk: POff, len: u32) {
         match self.cfg.persist {
             PersistStrategy::Buffered(_) => {
-                let before = self.buffers.coalesced_lines(tid);
                 // The revalidation closure defeats coalescing against an
                 // entry whose boundary already ran: if the clock has moved
                 // past this op's epoch, the covering entry may have drained
@@ -506,20 +500,17 @@ impl EpochSys {
                 // them. A SeqCst clock read is exact: while it still returns
                 // `epoch`, no boundary for `epoch` has published, so a
                 // dedup-hit entry is still resident and will flush our bytes.
-                let min = self
+                let saved = self
                     .buffers
                     .push_persist(&self.pool, tid, epoch, blk, len, || {
                         self.clock().load(Ordering::SeqCst) == epoch
                     });
-                // Owner-read delta, so the count is exact per push.
-                let saved = self.buffers.coalesced_lines(tid) - before;
                 if saved > 0 {
                     // ord(counter): stats tally.
                     self.stats
                         .flushes_coalesced
                         .fetch_add(saved, Ordering::Relaxed);
                 }
-                self.mind.publish(tid, min);
             }
             // lint: allow(flush-no-fence): DirWB defers the fence to the epoch boundary, like the buffered path; the clock-CAS/mirror ordering at that boundary is model-checked by interleave's harness_epoch
             PersistStrategy::DirWB => self.pool.clwb_range(blk, len as usize),
@@ -990,18 +981,12 @@ impl EpochSys {
             .wait_all_bounded(e - 1, self.cfg.advance_grace_spins);
 
         let n = self.registered();
-        // Write back all payloads of epoch e-1. The mindicator (a monotone,
-        // owner-published hint — it may lag low, never high) gates the pass
-        // wholesale; within it, the per-thread lock-free ring scan is exact,
-        // so untouched threads cost four atomic loads and no drain. The
-        // advancer never publishes to the mindicator: only owners do, which
-        // removes the old stale-overwrite race between a drainer's publish
-        // and a concurrent owner push.
-        if self.mind.min() < e {
-            for t in 0..n {
-                if self.buffers.min_pending(t) < e {
-                    self.buffers.drain_persist_upto(&self.pool, t, e - 1);
-                }
+        // Write back all payloads of epoch e-1. The per-thread lock-free
+        // ring scan is exact, so an untouched thread costs a handful of
+        // atomic loads and no drain.
+        for t in 0..n {
+            if self.buffers.min_pending(t) < e {
+                self.buffers.drain_persist_upto(&self.pool, t, e - 1);
             }
         }
 
@@ -1050,13 +1035,13 @@ impl EpochSys {
         ticket.fence.wait();
         // This fence is the boundary that declares epoch e-1 durable; under
         // `persist-san`, assert that no tracked store from before the
-        // previous boundary is still unflushed (no-op otherwise). A bypassed
+        // previous boundary is still unflushed (no-op otherwise). Advancers
+        // racing over this boundary all report it, before any of them can
+        // tick the clock, and the sanitizer counts `e` once. A bypassed
         // straggler parked mid-op may legitimately hold dirty lines it has
         // not pushed yet (they belong to an unfinished, unacked op), so the
         // assertion only runs on quiescent boundaries.
-        if stragglers == 0 {
-            self.pool.san_epoch_boundary();
-        }
+        self.pool.san_epoch_boundary(e, stragglers == 0);
 
         // Now everything labelled <= e-1 is durable: publish epoch e+1. The
         // CAS admits exactly one winner per tick; a loser raced another
@@ -1282,9 +1267,8 @@ impl EpochPin<'_> {
     /// fence, for a batch about to `sync` anyway (nbMontage's syncer writing
     /// back early): the device drains while the batch goes on working.
     pub fn write_back(&self) {
-        let (sys, tid) = (self.esys, self.tid.0);
-        sys.mind
-            .publish(tid, sys.buffers.write_back_own(&sys.pool, tid));
+        let sys = self.esys;
+        sys.buffers.write_back_own(&sys.pool, self.tid.0);
     }
 
     /// The epoch the pin was taken in. Nested ops may run in later epochs
@@ -1769,6 +1753,78 @@ mod tests {
             s.stats().flushes_coalesced.load(Ordering::Relaxed),
             8 * payload_lines,
             "each of the eight sets skipped the payload's line extent"
+        );
+    }
+
+    /// The ring scan is the boundary's only gate: a thread that pushed, ended
+    /// its op and never entered again is drained with no help from its owner.
+    #[test]
+    fn boundary_drains_a_thread_that_never_comes_back() {
+        let s = sys(EsysConfig::buffered(64));
+        let tid = s.register_thread();
+        {
+            // Warm-up, as above.
+            let g = s.begin_op(tid);
+            let _ = s.pnew(&g, 0, &0u64);
+        }
+        s.advance_epoch();
+        s.advance_epoch();
+        let base = s.pool().stats().snapshot().clwbs;
+        let (e, lines) = {
+            let g = s.begin_op(tid);
+            let lines: u64 = (1..=5u64)
+                .map(|i| pmem::lines_spanned(s.pnew(&g, 0, &i).raw().raw(), HDR_SIZE + 8))
+                .sum();
+            (g.epoch(), lines)
+        };
+        assert_eq!(s.debug_min_pending(tid), e, "buffered, nothing flushed yet");
+        assert_eq!(s.pool().stats().snapshot().clwbs, base);
+        s.advance_epoch();
+        s.advance_epoch();
+        assert_eq!(s.debug_min_pending(tid), u64::MAX);
+        // Neighbouring payloads can share a line; coalescing counts those.
+        let shared = s.stats().flushes_coalesced.load(Ordering::Relaxed);
+        assert_eq!(
+            s.pool().stats().snapshot().clwbs - base,
+            lines - shared + 2,
+            "every entry's lines and two clock lines"
+        );
+    }
+
+    /// `persist-san` is `pmem`'s feature, so these tests learn at run time
+    /// whether the sanitizer is compiled in: in deny mode a line left dirty
+    /// over two boundary calls panics, without the feature nothing does.
+    fn sanitizer_on() -> bool {
+        let p = PmemPool::new(PmemConfig::strict_for_test(1 << 20));
+        // SAFETY: an in-bounds, aligned scratch word of a private pool.
+        unsafe { p.write(POff::new(4096), &1u64) };
+        p.san_epoch_boundary(1, true);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.san_epoch_boundary(2, true)
+        }))
+        .is_err()
+    }
+
+    /// Advancers racing over one boundary are one boundary to the sanitizer
+    /// (each extra count made a current-epoch line look a boundary older than
+    /// it is), and the check still bites: a line nobody writes back is
+    /// reported at the second real boundary after its store.
+    #[test]
+    fn one_tick_is_one_sanitizer_boundary() {
+        let s = sys(EsysConfig::default());
+        let e = s.curr_epoch();
+        let blk = s.allocator().alloc(64);
+        // SAFETY: a block this test owns; never flushed, on purpose.
+        unsafe { s.pool().write(blk, &1u64) };
+        let (won, lost) = (s.advance_issue().unwrap(), s.advance_issue().unwrap());
+        s.advance_complete(won);
+        s.advance_complete(lost);
+        assert_eq!(s.curr_epoch(), e + 1, "two advancers, one tick");
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.advance_epoch()));
+        assert_eq!(
+            second.is_err(),
+            sanitizer_on(),
+            "dirty across two boundaries"
         );
     }
 

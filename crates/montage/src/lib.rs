@@ -40,7 +40,6 @@
 //! * [`payload`] — payload block headers (`ALLOC`/`UPDATE`/`DELETE`), handles
 //! * [`tracker`] — the operation tracker (per-thread active-epoch slots)
 //! * [`buffers`] — per-thread `to_persist`/`to_free` rings for the 4 recent epochs
-//! * [`mindicator`] — min-epoch tracker for cheap sync helping
 //! * [`dcss`] — `CAS_verify`/`load_verify` (double-compare-single-swap on the
 //!   epoch clock) for nonblocking structures
 //! * [`esys`] — `EpochSys`: `BEGIN_OP`/`END_OP`, `PNEW`/`PDELETE`, `get`/`set`,
@@ -55,7 +54,6 @@ pub mod config;
 pub mod dcss;
 pub mod errors;
 pub mod esys;
-pub mod mindicator;
 pub mod payload;
 pub mod recovery;
 pub mod sync;

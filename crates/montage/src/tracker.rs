@@ -33,10 +33,10 @@ impl Tracker {
     /// Clears thread `tid`'s announcement.
     #[inline]
     pub fn unregister(&self, tid: usize) {
-        // ord(publish): the op's payload writes (ring pushes, mindicator
-        // publish) must be visible to any advancer that observes this slot
-        // as idle — this edge is what keeps the advance's mindicator gate
-        // from reading a stale EMPTY and skipping a needed drain.
+        // ord(publish): the op's ring pushes (bucket label, tail publish)
+        // must be visible to any advancer that observes this slot as idle —
+        // this edge is what keeps the advance's `min_pending` gate from
+        // reading a stale empty ring and skipping a needed drain.
         self.slots[tid].store(IDLE, weaken("tracker.unregister", Ordering::Release));
     }
 

@@ -837,13 +837,20 @@ impl PmemPool {
     // need no feature gates of their own; without the `persist-san` feature
     // they compile to nothing.
 
-    /// Asserts the epoch-boundary invariant: every tracked store from before
-    /// the *previous* boundary has been flushed by now. The epoch advancer
-    /// calls this right after its boundary fence, before bumping the clock.
+    /// Reports the epoch boundary at which the clock read `tick`, and — when
+    /// the boundary was `quiescent` (no bypassed straggler, whose unfinished
+    /// op may hold dirty lines it has not queued yet) — asserts its
+    /// invariant: every tracked store from before the *previous* boundary has
+    /// been flushed by now. Every advancer calls this after its boundary
+    /// fence and before it tries to bump the clock, so the first report of a
+    /// tick precedes the tick; later reports of the same tick are ignored,
+    /// which keeps a store's age in boundaries equal to its age in epochs.
     /// No-op without the `persist-san` feature.
     #[inline]
     #[track_caller]
-    pub fn san_epoch_boundary(&self) {
+    pub fn san_epoch_boundary(&self, tick: u64, quiescent: bool) {
+        #[cfg(not(feature = "persist-san"))]
+        let _ = (tick, quiescent);
         #[cfg(feature = "persist-san")]
         {
             // Once the fault plan trips, flushes and fences are dropped —
@@ -855,7 +862,7 @@ impl PmemPool {
             }
             self.inner
                 .san
-                .on_epoch_boundary(std::panic::Location::caller());
+                .on_epoch_boundary(tick, quiescent, std::panic::Location::caller());
         }
     }
 

@@ -183,6 +183,9 @@ struct SanInner {
     lines: Box<[LineShadow]>,
     /// Current boundary generation (bumped by `san_epoch_boundary`).
     gen: u32,
+    /// The caller's clock value at the last boundary counted; a boundary
+    /// reported again (advancers racing over one tick) is counted once.
+    tick: u64,
     /// Interned call sites; `LineShadow` stores u16 indices into this.
     sites: Vec<SanSite>,
     site_ids: HashMap<SanSite, u16>,
@@ -281,6 +284,7 @@ impl SanState {
             inner: Mutex::new(SanInner {
                 lines: vec![LINE_INIT; nlines].into_boxed_slice(),
                 gen: 1,
+                tick: 0,
                 sites: vec![SanSite {
                     file: "<unknown>",
                     line: 0,
@@ -426,11 +430,25 @@ impl SanState {
         }
     }
 
-    /// The epoch advancer's boundary assertion: every tracked store stamped
-    /// before the *previous* boundary must have been flushed by now.
-    pub(crate) fn on_epoch_boundary(&self, loc: &'static Location<'static>) {
+    /// The epoch advancer's boundary: counts `tick` once, however many
+    /// advancers report it, and — on a `quiescent` one — asserts that every
+    /// tracked store stamped before the *previous* boundary has been flushed.
+    pub(crate) fn on_epoch_boundary(
+        &self,
+        tick: u64,
+        quiescent: bool,
+        loc: &'static Location<'static>,
+    ) {
         let mut s = self.inner.lock();
+        if tick <= s.tick {
+            return;
+        }
+        s.tick = tick;
         let gen = s.gen;
+        s.gen += 1;
+        if !quiescent {
+            return;
+        }
         let mut stale: Vec<u64> = s
             .dirty
             .iter()
@@ -457,7 +475,6 @@ impl SanState {
                 related: None,
             });
         }
-        s.gen += 1;
         drop(s);
         if let Some((line, site)) = first {
             if self.denies() {

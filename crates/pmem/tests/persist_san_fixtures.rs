@@ -17,6 +17,16 @@ fn pool() -> PmemPool {
 
 const FIXTURE_FILE: &str = "persist_san_fixtures.rs";
 
+/// One quiescent epoch boundary. The sanitizer counts a clock value once,
+/// so each call reports a fresh one (a shared counter: ticks only have to
+/// rise per pool).
+#[track_caller]
+fn boundary(p: &PmemPool) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static TICK: AtomicU64 = AtomicU64::new(1);
+    p.san_epoch_boundary(TICK.fetch_add(1, Ordering::Relaxed), true);
+}
+
 // ---- fixture 1: missing flush ----------------------------------------------
 
 #[test]
@@ -28,14 +38,14 @@ fn missing_flush_is_dirty_at_the_boundary_and_names_the_store() {
     unsafe { p.write(off, &1u64) };
     // Bug: no clwb. The store's epoch ends at the first boundary; the second
     // boundary declares that epoch durable, which is when the check fires.
-    p.san_epoch_boundary();
+    boundary(&p);
     let r = p.san_report();
     assert_eq!(
         r.count(SanClass::DirtyAtEpochBoundary),
         0,
         "one boundary later the store may still be legitimately in flight"
     );
-    p.san_epoch_boundary();
+    boundary(&p);
     let r = p.san_report();
     assert_eq!(r.count(SanClass::DirtyAtEpochBoundary), 1);
     let v = r.of(SanClass::DirtyAtEpochBoundary).next().unwrap();
@@ -46,7 +56,23 @@ fn missing_flush_is_dirty_at_the_boundary_and_names_the_store() {
     );
 
     // Reported once per offending store, not once per boundary.
-    p.san_epoch_boundary();
+    boundary(&p);
+    assert_eq!(p.san_report().count(SanClass::DirtyAtEpochBoundary), 1);
+}
+
+#[test]
+fn a_tick_is_counted_once_and_a_busy_boundary_does_not_assert() {
+    let p = pool();
+    // SAFETY: the offset is 8-aligned, in bounds, and the pool is not shared.
+    unsafe { p.write(POff::new(4096), &1u64) };
+    p.san_epoch_boundary(5, true);
+    p.san_epoch_boundary(5, true); // a second advancer over the same tick
+    p.san_epoch_boundary(4, true); // and a late one from the tick before
+    assert_eq!(p.san_report().count(SanClass::DirtyAtEpochBoundary), 0);
+    // A boundary that bypassed a straggler ages the store but asserts nothing.
+    p.san_epoch_boundary(6, false);
+    assert_eq!(p.san_report().count(SanClass::DirtyAtEpochBoundary), 0);
+    p.san_epoch_boundary(7, true);
     assert_eq!(p.san_report().count(SanClass::DirtyAtEpochBoundary), 1);
 }
 
@@ -56,12 +82,12 @@ fn flushed_in_time_store_is_not_flagged() {
     let off = POff::new(4096);
     // SAFETY: `off` is 8-aligned, in bounds, and the pool is not shared.
     unsafe { p.write(off, &1u64) };
-    p.san_epoch_boundary();
+    boundary(&p);
     // Flushed during the grace epoch — exactly how Montage's buffered
     // write-backs behave — so the declaring boundary finds it clean.
     p.persist_range(off, 8);
-    p.san_epoch_boundary();
-    p.san_epoch_boundary();
+    boundary(&p);
+    boundary(&p);
     let r = p.san_report();
     assert_eq!(r.count(SanClass::DirtyAtEpochBoundary), 0);
 }
@@ -72,8 +98,8 @@ fn transient_stores_are_exempt_from_the_boundary_check() {
     let off = POff::new(8192);
     // SAFETY: `off` is 8-aligned, in bounds, and the pool is not shared.
     unsafe { p.write_transient(off, &7u64) };
-    p.san_epoch_boundary();
-    p.san_epoch_boundary();
+    boundary(&p);
+    boundary(&p);
     assert_eq!(p.san_report().count(SanClass::DirtyAtEpochBoundary), 0);
 }
 
@@ -227,8 +253,8 @@ fn deny_mode_panics_on_missing_flush_naming_the_store() {
     // SAFETY: `off` is 8-aligned, in bounds, and the pool is not shared.
     unsafe { p.write(off, &1u64) };
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        p.san_epoch_boundary();
-        p.san_epoch_boundary();
+        boundary(&p);
+        boundary(&p);
     }))
     .unwrap_err();
     let msg = err
@@ -290,11 +316,11 @@ fn correct_write_flush_fence_cycle_reports_nothing() {
         p.clwb(off);
         if i % 4 == 3 {
             p.sfence();
-            p.san_epoch_boundary();
+            boundary(&p);
         }
     }
-    p.san_epoch_boundary();
-    p.san_epoch_boundary();
+    boundary(&p);
+    boundary(&p);
     let r = p.san_report();
     assert_eq!(r.count(SanClass::DirtyAtEpochBoundary), 0);
     assert_eq!(r.count(SanClass::RedundantClwb), 0);

@@ -843,7 +843,10 @@ mod census {
     /// change that lowers the count lowers this with it.
     pub(super) const UNNAMED_PUB_CEILING: usize = 21;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
-    pub(super) const WAIVER_CEILING: usize = 13;
+    pub(super) const WAIVER_CEILING: usize = 12;
+    /// Most non-test lines under `crates/*/src` (ROADMAP item 6 wants
+    /// 20 000); same rule.
+    pub(super) const NON_TEST_SRC_CEILING: usize = 20_472;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {
@@ -856,6 +859,17 @@ mod census {
         pub uncalled: Vec<(String, String)>,
         /// `// lint: allow(...)` comments in effect.
         pub waivers: usize,
+    }
+
+    impl Census {
+        /// Non-test lines under `crates/*/src`: the `crates/` rows, summed.
+        pub(super) fn crates_src_lines(&self) -> usize {
+            let crates = self
+                .lines
+                .iter()
+                .filter(|(unit, _)| unit.starts_with("crates/"));
+            crates.map(|(_, (non_test, _))| non_test).sum()
+        }
     }
 
     /// The crate a file's lines are booked under.
@@ -937,12 +951,17 @@ mod census {
         census
     }
 
-    /// What the ratchet objects to; empty when both counts are within their
-    /// ceilings.
+    /// What the ratchet objects to; empty when every count is within its
+    /// ceiling.
     pub(super) fn over_ceiling(census: &Census) -> Vec<String> {
         let counts = [
             ("unnamed pub", census.uncalled.len(), UNNAMED_PUB_CEILING),
             ("lint waivers", census.waivers, WAIVER_CEILING),
+            (
+                "non-test crates/*/src lines",
+                census.crates_src_lines(),
+                NON_TEST_SRC_CEILING,
+            ),
         ];
         let over = counts.iter().filter(|(_, count, ceiling)| count > ceiling);
         over.map(|(what, count, ceiling)| format!("{what}: {count} > ceiling {ceiling}"))
@@ -968,7 +987,11 @@ mod census {
             sum.1,
             sum.0 + sum.1
         );
-        println!("\nlint waivers in effect: {}", census.waivers);
+        println!(
+            "\nnon-test lines under crates/*/src: {}",
+            census.crates_src_lines()
+        );
+        println!("lint waivers in effect: {}", census.waivers);
         println!(
             "\npub items named in no other file ({}):",
             census.uncalled.len()
@@ -1247,7 +1270,12 @@ mod tests {
             .map(|i| format!("pub fn lonely_{i}() {{}}\n"))
             .collect();
         let waivers = "// lint: allow(raw-write): one more\n".repeat(census::WAIVER_CEILING + 1);
-        for (src, complaint) in [(lonely_pubs, "unnamed pub"), (waivers, "lint waivers")] {
+        let lines = "fn f() {}\n".repeat(census::NON_TEST_SRC_CEILING + 1);
+        for (src, complaint) in [
+            (lonely_pubs, "unnamed pub"),
+            (waivers, "lint waivers"),
+            (lines, "non-test crates/*/src lines"),
+        ] {
             let census = census::take(&[("crates/demo/src/lib.rs".to_string(), src)]);
             let over = census::over_ceiling(&census);
             assert_eq!(over.len(), 1, "{over:?}");
