@@ -39,11 +39,10 @@ fn construct_transient(ds: &GraphDataset, arena: Arena, threads: usize) -> f64 {
         }
     });
     std::thread::scope(|s| {
-        for part in 0..ds.partitions.len() {
+        for t in 0..threads {
             let g = g.clone();
-            let edges = &ds.partitions[part];
             s.spawn(move || {
-                for &(a, b) in edges {
+                for &(a, b) in ds.partitions.iter().skip(t).step_by(threads).flatten() {
                     g.add_edge(a as u64, b as u64, &[2u8; 16]);
                 }
             });
@@ -66,7 +65,7 @@ fn construct_montage(
     esys: Arc<EpochSys>,
     threads: usize,
 ) -> (MontageGraph, f64) {
-    for _ in 0..threads.max(ds.partitions.len()) {
+    for _ in 0..threads {
         esys.register_thread();
     }
     let g = Arc::new(montage_graph(esys, ds));
@@ -84,14 +83,15 @@ fn construct_montage(
             });
         }
     });
+    // One OS thread per `ThreadId`, as the epoch system requires: worker `t`
+    // loads partitions t, t + threads, … (a thread per partition sharing
+    // ids never finished below eight threads).
     std::thread::scope(|s| {
-        for part in 0..ds.partitions.len() {
+        for t in 0..threads {
             let g = g.clone();
-            let edges = &ds.partitions[part];
-            let tid = part % threads.max(1);
             s.spawn(move || {
-                for &(a, b) in edges {
-                    g.add_edge(ThreadId(tid), a as u64, b as u64, &[2u8; 16]);
+                for &(a, b) in ds.partitions.iter().skip(t).step_by(threads).flatten() {
+                    g.add_edge(ThreadId(t), a as u64, b as u64, &[2u8; 16]);
                 }
             });
         }

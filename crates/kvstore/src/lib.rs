@@ -356,6 +356,27 @@ impl Stripe {
         Some(item)
     }
 
+    /// Indexes an empty stripe's recovered items in one go, first to last as
+    /// oldest to newest: map and recency list sized once, the mirror
+    /// bulk-built from the keys at once instead of a random insert per key.
+    fn fill(&mut self, items: Vec<(HashedKey, ItemRef)>) {
+        debug_assert!(self.map.is_empty(), "fill replaces the mirror");
+        let n = items.len();
+        self.map.reserve(n);
+        self.lru.nodes.reserve(n);
+        for (at, item) in items {
+            let slot = self.lru.push_newest(at.key);
+            self.map.insert(at, (item, slot));
+        }
+        // The slab now holds every key once; collecting sorts and dedups.
+        self.ordered = self.lru.nodes[1..].iter().map(|node| node.key).collect();
+        debug_assert_eq!(
+            self.ordered.len(),
+            n,
+            "two live payloads recovered for one key"
+        );
+    }
+
     /// Marks the key most recently used and hands back its item.
     fn touch(&mut self, at: &HashedKey) -> Option<&mut ItemRef> {
         let (item, slot) = self.map.get_mut(at)?;
@@ -404,13 +425,16 @@ impl KvStore {
         rec: &RecoveredState,
     ) -> Self {
         let store = Self::new(KvBackend::Montage(esys), stripes, capacity);
+        // Survivors arrive in address order: the key reads walk the image
+        // front to back, and each stripe is then filled under one lock.
+        let mut by_stripe: Vec<Vec<(HashedKey, ItemRef)>> =
+            (0..stripes).map(|_| Vec::new()).collect();
         for item in rec.shards.iter().flatten() {
             match item.tag {
                 KV_TAG => {
                     let key: Key = rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap());
-                    let handle = ItemRef::Montage(item.handle());
-                    let (at, stripe) = store.locate(&key);
-                    stripe.lock().insert(at, handle);
+                    let at = store.hashed(&key);
+                    by_stripe[store.stripe_of(&at)].push((at, ItemRef::Montage(item.handle())));
                 }
                 SESSION_TAG => {
                     let Some((sid, rid, op_kind, result)) =
@@ -428,6 +452,9 @@ impl KvStore {
                 }
                 _ => {}
             }
+        }
+        for (stripe, items) in store.stripes.iter().zip(by_stripe) {
+            stripe.lock().fill(items);
         }
         store
     }
@@ -500,8 +527,11 @@ impl KvStore {
     /// and tags by the top seven, so the stripe choice skews neither.
     fn locate(&self, key: &Key) -> (HashedKey, &Mutex<Stripe>) {
         let at = self.hashed(key);
-        let stripe = (at.hash >> 32) as usize % self.stripes.len();
-        (at, &self.stripes[stripe])
+        (at, &self.stripes[self.stripe_of(&at)])
+    }
+
+    fn stripe_of(&self, at: &HashedKey) -> usize {
+        (at.hash >> 32) as usize % self.stripes.len()
     }
 
     pub fn len(&self) -> usize {
@@ -697,17 +727,21 @@ impl KvStore {
     }
 
     /// Overwrites the key's item, or creates it — evicting the stripe's
-    /// least recently used item first when the stripe is full.
+    /// least recently used items first until there is room: one in steady
+    /// state, more only when recovery re-striped (the hasher is keyed per
+    /// store instance) more items into the stripe than its cap.
     fn upsert(&self, stripe: &mut Stripe, window: &Window<'_>, at: &HashedKey, value: &[u8]) {
         if let Some(item) = stripe.touch(at) {
             return window.overwrite(item, value);
         }
-        if stripe.map.len() >= self.capacity_per_stripe {
-            if let Some(victim) = stripe.lru.oldest() {
-                // The victim is another key: its own hash, on this path only.
-                self.remove(stripe, window, &self.hashed(&victim));
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        while stripe.map.len() >= self.capacity_per_stripe {
+            let victim = stripe
+                .lru
+                .oldest()
+                .expect("a full stripe has an oldest key");
+            // The victim is another key: its own hash, on this path only.
+            self.remove(stripe, window, &self.hashed(&victim));
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         stripe.insert(*at, window.create(&at.key, value));
     }
@@ -961,11 +995,7 @@ mod tests {
 
     #[test]
     fn montage_backend_recovers_after_crash() {
-        let esys = EpochSys::format(
-            PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
-            EsysConfig::default(),
-        );
-        let kv = KvStore::new(KvBackend::Montage(esys.clone()), 4, 1000);
+        let (esys, kv) = montage_store(4, 1000);
         let tid = kv.register_thread();
         for i in 0..50 {
             kv.set(tid, make_key(i), format!("v{i}").as_bytes());
@@ -973,12 +1003,103 @@ mod tests {
         kv.delete(tid, &make_key(7));
         kv.set(tid, make_key(8), b"updated");
         esys.sync();
-        let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
-        let kv2 = KvStore::recover(rec.esys.clone(), 4, 1000, &rec);
+        let kv2 = recover_copy(&esys, 4, 1000);
         assert_eq!(kv2.len(), 49);
         assert!(kv2.get(&make_key(7), |_| ()).is_none());
         assert_eq!(kv2.get(&make_key(8), |v| v.to_vec()).unwrap(), b"updated");
         assert_eq!(kv2.get(&make_key(33), |v| v.to_vec()).unwrap(), b"v33");
+    }
+
+    fn montage_store(stripes: usize, capacity: usize) -> (Arc<EpochSys>, KvStore) {
+        let esys = EpochSys::format(
+            PmemPool::new(PmemConfig::strict_for_test(16 << 20)),
+            EsysConfig::default(),
+        );
+        let kv = KvStore::new(KvBackend::Montage(esys.clone()), stripes, capacity);
+        (esys, kv)
+    }
+
+    fn recover_copy(esys: &EpochSys, stripes: usize, capacity: usize) -> KvStore {
+        let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
+        KvStore::recover(rec.esys.clone(), stripes, capacity, &rec)
+    }
+
+    #[test]
+    fn recovered_store_drains_back_under_its_capacity() {
+        const STRIPES: usize = 8;
+        const CAPACITY: usize = STRIPES * 24;
+        let (esys, kv) = montage_store(STRIPES, CAPACITY);
+        let tid = kv.register_thread();
+        for i in 0..4 * CAPACITY as u64 {
+            kv.set(tid, make_key(i), b"old"); // every stripe full, and evicting
+        }
+        assert_eq!(kv.len(), CAPACITY);
+        esys.sync();
+        // The recovered store hashes under a fresh key: the same items land
+        // on other stripes, some of them over their cap.
+        let kv2 = recover_copy(&esys, STRIPES, CAPACITY);
+        assert_eq!(kv2.len(), CAPACITY);
+        let fullest = |kv: &KvStore| kv.stripes.iter().map(|s| s.lock().map.len()).max();
+        assert!(fullest(&kv2) > Some(24), "re-striping is what this tests");
+        let tid = kv2.register_thread();
+        for i in 0..CAPACITY as u64 {
+            kv2.set(tid, make_key(1_000_000 + i), b"new");
+        }
+        assert!(fullest(&kv2) <= Some(24), "a stripe stayed over its cap");
+        assert!(kv2.len() <= CAPACITY);
+    }
+
+    #[test]
+    fn recovered_recency_order_is_a_function_of_the_image() {
+        const CAPACITY: usize = 64;
+        let (esys, kv) = montage_store(4, 4096); // roomy: nothing evicts here
+        let tid = kv.register_thread();
+        for i in 0..48 {
+            kv.set(tid, make_key(i), b"v");
+        }
+        for i in (0..48).step_by(5) {
+            kv.delete(tid, &make_key(i));
+            kv.set(tid, make_key(100 + i), &[7u8; 200]);
+        }
+        esys.sync();
+        // One stripe: where a key lands is then no question of the hasher's
+        // key, and the recency list is the whole eviction order.
+        let (a, b) = (
+            recover_copy(&esys, 1, CAPACITY),
+            recover_copy(&esys, 1, CAPACITY),
+        );
+        let order = |kv: &KvStore| lru_order(&kv.stripes[0].lock().lru);
+        assert_eq!(order(&a), order(&b), "two copies of one image");
+        assert_eq!(order(&a).len(), 48);
+        let (ta, tb) = (a.register_thread(), b.register_thread());
+        for i in 0..40 {
+            // Same follow-up inserts, same victims in the same order.
+            assert_eq!(
+                a.stripes[0].lock().lru.oldest(),
+                b.stripes[0].lock().lru.oldest()
+            );
+            a.set(ta, make_key(500 + i), b"w");
+            b.set(tb, make_key(500 + i), b"w");
+        }
+        assert_eq!((a.evictions(), b.evictions()), (24, 24));
+        assert_eq!(order(&a), order(&b));
+    }
+
+    /// One payload per key is what rebuild relies on (a second one would
+    /// overwrite the first's map entry and strand its recency node); PR 15's
+    /// double recovery broke it. `debug_assert`: debug builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "two live payloads recovered for one key")]
+    fn two_live_payloads_for_one_key_trip_the_stripe_fill() {
+        let (esys, _kv) = montage_store(2, 100);
+        let tid = esys.register_thread();
+        for value in [b"one", b"two"] {
+            let g = esys.begin_op(tid);
+            esys.pnew_parts(&g, KV_TAG, &make_key(1), value);
+        }
+        esys.sync();
+        recover_copy(&esys, 2, 100);
     }
 
     #[test]

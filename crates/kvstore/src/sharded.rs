@@ -60,6 +60,11 @@ pub struct ShardRecovery {
     pub discarded_recent: usize,
     /// Corrupt payloads quarantined by this shard's sweep.
     pub quarantined: usize,
+    /// Where the shard's recovery time went: [`montage::RecoveryReport`]'s
+    /// two phases, then the index rebuild ([`KvStore::recover`]).
+    pub sweep: Duration,
+    pub cancel: Duration,
+    pub rebuild: Duration,
     /// A fatal error means the shard's image was unrecoverable; the shard
     /// came back formatted-empty and every payload it held is lost.
     pub fatal: Option<RecoveryError>,
@@ -78,6 +83,16 @@ impl StoreRecoveryReport {
 
     pub fn quarantined(&self) -> usize {
         self.shards.iter().map(|s| s.quarantined).sum()
+    }
+
+    /// Sweep, cancel and rebuild time summed over shards: CPU time — the
+    /// shards recover in parallel, so wall time is the slowest one's.
+    pub fn phases(&self) -> [Duration; 3] {
+        self.shards
+            .iter()
+            .fold([Duration::ZERO; 3], |[s, c, r], sh| {
+                [s + sh.sweep, c + sh.cancel, r + sh.rebuild]
+            })
     }
 
     pub fn fatal_shards(&self) -> usize {
@@ -189,7 +204,17 @@ impl ShardedKvStore {
                                 report.cancelled = rec.report.cancelled;
                                 report.discarded_recent = rec.report.discarded_recent;
                                 report.quarantined = rec.report.quarantined.len();
-                                KvStore::recover(rec.esys.clone(), stripes, cap_per_shard, &rec)
+                                report.sweep = rec.report.sweep;
+                                report.cancel = rec.report.cancel;
+                                let t_rebuild = Instant::now();
+                                let store = KvStore::recover(
+                                    rec.esys.clone(),
+                                    stripes,
+                                    cap_per_shard,
+                                    &rec,
+                                );
+                                report.rebuild = t_rebuild.elapsed();
+                                store
                             }
                             Err(e) => {
                                 report.fatal = Some(e);

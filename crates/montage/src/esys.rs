@@ -1288,7 +1288,7 @@ impl Drop for EpochPin<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pmem::PmemConfig;
 
@@ -1794,7 +1794,7 @@ mod tests {
     /// `persist-san` is `pmem`'s feature, so these tests learn at run time
     /// whether the sanitizer is compiled in: in deny mode a line left dirty
     /// over two boundary calls panics, without the feature nothing does.
-    fn sanitizer_on() -> bool {
+    pub(crate) fn sanitizer_on() -> bool {
         let p = PmemPool::new(PmemConfig::strict_for_test(1 << 20));
         // SAFETY: an in-bounds, aligned scratch word of a private pool.
         unsafe { p.write(POff::new(4096), &1u64) };

@@ -16,9 +16,9 @@
 //! sweep saw.
 
 use crate::sync::{AtomicUsize, Ordering};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::sync::Arc;
-use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
@@ -70,14 +70,20 @@ pub struct RecoveryReport {
     pub discarded_recent: usize,
     /// Blocks that failed header validation and were quarantined.
     pub quarantined: Vec<QuarantinedPayload>,
+    /// Wall time of the allocator sweep (every block validated and
+    /// checksummed) and of uid cancellation with its tombstone batch.
+    pub sweep: Duration,
+    pub cancel: Duration,
 }
 
 /// The outcome of recovery: a fresh epoch system over the surviving heap and
 /// the survivors, sharded for parallel rebuild.
 pub struct RecoveredState {
     pub esys: Arc<EpochSys>,
-    /// `k` disjoint shards of surviving payloads (the paper's "k separate
-    /// iterators, to be used by k separate application threads").
+    /// The survivors in block-address order, cut into `k` contiguous shards
+    /// (the paper's "k separate iterators, to be used by k separate
+    /// application threads"): a function of the crashed image alone, and a
+    /// rebuild that walks them reads the image front to back.
     pub shards: Vec<Vec<RecoveredItem>>,
     /// What the sweep saw: survivors, cancellations, frontier loss, and
     /// quarantined corruption.
@@ -148,6 +154,7 @@ pub fn try_recover(
         });
     }
     let cutoff = durable_epoch - 2;
+    let k = k.max(1);
 
     // Phase 1: allocator sweep — keep blocks whose contents are a live
     // payload from a fully persisted epoch. Blocks with live magic but an
@@ -157,57 +164,65 @@ pub fn try_recover(
     // a free-list link written into its first bytes, which the tombstone
     // pass below would clobber — see the dealloc at the end of phase 2),
     // and freed below like any other loser.
-    let quarantined: Mutex<Vec<QuarantinedPayload>> = Mutex::new(Vec::new());
+    let t_sweep = Instant::now();
     let discarded_recent = AtomicUsize::new(0);
     let sweep_pool = pool.clone();
-    let (ralloc, mut shards) = {
-        let quarantined = &quarantined;
+    let (ralloc, swept) = {
         let discarded_recent = &discarded_recent;
         Ralloc::recover_parallel(pool.clone(), k, move |blk, usable| {
-            // The whole filter is a validating probe: it reads arbitrary
+            // Only the verdict is a validating probe: it reads arbitrary
             // swept blocks precisely in order to decide whether to trust
             // them, so its reads are exempt from the dirty-read check.
-            sweep_pool.san_probe(|| {
+            let verdict = sweep_pool.san_probe(|| {
                 if Header::magic(&sweep_pool, blk) != MAGIC_LIVE {
-                    return false; // free slot or tombstone: not a payload
+                    return Ok(None); // free slot or tombstone: not a payload
                 }
-                let reason = validate_header(&sweep_pool, blk, usable, durable_epoch);
-                if let Some(reason) = reason {
-                    quarantined
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(QuarantinedPayload { blk, reason });
-                    return true; // keep allocated; tombstoned + freed below
-                }
-                let epoch = Header::epoch(&sweep_pool, blk);
-                if epoch > cutoff {
+                let kind = validate_header(&sweep_pool, blk, usable, durable_epoch)?;
+                if Header::epoch(&sweep_pool, blk) > cutoff {
                     // Valid, but from the at-risk window buffered durability
                     // gives up on: normal frontier loss, not corruption.
                     // ord(counter): recovery-time tally across the sweep.
                     discarded_recent.fetch_add(1, Ordering::Relaxed);
-                    return false;
+                    return Ok(None);
                 }
-                true
-            })
+                Ok(Some(kind))
+            });
+            match verdict {
+                Ok(None) => None,
+                // Stays allocated; tombstoned + freed below.
+                Err(reason) => Some(Err(QuarantinedPayload { blk, reason })),
+                // The fields cancellation and rebuild act on are read here,
+                // once, outside the probe and while the line is hot: a kept
+                // header that never became durable is flagged at this read.
+                Ok(Some(kind)) => Some(Ok((
+                    RecoveredItem {
+                        blk,
+                        tag: Header::tag(&sweep_pool, blk),
+                        uid: Header::uid(&sweep_pool, blk),
+                        epoch: Header::epoch(&sweep_pool, blk),
+                        size: Header::size(&sweep_pool, blk),
+                    },
+                    kind,
+                ))),
+            }
         })
     };
-    let quarantined = quarantined.into_inner().unwrap_or_else(|p| p.into_inner());
-
-    // The quarantined blocks rode the sweep's kept set (so the allocator
-    // treats them as allocated until the explicit dealloc below); they must
-    // not reach cancellation — their headers are exactly what recovery
-    // refused to trust.
-    if !quarantined.is_empty() {
-        let qset: std::collections::HashSet<POff> = quarantined.iter().map(|q| q.blk).collect();
-        for shard in &mut shards {
-            shard.kept.retain(|(blk, _)| !qset.contains(blk));
+    // Quarantined headers are exactly what recovery refused to trust: they
+    // rode the sweep's kept set (allocated until the explicit dealloc below)
+    // but never reach cancellation.
+    let mut quarantined = Vec::new();
+    let mut headers = Vec::with_capacity(swept.iter().map(Vec::len).sum());
+    for block in swept.into_iter().flatten() {
+        match block {
+            Ok(header) => headers.push(header),
+            Err(q) => quarantined.push(q),
         }
     }
+    let sweep = t_sweep.elapsed();
 
-    // Phase 2: uid cancellation. Group by uid; a DELETE anti-payload kills
-    // its whole group; otherwise keep the newest version. Parallel over k
-    // workers: uid-hash partitioning makes groups worker-local.
-    let (survivors, discards, max_uid) = cancel_parallel(&pool, &shards, k);
+    // Phase 2: uid cancellation over the headers the sweep parsed.
+    let t_cancel = Instant::now();
+    let (survivors, discards, max_uid) = cancel(headers);
 
     // Durably tombstone and free the losers — and overwrite the quarantined
     // headers too, so their live-looking magic can never be swept up again
@@ -247,189 +262,89 @@ pub fn try_recover(
         cancelled: discards.len(),
         discarded_recent: discarded_recent.into_inner(),
         quarantined,
+        sweep,
+        cancel: t_cancel.elapsed(),
     };
 
     let esys = Arc::new(EpochSys::from_parts(pool, ralloc, cfg, max_uid + 1));
 
-    // Re-shard survivors round-robin for parallel rebuild.
-    let mut out: Vec<Vec<RecoveredItem>> = (0..k.max(1)).map(|_| Vec::new()).collect();
-    for (i, item) in survivors.into_iter().enumerate() {
-        out[i % k.max(1)].push(item);
-    }
+    // `k` contiguous runs of the address-ordered survivors.
+    let per_shard = survivors.len().div_ceil(k).max(1);
+    let mut shards: Vec<Vec<RecoveredItem>> =
+        survivors.chunks(per_shard).map(<[_]>::to_vec).collect();
+    shards.resize_with(k, Vec::new);
     Ok(RecoveredState {
         esys,
-        shards: out,
+        shards,
         report,
     })
 }
 
-/// Why a live-magic block cannot be trusted, or `None` if the header is
-/// intact. Validation order matters only for which reason gets reported:
-/// the checksum subsumes almost everything, so field checks run first to
-/// give the more specific diagnosis.
+/// The kind of an intact live-magic block, or why it cannot be trusted.
+/// Validation order matters only for which reason gets reported: the
+/// checksum subsumes almost everything, so field checks run first to give
+/// the more specific diagnosis.
 fn validate_header(
     pool: &PmemPool,
     blk: POff,
     usable: usize,
     durable_epoch: u64,
-) -> Option<RecoveryError> {
-    if Header::kind(pool, blk).is_none() {
-        return Some(RecoveryError::CorruptHeader { blk });
-    }
+) -> Result<PayloadKind, RecoveryError> {
+    let kind = Header::kind(pool, blk).ok_or(RecoveryError::CorruptHeader { blk })?;
     let epoch = Header::epoch(pool, blk);
     if epoch < FIRST_EPOCH || epoch > durable_epoch {
         // No running execution can have labelled a payload past the durable
         // clock: such an epoch is a phantom from a torn header.
-        return Some(RecoveryError::CorruptHeader { blk });
+        return Err(RecoveryError::CorruptHeader { blk });
     }
     let size = Header::size(pool, blk);
     if size as usize + HDR_SIZE > usable {
-        return Some(RecoveryError::TruncatedPayload {
+        return Err(RecoveryError::TruncatedPayload {
             blk,
             size,
             usable: usable as u32,
         });
     }
     if !Header::checksum_ok(pool, blk) {
-        return Some(RecoveryError::CorruptHeader { blk });
+        return Err(RecoveryError::CorruptHeader { blk });
     }
-    None
+    Ok(kind)
 }
 
-/// Parallel cancellation: each sweep shard is partitioned by uid hash so
-/// that every uid group lands entirely within one of the `k` reducers, then
-/// the reducers run [`cancel`] independently.
-fn cancel_parallel(
-    pool: &PmemPool,
-    shards: &[ralloc::SweepShard],
-    k: usize,
-) -> (Vec<RecoveredItem>, Vec<POff>, u64) {
-    let k = k.max(1);
-    if k == 1 {
-        return cancel(pool, shards.iter().flat_map(|s| s.kept.iter().copied()));
-    }
-    // Map: partition each shard's blocks by uid hash.
-    let partitioned: Vec<Vec<Vec<(POff, usize)>>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                sc.spawn(move || {
-                    let mut parts: Vec<Vec<(POff, usize)>> = (0..k).map(|_| Vec::new()).collect();
-                    for &(blk, size) in &shard.kept {
-                        let uid = Header::uid(pool, blk);
-                        parts[(uid % k as u64) as usize].push((blk, size));
-                    }
-                    parts
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Reduce: one worker per uid partition.
-    let results: Vec<(Vec<RecoveredItem>, Vec<POff>, u64)> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..k)
-            .map(|part| {
-                let partitioned = &partitioned;
-                sc.spawn(move || {
-                    cancel(
-                        pool,
-                        partitioned
-                            .iter()
-                            .flat_map(|shard_parts| shard_parts[part].iter().copied()),
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut survivors = Vec::new();
+/// Uid cancellation over the swept headers: returns (survivors in block-
+/// address order, blocks to discard, max uid seen).
+///
+/// One sort brings each uid's versions together, oldest first; one walk over
+/// the runs decides them. A `DELETE` anti-payload kills its whole run;
+/// otherwise the newest epoch wins — of equal epochs the lowest block, which
+/// sorts last within its epoch — and every other version is discarded.
+fn cancel(mut headers: Vec<(RecoveredItem, PayloadKind)>) -> (Vec<RecoveredItem>, Vec<POff>, u64) {
+    headers.sort_unstable_by_key(|(it, _)| (it.uid, it.epoch, Reverse(it.blk)));
+    let max_uid = headers.last().map_or(0, |(it, _)| it.uid);
+    let mut survivors = Vec::with_capacity(headers.len());
     let mut discards = Vec::new();
-    let mut max_uid = 0;
-    for (s, d, m) in results {
-        survivors.extend(s);
-        discards.extend(d);
-        max_uid = max_uid.max(m);
+    for run in headers.chunk_by(|(a, _), (b, _)| a.uid == b.uid) {
+        let deleted = run.iter().any(|(_, kind)| *kind == PayloadKind::Delete);
+        let (losers, winner) = run.split_at(run.len() - usize::from(!deleted));
+        discards.extend(losers.iter().map(|(it, _)| it.blk));
+        survivors.extend(winner.iter().map(|(it, _)| *it));
     }
-    (survivors, discards, max_uid)
-}
-
-/// Returns (survivors, blocks to discard, max uid seen).
-fn cancel(
-    pool: &PmemPool,
-    blocks: impl Iterator<Item = (POff, usize)>,
-) -> (Vec<RecoveredItem>, Vec<POff>, u64) {
-    struct Group {
-        best: Option<(u64 /*epoch*/, POff)>,
-        deleted: bool,
-        losers: Vec<POff>,
-    }
-    let mut groups: HashMap<u64, Group> = HashMap::new();
-    let mut max_uid = 0u64;
-    let mut discards = Vec::new();
-
-    for (blk, _size) in blocks {
-        let uid = Header::uid(pool, blk);
-        let epoch = Header::epoch(pool, blk);
-        let Some(kind) = Header::kind(pool, blk) else {
-            // The sweep filter validates kinds, so this is unreachable in
-            // practice — but recovery must not panic on a block it can
-            // simply refuse. Discarding routes it to the tombstone batch.
-            discards.push(blk);
-            continue;
-        };
-        max_uid = max_uid.max(uid);
-        let g = groups.entry(uid).or_insert(Group {
-            best: None,
-            deleted: false,
-            losers: Vec::new(),
-        });
-        match kind {
-            PayloadKind::Delete => {
-                g.deleted = true;
-                g.losers.push(blk);
-            }
-            PayloadKind::Alloc | PayloadKind::Update => match g.best {
-                None => g.best = Some((epoch, blk)),
-                Some((be, bb)) => {
-                    if epoch > be {
-                        g.losers.push(bb);
-                        g.best = Some((epoch, blk));
-                    } else {
-                        g.losers.push(blk);
-                    }
-                }
-            },
-        }
-    }
-
-    let mut survivors = Vec::new();
-    for (_uid, g) in groups {
-        discards.extend(g.losers);
-        match g.best {
-            Some((_, blk)) if !g.deleted => survivors.push(RecoveredItem {
-                blk,
-                tag: Header::tag(pool, blk),
-                uid: Header::uid(pool, blk),
-                epoch: Header::epoch(pool, blk),
-                size: Header::size(pool, blk),
-            }),
-            Some((_, blk)) => discards.push(blk),
-            None => {}
-        }
-    }
+    survivors.sort_unstable_by_key(|it| it.blk);
     (survivors, discards, max_uid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::esys::tests::sanitizer_on;
     use pmem::PmemConfig;
 
     fn strict_sys() -> Arc<EpochSys> {
-        EpochSys::format(
-            PmemPool::new(PmemConfig::strict_for_test(32 << 20)),
-            EsysConfig::default(),
-        )
+        sys_of(PmemConfig::strict_for_test(32 << 20))
+    }
+
+    fn sys_of(cfg: PmemConfig) -> Arc<EpochSys> {
+        EpochSys::format(PmemPool::new(cfg), EsysConfig::default())
     }
 
     /// Drives enough epoch advances that everything through the current
@@ -580,6 +495,16 @@ mod tests {
             .collect();
         vals.sort_unstable();
         assert_eq!(vals, (0..200).collect::<Vec<_>>());
+        // Shards are contiguous cuts of one address-ordered sequence: each
+        // strictly ascending, each wholly below the next.
+        let blks: Vec<POff> = rec.shards.iter().flatten().map(|i| i.blk).collect();
+        assert!(blks.windows(2).all(|w| w[0] < w[1]), "address order");
+        assert!(rec.shards.iter().all(|shard| shard.len() == 50), "even cut");
+        // And a function of the image alone: a second copy of the same cut,
+        // swept by a different number of threads, yields the same sequence.
+        let again = recover(s.pool().crash(), EsysConfig::default(), 3);
+        let items = |r: &RecoveredState| r.shards.iter().flatten().copied().collect::<Vec<_>>();
+        assert_eq!(items(&again), items(&rec));
     }
 
     #[test]
@@ -598,5 +523,125 @@ mod tests {
         let g = s2.begin_op(tid2);
         let h2 = s2.pnew(&g, 1, &6u64);
         assert_ne!(Header::uid(s2.pool(), h2.raw()), old_uid);
+    }
+
+    /// Writes one payload by hand, bypassing the epoch system: any
+    /// `(kind, uid, epoch)` a test wants to find at recovery. `durable` says
+    /// whether its lines are written back and fenced.
+    fn plant(s: &EpochSys, kind: PayloadKind, uid: u64, epoch: u64, durable: bool) -> POff {
+        let blk = s.allocator().alloc(HDR_SIZE + 8);
+        let data = uid.to_le_bytes();
+        s.pool().write_bytes(Header::data(blk), &data);
+        let sum = Header::data_sum(&data);
+        Header::write_new(s.pool(), blk, kind, 9, epoch, uid, 8, sum);
+        if durable {
+            s.pool().persist_range(blk, HDR_SIZE + 8);
+        }
+        blk
+    }
+
+    #[test]
+    fn cancellation_matches_a_btreemap_model_for_every_k() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        use PayloadKind::{Alloc, Delete, Update};
+
+        let mut rng = SmallRng::seed_from_u64(0xCA9CE1);
+        // Run shapes the random multisets must reach: a delete-only run, a
+        // delete under a later-epoch update, an equal-epoch tie for newest.
+        let mut seen = [false; 3];
+        for round in 0..32 {
+            let s = sys_of(PmemConfig::strict_for_test(4 << 20));
+            for _ in 0..6 {
+                s.advance_epoch(); // epochs FIRST_EPOCH..=FIRST_EPOCH+4 are kept
+            }
+            let mut model: BTreeMap<u64, Vec<(u64, POff, PayloadKind)>> = BTreeMap::new();
+            for _ in 0..rng.gen_range(1..48) {
+                let (uid, epoch) = (rng.gen_range(1..10u64), FIRST_EPOCH + rng.gen_range(0..4));
+                let kind = [Alloc, Update, Update, Update, Delete][rng.gen_range(0..5)];
+                let blk = plant(&s, kind, uid, epoch, true);
+                model.entry(uid).or_default().push((epoch, blk, kind));
+            }
+            // The model: a delete kills its uid; else newest epoch, lowest block.
+            let mut want: Vec<POff> = Vec::new();
+            for versions in model.values() {
+                let newest = versions.iter().map(|v| v.0).max().unwrap();
+                let deletes = versions.iter().filter(|v| v.2 == Delete).count();
+                seen[0] |= deletes == versions.len();
+                seen[1] |= versions.iter().any(|v| v.2 == Delete && v.0 < newest);
+                seen[2] |= versions.iter().filter(|v| v.0 == newest).count() > 1;
+                if deletes == 0 {
+                    let top = versions.iter().filter(|v| v.0 == newest);
+                    want.push(top.map(|v| v.1).min().unwrap());
+                }
+            }
+            want.sort_unstable();
+            let total: usize = model.values().map(Vec::len).sum();
+            for k in [1, 2, 4] {
+                let rec = recover(s.pool().crash(), EsysConfig::default(), k);
+                let blks = |r: &RecoveredState| -> Vec<POff> {
+                    r.shards.iter().flatten().map(|it| it.blk).collect()
+                };
+                assert_eq!(blks(&rec), want, "round {round} k {k}");
+                assert_eq!(
+                    rec.report.cancelled,
+                    total - want.len(),
+                    "round {round} k {k}"
+                );
+                let tid = rec.esys.register_thread();
+                let fresh = rec.esys.pnew(&rec.esys.begin_op(tid), 9, &0u64);
+                assert_eq!(
+                    Header::uid(rec.esys.pool(), fresh.raw()),
+                    model.keys().max().unwrap() + 1,
+                    "round {round} k {k}: uids restart past the largest one seen"
+                );
+                // The losers are durably gone: a second crash finds the
+                // survivors and nothing to cancel.
+                let again = recover(rec.esys.pool().crash(), EsysConfig::default(), k);
+                assert_eq!(blks(&again), want, "round {round} k {k}");
+                assert_eq!(again.report.cancelled, 0, "round {round} k {k}");
+            }
+        }
+        assert_eq!(seen, [true; 3], "the multisets missed a run shape");
+    }
+
+    /// The sweep's verdict runs inside `san_probe`, which exempts its reads.
+    /// A kept payload's header must still meet the dirty-read check — at the
+    /// sweep's one read of the fields it hands on — or a header that never
+    /// became durable would reach cancellation and rebuild unseen.
+    #[test]
+    fn kept_header_that_never_became_durable_is_flagged_at_the_sweeps_read() {
+        let mut cfg = PmemConfig::strict_for_test(8 << 20);
+        // The power cut writes back every line, fenced or not: the planted
+        // payload reaches the image with valid bytes, never having been
+        // flushed — only the shadow state knows.
+        cfg.chaos.spontaneous_evict_permille = 1000;
+        let s = sys_of(cfg);
+        for _ in 0..4 {
+            s.advance_epoch();
+        }
+        plant(&s, PayloadKind::Alloc, 7, FIRST_EPOCH, false);
+        let crashed = s.pool().crash();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            try_recover(crashed, EsysConfig::default(), 1).map(|rec| rec.len())
+        }));
+        match outcome {
+            Err(panic) => {
+                assert!(sanitizer_on(), "recovery panicked without the sanitizer");
+                let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+                assert!(msg.contains("recovery-time read"), "msg = {msg}");
+            }
+            // Without the sanitizer the bytes are simply valid and kept —
+            // which is what makes the flag above the sweep's read, not a
+            // validation failure.
+            Ok(kept) => {
+                assert!(
+                    !sanitizer_on(),
+                    "a never-durable kept header went unflagged"
+                );
+                assert_eq!(kept, Ok(1));
+            }
+        }
     }
 }

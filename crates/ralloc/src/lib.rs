@@ -43,5 +43,4 @@ mod size_class;
 mod state;
 
 pub use alloc::{Ralloc, RallocStats};
-pub use recovery::SweepShard;
 pub use size_class::{class_for_size, class_size, MAX_ALLOC, NUM_CLASSES, SB_SIZE};

@@ -8,14 +8,6 @@ use pmem::{POff, PmemPool};
 use crate::alloc::Ralloc;
 use crate::size_class::blocks_per_sb;
 
-/// One shard of sweep survivors, for parallel recovery. Each shard covers a
-/// disjoint set of superblocks.
-#[derive(Debug, Default)]
-pub struct SweepShard {
-    /// Offsets of surviving blocks, paired with their usable size.
-    pub kept: Vec<(POff, usize)>,
-}
-
 impl Ralloc {
     /// Recovers an allocator from a crashed pool.
     ///
@@ -25,85 +17,83 @@ impl Ralloc {
     /// — never-written slots, freed blocks, torn allocations — is put back on
     /// the free lists.
     ///
-    /// Returns the allocator and the survivors.
+    /// Returns the allocator and the survivors, in address order.
     pub fn recover<F>(pool: PmemPool, filter: F) -> (Arc<Ralloc>, Vec<(POff, usize)>)
     where
         F: Fn(POff, usize) -> bool + Sync,
     {
-        let (r, mut shards) = Self::recover_parallel(pool, 1, filter);
-        (r, shards.pop().unwrap().kept)
+        let keep = |off, usable| filter(off, usable).then_some((off, usable));
+        let (r, mut shards) = Self::recover_parallel(pool, 1, keep);
+        (r, shards.pop().expect("k = 1 sweeps into one shard"))
     }
 
-    /// Parallel variant of [`Ralloc::recover`]: superblocks are distributed
-    /// round-robin over `k` worker threads (the paper's "k separate
-    /// iterators, to be used by k separate application threads").
-    pub fn recover_parallel<F>(
-        pool: PmemPool,
-        k: usize,
-        filter: F,
-    ) -> (Arc<Ralloc>, Vec<SweepShard>)
+    /// The sweep as a filter-map over `k` worker threads, superblocks dealt
+    /// round-robin (the paper's "k separate iterators, to be used by k
+    /// separate application threads"): a block stays allocated iff
+    /// `keep(off, usable_size)` is `Some`, and what it returned — whatever
+    /// the caller parsed while the block's lines were hot — lands in the
+    /// worker's shard. Each shard is in address order; shards cover disjoint
+    /// superblocks.
+    pub fn recover_parallel<T, F>(pool: PmemPool, k: usize, keep: F) -> (Arc<Ralloc>, Vec<Vec<T>>)
     where
-        F: Fn(POff, usize) -> bool + Sync,
+        T: Send,
+        F: Fn(POff, usize) -> Option<T> + Sync,
     {
         assert!(k >= 1);
         let r = Ralloc::open_unswept(pool);
-        let shards = r.sweep_into_shards(k, &filter);
-        (r, shards)
-    }
-
-    /// The sweep itself, over an open-but-unswept allocator.
-    fn sweep_into_shards<F>(self: &Arc<Self>, k: usize, filter: &F) -> Vec<SweepShard>
-    where
-        F: Fn(POff, usize) -> bool + Sync,
-    {
         // A descriptor outside the class range is corrupt (e.g. a torn
         // metadata line); treat the superblock as uncarved rather than
         // indexing the class table with garbage. Its blocks are unreachable
         // until the next format — degraded, but no panic and no phantoms.
-        let carved: Vec<(u32, usize)> = (0..self.sb_count)
+        let carved: Vec<(u32, usize)> = (0..r.sb_count)
             .filter_map(|sb| {
                 // A probe read: the descriptor is validated (range-checked)
                 // before anything trusts it, per the comment above.
                 // SAFETY: meta_desc(sb) is an in-bounds metadata word; any bit
                 // pattern is a valid u32 and is range-checked before use.
-                let d = self
+                let d = r
                     .pool
-                    .san_probe(|| unsafe { self.pool.read::<u32>(self.meta_desc(sb)) });
+                    .san_probe(|| unsafe { r.pool.read::<u32>(r.meta_desc(sb)) });
                 (d != 0 && ((d - 1) as usize) < crate::size_class::NUM_CLASSES)
                     .then(|| (sb, (d - 1) as usize))
             })
             .collect();
 
-        if k == 1 {
-            return vec![self.sweep_worker(&carved, filter)];
-        }
-
-        let chunks: Vec<Vec<(u32, usize)>> = (0..k)
-            .map(|i| carved.iter().copied().skip(i).step_by(k).collect())
-            .collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| s.spawn(|| self.sweep_worker(chunk, filter)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+        let shards = if k == 1 {
+            vec![r.sweep_worker(carved.iter().copied(), &keep)]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..k)
+                    .map(|i| {
+                        let sbs = carved.iter().copied().skip(i).step_by(k);
+                        let (r, keep) = (&r, &keep);
+                        s.spawn(move || r.sweep_worker(sbs, keep))
+                    })
+                    .collect();
+                // A worker's panic (the caller's closure, or the sanitizer
+                // denying one of its reads) resumes here with its own message.
+                let join = |h: std::thread::ScopedJoinHandle<'_, Vec<T>>| {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+                };
+                handles.into_iter().map(join).collect()
+            })
+        };
+        (r, shards)
     }
 
-    fn sweep_worker<F>(self: &Arc<Self>, sbs: &[(u32, usize)], filter: &F) -> SweepShard
+    fn sweep_worker<T, F>(&self, sbs: impl Iterator<Item = (u32, usize)>, keep: &F) -> Vec<T>
     where
-        F: Fn(POff, usize) -> bool + Sync,
+        F: Fn(POff, usize) -> Option<T>,
     {
-        let mut shard = SweepShard::default();
+        let mut shard = Vec::new();
         let mut kept_slots: Vec<u32> = Vec::new();
-        for &(sb, c) in sbs {
+        for (sb, c) in sbs {
             kept_slots.clear();
             let size = crate::size_class::class_size(c);
             for slot in 0..blocks_per_sb(c) {
-                let off = self.slot_off(sb, slot, c);
-                if filter(off, size) {
+                if let Some(kept) = keep(self.slot_off(sb, slot, c), size) {
                     kept_slots.push(slot);
-                    shard.kept.push((off, size));
+                    shard.push(kept);
                 }
             }
             self.adopt_swept_sb(sb, c, &kept_slots);
@@ -214,13 +204,15 @@ mod tests {
         }
         let crashed = pool.crash();
         // SAFETY: see `sweep_keeps_exactly_marked_blocks`.
+        // The sweep hands back what the closure parsed: here, the offset.
         let (_r2, shards) = Ralloc::recover_parallel(crashed.clone(), 4, |off, _| unsafe {
-            crashed.read::<u64>(off) == LIVE_MAGIC
+            (crashed.read::<u64>(off) == LIVE_MAGIC).then_some(off.raw())
         });
         let mut kept = HashSet::new();
         for shard in &shards {
-            for (off, _) in &shard.kept {
-                assert!(kept.insert(off.raw()), "block appears in two shards");
+            assert!(shard.windows(2).all(|w| w[0] < w[1]), "address order");
+            for off in shard {
+                assert!(kept.insert(*off), "block appears in two shards");
             }
         }
         assert_eq!(kept, live);

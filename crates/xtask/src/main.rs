@@ -846,7 +846,7 @@ mod census {
     pub(super) const WAIVER_CEILING: usize = 12;
     /// Most non-test lines under `crates/*/src` (ROADMAP item 6 wants
     /// 20 000); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 20_472;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 20_433;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

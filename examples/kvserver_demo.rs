@@ -78,8 +78,10 @@ fn main() {
     let (recovered, report) =
         ShardedKvStore::recover(store.crash_pools(), EsysConfig::default(), 8, 100_000, 2);
     assert!(report.is_clean(), "{report:?}");
+    let [sweep, cancel, rebuild] = report.phases();
     println!(
-        "crash: recovered {} items from the durable image",
+        "crash: recovered {} items from the durable image \
+         (sweep {sweep:.1?}, cancel {cancel:.1?}, rebuild {rebuild:.1?})",
         recovered.len()
     );
 
