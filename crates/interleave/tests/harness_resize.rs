@@ -1,13 +1,15 @@
 //! Model-check harness 3: the hashmap's online resize — seal / drain /
-//! retire racing lock-free lookups (`montage_ds::MontageHashMap`).
+//! retire racing lock-free lookups and a writer (`montage_ds::MontageHashMap`).
 //!
 //! The code under test is the real map. A one-bucket level with
 //! `max_load = 1` makes the second insert install a resize, all in the
 //! deterministic single-threaded prefix; the explored race is then a
-//! reader walking the old-level/new-level protocol (seal check, chain
-//! lock, re-check) against a migrator sealing and draining the only old
-//! bucket. The contract: no schedule may lose a key — a reader always
-//! finds both keys with their exact bytes, mid-migration or after.
+//! thread walking the old-level/new-level protocol (seal check, chain
+//! lock, re-check) — first as a reader, then as a writer helping the
+//! migration and inserting a fresh key — against a migrator sealing and
+//! draining the only old bucket. The contract: no schedule may lose or
+//! duplicate a key — all three are found with their exact bytes,
+//! mid-migration or after.
 //!
 //! (The directory pointer itself is a crossbeam-epoch atomic the checker
 //! cannot instrument; its loads run serialized between facade points. The
@@ -34,8 +36,9 @@ fn tiny_esys() -> Arc<EpochSys> {
     EpochSys::format(PmemPool::new(PmemConfig::strict_for_test(8 << 20)), cfg)
 }
 
-/// A racing reader never loses a key to the migration, and the completed
-/// resize leaves both keys in the grown level.
+/// A racing reader-then-writer never loses a key to the migration, its own
+/// insert lands exactly once, and the completed resize leaves every key in
+/// the grown level.
 #[test]
 fn resize_never_loses_a_key_from_racing_lookups() {
     let r = check(Config::from_env(), || {
@@ -51,7 +54,7 @@ fn resize_never_loses_a_key_from_racing_lookups() {
         assert!(map.resizing(), "max_load=1 must install a resize");
 
         let m2 = map.clone();
-        let reader = thread::spawn(move || {
+        let racer = thread::spawn(move || {
             assert_eq!(
                 m2.get_owned(t1, &1u64).as_deref(),
                 Some(&b"a"[..]),
@@ -62,25 +65,31 @@ fn resize_never_loses_a_key_from_racing_lookups() {
                 Some(&b"b"[..]),
                 "key 2 lost mid-migration"
             );
+            assert!(!m2.put(t1, 3u64, b"c"), "key 3 is fresh");
         });
 
-        map.finish_resize(t0);
-        reader.join().unwrap();
+        map.finish_resize();
+        racer.join().unwrap();
+        // The racing insert overloads the grown level again: if it landed
+        // after the retirement it installed a second resize.
+        map.finish_resize();
 
         assert!(!map.resizing(), "finish_resize must retire the old level");
-        assert_eq!(map.capacity(), 2, "the level must have grown");
-        assert_eq!(map.len(), 2);
+        assert!(matches!(map.capacity(), 2 | 4), "the level must have grown");
+        assert_eq!(map.len(), 3);
         assert_eq!(map.get_owned(t0, &1u64).as_deref(), Some(&b"a"[..]));
         assert_eq!(map.get_owned(t0, &2u64).as_deref(), Some(&b"b"[..]));
+        assert_eq!(map.get_owned(t0, &3u64).as_deref(), Some(&b"c"[..]));
 
         // Post-resize update through the grown level: exactly one copy of
-        // the key, holding the new bytes. (A *racing* writer during the
-        // drain multiplies the explored space past the CI budget — the
-        // migrate-then-mutate writer path is covered by `montage-ds`'s own
-        // stress tests; the model checker owns the lookup race above.)
+        // the key, holding the new bytes.
         assert!(map.put(t0, 1u64, b"A"), "update must find the migrated key");
-        assert_eq!(map.len(), 2, "an update must not duplicate the key");
+        assert_eq!(map.len(), 3, "an update must not duplicate the key");
         assert_eq!(map.get_owned(t0, &1u64).as_deref(), Some(&b"A"[..]));
     });
+    println!("harness_resize: {r:?}");
     assert!(!r.truncated, "exploration must finish: {r:?}");
+    // `finish_resize` yields while a descheduled helper owns the retirement,
+    // so no schedule spins to the step limit.
+    assert_eq!(r.limit_pruned, 0, "a schedule hit the step limit: {r:?}");
 }

@@ -64,6 +64,30 @@ fn roundtrip_pipelining_and_noreply() {
     h.shutdown();
 }
 
+/// A `get` returns the bytes that were `set`: a value holding every byte
+/// value (CR LF among them, and every invalid UTF-8 sequence) comes back
+/// exact through each reading verb. The client reads `<len>` bytes and then
+/// expects the frame's tail, so an announced length that is not the emitted
+/// one fails here too.
+#[test]
+fn binary_value_round_trips_byte_exact() {
+    let h = dram_server(ServerConfig::default());
+    let mut c = WireClient::connect(h.addr()).unwrap();
+    let all: Vec<u8> = (0..=255u8).collect();
+
+    assert_eq!(c.set("bin", 9, &all).unwrap(), "STORED");
+    assert_eq!(c.get("bin").unwrap(), Some((9, all.clone())));
+    let (flags, _cas, data) = c.gets("bin").unwrap().expect("hit");
+    assert_eq!((flags, data), (9, all.clone()));
+    assert_eq!(
+        c.scan("a", "z", None).unwrap(),
+        vec![("bin".to_string(), 9, all)]
+    );
+
+    c.quit().unwrap();
+    h.shutdown();
+}
+
 #[test]
 fn framing_survives_hostile_packetisation() {
     let h = dram_server(ServerConfig::default());

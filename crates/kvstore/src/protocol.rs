@@ -186,25 +186,21 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[at..]);
 }
 
-/// Appends one `VALUE <name> <flags> <len>[ <cas>]\r\n<data>\r\n` block.
-/// Replies travel as UTF-8; the announced length is that of the bytes
-/// actually emitted, so non-UTF-8 values (lossily transcoded) cannot desync
-/// a wire client's framing. A valid value — the common case — is borrowed
-/// by the transcoding and copied once, into `out`.
+/// Appends one `VALUE <name> <flags> <len>[ <cas>]\r\n<data>\r\n` block:
+/// the value's bytes exactly as stored, copied once, into `out`.
 fn push_value(out: &mut Vec<u8>, name: &str, item: &Item<'_>, with_cas: bool) {
-    let text = String::from_utf8_lossy(item.data);
     out.extend_from_slice(b"VALUE ");
     out.extend_from_slice(name.as_bytes());
     out.push(b' ');
     push_decimal(out, u64::from(item.flags));
     out.push(b' ');
-    push_decimal(out, text.len() as u64);
+    push_decimal(out, item.data.len() as u64);
     if with_cas {
         out.push(b' ');
         push_decimal(out, item.cas);
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(item.data);
     out.extend_from_slice(b"\r\n");
 }
 
@@ -344,13 +340,16 @@ impl Session {
     /// [`Session::execute`] with an attached durable session id: mutating
     /// commands carrying `rid=<n>` run exactly-once through the store's
     /// descriptor table. An owning convenience over
-    /// [`Session::execute_into`].
+    /// [`Session::execute_into`]: a reply carrying a non-UTF-8 value is
+    /// transcoded lossily here (its announced length then no longer counts
+    /// the text) — byte-exact callers use `execute_into`.
     pub fn execute_with(&self, line: &str, data: &[u8], session_id: Option<u64>) -> String {
         // Sized for a one-key `get` of a small value: one allocation, where
         // growing from empty would take five.
         let mut out = Vec::with_capacity(256);
         self.execute_into(line, data, session_id, &mut |_| {}, &mut out);
-        String::from_utf8(out).expect("replies are emitted as UTF-8")
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// The one implementation: executes a command line and appends the
@@ -644,17 +643,18 @@ mod tests {
     }
 
     #[test]
-    fn non_utf8_value_announces_emitted_length() {
+    fn non_utf8_value_comes_back_as_stored() {
         let s = session(KvBackend::Dram);
-        // 0xAB is invalid UTF-8: each byte becomes U+FFFD (3 bytes) in the
-        // reply. The VALUE header must count the emitted bytes, or a wire
-        // client reading exactly <len> bytes desyncs.
+        // 0xAB is invalid UTF-8; the reply carries the two stored bytes, not
+        // two U+FFFD. Only the owning `String` wrapper transcodes.
         assert_eq!(s.execute("set bin 0 0 2", &[0xAB, 0xAB]), "STORED");
-        let r = s.execute("get bin", b"");
-        let header_end = r.find("\r\n").unwrap();
-        let announced: usize = r[..header_end].rsplit(' ').next().unwrap().parse().unwrap();
-        let body = &r[header_end + 2..r.len() - "\r\nEND".len()];
-        assert_eq!(announced, body.len(), "{r:?}");
+        let mut out = Vec::new();
+        s.execute_into("get bin", b"", None, &mut |_| {}, &mut out);
+        assert_eq!(out, b"VALUE bin 0 2\r\n\xAB\xAB\r\nEND");
+        assert_eq!(
+            s.execute("get bin", b""),
+            "VALUE bin 0 2\r\n\u{FFFD}\u{FFFD}\r\nEND"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The Montage hashmap (paper Fig. 2), grown into an **online-resizable**
 //! two-level bucket directory (Clevel-style, cf. memento's `clevel.rs`):
-//! a lock-per-bucket chained map whose buckets, chains and locks are all
-//! transient; the persistent state is a bag of key/value payloads plus —
-//! while a resize is in flight — a tiny set of *resize metadata* payloads.
+//! a lock-per-bucket chained map whose buckets, chains, locks *and resize*
+//! are all transient; the persistent state is a bag of key/value payloads
+//! and nothing else.
 //!
 //! ## Resize protocol
 //!
@@ -21,42 +21,21 @@
 //! unsealed old bucket first (an unsealed bucket still holds *all* of its
 //! keys, because writers seal before inserting), then the new level.
 //!
-//! ## Durability of the resize itself
-//!
-//! Montage's epoch buffer makes resize metadata ordinary payloads:
-//!
-//! * **descriptor install** — one `pnew` of a 32-byte descriptor
-//!   `{seq, old_cap, new_cap, phase: MIGRATING}` in its own epoch window;
-//! * **per-bucket migration mark** — a 24-byte `pnew` per sealed bucket;
-//! * **level retirement** — one epoch window flips the descriptor's phase
-//!   to `DONE` (`set_bytes`, same uid — exactly one durable version at any
-//!   cut) and `pdelete`s every mark plus the prior geometry descriptor.
-//!
-//! Recovery rolls forward deterministically: the surviving descriptor with
-//! the highest seq fixes the directory capacity (key payloads are geometry-
-//! independent, so rebuilding at the target capacity *completes* the
-//! migration); stale marks and superseded descriptors are reaped and a
-//! single `DONE` geometry descriptor is rewritten. A cut that missed the
-//! descriptor's epoch recovers the pre-resize geometry — either way every
-//! surviving key is reachable and no bucket recovers half-migrated.
+//! A resize moves transient `Entry`s between transient levels and persists
+//! nothing: payloads carry no geometry, so recovery picks its own capacity
+//! from the survivor count (see [`MontageHashMap::recover`]).
 //!
 //! Payload layout: the key bytes (fixed-size `K: Copy`) followed by the
-//! value bytes. Metadata payloads use `tag | META_TAG_BIT` so they never
-//! collide with data payloads of the same map.
+//! value bytes.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crossbeam::epoch::{self, Atomic, Owned};
-use montage::sync::{uninstrumented as raw, AtomicBool, AtomicUsize, Mutex, Ordering};
+use montage::sync::{spin_loop, uninstrumented as raw, AtomicBool, AtomicUsize, Mutex, Ordering};
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
 
 use crate::codec;
-
-/// Metadata payloads (resize descriptors, migration marks) are tagged
-/// `tag | META_TAG_BIT`, keeping them disjoint from the map's data payloads
-/// while sharing its pool. User tags must stay below this bit.
-pub const META_TAG_BIT: u16 = 0x8000;
 
 /// Default resize trigger: average chain length (len / buckets) above this
 /// installs a new level.
@@ -66,65 +45,6 @@ const DEFAULT_MAX_LOAD: usize = 4;
 /// key's bucket — the amortization that finishes a resize under any
 /// traffic shape.
 const MIGRATE_BATCH: usize = 2;
-
-const META_MAGIC: u32 = 0x525A_4431; // "RZD1"
-const KIND_DESCRIPTOR: u8 = 1;
-const KIND_MARK: u8 = 2;
-const PHASE_MIGRATING: u8 = 0;
-const PHASE_DONE: u8 = 1;
-const DESC_BYTES: usize = 32;
-const MARK_BYTES: usize = 24;
-
-/// A decoded resize descriptor payload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ResizeDescriptor {
-    seq: u64,
-    old_cap: u64,
-    new_cap: u64,
-    done: bool,
-}
-
-fn encode_descriptor(d: &ResizeDescriptor) -> [u8; DESC_BYTES] {
-    let mut b = [0u8; DESC_BYTES];
-    b[..4].copy_from_slice(&META_MAGIC.to_le_bytes());
-    b[4] = KIND_DESCRIPTOR;
-    b[5] = if d.done { PHASE_DONE } else { PHASE_MIGRATING };
-    b[8..16].copy_from_slice(&d.seq.to_le_bytes());
-    b[16..24].copy_from_slice(&d.old_cap.to_le_bytes());
-    b[24..32].copy_from_slice(&d.new_cap.to_le_bytes());
-    b
-}
-
-fn decode_descriptor(b: &[u8]) -> Option<ResizeDescriptor> {
-    if b.len() != DESC_BYTES || b[..4] != META_MAGIC.to_le_bytes() || b[4] != KIND_DESCRIPTOR {
-        return None;
-    }
-    Some(ResizeDescriptor {
-        seq: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-        old_cap: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-        new_cap: u64::from_le_bytes(b[24..32].try_into().unwrap()),
-        done: b[5] == PHASE_DONE,
-    })
-}
-
-fn encode_mark(seq: u64, bucket: u64) -> [u8; MARK_BYTES] {
-    let mut b = [0u8; MARK_BYTES];
-    b[..4].copy_from_slice(&META_MAGIC.to_le_bytes());
-    b[4] = KIND_MARK;
-    b[8..16].copy_from_slice(&seq.to_le_bytes());
-    b[16..24].copy_from_slice(&bucket.to_le_bytes());
-    b
-}
-
-fn decode_mark(b: &[u8]) -> Option<(u64, u64)> {
-    if b.len() != MARK_BYTES || b[..4] != META_MAGIC.to_le_bytes() || b[4] != KIND_MARK {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(b[8..16].try_into().unwrap()),
-        u64::from_le_bytes(b[16..24].try_into().unwrap()),
-    ))
-}
 
 /// One chain entry: transient key copy (fast compares without touching NVM)
 /// plus the indirection to the current payload version (paper Sec. 3.1: a
@@ -159,15 +79,10 @@ impl<K> Table<K> {
     }
 }
 
-/// An in-flight resize: the draining level plus its durable bookkeeping.
+/// An in-flight resize: the draining level, its target and the progress.
 struct ResizeState<K> {
-    seq: u64,
     prev: Arc<Table<K>>,
     next: Arc<Table<K>>,
-    /// Durable descriptor handle (phase MIGRATING until retirement).
-    desc: PHandle<[u8]>,
-    /// Durable per-bucket migration marks, reaped at retirement.
-    marks: Mutex<Vec<PHandle<[u8]>>>,
     /// Old buckets not yet sealed; hitting zero retires the level.
     pending: AtomicUsize,
     /// Shared drain cursor for the amortized migration batches.
@@ -206,19 +121,12 @@ struct Dir<K> {
 pub struct MontageHashMap<K> {
     esys: Arc<EpochSys>,
     tag: u16,
-    meta_tag: u16,
     dir: Atomic<Dir<K>>,
     len: raw::AtomicUsize,
     /// Average chain length that triggers a resize.
     max_load: usize,
-    /// Monotone resize sequence (also seeds recovery's rewritten geometry).
-    next_seq: raw::AtomicU64,
     /// Completed (retired) resizes since construction/recovery.
     resizes: raw::AtomicUsize,
-    /// The durable `DONE` geometry descriptor for the current capacity,
-    /// pdeleted when the next resize retires. `None` until the first
-    /// resize completes (a never-resized map needs no geometry record).
-    geometry: Mutex<Option<PHandle<[u8]>>>,
 }
 
 // SAFETY: the directory is only touched under crossbeam-epoch guards and
@@ -254,116 +162,66 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// length exceeds `max_load`.
     pub fn with_max_load(esys: Arc<EpochSys>, tag: u16, nbuckets: usize, max_load: usize) -> Self {
         assert!(nbuckets > 0 && max_load > 0);
-        assert!(
-            tag & META_TAG_BIT == 0,
-            "user tags must leave the meta bit clear"
-        );
         MontageHashMap {
             esys,
             tag,
-            meta_tag: tag | META_TAG_BIT,
             dir: Atomic::new(Dir {
                 curr: Table::new(nbuckets),
                 resize: None,
             }),
             len: raw::AtomicUsize::new(0),
             max_load,
-            next_seq: raw::AtomicU64::new(1),
             resizes: raw::AtomicUsize::new(0),
-            geometry: Mutex::new(None),
         }
     }
 
     /// Rebuilds the transient index from recovered payloads, using one
     /// rebuild thread per shard (the paper's parallel recovery).
     ///
-    /// Resize metadata rolls forward: the surviving descriptor with the
-    /// highest seq fixes the directory capacity (never below `nbuckets`),
-    /// which *completes* any in-flight migration — payloads carry no
-    /// geometry, so re-inserting them at the target capacity is the whole
-    /// remaining work. Superseded descriptors and stale marks are reaped
-    /// and one `DONE` geometry descriptor is rewritten, so a second crash
-    /// lands on the same deterministic state.
+    /// The index is transient, so its size is recovery's choice: one level
+    /// of the smallest `nbuckets · 2^k` that holds the survivors at the
+    /// default load — the capacity a fresh map filled with them would have
+    /// grown to. Recovery writes nothing persistent: it is a pure function
+    /// of the image, so a second crash right after it replays identically.
     pub fn recover(esys: Arc<EpochSys>, tag: u16, nbuckets: usize, rec: &RecoveredState) -> Self {
-        let meta_tag = tag | META_TAG_BIT;
-        // Pass 1: resize metadata → target capacity + handles to reap.
-        let mut best: Option<ResizeDescriptor> = None;
-        let mut meta_handles: Vec<PHandle<[u8]>> = Vec::new();
-        let mut stale_marks = 0usize;
-        for item in rec.shards.iter().flatten().filter(|it| it.tag == meta_tag) {
-            meta_handles.push(item.handle());
-            let Some(desc) = rec.with_bytes(item, decode_descriptor) else {
-                if rec.with_bytes(item, decode_mark).is_some() {
-                    stale_marks += 1;
-                }
-                continue;
-            };
-            if best.is_none_or(|b| desc.seq > b.seq) {
-                best = Some(desc);
-            }
+        let survivors = rec
+            .shards
+            .iter()
+            .flatten()
+            .filter(|it| it.tag == tag)
+            .count();
+        let mut cap = nbuckets;
+        while survivors > DEFAULT_MAX_LOAD * cap {
+            cap *= 2;
         }
-        let _ = stale_marks; // informational; marks are advisory on recovery
-        let cap = best
-            .map(|d| (d.new_cap as usize).max(nbuckets))
-            .unwrap_or(nbuckets);
-        let next_seq = best.map(|d| d.seq + 1).unwrap_or(1);
-
         let map = Self::new(esys, tag, cap);
         // ord(counter): recovery-time only; no concurrent readers yet.
-        map.next_seq.store(next_seq, Ordering::Relaxed);
+        map.len.store(survivors, Ordering::Relaxed);
 
-        // Pass 2: rebuild the data index at the rolled-forward capacity.
-        {
-            let g = epoch::pin();
-            // SAFETY: the directory pointer is never null after new().
-            // ord(acquire): the directory pointer publishes the level arrays it
-            // points at; pairs with the Release side of the install CASes.
-            let dir = unsafe { map.dir.load(Ordering::Acquire, &g).deref() };
-            std::thread::scope(|s| {
-                for shard in &rec.shards {
-                    s.spawn(|| {
-                        for item in shard.iter().filter(|it| it.tag == tag) {
-                            let key: K = rec.with_bytes(item, codec::key_of);
-                            let idx = Self::index_in(&key, dir.curr.buckets.len());
-                            let mut chain = dir.curr.buckets[idx].chain.lock();
-                            debug_assert!(
-                                !chain.iter().any(|e| e.key == key),
-                                "duplicate key in recovered payload set"
-                            );
-                            chain.push(Entry {
-                                key,
-                                payload: item.handle(),
-                            });
-                            // ord(counter): size estimate only.
-                            map.len.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Pass 3: reap stale metadata and rewrite one DONE geometry record,
-        // so the rolled-forward capacity survives the *next* crash too.
-        if !meta_handles.is_empty() {
-            let tid = map.esys.register_thread();
-            {
-                let g = map.esys.begin_op(tid);
-                for h in meta_handles {
-                    let _ = map.esys.pdelete(&g, h);
-                }
-                let fresh = encode_descriptor(&ResizeDescriptor {
-                    seq: next_seq,
-                    old_cap: cap as u64,
-                    new_cap: cap as u64,
-                    done: true,
+        let g = epoch::pin();
+        // SAFETY: the directory pointer is never null after new().
+        // ord(acquire): the directory pointer publishes the level arrays it
+        // points at; pairs with the Release side of the install CASes.
+        let dir = unsafe { map.dir.load(Ordering::Acquire, &g).deref() };
+        std::thread::scope(|s| {
+            for shard in &rec.shards {
+                s.spawn(|| {
+                    for item in shard.iter().filter(|it| it.tag == tag) {
+                        let key: K = rec.with_bytes(item, codec::key_of);
+                        let idx = Self::index_in(&key, cap);
+                        let mut chain = dir.curr.buckets[idx].chain.lock();
+                        debug_assert!(
+                            !chain.iter().any(|e| e.key == key),
+                            "duplicate key in recovered payload set"
+                        );
+                        chain.push(Entry {
+                            key,
+                            payload: item.handle(),
+                        });
+                    }
                 });
-                let gh = map.esys.pnew_bytes(&g, meta_tag, &fresh);
-                *map.geometry.lock() = Some(gh);
             }
-            // ord(counter): recovery-time only; no concurrent readers yet.
-            map.next_seq.store(next_seq + 1, Ordering::Relaxed);
-            map.esys.unregister_thread(tid);
-        }
+        });
         map
     }
 
@@ -381,9 +239,8 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     // ---- resize machinery ------------------------------------------------
 
     /// Seals and drains old bucket `oi` into the resize's target level.
-    /// Whoever wins the seal persists the bucket's migration mark and, on
-    /// the last bucket, retires the level.
-    fn migrate_bucket(&self, tid: ThreadId, rs: &ResizeState<K>, oi: usize) {
+    /// Whoever seals the last bucket retires the level.
+    fn migrate_bucket(&self, rs: &ResizeState<K>, oi: usize) {
         let bucket = &rs.prev.buckets[oi];
         // ord(acquire): pairs with the seal publish in `migrate_bucket`; a
         // sealed bucket's entries are reached via the target chain locks.
@@ -404,26 +261,16 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             // to the next level instead of the emptied chain.
             bucket.sealed.store(true, Ordering::Release);
         }
-        // The durable migration mark: an ordinary buffered payload. Crash
-        // cuts may or may not retain it; recovery only needs the descriptor
-        // (marks are the observable protocol for the crash sweeps).
-        {
-            let g = self.esys.begin_op(tid);
-            let mh = self
-                .esys
-                .pnew_bytes(&g, self.meta_tag, &encode_mark(rs.seq, oi as u64));
-            rs.marks.lock().push(mh);
-        }
         // ord(acqrel): the last decrementer must observe every other
         // migrator's seal before retiring the level; the release side
         // publishes our own bucket's drain.
         if rs.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.retire_level(tid, rs);
+            self.retire_level(rs);
         }
     }
 
     /// Drains up to `n` not-yet-migrated old buckets off the shared cursor.
-    fn drain_some(&self, tid: ThreadId, rs: &ResizeState<K>, n: usize) {
+    fn drain_some(&self, rs: &ResizeState<K>, n: usize) {
         for _ in 0..n {
             // ord(relaxed): a work-claim ticket; duplicate claims are benign
             // because `migrate_bucket` is idempotent under the seal.
@@ -431,30 +278,12 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             if oi >= rs.prev.buckets.len() {
                 return;
             }
-            self.migrate_bucket(tid, rs, oi);
+            self.migrate_bucket(rs, oi);
         }
     }
 
-    /// Every old bucket is sealed: flip the descriptor to DONE and reap the
-    /// marks + the previous geometry record in one epoch window, then
-    /// publish the single-level directory.
-    fn retire_level(&self, tid: ThreadId, rs: &ResizeState<K>) {
-        let new_geom = {
-            let g = self.esys.begin_op(tid);
-            let done = self
-                .esys
-                .set_bytes(&g, rs.desc, |b| b[5] = PHASE_DONE)
-                .expect("retirer is the only descriptor writer");
-            for m in rs.marks.lock().drain(..) {
-                let _ = self.esys.pdelete(&g, m);
-            }
-            if let Some(old) = self.geometry.lock().take() {
-                let _ = self.esys.pdelete(&g, old);
-            }
-            done
-        };
-        *self.geometry.lock() = Some(new_geom);
-
+    /// Every old bucket is sealed: publish the single-level directory.
+    fn retire_level(&self, rs: &ResizeState<K>) {
         let guard = epoch::pin();
         // ord(acquire): the directory pointer publishes the level arrays it
         // points at; pairs with the Release side of the install CASes.
@@ -462,7 +291,10 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         // SAFETY: directory pointers are never null and the guard pins them.
         let cur_ref = unsafe { cur.deref() };
         debug_assert!(
-            cur_ref.resize.as_ref().is_some_and(|r| r.seq == rs.seq),
+            cur_ref
+                .resize
+                .as_ref()
+                .is_some_and(|r| std::ptr::eq(&**r, rs)),
             "retiring a resize that is not the active one"
         );
         let stable = Owned::new(Dir {
@@ -490,11 +322,10 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         self.resizes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Observed over-threshold load: persist a MIGRATING descriptor and try
-    /// to install the two-level directory. Losing the install race deletes
-    /// the descriptor again (both contenders grow to the same capacity, so
-    /// recovery is indifferent to which survives a crash between the two).
-    fn try_install_resize(&self, tid: ThreadId) {
+    /// Observed over-threshold load: try to install the two-level directory.
+    /// Losing the install race is harmless — the winner grows to the same
+    /// capacity.
+    fn try_install_resize(&self) {
         let guard = epoch::pin();
         // ord(acquire): the directory pointer publishes the level arrays it
         // points at; pairs with the Release side of the install CASes.
@@ -505,28 +336,9 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             return; // one resize at a time
         }
         let old_cap = cur_ref.curr.buckets.len();
-        let new_cap = old_cap * 2;
-        // ord(counter): resize sequence handout; uniqueness, not ordering.
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let desc = {
-            let g = self.esys.begin_op(tid);
-            self.esys.pnew_bytes(
-                &g,
-                self.meta_tag,
-                &encode_descriptor(&ResizeDescriptor {
-                    seq,
-                    old_cap: old_cap as u64,
-                    new_cap: new_cap as u64,
-                    done: false,
-                }),
-            )
-        };
         let rs = Arc::new(ResizeState {
-            seq,
             prev: cur_ref.curr.clone(),
-            next: Table::new(new_cap),
-            desc,
-            marks: Mutex::new(Vec::with_capacity(old_cap)),
+            next: Table::new(old_cap * 2),
             pending: AtomicUsize::new(old_cap),
             cursor: AtomicUsize::new(0),
         });
@@ -546,10 +358,6 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
                 unsafe { guard.defer_destroy(cur) };
             }
             Err(_) => {
-                // Someone else resized first: our descriptor must not
-                // outlive the attempt.
-                let g = self.esys.begin_op(tid);
-                let _ = self.esys.pdelete(&g, desc);
                 // SAFETY: the losing Dir box was never published.
                 unsafe { drop(two_level.into_owned()) };
             }
@@ -561,30 +369,25 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// amortized batch). The returned closure-scope guarantees: locking the
     /// returned level's bucket and finding it unsealed means the bucket
     /// holds every entry of this key's chain.
-    fn writer_dir<'g>(&self, tid: ThreadId, key: &K, guard: &'g epoch::Guard) -> &'g Dir<K> {
+    fn writer_dir<'g>(&self, key: &K, guard: &'g epoch::Guard) -> &'g Dir<K> {
         // SAFETY: directory pointers are never null and the guard pins them.
         // ord(acquire): the directory pointer publishes the level arrays it
         // points at; pairs with the Release side of the install CASes.
         let dir = unsafe { self.dir.load(Ordering::Acquire, guard).deref() };
         if let Some(rs) = &dir.resize {
             let oi = Self::index_in(key, rs.prev.buckets.len());
-            self.migrate_bucket(tid, rs, oi);
-            self.drain_some(tid, rs, MIGRATE_BATCH);
+            self.migrate_bucket(rs, oi);
+            self.drain_some(rs, MIGRATE_BATCH);
         }
         dir
     }
 
     /// Runs `f` under the key's bucket lock in the newest level, retrying
     /// across directory swaps (a sealed bucket means the snapshot is stale).
-    fn with_bucket<R>(
-        &self,
-        tid: ThreadId,
-        key: &K,
-        mut f: impl FnMut(&mut Vec<Entry<K>>) -> R,
-    ) -> R {
+    fn with_bucket<R>(&self, key: &K, mut f: impl FnMut(&mut Vec<Entry<K>>) -> R) -> R {
         loop {
             let guard = epoch::pin();
-            let dir = self.writer_dir(tid, key, &guard);
+            let dir = self.writer_dir(key, &guard);
             let idx = Self::index_in(key, dir.curr.buckets.len());
             let bucket = &dir.curr.buckets[idx];
             let mut chain = bucket.chain.lock();
@@ -598,7 +401,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
 
     /// Drives any in-flight resize to completion (tests and benchmarks use
     /// this to measure steady-state layouts).
-    pub fn finish_resize(&self, tid: ThreadId) {
+    pub fn finish_resize(&self) {
         loop {
             let guard = epoch::pin();
             // SAFETY: directory pointers are never null; the guard pins them.
@@ -607,8 +410,11 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             let dir = unsafe { self.dir.load(Ordering::Acquire, &guard).deref() };
             let Some(rs) = &dir.resize else { return };
             for oi in 0..rs.prev.buckets.len() {
-                self.migrate_bucket(tid, rs, oi);
+                self.migrate_bucket(rs, oi);
             }
+            // Every bucket is sealed; if a helper sealed the last one, the
+            // retirement is its to publish — let it run.
+            spin_loop();
         }
     }
 
@@ -642,7 +448,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     }
 
     /// Post-write load check; installs a new level when over threshold.
-    fn maybe_resize(&self, tid: ThreadId) {
+    fn maybe_resize(&self) {
         let guard = epoch::pin();
         // SAFETY: directory pointers are never null; the guard pins them.
         // ord(acquire): the directory pointer publishes the level arrays it
@@ -652,7 +458,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             && self.len.load(Ordering::Relaxed) > self.max_load * dir.curr.buckets.len()
         {
             drop(guard);
-            self.try_install_resize(tid);
+            self.try_install_resize();
         }
     }
 
@@ -661,7 +467,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// Inserts or updates; returns `true` if the key already existed.
     pub fn put(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
         let ksize = std::mem::size_of::<K>();
-        let existed = self.with_bucket(tid, &key, |chain| {
+        let existed = self.with_bucket(&key, |chain| {
             let g = self.esys.begin_op(tid);
             if let Some(e) = chain.iter_mut().find(|e| e.key == key) {
                 // In place, copy-on-write or (size changed) a same-uid
@@ -681,13 +487,13 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
                 false
             }
         });
-        self.maybe_resize(tid);
+        self.maybe_resize();
         existed
     }
 
     /// Inserts only if absent; returns `false` if the key existed.
     pub fn insert(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
-        let inserted = self.with_bucket(tid, &key, |chain| {
+        let inserted = self.with_bucket(&key, |chain| {
             if chain.iter().any(|e| e.key == key) {
                 return false;
             }
@@ -701,7 +507,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             true
         });
         if inserted {
-            self.maybe_resize(tid);
+            self.maybe_resize();
         }
         inserted
     }
@@ -758,7 +564,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
 
     /// Removes `key`; returns `true` if it existed.
     pub fn remove(&self, tid: ThreadId, key: &K) -> bool {
-        self.with_bucket(tid, key, |chain| {
+        self.with_bucket(key, |chain| {
             let Some(pos) = chain.iter().position(|e| e.key == *key) else {
                 return false;
             };
@@ -866,7 +672,7 @@ mod tests {
         for i in 0..100 {
             m.put(tid, key(i), format!("v{i}").as_bytes());
         }
-        m.finish_resize(tid);
+        m.finish_resize();
         assert!(
             m.resizes_completed() >= 2,
             "100 keys over a 4×2 trigger must resize repeatedly, got {}",
@@ -909,7 +715,7 @@ mod tests {
             h.join().unwrap();
         }
         let tid = s.register_thread();
-        m.finish_resize(tid);
+        m.finish_resize();
         assert!(
             m.resizes_completed() >= 2,
             "2000 keys from 8 buckets: got {} resizes",
@@ -969,7 +775,7 @@ mod tests {
         for i in 64..800 {
             m.put(tid0, key(i), b"x");
         }
-        m.finish_resize(tid0);
+        m.finish_resize();
         stop.store(true, Ordering::Relaxed);
         let checks: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(checks > 0);
@@ -1095,36 +901,115 @@ mod tests {
     }
 
     #[test]
-    fn recovery_rolls_resized_geometry_forward() {
+    fn recovery_fits_one_level_to_the_survivors() {
         let s = sys();
         let m = MontageHashMap::<Key>::with_max_load(s.clone(), 1, 4, 2);
         let tid = s.register_thread();
         for i in 0..60 {
             m.put(tid, key(i), b"v");
         }
-        m.finish_resize(tid);
-        let grown = m.capacity();
-        assert!(grown > 4);
+        m.finish_resize();
+        assert!(m.capacity() > 4);
         s.sync();
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 2);
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
-        assert_eq!(
-            m2.capacity(),
-            grown,
-            "synced DONE descriptor must fix the recovered capacity"
-        );
+        // The recovered size is recovery's choice, not the live map's (32):
+        // a 4 · 2^k that holds the survivors at the default load.
+        let cap = m2.capacity();
+        assert!(!m2.resizing());
+        assert!(cap >= 4 && cap.is_multiple_of(4) && (cap / 4).is_power_of_two());
+        assert!(60 <= DEFAULT_MAX_LOAD * cap, "over-full at {cap} buckets");
         assert_eq!(m2.len(), 60);
         let tid2 = rec.esys.register_thread();
         for i in 0..60 {
             assert!(m2.get_owned(tid2, &key(i)).is_some(), "key {i} lost");
         }
-        // Recovery rewrote a single clean geometry record: a second
-        // crash-recover lands on the same capacity.
-        rec.esys.sync();
+        // A second crash, nothing synced in between: same image, same map.
         let rec2 = montage::recovery::recover(rec.esys.pool().crash(), EsysConfig::default(), 2);
         let m3 = MontageHashMap::<Key>::recover(rec2.esys.clone(), 1, 4, &rec2);
-        assert_eq!(m3.capacity(), grown);
+        assert_eq!(m3.capacity(), cap);
         assert_eq!(m3.len(), 60);
+    }
+
+    /// `(clwbs, allocs, resizes)` of `n` fresh puts, an epoch advance every
+    /// 64 and a closing sync, on a map that starts at `nbuckets`.
+    fn growth_cost(nbuckets: usize, n: u64) -> (u64, u64, usize) {
+        let s = sys();
+        let m = MontageHashMap::<Key>::new(s.clone(), 1, nbuckets);
+        let tid = s.register_thread();
+        let clwbs0 = s.pool().stats().clwbs.load(Ordering::Relaxed);
+        let allocs0 = s.allocator().stats().allocs.load(Ordering::Relaxed);
+        for i in 0..n {
+            m.put(tid, key(i), &i.to_le_bytes());
+            if i % 64 == 63 {
+                s.advance_epoch();
+            }
+        }
+        s.sync();
+        assert_eq!(m.len() as u64, n);
+        (
+            s.pool().stats().clwbs.load(Ordering::Relaxed) - clwbs0,
+            s.allocator().stats().allocs.load(Ordering::Relaxed) - allocs0,
+            m.resizes_completed(),
+        )
+    }
+
+    #[test]
+    fn growing_a_map_costs_one_allocation_per_key() {
+        const N: u64 = 2000;
+        let (grown_clwbs, grown_allocs, resizes) = growth_cost(4, N);
+        assert!(resizes >= 3, "4 buckets to {N} keys: {resizes} resizes");
+        assert_eq!(grown_allocs, N, "a resize allocates nothing persistent");
+        // Same allocation sequence as a map that never resizes, so the same
+        // lines are written back.
+        let (flat_clwbs, flat_allocs, flat_resizes) = growth_cost(1024, N);
+        assert_eq!((flat_allocs, flat_resizes), (N, 0));
+        assert_eq!(grown_clwbs, flat_clwbs, "a resize writes nothing back");
+    }
+
+    #[test]
+    fn recovery_writes_nothing() {
+        // Straggler mode (a 0 µs delay on 1 event in 1000) arms the pool's
+        // persistence-event count and, unlike a crash plan, survives `crash()`.
+        let mut cfg = PmemConfig::strict_for_test(64 << 20);
+        cfg.chaos.straggler_permille = 1;
+        cfg.chaos.straggler_delay_us = 0;
+        let s = EpochSys::format(PmemPool::new(cfg), EsysConfig::default());
+        let m = MontageHashMap::<Key>::with_max_load(s.clone(), 1, 4, 2);
+        let tid = s.register_thread();
+        for i in 0..35 {
+            m.put(tid, key(i), format!("v{i}").as_bytes());
+        }
+        assert!(m.resizing(), "the image must be cut mid-resize");
+        s.sync();
+
+        let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 2);
+        let counts = |e: &EpochSys| {
+            let (p, a) = (e.pool().stats(), e.allocator().stats());
+            [
+                p.clwbs.load(Ordering::Relaxed),
+                p.sfences.load(Ordering::Relaxed),
+                a.allocs.load(Ordering::Relaxed),
+                a.deallocs.load(Ordering::Relaxed),
+                e.pool().persistence_events(),
+            ]
+        };
+        let before = counts(&rec.esys);
+        assert!(before[4] > 0, "event counting is armed");
+        let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
+        assert_eq!(counts(&rec.esys), before, "recovery wrote to the pool");
+        assert_eq!((m2.len(), m2.capacity()), (35, 16));
+
+        // Crash the untouched pool again: same capacity, len and contents.
+        let rec2 = montage::recovery::recover(rec.esys.pool().crash(), EsysConfig::default(), 2);
+        let m3 = MontageHashMap::<Key>::recover(rec2.esys.clone(), 1, 4, &rec2);
+        assert_eq!((m3.len(), m3.capacity()), (35, 16));
+        let (t2, t3) = (rec.esys.register_thread(), rec2.esys.register_thread());
+        for i in 0..35 {
+            let want = format!("v{i}");
+            assert_eq!(m2.get_owned(t2, &key(i)).unwrap(), want.as_bytes());
+            assert_eq!(m3.get_owned(t3, &key(i)).unwrap(), want.as_bytes());
+        }
     }
 
     #[test]
@@ -1136,24 +1021,19 @@ mod tests {
             m.put(tid, key(i), b"v");
         }
         s.sync(); // durable at the pre-resize geometry
-        m.put(tid, key(8), b"v"); // trips the trigger, installs a descriptor
+        m.put(tid, key(8), b"v"); // trips the trigger, installs a resize
         assert!(m.resizing() || m.resizes_completed() > 0);
-        // Crash without syncing: the descriptor's epoch never sealed.
+        // Crash without syncing: the ninth key's epoch never sealed.
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
-        assert_eq!(
-            m2.capacity(),
-            4,
-            "unsynced descriptor must not grow the map"
-        );
+        assert_eq!(m2.capacity(), 4, "an unsynced key must not grow the map");
         assert_eq!(m2.len(), 8);
     }
 
     #[test]
     fn mid_resize_crash_recovers_every_synced_key() {
         // Install a resize, migrate only *some* buckets, sync, crash: the
-        // recovered map must hold every synced key exactly once, at the
-        // rolled-forward capacity.
+        // recovered map must hold every synced key exactly once, in one level.
         let s = sys();
         let m = MontageHashMap::<Key>::with_max_load(s.clone(), 1, 4, 2);
         let tid = s.register_thread();

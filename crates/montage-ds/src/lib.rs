@@ -28,7 +28,7 @@
 
 mod codec;
 pub mod graph;
-pub mod hashmap;
+mod hashmap;
 mod nbqueue;
 pub mod queue;
 mod sortedlist;

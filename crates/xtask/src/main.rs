@@ -844,9 +844,9 @@ mod census {
     pub(super) const UNNAMED_PUB_CEILING: usize = 21;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
-    /// Most non-test lines under `crates/*/src` (ROADMAP item 6 wants
+    /// Most non-test lines under `crates/*/src` (ROADMAP item 8 wants
     /// 20 000); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 20_433;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 20_238;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

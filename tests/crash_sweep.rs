@@ -23,12 +23,12 @@
 //!    every cut recovers each key exactly once.
 //! 6. A *mid-resize* sweep: a tiny-table workload that drives the hashmap
 //!    through three full online resizes, crashed exhaustively at every
-//!    persistence event — which by construction includes every resize
-//!    descriptor install, every per-bucket migration mark, and every level
-//!    retirement. Recovery must land on the state after some prefix of the
-//!    op history (per key: exactly the pre- or the post-migration view,
-//!    never a torn mix within one bucket), must never resurrect an
-//!    in-flight resize, and the recovered map must remain fully usable.
+//!    persistence event of the key payloads those resizes move between
+//!    levels (the resize itself persists nothing). Recovery must land on the
+//!    state after some prefix of the op history (per key: exactly the pre-
+//!    or the post-migration view, never a torn mix within one bucket), must
+//!    never resurrect an in-flight resize, and the recovered map must remain
+//!    fully usable.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -613,7 +613,7 @@ fn kvstore_resize_stall_sweep_recovers_each_key_once() {
 const R_NBUCKETS: usize = 2;
 const R_MAX_LOAD: usize = 1;
 /// Distinct keys inserted: with a 2-bucket table and load factor 1 the map
-/// resizes at 3, 5, and 9 live entries — three full descriptor/migrate/retire
+/// resizes at 3, 5, and 9 live entries — three full install/migrate/retire
 /// cycles inside one scripted run.
 const R_KEYS: u64 = 12;
 const R_MAX_CAP: usize = 16;
@@ -672,7 +672,7 @@ fn run_resize(pool: &PmemPool, script: &[ROp]) -> usize {
 /// contents equal the model after **some** prefix of the script (each key is
 /// wholly pre- or post-cut — a mixed bucket could never equal any single
 /// prefix), and the recovered map still takes writes and survives a forced
-/// drain of whatever level the rolled-forward geometry implies.
+/// drain of whatever resize that write installs.
 fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Result<(), String> {
     let rec = match montage::try_recover(durable, small_esys_cfg(), 1) {
         Err(RecoveryError::UnformattedPool) => return Ok(()),
@@ -737,7 +737,7 @@ fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Res
     // Usability probe: the recovered map keeps working — a fresh write, a
     // forced drain of any growth it triggers, and nothing recovered is lost.
     m.put(tid, key(R_KEYS + 1), &0xFEEDu64.to_le_bytes());
-    m.finish_resize(tid);
+    m.finish_resize();
     for (k, v) in &recovered {
         match m.get_owned(tid, &key(*k)) {
             Some(b) if b[..8] == v.to_le_bytes() => {}
@@ -757,10 +757,10 @@ fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Res
     Ok(())
 }
 
-/// Acceptance criterion: crashing at *every* persistence event of a run
-/// holding three in-flight resizes — descriptor installs, per-bucket
-/// migration marks, level retirements, and the key payloads between them —
-/// always recovers a consistent prefix with a legal, usable geometry.
+/// Acceptance criterion: crashing at *every* persistence event of the key
+/// payloads a resize moves between levels — a run holding three in-flight
+/// resizes — always recovers a consistent prefix with a legal, usable
+/// geometry.
 #[test]
 fn resize_protocol_is_prefix_consistent_at_every_crash_point() {
     let script = resize_script();

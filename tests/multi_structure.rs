@@ -3,7 +3,6 @@
 //! behalf of one or more concurrent data structures" claim.
 
 use montage::{EpochSys, EsysConfig};
-use montage_ds::hashmap::META_TAG_BIT;
 use montage_ds::{
     tags, MontageGraph, MontageHashMap, MontageNbQueue, MontageQueue, MontageSortedList,
 };
@@ -162,7 +161,6 @@ fn tag_registry_has_no_collisions() {
         ("tags::KV_SESSION", "kvstore::SESSION_TAG"),
     ];
     for (i, (a, ta)) in all.iter().enumerate() {
-        assert_eq!(ta & META_TAG_BIT, 0, "{a} has the metadata bit set");
         for (b, tb) in &all[i + 1..] {
             assert_eq!(
                 ta == tb,

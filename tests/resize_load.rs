@@ -134,7 +134,7 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
     // ≥2 completed online resizes (8 buckets × load 2: 2000 keys force the
     // table through 16, 32, … — many more than two in practice).
     let tid = esys.register_thread();
-    map.finish_resize(tid);
+    map.finish_resize();
     assert!(
         map.resizes_completed() >= 2,
         "only {} resizes completed under load",
