@@ -10,17 +10,12 @@
 //! and routing dominate), span 100 is the working-set headline, span 1000
 //! amortizes everything but the merge and the wire bytes.
 //!
-//! Alongside the CSV, the run writes `BENCH_fig_scan.json` (or
-//! `$BENCH_JSON_PATH`) for `xtask bench-diff`; the manifest gates the
-//! span-100 scan throughput and its p99.
-//!
-//! Knobs: `MONTAGE_BENCH_CLIENTS` (default 8), `MONTAGE_BENCH_VALUE`
-//! (default 64 — a scan reply carries `span` values, so values are kept
-//! small enough that the merge, not the wire, is under test),
-//! `MONTAGE_BENCH_WRITE_PCT` (default 10 — percent of pipelined ops that
-//! are `set`s, so scans always run against live mutation),
-//! `MONTAGE_BENCH_REPEATS` (default 3), and `MONTAGE_BENCH_SCALE` as
-//! everywhere else.
+//! Fixed shape: 8 clients; 64-byte values (a scan reply carries `span`
+//! values, so values are kept small enough that the merge, not the wire, is
+//! under test); 10 % of pipelined ops are `set`s, so scans always run
+//! against live mutation; each row reports the median-throughput repetition
+//! of 3. `MONTAGE_BENCH_SCALE` as everywhere else. Ungated: the numbers are
+//! printed, nothing compares them (`mbench` is the gate).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -28,20 +23,22 @@ use std::time::Instant;
 use kvserver::{KvServer, ServerConfig, WireClient};
 use kvstore::ShardedKvStore;
 use montage::{Advancer, EsysConfig};
-use montage_bench::harness::{env_scale, env_usize};
-use montage_bench::report::{self, percentile, JsonReport};
+use montage_bench::harness::env_scale;
+use montage_bench::report::{self, percentile};
 use pmem::{LatencyModel, PmemConfig, PmemMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SHARDS: usize = 4;
 const PIPELINE: usize = 16;
+const CLIENTS: usize = 8;
+const VALUE_BYTES: usize = 64;
+const WRITE_PCT: u64 = 10;
+const REPEATS: usize = 3;
 
 struct Knobs {
     records: u64,
     total_ops: u64,
-    clients: usize,
-    write_pct: u64,
     value: Vec<u8>,
 }
 
@@ -52,7 +49,7 @@ struct RunResult {
 
 /// One full measurement at `span`: fresh 4-shard store, wire preload of
 /// `records` zero-padded keys, then timed pipelined scan/set mixes from
-/// `clients` connections.
+/// `CLIENTS` connections.
 fn run_once(span: u64, k: &Knobs) -> RunResult {
     let total_bytes = (96 << 20) + k.records as usize * (k.value.len() + 256) * 4;
     let pool_cfg = PmemConfig {
@@ -65,7 +62,7 @@ fn run_once(span: u64, k: &Knobs) -> RunResult {
         SHARDS,
         pool_cfg,
         EsysConfig {
-            max_threads: k.clients + 4,
+            max_threads: CLIENTS + 4,
             ..Default::default()
         },
         64,
@@ -78,7 +75,7 @@ fn run_once(span: u64, k: &Knobs) -> RunResult {
     );
     let handle = KvServer::start_sharded(
         ServerConfig {
-            max_conns: k.clients + 2,
+            max_conns: CLIENTS + 2,
             sync_every: Some(1),
             ..Default::default()
         },
@@ -99,12 +96,12 @@ fn run_once(span: u64, k: &Knobs) -> RunResult {
         c.quit().expect("quit");
     }
 
-    let per_thread = k.total_ops / k.clients as u64;
-    let barrier = Barrier::new(k.clients + 1);
+    let per_thread = k.total_ops / CLIENTS as u64;
+    let barrier = Barrier::new(CLIENTS + 1);
     let lat_all = parking_lot::Mutex::new(Vec::<u64>::new());
     let start_cell = parking_lot::Mutex::new(None::<Instant>);
     std::thread::scope(|s| {
-        for t in 0..k.clients {
+        for t in 0..CLIENTS {
             let barrier = &barrier;
             let lat_all = &lat_all;
             let k = &k;
@@ -120,7 +117,7 @@ fn run_once(span: u64, k: &Knobs) -> RunResult {
                     .map(|_| {
                         let mut packet = Vec::with_capacity(PIPELINE * 48);
                         for _ in 0..PIPELINE {
-                            if rng.gen_range(0..100) < k.write_pct {
+                            if rng.gen_range(0..100) < WRITE_PCT {
                                 let i = rng.gen_range(0..k.records);
                                 packet.extend_from_slice(
                                     format!("set s{i:08} 0 0 {}\r\n", k.value.len()).as_bytes(),
@@ -170,7 +167,7 @@ fn run_once(span: u64, k: &Knobs) -> RunResult {
     let elapsed = start_cell.lock().unwrap().elapsed();
     handle.shutdown();
 
-    let ops = (per_thread / PIPELINE as u64) * PIPELINE as u64 * k.clients as u64;
+    let ops = (per_thread / PIPELINE as u64) * PIPELINE as u64 * CLIENTS as u64;
     let mut lats = std::mem::take(&mut *lat_all.lock());
     lats.sort_unstable();
     RunResult {
@@ -184,58 +181,29 @@ fn main() {
     let knobs = Knobs {
         records: ((50_000.0 * scale) as u64).max(4_000),
         total_ops: ((40_000.0 * scale) as u64).max(4_000),
-        clients: env_usize("MONTAGE_BENCH_CLIENTS", 8),
-        write_pct: env_usize("MONTAGE_BENCH_WRITE_PCT", 10) as u64,
-        value: vec![b'a'; env_usize("MONTAGE_BENCH_VALUE", 64)],
+        value: vec![b'a'; VALUE_BYTES],
     };
-    let repeats = env_usize("MONTAGE_BENCH_REPEATS", 3).max(1);
 
     report::header(
         "fig-scan",
         &format!(
             "sharded kvserver, pipelined scan/set mix over loopback, {} records, \
-             {} ops, {} clients, {}B values, {}% writes, median of {repeats} runs",
-            knobs.records,
-            knobs.total_ops,
-            knobs.clients,
-            knobs.value.len(),
-            knobs.write_pct,
+             {} ops, {CLIENTS} clients, {VALUE_BYTES}B values, {WRITE_PCT}% writes, \
+             median of {REPEATS} runs",
+            knobs.records, knobs.total_ops,
         ),
         &["span", "ops_per_sec", "batch_p50_us", "batch_p99_us"],
     );
 
-    let mut json = JsonReport::new("fig_scan");
-    json.field("clients", knobs.clients as u64);
-    json.field("write_pct", knobs.write_pct);
-    json.field("value_bytes", knobs.value.len() as u64);
-    json.field("records", knobs.records);
-    json.headline(&JsonReport::slug(&["span", "100", "ops_per_sec"]));
-
     for span in [1u64, 100, 1000] {
-        let mut runs: Vec<RunResult> = (0..repeats).map(|_| run_once(span, &knobs)).collect();
+        let mut runs: Vec<RunResult> = (0..REPEATS).map(|_| run_once(span, &knobs)).collect();
         runs.sort_by(|a, b| a.tput.total_cmp(&b.tput));
         let run = runs.swap_remove(runs.len() / 2);
-
-        let p50 = percentile(&run.lats, 0.50);
-        let p99 = percentile(&run.lats, 0.99);
         report::row(&[
             span.to_string(),
             report::raw(run.tput),
-            p50.to_string(),
-            p99.to_string(),
+            percentile(&run.lats, 0.50).to_string(),
+            percentile(&run.lats, 0.99).to_string(),
         ]);
-        json.row(vec![
-            ("span".to_string(), span.into()),
-            ("ops_per_sec".to_string(), run.tput.into()),
-            ("batch_p50_us".to_string(), p50.into()),
-            ("batch_p99_us".to_string(), p99.into()),
-        ]);
-        let sp = span.to_string();
-        json.metric(&JsonReport::slug(&["span", &sp, "ops_per_sec"]), run.tput);
-        json.metric(&JsonReport::slug(&["span", &sp, "p99_us"]), p99 as f64);
-    }
-    match json.write() {
-        Ok(path) => println!("# json: {}", path.display()),
-        Err(e) => eprintln!("# json write failed: {e}"),
     }
 }

@@ -14,24 +14,15 @@
 //! exactly as the real single-pool Montage server is; each extra shard adds
 //! an independent device.
 //!
-//! Alongside the CSV, the run writes `BENCH_fig_shard_scaling.json` (or
-//! `$BENCH_JSON_PATH`) for `xtask bench-diff`: the manifest gates both the
-//! 4-shard throughput headline and its tail latency, so the detectable-ops
-//! descriptor write on the mutation path is regression-gated here.
-//!
-//! Knobs: `MONTAGE_BENCH_CLIENTS` (default 8), `MONTAGE_BENCH_SYNC_EVERY`
-//! (default 1, i.e. every acked mutation is durable before its reply — the
-//! strongest service level, and the one where the sync path is the
-//! bottleneck under test), `MONTAGE_BENCH_SESSIONS` (default 1 — every
-//! client attaches a durable session and stamps mutations with request
-//! ids, so each update also writes its 96-byte descriptor; set 0 for the
-//! pre-dedupe wire protocol),
-//! `MONTAGE_BENCH_VALUE` (bytes per value, default 4096 — large enough
-//! that media drain, not the wire, dominates), `MONTAGE_BENCH_REPEATS`
-//! (default 3 — each row reports the median-throughput repetition),
-//! `MONTAGE_BENCH_DRAM=1` (free latency model, a pure CPU-cost baseline
-//! for calibrating how device-bound the default run is), and
-//! `MONTAGE_BENCH_SCALE` as everywhere else.
+//! Fixed shape: 8 clients; a sync per mutation (every acked mutation is
+//! durable before its reply — the strongest service level, and the one where
+//! the sync path is the bottleneck under test); every client attaches a
+//! durable session and stamps mutations with request ids, so each update also
+//! writes its 96-byte descriptor; 4096-byte values (large enough that media
+//! drain, not the wire, dominates); the Optane latency model; each row
+//! reports the median-throughput repetition of 3. `MONTAGE_BENCH_SCALE` as
+//! everywhere else. Ungated: the numbers are printed, nothing compares them
+//! (`mbench` is the gate).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -39,19 +30,20 @@ use std::time::Instant;
 use kvserver::{KvServer, ServerConfig, WireClient};
 use kvstore::ShardedKvStore;
 use montage::{Advancer, EsysConfig};
-use montage_bench::harness::{env_scale, env_usize};
-use montage_bench::report::{self, percentile, JsonReport, PersistCost};
+use montage_bench::harness::env_scale;
+use montage_bench::report::{self, percentile, PersistCost};
 use pmem::{LatencyModel, PmemConfig, PmemMode};
 use workloads::ycsb::{YcsbOp, YcsbWorkload};
+
+const CLIENTS: usize = 8;
+const SYNC_EVERY: u64 = 1;
+const VALUE_BYTES: usize = 4096;
+const REPEATS: usize = 3;
 
 struct Knobs {
     records: u64,
     total_ops: u64,
-    clients: usize,
-    sync_every: u64,
-    sessions: bool,
     value: Vec<u8>,
-    lat_model: LatencyModel,
 }
 
 struct RunResult {
@@ -61,7 +53,7 @@ struct RunResult {
 }
 
 /// One full measurement at `n_shards`: fresh store, wire preload, timed
-/// pipelined YCSB-A from `clients` connections.
+/// pipelined YCSB-A from `CLIENTS` connections.
 fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
     const PIPELINE: usize = 32;
     // Same total NVM budget regardless of shard count.
@@ -69,7 +61,7 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
     let pool_cfg = PmemConfig {
         size: total_bytes / n_shards,
         mode: PmemMode::Fast,
-        latency: k.lat_model,
+        latency: LatencyModel::OPTANE,
         chaos: Default::default(),
     };
     let store = ShardedKvStore::format(
@@ -77,7 +69,7 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
         pool_cfg,
         EsysConfig {
             // ids per *shard*: preload + every client may touch it.
-            max_threads: k.clients + 4,
+            max_threads: CLIENTS + 4,
             ..Default::default()
         },
         64,
@@ -91,8 +83,8 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
 
     let handle = KvServer::start_sharded(
         ServerConfig {
-            max_conns: k.clients + 2,
-            sync_every: Some(k.sync_every),
+            max_conns: CLIENTS + 2,
+            sync_every: Some(SYNC_EVERY),
             ..Default::default()
         },
         Arc::clone(&store),
@@ -112,24 +104,21 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
     }
 
     let before = store.pool_stats_merged().unwrap_or_default();
-    let per_thread = k.total_ops / k.clients as u64;
-    let barrier = Barrier::new(k.clients + 1);
+    let per_thread = k.total_ops / CLIENTS as u64;
+    let barrier = Barrier::new(CLIENTS + 1);
     let lat_all = parking_lot::Mutex::new(Vec::<u64>::new());
     let start_cell = parking_lot::Mutex::new(None::<Instant>);
     std::thread::scope(|s| {
-        for t in 0..k.clients {
+        for t in 0..CLIENTS {
             let barrier = &barrier;
             let value = &k.value;
             let lat_all = &lat_all;
             let records = k.records;
-            let sessions = k.sessions;
             s.spawn(move || {
                 let mut c = WireClient::connect(addr).expect("connect");
-                if sessions {
-                    // Durable client identity: every update below carries a
-                    // request id and writes a descriptor on its key's shard.
-                    c.session(t as u64 + 1).expect("session");
-                }
+                // Durable client identity: every update below carries a
+                // request id and writes a descriptor on its key's shard.
+                c.session(t as u64 + 1).expect("session");
                 let ops: Vec<YcsbOp> =
                     YcsbWorkload::with_mix(records, per_thread, 0x5CA1E + t as u64, 500).collect();
                 // Serialize every request packet before the clock starts
@@ -154,14 +143,9 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
                                     // increasing, so each shard sees a
                                     // strictly increasing subsequence —
                                     // always the apply-fresh path.
-                                    let trailer = if sessions {
-                                        rid += 1;
-                                        format!(" rid={rid}")
-                                    } else {
-                                        String::new()
-                                    };
+                                    rid += 1;
                                     packet.extend_from_slice(
-                                        format!("set k{k} 0 0 {}{trailer}\r\n", value.len())
+                                        format!("set k{k} 0 0 {} rid={rid}\r\n", value.len())
                                             .as_bytes(),
                                     );
                                     packet.extend_from_slice(value);
@@ -213,7 +197,7 @@ fn run_once(n_shards: usize, k: &Knobs) -> RunResult {
     let after = store.pool_stats_merged().unwrap_or_default();
     handle.shutdown();
 
-    let ops = per_thread * k.clients as u64;
+    let ops = per_thread * CLIENTS as u64;
     let mut lats = std::mem::take(&mut *lat_all.lock());
     lats.sort_unstable();
     RunResult {
@@ -228,29 +212,16 @@ fn main() {
     let knobs = Knobs {
         records: ((YcsbWorkload::RECORDS as f64 * scale) as u64).max(1_000),
         total_ops: ((YcsbWorkload::OPS as f64 * scale) as u64).max(5_000),
-        clients: env_usize("MONTAGE_BENCH_CLIENTS", 8),
-        sync_every: env_usize("MONTAGE_BENCH_SYNC_EVERY", 1) as u64,
-        sessions: env_usize("MONTAGE_BENCH_SESSIONS", 1) != 0,
-        value: vec![b'a'; env_usize("MONTAGE_BENCH_VALUE", 4096)],
-        lat_model: if std::env::var("MONTAGE_BENCH_DRAM").is_ok() {
-            LatencyModel::DRAM
-        } else {
-            LatencyModel::OPTANE
-        },
+        value: vec![b'a'; VALUE_BYTES],
     };
-    let repeats = env_usize("MONTAGE_BENCH_REPEATS", 3).max(1);
 
     report::header(
         "fig-shard-scaling",
         &format!(
-            "sharded kvserver, YCSB-A over loopback, {} records, {} ops, {} clients, \
-             {}B values, sync every {} mutations, sessions={}, median of {repeats} runs",
-            knobs.records,
-            knobs.total_ops,
-            knobs.clients,
-            knobs.value.len(),
-            knobs.sync_every,
-            knobs.sessions
+            "sharded kvserver, YCSB-A over loopback, {} records, {} ops, {CLIENTS} clients, \
+             {VALUE_BYTES}B values, sync every {SYNC_EVERY} mutations, sessions, \
+             median of {REPEATS} runs",
+            knobs.records, knobs.total_ops,
         ),
         &[
             "shards",
@@ -264,64 +235,27 @@ fn main() {
         ],
     );
 
-    let mut json = JsonReport::new("fig_shard_scaling");
-    json.field("clients", knobs.clients as u64);
-    json.field("sync_every", knobs.sync_every);
-    json.field("sessions", if knobs.sessions { 1u64 } else { 0 });
-    json.field("value_bytes", knobs.value.len() as u64);
-    json.headline(&JsonReport::slug(&["shards", "4", "ops_per_sec"]));
-
     let mut base_tput = None::<f64>;
     for n_shards in [1usize, 2, 4, 8] {
         // Scheduler noise on a shared box swings single runs by ±15%; the
         // median repetition is the stable figure.
-        let mut runs: Vec<RunResult> = (0..repeats).map(|_| run_once(n_shards, &knobs)).collect();
+        let mut runs: Vec<RunResult> = (0..REPEATS).map(|_| run_once(n_shards, &knobs)).collect();
         runs.sort_by(|a, b| a.tput.total_cmp(&b.tput));
         let run = runs.swap_remove(runs.len() / 2);
 
         let speedup = run.tput / *base_tput.get_or_insert(run.tput);
-        let p50 = percentile(&run.lats, 0.50);
-        let p99 = percentile(&run.lats, 0.99);
-        let p999 = percentile(&run.lats, 0.999);
         let [flushes, fences] = run.cost.fields();
         report::row(&[
             n_shards.to_string(),
             report::raw(run.tput),
             format!("{speedup:.2}"),
-            p50.to_string(),
-            p99.to_string(),
-            p999.to_string(),
-            flushes.clone(),
-            fences.clone(),
+            percentile(&run.lats, 0.50).to_string(),
+            percentile(&run.lats, 0.99).to_string(),
+            // The p999 panel is the nonblocking-advance story: the tail a
+            // single straggling thread used to put on *everyone's* sync.
+            percentile(&run.lats, 0.999).to_string(),
+            flushes,
+            fences,
         ]);
-        json.row(vec![
-            ("shards".to_string(), (n_shards as u64).into()),
-            ("ops_per_sec".to_string(), run.tput.into()),
-            ("speedup".to_string(), speedup.into()),
-            ("batch_p50_us".to_string(), p50.into()),
-            ("batch_p99_us".to_string(), p99.into()),
-            ("batch_p999_us".to_string(), p999.into()),
-            ("flushes_per_op".to_string(), run.cost.flushes_per_op.into()),
-            ("fences_per_op".to_string(), run.cost.fences_per_op.into()),
-        ]);
-        let shards = n_shards.to_string();
-        json.metric(
-            &JsonReport::slug(&["shards", &shards, "ops_per_sec"]),
-            run.tput,
-        );
-        json.metric(
-            &JsonReport::slug(&["shards", &shards, "p99_us"]),
-            p99 as f64,
-        );
-        // The p999 panel is the nonblocking-advance story: the tail a
-        // single straggling thread used to put on *everyone's* sync.
-        json.metric(
-            &JsonReport::slug(&["shards", &shards, "p999_us"]),
-            p999 as f64,
-        );
-    }
-    match json.write() {
-        Ok(path) => println!("# json: {}", path.display()),
-        Err(e) => eprintln!("# json write failed: {e}"),
     }
 }

@@ -62,15 +62,6 @@ pub fn env_scale() -> f64 {
         .unwrap_or(0.04)
 }
 
-/// An integer knob of one figure (`MONTAGE_BENCH_CLIENTS`, …): the variable's
-/// value, or `default` when unset or unparsable.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The one timed driver: `p.threads` workers each build their state with
 /// `setup(t)` (untimed), start together, and run `op(t, &mut state, nth)` —
 /// `nth` counting that worker's ops from 1 — until `p.duration` has passed.

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use interleave::{check, Config};
+use interleave::{check, Config, Report};
 use montage::sync::thread;
 use montage::{EpochSys, EsysConfig, FreeStrategy, PersistStrategy};
 use montage_ds::MontageHashMap;
@@ -41,7 +41,7 @@ fn tiny_esys() -> Arc<EpochSys> {
 /// the grown level.
 #[test]
 fn resize_never_loses_a_key_from_racing_lookups() {
-    let r = check(Config::from_env(), || {
+    let r: Report = check(Config::from_env(), || {
         let sys = tiny_esys();
         let map = Arc::new(MontageHashMap::with_max_load(sys.clone(), 7, 1, 1));
         let t0 = sys.register_thread();

@@ -240,6 +240,12 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     let detects = store.detect_stats_per_shard();
     let mirrors = store.ordered_mirror_bytes_per_shard();
     let epochs = store.epochs();
+    // How far behind durability is, in µs: what each shard's device still
+    // has to drain.
+    let backlogs: Vec<Option<u64>> = (0..store.n_shards())
+        .map(|i| store.shard(i).esys())
+        .map(|esys| esys.map(|e| e.pool().device_backlog().as_micros() as u64))
+        .collect();
     let shard_fences: Vec<_> = shared
         .stats
         .shard_fences
@@ -267,6 +273,10 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
         stat("pmem_clwbs", snap.clwbs);
         stat("pmem_sfences", snap.sfences);
         stat("pmem_lines_drained", snap.lines_drained);
+        // The worst shard's: an ack waits for the slowest device it touched.
+        if let Some(backlog) = backlogs.iter().flatten().max() {
+            stat("pmem_device_backlog_us", *backlog);
+        }
         stat("pmem_crashes", snap.crashes);
         stat("pmem_injected_crashes", snap.injected_crashes);
         stat("pmem_torn_lines", snap.torn_lines);
@@ -359,8 +369,7 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
                     snap.quarantined_payloads,
                 );
             }
-            if let Some(esys) = store.shard(i).esys() {
-                let backlog = esys.pool().device_backlog().as_micros() as u64;
+            if let Some(backlog) = backlogs[i] {
                 stat(&format!("shard{i}_pmem_device_backlog_us"), backlog);
             }
             if let Some(e) = epochs[i] {

@@ -360,6 +360,10 @@ fn stats_reports_persistence_counters() {
     assert_eq!(stats["curr_connections"], 1);
     assert!(stats["pmem_clwbs"] > 0, "sync must have flushed lines");
     assert!(stats["pmem_sfences"] > 0);
+    assert!(
+        stats.contains_key("pmem_device_backlog_us"),
+        "durability lag in µs is reported at every shard count"
+    );
     assert_eq!(stats["pmem_injected_crashes"], 0);
     assert_eq!(stats["pmem_torn_lines"], 0);
     assert_eq!(stats["pmem_quarantined_payloads"], 0);
@@ -375,7 +379,7 @@ fn stats_reports_persistence_counters() {
 /// rename or reorder a line unnoticed.
 #[test]
 fn stats_names_are_golden_on_one_and_four_shards() {
-    const STORE_WIDE: [&str; 32] = [
+    const STORE_WIDE: [&str; 33] = [
         "curr_items",
         "evictions",
         "ordered_mirror_bytes",
@@ -386,6 +390,7 @@ fn stats_names_are_golden_on_one_and_four_shards() {
         "pmem_clwbs",
         "pmem_sfences",
         "pmem_lines_drained",
+        "pmem_device_backlog_us",
         "pmem_crashes",
         "pmem_injected_crashes",
         "pmem_torn_lines",

@@ -100,6 +100,7 @@ mod tests {
         assert_eq!(c.persist, PersistStrategy::Buffered(64));
         assert_eq!(c.free, FreeStrategy::Background);
         assert_eq!(c.epoch_length, Duration::from_millis(10));
+        assert_eq!(c.advance_grace_spins, 4096);
     }
 
     #[test]

@@ -164,9 +164,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(),
         Some("census") => census::run(),
-        Some("bench-diff") => bench_diff::run(&args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | census | bench-diff>");
+            eprintln!("usage: cargo run -p xtask -- <lint | census>");
             ExitCode::from(2)
         }
     }
@@ -846,7 +845,7 @@ mod census {
     pub(super) const WAIVER_CEILING: usize = 12;
     /// Most non-test lines under `crates/*/src` (ROADMAP item 8 wants
     /// 20 000); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 20_238;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 20_078;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {
@@ -1280,308 +1279,6 @@ mod tests {
             let over = census::over_ceiling(&census);
             assert_eq!(over.len(), 1, "{over:?}");
             assert!(over[0].starts_with(complaint), "{over:?}");
-        }
-    }
-}
-
-/// `bench-diff`: the benchmark regression gate.
-///
-/// Compares a fresh `BENCH_<figure>.json` (written by the bench binaries;
-/// see `montage_bench::report::JsonReport`) against the checked-in baseline
-/// under `benches/baselines/`, and fails when a **gated** metric regressed
-/// by more than its threshold. Gated metrics are the run's headline plus
-/// any listed for the figure in `benches/baselines/manifest.txt` — lines of
-/// `<figure> <slug> [threshold_pct]`, `#` comments. Other metrics are
-/// reported but never gate — on a noisy shared box only the metrics a
-/// change is *about* are stable enough to block on, and the manifest is
-/// where a figure declares which those are (ops/s *and* tail latency).
-///
-/// The parser below handles exactly the subset of JSON that
-/// `JsonReport::render` emits (string fields, a flat `"metrics"` object of
-/// slug → number) — hand-rolled because the workspace builds offline with
-/// no JSON dependency.
-mod bench_diff {
-    use std::path::PathBuf;
-    use std::process::ExitCode;
-
-    pub fn run(args: &[String]) -> ExitCode {
-        let mut new_path: Option<PathBuf> = None;
-        let mut baseline_path: Option<PathBuf> = None;
-        let mut manifest_path: Option<PathBuf> = None;
-        let mut threshold_pct: f64 = 15.0;
-        let mut report_only = false;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--baseline" => match it.next() {
-                    Some(p) => baseline_path = Some(p.into()),
-                    None => return usage("--baseline needs a path"),
-                },
-                "--manifest" => match it.next() {
-                    Some(p) => manifest_path = Some(p.into()),
-                    None => return usage("--manifest needs a path"),
-                },
-                "--threshold" => match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => threshold_pct = v,
-                    None => return usage("--threshold needs a percentage"),
-                },
-                "--report-only" => report_only = true,
-                p if new_path.is_none() && !p.starts_with('-') => new_path = Some(p.into()),
-                other => return usage(&format!("unknown argument {other:?}")),
-            }
-        }
-        let Some(new_path) = new_path else {
-            return usage("missing the new results file");
-        };
-
-        let new = match Report::load(&new_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench-diff: cannot read {}: {e}", new_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline_path = baseline_path.unwrap_or_else(|| {
-            super::repo_root()
-                .join("benches/baselines")
-                .join(format!("BENCH_{}.json", new.figure))
-        });
-        let base = match Report::load(&baseline_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!(
-                    "bench-diff: no baseline at {} ({e}); nothing to gate against",
-                    baseline_path.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-        };
-
-        let manifest_path = manifest_path
-            .unwrap_or_else(|| super::repo_root().join("benches/baselines/manifest.txt"));
-        let gates = match std::fs::read_to_string(&manifest_path) {
-            Ok(src) => match parse_manifest(&src) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("bench-diff: {}: {e}", manifest_path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            // No manifest is fine: the headline still gates.
-            Err(_) => Vec::new(),
-        };
-        let figure_gates: Vec<&Gate> = gates.iter().filter(|g| g.figure == new.figure).collect();
-
-        println!(
-            "bench-diff: {} vs baseline {}",
-            new_path.display(),
-            baseline_path.display()
-        );
-        let mut regressions: Vec<String> = Vec::new();
-        let mut compared = 0usize;
-        for (slug, new_v) in &new.metrics {
-            let manifest_gate = figure_gates.iter().find(|g| &g.slug == slug);
-            let is_headline = *slug == new.headline;
-            let Some(base_v) = base.metrics.get(slug) else {
-                if is_headline || manifest_gate.is_some() {
-                    // A gate with no baseline can't block, but say so out
-                    // loud — a silently un-gated metric looks gated.
-                    println!("  {slug}: gated but absent from baseline, skipping");
-                }
-                continue;
-            };
-            compared += 1;
-            // All gated slugs are throughput-or-latency; higher is better
-            // for *_ops_per_sec, lower for *_us. Express both as "regression
-            // percent" so one threshold covers them.
-            let higher_better = slug.ends_with("_ops_per_sec");
-            let delta_pct = if higher_better {
-                (base_v - new_v) / base_v * 100.0
-            } else {
-                (new_v - base_v) / base_v * 100.0
-            };
-            let gate_pct = manifest_gate
-                .and_then(|g| g.threshold_pct)
-                .unwrap_or(threshold_pct);
-            let gated = is_headline || manifest_gate.is_some();
-            let flag = if gated && delta_pct > gate_pct {
-                regressions.push(format!("{slug} ({delta_pct:+.1}% past {gate_pct}%)"));
-                " REGRESSED"
-            } else {
-                ""
-            };
-            if gated || flag == " REGRESSED" {
-                println!(
-                    "  {}{}: {:.1} -> {:.1} ({:+.1}%, gate {gate_pct}%){flag}",
-                    if is_headline { "[headline] " } else { "" },
-                    slug,
-                    base_v,
-                    new_v,
-                    -delta_pct * if higher_better { 1.0 } else { -1.0 },
-                );
-            }
-        }
-        // A manifest entry naming a slug the run no longer emits is a gate
-        // that quietly stopped existing — fail it like a regression.
-        for g in &figure_gates {
-            if new.metrics.get(&g.slug).is_none() {
-                regressions.push(format!("{} (missing from the run)", g.slug));
-            }
-        }
-        let headline_in_manifest = figure_gates.iter().any(|g| g.slug == new.headline);
-        println!(
-            "  {compared} metrics compared, {} gated, default threshold {threshold_pct}%",
-            figure_gates.len() + usize::from(!headline_in_manifest)
-        );
-        if !regressions.is_empty() {
-            eprintln!("bench-diff: gated metrics regressed:");
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            if report_only {
-                eprintln!("bench-diff: --report-only, not failing the build");
-                return ExitCode::SUCCESS;
-            }
-            return ExitCode::FAILURE;
-        }
-        ExitCode::SUCCESS
-    }
-
-    /// One `<figure> <slug> [threshold_pct]` line of the manifest.
-    struct Gate {
-        figure: String,
-        slug: String,
-        threshold_pct: Option<f64>,
-    }
-
-    fn parse_manifest(src: &str) -> Result<Vec<Gate>, String> {
-        let mut out = Vec::new();
-        for (lineno, line) in src.lines().enumerate() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (figure, slug) = match (parts.next(), parts.next()) {
-                (Some(f), Some(s)) => (f.to_string(), s.to_string()),
-                _ => return Err(format!("line {}: want <figure> <slug>", lineno + 1)),
-            };
-            let threshold_pct = match parts.next() {
-                Some(t) => Some(
-                    t.parse::<f64>()
-                        .map_err(|_| format!("line {}: bad threshold {t:?}", lineno + 1))?,
-                ),
-                None => None,
-            };
-            if parts.next().is_some() {
-                return Err(format!("line {}: trailing tokens", lineno + 1));
-            }
-            out.push(Gate {
-                figure,
-                slug,
-                threshold_pct,
-            });
-        }
-        Ok(out)
-    }
-
-    fn usage(msg: &str) -> ExitCode {
-        eprintln!("bench-diff: {msg}");
-        eprintln!(
-            "usage: cargo run -p xtask -- bench-diff <new.json> \
-             [--baseline <path>] [--threshold <pct>] [--report-only]"
-        );
-        ExitCode::from(2)
-    }
-
-    pub struct Report {
-        pub figure: String,
-        pub headline: String,
-        pub metrics: Vec<(String, f64)>,
-    }
-
-    impl Report {
-        pub fn load(path: &std::path::Path) -> Result<Report, String> {
-            let src = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            Ok(Report {
-                figure: string_field(&src, "figure").ok_or("missing \"figure\"")?,
-                headline: string_field(&src, "headline").ok_or("missing \"headline\"")?,
-                metrics: metrics_object(&src)?,
-            })
-        }
-    }
-
-    trait Lookup {
-        fn get(&self, key: &str) -> Option<&f64>;
-    }
-    impl Lookup for Vec<(String, f64)> {
-        fn get(&self, key: &str) -> Option<&f64> {
-            self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Finds the top-level `"name": "value"` string field.
-    fn string_field(src: &str, name: &str) -> Option<String> {
-        let at = src.find(&format!("\"{name}\":"))?;
-        let rest = &src[at..];
-        let open = rest.find(": \"")? + 3;
-        let close = rest[open..].find('"')? + open;
-        Some(rest[open..close].to_string())
-    }
-
-    /// Parses the flat `"metrics": { "slug": number, ... }` object.
-    fn metrics_object(src: &str) -> Result<Vec<(String, f64)>, String> {
-        let at = src.find("\"metrics\":").ok_or("missing \"metrics\"")?;
-        let body = &src[at..];
-        let open = body.find('{').ok_or("metrics: no object")?;
-        let close = body[open..]
-            .find('}')
-            .ok_or("metrics: unterminated object")?
-            + open;
-        let mut out = Vec::new();
-        for pair in body[open + 1..close].split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("metrics: malformed pair {pair:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("metrics: non-numeric value in {pair:?}"))?;
-            out.push((key, value));
-        }
-        Ok(out)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::parse_manifest;
-
-        #[test]
-        fn manifest_parses_gates_comments_and_thresholds() {
-            let src = "\
-# figure        slug                          threshold_pct (default if absent)
-fig10_wire_ycsb ycsb_a_montage_sync1_p99_us   20
-fig_shard_scaling shards_4_ops_per_sec  # inline comment, default threshold
-";
-            let gates = parse_manifest(src).unwrap();
-            assert_eq!(gates.len(), 2);
-            assert_eq!(gates[0].figure, "fig10_wire_ycsb");
-            assert_eq!(gates[0].slug, "ycsb_a_montage_sync1_p99_us");
-            assert_eq!(gates[0].threshold_pct, Some(20.0));
-            assert_eq!(gates[1].figure, "fig_shard_scaling");
-            assert_eq!(gates[1].threshold_pct, None);
-        }
-
-        #[test]
-        fn manifest_rejects_malformed_lines() {
-            assert!(parse_manifest("just_a_figure\n").is_err());
-            assert!(parse_manifest("fig slug not_a_number\n").is_err());
-            assert!(parse_manifest("fig slug 10 extra\n").is_err());
         }
     }
 }
