@@ -61,16 +61,6 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Latency model used for transient-DRAM baselines: everything free.
-    pub const DRAM: LatencyModel = LatencyModel {
-        clwb_issue_ns: 0,
-        fence_per_line_ns: 0,
-        fence_base_ns: 0,
-        media_write_ns: 0,
-        media_read_ns: 0,
-        media_read_line_ns: 0,
-    };
-
     /// Optane-like defaults.
     pub const OPTANE: LatencyModel = LatencyModel {
         clwb_issue_ns: 20,

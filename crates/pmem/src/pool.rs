@@ -21,16 +21,18 @@ use crate::stats::PmemStats;
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 struct Working {
+    /// The image: the first page boundary inside the block at `base`.
     ptr: *mut u8,
+    base: *mut u8,
     layout: Layout,
 }
 
 impl Drop for Working {
     fn drop(&mut self) {
-        // SAFETY: `ptr` came from `alloc_zeroed(self.layout)` in
-        // `PmemPool::new` and is freed exactly once (Working is owned by the
-        // pool's Arc'd Inner).
-        unsafe { dealloc(self.ptr, self.layout) };
+        // SAFETY: `base` came from `alloc_zeroed(self.layout)` in
+        // `PmemPool::new` (`ptr` is the page boundary inside it) and is freed
+        // exactly once (Working is owned by the pool's Arc'd Inner).
+        unsafe { dealloc(self.base, self.layout) };
     }
 }
 
@@ -124,7 +126,12 @@ pub struct PmemPool {
 }
 
 impl PmemPool {
-    /// Allocates a fresh, zero-filled pool.
+    /// Allocates a fresh, zero-filled pool. Its images are zeroed lazily, as
+    /// a DAX mapping is: `config.size + 4096` bytes at alignment 16 take
+    /// std's `calloc` path, whose large blocks are fresh anonymous pages, so
+    /// a page becomes resident only when first touched. The working image
+    /// starts at the first page boundary inside that block, which keeps each
+    /// simulated 64-byte line one hardware line.
     pub fn new(config: PmemConfig) -> Self {
         assert!(config.size >= crate::ROOT_AREA_SIZE, "pool too small");
         assert_eq!(
@@ -132,11 +139,13 @@ impl PmemPool {
             0,
             "pool size must be line-aligned"
         );
-        let layout = Layout::from_size_align(config.size, 4096).expect("pool layout");
-        // SAFETY: the layout has non-zero size (asserted >= ROOT_AREA_SIZE
-        // above).
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "pool allocation failed");
+        let layout = Layout::from_size_align(config.size + 4096, 16).expect("pool layout");
+        // SAFETY: the layout has non-zero size.
+        let base = unsafe { alloc_zeroed(layout) };
+        assert!(!base.is_null(), "pool allocation failed");
+        // SAFETY: `base` is 16-aligned, so the pad is at most 4080 bytes and
+        // `pad + config.size` stays inside the block.
+        let ptr = unsafe { base.add(base.addr().wrapping_neg() & 4095) };
         let durable = match config.mode {
             PmemMode::Strict => Some(Mutex::new(vec![0u8; config.size].into_boxed_slice())),
             PmemMode::Fast => None,
@@ -146,7 +155,7 @@ impl PmemPool {
                 id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
                 config,
                 stats: PmemStats::default(),
-                working: Working { ptr, layout },
+                working: Working { ptr, base, layout },
                 durable,
                 pending: Mutex::new(HashSet::new()),
                 events: AtomicU64::new(0),
@@ -811,17 +820,14 @@ impl PmemPool {
                 format!("snapshot is {size} B but config.size is {} B", config.size),
             ));
         }
-        let mut image = vec![0u8; size];
-        f.read_exact(&mut image)?;
         let pool = PmemPool::new(config);
-        // Raw image copy, as in `crash()`: not a program store.
-        // SAFETY: `image.len() == size == config.size` was checked above;
-        // the snapshot buffer and the working image are distinct allocations.
-        unsafe {
-            std::ptr::copy_nonoverlapping(image.as_ptr(), pool.inner.working.ptr, image.len());
-        }
+        // Raw image fill, as in `crash()`: not a program store.
+        // SAFETY: the working image is `config.size == size` bytes, and no
+        // other handle to this fresh pool exists while the slice lives.
+        let image = unsafe { std::slice::from_raw_parts_mut(pool.inner.working.ptr, size) };
+        f.read_exact(image)?;
         if let Some(durable) = &pool.inner.durable {
-            durable.lock().copy_from_slice(&image);
+            durable.lock().copy_from_slice(image);
         }
         // Everything in a snapshot is by definition the durable image, so a
         // recovery-time read of any of it is legitimate prefix semantics.
@@ -1419,6 +1425,23 @@ mod tests {
         let mut buf = [1u8; 256];
         p.read_bytes(POff::new(12345 & !63), &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn image_base_is_page_aligned_and_zero_to_the_end() {
+        for size in [1 << 20, (64 << 20) + 64] {
+            let p = PmemPool::new(PmemConfig {
+                size,
+                ..PmemConfig::default()
+            });
+            // SAFETY: offset 0 is in bounds; only the address is inspected.
+            let base = unsafe { p.at::<u8>(POff::new(0)) };
+            assert_eq!(base.addr() % 4096, 0, "size {size}");
+            let (mut first, mut last) = ([1u8], [1u8]);
+            p.read_bytes(POff::new(0), &mut first);
+            p.read_bytes(POff::new(size as u64 - 1), &mut last);
+            assert_eq!((first, last), ([0], [0]), "size {size}");
+        }
     }
 
     // ---- fault plan ---------------------------------------------------------
