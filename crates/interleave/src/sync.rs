@@ -31,14 +31,24 @@ pub(crate) fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
 /// once to make the loss observable.
 #[inline]
 pub fn weaken(site: &str, ord: Ordering) -> Ordering {
-    if let Some(c) = current_ctx() {
-        if let Some(w) = &c.exec.weaken_site {
-            if w.split(',').any(|s| s.trim() == site) {
-                return Ordering::Relaxed;
-            }
-        }
+    if seeded(site) {
+        Ordering::Relaxed
+    } else {
+        ord
     }
-    ord
+}
+
+/// Seeded-bug hook for bugs that are not orderings: true when the current
+/// checker run was configured to weaken `site` (same comma-separated list as
+/// [`weaken`]), so the protocol code can take its deliberately wrong branch.
+#[inline]
+pub fn seeded(site: &str) -> bool {
+    current_ctx().is_some_and(|c| {
+        c.exec
+            .weaken_site
+            .as_ref()
+            .is_some_and(|w| w.split(',').any(|s| s.trim() == site))
+    })
 }
 
 /// Voluntary yield point: under the checker this is a zero-cost context
@@ -158,24 +168,6 @@ macro_rules! atomic_int {
             pub fn fetch_max(&self, val: $ty, ord: Ordering) -> $ty {
                 self.rmw_op(ord, &mut |o| Some((o as $ty).max(val) as u64), || {
                     self.inner.fetch_max(val, ord)
-                })
-            }
-
-            pub fn fetch_min(&self, val: $ty, ord: Ordering) -> $ty {
-                self.rmw_op(ord, &mut |o| Some((o as $ty).min(val) as u64), || {
-                    self.inner.fetch_min(val, ord)
-                })
-            }
-
-            pub fn fetch_or(&self, val: $ty, ord: Ordering) -> $ty {
-                self.rmw_op(ord, &mut |o| Some(((o as $ty) | val) as u64), || {
-                    self.inner.fetch_or(val, ord)
-                })
-            }
-
-            pub fn fetch_and(&self, val: $ty, ord: Ordering) -> $ty {
-                self.rmw_op(ord, &mut |o| Some(((o as $ty) & val) as u64), || {
-                    self.inner.fetch_and(val, ord)
                 })
             }
 

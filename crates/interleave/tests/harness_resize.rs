@@ -11,11 +11,10 @@
 //! duplicate a key — all three are found with their exact bytes,
 //! mid-migration or after.
 //!
-//! (The directory pointer itself is a crossbeam-epoch atomic the checker
-//! cannot instrument; its loads run serialized between facade points. The
-//! seal flags, chain locks, and migration cursor — the parts the resize
-//! protocol's correctness argument leans on — are all instrumented. See
-//! DESIGN.md §7 for the fidelity notes.)
+//! Everything the protocol touches is instrumented: the directory pointer,
+//! the seal flags, the chain locks and the migration cursor. Freeing the
+//! retired directories is `harness_retire`'s subject. See DESIGN.md §7 for
+//! the fidelity notes.
 
 use std::sync::Arc;
 
@@ -51,7 +50,7 @@ fn resize_never_loses_a_key_from_racing_lookups() {
         // install the resize before any racing thread exists.
         map.put(t0, 1u64, b"a");
         map.put(t0, 2u64, b"b");
-        assert!(map.resizing(), "max_load=1 must install a resize");
+        assert!(map.resizing(t0), "max_load=1 must install a resize");
 
         let m2 = map.clone();
         let racer = thread::spawn(move || {
@@ -68,14 +67,17 @@ fn resize_never_loses_a_key_from_racing_lookups() {
             assert!(!m2.put(t1, 3u64, b"c"), "key 3 is fresh");
         });
 
-        map.finish_resize();
+        map.finish_resize(t0);
         racer.join().unwrap();
         // The racing insert overloads the grown level again: if it landed
         // after the retirement it installed a second resize.
-        map.finish_resize();
+        map.finish_resize(t0);
 
-        assert!(!map.resizing(), "finish_resize must retire the old level");
-        assert!(matches!(map.capacity(), 2 | 4), "the level must have grown");
+        assert!(!map.resizing(t0), "finish_resize must retire the old level");
+        assert!(
+            matches!(map.capacity(t0), 2 | 4),
+            "the level must have grown"
+        );
         assert_eq!(map.len(), 3);
         assert_eq!(map.get_owned(t0, &1u64).as_deref(), Some(&b"a"[..]));
         assert_eq!(map.get_owned(t0, &2u64).as_deref(), Some(&b"b"[..]));

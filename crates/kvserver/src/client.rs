@@ -23,6 +23,14 @@ pub enum PipeOp<'a> {
     Scan(&'a str, &'a str),
 }
 
+/// One `VALUE <key> <flags> <len> [<cas>]` record of a retrieval reply.
+struct Record {
+    key: String,
+    flags: u32,
+    cas: Option<u64>,
+    data: Vec<u8>,
+}
+
 fn bad_reply(context: &str, got: &str) -> std::io::Error {
     std::io::Error::new(
         ErrorKind::InvalidData,
@@ -88,29 +96,53 @@ impl WireClient {
         self.send_raw(b"\r\n")
     }
 
-    /// `get`, returning `(flags, value)` for a hit and `None` for a miss.
-    pub fn get(&mut self, key: &str) -> std::io::Result<Option<(u32, Vec<u8>)>> {
-        self.send_raw(format!("get {key}\r\n").as_bytes())?;
+    /// Reads one record of a retrieval reply: `None` at the reply's `END`,
+    /// else the `VALUE` header and the value, whose `\r\n` is checked.
+    fn read_record(&mut self, verb: &str) -> std::io::Result<Option<Record>> {
         let head = self.read_line()?;
         if head == "END" {
             return Ok(None);
         }
+        let bad = || bad_reply(verb, &head);
         let mut parts = head.split_whitespace();
-        let (Some("VALUE"), Some(_k), Some(flags), Some(len)) =
+        let (Some("VALUE"), Some(key), Some(flags), Some(len)) =
             (parts.next(), parts.next(), parts.next(), parts.next())
         else {
-            return Err(bad_reply("get", &head));
+            return Err(bad());
         };
-        let flags: u32 = flags.parse().map_err(|_| bad_reply("get flags", &head))?;
-        let len: usize = len.parse().map_err(|_| bad_reply("get len", &head))?;
+        let flags: u32 = flags.parse().map_err(|_| bad())?;
+        let len: usize = len.parse().map_err(|_| bad())?;
+        let cas = parts.next().map(|c| c.parse().map_err(|_| bad()));
         let mut data = vec![0u8; len + 2]; // value + CRLF
         self.stream.read_exact(&mut data)?;
-        data.truncate(len);
-        let tail = self.read_line()?;
-        if tail != "END" {
-            return Err(bad_reply("get tail", &tail));
+        if &data[len..] != b"\r\n" {
+            return Err(bad());
         }
-        Ok(Some((flags, data)))
+        data.truncate(len);
+        Ok(Some(Record {
+            key: key.to_string(),
+            flags,
+            cas: cas.transpose()?,
+            data,
+        }))
+    }
+
+    /// A one-key retrieval's reply: at most one record, then `END`.
+    fn read_single(&mut self, verb: &str) -> std::io::Result<Option<Record>> {
+        let record = self.read_record(verb)?;
+        if record.is_some() {
+            let tail = self.read_line()?;
+            if tail != "END" {
+                return Err(bad_reply(verb, &tail));
+            }
+        }
+        Ok(record)
+    }
+
+    /// `get`, returning `(flags, value)` for a hit and `None` for a miss.
+    pub fn get(&mut self, key: &str) -> std::io::Result<Option<(u32, Vec<u8>)>> {
+        self.send_raw(format!("get {key}\r\n").as_bytes())?;
+        Ok(self.read_single("get")?.map(|r| (r.flags, r.data)))
     }
 
     /// One pipelined round: writes every request in a single burst, then
@@ -146,21 +178,7 @@ impl WireClient {
                     }
                 }
                 PipeOp::Get(..) => {
-                    let head = self.read_line()?;
-                    if head == "END" {
-                        continue;
-                    }
-                    let len: usize = head
-                        .split_whitespace()
-                        .nth(3)
-                        .and_then(|l| l.parse().ok())
-                        .ok_or_else(|| bad_reply("pipelined get", &head))?;
-                    let mut data = vec![0u8; len + 2];
-                    self.stream.read_exact(&mut data)?;
-                    let tail = self.read_line()?;
-                    if tail != "END" {
-                        return Err(bad_reply("pipelined get tail", &tail));
-                    }
+                    self.read_single("pipelined get")?;
                 }
                 PipeOp::Scan(..) => {
                     self.read_scan_records()?;
@@ -190,27 +208,10 @@ impl WireClient {
     /// announced lengths against the stream.
     fn read_scan_records(&mut self) -> std::io::Result<Vec<(String, u32, Vec<u8>)>> {
         let mut out = Vec::new();
-        loop {
-            let head = self.read_line()?;
-            if head == "END" {
-                return Ok(out);
-            }
-            let mut parts = head.split_whitespace();
-            let (Some("VALUE"), Some(key), Some(flags), Some(len)) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return Err(bad_reply("scan", &head));
-            };
-            let flags: u32 = flags.parse().map_err(|_| bad_reply("scan flags", &head))?;
-            let len: usize = len.parse().map_err(|_| bad_reply("scan len", &head))?;
-            let mut data = vec![0u8; len + 2]; // value + CRLF
-            self.stream.read_exact(&mut data)?;
-            if &data[len..] != b"\r\n" {
-                return Err(bad_reply("scan record tail", &head));
-            }
-            data.truncate(len);
-            out.push((key.to_string(), flags, data));
+        while let Some(r) = self.read_record("scan")? {
+            out.push((r.key, r.flags, r.data));
         }
+        Ok(out)
     }
 
     /// `delete`, returning the reply line (`DELETED` / `NOT_FOUND`).
@@ -290,31 +291,13 @@ impl WireClient {
     /// `gets`: like [`WireClient::get`] but returns `(flags, cas, value)`.
     pub fn gets(&mut self, key: &str) -> std::io::Result<Option<(u32, u64, Vec<u8>)>> {
         self.send_raw(format!("gets {key}\r\n").as_bytes())?;
-        let head = self.read_line()?;
-        if head == "END" {
+        let Some(r) = self.read_single("gets")? else {
             return Ok(None);
-        }
-        let mut parts = head.split_whitespace();
-        let (Some("VALUE"), Some(_k), Some(flags), Some(len), Some(cas)) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return Err(bad_reply("gets", &head));
         };
-        let flags: u32 = flags.parse().map_err(|_| bad_reply("gets flags", &head))?;
-        let cas: u64 = cas.parse().map_err(|_| bad_reply("gets cas", &head))?;
-        let len: usize = len.parse().map_err(|_| bad_reply("gets len", &head))?;
-        let mut data = vec![0u8; len + 2]; // value + CRLF
-        self.stream.read_exact(&mut data)?;
-        data.truncate(len);
-        let tail = self.read_line()?;
-        if tail != "END" {
-            return Err(bad_reply("gets tail", &tail));
-        }
-        Ok(Some((flags, cas, data)))
+        let cas = r
+            .cas
+            .ok_or_else(|| bad_reply("gets", "a VALUE line without a cas"))?;
+        Ok(Some((r.flags, cas, r.data)))
     }
 
     /// `incr`/`decr` by `delta`, optionally carrying a request id. Returns

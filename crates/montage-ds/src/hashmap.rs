@@ -25,15 +25,21 @@
 //! nothing: payloads carry no geometry, so recovery picks its own capacity
 //! from the survivor count (see [`MontageHashMap::recover`]).
 //!
+//! Every verb, reads included, runs in one Montage operation window opened
+//! before it loads the directory: a replaced directory is retired through
+//! [`EpochSys::retire_transient`] and outlives every open window.
+//!
 //! Payload layout: the key bytes (fixed-size `K: Copy`) followed by the
 //! value bytes.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crossbeam::epoch::{self, Atomic, Owned};
-use montage::sync::{spin_loop, uninstrumented as raw, AtomicBool, AtomicUsize, Mutex, Ordering};
-use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
+use montage::sync::{
+    spin_loop, uninstrumented as raw, AtomicBool, AtomicPtr, AtomicUsize, Mutex, MutexGuard,
+    Ordering,
+};
+use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId};
 
 use crate::codec;
 
@@ -91,7 +97,7 @@ struct ResizeState<K> {
 
 /// One published directory snapshot: the active level, plus the draining
 /// level while a resize is in flight. Immutable once published; swapped
-/// with a CAS and reclaimed through crossbeam-epoch.
+/// with a CAS and retired through the epoch system.
 struct Dir<K> {
     curr: Arc<Table<K>>,
     resize: Option<Arc<ResizeState<K>>>,
@@ -121,7 +127,8 @@ struct Dir<K> {
 pub struct MontageHashMap<K> {
     esys: Arc<EpochSys>,
     tag: u16,
-    dir: Atomic<Dir<K>>,
+    /// A `Box<Dir>`, never null.
+    dir: AtomicPtr<Dir<K>>,
     len: raw::AtomicUsize,
     /// Average chain length that triggers a resize.
     max_load: usize,
@@ -129,25 +136,21 @@ pub struct MontageHashMap<K> {
     resizes: raw::AtomicUsize,
 }
 
-// SAFETY: the directory is only touched under crossbeam-epoch guards and
-// all interior mutability goes through atomics or per-bucket locks, so with
-// `K: Send + Sync` the map as a whole is safe to share across threads.
+// SAFETY: the directory is read only inside an operation window and retired
+// through the epoch system, and all interior mutability goes through atomics
+// or per-bucket locks, so with `K: Send + Sync` the map as a whole is safe
+// to share across threads.
 unsafe impl<K: Send + Sync> Send for MontageHashMap<K> {}
 unsafe impl<K: Send + Sync> Sync for MontageHashMap<K> {}
 
 impl<K> Drop for MontageHashMap<K> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` means no other thread holds a guard into this
-        // map; the single published Dir box is exclusively ours to free.
-        unsafe {
-            let g = epoch::unprotected();
-            // ord(acquire): the directory pointer publishes the level arrays it
-            // points at; pairs with the Release side of the install CASes.
-            let d = self.dir.load(Ordering::Acquire, g);
-            if !d.is_null() {
-                drop(d.into_owned());
-            }
-        }
+        // ord(acquire): the directory pointer publishes the level arrays it
+        // points at; pairs with the Release side of the install CASes.
+        let d = self.dir.load(Ordering::Acquire);
+        // SAFETY: `&mut self` means no window is open on this map; the
+        // published Dir box is ours to free (replaced ones are retired).
+        drop(unsafe { Box::from_raw(d) });
     }
 }
 
@@ -162,13 +165,14 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// length exceeds `max_load`.
     pub fn with_max_load(esys: Arc<EpochSys>, tag: u16, nbuckets: usize, max_load: usize) -> Self {
         assert!(nbuckets > 0 && max_load > 0);
+        Self::from_table(esys, tag, Table::new(nbuckets), max_load)
+    }
+
+    fn from_table(esys: Arc<EpochSys>, tag: u16, curr: Arc<Table<K>>, max_load: usize) -> Self {
         MontageHashMap {
             esys,
             tag,
-            dir: Atomic::new(Dir {
-                curr: Table::new(nbuckets),
-                resize: None,
-            }),
+            dir: AtomicPtr::new(Box::into_raw(Box::new(Dir { curr, resize: None }))),
             len: raw::AtomicUsize::new(0),
             max_load,
             resizes: raw::AtomicUsize::new(0),
@@ -194,22 +198,14 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         while survivors > DEFAULT_MAX_LOAD * cap {
             cap *= 2;
         }
-        let map = Self::new(esys, tag, cap);
-        // ord(counter): recovery-time only; no concurrent readers yet.
-        map.len.store(survivors, Ordering::Relaxed);
-
-        let g = epoch::pin();
-        // SAFETY: the directory pointer is never null after new().
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        let dir = unsafe { map.dir.load(Ordering::Acquire, &g).deref() };
+        let table = Table::new(cap);
         std::thread::scope(|s| {
             for shard in &rec.shards {
-                s.spawn(|| {
+                let table = &table;
+                s.spawn(move || {
                     for item in shard.iter().filter(|it| it.tag == tag) {
                         let key: K = rec.with_bytes(item, codec::key_of);
-                        let idx = Self::index_in(&key, cap);
-                        let mut chain = dir.curr.buckets[idx].chain.lock();
+                        let mut chain = table.buckets[Self::index_in(&key, cap)].chain.lock();
                         debug_assert!(
                             !chain.iter().any(|e| e.key == key),
                             "duplicate key in recovered payload set"
@@ -222,6 +218,9 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
                 });
             }
         });
+        let map = Self::from_table(esys, tag, table, DEFAULT_MAX_LOAD);
+        // ord(counter): recovery-time only; no concurrent readers yet.
+        map.len.store(survivors, Ordering::Relaxed);
         map
     }
 
@@ -236,11 +235,20 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         (h.finish() as usize) % nbuckets
     }
 
+    /// The published directory, valid until the caller's window closes.
+    fn dir<'g>(&'g self, _g: &'g OpGuard<'_>) -> &'g Dir<K> {
+        // SAFETY: the pointer is never null, and a directory unlinked while
+        // the window is open is retired, not freed, until the window closes.
+        // ord(acquire): the directory pointer publishes the level arrays it
+        // points at; pairs with the Release side of the install CASes.
+        unsafe { &*self.dir.load(Ordering::Acquire) }
+    }
+
     // ---- resize machinery ------------------------------------------------
 
     /// Seals and drains old bucket `oi` into the resize's target level.
     /// Whoever seals the last bucket retires the level.
-    fn migrate_bucket(&self, rs: &ResizeState<K>, oi: usize) {
+    fn migrate_bucket(&self, g: &OpGuard<'_>, rs: &ResizeState<K>, oi: usize) {
         let bucket = &rs.prev.buckets[oi];
         // ord(acquire): pairs with the seal publish in `migrate_bucket`; a
         // sealed bucket's entries are reached via the target chain locks.
@@ -265,12 +273,12 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
         // migrator's seal before retiring the level; the release side
         // publishes our own bucket's drain.
         if rs.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.retire_level(rs);
+            self.retire_level(g, rs);
         }
     }
 
     /// Drains up to `n` not-yet-migrated old buckets off the shared cursor.
-    fn drain_some(&self, rs: &ResizeState<K>, n: usize) {
+    fn drain_some(&self, g: &OpGuard<'_>, rs: &ResizeState<K>, n: usize) {
         for _ in 0..n {
             // ord(relaxed): a work-claim ticket; duplicate claims are benign
             // because `migrate_bucket` is idempotent under the seal.
@@ -278,46 +286,19 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
             if oi >= rs.prev.buckets.len() {
                 return;
             }
-            self.migrate_bucket(rs, oi);
+            self.migrate_bucket(g, rs, oi);
         }
     }
 
     /// Every old bucket is sealed: publish the single-level directory.
-    fn retire_level(&self, rs: &ResizeState<K>) {
-        let guard = epoch::pin();
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        let cur = self.dir.load(Ordering::Acquire, &guard);
-        // SAFETY: directory pointers are never null and the guard pins them.
-        let cur_ref = unsafe { cur.deref() };
+    fn retire_level(&self, g: &OpGuard<'_>, rs: &ResizeState<K>) {
+        let cur = self.dir(g);
         debug_assert!(
-            cur_ref
-                .resize
-                .as_ref()
-                .is_some_and(|r| std::ptr::eq(&**r, rs)),
+            cur.resize.as_ref().is_some_and(|r| std::ptr::eq(&**r, rs)),
             "retiring a resize that is not the active one"
         );
-        let stable = Owned::new(Dir {
-            curr: rs.next.clone(),
-            resize: None,
-        })
-        .into_shared(&guard);
-        match self
-            .dir
-            // ord(acqrel): installing the post-resize directory publishes the
-            // merged level; the acquire side orders it after the losing racers.
-            .compare_exchange(cur, stable, Ordering::AcqRel, Ordering::Acquire, &guard)
-        {
-            Ok(_) => {
-                // SAFETY: `cur` is unlinked; later pins cannot reach it.
-                unsafe { guard.defer_destroy(cur) };
-            }
-            Err(_) => {
-                // Install is gated on `resize: None`, so nobody can have
-                // swapped the directory under an active resize.
-                unreachable!("directory changed under an active resize");
-            }
-        }
+        self.swap_dir(g, cur, rs.next.clone(), None)
+            .expect("install is gated on `resize: None`, so nobody swaps the directory under an active resize");
         // ord(counter): stats tally.
         self.resizes.fetch_add(1, Ordering::Relaxed);
     }
@@ -325,92 +306,101 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// Observed over-threshold load: try to install the two-level directory.
     /// Losing the install race is harmless — the winner grows to the same
     /// capacity.
-    fn try_install_resize(&self) {
-        let guard = epoch::pin();
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        let cur = self.dir.load(Ordering::Acquire, &guard);
-        // SAFETY: directory pointers are never null and the guard pins them.
-        let cur_ref = unsafe { cur.deref() };
-        if cur_ref.resize.is_some() {
+    fn try_install_resize(&self, g: &OpGuard<'_>) {
+        let cur = self.dir(g);
+        if cur.resize.is_some() {
             return; // one resize at a time
         }
-        let old_cap = cur_ref.curr.buckets.len();
+        let old_cap = cur.curr.buckets.len();
         let rs = Arc::new(ResizeState {
-            prev: cur_ref.curr.clone(),
+            prev: cur.curr.clone(),
             next: Table::new(old_cap * 2),
             pending: AtomicUsize::new(old_cap),
             cursor: AtomicUsize::new(0),
         });
-        let two_level = Owned::new(Dir {
-            curr: rs.next.clone(),
-            resize: Some(rs),
-        })
-        .into_shared(&guard);
-        match self
-            .dir
-            // ord(acqrel): installing the two-level directory publishes the fresh
-            // next level and the resize descriptor to every racing op.
-            .compare_exchange(cur, two_level, Ordering::AcqRel, Ordering::Acquire, &guard)
-        {
-            Ok(_) => {
-                // SAFETY: `cur` is unlinked; later pins cannot reach it.
-                unsafe { guard.defer_destroy(cur) };
-            }
-            Err(_) => {
-                // SAFETY: the losing Dir box was never published.
-                unsafe { drop(two_level.into_owned()) };
-            }
-        }
+        let _ = self.swap_dir(g, cur, rs.next.clone(), Some(rs));
     }
 
-    /// Write-path preamble: returns the directory's current level after
-    /// helping any in-flight resize past this key's old bucket (plus an
-    /// amortized batch). The returned closure-scope guarantees: locking the
-    /// returned level's bucket and finding it unsealed means the bucket
-    /// holds every entry of this key's chain.
-    fn writer_dir<'g>(&self, key: &K, guard: &'g epoch::Guard) -> &'g Dir<K> {
-        // SAFETY: directory pointers are never null and the guard pins them.
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        let dir = unsafe { self.dir.load(Ordering::Acquire, guard).deref() };
+    /// Replaces the published directory `cur` with `{curr, resize}` and
+    /// retires `cur`; `Err` if another thread replaced it first.
+    fn swap_dir(
+        &self,
+        g: &OpGuard<'_>,
+        cur: &Dir<K>,
+        curr: Arc<Table<K>>,
+        resize: Option<Arc<ResizeState<K>>>,
+    ) -> Result<(), ()> {
+        let cur = cur as *const Dir<K> as *mut Dir<K>;
+        let new = Box::into_raw(Box::new(Dir { curr, resize }));
+        // ord(acqrel): installing a directory publishes its levels and resize
+        // descriptor to every racing op; the acquire side orders it after
+        // the losing racers.
+        match self
+            .dir
+            .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
+        {
+            // SAFETY: `cur` came from `Box::into_raw` and is now unlinked:
+            // only windows open at this point can still hold it.
+            Ok(_) => unsafe { self.esys.retire_transient(g, cur) },
+            Err(_) => {
+                // SAFETY: the losing Dir box was never published.
+                drop(unsafe { Box::from_raw(new) });
+                return Err(());
+            }
+        }
+        Ok(())
+    }
+
+    /// Write-path preamble: the directory, after helping any in-flight resize
+    /// past this key's old bucket (plus an amortized batch).
+    fn writer_dir<'g>(&'g self, g: &'g OpGuard<'_>, key: &K) -> &'g Dir<K> {
+        let dir = self.dir(g);
         if let Some(rs) = &dir.resize {
             let oi = Self::index_in(key, rs.prev.buckets.len());
-            self.migrate_bucket(rs, oi);
-            self.drain_some(rs, MIGRATE_BATCH);
+            self.migrate_bucket(g, rs, oi);
+            self.drain_some(g, rs, MIGRATE_BATCH);
         }
         dir
     }
 
-    /// Runs `f` under the key's bucket lock in the newest level, retrying
-    /// across directory swaps (a sealed bucket means the snapshot is stale).
-    fn with_bucket<R>(&self, key: &K, mut f: impl FnMut(&mut Vec<Entry<K>>) -> R) -> R {
+    /// Runs `f` under the key's bucket lock in the newest level, in a window
+    /// `f` writes in, then checks the load. Retries in a fresh window on a
+    /// sealed bucket (stale directory) or a tick: `check_epoch` under the
+    /// lock keeps `"bucket lock orders epochs"` unreachable.
+    fn with_bucket<R>(
+        &self,
+        tid: ThreadId,
+        key: &K,
+        mut f: impl FnMut(&OpGuard<'_>, &mut Vec<Entry<K>>) -> R,
+    ) -> R {
         loop {
-            let guard = epoch::pin();
-            let dir = self.writer_dir(key, &guard);
-            let idx = Self::index_in(key, dir.curr.buckets.len());
-            let bucket = &dir.curr.buckets[idx];
+            let g = self.esys.begin_op(tid);
+            let dir = self.writer_dir(&g, key);
+            let bucket = &dir.curr.buckets[Self::index_in(key, dir.curr.buckets.len())];
             let mut chain = bucket.chain.lock();
             // ord(relaxed): re-check under the chain lock; the lock orders it.
-            if bucket.sealed.load(Ordering::Relaxed) {
-                continue; // a newer level drained this bucket; reload
+            if bucket.sealed.load(Ordering::Relaxed) || self.esys.check_epoch(&g).is_err() {
+                continue; // a newer level drained this bucket, or the clock ticked
             }
-            return f(&mut chain);
+            let r = f(&g, &mut chain);
+            drop(chain);
+            self.maybe_resize(&g);
+            return r;
         }
     }
 
     /// Drives any in-flight resize to completion (tests and benchmarks use
     /// this to measure steady-state layouts).
-    pub fn finish_resize(&self) {
+    pub fn finish_resize(&self, tid: ThreadId) {
         loop {
-            let guard = epoch::pin();
-            // SAFETY: directory pointers are never null; the guard pins them.
-            // ord(acquire): the directory pointer publishes the level arrays it
-            // points at; pairs with the Release side of the install CASes.
-            let dir = unsafe { self.dir.load(Ordering::Acquire, &guard).deref() };
-            let Some(rs) = &dir.resize else { return };
-            for oi in 0..rs.prev.buckets.len() {
-                self.migrate_bucket(rs, oi);
+            {
+                let g = self.esys.begin_op(tid);
+                let Some(rs) = &self.dir(&g).resize else {
+                    return;
+                };
+                for oi in 0..rs.prev.buckets.len() {
+                    self.migrate_bucket(&g, rs, oi);
+                }
             }
             // Every bucket is sealed; if a helper sealed the last one, the
             // retirement is its to publish — let it run.
@@ -419,15 +409,8 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     }
 
     /// Current bucket count of the active level.
-    pub fn capacity(&self) -> usize {
-        let guard = epoch::pin();
-        // SAFETY: directory pointers are never null; the guard pins them.
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        unsafe { self.dir.load(Ordering::Acquire, &guard).deref() }
-            .curr
-            .buckets
-            .len()
+    pub fn capacity(&self, tid: ThreadId) -> usize {
+        self.dir(&self.esys.begin_op(tid)).curr.buckets.len()
     }
 
     /// Completed (retired) resizes since construction or recovery.
@@ -437,28 +420,18 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     }
 
     /// Whether a resize is currently in flight.
-    pub fn resizing(&self) -> bool {
-        let guard = epoch::pin();
-        // SAFETY: directory pointers are never null; the guard pins them.
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        unsafe { self.dir.load(Ordering::Acquire, &guard).deref() }
-            .resize
-            .is_some()
+    pub fn resizing(&self, tid: ThreadId) -> bool {
+        self.dir(&self.esys.begin_op(tid)).resize.is_some()
     }
 
     /// Post-write load check; installs a new level when over threshold.
-    fn maybe_resize(&self) {
-        let guard = epoch::pin();
-        // SAFETY: directory pointers are never null; the guard pins them.
-        // ord(acquire): the directory pointer publishes the level arrays it
-        // points at; pairs with the Release side of the install CASes.
-        let dir = unsafe { self.dir.load(Ordering::Acquire, &guard).deref() };
+    fn maybe_resize(&self, g: &OpGuard<'_>) {
+        let dir = self.dir(g);
+        // ord(counter): size estimate only.
         if dir.resize.is_none()
             && self.len.load(Ordering::Relaxed) > self.max_load * dir.curr.buckets.len()
         {
-            drop(guard);
-            self.try_install_resize();
+            self.try_install_resize(g);
         }
     }
 
@@ -467,93 +440,90 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// Inserts or updates; returns `true` if the key already existed.
     pub fn put(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
         let ksize = std::mem::size_of::<K>();
-        let existed = self.with_bucket(&key, |chain| {
-            let g = self.esys.begin_op(tid);
+        self.with_bucket(tid, &key, |g, chain| {
             if let Some(e) = chain.iter_mut().find(|e| e.key == key) {
                 // In place, copy-on-write or (size changed) a same-uid
                 // replacement; the returned handle replaces the indirection.
                 e.payload = self
                     .esys
-                    .overwrite_tail(&g, e.payload, ksize, value)
+                    .overwrite_tail(g, e.payload, ksize, value)
                     .expect("bucket lock orders epochs");
                 true
             } else {
-                let h = self
-                    .esys
-                    .pnew_parts(&g, self.tag, codec::key_image(&key), value);
-                chain.push(Entry { key, payload: h });
-                // ord(counter): size estimate only.
-                self.len.fetch_add(1, Ordering::Relaxed);
+                self.push_new(g, chain, key, value);
                 false
             }
-        });
-        self.maybe_resize();
-        existed
+        })
     }
 
     /// Inserts only if absent; returns `false` if the key existed.
     pub fn insert(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
-        let inserted = self.with_bucket(&key, |chain| {
-            if chain.iter().any(|e| e.key == key) {
-                return false;
+        self.with_bucket(tid, &key, |g, chain| {
+            let absent = !chain.iter().any(|e| e.key == key);
+            if absent {
+                self.push_new(g, chain, key, value);
             }
-            let g = self.esys.begin_op(tid);
-            let h = self
-                .esys
-                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
-            chain.push(Entry { key, payload: h });
-            // ord(counter): size estimate only.
-            self.len.fetch_add(1, Ordering::Relaxed);
-            true
-        });
-        if inserted {
-            self.maybe_resize();
-        }
-        inserted
+            absent
+        })
     }
 
-    /// Looks up `key`, applying `f` to the value bytes. Read-only: skips
-    /// `BEGIN_OP`/`END_OP` per the paper (reads are invisible to recovery),
-    /// never helps a migration, and synchronizes only on transient bucket
-    /// locks. During a resize the unsealed old bucket is authoritative for
-    /// its keys (writers seal before inserting into the new level).
-    pub fn get<R>(&self, _tid: ThreadId, key: &K, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let ksize = std::mem::size_of::<K>();
-        let mut f = Some(f);
-        loop {
-            let guard = epoch::pin();
-            // SAFETY: directory pointers are never null; the guard pins them.
-            // ord(acquire): the directory pointer publishes the level arrays it
-            // points at; pairs with the Release side of the install CASes.
-            let dir = unsafe { self.dir.load(Ordering::Acquire, &guard).deref() };
-            if let Some(rs) = &dir.resize {
-                let ob = &rs.prev.buckets[Self::index_in(key, rs.prev.buckets.len())];
-                // ord(acquire): pairs with the seal publish in `migrate_bucket`; a
-                // sealed bucket's entries are reached via the target chain locks.
-                if !ob.sealed.load(Ordering::Acquire) {
-                    let chain = ob.chain.lock();
-                    if !ob.sealed.load(Ordering::Relaxed) {
-                        // Unsealed ⇒ this bucket still owns all of its keys.
-                        let e = chain.iter().find(|e| e.key == *key);
-                        return e.map(|e| {
-                            self.esys
-                                .peek_bytes_unsafe(e.payload, |b| (f.take().unwrap())(&b[ksize..]))
-                        });
-                    }
-                    // Sealed while we waited: fall through to the new level.
+    fn push_new(&self, g: &OpGuard<'_>, chain: &mut Vec<Entry<K>>, key: K, value: &[u8]) {
+        let payload = self
+            .esys
+            .pnew_parts(g, self.tag, codec::key_image(&key), value);
+        chain.push(Entry { key, payload });
+        // ord(counter): size estimate only.
+        self.len.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The chain that owns `key` in `dir`, locked; `None` if `dir` is stale.
+    /// During a resize the unsealed old bucket is authoritative for its keys
+    /// (writers seal before inserting into the new level).
+    fn owning_chain<'g>(&self, dir: &'g Dir<K>, key: &K) -> Option<MutexGuard<'g, Vec<Entry<K>>>> {
+        if let Some(rs) = &dir.resize {
+            let ob = &rs.prev.buckets[Self::index_in(key, rs.prev.buckets.len())];
+            // ord(acquire): pairs with the seal publish in `migrate_bucket`; a
+            // sealed bucket's entries are reached via the target chain locks.
+            if !ob.sealed.load(Ordering::Acquire) {
+                let chain = ob.chain.lock();
+                // ord(relaxed): re-check under the chain lock; the lock orders it.
+                if !ob.sealed.load(Ordering::Relaxed) {
+                    return Some(chain); // unsealed ⇒ it still owns all its keys
                 }
+                // Sealed while we waited: fall through to the new level.
             }
-            let bucket = &dir.curr.buckets[Self::index_in(key, dir.curr.buckets.len())];
-            let chain = bucket.chain.lock();
-            // ord(relaxed): re-check under the chain lock; the lock orders it.
-            if bucket.sealed.load(Ordering::Relaxed) {
-                continue; // stale snapshot: a newer level owns this key now
-            }
-            let e = chain.iter().find(|e| e.key == *key);
-            return e.map(|e| {
-                self.esys
-                    .peek_bytes_unsafe(e.payload, |b| (f.take().unwrap())(&b[ksize..]))
-            });
+        }
+        let bucket = &dir.curr.buckets[Self::index_in(key, dir.curr.buckets.len())];
+        let chain = bucket.chain.lock();
+        // ord(relaxed): re-check under the chain lock; the lock orders it.
+        (!bucket.sealed.load(Ordering::Relaxed)).then_some(chain)
+    }
+
+    /// Looks up `key`, applying `f` to the value bytes. Read-only, as in
+    /// nbMontage: it opens an operation window, so nothing it reads can be
+    /// freed under it, but writes nothing persistent, never helps a
+    /// migration, and synchronizes only on transient bucket locks.
+    pub fn get<R>(&self, tid: ThreadId, key: &K, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let ksize = std::mem::size_of::<K>();
+        let g = self.esys.begin_op(tid);
+        loop {
+            let dir = self.dir(&g);
+            // A sealed bucket in the active level: a newer level owns the key.
+            let Some(chain) = self.owning_chain(dir, key) else {
+                continue;
+            };
+            let found = chain
+                .iter()
+                .find(|e| e.key == *key)
+                .map(|e| self.esys.peek_bytes_unsafe(e.payload, |b| f(&b[ksize..])));
+            drop(chain);
+            // Model-check probe: the directory outlived the window.
+            #[cfg(feature = "interleave-check")]
+            assert!(
+                !self.esys.debug_freed(dir),
+                "directory freed under a registered reader"
+            );
+            return found;
         }
     }
 
@@ -564,14 +534,13 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
 
     /// Removes `key`; returns `true` if it existed.
     pub fn remove(&self, tid: ThreadId, key: &K) -> bool {
-        self.with_bucket(key, |chain| {
+        self.with_bucket(tid, key, |g, chain| {
             let Some(pos) = chain.iter().position(|e| e.key == *key) else {
                 return false;
             };
-            let g = self.esys.begin_op(tid);
             let e = chain.swap_remove(pos);
             self.esys
-                .pdelete(&g, e.payload)
+                .pdelete(g, e.payload)
                 .expect("bucket lock orders epochs");
             // ord(counter): size estimate only.
             self.len.fetch_sub(1, Ordering::Relaxed);
@@ -672,13 +641,13 @@ mod tests {
         for i in 0..100 {
             m.put(tid, key(i), format!("v{i}").as_bytes());
         }
-        m.finish_resize();
+        m.finish_resize(tid);
         assert!(
             m.resizes_completed() >= 2,
             "100 keys over a 4×2 trigger must resize repeatedly, got {}",
             m.resizes_completed()
         );
-        assert!(m.capacity() > 4, "capacity grew: {}", m.capacity());
+        assert!(m.capacity(tid) > 4, "capacity grew: {}", m.capacity(tid));
         assert_eq!(m.len(), 100);
         for i in 0..100 {
             assert_eq!(
@@ -715,7 +684,7 @@ mod tests {
             h.join().unwrap();
         }
         let tid = s.register_thread();
-        m.finish_resize();
+        m.finish_resize(tid);
         assert!(
             m.resizes_completed() >= 2,
             "2000 keys from 8 buckets: got {} resizes",
@@ -775,7 +744,7 @@ mod tests {
         for i in 64..800 {
             m.put(tid0, key(i), b"x");
         }
-        m.finish_resize();
+        m.finish_resize(tid0);
         stop.store(true, Ordering::Relaxed);
         let checks: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(checks > 0);
@@ -908,26 +877,26 @@ mod tests {
         for i in 0..60 {
             m.put(tid, key(i), b"v");
         }
-        m.finish_resize();
-        assert!(m.capacity() > 4);
+        m.finish_resize(tid);
+        assert!(m.capacity(tid) > 4);
         s.sync();
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 2);
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
         // The recovered size is recovery's choice, not the live map's (32):
         // a 4 · 2^k that holds the survivors at the default load.
-        let cap = m2.capacity();
-        assert!(!m2.resizing());
+        let tid2 = rec.esys.register_thread();
+        let cap = m2.capacity(tid2);
+        assert!(!m2.resizing(tid2));
         assert!(cap >= 4 && cap.is_multiple_of(4) && (cap / 4).is_power_of_two());
         assert!(60 <= DEFAULT_MAX_LOAD * cap, "over-full at {cap} buckets");
         assert_eq!(m2.len(), 60);
-        let tid2 = rec.esys.register_thread();
         for i in 0..60 {
             assert!(m2.get_owned(tid2, &key(i)).is_some(), "key {i} lost");
         }
         // A second crash, nothing synced in between: same image, same map.
         let rec2 = montage::recovery::recover(rec.esys.pool().crash(), EsysConfig::default(), 2);
         let m3 = MontageHashMap::<Key>::recover(rec2.esys.clone(), 1, 4, &rec2);
-        assert_eq!(m3.capacity(), cap);
+        assert_eq!(m3.capacity(rec2.esys.register_thread()), cap);
         assert_eq!(m3.len(), 60);
     }
 
@@ -980,7 +949,7 @@ mod tests {
         for i in 0..35 {
             m.put(tid, key(i), format!("v{i}").as_bytes());
         }
-        assert!(m.resizing(), "the image must be cut mid-resize");
+        assert!(m.resizing(tid), "the image must be cut mid-resize");
         s.sync();
 
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 2);
@@ -998,13 +967,14 @@ mod tests {
         assert!(before[4] > 0, "event counting is armed");
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
         assert_eq!(counts(&rec.esys), before, "recovery wrote to the pool");
-        assert_eq!((m2.len(), m2.capacity()), (35, 16));
+        let t2 = rec.esys.register_thread();
+        assert_eq!((m2.len(), m2.capacity(t2)), (35, 16));
 
         // Crash the untouched pool again: same capacity, len and contents.
         let rec2 = montage::recovery::recover(rec.esys.pool().crash(), EsysConfig::default(), 2);
         let m3 = MontageHashMap::<Key>::recover(rec2.esys.clone(), 1, 4, &rec2);
-        assert_eq!((m3.len(), m3.capacity()), (35, 16));
-        let (t2, t3) = (rec.esys.register_thread(), rec2.esys.register_thread());
+        let t3 = rec2.esys.register_thread();
+        assert_eq!((m3.len(), m3.capacity(t3)), (35, 16));
         for i in 0..35 {
             let want = format!("v{i}");
             assert_eq!(m2.get_owned(t2, &key(i)).unwrap(), want.as_bytes());
@@ -1022,11 +992,15 @@ mod tests {
         }
         s.sync(); // durable at the pre-resize geometry
         m.put(tid, key(8), b"v"); // trips the trigger, installs a resize
-        assert!(m.resizing() || m.resizes_completed() > 0);
+        assert!(m.resizing(tid) || m.resizes_completed() > 0);
         // Crash without syncing: the ninth key's epoch never sealed.
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 1);
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
-        assert_eq!(m2.capacity(), 4, "an unsynced key must not grow the map");
+        assert_eq!(
+            m2.capacity(rec.esys.register_thread()),
+            4,
+            "an unsynced key must not grow the map"
+        );
         assert_eq!(m2.len(), 8);
     }
 
@@ -1046,8 +1020,11 @@ mod tests {
         let rec = montage::recovery::recover(s.pool().crash(), EsysConfig::default(), 2);
         let m2 = MontageHashMap::<Key>::recover(rec.esys.clone(), 1, 4, &rec);
         assert_eq!(m2.len(), 9);
-        assert!(!m2.resizing(), "recovery must not leave a resize in flight");
         let tid2 = rec.esys.register_thread();
+        assert!(
+            !m2.resizing(tid2),
+            "recovery must not leave a resize in flight"
+        );
         for i in 0..9 {
             assert_eq!(
                 m2.get_owned(tid2, &key(i)).unwrap(),

@@ -22,7 +22,11 @@
 //!
 //! The two keyed structures share one payload layout (`codec`: key image,
 //! then value) and overwrite a value through one verb,
-//! [`montage::EpochSys::overwrite_tail`]. Every structure has a `recover`
+//! [`montage::EpochSys::overwrite_tail`]. Montage's epoch system is the only
+//! one here: every verb reads transient pointers inside its `begin_op`
+//! window, and unlinked nodes and directories are freed on Montage's
+//! reclamation frontier ([`montage::EpochSys::retire_transient`]). Every
+//! structure has a `recover`
 //! constructor that rebuilds its transient state from a
 //! [`montage::RecoveredState`], optionally in parallel.
 

@@ -5,16 +5,15 @@
 //! epoch verification restarts the operation in the new epoch, preserving
 //! lock freedom (the epoch advanced, so the system made progress).
 //!
-//! Transient nodes (reclaimed via crossbeam's epoch GC) carry the payload
-//! handles and sequence numbers; the persistent state is identical to
+//! Transient nodes (retired through [`EpochSys::retire_transient`]) carry
+//! the payload handles and sequence numbers; the persistent state is identical to
 //! [`crate::MontageQueue`]'s, so recovery is shared logic: sort payloads by
 //! sequence number.
 
 use std::sync::Arc;
 
-use crossbeam::epoch::{self, Guard};
 use montage::dcss::CasVerifyError;
-use montage::{EpochSys, PHandle, RecoveredState, ThreadId, VerifyCell};
+use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId, VerifyCell};
 
 const SEQ_BYTES: usize = 8;
 
@@ -33,7 +32,8 @@ pub struct MontageNbQueue {
     tail: VerifyCell,
 }
 
-// SAFETY: raw node pointers are managed through crossbeam-epoch.
+// SAFETY: nodes are read only inside operation windows and retired through
+// the epoch system; all shared state is `VerifyCell` atomics.
 unsafe impl Send for MontageNbQueue {}
 unsafe impl Sync for MontageNbQueue {}
 
@@ -42,10 +42,12 @@ fn node_ptr(n: *const Node) -> u64 {
 }
 
 /// # Safety
-/// `ptr` must hold a pointer obtained from `node_ptr` on a node that has not
-/// yet been reclaimed; the guard pins the epoch for the reference's lifetime.
-unsafe fn node_ref(ptr: u64, _g: &Guard) -> &Node {
-    &*(ptr as *const Node)
+/// `ptr` must hold a pointer obtained from `node_ptr` on a node loaded from
+/// the queue inside the window `_g`: an unlinked node is retired, not freed,
+/// until the window closes.
+unsafe fn node_ref<'g>(ptr: u64, _g: &'g OpGuard<'_>) -> &'g Node {
+    // SAFETY: per this function's contract.
+    unsafe { &*(ptr as *const Node) }
 }
 
 impl MontageNbQueue {
@@ -109,10 +111,9 @@ impl MontageNbQueue {
     pub fn enqueue(&self, tid: ThreadId, value: &[u8]) {
         loop {
             let g = self.esys.begin_op(tid);
-            let eg = epoch::pin();
             let tail_ptr = self.tail.load(&self.esys);
-            // SAFETY: loaded from the live queue under the pinned guard.
-            let tail = unsafe { node_ref(tail_ptr, &eg) };
+            // SAFETY: loaded from the live queue inside `g`.
+            let tail = unsafe { node_ref(tail_ptr, &g) };
             let next = tail.next.load(&self.esys);
             if next != 0 {
                 // Stale tail: help swing it, then retry.
@@ -150,10 +151,9 @@ impl MontageNbQueue {
     pub fn dequeue(&self, tid: ThreadId) -> Option<Vec<u8>> {
         loop {
             let g = self.esys.begin_op(tid);
-            let eg = epoch::pin();
             let head_ptr = self.head.load(&self.esys);
-            // SAFETY: loaded from the live queue under the pinned guard.
-            let head = unsafe { node_ref(head_ptr, &eg) };
+            // SAFETY: loaded from the live queue inside `g`.
+            let head = unsafe { node_ref(head_ptr, &g) };
             let next = head.next.load(&self.esys);
             if next == 0 {
                 return None;
@@ -163,9 +163,8 @@ impl MontageNbQueue {
                 self.tail.cas_plain(&self.esys, tail_ptr, next);
                 continue;
             }
-            // SAFETY: `next` was read under the pinned guard, so the node
-            // cannot be reclaimed before `eg` drops.
-            let next_node = unsafe { node_ref(next, &eg) };
+            // SAFETY: `next` was read from the queue inside `g`.
+            let next_node = unsafe { node_ref(next, &g) };
             // Copy the value out before linearizing; if our CAS loses, the
             // copy is discarded (the bytes may then be a competitor's
             // garbage, which is fine — we never return them).
@@ -175,12 +174,9 @@ impl MontageNbQueue {
             match self.head.cas_verify(&self.esys, &g, head_ptr, next) {
                 Ok(()) => {
                     let _ = self.esys.pdelete(&g, next_node.payload);
-                    // SAFETY: the CAS unlinked the old dummy, so no new
-                    // reader can reach it; the deferred drop runs after every
-                    // pinned guard that might still hold it has unpinned.
-                    unsafe {
-                        eg.defer_unchecked(move || drop(Box::from_raw(head_ptr as *mut Node)));
-                    }
+                    // SAFETY: the CAS unlinked the old dummy, a node box, so
+                    // no later operation can reach it.
+                    unsafe { self.esys.retire_transient(&g, head_ptr as *mut Node) };
                     return Some(value);
                 }
                 Err(_) => continue,
@@ -192,15 +188,13 @@ impl MontageNbQueue {
 impl Drop for MontageNbQueue {
     fn drop(&mut self) {
         // Single-threaded at drop: free the node chain.
-        let eg = epoch::pin();
         let mut cur = self.head.load(&self.esys);
         while cur != 0 {
             // SAFETY: `&mut self` in Drop means no other thread holds the
-            // queue; every chained node is exclusively ours to read and free.
-            let next = unsafe { node_ref(cur, &eg) }.next.load(&self.esys);
-            // SAFETY: see above.
-            drop(unsafe { Box::from_raw(cur as *mut Node) });
-            cur = next;
+            // queue; every chained node is exclusively ours to read and free
+            // (unlinked ones belong to the epoch system).
+            let node = unsafe { Box::from_raw(cur as *mut Node) };
+            cur = node.next.load(&self.esys);
         }
     }
 }

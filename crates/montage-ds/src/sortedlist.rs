@@ -39,11 +39,12 @@
 //! Payload layout is the shared keyed one (`codec`): key bytes (fixed-size
 //! `K: Copy`) followed by the value bytes.
 
-use montage::sync::{spin_loop, uninstrumented as raw, AtomicU64, AtomicUsize, Mutex, Ordering};
+use montage::sync::{
+    spin_loop, uninstrumented as raw, AtomicPtr, AtomicU64, AtomicUsize, Mutex, Ordering,
+};
 use std::sync::Arc;
 
-use crossbeam::epoch::{self, Atomic, Owned, Shared};
-use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
+use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId};
 
 use crate::codec;
 
@@ -59,7 +60,30 @@ struct Node<K> {
     /// value updates against `PDELETE` (an unmarked node's payload is
     /// always live while this lock is held).
     payload: Mutex<PHandle<[u8]>>,
-    next: Atomic<Node<K>>,
+    /// Successor, with [`MARK`] in its low bit once this node is deleted.
+    next: AtomicPtr<Node<K>>,
+}
+
+fn marked<K>(p: *mut Node<K>) -> bool {
+    p.addr() & MARK != 0
+}
+
+fn with_mark<K>(p: *mut Node<K>) -> *mut Node<K> {
+    p.map_addr(|a| a | MARK)
+}
+
+fn unmarked<K>(p: *mut Node<K>) -> *mut Node<K> {
+    p.map_addr(|a| a & !MARK)
+}
+
+/// A node reached inside the window `_g`.
+///
+/// # Safety
+/// `p` is non-null, unmarked, and was loaded from the list inside that
+/// window: an unlinked node is retired, not freed, until the window closes.
+unsafe fn node<'g, K>(p: *mut Node<K>, _g: &'g OpGuard<'_>) -> &'g Node<K> {
+    // SAFETY: per this function's contract.
+    unsafe { &*p }
 }
 
 /// A buffered-persistent sorted map (Harris linked list + consistent range
@@ -68,7 +92,7 @@ struct Node<K> {
 pub struct MontageSortedList<K> {
     esys: Arc<EpochSys>,
     tag: u16,
-    head: Atomic<Node<K>>,
+    head: AtomicPtr<Node<K>>,
     len: raw::AtomicUsize,
     /// Mutations announced (monotone).
     started: AtomicU64,
@@ -79,31 +103,24 @@ pub struct MontageSortedList<K> {
     scan_block: AtomicUsize,
 }
 
-// SAFETY: the list is only touched under crossbeam-epoch guards and all
-// interior mutability goes through atomics or per-node locks, so with
-// `K: Send + Sync` the list as a whole is safe to share across threads.
+// SAFETY: nodes are read only inside operation windows and retired through
+// the epoch system, and all interior mutability goes through atomics or
+// per-node locks, so with `K: Send + Sync` the list as a whole is safe to
+// share across threads.
 unsafe impl<K: Send + Sync> Send for MontageSortedList<K> {}
 unsafe impl<K: Send + Sync> Sync for MontageSortedList<K> {}
 
 impl<K> Drop for MontageSortedList<K> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` — no concurrent guards; the chain is ours.
-        unsafe {
-            let g = epoch::unprotected();
-            // ord(acquire): traversals must see the node fields published by the
-            // linking store/CAS.
-            let mut curr = self.head.load(Ordering::Acquire, g);
-            // Detach so Atomic::drop doesn't double-free the first node.
-            self.head.store(Shared::null(), Ordering::Relaxed);
-            while !curr.is_null() {
-                let owned = curr.into_owned();
-                // ord(acquire): traversals must see the node fields published by the
-                // linking store/CAS.
-                let next = owned.next.load(Ordering::Acquire, g);
-                owned.next.store(Shared::null(), Ordering::Relaxed);
-                curr = next;
-                drop(owned);
-            }
+        // ord(acquire): traversals must see the node fields published by the
+        // linking store/CAS.
+        let mut curr = self.head.load(Ordering::Acquire);
+        while !curr.is_null() {
+            // SAFETY: `&mut self` — no window is open on the list, and the
+            // linked chain is ours (unlinked nodes belong to the epoch system).
+            let owned = unsafe { Box::from_raw(curr) };
+            // ord(acquire): as above.
+            curr = unmarked(owned.next.load(Ordering::Acquire));
         }
     }
 }
@@ -113,7 +130,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
         MontageSortedList {
             esys,
             tag,
-            head: Atomic::null(),
+            head: AtomicPtr::new(std::ptr::null_mut()),
             len: raw::AtomicUsize::new(0),
             started: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -141,24 +158,17 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
         // ord(relaxed): pre-publication or single-threaded write; the
         // publishing store/CAS provides the ordering.
         list.len.store(items.len(), Ordering::Relaxed);
-        // SAFETY: the list is not yet shared; building back-to-front with
-        // the unprotected guard touches only nodes we just allocated.
-        unsafe {
-            let g = epoch::unprotected();
-            let mut next = Shared::null();
-            for (key, handle) in items.into_iter().rev() {
-                let node = Owned::new(Node {
-                    key,
-                    payload: Mutex::new(handle),
-                    next: Atomic::null(),
-                });
-                // ord(relaxed): pre-publication or single-threaded write; the
-                // publishing store/CAS provides the ordering.
-                node.next.store(next, Ordering::Relaxed);
-                next = node.into_shared(g);
-            }
-            list.head.store(next, Ordering::Relaxed);
+        // Back to front, so each node is built pointing at its successor.
+        let mut next = std::ptr::null_mut();
+        for (key, handle) in items.into_iter().rev() {
+            next = Box::into_raw(Box::new(Node {
+                key,
+                payload: Mutex::new(handle),
+                next: AtomicPtr::new(next),
+            }));
         }
+        // ord(relaxed): the list is not shared yet.
+        list.head.store(next, Ordering::Relaxed);
         list
     }
 
@@ -191,60 +201,62 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
     // ---- traversal -------------------------------------------------------
 
     /// Harris find: returns the link holding the first node with
-    /// `node.key >= key` (or the tail link), that node, and whether it
-    /// matched. Helps unlink marked nodes along the way.
+    /// `node.key >= key` (or the tail link), that node (null at the tail),
+    /// and whether it matched. Helps unlink marked nodes along the way and
+    /// retires them.
     fn find<'g>(
         &'g self,
+        g: &'g OpGuard<'_>,
         key: &K,
-        guard: &'g epoch::Guard,
-    ) -> (&'g Atomic<Node<K>>, Shared<'g, Node<K>>, bool) {
+    ) -> (&'g AtomicPtr<Node<K>>, *mut Node<K>, bool) {
         'retry: loop {
-            let mut prev: &'g Atomic<Node<K>> = &self.head;
+            let mut prev = &self.head;
             // ord(acquire): traversals must see the node fields published by the
             // linking store/CAS.
-            let mut curr = prev.load(Ordering::Acquire, guard);
-            loop {
-                // SAFETY: nodes are retired only via defer_destroy under
-                // epoch guards; `guard` keeps everything reachable alive.
-                let Some(curr_ref) = (unsafe { curr.as_ref() }) else {
-                    return (prev, Shared::null(), false);
-                };
+            let mut curr = prev.load(Ordering::Acquire);
+            while !curr.is_null() {
+                // SAFETY: loaded unmarked from the list inside `g`.
+                let node = unsafe { node(curr, g) };
                 // ord(acquire): traversals must see the node fields published by the
                 // linking store/CAS.
-                let succ = curr_ref.next.load(Ordering::Acquire, guard);
-                if succ.tag() == MARK {
+                let succ = node.next.load(Ordering::Acquire);
+                if marked(succ) {
                     // `curr` is logically deleted: help unlink it.
+                    // ord(acqrel): the CAS publishes the new link and orders it after the
+                    // snapshot it was validated against.
                     match prev.compare_exchange(
-                        curr.with_tag(0),
-                        succ.with_tag(0),
-                        // ord(acqrel): the CAS publishes the new link and orders it after the
-                        // snapshot it was validated against.
+                        curr,
+                        unmarked(succ),
                         Ordering::AcqRel,
                         Ordering::Acquire,
-                        guard,
                     ) {
                         Ok(_) => {
-                            // SAFETY: `curr` is now unreachable from the list.
-                            unsafe { guard.defer_destroy(curr) };
-                            curr = succ.with_tag(0);
+                            // SAFETY: `curr` is a node box, now unreachable from the list.
+                            unsafe { self.esys.retire_transient(g, curr) };
+                            curr = unmarked(succ);
                             continue;
                         }
                         Err(_) => continue 'retry,
                     }
                 }
-                match curr_ref.key.cmp(key) {
+                match node.key.cmp(key) {
                     std::cmp::Ordering::Less => {
-                        prev = &curr_ref.next;
+                        prev = &node.next;
                         curr = succ;
                     }
                     std::cmp::Ordering::Equal => return (prev, curr, true),
                     std::cmp::Ordering::Greater => return (prev, curr, false),
                 }
             }
+            return (prev, curr, false);
         }
     }
 
     // ---- operations ------------------------------------------------------
+    //
+    // Every verb opens its window before `find`; a retry opens a fresh one.
+    // A write re-validates with `check_epoch` before it linearizes, under
+    // the payload lock for an update or a removal's mark CAS.
 
     /// Inserts or updates; returns `true` if the key already existed.
     pub fn put(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
@@ -257,106 +269,82 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
     fn put_inner(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
         let ksize = std::mem::size_of::<K>();
         loop {
-            let guard = epoch::pin();
-            let (prev, curr, found) = self.find(&key, &guard);
-            if found {
-                // SAFETY: `curr` is guard-protected (see `find`).
-                let node = unsafe { curr.deref() };
-                let mut payload = node.payload.lock();
-                // ord(acquire): traversals must see the node fields published by the
-                // linking store/CAS.
-                if node.next.load(Ordering::Acquire, &guard).tag() == MARK {
-                    continue; // removed while we waited for the value lock
-                }
-                // Unmarked under the payload lock ⇒ the handle is live and
-                // a concurrent remove cannot PDELETE it until we unlock.
-                let g = self.esys.begin_op(tid);
-                *payload = self
-                    .esys
-                    .overwrite_tail(&g, *payload, ksize, value)
-                    .expect("payload lock orders epochs");
-                return true;
-            }
-            // Absent: link a fresh node in front of `curr`.
             let g = self.esys.begin_op(tid);
-            let h = self
-                .esys
-                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
-            let node = Owned::new(Node {
-                key,
-                payload: Mutex::new(h),
-                next: Atomic::null(),
-            });
-            // ord(relaxed): pre-publication or single-threaded write; the
-            // publishing store/CAS provides the ordering.
-            node.next.store(curr.with_tag(0), Ordering::Relaxed);
-            let node = node.into_shared(&guard);
-            match prev.compare_exchange(
-                curr.with_tag(0),
-                node,
-                // ord(acqrel): the CAS publishes the new link and orders it after the
-                // snapshot it was validated against.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                &guard,
-            ) {
-                Ok(_) => {
-                    // ord(counter): size estimate only.
-                    self.len.fetch_add(1, Ordering::Relaxed);
+            let (prev, curr, found) = self.find(&g, &key);
+            if !found {
+                if self.link_new(&g, prev, curr, key, value) {
                     return false;
                 }
-                Err(_) => {
-                    // Lost the race: revoke the payload in the same epoch
-                    // window (net no-op for recovery) and retry.
-                    self.esys.pdelete(&g, h).expect("fresh payload, same op");
-                    // SAFETY: the losing node was never published.
-                    unsafe { drop(node.into_owned()) };
-                }
+                continue;
             }
+            // SAFETY: `find` returned it from inside `g`.
+            let node = unsafe { node(curr, &g) };
+            let mut payload = node.payload.lock();
+            // ord(acquire): traversals must see the node fields published by the
+            // linking store/CAS.
+            if marked(node.next.load(Ordering::Acquire)) || self.esys.check_epoch(&g).is_err() {
+                continue; // removed while we waited for the value lock, or the clock ticked
+            }
+            // Unmarked under the payload lock ⇒ the handle is live and a
+            // concurrent remove cannot PDELETE it until we unlock.
+            *payload = self
+                .esys
+                .overwrite_tail(&g, *payload, ksize, value)
+                .expect("payload lock orders epochs");
+            return true;
         }
+    }
+
+    /// Links a fresh node for `key` between `prev` and `curr`. `false`, with
+    /// nothing left behind, if the clock ticked or `prev` moved.
+    fn link_new(
+        &self,
+        g: &OpGuard<'_>,
+        prev: &AtomicPtr<Node<K>>,
+        curr: *mut Node<K>,
+        key: K,
+        value: &[u8],
+    ) -> bool {
+        if self.esys.check_epoch(g).is_err() {
+            return false;
+        }
+        let h = self
+            .esys
+            .pnew_parts(g, self.tag, codec::key_image(&key), value);
+        let node = Box::into_raw(Box::new(Node {
+            key,
+            payload: Mutex::new(h),
+            next: AtomicPtr::new(curr),
+        }));
+        // ord(acqrel): the CAS publishes the new link and orders it after the
+        // snapshot it was validated against.
+        if prev
+            .compare_exchange(curr, node, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            // ord(counter): size estimate only.
+            self.len.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        // Lost the race: revoke the payload in the same epoch window (net
+        // no-op for recovery).
+        self.esys.pdelete(g, h).expect("fresh payload, same op");
+        // SAFETY: the losing node was never published.
+        drop(unsafe { Box::from_raw(node) });
+        false
     }
 
     /// Inserts only if absent; returns `false` if the key existed.
     pub fn insert(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
         self.enter_mutation();
         let inserted = loop {
-            let guard = epoch::pin();
-            let (prev, curr, found) = self.find(&key, &guard);
+            let g = self.esys.begin_op(tid);
+            let (prev, curr, found) = self.find(&g, &key);
             if found {
                 break false;
             }
-            let g = self.esys.begin_op(tid);
-            let h = self
-                .esys
-                .pnew_parts(&g, self.tag, codec::key_image(&key), value);
-            let node = Owned::new(Node {
-                key,
-                payload: Mutex::new(h),
-                next: Atomic::null(),
-            });
-            // ord(relaxed): pre-publication or single-threaded write; the
-            // publishing store/CAS provides the ordering.
-            node.next.store(curr.with_tag(0), Ordering::Relaxed);
-            let node = node.into_shared(&guard);
-            match prev.compare_exchange(
-                curr.with_tag(0),
-                node,
-                // ord(acqrel): the CAS publishes the new link and orders it after the
-                // snapshot it was validated against.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                &guard,
-            ) {
-                Ok(_) => {
-                    // ord(counter): size estimate only.
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    break true;
-                }
-                Err(_) => {
-                    self.esys.pdelete(&g, h).expect("fresh payload, same op");
-                    // SAFETY: the losing node was never published.
-                    unsafe { drop(node.into_owned()) };
-                }
+            if self.link_new(&g, prev, curr, key, value) {
+                break true;
             }
         };
         self.exit_mutation();
@@ -369,60 +357,46 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
     pub fn remove(&self, tid: ThreadId, key: &K) -> bool {
         self.enter_mutation();
         let removed = loop {
-            let guard = epoch::pin();
-            let (prev, curr, found) = self.find(key, &guard);
+            let g = self.esys.begin_op(tid);
+            let (prev, curr, found) = self.find(&g, key);
             if !found {
                 break false;
             }
-            // SAFETY: `curr` is guard-protected (see `find`).
-            let node = unsafe { curr.deref() };
+            // SAFETY: `find` returned it from inside `g`.
+            let node = unsafe { node(curr, &g) };
+            // The mark CAS runs under the value lock, so no `put` update can
+            // write into the handle once it is marked.
+            let payload = node.payload.lock();
             // ord(acquire): traversals must see the node fields published by the
             // linking store/CAS.
-            let succ = node.next.load(Ordering::Acquire, &guard);
-            if succ.tag() == MARK {
-                continue; // someone else is removing it; re-find
+            let succ = node.next.load(Ordering::Acquire);
+            if marked(succ) || self.esys.check_epoch(&g).is_err() {
+                continue; // someone else is removing it, or the clock ticked
             }
-            let g = self.esys.begin_op(tid);
+            // ord(acqrel): the CAS publishes the new link and orders it after the
+            // snapshot it was validated against.
             if node
                 .next
-                .compare_exchange(
-                    succ,
-                    succ.with_tag(MARK),
-                    // ord(acqrel): the CAS publishes the new link and orders it after the
-                    // snapshot it was validated against.
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    &guard,
-                )
+                .compare_exchange(succ, with_mark(succ), Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
-                continue; // next changed (insert after us, or lost the mark)
+                continue; // an insert after us
             }
-            // Marked by us: revoke the payload under the value lock so a
-            // concurrent `put` update can't write into a deleted handle.
-            {
-                let payload = node.payload.lock();
-                self.esys
-                    .pdelete(&g, *payload)
-                    .expect("mark won ⇒ sole deleter");
-            }
+            self.esys
+                .pdelete(&g, *payload)
+                .expect("mark won ⇒ sole deleter");
+            drop(payload);
             // ord(counter): size estimate only.
             self.len.fetch_sub(1, Ordering::Relaxed);
             // Best-effort physical unlink; `find` helps if this loses.
+            // ord(acqrel): the CAS publishes the new link and orders it after the
+            // snapshot it was validated against.
             if prev
-                .compare_exchange(
-                    curr.with_tag(0),
-                    succ.with_tag(0),
-                    // ord(acqrel): the CAS publishes the new link and orders it after the
-                    // snapshot it was validated against.
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    &guard,
-                )
+                .compare_exchange(curr, succ, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                // SAFETY: `curr` is now unreachable from the list.
-                unsafe { guard.defer_destroy(curr) };
+                // SAFETY: `curr` is a node box, now unreachable from the list.
+                unsafe { self.esys.retire_transient(&g, curr) };
             }
             break true;
         };
@@ -430,20 +404,21 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
         removed
     }
 
-    /// Lock-free lookup (no `BEGIN_OP`: reads are invisible to recovery).
-    pub fn get<R>(&self, _tid: ThreadId, key: &K, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    /// Lock-free lookup. Read-only: its window protects the nodes it
+    /// reads; it writes nothing persistent.
+    pub fn get<R>(&self, tid: ThreadId, key: &K, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let ksize = std::mem::size_of::<K>();
-        let guard = epoch::pin();
-        let (_, curr, found) = self.find(key, &guard);
+        let g = self.esys.begin_op(tid);
+        let (_, curr, found) = self.find(&g, key);
         if !found {
             return None;
         }
-        // SAFETY: `curr` is guard-protected (see `find`).
-        let node = unsafe { curr.deref() };
+        // SAFETY: `find` returned it from inside `g`.
+        let node = unsafe { node(curr, &g) };
         let payload = node.payload.lock();
         // ord(acquire): traversals must see the node fields published by the
         // linking store/CAS.
-        if node.next.load(Ordering::Acquire, &guard).tag() == MARK {
+        if marked(node.next.load(Ordering::Acquire)) {
             return None; // removed between find and the value lock
         }
         Some(self.esys.peek_bytes_unsafe(*payload, |b| f(&b[ksize..])))
@@ -458,10 +433,11 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
     /// of the concurrent history — every reported pair was simultaneously
     /// present, in key order, at one linearization instant (see the module
     /// docs for the optimistic/gated two-phase protocol).
-    pub fn range(&self, _tid: ThreadId, lo: &K, hi: &K) -> Vec<(K, Vec<u8>)> {
+    pub fn range(&self, tid: ThreadId, lo: &K, hi: &K) -> Vec<(K, Vec<u8>)> {
         if lo > hi {
             return Vec::new();
         }
+        let g = self.esys.begin_op(tid);
         for _ in 0..SCAN_FAST_RETRIES {
             let c1 = self.completed.load(Ordering::SeqCst);
             let s1 = self.started.load(Ordering::SeqCst);
@@ -469,7 +445,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
                 spin_loop();
                 continue; // a mutation is in flight right now
             }
-            let snap = self.collect(lo, hi);
+            let snap = self.collect(&g, lo, hi);
             if self.started.load(Ordering::SeqCst) == s1 {
                 // Quiescent at the start and nothing started since: the
                 // list was untouched for the whole traversal.
@@ -481,29 +457,29 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
         while self.started.load(Ordering::SeqCst) != self.completed.load(Ordering::SeqCst) {
             spin_loop();
         }
-        let snap = self.collect(lo, hi);
+        let snap = self.collect(&g, lo, hi);
         self.scan_block.fetch_sub(1, Ordering::SeqCst);
         snap
     }
 
     /// One traversal of `[lo, hi]`, skipping marked nodes. Only sound as a
     /// snapshot when `range`'s counter protocol proves the list static.
-    fn collect(&self, lo: &K, hi: &K) -> Vec<(K, Vec<u8>)> {
+    fn collect(&self, g: &OpGuard<'_>, lo: &K, hi: &K) -> Vec<(K, Vec<u8>)> {
         let ksize = std::mem::size_of::<K>();
         let mut out = Vec::new();
-        let guard = epoch::pin();
         // ord(acquire): traversals must see the node fields published by the
         // linking store/CAS.
-        let mut curr = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: guard-protected traversal (both derefs below), as in `find`.
-        while let Some(node) = unsafe { curr.as_ref() } {
+        let mut curr = self.head.load(Ordering::Acquire);
+        while !curr.is_null() {
+            // SAFETY: loaded unmarked from the list inside `g`.
+            let node = unsafe { node(curr, g) };
             if node.key > *hi {
                 break;
             }
             // ord(acquire): traversals must see the node fields published by the
             // linking store/CAS.
-            let succ = node.next.load(Ordering::Acquire, &guard);
-            if succ.tag() != MARK && node.key >= *lo {
+            let succ = node.next.load(Ordering::Acquire);
+            if !marked(succ) && node.key >= *lo {
                 let payload = node.payload.lock();
                 out.push((
                     node.key,
@@ -511,7 +487,7 @@ impl<K: Copy + Ord + Send + Sync> MontageSortedList<K> {
                         .peek_bytes_unsafe(*payload, |b| b[ksize..].to_vec()),
                 ));
             }
-            curr = succ.with_tag(0);
+            curr = unmarked(succ);
         }
         out
     }

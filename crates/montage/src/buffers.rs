@@ -144,7 +144,7 @@
 
 use crate::sync::{weaken, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering};
 
-use crossbeam::utils::CachePadded;
+use crate::sync::CachePadded;
 use pmem::{line_of, POff, PmemPool};
 
 use crate::payload::Header;
@@ -1017,8 +1017,12 @@ mod tests {
                         // The epoch clock only reaches e after e-4 was
                         // drained (by the advance that moved it to e-2), so
                         // an owner can never push into a bucket that still
-                        // holds entries; model that constraint here.
-                        while b.min_pending(0) <= e - 4 {
+                        // holds entries; and that advance helped every open
+                        // claim to its release before it ticked, so no
+                        // drainer is still inside a claim window on it.
+                        // Model both, or the owner's wrap-around push helps
+                        // a preempted drainer and flushes its line twice.
+                        while b.min_pending(0) <= e - 4 || b.claims_open() {
                             std::thread::yield_now();
                         }
                         for i in 0..PER_ROUND {

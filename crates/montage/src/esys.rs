@@ -13,10 +13,12 @@
 
 use std::sync::Arc;
 
+use std::cell::Cell;
+
+use crate::sync::CachePadded;
 use crate::sync::{
-    uninstrumented as raw, weaken, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering,
+    seeded, uninstrumented as raw, weaken, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering,
 };
-use crossbeam::utils::CachePadded;
 use pmem::{POff, PmemFault, PmemPool};
 use ralloc::Ralloc;
 
@@ -106,8 +108,19 @@ pub struct EpochSys {
     /// reads or writes its slot (Relaxed); the flag routes that thread's
     /// `begin_op` onto the nested (non-owning) path.
     pinned: Box<[CachePadded<AtomicBool>]>,
+    /// Unlinked transient objects and their labels, waiting for the
+    /// reclamation frontier (`retire_transient`), or for this system to
+    /// drop; the count is the one load an idle advance pays.
+    retired: Mutex<Vec<(u64, Retired)>>,
+    retired_len: AtomicUsize,
+    /// Under the model checker a freed retirement is parked here instead.
+    #[cfg(feature = "interleave-check")]
+    poisoned: Mutex<Vec<Retired>>,
     stats: EsysStats,
 }
+
+/// A type-erased unlinked object (see [`EpochSys::retire_transient`]).
+type Retired = Box<dyn Send>;
 
 impl EpochSys {
     /// Formats a fresh pool: ralloc heap + Montage clock.
@@ -162,6 +175,10 @@ impl EpochSys {
             pinned: (0..cfg.max_threads)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
+            retired: Mutex::new(Vec::new()),
+            retired_len: AtomicUsize::new(0),
+            #[cfg(feature = "interleave-check")]
+            poisoned: Mutex::new(Vec::new()),
             stats: EsysStats::default(),
             pool,
             ralloc,
@@ -364,6 +381,7 @@ impl EpochSys {
                 tid,
                 epoch: self.enter(tid),
                 owns: true,
+                flushed: Cell::new(false),
             };
         }
         // Nested under an EpochPin: the pin's tracker registration is
@@ -387,6 +405,7 @@ impl EpochSys {
             tid,
             epoch,
             owns: false,
+            flushed: Cell::new(false),
         }
     }
 
@@ -433,8 +452,10 @@ impl EpochSys {
         })
     }
 
-    fn end_op(&self, tid: ThreadId) {
-        if self.cfg.persist == PersistStrategy::DirWB {
+    /// `END_OP`. `flushed`: the op issued write-backs of its own (DirWB
+    /// fences them here; a read-only op has nothing to fence).
+    fn end_op(&self, tid: ThreadId, flushed: bool) {
+        if flushed && self.cfg.persist == PersistStrategy::DirWB {
             self.pool.sfence();
         }
         self.tracker.unregister(tid.0);
@@ -488,7 +509,8 @@ impl EpochSys {
         }
     }
 
-    fn record_persist(&self, tid: usize, epoch: u64, blk: POff, len: u32) {
+    fn record_persist(&self, g: &OpGuard<'_>, blk: POff, len: u32) {
+        let (tid, epoch) = (g.tid.0, g.epoch);
         match self.cfg.persist {
             PersistStrategy::Buffered(_) => {
                 // The revalidation closure defeats coalescing against an
@@ -513,7 +535,10 @@ impl EpochSys {
                 }
             }
             // lint: allow(flush-no-fence): DirWB defers the fence to the epoch boundary, like the buffered path; the clock-CAS/mirror ordering at that boundary is model-checked by interleave's harness_epoch
-            PersistStrategy::DirWB => self.pool.clwb_range(blk, len as usize),
+            PersistStrategy::DirWB => {
+                self.pool.clwb_range(blk, len as usize);
+                g.flushed.set(true);
+            }
             PersistStrategy::None => {}
         }
     }
@@ -579,7 +604,7 @@ impl EpochSys {
             size as u32,
             data_sum,
         );
-        self.record_persist(g.tid.0, g.epoch, blk, (HDR_SIZE + size) as u32);
+        self.record_persist(g, blk, (HDR_SIZE + size) as u32);
         // ord(counter): stats tally.
         self.stats.pnews.fetch_add(1, Ordering::Relaxed);
     }
@@ -691,7 +716,7 @@ impl EpochSys {
             // partially is caught at recovery (the extent rides the same
             // boundary flush as the header line).
             Header::reseal(&self.pool, blk);
-            self.record_persist(g.tid.0, g.epoch, blk, total);
+            self.record_persist(g, blk, total);
             // ord(counter): stats tally.
             self.stats.sets_in_place.fetch_add(1, Ordering::Relaxed);
             blk
@@ -726,7 +751,7 @@ impl EpochSys {
                 size,
                 Header::data_sum_pooled(&self.pool, nblk, size),
             );
-            self.record_persist(g.tid.0, g.epoch, nblk, total);
+            self.record_persist(g, nblk, total);
             self.retire(g, blk, g.epoch);
             // ord(counter): stats tally.
             self.stats.sets_copied.fetch_add(1, Ordering::Relaxed);
@@ -773,7 +798,7 @@ impl EpochSys {
             PayloadKind::Update
         };
         Header::write_new(&self.pool, nblk, kind, tag, g.epoch, uid, size as u32, sum);
-        self.record_persist(g.tid.0, g.epoch, nblk, (HDR_SIZE + size) as u32);
+        self.record_persist(g, nblk, (HDR_SIZE + size) as u32);
         if same_epoch {
             // Create-then-tombstone, so no crash cut sees the uid vanish:
             // before the new block's lines land, the old version recovers;
@@ -785,7 +810,7 @@ impl EpochSys {
             // tombstoned header so the invalidation rides the same boundary
             // flush.
             Header::tombstone(&self.pool, blk);
-            self.record_persist(g.tid.0, g.epoch, blk, HDR_SIZE as u32);
+            self.record_persist(g, blk, HDR_SIZE as u32);
             self.ralloc.dealloc(blk);
         } else {
             // The old block retires on the usual two-epoch schedule.
@@ -864,7 +889,7 @@ impl EpochSys {
                     // boundary flush too — otherwise a crash *after* this
                     // epoch persists would resurrect it.
                     Header::tombstone(&self.pool, blk);
-                    self.record_persist(g.tid.0, g.epoch, blk, HDR_SIZE as u32);
+                    self.record_persist(g, blk, HDR_SIZE as u32);
                     self.ralloc.dealloc(blk);
                 }
                 PayloadKind::Update => {
@@ -875,7 +900,7 @@ impl EpochSys {
                     // epoch after a normal retirement so the deletion record
                     // outlives the data it cancels.
                     Header::set_kind(&self.pool, blk, PayloadKind::Delete);
-                    self.record_persist(g.tid.0, g.epoch, blk, HDR_SIZE as u32);
+                    self.record_persist(g, blk, HDR_SIZE as u32);
                     self.buffers
                         .push_free(&self.pool, g.tid.0, g.epoch + 1, blk);
                 }
@@ -894,12 +919,67 @@ impl EpochSys {
                 0,
                 Header::data_sum(&[]),
             );
-            self.record_persist(g.tid.0, g.epoch, anti, HDR_SIZE as u32);
+            self.record_persist(g, anti, HDR_SIZE as u32);
             self.buffers
                 .push_free(&self.pool, g.tid.0, g.epoch + 1, anti);
             self.retire(g, blk, g.epoch);
         }
         Ok(())
+    }
+
+    /// Retires `unlinked`, a `Box`ed object the caller just unlinked: the
+    /// first advance whose [`reclaim_limit`](Self::reclaim_limit) reaches its
+    /// label drops it, under every [`FreeStrategy`]. The label is the clock
+    /// read *after* the unlink, not `g.epoch()`: a reader that loaded the
+    /// pointer announced itself at or below that read, but a straggler's
+    /// epoch lags (unlinking at *r + 5* after a reader registered at *r + 3*,
+    /// labelled *r* it is freed under that reader). Montage(T) never
+    /// advances: its retirements are freed when this system drops — for its
+    /// one retiring user, `MontageHashMap`, ≤ 2 directories per resize.
+    ///
+    /// # Safety
+    /// `unlinked` comes from `Box::into_raw`, no operation that begins after
+    /// this call can reach it, it is retired once, and dropping it stays
+    /// sound until this system drops (a `Copy` key has no destructor).
+    pub unsafe fn retire_transient<T: Send>(&self, g: &OpGuard<'_>, unlinked: *mut T) {
+        // SeqCst joins every reader's announce/validate order.
+        let mut label = self.clock().load(Ordering::SeqCst);
+        if seeded("esys.retire.label") {
+            label = g.epoch;
+        }
+        // SAFETY: per the contract, which also makes erasing `T`'s lifetime
+        // sound: the box is dropped no later than this system.
+        let obj: Retired =
+            unsafe { std::mem::transmute(Box::from_raw(unlinked) as Box<dyn Send + '_>) };
+        let mut queue = self.retired.lock();
+        queue.push((label, obj));
+        // ord(counter): written under the lock; a stale read only delays a free.
+        self.retired_len.store(queue.len(), Ordering::Relaxed);
+    }
+
+    /// Frees the retirements labelled ≤ `limit`. The model checker poisons
+    /// them instead (kept allocated, reported by [`EpochSys::debug_freed`]),
+    /// so a reader that outlives one trips an assertion, not UB.
+    fn free_retired(&self, limit: u64) {
+        let limit = limit + if seeded("esys.retire.limit") { 2 } else { 0 };
+        let mut queue = self.retired.lock();
+        let (done, kept): (Vec<_>, Vec<_>) = queue.drain(..).partition(|r| r.0 <= limit);
+        *queue = kept;
+        // ord(counter): written under the lock; a stale read only delays a free.
+        self.retired_len.store(queue.len(), Ordering::Relaxed);
+        drop(queue);
+        #[cfg(feature = "interleave-check")]
+        self.poisoned.lock().extend(done.into_iter().map(|r| r.1));
+        #[cfg(not(feature = "interleave-check"))]
+        drop(done);
+    }
+
+    /// Whether the transient object at `p` was freed. A model-check probe.
+    #[cfg(feature = "interleave-check")]
+    #[doc(hidden)]
+    pub fn debug_freed<T>(&self, p: *const T) -> bool {
+        let freed = self.poisoned.lock();
+        freed.iter().any(|r| std::ptr::addr_eq(&**r, p))
     }
 
     /// Schedules `blk` for reclamation two epochs after `epoch`.
@@ -914,23 +994,15 @@ impl EpochSys {
 
     // ---- epoch advance and sync ------------------------------------------------
 
-    /// Epochs ≤ this value are safe to reclaim given the current clock
-    /// `epoch` and the frontier `oldest` ([`Tracker::oldest_active`]): the
-    /// paper's two-epoch schedule (`epoch - 2`), further capped so that no
-    /// thread still registered in epoch *o* — a bypassed straggler — can
-    /// hold a reference to a freed block. A thread registered in *o* saw
-    /// post-swap pointers for every retirement of epoch ≤ *o−2* (the clock
-    /// could only reach *o* after those retiring ops ended), so it can hold
-    /// references retired in ≥ *o−1* — which must therefore stay allocated:
-    /// free only retirements ≤ *o−2*.
-    ///
-    /// The scan feeding `oldest` must run **after** the caller observed the
-    /// clock at `epoch`: any thread registered in an older epoch announced
-    /// (SeqCst) before validating that older clock value, which precedes the
-    /// tick to `epoch` and hence the caller's clock read — so the scan
-    /// cannot miss it. Threads registering concurrently validate at ≥
-    /// `epoch` and only ever hold references retired in ≥ `epoch - 1`,
-    /// which this limit never frees.
+    /// Retirements labelled ≤ this value — payloads and transient objects
+    /// alike — are safe to free given the clock `epoch` and the frontier
+    /// `oldest` ([`Tracker::oldest_active`]): the paper's two-epoch schedule,
+    /// capped so that a thread still registered in *o* (a bypassed
+    /// straggler) keeps everything retired in ≥ *o−1*, all it can hold.
+    /// The scan feeding `oldest` must run **after** the caller read the
+    /// clock at `epoch`: an older registration announced (SeqCst) before it
+    /// validated, hence before that read, so the scan cannot miss it; a
+    /// concurrent one validates at ≥ `epoch` and holds nothing this frees.
     #[inline]
     fn reclaim_limit(epoch: u64, oldest: u64) -> u64 {
         (epoch - 2).min(oldest.saturating_sub(2))
@@ -939,25 +1011,16 @@ impl EpochSys {
     /// Advances the epoch clock by one (paper Fig. 3 `advance_epoch` plus the
     /// reclamation schedule of Sec. 3.2), **without blocking on any other
     /// thread** (nbMontage's liveness property): gives epoch *e−1* a bounded
-    /// grace window to quiesce, writes back its payloads — *helping* any
-    /// claimed-but-unflushed ring entry of a stalled drainer to completion
-    /// instead of waiting for it — reclaims retirements behind the
-    /// oldest-active frontier, fences, then bumps the clock with a CAS (so
-    /// concurrent advancers race for the same tick rather than serializing
-    /// behind a lock) and persists it.
+    /// grace window, writes back its payloads — *helping* a stalled
+    /// drainer's claimed ring entries instead of waiting — reclaims behind
+    /// the oldest-active frontier, fences, then CASes the clock (concurrent
+    /// advancers race for one tick) and persists it.
     ///
-    /// Bypassing a straggler is safe on every axis:
-    /// - *durability of acked work*: completed ops pushed their payloads to
-    ///   the rings before returning, and every pushed entry is either popped
-    ///   (flushed inside the claim window) or helped here — the boundary
-    ///   fence covers them all. Only the straggler's *unfinished* op can
-    ///   have unflushed bytes, and unfinished ops are never acked.
-    /// - *reclamation*: the straggler pins [`Tracker::oldest_active`], so
-    ///   blocks it may still reference are not freed (they age in the free
-    ///   buckets until it moves on).
-    /// - *its own later pushes*: a bypassed op that resumes and pushes more
-    ///   entries labelled *e−1* after the boundary just rides a later
-    ///   boundary; its `sync` (and hence any ack) waits for that one.
+    /// Bypassing a straggler is safe: acked work was pushed to the rings and
+    /// is popped or helped before the fence (only its unfinished, unacked op
+    /// can hold unflushed bytes); it pins [`Tracker::oldest_active`], so
+    /// nothing it can reference is freed; and entries it pushes late under
+    /// *e−1* ride a later boundary, which its own `sync` waits for.
     pub fn advance_epoch(&self) {
         if let Some(ticket) = self.advance_issue() {
             self.advance_complete(ticket);
@@ -994,11 +1057,20 @@ impl EpochSys {
         // boundary's flush batch; deallocation happens after the fence).
         // The frontier scan is exact for epochs < e because we read the
         // clock at e above (see `reclaim_limit`).
+        // Transient retirements ride the same frontier, whatever the
+        // payloads' FreeStrategy.
         let mut reclaimed = Vec::new();
-        if self.cfg.free == FreeStrategy::Background {
+        // ord(counter): a stale zero leaves a retirement for the next advance.
+        let transient = self.retired_len.load(Ordering::Relaxed) > 0;
+        if self.cfg.free == FreeStrategy::Background || transient {
             let limit = Self::reclaim_limit(e, self.tracker.oldest_active());
-            for t in 0..n {
-                reclaimed.extend(self.buffers.take_free_upto(&self.pool, t, limit));
+            if self.cfg.free == FreeStrategy::Background {
+                for t in 0..n {
+                    reclaimed.extend(self.buffers.take_free_upto(&self.pool, t, limit));
+                }
+            }
+            if transient {
+                self.free_retired(limit);
             }
         }
 
@@ -1235,6 +1307,8 @@ pub struct OpGuard<'a> {
     /// Whether this guard owns the tracker registration. Nested guards
     /// created under an [`EpochPin`] do not — END_OP belongs to the pin.
     owns: bool,
+    /// Set by a DirWB write-back, so a read-only op ends without a fence.
+    flushed: Cell<bool>,
 }
 
 impl OpGuard<'_> {
@@ -1248,7 +1322,7 @@ impl OpGuard<'_> {
 impl Drop for OpGuard<'_> {
     fn drop(&mut self) {
         if self.owns {
-            self.esys.end_op(self.tid);
+            self.esys.end_op(self.tid, self.flushed.get());
         }
     }
 }
@@ -1283,7 +1357,7 @@ impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
         // ord(relaxed): owner-only flag.
         self.esys.pinned[self.tid.0].store(false, Ordering::Relaxed);
-        self.esys.end_op(self.tid);
+        self.esys.end_op(self.tid, true);
     }
 }
 
@@ -1501,6 +1575,110 @@ pub(crate) mod tests {
             assert_eq!(item.uid, Header::uid(s.pool(), kept.raw()));
             assert_eq!(rec.read::<u64>(item), 99);
         }
+    }
+
+    /// A transient object whose drops the retirement tests count.
+    struct Counted(Arc<raw::AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn retire_counted(s: &EpochSys, g: &OpGuard<'_>, drops: &Arc<raw::AtomicUsize>) {
+        let obj = Box::into_raw(Box::new(Counted(drops.clone())));
+        // SAFETY: a fresh box no structure links to, retired once.
+        unsafe { s.retire_transient(g, obj) }
+    }
+
+    /// Retirements an advance has freed: dropped, or — in the model
+    /// checker's build, which poisons instead of freeing — poisoned.
+    fn freed(s: &EpochSys, drops: &raw::AtomicUsize) -> usize {
+        #[cfg(feature = "interleave-check")]
+        let poisoned = s.poisoned.lock().len();
+        #[cfg(not(feature = "interleave-check"))]
+        let poisoned = {
+            let _ = s;
+            0
+        };
+        drops.load(Ordering::Relaxed) + poisoned
+    }
+
+    /// The label rule: a straggling writer whose op began at *e* unlinks at
+    /// *e + 2*, after a reader registered there. The retirement must outlive
+    /// that reader however long it is bypassed — labelled *e* it would be
+    /// freed by the first advance after the writer leaves.
+    #[test]
+    fn a_transient_retirement_outlives_every_reader_at_or_below_its_label() {
+        let s = sys(EsysConfig {
+            advance_grace_spins: 8,
+            ..Default::default()
+        });
+        let (writer, reader) = (s.register_thread(), s.register_thread());
+        let drops = Arc::new(raw::AtomicUsize::new(0));
+        let w = s.begin_op(writer);
+        s.advance_epoch();
+        s.advance_epoch(); // bypasses the writer after the grace window
+        let r = s.begin_op(reader);
+        assert_eq!(r.epoch(), w.epoch() + 2);
+        retire_counted(&s, &w, &drops);
+        drop(w);
+        for _ in 0..6 {
+            s.advance_epoch(); // bypasses the reader from the second on
+            assert_eq!(freed(&s, &drops), 0, "freed under a registered reader");
+        }
+        drop(r);
+        s.advance_epoch();
+        assert_eq!(freed(&s, &drops), 1, "the reader left: the frontier passes");
+    }
+
+    /// With nobody registered, the first advance whose frontier
+    /// (`clock − 2`) reaches the label frees the retirement, once.
+    #[test]
+    fn a_transient_retirement_is_freed_by_the_first_advance_past_its_label() {
+        let s = sys(EsysConfig::default());
+        let tid = s.register_thread();
+        let drops = Arc::new(raw::AtomicUsize::new(0));
+        retire_counted(&s, &s.begin_op(tid), &drops);
+        let mut seen = vec![];
+        for _ in 0..4 {
+            s.advance_epoch();
+            seen.push(freed(&s, &drops));
+        }
+        assert_eq!(seen, [0, 0, 1, 1]);
+    }
+
+    /// Montage(T) never advances: its retirement is freed exactly once, when
+    /// the system drops. Direct freeing of payloads changes nothing for
+    /// transient memory: the advance frees it, as under the default.
+    #[test]
+    fn a_transient_retirement_without_advances_is_freed_at_drop() {
+        let drops = Arc::new(raw::AtomicUsize::new(0));
+        let s = sys(EsysConfig::transient());
+        let tid = s.register_thread();
+        retire_counted(&s, &s.begin_op(tid), &drops);
+        for _ in 0..4 {
+            s.advance_epoch();
+        }
+        s.sync();
+        assert_eq!(freed(&s, &drops), 0);
+        drop(s);
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "freed at drop");
+
+        let drops = Arc::new(raw::AtomicUsize::new(0));
+        let s = sys(EsysConfig {
+            free: FreeStrategy::Direct,
+            ..Default::default()
+        });
+        let tid = s.register_thread();
+        retire_counted(&s, &s.begin_op(tid), &drops);
+        for _ in 0..3 {
+            s.advance_epoch();
+        }
+        assert_eq!(freed(&s, &drops), 1, "the advance frees it");
+        drop(s);
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "and only once");
     }
 
     #[test]

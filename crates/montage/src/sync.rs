@@ -1,28 +1,20 @@
 //! Synchronization facade for the lock-free protocol core.
 //!
-//! All protocol code in this crate (and in `montage-ds`) goes through these
-//! types instead of `std::sync::atomic` / `parking_lot` directly.  In normal
-//! builds everything here is a zero-cost re-export of the real primitives.
-//! With the `interleave-check` feature the same names resolve to the
-//! instrumented types from the `interleave` model checker, so the *actual*
-//! protocol code — not a hand-written model of it — runs under exhaustive
-//! bounded-preemption interleaving search.
-//!
-//! The `weaken(site, ord)` hook is an identity function in real builds.  Under
-//! the checker it downgrades the ordering to `Relaxed` when the execution was
-//! configured with a matching weakening site, which is how the CI fixtures
-//! prove the checker would catch an accidental ordering downgrade at each
-//! publication edge.
-//!
-//! Stats counters that are never part of a cross-thread protocol handoff
-//! (operation tallies, byte counts) stay on raw `std` atomics via
-//! [`uninstrumented`], keeping the model-checked state space focused on the
-//! synchronization that matters.
+//! Protocol code in this crate and in `montage-ds` takes its atomics and
+//! mutexes from here: zero-cost re-exports of the real primitives, or, with
+//! the `interleave-check` feature, the `interleave` model checker's
+//! instrumented types — so the *actual* protocol code runs under exhaustive
+//! bounded-preemption search. `weaken(site, ord)` (identity in real builds)
+//! downgrades a named ordering to `Relaxed` in a configured checker run, and
+//! `seeded(site)` (`false` in real builds) takes a named deliberately wrong
+//! branch: the CI fixtures' proof that the checker would catch each bug.
+//! Stats counters that are never a cross-thread handoff stay on raw `std`
+//! atomics via [`uninstrumented`], keeping the state space on synchronization.
 
 #[cfg(feature = "interleave-check")]
 pub use interleave::sync::{
-    spin_loop, thread, weaken, yield_now, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize,
-    Mutex, MutexGuard,
+    seeded, spin_loop, thread, weaken, yield_now, AtomicBool, AtomicPtr, AtomicU32, AtomicU64,
+    AtomicUsize, Mutex, MutexGuard,
 };
 
 #[cfg(feature = "interleave-check")]
@@ -38,6 +30,12 @@ mod real {
     #[inline(always)]
     pub fn weaken(_site: &str, ord: std::sync::atomic::Ordering) -> std::sync::atomic::Ordering {
         ord
+    }
+
+    /// Never set in real builds; the checker build swaps in the fixture hook.
+    #[inline(always)]
+    pub fn seeded(_site: &str) -> bool {
+        false
     }
 
     /// View a `std` atomic (e.g. one living in pmem pool metadata) as a
@@ -64,6 +62,24 @@ pub use real::*;
 // The `Ordering` enum is shared between both worlds: the facade types take the
 // real `std` orderings, and the checker maps them onto its memory model.
 pub use std::sync::atomic::Ordering;
+
+/// Pads and aligns a value to 128 bytes (two x86-64 prefetch lines), so
+/// per-thread hot atomics never share a cache line.
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    pub(crate) const fn new(value: T) -> Self {
+        CachePadded(value)
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// Raw `std` atomics for stats/counters that are not part of any cross-thread
 /// protocol handoff. Deliberately NOT instrumented: bumping an op tally must

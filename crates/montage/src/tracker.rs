@@ -1,9 +1,8 @@
-//! The operation tracker: per-thread announcement of the epoch in which a
-//! thread's operation is active (paper Fig. 3, `Tracker operation_tracker`).
+//! The operation tracker: each thread's active epoch (paper Fig. 3).
 
 use crate::sync::{weaken, AtomicU64, Ordering};
 
-use crossbeam::utils::CachePadded;
+use crate::sync::CachePadded;
 
 /// Slot value meaning "no active operation".
 pub const IDLE: u64 = u64::MAX;
@@ -22,9 +21,8 @@ impl Tracker {
         }
     }
 
-    /// Announces that thread `tid` is running an operation in `epoch`.
-    /// SeqCst so the subsequent clock re-read in `BEGIN_OP` cannot be
-    /// reordered before the announcement (a StoreLoad edge).
+    /// Announces `tid` in `epoch`; SeqCst, so `BEGIN_OP`'s clock re-read
+    /// cannot move before it (a StoreLoad edge).
     #[inline]
     pub fn register(&self, tid: usize, epoch: u64) {
         self.slots[tid].store(epoch, Ordering::SeqCst);
@@ -47,18 +45,11 @@ impl Tracker {
         self.slots[tid].load(weaken("tracker.idle.acquire", Ordering::Acquire))
     }
 
-    /// The advance step `operation_tracker.wait_all(curr_epoch - 1)`, bounded:
-    /// gives each slot at most `spins` spin/yield steps to leave epochs
-    /// `<= epoch`, then moves on (an unbounded wait is the paper's documented
-    /// liveness caveat — a stalled thread could delay it arbitrarily). Returns
-    /// the number of slots still registered at `<= epoch` when the grace
-    /// window ran out — the stragglers the caller is about to bypass.
-    ///
-    /// The grace window keeps the quiescent fast path identical to the
-    /// blocking advance (an in-flight op normally retires within a few
-    /// hundred instructions); the bound is what makes `advance_epoch` — and
-    /// therefore `sync` — complete in a bounded number of steps no matter
-    /// what any one thread does (nbMontage's liveness property).
+    /// The advance step `operation_tracker.wait_all(curr_epoch - 1)`, bounded
+    /// (nbMontage's liveness property; the paper's unbounded wait is its
+    /// documented caveat): gives each slot at most `spins` spin/yield steps to
+    /// leave epochs `<= epoch`, then returns how many are still there — the
+    /// stragglers the caller is about to bypass.
     pub fn wait_all_bounded(&self, epoch: u64, spins: usize) -> usize {
         let mut stragglers = 0usize;
         for slot in self.slots.iter() {
@@ -85,11 +76,9 @@ impl Tracker {
         stragglers
     }
 
-    /// Smallest epoch any thread is currently registered in ([`IDLE`] =
-    /// `u64::MAX` if none). Reclamation uses this as its safety frontier:
-    /// blocks retired in epoch `r` may be freed only once every active
-    /// thread's epoch exceeds `r`, which a bypassed (parked) straggler keeps
-    /// pinned down without blocking the clock.
+    /// Smallest epoch any thread is registered in ([`IDLE`] if none): the
+    /// reclamation frontier a bypassed straggler pins without blocking the
+    /// clock.
     pub fn oldest_active(&self) -> u64 {
         self.slots
             .iter()

@@ -5,8 +5,7 @@
 //!
 //! * [`utils::CachePadded`] — alignment padding for per-thread hot atomics;
 //! * [`epoch`] — a small but real epoch-based reclamation (EBR) runtime with
-//!   the `pin` / `Guard::defer_unchecked` / `Atomic`–`Owned`–`Shared` API
-//!   subset the lock-free structures in this workspace rely on.
+//!   the `pin` / `Guard::defer_unchecked` subset.
 //!
 //! The EBR core is the textbook three-era scheme: threads publish the global
 //! era into a slot while pinned; deferred destructors are tagged with the era
@@ -14,6 +13,10 @@
 //! observed at a strictly later era (or idle). This gives the same safety
 //! contract as crossbeam-epoch for the usage here (unlink before defer,
 //! access only through a pinned guard).
+//!
+//! Its one user is `baselines::friedman`, which reproduces its own paper's
+//! reclamation. Montage's structures retire transient memory through
+//! Montage's epoch system instead (`EpochSys::retire_transient`).
 
 pub mod utils {
     use std::fmt;
@@ -61,9 +64,7 @@ pub mod utils {
 
 pub mod epoch {
     use std::cell::Cell;
-    use std::marker::PhantomData;
-    use std::ops::{Deref, DerefMut};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     /// Maximum simultaneously-registered threads (slot array size).
@@ -169,12 +170,8 @@ pub mod epoch {
     }
 
     /// An RAII epoch pin (subset of `crossbeam_epoch::Guard`).
-    ///
-    /// Unlike crossbeam's, this guard is `Sync` (needed for the static
-    /// [`unprotected`] guard); the workspace never moves guards across
-    /// threads.
     pub struct Guard {
-        active: bool,
+        _pinned: (),
     }
 
     /// Pins the current thread and returns a guard; memory deferred by other
@@ -199,17 +196,7 @@ pub mod epoch {
         if depth == 0 && pins.is_multiple_of(PINS_BETWEEN_COLLECT) {
             collect();
         }
-        Guard { active: true }
-    }
-
-    /// A guard that does not pin: deferred work runs immediately.
-    ///
-    /// # Safety
-    /// The caller must guarantee no other thread can concurrently access the
-    /// data whose reclamation is deferred through this guard.
-    pub unsafe fn unprotected() -> &'static Guard {
-        static UNPROTECTED: Guard = Guard { active: false };
-        &UNPROTECTED
+        Guard { _pinned: () }
     }
 
     impl Guard {
@@ -223,10 +210,6 @@ pub mod epoch {
         where
             F: FnOnce() -> R,
         {
-            if !self.active {
-                let _ = f();
-                return;
-            }
             let call: Box<dyn FnOnce() + '_> = Box::new(move || {
                 let _ = f();
             });
@@ -240,220 +223,16 @@ pub mod epoch {
                 Err(p) => p.into_inner().push(Deferred { era, call }),
             }
         }
-
-        /// Defers dropping the heap allocation behind `ptr`.
-        ///
-        /// # Safety
-        /// `ptr` must have come from [`Owned::into_shared`] and be unlinked
-        /// from the structure (unreachable to threads that pin later).
-        pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-            let raw = ptr.untagged_raw();
-            if raw == 0 {
-                return;
-            }
-            // SAFETY: per this function's contract.
-            unsafe { self.defer_unchecked(move || drop(Box::from_raw(raw as *mut T))) }
-        }
     }
 
     impl Drop for Guard {
         fn drop(&mut self) {
-            if !self.active {
-                return;
-            }
             let (slot1, depth, pins) = TLS.get();
             debug_assert!(slot1 != 0 && depth > 0, "guard dropped off-thread");
             TLS.set((slot1, depth - 1, pins));
             if depth == 1 {
                 SLOTS[slot1 - 1].store(IDLE, Ordering::SeqCst);
             }
-        }
-    }
-
-    const fn low_bits<T>() -> usize {
-        std::mem::align_of::<T>() - 1
-    }
-
-    /// An atomic tagged pointer to a heap `T` (subset of
-    /// `crossbeam_epoch::Atomic`).
-    pub struct Atomic<T> {
-        data: AtomicUsize,
-        _marker: PhantomData<*mut T>,
-    }
-
-    // SAFETY: same bounds as crossbeam_epoch::Atomic — it is a pointer whose
-    // pointees are handed out as `&T` across threads.
-    unsafe impl<T: Send + Sync> Send for Atomic<T> {}
-    unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
-
-    impl<T> Atomic<T> {
-        pub fn null() -> Atomic<T> {
-            Atomic {
-                data: AtomicUsize::new(0),
-                _marker: PhantomData,
-            }
-        }
-
-        pub fn new(value: T) -> Atomic<T> {
-            Atomic {
-                data: AtomicUsize::new(Box::into_raw(Box::new(value)) as usize),
-                _marker: PhantomData,
-            }
-        }
-
-        pub fn load<'g>(&self, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
-            Shared {
-                data: self.data.load(ord),
-                _marker: PhantomData,
-            }
-        }
-
-        pub fn store(&self, new: Shared<'_, T>, ord: Ordering) {
-            self.data.store(new.data, ord);
-        }
-
-        /// CAS on the tagged pointer word (subset of
-        /// `crossbeam_epoch::Atomic::compare_exchange`; the failure arm
-        /// returns the observed value instead of crossbeam's error struct).
-        pub fn compare_exchange<'g>(
-            &self,
-            current: Shared<'_, T>,
-            new: Shared<'g, T>,
-            success: Ordering,
-            failure: Ordering,
-            _guard: &'g Guard,
-        ) -> Result<Shared<'g, T>, Shared<'g, T>> {
-            match self
-                .data
-                .compare_exchange(current.data, new.data, success, failure)
-            {
-                Ok(_) => Ok(new),
-                Err(observed) => Err(Shared {
-                    data: observed,
-                    _marker: PhantomData,
-                }),
-            }
-        }
-    }
-
-    impl<T> Drop for Atomic<T> {
-        fn drop(&mut self) {
-            // Matches crossbeam: dropping an Atomic does NOT free the pointee
-            // (ownership is ambiguous); containers free nodes explicitly.
-        }
-    }
-
-    /// A tagged pointer valid for the lifetime of a guard.
-    pub struct Shared<'g, T> {
-        data: usize,
-        _marker: PhantomData<(&'g (), *mut T)>,
-    }
-
-    impl<T> Clone for Shared<'_, T> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<T> Copy for Shared<'_, T> {}
-
-    impl<T> PartialEq for Shared<'_, T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.data == other.data
-        }
-    }
-    impl<T> Eq for Shared<'_, T> {}
-
-    impl<'g, T> Shared<'g, T> {
-        pub fn null() -> Shared<'g, T> {
-            Shared {
-                data: 0,
-                _marker: PhantomData,
-            }
-        }
-
-        pub fn is_null(&self) -> bool {
-            self.untagged_raw() == 0
-        }
-
-        fn untagged_raw(&self) -> usize {
-            self.data & !low_bits::<T>()
-        }
-
-        pub fn tag(&self) -> usize {
-            self.data & low_bits::<T>()
-        }
-
-        pub fn with_tag(&self, tag: usize) -> Shared<'g, T> {
-            Shared {
-                data: self.untagged_raw() | (tag & low_bits::<T>()),
-                _marker: PhantomData,
-            }
-        }
-
-        /// # Safety
-        /// If non-null, the pointee must be alive (guard pinned before the
-        /// node could be freed).
-        pub unsafe fn as_ref(&self) -> Option<&'g T> {
-            let raw = self.untagged_raw();
-            if raw == 0 {
-                None
-            } else {
-                // SAFETY: per this function's contract.
-                Some(unsafe { &*(raw as *const T) })
-            }
-        }
-
-        /// # Safety
-        /// The pointer must be non-null and the pointee alive (guard pinned
-        /// before the node could be freed).
-        pub unsafe fn deref(&self) -> &'g T {
-            // SAFETY: per this function's contract.
-            unsafe { &*(self.untagged_raw() as *const T) }
-        }
-
-        /// # Safety
-        /// The caller must exclusively own the pointee (e.g. single-threaded
-        /// teardown) and the pointer must be non-null.
-        pub unsafe fn into_owned(self) -> Owned<T> {
-            debug_assert!(!self.is_null());
-            // SAFETY: per this function's contract.
-            Owned {
-                boxed: unsafe { Box::from_raw(self.untagged_raw() as *mut T) },
-            }
-        }
-    }
-
-    /// A uniquely-owned heap `T` not yet published (subset of
-    /// `crossbeam_epoch::Owned`).
-    pub struct Owned<T> {
-        boxed: Box<T>,
-    }
-
-    impl<T> Owned<T> {
-        pub fn new(value: T) -> Owned<T> {
-            Owned {
-                boxed: Box::new(value),
-            }
-        }
-
-        pub fn into_shared<'g>(self, _guard: &'g Guard) -> Shared<'g, T> {
-            Shared {
-                data: Box::into_raw(self.boxed) as usize,
-                _marker: PhantomData,
-            }
-        }
-    }
-
-    impl<T> Deref for Owned<T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.boxed
-        }
-    }
-
-    impl<T> DerefMut for Owned<T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.boxed
         }
     }
 
@@ -470,29 +249,6 @@ pub mod epoch {
         fn serial() -> MutexGuard<'static, ()> {
             static SERIAL: Mutex<()> = Mutex::new(());
             SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        #[test]
-        fn atomic_publish_and_read() {
-            let _serial = serial();
-            let a = Atomic::new(41u64);
-            let g = pin();
-            let s = a.load(Ordering::Acquire, &g);
-            assert!(!s.is_null());
-            assert_eq!(unsafe { *s.deref() }, 41);
-            unsafe { g.defer_destroy(s) };
-        }
-
-        #[test]
-        fn tags_ride_low_bits() {
-            let _serial = serial();
-            let a = Atomic::new(7u64);
-            let g = pin();
-            let s = a.load(Ordering::Acquire, &g).with_tag(1);
-            assert_eq!(s.tag(), 1);
-            assert_eq!(unsafe { *s.deref() }, 7);
-            assert_eq!(s.with_tag(0).tag(), 0);
-            unsafe { g.defer_destroy(s) };
         }
 
         #[test]
@@ -537,19 +293,6 @@ pub mod epoch {
             assert_eq!(hits.load(Ordering::SeqCst), 0);
             drop(reader);
             collect();
-            assert_eq!(hits.load(Ordering::SeqCst), 1);
-        }
-
-        #[test]
-        fn unprotected_defer_runs_immediately() {
-            let _serial = serial();
-            let hits = Arc::new(StdAtomicU64::new(0));
-            let h = hits.clone();
-            unsafe {
-                unprotected().defer_unchecked(move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                });
-            }
             assert_eq!(hits.load(Ordering::SeqCst), 1);
         }
 

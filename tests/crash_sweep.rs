@@ -686,18 +686,18 @@ fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Res
         ));
     }
     let m = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, R_NBUCKETS, &rec);
-    if m.resizing() {
+    let tid = rec.esys.register_thread();
+    if m.resizing(tid) {
         return Err(format!(
             "crash_at={crash_at}: recovery resurrected an in-flight resize"
         ));
     }
-    let cap = m.capacity();
+    let cap = m.capacity(tid);
     if !cap.is_power_of_two() || !(R_NBUCKETS..=R_MAX_CAP).contains(&cap) {
         return Err(format!(
             "crash_at={crash_at}: recovered geometry {cap} is not a legal level size"
         ));
     }
-    let tid = rec.esys.register_thread();
 
     let mut recovered: HashMap<u64, u64> = HashMap::new();
     for k in 0..R_KEYS {
@@ -737,7 +737,7 @@ fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Res
     // Usability probe: the recovered map keeps working — a fresh write, a
     // forced drain of any growth it triggers, and nothing recovered is lost.
     m.put(tid, key(R_KEYS + 1), &0xFEEDu64.to_le_bytes());
-    m.finish_resize();
+    m.finish_resize(tid);
     for (k, v) in &recovered {
         match m.get_owned(tid, &key(*k)) {
             Some(b) if b[..8] == v.to_le_bytes() => {}

@@ -356,7 +356,7 @@ fn map_histories_across_online_resizes_linearize() {
         let map = MontageHashMap::<Key>::with_max_load(esys.clone(), MTAG, 2, 1);
         let history = record_map_run(&esys, &map, 0x5E12E ^ seed, 3, 24, false, None);
         assert_eq!(history.len(), 3 * 24);
-        if map.resizes_completed() >= 1 || map.resizing() {
+        if map.resizes_completed() >= 1 || map.resizing(esys.register_thread()) {
             resized_runs += 1;
         }
         for k in 0..KEY_SPACE {
@@ -487,12 +487,13 @@ fn crashed_mid_resize_runs_linearize_to_an_epoch_cut_prefix() {
             let esys2 = Arc::clone(&esys);
             let (snapshot, map) = (&snapshot, &map);
             let at_crash = s.spawn(move || {
+                let tid = esys2.register_thread();
                 let mut at_crash = (false, false);
                 for tick in 0..16u64 {
                     std::thread::sleep(Duration::from_micros(300));
                     esys2.advance_epoch();
                     if tick == crash_tick {
-                        at_crash = (map.resizing(), map.resizes_completed() > 0);
+                        at_crash = (map.resizing(tid), map.resizes_completed() > 0);
                         *snapshot.lock().unwrap() = Some(esys2.pool().crash());
                     }
                 }
@@ -520,8 +521,8 @@ fn crashed_mid_resize_runs_linearize_to_an_epoch_cut_prefix() {
             "seed {seed}: clean crash quarantined payloads"
         );
         let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, 2, &rec);
-        assert!(!rmap.resizing(), "recovery left a resize in flight");
         let rtid = rec.esys.register_thread();
+        assert!(!rmap.resizing(rtid), "recovery left a resize in flight");
         let cutoff = rec.esys.curr_epoch() - 4;
         let durability = classify_by_epoch(&history, cutoff);
         for k in 0..KEY_SPACE {

@@ -134,7 +134,7 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
     // ≥2 completed online resizes (8 buckets × load 2: 2000 keys force the
     // table through 16, 32, … — many more than two in practice).
     let tid = esys.register_thread();
-    map.finish_resize();
+    map.finish_resize(tid);
     assert!(
         map.resizes_completed() >= 2,
         "only {} resizes completed under load",
@@ -163,13 +163,13 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
     let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, NBUCKETS, &rec);
     let rlist =
         MontageSortedList::<u64>::recover(rec.esys.clone(), montage_ds::tags::SORTED_LIST, &rec);
-    assert!(!rmap.resizing());
+    let rtid = rec.esys.register_thread();
+    assert!(!rmap.resizing(rtid));
     assert!(
-        rmap.capacity() > NBUCKETS,
+        rmap.capacity(rtid) > NBUCKETS,
         "recovery dropped the grown geometry"
     );
     assert_eq!(rmap.len(), WRITERS * KEYS_PER_WRITER as usize);
-    let rtid = rec.esys.register_thread();
     for w in 0..WRITERS {
         for i in 0..KEYS_PER_WRITER {
             assert_eq!(
