@@ -1,6 +1,8 @@
 //! Uniform benchmark-facing interfaces, so every system (Montage included,
 //! via adapters in the bench crate) is driven by identical workload code.
 
+use std::hash::{Hash, Hasher};
+
 /// The paper's key format: integer keys "converted to a string and padded to
 /// 32 B".
 pub type Key32 = [u8; 32];
@@ -11,6 +13,13 @@ pub fn make_key(i: u64) -> Key32 {
     let s = i.to_string();
     k[..s.len()].copy_from_slice(s.as_bytes());
     k
+}
+
+/// The bucket of `key` in a table of `n` buckets.
+pub(crate) fn bucket_of(key: &Key32, n: usize) -> usize {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() as usize) % n
 }
 
 /// A queue under benchmark: 1:1 enqueue/dequeue workloads.

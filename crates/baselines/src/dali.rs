@@ -14,7 +14,6 @@
 //! prepend on *every* update (Montage updates hot payloads in place), chain
 //! traversal through NVM on every lookup, and whole-bucket write-back sets.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, Key32};
+use crate::api::{bucket_of, BenchMap, Key32};
 
 /// Record layout: `next: u64 | era: u64 | op: u32 (1=put,2=del) | vlen: u32 |
 /// key 32B | value bytes`.
@@ -76,12 +75,6 @@ impl DaliHashMap {
             era: AtomicU64::new(1),
             len: AtomicUsize::new(0),
         }
-    }
-
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
     }
 
     fn read_key(&self, rec: POff) -> Key32 {
@@ -243,12 +236,12 @@ impl Drop for DaliFlusher {
 
 impl BenchMap for DaliHashMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
-        let b = self.buckets[self.index(key)].lock();
+        let b = self.buckets[bucket_of(key, self.buckets.len())].lock();
         matches!(self.find(b.head, key), Some((_, OP_PUT)))
     }
 
     fn insert(&self, _tid: usize, key: Key32, value: &[u8]) -> bool {
-        let idx = self.index(&key);
+        let idx = bucket_of(&key, self.buckets.len());
         let mut b = self.buckets[idx].lock();
         let existed = matches!(self.find(b.head, &key), Some((_, OP_PUT)));
         if existed {
@@ -260,7 +253,7 @@ impl BenchMap for DaliHashMap {
     }
 
     fn remove(&self, _tid: usize, key: &Key32) -> bool {
-        let idx = self.index(key);
+        let idx = bucket_of(key, self.buckets.len());
         let mut b = self.buckets[idx].lock();
         if !matches!(self.find(b.head, key), Some((_, OP_PUT))) {
             return false;

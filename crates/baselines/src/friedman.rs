@@ -15,11 +15,14 @@
 //! those marked dequeued or claimed in an announcement slot, and rebuilds
 //! the FIFO by sequence number (standing in for the original's
 //! reachability walk, which is entangled with its ssmem allocator).
+//!
+//! A dequeued node is freed by the queue's own `Reclaimer`, the
+//! per-thread epoch collector of that ssmem allocator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::epoch;
+use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
@@ -39,6 +42,77 @@ const NODE_MAGIC: u32 = 0xF41E_D4A9; // "friedman" node marker
 /// Root-area slot holding the announcement-slot block anchor.
 const ANCHOR_SLOT: usize = 9;
 
+/// A thread's retirements between two collections.
+const RETIRES_PER_COLLECT: usize = 64;
+
+/// The announcement of a thread outside every operation.
+const IDLE: u64 = u64::MAX;
+
+/// Frees dequeued nodes once no operation can still reach them. A thread
+/// announces the era it enters in; a node unlinked in era *r* is freed once
+/// every announcement is idle or later than *r*.
+struct Reclaimer {
+    era: AtomicU64,
+    slots: Box<[Slot]>,
+}
+
+/// One thread's announcement and limbo, on cache lines of its own.
+#[repr(align(128))]
+struct Slot {
+    announced: AtomicU64,
+    /// `(era, node)` in era order; only this slot's thread pushes.
+    limbo: Mutex<Vec<(u64, u64)>>,
+}
+
+/// An operation's window; leaving it clears the announcement.
+struct Entered<'a>(&'a AtomicU64);
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        self.0.store(IDLE, Ordering::SeqCst);
+    }
+}
+
+impl Reclaimer {
+    fn new(max_threads: usize) -> Self {
+        let slot = |_| Slot {
+            announced: AtomicU64::new(IDLE),
+            limbo: Mutex::default(),
+        };
+        Reclaimer {
+            era: AtomicU64::new(0),
+            slots: (0..max_threads.max(1)).map(slot).collect(),
+        }
+    }
+
+    /// Opens `tid`'s window; call it before loading `head` or `tail`.
+    fn enter(&self, tid: usize) -> Entered<'_> {
+        let announced = &self.slots[tid].announced;
+        announced.store(self.era.load(Ordering::SeqCst), Ordering::SeqCst);
+        Entered(announced)
+    }
+
+    /// Parks `node`, which `tid` has just unlinked. Whenever the limbo
+    /// reaches a multiple of `RETIRES_PER_COLLECT` nodes, advances the era
+    /// and frees the nodes older than every announcement.
+    fn retire(&self, tid: usize, node: u64, ralloc: &Ralloc) {
+        let mut limbo = self.slots[tid].limbo.lock();
+        limbo.push((self.era.load(Ordering::SeqCst), node));
+        if limbo.len().is_multiple_of(RETIRES_PER_COLLECT) {
+            self.era.fetch_add(1, Ordering::SeqCst);
+            let announced = self
+                .slots
+                .iter()
+                .map(|s| s.announced.load(Ordering::SeqCst));
+            let oldest = announced.min().unwrap_or(IDLE);
+            let done = limbo.partition_point(|&(era, _)| era < oldest);
+            for (_, node) in limbo.drain(..done) {
+                ralloc.dealloc(POff::new(node));
+            }
+        }
+    }
+}
+
 pub struct FriedmanQueue {
     ralloc: Arc<Ralloc>,
     pool: PmemPool,
@@ -49,12 +123,29 @@ pub struct FriedmanQueue {
     deq_slots: POff,
     max_threads: usize,
     next_seq: AtomicU64,
+    reclaim: Reclaimer,
 }
 
 impl FriedmanQueue {
     pub fn new(ralloc: Arc<Ralloc>, max_threads: usize) -> Self {
         let pool = ralloc.pool().clone();
         let sentinel = Self::make_sentinel(&ralloc, &pool);
+        let deq_slots = Self::anchor_slots(&ralloc, &pool, max_threads);
+        FriedmanQueue {
+            pool,
+            head: AtomicU64::new(sentinel.raw()),
+            tail: AtomicU64::new(sentinel.raw()),
+            deq_slots,
+            max_threads,
+            next_seq: AtomicU64::new(1),
+            reclaim: Reclaimer::new(max_threads),
+            ralloc,
+        }
+    }
+
+    /// Allocates zeroed announcement slots for `max_threads` and anchors
+    /// them in the root area for recovery.
+    fn anchor_slots(ralloc: &Ralloc, pool: &PmemPool, max_threads: usize) -> POff {
         let deq_slots = ralloc.alloc(8 * max_threads.max(1));
         for t in 0..max_threads {
             // SAFETY: slot t lies inside the 8*max_threads block just
@@ -69,15 +160,7 @@ impl FriedmanQueue {
             pool.write::<u64>(POff::root_slot(ANCHOR_SLOT).add(8), &(max_threads as u64));
         }
         pool.persist_range(POff::root_slot(ANCHOR_SLOT), 16);
-        FriedmanQueue {
-            pool,
-            head: AtomicU64::new(sentinel.raw()),
-            tail: AtomicU64::new(sentinel.raw()),
-            deq_slots,
-            max_threads,
-            next_seq: AtomicU64::new(1),
-            ralloc,
-        }
+        deq_slots
     }
 
     fn make_sentinel(ralloc: &Ralloc, pool: &PmemPool) -> POff {
@@ -144,25 +227,18 @@ impl FriedmanQueue {
             // full, magic-tagged header, so SEQ_OFF is in bounds.
             .map(|(blk, _)| (unsafe { pool.read::<u64>(blk.add(SEQ_OFF)) }, blk))
             .collect();
-        // Claimed-but-kept blocks get freed (their dequeue is recovered as
-        // done, exactly the original's announcement semantics).
+        // A claimed node's dequeue is recovered as done (the original's
+        // announcement semantics), so none is in `nodes`; mark it dequeued
+        // durably so a second crash agrees.
         for &c in &claimed {
-            if c != 0 {
-                // May or may not still be live; if the sweep kept it, give
-                // it back.
-                if nodes.iter().all(|&(_, b)| b.raw() != c) {
-                    // Either swept away already or live-but-claimed; mark it
-                    // dequeued durably so a second crash agrees.
-                    let blk = POff::new(c);
-                    // SAFETY: the announcement slot held a block address this
-                    // queue allocated; the magic check guards against a slot
-                    // that was claimed and then swept. Recovery is
-                    // single-threaded, so the read and write cannot race.
-                    if unsafe { pool.read::<u32>(blk.add(MAGIC_OFF)) } == NODE_MAGIC {
-                        unsafe { pool.write::<u64>(blk.add(DEQED_OFF), &1) };
-                        pool.persist_range(blk.add(DEQED_OFF), 8);
-                    }
-                }
+            let blk = POff::new(c);
+            // SAFETY: the announcement slot held a block address this queue
+            // allocated; the magic check guards against a slot that was
+            // claimed and then swept. Recovery is single-threaded, so the
+            // read and write cannot race.
+            if unsafe { pool.read::<u32>(blk.add(MAGIC_OFF)) } == NODE_MAGIC {
+                unsafe { pool.write::<u64>(blk.add(DEQED_OFF), &1) };
+                pool.persist_range(blk.add(DEQED_OFF), 8);
             }
         }
         nodes.sort_unstable_by_key(|&(seq, _)| seq);
@@ -182,20 +258,7 @@ impl FriedmanQueue {
         }
         pool.sfence();
 
-        let deq_slots = ralloc.alloc(8 * max_threads.max(1));
-        for t in 0..max_threads {
-            // SAFETY: slot t lies inside the 8*max_threads block just
-            // allocated; u64 stores are plain data and nothing aliases it yet.
-            unsafe { pool.write::<u64>(deq_slots.add(8 * t as u64), &0) };
-        }
-        pool.persist_range(deq_slots, 8 * max_threads.max(1));
-        // SAFETY: the root-area anchor slot is reserved for this queue; both
-        // words are in bounds and no other thread is running yet.
-        unsafe {
-            pool.write::<u64>(POff::root_slot(ANCHOR_SLOT), &deq_slots.raw());
-            pool.write::<u64>(POff::root_slot(ANCHOR_SLOT).add(8), &(max_threads as u64));
-        }
-        pool.persist_range(POff::root_slot(ANCHOR_SLOT), 16);
+        let deq_slots = Self::anchor_slots(&ralloc, &pool, max_threads);
 
         let next_seq = nodes.last().map_or(1, |&(s, _)| s + 1);
         Some(FriedmanQueue {
@@ -204,14 +267,15 @@ impl FriedmanQueue {
             deq_slots,
             max_threads,
             next_seq: AtomicU64::new(next_seq),
+            reclaim: Reclaimer::new(max_threads),
             pool,
             ralloc,
         })
     }
 
     fn next_cell(&self, node: u64) -> &AtomicU64 {
-        // SAFETY: `node` is a live queue node (reached from head/tail under
-        // an epoch pin), and NEXT_OFF is its 8-aligned first word.
+        // SAFETY: `node` is live: reached inside a reclaimer window or under
+        // `&mut self`. NEXT_OFF is its 8-aligned first word.
         unsafe { self.pool.atomic_u64(POff::new(node + NEXT_OFF)) }
     }
 
@@ -220,9 +284,8 @@ impl FriedmanQueue {
         self.deq_slots.add(8 * tid as u64)
     }
 
-    /// Number of live items (O(n) walk; for tests).
-    pub fn len(&self) -> usize {
-        let _pin = epoch::pin();
+    /// Number of live items (O(n) walk, for tests; `&mut self` needs no window).
+    pub fn len(&mut self) -> usize {
         let mut n = 0;
         let mut cur = self
             .next_cell(self.head.load(Ordering::SeqCst))
@@ -234,13 +297,13 @@ impl FriedmanQueue {
         n
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(&mut self) -> bool {
         self.len() == 0
     }
 }
 
 impl BenchQueue for FriedmanQueue {
-    fn enqueue(&self, _tid: usize, value: &[u8]) {
+    fn enqueue(&self, tid: usize, value: &[u8]) {
         let node = self.ralloc.alloc(DATA_OFF as usize + value.len());
         let seq = self.next_seq.fetch_add(1, Ordering::AcqRel);
         // SAFETY: the header offsets fit in the freshly allocated block,
@@ -258,7 +321,7 @@ impl BenchQueue for FriedmanQueue {
         self.pool
             .persist_range(node, DATA_OFF as usize + value.len());
 
-        let _pin = epoch::pin();
+        let _in = self.reclaim.enter(tid);
         loop {
             let last = self.tail.load(Ordering::SeqCst);
             self.pool.touch(); // NVM node dereference
@@ -297,7 +360,7 @@ impl BenchQueue for FriedmanQueue {
     }
 
     fn dequeue(&self, tid: usize) -> bool {
-        let pin = epoch::pin();
+        let _in = self.reclaim.enter(tid);
         loop {
             let first = self.head.load(Ordering::SeqCst);
             let last = self.tail.load(Ordering::SeqCst);
@@ -334,13 +397,7 @@ impl BenchQueue for FriedmanQueue {
                 // owner of `next`'s dequeued flag; the offset is in bounds.
                 unsafe { self.pool.write::<u64>(POff::new(next + DEQED_OFF), &1) };
                 self.pool.clwb(POff::new(next + DEQED_OFF));
-                let r = self.ralloc.clone();
-                // SAFETY: `first` was unlinked by the CAS; the deferred
-                // dealloc runs only after every current epoch pin drops, and
-                // the captured Arc<Ralloc> keeps the allocator alive.
-                unsafe {
-                    pin.defer_unchecked(move || r.dealloc(POff::new(first)));
-                }
+                self.reclaim.retire(tid, first, &self.ralloc);
                 return true;
             }
         }
@@ -359,7 +416,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread() {
-        let q = queue();
+        let mut q = queue();
         for i in 0..50u32 {
             q.enqueue(0, &i.to_le_bytes());
         }
@@ -369,6 +426,39 @@ mod tests {
         }
         assert!(!q.dequeue(0));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn dropping_a_friedman_queue_releases_its_allocator() {
+        let ralloc = Ralloc::format(PmemPool::new(PmemConfig::default()));
+        let weak = Arc::downgrade(&ralloc);
+        let q = FriedmanQueue::new(ralloc, 8);
+        for i in 0..10u32 {
+            q.enqueue(0, &i.to_le_bytes());
+        }
+        for _ in 0..10 {
+            assert!(q.dequeue(0));
+        }
+        drop(q);
+        assert!(weak.upgrade().is_none(), "retired nodes pin the allocator");
+    }
+
+    #[test]
+    fn a_retired_node_waits_for_every_older_window() {
+        let q = queue();
+        let deallocs = || q.ralloc.stats().deallocs.load(Ordering::Relaxed);
+        let batch = || {
+            for i in 0..RETIRES_PER_COLLECT as u32 {
+                q.enqueue(0, &i.to_le_bytes());
+                assert!(q.dequeue(0));
+            }
+        };
+        let reader = q.reclaim.enter(1);
+        batch();
+        assert_eq!(deallocs(), 0, "freed under tid 1's older window");
+        drop(reader);
+        batch();
+        assert_eq!(deallocs(), RETIRES_PER_COLLECT as u64, "first batch freed");
     }
 
     #[test]
@@ -423,7 +513,7 @@ mod tests {
             assert!(q.dequeue(1));
         }
         let crashed = pool.crash();
-        let q2 = FriedmanQueue::recover(crashed, 4);
+        let mut q2 = FriedmanQueue::recover(crashed, 4);
         // Strictly durable: exactly items 10..30 remain (every op persisted
         // before returning), possibly minus the announced-but-uncommitted
         // head — here none.
@@ -441,11 +531,11 @@ mod tests {
         for i in 0..10u32 {
             q.enqueue(0, &i.to_le_bytes());
         }
-        let q2 = FriedmanQueue::recover(pool.crash(), 4);
+        let mut q2 = FriedmanQueue::recover(pool.crash(), 4);
         assert_eq!(q2.len(), 10);
         q2.enqueue(0, &99u32.to_le_bytes());
         q2.dequeue(0);
-        let q3 = FriedmanQueue::recover(q2.pool.crash(), 4);
+        let mut q3 = FriedmanQueue::recover(q2.pool.crash(), 4);
         assert_eq!(q3.len(), 10);
     }
 }

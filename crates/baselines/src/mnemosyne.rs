@@ -9,7 +9,6 @@
 //! figures: a 1 KB value update writes ~2 KB (log + data), flushes both
 //! copies, and fences twice — per operation.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, BenchQueue, Key32};
+use crate::api::{bucket_of, BenchMap, BenchQueue, Key32};
 
 const LOG_REGION: usize = 1 << 16;
 
@@ -238,12 +237,6 @@ impl MnemosyneMap {
         }
     }
 
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
-    }
-
     fn key_at(&self, node: POff) -> Key32 {
         let mut k = [0u8; 32];
         self.sys.pool.read_bytes(node.add(KEY_OFF), &mut k);
@@ -267,7 +260,7 @@ impl MnemosyneMap {
 
 impl BenchMap for MnemosyneMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
-        let head = self.buckets[self.index(key)].lock();
+        let head = self.buckets[bucket_of(key, self.buckets.len())].lock();
         let mut cur = *head;
         while !cur.is_null() {
             self.sys.pool.touch(); // NVM chain hop
@@ -280,7 +273,7 @@ impl BenchMap for MnemosyneMap {
     }
 
     fn insert(&self, tid: usize, key: Key32, value: &[u8]) -> bool {
-        let idx = self.index(&key);
+        let idx = bucket_of(&key, self.buckets.len());
         let mut head = self.buckets[idx].lock();
         let mut cur = *head;
         while !cur.is_null() {
@@ -307,7 +300,7 @@ impl BenchMap for MnemosyneMap {
     }
 
     fn remove(&self, tid: usize, key: &Key32) -> bool {
-        let idx = self.index(key);
+        let idx = bucket_of(key, self.buckets.len());
         let mut head = self.buckets[idx].lock();
         let mut pred = POff::NULL;
         let mut cur = *head;

@@ -11,7 +11,6 @@
 //! queue whose dequeues trigger amortized O(n) persisted reversals, which is
 //! why it trails Montage by 1–2 orders of magnitude.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, BenchQueue, Key32};
+use crate::api::{bucket_of, BenchMap, BenchQueue, Key32};
 
 /// Functional list-node layout: `next: u64 | vlen: u32 | pad | key 32B | value`.
 const NEXT_OFF: u64 = 0;
@@ -133,12 +132,6 @@ impl ModHashMap {
         }
     }
 
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.roots.len()
-    }
-
     fn head(&self, cell: POff) -> POff {
         // SAFETY: `cell` is this bucket's root word; callers hold the
         // bucket lock, so the read cannot race the commit write.
@@ -199,7 +192,7 @@ impl ModHashMap {
 
 impl BenchMap for ModHashMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
-        let cell = self.roots[self.index(key)].lock();
+        let cell = self.roots[bucket_of(key, self.roots.len())].lock();
         let na = NodeAccess { pool: &self.pool };
         let mut cur = self.head(*cell);
         while !cur.is_null() {
@@ -213,7 +206,7 @@ impl BenchMap for ModHashMap {
     }
 
     fn insert(&self, _tid: usize, key: Key32, value: &[u8]) -> bool {
-        let cell = self.roots[self.index(&key)].lock();
+        let cell = self.roots[bucket_of(&key, self.roots.len())].lock();
         let na = NodeAccess { pool: &self.pool };
         let head = self.head(*cell);
         let mut cur = head;
@@ -232,7 +225,7 @@ impl BenchMap for ModHashMap {
     }
 
     fn remove(&self, _tid: usize, key: &Key32) -> bool {
-        let cell = self.roots[self.index(key)].lock();
+        let cell = self.roots[bucket_of(key, self.roots.len())].lock();
         let na = NodeAccess { pool: &self.pool };
         let head = self.head(*cell);
         let mut target = head;

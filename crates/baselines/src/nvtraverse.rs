@@ -11,7 +11,6 @@
 //! Montage at low thread counts but falls behind once flush traffic
 //! contends.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, Key32};
+use crate::api::{bucket_of, BenchMap, Key32};
 
 /// Node layout: `next: u64 | vlen: u32 | pad | key 32B | value bytes`.
 const NEXT_OFF: u64 = 0;
@@ -42,12 +41,6 @@ impl NvTraverseHashMap {
             buckets: (0..nbuckets).map(|_| Mutex::new(POff::NULL)).collect(),
             len: AtomicUsize::new(0),
         }
-    }
-
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
     }
 
     fn key_at(&self, node: POff) -> Key32 {
@@ -92,14 +85,14 @@ impl NvTraverseHashMap {
 
 impl BenchMap for NvTraverseHashMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
-        let head = self.buckets[self.index(key)].lock();
+        let head = self.buckets[bucket_of(key, self.buckets.len())].lock();
         let (pred, curr) = self.seek(*head, key);
         self.persist_zone(pred, curr);
         !curr.is_null()
     }
 
     fn insert(&self, _tid: usize, key: Key32, value: &[u8]) -> bool {
-        let mut head = self.buckets[self.index(&key)].lock();
+        let mut head = self.buckets[bucket_of(&key, self.buckets.len())].lock();
         let (pred, curr) = self.seek(*head, &key);
         if !curr.is_null() {
             return false;
@@ -130,7 +123,7 @@ impl BenchMap for NvTraverseHashMap {
     }
 
     fn remove(&self, _tid: usize, key: &Key32) -> bool {
-        let mut head = self.buckets[self.index(key)].lock();
+        let mut head = self.buckets[bucket_of(key, self.buckets.len())].lock();
         let (pred, curr) = self.seek(*head, key);
         if curr.is_null() {
             return false;

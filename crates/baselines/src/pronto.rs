@@ -25,16 +25,14 @@
 //! order of magnitude on large payloads.
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, BenchQueue, Key32};
+use crate::api::{bucket_of, BenchMap, BenchQueue, Key32};
 
 /// Per-thread persistent log region.
 const LOG_REGION: usize = 1 << 16;
@@ -51,6 +49,11 @@ pub enum Mode {
     Full,
 }
 
+/// A Full-mode flush request — packed `(off:48 | len:16)`, 0 = none — on its
+/// own two cache lines, so threads posting requests do not share one.
+#[repr(align(128))]
+struct Mailbox(AtomicU64);
+
 /// The semantic log: one region per thread (one contiguous anchored block)
 /// plus, in Full mode, one logger thread servicing flush requests.
 struct OpLog {
@@ -62,8 +65,8 @@ struct OpLog {
     nthreads: usize,
     positions: Box<[Mutex<u64>]>,
     seq: AtomicU64,
-    /// Full mode: request mailboxes — packed `(off:48 | len:16)`, 0 = none.
-    requests: Box<[CachePadded<AtomicU64>]>,
+    /// Full mode: one request mailbox per thread.
+    requests: Box<[Mailbox]>,
     stop: Arc<AtomicBool>,
     logger: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -93,9 +96,7 @@ impl OpLog {
             nthreads,
             positions: (0..nthreads).map(|_| Mutex::new(0)).collect(),
             seq: AtomicU64::new(1),
-            requests: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            requests: (0..nthreads).map(|_| Mailbox(AtomicU64::new(0))).collect(),
             stop: Arc::new(AtomicBool::new(false)),
             logger: Mutex::new(None),
         });
@@ -106,7 +107,7 @@ impl OpLog {
                 while !stop.load(Ordering::Relaxed) {
                     let mut idle = true;
                     for t in 0..l.requests.len() {
-                        let req = l.requests[t].swap(0, Ordering::AcqRel);
+                        let req = l.requests[t].0.swap(0, Ordering::AcqRel);
                         if req != 0 {
                             idle = false;
                             let off = req >> 16;
@@ -174,6 +175,7 @@ impl OpLog {
             }
             Mode::Full => {
                 self.requests[tid % self.nthreads]
+                    .0
                     .store((off.raw() << 16) | len as u64, Ordering::Release);
             }
         }
@@ -183,7 +185,7 @@ impl OpLog {
     fn wait_durable(&self, tid: usize) {
         if self.mode == Mode::Full {
             let mut spins = 0u32;
-            while self.requests[tid % self.nthreads].load(Ordering::Acquire) != 0 {
+            while self.requests[tid % self.nthreads].0.load(Ordering::Acquire) != 0 {
                 spins += 1;
                 if spins.is_multiple_of(64) {
                     std::thread::yield_now();
@@ -489,12 +491,6 @@ impl ProntoMap {
         }
     }
 
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
-    }
-
     /// Serializes the map and truncates logs (caller quiesces operations).
     pub fn checkpoint(&self) {
         let mut blob = Vec::new();
@@ -561,7 +557,7 @@ impl ProntoMap {
     }
 
     fn apply_insert(&self, key: Key32, value: &[u8]) -> bool {
-        let mut chain = self.buckets[self.index(&key)].lock();
+        let mut chain = self.buckets[bucket_of(&key, self.buckets.len())].lock();
         if chain.iter().any(|e| e.0 == key) {
             return false;
         }
@@ -570,7 +566,7 @@ impl ProntoMap {
     }
 
     fn apply_remove(&self, key: &Key32) -> bool {
-        let mut chain = self.buckets[self.index(key)].lock();
+        let mut chain = self.buckets[bucket_of(key, self.buckets.len())].lock();
         match chain.iter().position(|e| e.0 == *key) {
             Some(p) => {
                 chain.swap_remove(p);
@@ -592,7 +588,7 @@ impl ProntoMap {
 impl BenchMap for ProntoMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
         // Reads are not logged (no state change).
-        self.buckets[self.index(key)]
+        self.buckets[bucket_of(key, self.buckets.len())]
             .lock()
             .iter()
             .any(|e| e.0 == *key)
@@ -600,7 +596,7 @@ impl BenchMap for ProntoMap {
 
     fn insert(&self, tid: usize, key: Key32, value: &[u8]) -> bool {
         let ok = {
-            let mut chain = self.buckets[self.index(&key)].lock();
+            let mut chain = self.buckets[bucket_of(&key, self.buckets.len())].lock();
             if chain.iter().any(|e| e.0 == key) {
                 false
             } else {
@@ -616,7 +612,7 @@ impl BenchMap for ProntoMap {
 
     fn remove(&self, tid: usize, key: &Key32) -> bool {
         let ok = {
-            let mut chain = self.buckets[self.index(key)].lock();
+            let mut chain = self.buckets[bucket_of(key, self.buckets.len())].lock();
             match chain.iter().position(|e| e.0 == *key) {
                 Some(p) => {
                     self.log.append(tid, &encode_entry(OP_DEL, Some(key), None));

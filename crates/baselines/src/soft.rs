@@ -11,7 +11,6 @@
 //! Critical-path shape: insert = write PNode (key+value), flush, fence,
 //! set valid bit, flush, fence; remove = mark PNode deleted, flush, fence.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use parking_lot::Mutex;
 use pmem::{POff, PmemPool};
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, Key32};
+use crate::api::{bucket_of, BenchMap, Key32};
 
 /// PNode layout: `valid: u64 | klen..: key 32B | vlen: u32 | value`.
 const VALID_OFF: u64 = 0;
@@ -85,7 +84,7 @@ impl SoftHashMap {
             let vlen = unsafe { map.pool.read::<u32>(pnode.add(VLEN_OFF)) } as usize;
             let mut value = vec![0u8; vlen];
             map.pool.read_bytes(pnode.add(DATA_OFF), &mut value);
-            let idx = map.index(&key);
+            let idx = bucket_of(&key, map.buckets.len());
             map.buckets[idx].lock().push(Entry {
                 key,
                 value: value.into(),
@@ -94,12 +93,6 @@ impl SoftHashMap {
             map.len.fetch_add(1, Ordering::Relaxed);
         }
         Some(map)
-    }
-
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
     }
 
     pub fn len(&self) -> usize {
@@ -114,14 +107,14 @@ impl SoftHashMap {
 impl BenchMap for SoftHashMap {
     fn get(&self, _tid: usize, key: &Key32) -> bool {
         // DRAM only: this is SOFT's defining read path.
-        self.buckets[self.index(key)]
+        self.buckets[bucket_of(key, self.buckets.len())]
             .lock()
             .iter()
             .any(|e| e.key == *key)
     }
 
     fn insert(&self, _tid: usize, key: Key32, value: &[u8]) -> bool {
-        let mut chain = self.buckets[self.index(&key)].lock();
+        let mut chain = self.buckets[bucket_of(&key, self.buckets.len())].lock();
         if chain.iter().any(|e| e.key == key) {
             return false;
         }
@@ -152,7 +145,7 @@ impl BenchMap for SoftHashMap {
     }
 
     fn remove(&self, _tid: usize, key: &Key32) -> bool {
-        let mut chain = self.buckets[self.index(key)].lock();
+        let mut chain = self.buckets[bucket_of(key, self.buckets.len())].lock();
         let Some(pos) = chain.iter().position(|e| e.key == *key) else {
             return false;
         };

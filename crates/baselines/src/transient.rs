@@ -5,7 +5,6 @@
 //! locality).
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use parking_lot::Mutex;
 use pmem::POff;
 use ralloc::Ralloc;
 
-use crate::api::{BenchMap, BenchQueue, Key32};
+use crate::api::{bucket_of, BenchMap, BenchQueue, Key32};
 
 /// Where values live.
 #[derive(Clone)]
@@ -134,12 +133,6 @@ impl TransientHashMap {
         }
     }
 
-    fn index(&self, key: &Key32) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
-    }
-
     pub fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
@@ -149,7 +142,7 @@ impl TransientHashMap {
     }
 
     fn get_with<R>(&self, key: &Key32, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let chain = self.buckets[self.index(key)].lock();
+        let chain = self.buckets[bucket_of(key, self.buckets.len())].lock();
         chain
             .iter()
             .find(|e| e.key == *key)
@@ -163,7 +156,7 @@ impl BenchMap for TransientHashMap {
     }
 
     fn insert(&self, _tid: usize, key: Key32, value: &[u8]) -> bool {
-        let mut chain = self.buckets[self.index(&key)].lock();
+        let mut chain = self.buckets[bucket_of(&key, self.buckets.len())].lock();
         if chain.iter().any(|e| e.key == key) {
             return false;
         }
@@ -176,7 +169,7 @@ impl BenchMap for TransientHashMap {
     }
 
     fn remove(&self, _tid: usize, key: &Key32) -> bool {
-        let mut chain = self.buckets[self.index(key)].lock();
+        let mut chain = self.buckets[bucket_of(key, self.buckets.len())].lock();
         let Some(pos) = chain.iter().position(|e| e.key == *key) else {
             return false;
         };

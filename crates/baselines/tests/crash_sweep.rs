@@ -42,7 +42,7 @@ fn friedman_queue_recovers_an_operation_prefix_at_every_crash_point() {
         },
         |durable, crash_at| {
             // A crash during formatting legitimately leaves no queue.
-            let Some(q) = FriedmanQueue::try_recover(durable, 2) else {
+            let Some(mut q) = FriedmanQueue::try_recover(durable, 2) else {
                 return Ok(());
             };
             let len = q.len();

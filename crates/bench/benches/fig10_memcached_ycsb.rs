@@ -13,12 +13,12 @@ use montage_bench::harness::{env_scale, env_threads};
 use montage_bench::report;
 use montage_bench::systems::nvm_pool;
 use ralloc::Ralloc;
-use workloads::ycsb::{YcsbAWorkload, YcsbOp};
+use workloads::ycsb::{YcsbOp, YcsbWorkload};
 
 fn main() {
     let scale = env_scale();
-    let records = ((YcsbAWorkload::RECORDS as f64 * scale) as u64).max(1_000);
-    let total_ops = ((YcsbAWorkload::OPS as f64 * scale) as u64).max(10_000);
+    let records = ((YcsbWorkload::RECORDS as f64 * scale) as u64).max(1_000);
+    let total_ops = ((YcsbWorkload::OPS as f64 * scale) as u64).max(10_000);
     let value = vec![0xABu8; 256];
     report::header(
         "fig10",
@@ -74,7 +74,7 @@ fn main() {
                     let value = &value;
                     s.spawn(move || {
                         let tid = kv.register_thread();
-                        let work = YcsbAWorkload::new(records, per_thread, 0xA11CE + t as u64);
+                        let work = YcsbWorkload::a(records, per_thread, 0xA11CE + t as u64);
                         barrier.wait();
                         for op in work {
                             match op {

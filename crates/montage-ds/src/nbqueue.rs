@@ -7,15 +7,15 @@
 //!
 //! Transient nodes (retired through [`EpochSys::retire_transient`]) carry
 //! the payload handles and sequence numbers; the persistent state is identical to
-//! [`crate::MontageQueue`]'s, so recovery is shared logic: sort payloads by
-//! sequence number.
+//! [`crate::MontageQueue`]'s, and so is its recovery
+//! (`queue::recover_items`): sort payloads by sequence number.
 
 use std::sync::Arc;
 
 use montage::dcss::CasVerifyError;
 use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId, VerifyCell};
 
-const SEQ_BYTES: usize = 8;
+use crate::queue::{recover_items, SEQ_BYTES};
 
 struct Node {
     /// Null for the dummy node.
@@ -57,20 +57,7 @@ impl MontageNbQueue {
 
     /// Rebuilds from recovered payloads (sorted by sequence number).
     pub fn recover(esys: Arc<EpochSys>, tag: u16, rec: &RecoveredState) -> Self {
-        let mut items: Vec<(u64, PHandle<[u8]>)> = rec
-            .shards
-            .iter()
-            .flatten()
-            .filter(|it| it.tag == tag)
-            .map(|it| {
-                let seq = rec.with_bytes(it, |b| {
-                    u64::from_le_bytes(b[..SEQ_BYTES].try_into().unwrap())
-                });
-                (seq, it.handle())
-            })
-            .collect();
-        items.sort_unstable_by_key(|&(s, _)| s);
-        Self::with_items(esys, tag, items)
+        Self::with_items(esys, tag, recover_items(tag, rec))
     }
 
     fn with_items(esys: Arc<EpochSys>, tag: u16, items: Vec<(u64, PHandle<[u8]>)>) -> Self {

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use montage::sync::Mutex;
 use montage::{EpochSys, PHandle, RecoveredState, ThreadId};
 
-/// Persistent layout of one item: `seq: u64` then the value bytes.
-const SEQ_BYTES: usize = 8;
+/// Persistent layout of one item of either Montage queue: `seq: u64`, value.
+pub(crate) const SEQ_BYTES: usize = 8;
 
 struct Inner {
     items: VecDeque<(u64, PHandle<[u8]>)>,
@@ -46,6 +46,29 @@ pub struct MontageQueue {
     inner: Mutex<Inner>,
 }
 
+/// A queue's recovered items with `tag`, in sequence order: the recovery
+/// both Montage queues share.
+pub(crate) fn recover_items(tag: u16, rec: &RecoveredState) -> Vec<(u64, PHandle<[u8]>)> {
+    let mut items: Vec<(u64, PHandle<[u8]>)> = rec
+        .shards
+        .iter()
+        .flatten()
+        .filter(|it| it.tag == tag)
+        .map(|it| {
+            let seq = rec.with_bytes(it, |b| {
+                u64::from_le_bytes(b[..SEQ_BYTES].try_into().unwrap())
+            });
+            (seq, it.handle())
+        })
+        .collect();
+    items.sort_unstable_by_key(|&(seq, _)| seq);
+    debug_assert!(
+        items.windows(2).all(|w| w[0].0 + 1 == w[1].0),
+        "recovered sequence numbers must be contiguous"
+    );
+    items
+}
+
 impl MontageQueue {
     /// Creates an empty queue whose payloads carry `tag`.
     pub fn new(esys: Arc<EpochSys>, tag: u16) -> Self {
@@ -64,23 +87,7 @@ impl MontageQueue {
     /// Matching the paper's recovery sketch, this is ordinary application
     /// code: filter by tag, decode the sequence number, sort.
     pub fn recover(esys: Arc<EpochSys>, tag: u16, rec: &RecoveredState) -> Self {
-        let mut items: Vec<(u64, PHandle<[u8]>)> = rec
-            .shards
-            .iter()
-            .flatten()
-            .filter(|it| it.tag == tag)
-            .map(|it| {
-                let seq = rec.with_bytes(it, |b| {
-                    u64::from_le_bytes(b[..SEQ_BYTES].try_into().unwrap())
-                });
-                (seq, it.handle())
-            })
-            .collect();
-        items.sort_unstable_by_key(|&(seq, _)| seq);
-        debug_assert!(
-            items.windows(2).all(|w| w[0].0 + 1 == w[1].0),
-            "recovered sequence numbers must be contiguous"
-        );
+        let items = recover_items(tag, rec);
         let next_seq = items.last().map_or(0, |&(s, _)| s + 1);
         MontageQueue {
             esys,

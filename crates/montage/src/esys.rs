@@ -11,6 +11,7 @@
 //!    supported by `CHECK_EPOCH`, the `OldSeeNewException`, and the
 //!    [`crate::dcss`] primitives.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use std::cell::Cell;
@@ -108,10 +109,10 @@ pub struct EpochSys {
     /// reads or writes its slot (Relaxed); the flag routes that thread's
     /// `begin_op` onto the nested (non-owning) path.
     pinned: Box<[CachePadded<AtomicBool>]>,
-    /// Unlinked transient objects and their labels, waiting for the
-    /// reclamation frontier (`retire_transient`), or for this system to
-    /// drop; the count is the one load an idle advance pays.
-    retired: Mutex<Vec<(u64, Retired)>>,
+    /// Unlinked transient objects and their labels, in label order, waiting
+    /// for the reclamation frontier (`retire_transient`), or for this system
+    /// to drop; the count is the one load an idle advance pays.
+    retired: Mutex<VecDeque<(u64, Retired)>>,
     retired_len: AtomicUsize,
     /// Under the model checker a freed retirement is parked here instead.
     #[cfg(feature = "interleave-check")]
@@ -175,7 +176,7 @@ impl EpochSys {
             pinned: (0..cfg.max_threads)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
-            retired: Mutex::new(Vec::new()),
+            retired: Mutex::new(VecDeque::new()),
             retired_len: AtomicUsize::new(0),
             #[cfg(feature = "interleave-check")]
             poisoned: Mutex::new(Vec::new()),
@@ -942,36 +943,36 @@ impl EpochSys {
     /// this call can reach it, it is retired once, and dropping it stays
     /// sound until this system drops (a `Copy` key has no destructor).
     pub unsafe fn retire_transient<T: Send>(&self, g: &OpGuard<'_>, unlinked: *mut T) {
-        // SeqCst joins every reader's announce/validate order.
-        let mut label = self.clock().load(Ordering::SeqCst);
-        if seeded("esys.retire.label") {
-            label = g.epoch;
-        }
         // SAFETY: per the contract, which also makes erasing `T`'s lifetime
         // sound: the box is dropped no later than this system.
         let obj: Retired =
             unsafe { std::mem::transmute(Box::from_raw(unlinked) as Box<dyn Send + '_>) };
         let mut queue = self.retired.lock();
-        queue.push((label, obj));
+        // SeqCst joins every reader's announce/validate order. Read under the
+        // lock, labels join the queue in order; reading later only raises one.
+        let mut label = self.clock().load(Ordering::SeqCst);
+        if seeded("esys.retire.label") {
+            label = g.epoch;
+        }
+        queue.push_back((label, obj));
         // ord(counter): written under the lock; a stale read only delays a free.
         self.retired_len.store(queue.len(), Ordering::Relaxed);
     }
 
-    /// Frees the retirements labelled ≤ `limit`. The model checker poisons
-    /// them instead (kept allocated, reported by [`EpochSys::debug_freed`]),
-    /// so a reader that outlives one trips an assertion, not UB.
+    /// Frees the retirements labelled ≤ `limit`, a prefix of the queue. The
+    /// model checker poisons them instead (kept allocated, reported by
+    /// [`EpochSys::debug_freed`]), so a reader that outlives one trips an
+    /// assertion, not UB.
     fn free_retired(&self, limit: u64) {
         let limit = limit + if seeded("esys.retire.limit") { 2 } else { 0 };
         let mut queue = self.retired.lock();
-        let (done, kept): (Vec<_>, Vec<_>) = queue.drain(..).partition(|r| r.0 <= limit);
-        *queue = kept;
+        let due = queue.partition_point(|r| r.0 <= limit);
+        #[cfg(feature = "interleave-check")]
+        self.poisoned.lock().extend(queue.drain(..due).map(|r| r.1));
+        #[cfg(not(feature = "interleave-check"))]
+        drop(queue.drain(..due));
         // ord(counter): written under the lock; a stale read only delays a free.
         self.retired_len.store(queue.len(), Ordering::Relaxed);
-        drop(queue);
-        #[cfg(feature = "interleave-check")]
-        self.poisoned.lock().extend(done.into_iter().map(|r| r.1));
-        #[cfg(not(feature = "interleave-check"))]
-        drop(done);
     }
 
     /// Whether the transient object at `p` was freed. A model-check probe.

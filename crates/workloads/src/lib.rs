@@ -18,5 +18,5 @@ pub mod zipfian;
 
 pub use graphgen::{GraphDataset, GraphGenConfig};
 pub use mix::{MapMix, MapOp, QueueOp};
-pub use ycsb::{YcsbAWorkload, YcsbOp};
+pub use ycsb::{YcsbOp, YcsbWorkload};
 pub use zipfian::{KeyDist, Zipfian};

@@ -36,7 +36,7 @@ impl YcsbWorkload {
         }
     }
 
-    /// YCSB-A: 50% reads / 50% updates.
+    /// YCSB-A: 50% reads / 50% updates (the Fig. 10 workload).
     pub fn a(records: u64, ops: u64, seed: u64) -> Self {
         Self::with_mix(records, ops, seed, 500)
     }
@@ -60,41 +60,25 @@ impl Iterator for YcsbWorkload {
     }
 }
 
-/// Per-thread YCSB-A stream (the Fig. 10 workload).
-pub struct YcsbAWorkload;
-
-impl YcsbAWorkload {
-    pub const RECORDS: u64 = YcsbWorkload::RECORDS;
-    pub const OPS: u64 = YcsbWorkload::OPS;
-
-    /// `ops` operations for one thread over `records` keys.
-    // Compat constructor for pre-YcsbWorkload callers; deliberately returns
-    // the generalised type.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new(records: u64, ops: u64, seed: u64) -> YcsbWorkload {
-        YcsbWorkload::a(records, ops, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mix_is_roughly_half_reads() {
-        let w = YcsbAWorkload::new(1000, 100_000, 1);
+        let w = YcsbWorkload::a(1000, 100_000, 1);
         let reads = w.filter(|op| matches!(op, YcsbOp::Read(_))).count();
         assert!((40_000..60_000).contains(&reads), "reads = {reads}");
     }
 
     #[test]
     fn produces_exactly_n_ops() {
-        assert_eq!(YcsbAWorkload::new(10, 1234, 1).count(), 1234);
+        assert_eq!(YcsbWorkload::a(10, 1234, 1).count(), 1234);
     }
 
     #[test]
     fn keys_in_record_range() {
-        for op in YcsbAWorkload::new(50, 10_000, 2) {
+        for op in YcsbWorkload::a(50, 10_000, 2) {
             let k = match op {
                 YcsbOp::Read(k) | YcsbOp::Update(k) => k,
             };

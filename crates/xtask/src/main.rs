@@ -840,12 +840,12 @@ mod census {
     /// named `pub fn` takes or returns, a paper-API verb with a test, a
     /// checker's oracle, or a shim item mirroring its upstream crate. A
     /// change that lowers the count lowers this with it.
-    pub(super) const UNNAMED_PUB_CEILING: usize = 17;
+    pub(super) const UNNAMED_PUB_CEILING: usize = 16;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
     /// Most non-test lines under `crates/*/src` (ROADMAP item 8 wants
     /// 20 000); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 20_071;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 20_070;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

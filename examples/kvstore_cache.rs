@@ -12,7 +12,7 @@ use std::time::Instant;
 use kvstore::{make_key, KvBackend, KvStore};
 use montage::{Advancer, EpochSys, EsysConfig};
 use pmem::{PmemConfig, PmemMode, PmemPool};
-use workloads::ycsb::{YcsbAWorkload, YcsbOp};
+use workloads::ycsb::{YcsbOp, YcsbWorkload};
 
 const RECORDS: u64 = 10_000;
 const OPS: u64 = 100_000;
@@ -39,7 +39,7 @@ fn main() {
     // Run phase: YCSB-A (50% read / 50% update, Zipfian).
     let start = Instant::now();
     let mut hits = 0u64;
-    for op in YcsbAWorkload::new(RECORDS, OPS, 7) {
+    for op in YcsbWorkload::a(RECORDS, OPS, 7) {
         match op {
             YcsbOp::Read(k) => {
                 if kv.get(&make_key(k), |_| ()).is_some() {
