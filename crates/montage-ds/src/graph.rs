@@ -242,11 +242,6 @@ impl MontageGraph {
         true
     }
 
-    /// True iff the edge exists.
-    pub fn has_edge(&self, src: u64, dst: u64) -> bool {
-        self.slots[src as usize].lock().adj.contains_key(&dst)
-    }
-
     /// Removes an edge; returns `false` if absent.
     pub fn remove_edge(&self, tid: ThreadId, src: u64, dst: u64) -> bool {
         if src == dst {
@@ -349,6 +344,13 @@ mod tests {
     use super::*;
     use montage::EsysConfig;
     use pmem::{PmemConfig, PmemPool};
+
+    impl MontageGraph {
+        /// True iff the edge exists.
+        fn has_edge(&self, src: u64, dst: u64) -> bool {
+            self.slots[src as usize].lock().adj.contains_key(&dst)
+        }
+    }
 
     fn sys() -> Arc<EpochSys> {
         EpochSys::format(
@@ -495,20 +497,17 @@ mod tests {
     }
 
     #[test]
-    fn recovery_drops_dangling_edges() {
-        // Construct the pathological interleaving: edge synced, then vertex
-        // removed and synced, but suppose only part of the history persists.
-        // We emulate it by never syncing the edge's endpoints' removal —
-        // i.e. crash right after adding an edge to an unsynced vertex.
+    fn remove_vertex_recovers_without_its_edges() {
+        // `remove_vertex` deletes the vertex and its edges in one operation,
+        // so recovery finds neither payload. This does not reach the
+        // orphan-edge drop in `recover`: that needs an edge payload to
+        // survive without one of its endpoints.
         let s = sys();
         let g = graph(&s);
         let tid = s.register_thread();
         g.add_vertex(tid, 1, b"");
         s.sync();
         g.add_vertex(tid, 2, b"");
-        // Edge in a *later* epoch than vertex 2's creation, synced alone is
-        // impossible; instead sync everything, then remove the vertex and
-        // sync, keeping the edge's payload alive only if cancellation fails.
         g.add_edge(tid, 1, 2, b"");
         s.sync();
         g.remove_vertex(tid, 2); // deletes vertex 2 and edge 1-2 atomically

@@ -30,9 +30,12 @@
 //! [`EpochSys::retire_transient`] and outlives every open window.
 //!
 //! Payload layout: the key bytes (fixed-size `K: Copy`) followed by the
-//! value bytes.
+//! value bytes. Creation hands both parts to `EpochSys::pnew_parts`,
+//! recovery decodes the key, and an overwrite leaves the key image alone
+//! (`EpochSys::overwrite_tail` with `size_of::<K>()` as the head).
 
 use std::hash::{Hash, Hasher};
+use std::mem::{size_of, MaybeUninit};
 use std::sync::Arc;
 
 use montage::sync::{
@@ -40,8 +43,6 @@ use montage::sync::{
     Ordering,
 };
 use montage::{EpochSys, OpGuard, PHandle, RecoveredState, ThreadId};
-
-use crate::codec;
 
 /// Default resize trigger: average chain length (len / buckets) above this
 /// installs a new level.
@@ -51,6 +52,30 @@ const DEFAULT_MAX_LOAD: usize = 4;
 /// key's bucket — the amortization that finishes a resize under any
 /// traffic shape.
 const MIGRATE_BATCH: usize = 2;
+
+/// A key's byte image: the head of a payload (`pnew_parts`' `head`).
+fn key_image<K: Copy>(key: &K) -> &[u8] {
+    // SAFETY: `key` is a live K, readable for exactly `size_of::<K>()` bytes
+    // while the borrow lasts, and `u8` has no alignment requirement. The key
+    // types in use (integers, byte arrays) have no padding bytes.
+    unsafe { std::slice::from_raw_parts(key as *const K as *const u8, size_of::<K>()) }
+}
+
+/// The key a payload created from [`key_image`] starts with.
+fn key_of<K: Copy>(bytes: &[u8]) -> K {
+    assert!(
+        bytes.len() >= size_of::<K>(),
+        "payload shorter than its key"
+    );
+    let mut k = MaybeUninit::<K>::uninit();
+    // SAFETY: the assert covers the read; creation stored a valid K's image
+    // in these bytes, and K: Copy has no drop obligations.
+    // lint: allow(raw-write): copies pool bytes into a transient stack value, not into the pool
+    unsafe {
+        std::ptr::copy_nonoverlapping(bytes.as_ptr(), k.as_mut_ptr() as *mut u8, size_of::<K>());
+        k.assume_init()
+    }
+}
 
 /// One chain entry: transient key copy (fast compares without touching NVM)
 /// plus the indirection to the current payload version (paper Sec. 3.1: a
@@ -204,7 +229,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
                 let table = &table;
                 s.spawn(move || {
                     for item in shard.iter().filter(|it| it.tag == tag) {
-                        let key: K = rec.with_bytes(item, codec::key_of);
+                        let key: K = rec.with_bytes(item, key_of);
                         let mut chain = table.buckets[Self::index_in(&key, cap)].chain.lock();
                         debug_assert!(
                             !chain.iter().any(|e| e.key == key),
@@ -439,7 +464,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
 
     /// Inserts or updates; returns `true` if the key already existed.
     pub fn put(&self, tid: ThreadId, key: K, value: &[u8]) -> bool {
-        let ksize = std::mem::size_of::<K>();
+        let ksize = size_of::<K>();
         self.with_bucket(tid, &key, |g, chain| {
             if let Some(e) = chain.iter_mut().find(|e| e.key == key) {
                 // In place, copy-on-write or (size changed) a same-uid
@@ -468,9 +493,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     }
 
     fn push_new(&self, g: &OpGuard<'_>, chain: &mut Vec<Entry<K>>, key: K, value: &[u8]) {
-        let payload = self
-            .esys
-            .pnew_parts(g, self.tag, codec::key_image(&key), value);
+        let payload = self.esys.pnew_parts(g, self.tag, key_image(&key), value);
         chain.push(Entry { key, payload });
         // ord(counter): size estimate only.
         self.len.fetch_add(1, Ordering::Relaxed);
@@ -504,7 +527,7 @@ impl<K: Copy + Eq + Hash + Send + Sync> MontageHashMap<K> {
     /// freed under it, but writes nothing persistent, never helps a
     /// migration, and synchronizes only on transient bucket locks.
     pub fn get<R>(&self, tid: ThreadId, key: &K, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let ksize = std::mem::size_of::<K>();
+        let ksize = size_of::<K>();
         let g = self.esys.begin_op(tid);
         loop {
             let dir = self.dir(&g);
@@ -577,6 +600,16 @@ mod tests {
             PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
             EsysConfig::default(),
         )
+    }
+
+    #[test]
+    fn key_and_value_round_trip() {
+        let bytes = [key_image(&0xfeed_f00d_u64), b"value"].concat();
+        assert_eq!(bytes.len(), 8 + 5);
+        assert_eq!(key_of::<u64>(&bytes), 0xfeed_f00d);
+        assert_eq!(&bytes[8..], b"value");
+        let wide: [u8; 32] = std::array::from_fn(|i| i as u8);
+        assert_eq!(key_of::<[u8; 32]>(key_image(&wide)), wide);
     }
 
     #[test]

@@ -17,31 +17,23 @@
 //!   payload per vertex and per edge (edges name their endpoints; vertices do
 //!   **not** point to edges, avoiding long persistent pointer chains), with
 //!   transient adjacency and per-vertex locks.
-//! * [`MontageSortedList`] — the one ordered map: a Harris list with a
-//!   linearizable `range` scan.
 //!
-//! The two keyed structures share one payload layout (`codec`: key image,
-//! then value) and overwrite a value through one verb,
-//! [`montage::EpochSys::overwrite_tail`]. Montage's epoch system is the only
-//! one here: every verb reads transient pointers inside its `begin_op`
-//! window, and unlinked nodes and directories are freed on Montage's
-//! reclamation frontier ([`montage::EpochSys::retire_transient`]). Every
-//! structure has a `recover`
-//! constructor that rebuilds its transient state from a
-//! [`montage::RecoveredState`], optionally in parallel.
+//! These are the structures the paper evaluates. Montage's epoch system is
+//! the only one here: every verb reads transient pointers inside its
+//! `begin_op` window, and unlinked nodes and directories are freed on
+//! Montage's reclamation frontier ([`montage::EpochSys::retire_transient`]).
+//! Every structure has a `recover` constructor that rebuilds its transient
+//! state from a [`montage::RecoveredState`], optionally in parallel.
 
-mod codec;
 pub mod graph;
 mod hashmap;
 mod nbqueue;
 pub mod queue;
-mod sortedlist;
 
 pub use graph::MontageGraph;
 pub use hashmap::MontageHashMap;
 pub use nbqueue::MontageNbQueue;
 pub use queue::MontageQueue;
-pub use sortedlist::MontageSortedList;
 
 /// Payload type tags used by the bundled structures (pass your own when
 /// instantiating several structures of the same kind in one pool). Pools
@@ -57,5 +49,4 @@ pub mod tags {
     /// here so no structure sharing a pool with a store takes them.
     pub const KVSTORE: u16 = 6;
     pub const KV_SESSION: u16 = 7;
-    pub const SORTED_LIST: u16 = 10;
 }

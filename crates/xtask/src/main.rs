@@ -837,15 +837,15 @@ mod census {
     use std::process::ExitCode;
 
     /// Most `pub` items no other file may name. Every one left is a type a
-    /// named `pub fn` takes or returns, a paper-API verb with a test, a
-    /// checker's oracle, or a shim item mirroring its upstream crate. A
-    /// change that lowers the count lowers this with it.
-    pub(super) const UNNAMED_PUB_CEILING: usize = 16;
+    /// named `pub fn` takes or returns, a paper-API verb with a test, or a
+    /// shim item mirroring its upstream crate. A change that lowers the
+    /// count lowers this with it.
+    pub(super) const UNNAMED_PUB_CEILING: usize = 15;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
-    /// Most non-test lines under `crates/*/src` (ROADMAP item 8 wants
-    /// 20 000); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 20_070;
+    /// Most non-test lines under `crates/*/src` (ROADMAP item 9 wants
+    /// 19 500); same rule.
+    pub(super) const NON_TEST_SRC_CEILING: usize = 19_541;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

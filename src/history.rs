@@ -355,62 +355,6 @@ impl Model for Counter {
     }
 }
 
-/// A whole ordered map as one model object — for histories whose `Scan`
-/// ops make per-key decomposition unsound (see [`Register`]): a scan
-/// observes *every* key at once, so its return constrains the interleaving
-/// of ops on different keys and the checker must carry the full map state.
-///
-/// `Scan(lo, hi)` must return exactly the model's inclusive range at its
-/// linearization point — the "consistent cut" requirement: a scan result
-/// mixing key states from different instants is unexplainable by any
-/// sequential interleaving and the check fails.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct OrderedMap {
-    pub entries: std::collections::BTreeMap<u64, u64>,
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MapOp {
-    Put(u64, u64),
-    Del(u64),
-    Get(u64),
-    /// Inclusive range scan.
-    Scan(u64, u64),
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MapRet {
-    Existed(bool),
-    Value(Option<u64>),
-    /// What the scan reported: the full `(key, value)` contents of the
-    /// range, in key order.
-    Snapshot(Vec<(u64, u64)>),
-}
-
-impl Model for OrderedMap {
-    type Op = MapOp;
-    type Ret = MapRet;
-
-    fn apply(&mut self, op: &MapOp) -> MapRet {
-        match op {
-            MapOp::Put(k, v) => MapRet::Existed(self.entries.insert(*k, *v).is_some()),
-            MapOp::Del(k) => MapRet::Existed(self.entries.remove(k).is_some()),
-            MapOp::Get(k) => MapRet::Value(self.entries.get(k).copied()),
-            MapOp::Scan(lo, hi) => {
-                if lo > hi {
-                    return MapRet::Snapshot(Vec::new());
-                }
-                MapRet::Snapshot(
-                    self.entries
-                        .range(*lo..=*hi)
-                        .map(|(k, v)| (*k, *v))
-                        .collect(),
-                )
-            }
-        }
-    }
-}
-
 /// Builder for hand-written and recorded histories: timestamps come from a
 /// shared atomic counter so concurrent recorders can interleave safely.
 pub struct Recorder<O, R> {
@@ -489,12 +433,14 @@ mod tests {
     #[test]
     fn overlapping_ops_may_reorder() {
         // get overlaps the put and may see either None (before) or Some
-        // (after); here it saw Some, so put linearizes first.
+        // (after). Seeing None, it linearizes ahead of the earlier-invoked put.
         let h = vec![
             rec(1, 10, RegOp::Put(7), RegRet::Existed(false)),
             rec(2, 9, RegOp::Get, RegRet::Value(Some(7))),
         ];
         assert_eq!(check_linearizable::<Register>(&h).unwrap(), vec![0, 1]);
+        let before = vec![h[0].clone(), rec(2, 9, RegOp::Get, RegRet::Value(None))];
+        assert_eq!(check_linearizable::<Register>(&before).unwrap(), vec![1, 0]);
     }
 
     #[test]
@@ -611,96 +557,6 @@ mod tests {
         ];
         let d = vec![Durability::MustExclude, Durability::MustInclude];
         assert!(check_durable_prefix(&h, &d, &Register { value: Some(2) }).is_err());
-    }
-
-    #[test]
-    fn scan_sees_a_consistent_cut() {
-        // put(1), put(2) sequentially, then a scan: it must report both.
-        let h = vec![
-            rec(1, 2, MapOp::Put(1, 10), MapRet::Existed(false)),
-            rec(3, 4, MapOp::Put(2, 20), MapRet::Existed(false)),
-            rec(
-                5,
-                6,
-                MapOp::Scan(0, 9),
-                MapRet::Snapshot(vec![(1, 10), (2, 20)]),
-            ),
-        ];
-        assert!(check_linearizable::<OrderedMap>(&h).is_ok());
-        // A scan that missed key 1 while reporting the later key 2 is not a
-        // cut of any interleaving.
-        let torn = vec![
-            rec(1, 2, MapOp::Put(1, 10), MapRet::Existed(false)),
-            rec(3, 4, MapOp::Put(2, 20), MapRet::Existed(false)),
-            rec(5, 6, MapOp::Scan(0, 9), MapRet::Snapshot(vec![(2, 20)])),
-        ];
-        assert!(check_linearizable::<OrderedMap>(&torn).is_err());
-    }
-
-    #[test]
-    fn concurrent_scan_may_order_either_side_of_a_put() {
-        // The scan overlaps put(2): reporting {1} (before) or {1,2} (after)
-        // are both legal; reporting {2} alone is not (put(1) preceded it).
-        let base = |snap: Vec<(u64, u64)>| {
-            vec![
-                rec(1, 2, MapOp::Put(1, 10), MapRet::Existed(false)),
-                rec(3, 8, MapOp::Put(2, 20), MapRet::Existed(false)),
-                rec(4, 7, MapOp::Scan(0, 9), MapRet::Snapshot(snap)),
-            ]
-        };
-        assert!(check_linearizable::<OrderedMap>(&base(vec![(1, 10)])).is_ok());
-        assert!(check_linearizable::<OrderedMap>(&base(vec![(1, 10), (2, 20)])).is_ok());
-        assert!(check_linearizable::<OrderedMap>(&base(vec![(2, 20)])).is_err());
-    }
-
-    #[test]
-    fn scan_value_must_match_its_instant() {
-        // Scan ran strictly after the overwrite finished: seeing the old
-        // value is a stale (non-linearizable) snapshot.
-        let h = vec![
-            rec(1, 2, MapOp::Put(1, 10), MapRet::Existed(false)),
-            rec(3, 4, MapOp::Put(1, 11), MapRet::Existed(true)),
-            rec(5, 6, MapOp::Scan(0, 9), MapRet::Snapshot(vec![(1, 10)])),
-        ];
-        assert!(check_linearizable::<OrderedMap>(&h).is_err());
-    }
-
-    #[test]
-    fn scan_range_bounds_are_inclusive_in_the_model() {
-        let mut m = OrderedMap::default();
-        m.apply(&MapOp::Put(3, 30));
-        m.apply(&MapOp::Put(5, 50));
-        m.apply(&MapOp::Put(7, 70));
-        assert_eq!(
-            m.apply(&MapOp::Scan(3, 7)),
-            MapRet::Snapshot(vec![(3, 30), (5, 50), (7, 70)])
-        );
-        assert_eq!(m.apply(&MapOp::Scan(4, 4)), MapRet::Snapshot(vec![]));
-        assert_eq!(m.apply(&MapOp::Scan(9, 1)), MapRet::Snapshot(vec![]));
-    }
-
-    #[test]
-    fn durable_cut_with_scans_checks_full_map_state() {
-        // put(1) durable, put(2) lost past the cutoff; recovering {1,2}
-        // (phantom) or {} (lost) both fail, {1} passes.
-        let mut h = vec![
-            rec(1, 2, MapOp::Put(1, 10), MapRet::Existed(false)),
-            rec(3, 4, MapOp::Put(2, 20), MapRet::Existed(false)),
-        ];
-        h[0].epoch_lo = 4;
-        h[0].epoch_hi = 4;
-        h[1].epoch_lo = 8;
-        h[1].epoch_hi = 8;
-        let d = classify_by_epoch(&h, 6);
-        let good = OrderedMap {
-            entries: [(1, 10)].into_iter().collect(),
-        };
-        assert!(check_durable_prefix(&h, &d, &good).is_ok());
-        let phantom = OrderedMap {
-            entries: [(1, 10), (2, 20)].into_iter().collect(),
-        };
-        assert!(check_durable_prefix(&h, &d, &phantom).is_err());
-        assert!(check_durable_prefix(&h, &d, &OrderedMap::default()).is_err());
     }
 
     #[test]

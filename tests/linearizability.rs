@@ -3,7 +3,7 @@
 //! hashmap and queue, and feed them to the Wing&Gong-style checker in
 //! `montage_suite::history`.
 //!
-//! Three layers, with fixed seeds throughout:
+//! Five layers, with fixed seeds throughout:
 //!
 //! 1. **Live map runs** — several threads hammer a small key space; each
 //!    per-key projection of the merged history must linearize against a
@@ -19,6 +19,10 @@
 //!    ops that completed by the recovery cutoff must survive, ops that
 //!    began after it must not, and straddlers may fall either way.
 //!    24 map runs + 8 queue runs ⇒ 32 crash-cut histories.
+//! 4. **Resize runs** — layer 1 on a tiny map that resizes online
+//!    mid-history: 25 runs.
+//! 5. **Mid-resize crash cuts** — layer 3 with a resize in flight at the
+//!    snapshot: 15 runs.
 //!
 //! The acceptance bar (≥100 histories, ≥20 crash-cut, zero violations) is
 //! asserted explicitly in each test.
@@ -28,10 +32,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use montage::{EpochSys, EsysConfig};
-use montage_ds::{MontageHashMap, MontageQueue, MontageSortedList};
+use montage_ds::{MontageHashMap, MontageQueue};
 use montage_suite::history::{
-    check_durable_prefix, check_linearizable, classify_by_epoch, Durability, FifoQueue, MapOp,
-    MapRet, OpRecord, OrderedMap, QueueOp, Recorder, RegOp, RegRet, Register,
+    check_durable_prefix, check_linearizable, classify_by_epoch, Durability, FifoQueue, OpRecord,
+    QueueOp, Recorder, RegOp, RegRet, Register,
 };
 use pmem::{PmemConfig, PmemPool};
 use rand::rngs::SmallRng;
@@ -332,16 +336,7 @@ fn crashed_map_runs_linearize_to_an_epoch_cut_prefix() {
     );
 }
 
-// ---- resize + scan layers (ISSUE 9) ------------------------------------
-//
-// Layer 4: live map runs that cross ≥1 online resize mid-history — the
-// resize must be invisible to linearizability (25 runs × per-key checks).
-// Layer 5: sorted-list runs where threads interleave put/remove/get with
-// consistent range scans, checked as WHOLE histories against the
-// OrderedMap model (scans couple keys, so no per-key decomposition).
-// Layer 6: buffered crash cuts of both — resize in flight at the snapshot,
-// and scan histories cut at an epoch boundary.
-// 25 + 20 + 15 + 10 = 70 recorded resize/scan histories (≥ 50 required).
+// ---- resize layers -------------------------------------------------------
 
 /// Layer 4: histories recorded *across* online resizes still linearize
 /// per key. Tiny initial table + max_load 1 forces several resizes inside
@@ -377,96 +372,7 @@ fn map_histories_across_online_resizes_linearize() {
     assert!(checked >= 100, "checked only {checked} projections");
 }
 
-/// Records one concurrent sorted-list run mixing mutations with consistent
-/// range scans; returns the merged whole-history record.
-fn record_scan_run(
-    esys: &Arc<EpochSys>,
-    list: &MontageSortedList<u64>,
-    seed: u64,
-    threads: usize,
-    ops: usize,
-    track_epochs: bool,
-) -> Vec<OpRecord<MapOp, MapRet>> {
-    const SCAN_KEYS: u64 = 6;
-    let clock = Recorder::<MapOp, MapRet>::shared_clock();
-    let mut merged = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let clock = Arc::clone(&clock);
-                let esys = Arc::clone(esys);
-                s.spawn(move || {
-                    let tid = esys.register_thread();
-                    let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x51AB));
-                    let mut rec = Recorder::new(clock, t);
-                    let epoch = |esys: &Arc<EpochSys>| {
-                        let esys = Arc::clone(esys);
-                        move || if track_epochs { esys.curr_epoch() } else { 0 }
-                    };
-                    for i in 0..ops {
-                        let k = rng.gen_range(0..SCAN_KEYS);
-                        let v = (t * ops + i) as u64 + 1;
-                        match rng.gen_range(0u32..10) {
-                            0..=3 => rec.record(MapOp::Put(k, v), epoch(&esys), || {
-                                MapRet::Existed(list.put(tid, k, &v.to_le_bytes()))
-                            }),
-                            4..=5 => rec.record(MapOp::Del(k), epoch(&esys), || {
-                                MapRet::Existed(list.remove(tid, &k))
-                            }),
-                            6..=7 => rec.record(MapOp::Get(k), epoch(&esys), || {
-                                MapRet::Value(list.get_owned(tid, &k).map(|b| parse_u64(&b)))
-                            }),
-                            _ => {
-                                let lo = rng.gen_range(0..SCAN_KEYS);
-                                let hi = rng.gen_range(lo..SCAN_KEYS);
-                                rec.record(MapOp::Scan(lo, hi), epoch(&esys), || {
-                                    MapRet::Snapshot(
-                                        list.range(tid, &lo, &hi)
-                                            .into_iter()
-                                            .map(|(k, v)| (k, parse_u64(&v)))
-                                            .collect(),
-                                    )
-                                })
-                            }
-                        }
-                    }
-                    esys.unregister_thread(tid);
-                    rec.ops
-                })
-            })
-            .collect();
-        for h in handles {
-            merged.extend(h.join().expect("worker panicked"));
-        }
-    });
-    merged
-}
-
-/// Layer 5: concurrent sorted-list histories with range scans linearize as
-/// whole histories — every scan return must be a consistent cut. 20 seeded
-/// runs, 3 threads each, every run containing at least one scan.
-#[test]
-fn live_scan_histories_are_consistent_cuts() {
-    let mut scans_total = 0usize;
-    for seed in 0..20u64 {
-        let esys = fresh_esys();
-        let list = MontageSortedList::<u64>::new(esys.clone(), montage_ds::tags::SORTED_LIST);
-        let history = record_scan_run(&esys, &list, 0x5CA0 ^ seed, 3, 8, false);
-        assert_eq!(history.len(), 3 * 8);
-        scans_total += history
-            .iter()
-            .filter(|r| matches!(r.op, MapOp::Scan(..)))
-            .count();
-        check_linearizable::<OrderedMap>(&history)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}\nhistory: {history:#?}"));
-    }
-    assert!(
-        scans_total >= 20,
-        "scan mix too thin: {scans_total} scans across 20 runs"
-    );
-}
-
-/// Layer 6a: crash cuts taken **while a resize is in flight**. The
+/// Layer 5: crash cuts taken **while a resize is in flight**. The
 /// workload drives a tiny map through repeated growth; the coordinator
 /// snapshots mid-run. Per-key recovered state must be a legal epoch-cut
 /// prefix — the migration must never bleed into key visibility.
@@ -556,75 +462,6 @@ fn crashed_mid_resize_runs_linearize_to_an_epoch_cut_prefix() {
         resized_at_crash >= 10,
         "only {resized_at_crash}/15 cuts caught a resized map ({resizing_at_crash} in flight)"
     );
-}
-
-/// Layer 6b: buffered crash cuts of scan histories. Single recording
-/// thread (whole-history durable checks stay tractable), epoch advances
-/// interleaved; the recovered list's full contents must be a legal
-/// epoch-cut prefix of a history that *includes* `Scan` ops.
-#[test]
-fn crashed_scan_runs_linearize_to_an_epoch_cut_prefix() {
-    for seed in 0..10u64 {
-        let esys = fresh_esys();
-        let list = MontageSortedList::<u64>::new(esys.clone(), montage_ds::tags::SORTED_LIST);
-        let tid = esys.register_thread();
-        let clock = Recorder::<MapOp, MapRet>::shared_clock();
-        let mut rec = Recorder::new(Arc::clone(&clock), 0);
-        let mut rng = SmallRng::seed_from_u64(0x5CACC ^ seed);
-        let crash_at = 8 + (seed as usize % 8) * 2;
-        let mut crashed: Option<PmemPool> = None;
-        for i in 0..26usize {
-            if i % 3 == 0 {
-                esys.advance_epoch();
-            }
-            if i == crash_at {
-                crashed = Some(esys.pool().crash());
-            }
-            let e = || esys.curr_epoch();
-            let k = rng.gen_range(0..5u64);
-            let v = i as u64 + 1;
-            match rng.gen_range(0u32..10) {
-                0..=4 => rec.record(MapOp::Put(k, v), e, || {
-                    MapRet::Existed(list.put(tid, k, &v.to_le_bytes()))
-                }),
-                5..=6 => rec.record(MapOp::Del(k), e, || MapRet::Existed(list.remove(tid, &k))),
-                _ => rec.record(MapOp::Scan(0, 9), e, || {
-                    MapRet::Snapshot(
-                        list.range(tid, &0, &9)
-                            .into_iter()
-                            .map(|(k, v)| (k, parse_u64(&v)))
-                            .collect(),
-                    )
-                }),
-            }
-        }
-        let crashed = crashed.expect("snapshot taken");
-        let history = rec.ops;
-
-        let recd = montage::try_recover(crashed, EsysConfig::default(), 1)
-            .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
-        let rlist = MontageSortedList::<u64>::recover(
-            recd.esys.clone(),
-            montage_ds::tags::SORTED_LIST,
-            &recd,
-        );
-        let rtid = recd.esys.register_thread();
-        let cutoff = recd.esys.curr_epoch() - 4;
-        let target = OrderedMap {
-            entries: rlist
-                .range(rtid, &0, &u64::MAX)
-                .into_iter()
-                .map(|(k, v)| (k, parse_u64(&v)))
-                .collect(),
-        };
-        let durability = classify_by_epoch(&history, cutoff);
-        check_durable_prefix(&history, &durability, &target).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed}, cutoff {cutoff}: {e}\nrecovered {target:?}\n\
-                 history: {history:#?}\nclasses: {durability:?}"
-            )
-        });
-    }
 }
 
 /// Queue flavour of the durable check: single recording thread (queues need

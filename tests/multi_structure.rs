@@ -3,9 +3,7 @@
 //! behalf of one or more concurrent data structures" claim.
 
 use montage::{EpochSys, EsysConfig};
-use montage_ds::{
-    tags, MontageGraph, MontageHashMap, MontageNbQueue, MontageQueue, MontageSortedList,
-};
+use montage_ds::{tags, MontageGraph, MontageHashMap, MontageNbQueue, MontageQueue};
 use pmem::{PmemConfig, PmemPool};
 
 type Key = [u8; 32];
@@ -82,7 +80,7 @@ fn four_structures_one_pool() {
 }
 
 #[test]
-fn nonblocking_and_ordered_structures_share_a_pool() {
+fn hashmap_and_nonblocking_queue_share_a_pool() {
     let esys = EpochSys::format(
         PmemPool::new(PmemConfig::strict_for_test(128 << 20)),
         EsysConfig::default(),
@@ -90,58 +88,40 @@ fn nonblocking_and_ordered_structures_share_a_pool() {
     let tid = esys.register_thread();
 
     let map = MontageHashMap::<u64>::new(esys.clone(), tags::HASHMAP, 32);
-    let sorted = MontageSortedList::<u64>::new(esys.clone(), tags::SORTED_LIST);
     let nbq = MontageNbQueue::new(esys.clone(), tags::NBQUEUE);
 
     for i in 0..40u64 {
         assert!(map.insert(tid, i, &i.to_le_bytes()));
-        assert!(sorted.insert(tid, i * 2, &i.to_le_bytes()));
         nbq.enqueue(tid, &i.to_le_bytes());
         if i % 7 == 0 {
             esys.advance_epoch();
         }
     }
     map.remove(tid, &5);
-    sorted.remove(tid, &10);
-    // A resized value on both keyed structures, across an epoch boundary.
+    // A resized value, across an epoch boundary.
     assert!(map.put(tid, 6, b"a longer value than eight bytes"));
-    assert!(sorted.put(tid, 12, b"a longer value than eight bytes"));
     nbq.dequeue(tid);
     esys.sync();
 
     let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 3);
     let map2 = MontageHashMap::<u64>::recover(rec.esys.clone(), tags::HASHMAP, 32, &rec);
-    let sorted2 = MontageSortedList::<u64>::recover(rec.esys.clone(), tags::SORTED_LIST, &rec);
     let nbq2 = MontageNbQueue::recover(rec.esys.clone(), tags::NBQUEUE, &rec);
 
     assert_eq!(map2.len(), 39);
-    assert_eq!(sorted2.len(), 39);
-    assert_eq!(rec.report.survivors, 39 * 3, "one payload per live item");
+    assert_eq!(rec.report.survivors, 39 * 2, "one payload per live item");
 
     let tid2 = rec.esys.register_thread();
     assert!(map2.get(tid2, &5, |_| ()).is_none());
-    assert!(sorted2.get(tid2, &10, |_| ()).is_none());
     assert_eq!(
         map2.get_owned(tid2, &6).unwrap(),
         b"a longer value than eight bytes"
     );
-    assert_eq!(
-        sorted2.get_owned(tid2, &12).unwrap(),
-        b"a longer value than eight bytes"
-    );
     assert_eq!(nbq2.dequeue(tid2).unwrap(), 1u64.to_le_bytes());
-    let all = sorted2.range(tid2, &0, &u64::MAX);
-    assert_eq!(all.len(), 39);
-    assert!(
-        all.windows(2).all(|w| w[0].0 < w[1].0),
-        "range stays sorted"
-    );
 }
 
 /// Structures share pools, so tags share one number space: every tag the
 /// workspace hands out is distinct, except the two numbers `montage_ds::tags`
-/// reserves on `kvstore`'s behalf, and none strays into the hashmap's
-/// metadata-tag space.
+/// reserves on `kvstore`'s behalf.
 #[test]
 fn tag_registry_has_no_collisions() {
     let all = [
@@ -152,7 +132,6 @@ fn tag_registry_has_no_collisions() {
         ("tags::GRAPH_EDGE", tags::GRAPH_EDGE),
         ("tags::KVSTORE", tags::KVSTORE),
         ("tags::KV_SESSION", tags::KV_SESSION),
-        ("tags::SORTED_LIST", tags::SORTED_LIST),
         ("kvstore::KV_TAG", kvstore::KV_TAG),
         ("kvstore::SESSION_TAG", kvstore::SESSION_TAG),
     ];

@@ -5,14 +5,13 @@
 //! fails, not a single key is lost live, and every key survives recovery.
 //!
 //! (The unit-level twin lives in `crates/montage-ds/src/hashmap.rs`; this
-//! test adds the concurrent readers, a scan-bearing sorted list sharing the
-//! same epoch system, and the full crash/recover round trip.)
+//! test adds the concurrent readers and the full crash/recover round trip.)
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use montage::{EpochSys, EsysConfig};
-use montage_ds::{MontageHashMap, MontageSortedList};
+use montage_ds::MontageHashMap;
 use pmem::{PmemConfig, PmemPool};
 
 type Key = [u8; 32];
@@ -42,10 +41,6 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
         NBUCKETS,
         MAX_LOAD,
     ));
-    let list = Arc::new(MontageSortedList::<u64>::new(
-        esys.clone(),
-        montage_ds::tags::SORTED_LIST,
-    ));
 
     let stop = Arc::new(AtomicBool::new(false));
     // Writer w bumps this to i+1 once key(w, i) is written: readers use it
@@ -57,16 +52,12 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
         for w in 0..WRITERS {
             let esys = esys.clone();
             let map = map.clone();
-            let list = list.clone();
             let progress = progress.clone();
             s.spawn(move || {
                 let tid = esys.register_thread();
                 for i in 0..KEYS_PER_WRITER {
                     let existed = map.put(tid, key(w, i), &i.to_le_bytes());
                     assert!(!existed, "writer {w} key {i}: distinct key existed");
-                    // The sorted list shares the epoch system: scans and
-                    // resizes ride the same clock.
-                    list.put(tid, (w as u64) << 32 | i, &i.to_le_bytes());
                     progress[w].store(i as usize + 1, Ordering::Release);
                 }
                 esys.unregister_thread(tid);
@@ -75,7 +66,6 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
         for r in 0..4 {
             let esys = esys.clone();
             let map = map.clone();
-            let list = list.clone();
             let progress = progress.clone();
             let stop = stop.clone();
             s.spawn(move || {
@@ -93,19 +83,6 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
                             got.as_deref(),
                             Some(&i.to_le_bytes()[..]),
                             "reader lost key (w {w}, i {i}) during a resize"
-                        );
-                        // And the list's consistent scan must hold at least
-                        // the watermarked prefix of w's contiguous keys.
-                        let lo = (w as u64) << 32;
-                        let snap = list.range(tid, &lo, &(lo + seen as u64 - 1));
-                        assert!(
-                            snap.len() >= seen,
-                            "scan under resize lost keys: {} < {seen}",
-                            snap.len()
-                        );
-                        assert!(
-                            snap.windows(2).all(|p| p[0].0 < p[1].0),
-                            "scan under resize out of order"
                         );
                     }
                     probes += 1;
@@ -141,7 +118,6 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
         map.resizes_completed()
     );
     assert_eq!(map.len(), WRITERS * KEYS_PER_WRITER as usize);
-    assert_eq!(list.len(), WRITERS * KEYS_PER_WRITER as usize);
 
     // Zero lost ops, live.
     for w in 0..WRITERS {
@@ -161,8 +137,6 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
         .expect("recovery after clean sync");
     assert!(rec.report.quarantined.is_empty());
     let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, NBUCKETS, &rec);
-    let rlist =
-        MontageSortedList::<u64>::recover(rec.esys.clone(), montage_ds::tags::SORTED_LIST, &rec);
     let rtid = rec.esys.register_thread();
     assert!(!rmap.resizing(rtid));
     assert!(
@@ -179,7 +153,4 @@ fn eight_writers_resize_twice_with_readers_and_recovery() {
             );
         }
     }
-    let snap = rlist.range(rtid, &0, &u64::MAX);
-    assert_eq!(snap.len(), WRITERS * KEYS_PER_WRITER as usize);
-    assert!(snap.windows(2).all(|p| p[0].0 < p[1].0));
 }
