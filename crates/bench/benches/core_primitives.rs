@@ -139,8 +139,8 @@ fn bench_coalescing(c: &mut Criterion) {
     );
 }
 
-/// Mirrors `MontageHashMap::index` so peer keys steer clear of the parked
-/// victim's locked bucket.
+/// Mirrors `MontageHashMap`'s bucket choice so peer keys steer clear of the
+/// parked victim's locked bucket.
 fn bucket_of(key: &[u8; 32], nbuckets: usize) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -154,9 +154,8 @@ fn bucket_of(key: &[u8; 32], nbuckets: usize) -> usize {
 /// window emulates the old blocking advancer (it waits the full window out
 /// on the victim's slot at *every* epoch boundary).
 fn stalled_sync_lats(grace: usize, syncs: usize) -> Vec<u64> {
-    // Enough buckets that the 300 peer keys stay under the resize threshold
-    // (4 a bucket): a resize would have to migrate the victim's locked
-    // bucket, and the peer would wait for the parked victim forever.
+    // The peer's 300 keys avoid the victim's bucket (below), so the parked
+    // victim's lock never stands in the peer's way.
     const NBUCKETS: usize = 128;
     let mut vk = [0u8; 32];
     vk[0] = 0xAA;

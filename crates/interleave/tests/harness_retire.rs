@@ -3,21 +3,22 @@
 //! frees payloads — is never freed under a reader inside its operation
 //! window.
 //!
-//! The code under test is the real `MontageHashMap` and the real advance.
-//! A one-bucket level with `max_load = 2` makes the prefix's third insert
-//! install a resize. Then a writer's insert seals the last old bucket and
-//! retires the two-level directory, while advancer threads tick the clock
-//! three times with a one-spin grace window — so an op may be bypassed as a
-//! straggler, and the writer may unlink in a later epoch than the one it
-//! began in — and a reader, the root thread, looks a key up through that
-//! directory once the clock has moved twice. (The reader is the root so
-//! that the advancer's grace-window yields can hand it the CPU: with the
-//! checker's sleep sets, a reader spawned after the writer needs three
-//! preemptions to reach the seeded bug below.)
+//! The code under test is the real retirement and the real advance; the
+//! retired object is a test-local cell, an `AtomicPtr` to a boxed `u64`. A
+//! writer opens a window, swaps a fresh box into the cell and retires the
+//! old one, while advancer threads tick the clock three times with a
+//! one-spin grace window — so an op may be bypassed as a straggler, and the
+//! writer may unlink in a later epoch than the one it began in — and a
+//! reader loads the cell in its own window once the clock has moved twice.
+//!
+//! Spawn order: writer, advancers, reader — the order the scenario runs in;
+//! the root thread only waits for the second tick and joins. At bound 2
+//! this order reaches both seeded bugs below, so no thread has to run as
+//! the root to get round the checker's sleep-set gap (DESIGN.md §7.4).
 //!
 //! Under the checker a freed retirement is poisoned, not deallocated, and
-//! the reader asserts, before its window closes, that the directory it read
-//! was not freed. Two seeded bugs must each produce that use-after-free:
+//! the reader asserts, before its window closes, that the box it loaded was
+//! not freed. Two seeded bugs must each produce that use-after-free:
 //!
 //! * `esys.retire.label` — labelling the retirement with the op's epoch
 //!   instead of the clock read after the unlink: the straggling writer
@@ -35,10 +36,9 @@
 
 use std::sync::Arc;
 
-use interleave::{check, try_check, Config, Mode};
-use montage::sync::{spin_loop, thread};
+use interleave::{check, try_check, Config, Mode, Report};
+use montage::sync::{spin_loop, thread, AtomicPtr, Ordering};
 use montage::{EpochSys, EsysConfig, FreeStrategy, PersistStrategy};
-use montage_ds::MontageHashMap;
 use pmem::{PmemConfig, PmemPool};
 
 fn tiny_esys() -> Arc<EpochSys> {
@@ -54,23 +54,17 @@ fn tiny_esys() -> Arc<EpochSys> {
 
 fn retire_body() {
     let sys = tiny_esys();
-    let map = Arc::new(MontageHashMap::with_max_load(sys.clone(), 7, 1, 2));
+    let cell = Arc::new(AtomicPtr::new(Box::into_raw(Box::new(1u64))));
     let (writer, reader) = (sys.register_thread(), sys.register_thread());
 
-    // Deterministic prefix: three keys over one bucket install a resize
-    // before any racing thread exists.
-    for k in 1..=3u64 {
-        map.put(writer, k, b"a");
-    }
-    assert!(
-        map.resizing(writer),
-        "three keys over one bucket must resize"
-    );
-
-    // Helps the old level's only bucket and retires the two-level directory.
-    let m = map.clone();
+    // Unlinks the first box and retires it.
+    let (s, c) = (sys.clone(), cell.clone());
     let writing = thread::spawn(move || {
-        assert!(!m.put(writer, 4u64, b"d"), "key 4 is fresh");
+        let g = s.begin_op(writer);
+        let old = c.swap(Box::into_raw(Box::new(2u64)), Ordering::SeqCst);
+        // SAFETY: `old` came from `Box::into_raw`, the swap unlinked it, and
+        // only this thread retires it.
+        unsafe { s.retire_transient(&g, old) };
     });
     let advance = |n: usize| {
         let s = sys.clone();
@@ -84,10 +78,20 @@ fn retire_body() {
     while sys.curr_epoch() < e0 + 2 {
         spin_loop();
     }
-    assert_eq!(map.get_owned(reader, &1u64).as_deref(), Some(&b"a"[..]));
+    let (s, c) = (sys.clone(), cell.clone());
+    let reading = thread::spawn(move || {
+        let _g = s.begin_op(reader);
+        let p = c.load(Ordering::SeqCst);
+        assert!(!s.debug_freed(p), "box freed under a registered reader");
+        // SAFETY: the window keeps `p` allocated (the assertion above checks
+        // it; under the checker a freed box is poisoned, not deallocated).
+        assert!(matches!(unsafe { *p }, 1 | 2));
+    });
+    reading.join().unwrap();
     writing.join().unwrap();
     advancing.join().unwrap();
-    assert_eq!(map.len(), 4);
+    // SAFETY: every thread has joined; the box in the cell was never retired.
+    drop(unsafe { Box::from_raw(cell.load(Ordering::SeqCst)) });
 }
 
 /// No stale-value branching: the retirement rule rests on the SeqCst
@@ -102,11 +106,11 @@ fn config() -> Config {
     }
 }
 
-/// Exhaustive at the configured bound: no schedule frees a directory while
-/// a reader that read it is still inside its window.
+/// Exhaustive at the configured bound: no schedule frees a box while a
+/// reader that loaded it is still inside its window.
 #[test]
-fn a_retired_directory_outlives_every_reader_window() {
-    let r = check(config(), retire_body);
+fn a_retired_box_outlives_every_reader_window() {
+    let r: Report = check(config(), retire_body);
     println!("harness_retire: {r:?}");
     assert!(!r.truncated, "exploration must finish: {r:?}");
     assert_eq!(r.limit_pruned, 0, "a schedule hit the step limit: {r:?}");

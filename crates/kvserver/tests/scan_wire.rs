@@ -3,11 +3,9 @@
 //! concurrent load — writers keep inserting while scanners and readers see
 //! zero protocol errors and no lost keys.
 //!
-//! The montage-ds resize acceptance proper (8 writers driving the
-//! *resizable hashmap* through ≥2 online resizes with zero lost ops) lives
-//! in the workspace-root `tests/resize_load.rs` — the kvstore's transient
-//! index grows implicitly, so the wire-level claim checked here is the
-//! end-to-end one: growth is invisible to concurrent wire traffic.
+//! The kvstore's transient index grows implicitly, so the wire-level claim
+//! checked here is the end-to-end one: growth is invisible to concurrent
+//! wire traffic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -3,10 +3,11 @@
 //! One structure per job, each written against the public [`montage`] API
 //! exactly as a downstream user would:
 //!
-//! * [`MontageHashMap`] — the lock-per-bucket hashmap of paper Fig. 2, with
-//!   an online resize: the lookup structure (buckets, chains, locks) is
-//!   entirely transient; only key/value payloads live in NVM. The map of
-//!   Figs. 4 and 7–9 and of `mbench`'s `lib_hashmap` workload.
+//! * [`MontageHashMap`] — the lock-per-bucket hashmap of paper Fig. 2: a
+//!   fixed bucket array sized at construction. The lookup structure
+//!   (buckets, chains, locks) is entirely transient; only key/value payloads
+//!   live in NVM. The map of Figs. 4 and 7–9 and of `mbench`'s
+//!   `lib_hashmap` workload.
 //! * [`MontageQueue`] — the single-lock queue (Figs. 5/6): payloads carry
 //!   consecutive sequence numbers (the "items and their order" the
 //!   abstraction needs), and the linked structure is transient.
@@ -20,8 +21,8 @@
 //!
 //! These are the structures the paper evaluates. Montage's epoch system is
 //! the only one here: every verb reads transient pointers inside its
-//! `begin_op` window, and unlinked nodes and directories are freed on
-//! Montage's reclamation frontier ([`montage::EpochSys::retire_transient`]).
+//! `begin_op` window, and unlinked nodes are freed on Montage's reclamation
+//! frontier ([`montage::EpochSys::retire_transient`]).
 //! Every structure has a `recover` constructor that rebuilds its transient
 //! state from a [`montage::RecoveredState`], optionally in parallel.
 

@@ -935,8 +935,7 @@ impl EpochSys {
     /// pointer announced itself at or below that read, but a straggler's
     /// epoch lags (unlinking at *r + 5* after a reader registered at *r + 3*,
     /// labelled *r* it is freed under that reader). Montage(T) never
-    /// advances: its retirements are freed when this system drops — for its
-    /// one retiring user, `MontageHashMap`, ≤ 2 directories per resize.
+    /// advances: its retirements are freed when this system drops.
     ///
     /// # Safety
     /// `unlinked` comes from `Box::into_raw`, no operation that begins after

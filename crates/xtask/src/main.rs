@@ -843,9 +843,8 @@ mod census {
     pub(super) const UNNAMED_PUB_CEILING: usize = 15;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
-    /// Most non-test lines under `crates/*/src` (ROADMAP item 9 wants
-    /// 19 500); same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 19_541;
+    /// Most non-test lines under `crates/*/src`; same rule.
+    pub(super) const NON_TEST_SRC_CEILING: usize = 19_200;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

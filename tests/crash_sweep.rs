@@ -21,14 +21,6 @@
 //!    corrupt, and the bypassing fence must still cover acked work. The same
 //!    schedule over a Montage-backed `kvstore` whose victim *resizes* values:
 //!    every cut recovers each key exactly once.
-//! 6. A *mid-resize* sweep: a tiny-table workload that drives the hashmap
-//!    through three full online resizes, crashed exhaustively at every
-//!    persistence event of the key payloads those resizes move between
-//!    levels (the resize itself persists nothing). Recovery must land on the
-//!    state after some prefix of the op history (per key: exactly the pre-
-//!    or the post-migration view, never a torn mix within one bucket), must
-//!    never resurrect an in-flight resize, and the recovered map must remain
-//!    fully usable.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -334,9 +326,9 @@ fn torn_pending_header_is_quarantined() {
 
 // ---- stall-point sweep: liveness + crash cuts during helping ----------------
 
-/// Mirrors `MontageHashMap::index` (DefaultHasher is deterministic), so the
-/// stall sweep can pick peer keys that avoid every bucket the parked victim
-/// might be holding locked.
+/// Mirrors `MontageHashMap`'s bucket choice (DefaultHasher is
+/// deterministic), so the stall sweep can pick peer keys that avoid every
+/// bucket the parked victim might be holding locked.
 fn bucket_of(k: &Key) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -606,197 +598,6 @@ fn kvstore_resize_stall_sweep_recovers_each_key_once() {
         },
     );
     assert_exhaustive_stall_sweep(&report);
-}
-
-// ---- mid-resize crash sweep -------------------------------------------------
-
-const R_NBUCKETS: usize = 2;
-const R_MAX_LOAD: usize = 1;
-/// Distinct keys inserted: with a 2-bucket table and load factor 1 the map
-/// resizes at 3, 5, and 9 live entries — three full install/migrate/retire
-/// cycles inside one scripted run.
-const R_KEYS: u64 = 12;
-const R_MAX_CAP: usize = 16;
-
-/// One step of the resize workload (same shape as `Op`, map-only).
-#[derive(Clone, Copy, Debug)]
-enum ROp {
-    Put(u64, u64),
-    Remove(u64),
-    Sync,
-}
-
-/// Deterministic script: mostly fresh-key puts (the growth driver), with
-/// periodic syncs (durability boundaries for the cut to land between) and a
-/// few remove + re-put pairs so `pdelete` runs while levels migrate.
-fn resize_script() -> Vec<ROp> {
-    let mut s = Vec::new();
-    for i in 0..R_KEYS {
-        s.push(ROp::Put(i, i + 1));
-        if i % 3 == 2 {
-            s.push(ROp::Sync);
-        }
-        if i % 4 == 3 {
-            s.push(ROp::Remove(i - 2));
-            s.push(ROp::Put(i - 2, 100 + i));
-        }
-    }
-    s.push(ROp::Sync);
-    s
-}
-
-/// Runs the resize script on a fresh map over `pool`; returns how many
-/// resizes completed so the test can prove the script is not vacuous.
-fn run_resize(pool: &PmemPool, script: &[ROp]) -> usize {
-    let esys = EpochSys::format(pool.clone(), small_esys_cfg());
-    let tid = esys.register_thread();
-    let m = MontageHashMap::<Key>::with_max_load(esys.clone(), MTAG, R_NBUCKETS, R_MAX_LOAD);
-    for op in script {
-        match *op {
-            ROp::Put(k, v) => {
-                let _ = pool.checked(|| m.put(tid, key(k), &v.to_le_bytes()));
-            }
-            ROp::Remove(k) => {
-                let _ = pool.checked(|| m.remove(tid, &key(k)));
-            }
-            ROp::Sync => {
-                let _ = esys.try_sync();
-            }
-        }
-    }
-    m.resizes_completed()
-}
-
-/// The mid-resize recovery contract, checked at one crash point:
-/// no in-flight resize survives, the geometry is a sane power of two, the
-/// contents equal the model after **some** prefix of the script (each key is
-/// wholly pre- or post-cut — a mixed bucket could never equal any single
-/// prefix), and the recovered map still takes writes and survives a forced
-/// drain of whatever resize that write installs.
-fn verify_resize_prefix(durable: PmemPool, crash_at: u64, script: &[ROp]) -> Result<(), String> {
-    let rec = match montage::try_recover(durable, small_esys_cfg(), 1) {
-        Err(RecoveryError::UnformattedPool) => return Ok(()),
-        Err(e) => return Err(format!("crash_at={crash_at}: recovery failed: {e}")),
-        Ok(rec) => rec,
-    };
-    if !rec.report.quarantined.is_empty() {
-        return Err(format!(
-            "crash_at={crash_at}: clean crash quarantined payloads: {:?}",
-            rec.report.quarantined
-        ));
-    }
-    let m = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, R_NBUCKETS, &rec);
-    let tid = rec.esys.register_thread();
-    if m.resizing(tid) {
-        return Err(format!(
-            "crash_at={crash_at}: recovery resurrected an in-flight resize"
-        ));
-    }
-    let cap = m.capacity(tid);
-    if !cap.is_power_of_two() || !(R_NBUCKETS..=R_MAX_CAP).contains(&cap) {
-        return Err(format!(
-            "crash_at={crash_at}: recovered geometry {cap} is not a legal level size"
-        ));
-    }
-
-    let mut recovered: HashMap<u64, u64> = HashMap::new();
-    for k in 0..R_KEYS {
-        if let Some(v) = m.get_owned(tid, &key(k)) {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&v[..8]);
-            recovered.insert(k, u64::from_le_bytes(w));
-        }
-    }
-
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    let mut prefix_ok = recovered == model;
-    if !prefix_ok {
-        for op in script {
-            match *op {
-                ROp::Put(k, v) => {
-                    model.insert(k, v);
-                }
-                ROp::Remove(k) => {
-                    model.remove(&k);
-                }
-                ROp::Sync => {}
-            }
-            if recovered == model {
-                prefix_ok = true;
-                break;
-            }
-        }
-    }
-    if !prefix_ok {
-        return Err(format!(
-            "crash_at={crash_at}: recovered state (cap {cap}) matches no prefix \
-             of the history: {recovered:?}"
-        ));
-    }
-
-    // Usability probe: the recovered map keeps working — a fresh write, a
-    // forced drain of any growth it triggers, and nothing recovered is lost.
-    m.put(tid, key(R_KEYS + 1), &0xFEEDu64.to_le_bytes());
-    m.finish_resize(tid);
-    for (k, v) in &recovered {
-        match m.get_owned(tid, &key(*k)) {
-            Some(b) if b[..8] == v.to_le_bytes() => {}
-            other => {
-                return Err(format!(
-                    "crash_at={crash_at}: key {k} lost/torn after post-recovery \
-                     migration: {other:?}"
-                ))
-            }
-        }
-    }
-    if m.get_owned(tid, &key(R_KEYS + 1)).is_none() {
-        return Err(format!(
-            "crash_at={crash_at}: recovered map dropped a fresh write"
-        ));
-    }
-    Ok(())
-}
-
-/// Acceptance criterion: crashing at *every* persistence event of the key
-/// payloads a resize moves between levels — a run holding three in-flight
-/// resizes — always recovers a consistent prefix with a legal, usable
-/// geometry.
-#[test]
-fn resize_protocol_is_prefix_consistent_at_every_crash_point() {
-    let script = resize_script();
-    // The script must genuinely drive multiple online resizes, or the sweep
-    // proves nothing about the resize protocol.
-    let clean = PmemPool::new(PmemConfig::strict_for_test(8 << 20));
-    let completed = run_resize(&clean, &script);
-    assert!(
-        completed >= 2,
-        "resize script is vacuous: only {completed} resizes completed"
-    );
-
-    let cfg = SweepConfig {
-        exhaustive_limit: 4096,
-        samples: 64,
-        seed: 0x2E512E,
-    };
-    let report = crash_sweep(
-        &cfg,
-        PmemConfig::strict_for_test(8 << 20),
-        |pool| {
-            run_resize(pool, &script);
-        },
-        |durable, crash_at| verify_resize_prefix(durable, crash_at, &script),
-    );
-    assert!(
-        report.total_events >= 100,
-        "resize workload too small for a meaningful sweep: {} events",
-        report.total_events
-    );
-    assert_eq!(
-        report.crash_points.len() as u64,
-        report.total_events + 1,
-        "mid-resize sweep must be exhaustive"
-    );
-    report.assert_ok();
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {

@@ -3,7 +3,7 @@
 //! hashmap and queue, and feed them to the Wing&Gong-style checker in
 //! `montage_suite::history`.
 //!
-//! Five layers, with fixed seeds throughout:
+//! Three layers, with fixed seeds throughout:
 //!
 //! 1. **Live map runs** — several threads hammer a small key space; each
 //!    per-key projection of the merged history must linearize against a
@@ -19,10 +19,6 @@
 //!    ops that completed by the recovery cutoff must survive, ops that
 //!    began after it must not, and straddlers may fall either way.
 //!    24 map runs + 8 queue runs ⇒ 32 crash-cut histories.
-//! 4. **Resize runs** — layer 1 on a tiny map that resizes online
-//!    mid-history: 25 runs.
-//! 5. **Mid-resize crash cuts** — layer 3 with a resize in flight at the
-//!    snapshot: 15 runs.
 //!
 //! The acceptance bar (≥100 histories, ≥20 crash-cut, zero violations) is
 //! asserted explicitly in each test.
@@ -333,134 +329,6 @@ fn crashed_map_runs_linearize_to_an_epoch_cut_prefix() {
     assert!(
         must_exclude_total > 0,
         "no op ever classified must-exclude: crash snapshots fired too late"
-    );
-}
-
-// ---- resize layers -------------------------------------------------------
-
-/// Layer 4: histories recorded *across* online resizes still linearize
-/// per key. Tiny initial table + max_load 1 forces several resizes inside
-/// every run; writers migrate buckets mid-op (help-on-lookup), readers
-/// race the directory swap.
-#[test]
-fn map_histories_across_online_resizes_linearize() {
-    let mut checked = 0usize;
-    let mut resized_runs = 0usize;
-    for seed in 0..25u64 {
-        let esys = fresh_esys();
-        let map = MontageHashMap::<Key>::with_max_load(esys.clone(), MTAG, 2, 1);
-        let history = record_map_run(&esys, &map, 0x5E12E ^ seed, 3, 24, false, None);
-        assert_eq!(history.len(), 3 * 24);
-        if map.resizes_completed() >= 1 || map.resizing(esys.register_thread()) {
-            resized_runs += 1;
-        }
-        for k in 0..KEY_SPACE {
-            let proj = project(&history, k);
-            if proj.is_empty() {
-                continue;
-            }
-            check_linearizable::<Register>(&proj).unwrap_or_else(|e| {
-                panic!("seed {seed}, key {k} (mid-resize): {e}\nhistory: {proj:#?}")
-            });
-            checked += 1;
-        }
-    }
-    assert!(
-        resized_runs >= 20,
-        "resize trigger too lazy: only {resized_runs}/25 runs resized"
-    );
-    assert!(checked >= 100, "checked only {checked} projections");
-}
-
-/// Layer 5: crash cuts taken **while a resize is in flight**. The
-/// workload drives a tiny map through repeated growth; the coordinator
-/// snapshots mid-run. Per-key recovered state must be a legal epoch-cut
-/// prefix — the migration must never bleed into key visibility.
-#[test]
-fn crashed_mid_resize_runs_linearize_to_an_epoch_cut_prefix() {
-    let mut crash_histories = 0usize;
-    // Live-map state at the snapshot tick: cut during or after a resize,
-    // and cut with one in flight.
-    let mut resized_at_crash = 0usize;
-    let mut resizing_at_crash = 0usize;
-    for seed in 0..15u64 {
-        let esys = fresh_esys();
-        let map = MontageHashMap::<Key>::with_max_load(esys.clone(), MTAG, 2, 1);
-        let snapshot: Mutex<Option<PmemPool>> = Mutex::new(None);
-        let crash_tick = 3 + seed % 8;
-        let mut history = Vec::new();
-        std::thread::scope(|s| {
-            let esys2 = Arc::clone(&esys);
-            let (snapshot, map) = (&snapshot, &map);
-            let at_crash = s.spawn(move || {
-                let tid = esys2.register_thread();
-                let mut at_crash = (false, false);
-                for tick in 0..16u64 {
-                    std::thread::sleep(Duration::from_micros(300));
-                    esys2.advance_epoch();
-                    if tick == crash_tick {
-                        at_crash = (map.resizing(tid), map.resizes_completed() > 0);
-                        *snapshot.lock().unwrap() = Some(esys2.pool().crash());
-                    }
-                }
-                at_crash
-            });
-            history = record_map_run(
-                &esys,
-                map,
-                0x2E512E ^ seed,
-                2,
-                24,
-                true,
-                Some(Duration::from_micros(150)),
-            );
-            let (resizing, resized) = at_crash.join().unwrap();
-            resizing_at_crash += resizing as usize;
-            resized_at_crash += (resizing || resized) as usize;
-        });
-        let crashed = snapshot.lock().unwrap().take().expect("snapshot taken");
-
-        let rec = montage::try_recover(crashed, EsysConfig::default(), 1)
-            .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
-        assert!(
-            rec.report.quarantined.is_empty(),
-            "seed {seed}: clean crash quarantined payloads"
-        );
-        let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, 2, &rec);
-        let rtid = rec.esys.register_thread();
-        assert!(!rmap.resizing(rtid), "recovery left a resize in flight");
-        let cutoff = rec.esys.curr_epoch() - 4;
-        let durability = classify_by_epoch(&history, cutoff);
-        for k in 0..KEY_SPACE {
-            let proj = project(&history, k);
-            if proj.is_empty() {
-                continue;
-            }
-            let dproj: Vec<Durability> = history
-                .iter()
-                .zip(&durability)
-                .filter(|(r, _)| r.op.0 == k)
-                .map(|(_, d)| *d)
-                .collect();
-            let target = Register {
-                value: rmap.get_owned(rtid, &key(k)).map(|b| parse_u64(&b)),
-            };
-            check_durable_prefix(&proj, &dproj, &target).unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed}, key {k}, cutoff {cutoff} (mid-resize cut): {e}\n\
-                     recovered {target:?}\nhistory: {proj:#?}\nclasses: {dproj:?}"
-                )
-            });
-        }
-        crash_histories += 1;
-    }
-    assert_eq!(crash_histories, 15);
-    // The cuts must actually land on maps that are resizing or have resized,
-    // or the "mid-resize" label is vacuous.
-    println!("{resized_at_crash}/15 cuts at or after a resize, {resizing_at_crash} in flight");
-    assert!(
-        resized_at_crash >= 10,
-        "only {resized_at_crash}/15 cuts caught a resized map ({resizing_at_crash} in flight)"
     );
 }
 
