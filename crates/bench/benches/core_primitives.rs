@@ -1,10 +1,11 @@
-//! Criterion micro-benchmarks of the core primitives: allocator fast path,
+//! Micro-benchmarks of the core primitives: allocator fast path,
 //! `BEGIN_OP`/`END_OP`, `PNEW`, in-place `set`, `CAS_verify`, epoch advance,
 //! and the pmem flush path. These quantify the constants behind the figure
-//! harnesses.
+//! harnesses. Each prints nanoseconds per call
+//! ([`montage_bench::harness::print_ns_per_call`]); nothing is compared.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use montage::{EpochSys, EsysConfig, VerifyCell};
+use montage_bench::harness::print_ns_per_call;
 use montage_bench::report::percentile;
 use montage_ds::{tags, MontageHashMap};
 use pmem::{ChaosConfig, POff, PmemConfig, PmemPool};
@@ -12,31 +13,27 @@ use ralloc::Ralloc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn bench_ralloc(c: &mut Criterion) {
+fn bench_ralloc() {
     let r = Ralloc::format(PmemPool::new(PmemConfig {
         size: 256 << 20,
         ..Default::default()
     }));
-    c.bench_function("ralloc_alloc_dealloc_64B", |b| {
-        b.iter(|| {
-            let off = r.alloc(64);
-            r.dealloc(off);
-            off
-        })
+    print_ns_per_call("ralloc_alloc_dealloc_64B", || {
+        let off = r.alloc(64);
+        r.dealloc(off);
+        off
     });
 }
 
-fn bench_pmem(c: &mut Criterion) {
+fn bench_pmem() {
     let pool = PmemPool::new(PmemConfig::default());
-    c.bench_function("pmem_clwb_fence_1line", |b| {
-        b.iter(|| {
-            pool.clwb(POff::new(4096));
-            pool.sfence();
-        })
+    print_ns_per_call("pmem_clwb_fence_1line", || {
+        pool.clwb(POff::new(4096));
+        pool.sfence();
     });
 }
 
-fn bench_esys(c: &mut Criterion) {
+fn bench_esys() {
     let esys = EpochSys::format(
         PmemPool::new(PmemConfig {
             size: 512 << 20,
@@ -46,46 +43,38 @@ fn bench_esys(c: &mut Criterion) {
     );
     let tid = esys.register_thread();
 
-    c.bench_function("begin_end_op", |b| {
-        b.iter(|| {
-            let g = esys.begin_op(tid);
-            drop(g);
-        })
+    print_ns_per_call("begin_end_op", || {
+        let g = esys.begin_op(tid);
+        drop(g);
     });
 
-    c.bench_function("pnew_pdelete_64B", |b| {
-        b.iter(|| {
-            let g = esys.begin_op(tid);
-            let h = esys.pnew(&g, 0, &[0u8; 64]);
-            esys.pdelete(&g, h).unwrap();
-        })
+    print_ns_per_call("pnew_pdelete_64B", || {
+        let g = esys.begin_op(tid);
+        let h = esys.pnew(&g, 0, &[0u8; 64]);
+        esys.pdelete(&g, h).unwrap();
     });
 
     let g = esys.begin_op(tid);
     let h = esys.pnew(&g, 0, &0u64);
     drop(g);
-    c.bench_function("set_in_place_u64", |b| {
-        b.iter(|| {
-            let g = esys.begin_op(tid);
-            let _ = esys.set(&g, h, |v| *v = v.wrapping_add(1)).unwrap();
-        })
+    print_ns_per_call("set_in_place_u64", || {
+        let g = esys.begin_op(tid);
+        let _ = esys.set(&g, h, |v| *v = v.wrapping_add(1)).unwrap();
     });
 
     let cell = VerifyCell::new(0);
-    c.bench_function("cas_verify", |b| {
-        b.iter(|| {
-            let g = esys.begin_op(tid);
-            let cur = cell.load(&esys);
-            let _ = cell.cas_verify(&esys, &g, cur, cur + 1);
-        })
+    print_ns_per_call("cas_verify", || {
+        let g = esys.begin_op(tid);
+        let cur = cell.load(&esys);
+        let _ = cell.cas_verify(&esys, &g, cur, cur + 1);
     });
 
-    c.bench_function("advance_epoch", |b| b.iter(|| esys.advance_epoch()));
+    print_ns_per_call("advance_epoch", || esys.advance_epoch());
 
-    c.bench_function("sync", |b| b.iter(|| esys.sync()));
+    print_ns_per_call("sync", || esys.sync());
 }
 
-fn bench_coalescing(c: &mut Criterion) {
+fn bench_coalescing() {
     use std::sync::atomic::Ordering;
 
     let esys = EpochSys::format(
@@ -104,13 +93,13 @@ fn bench_coalescing(c: &mut Criterion) {
     // Timed: repeated in-place sets of one hot payload inside an op. After
     // the first set of the epoch, every push hits the coalescing table and
     // skips the ring entirely.
-    c.bench_function("set_hot_payload_coalesced_u64", |b| {
+    {
         let g = esys.begin_op(tid);
         let mut hh = h;
-        b.iter(|| {
+        print_ns_per_call("set_hot_payload_coalesced_u64", || {
             hh = esys.set(&g, hh, |v| *v = v.wrapping_add(1)).unwrap();
         });
-    });
+    }
 
     // Counted (not timed): 8 sets of one payload per epoch, 100 epochs.
     // `flushes_coalesced` is exact, so `clwbs + saved` is precisely what the
@@ -234,7 +223,7 @@ fn stalled_sync_lats(grace: usize, syncs: usize) -> Vec<u64> {
 /// parked mid-op, under the helping advance vs. a blocking-advancer
 /// emulation. Printed, not gated: the bound itself is pinned by `tracker`'s
 /// `bounded_wait_passes_newer_ops_and_counts_stragglers` test.
-fn report_core_primitives(_c: &mut Criterion) {
+fn report_stalled_sync() {
     let helping = stalled_sync_lats(64, 300);
     let blocking = stalled_sync_lats(2_000_000, 40);
     let (h_p50, h_p99) = (percentile(&helping, 0.50), percentile(&helping, 0.99));
@@ -249,12 +238,10 @@ fn report_core_primitives(_c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(500));
-    targets = bench_ralloc, bench_pmem, bench_esys, bench_coalescing, report_core_primitives
+fn main() {
+    bench_ralloc();
+    bench_pmem();
+    bench_esys();
+    bench_coalescing();
+    report_stalled_sync();
 }
-criterion_main!(benches);

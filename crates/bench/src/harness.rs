@@ -1,8 +1,9 @@
-//! Timed multi-thread workload drivers.
+//! Timed workload drivers: multi-thread throughput, and one primitive's
+//! single-thread cost per call.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use baselines::api::{make_key, BenchMap, BenchQueue};
 use workloads::mix::{value_of, MapMix, MapOp, MapOpGen, QueueOpGen};
@@ -60,6 +61,26 @@ pub fn env_scale() -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.04)
+}
+
+/// Times `op` on the calling thread and prints its wall-clock cost per
+/// call: a 200 ms warm-up, then the median of 20 samples of 25 ms each.
+/// Calls run in batches of 64 so the clock read stays off the timed path.
+pub fn print_ns_per_call<R>(name: &str, mut op: impl FnMut() -> R) {
+    let mut sample = |budget: Duration| {
+        let (t0, mut calls) = (Instant::now(), 0u64);
+        while t0.elapsed() < budget {
+            for _ in 0..64 {
+                std::hint::black_box(op());
+            }
+            calls += 64;
+        }
+        t0.elapsed().as_nanos() as f64 / calls as f64
+    };
+    sample(Duration::from_millis(200));
+    let mut samples: Vec<f64> = (0..20).map(|_| sample(Duration::from_millis(25))).collect();
+    samples.sort_by(f64::total_cmp);
+    println!("{name:<40} {:>10.1} ns/call", samples[samples.len() / 2]);
 }
 
 /// The one timed driver: `p.threads` workers each build their state with

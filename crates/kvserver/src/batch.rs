@@ -112,8 +112,6 @@ pub(crate) struct WorkerStats {
     pub fence_timeouts: AtomicU64,
     /// Replies queued behind those fences.
     pub acks: AtomicU64,
-    /// Range scans served (`scan` verb) — the only multi-record read.
-    pub scans: AtomicU64,
     /// Requests per batch.
     pub hist: BatchHist,
 }
@@ -279,9 +277,6 @@ pub(crate) fn execute(
                     acks += 1;
                 }
                 continue;
-            }
-            if cmd == "scan" {
-                ws.scans.fetch_add(1, Ordering::Relaxed);
             }
             // The session announces a mutation's shard just before it
             // touches the store: pin it for the batch's window, and owe it

@@ -18,14 +18,10 @@ pub struct WireClient {
 pub enum PipeOp<'a> {
     Get(&'a str),
     Set(&'a str, &'a [u8]),
-    /// `scan <lo> <hi>` — the multi-record reply is drained and discarded
-    /// (framing-checked) so scans can interleave with gets/sets in flight.
-    Scan(&'a str, &'a str),
 }
 
 /// One `VALUE <key> <flags> <len> [<cas>]` record of a retrieval reply.
 struct Record {
-    key: String,
     flags: u32,
     cas: Option<u64>,
     data: Vec<u8>,
@@ -96,16 +92,16 @@ impl WireClient {
         self.send_raw(b"\r\n")
     }
 
-    /// Reads one record of a retrieval reply: `None` at the reply's `END`,
-    /// else the `VALUE` header and the value, whose `\r\n` is checked.
-    fn read_record(&mut self, verb: &str) -> std::io::Result<Option<Record>> {
+    /// A one-key retrieval's reply: `None` for a bare `END`, else the
+    /// `VALUE` header, the value (its `\r\n` checked) and the closing `END`.
+    fn read_single(&mut self, verb: &str) -> std::io::Result<Option<Record>> {
         let head = self.read_line()?;
         if head == "END" {
             return Ok(None);
         }
         let bad = || bad_reply(verb, &head);
         let mut parts = head.split_whitespace();
-        let (Some("VALUE"), Some(key), Some(flags), Some(len)) =
+        let (Some("VALUE"), Some(_key), Some(flags), Some(len)) =
             (parts.next(), parts.next(), parts.next(), parts.next())
         else {
             return Err(bad());
@@ -119,24 +115,15 @@ impl WireClient {
             return Err(bad());
         }
         data.truncate(len);
+        let tail = self.read_line()?;
+        if tail != "END" {
+            return Err(bad_reply(verb, &tail));
+        }
         Ok(Some(Record {
-            key: key.to_string(),
             flags,
             cas: cas.transpose()?,
             data,
         }))
-    }
-
-    /// A one-key retrieval's reply: at most one record, then `END`.
-    fn read_single(&mut self, verb: &str) -> std::io::Result<Option<Record>> {
-        let record = self.read_record(verb)?;
-        if record.is_some() {
-            let tail = self.read_line()?;
-            if tail != "END" {
-                return Err(bad_reply(verb, &tail));
-            }
-        }
-        Ok(record)
     }
 
     /// `get`, returning `(flags, value)` for a hit and `None` for a miss.
@@ -163,9 +150,6 @@ impl WireClient {
                     buf.extend_from_slice(v);
                     buf.extend_from_slice(b"\r\n");
                 }
-                PipeOp::Scan(lo, hi) => {
-                    buf.extend_from_slice(format!("scan {lo} {hi}\r\n").as_bytes());
-                }
             }
         }
         self.stream.get_mut().write_all(&buf)?;
@@ -180,38 +164,9 @@ impl WireClient {
                 PipeOp::Get(..) => {
                     self.read_single("pipelined get")?;
                 }
-                PipeOp::Scan(..) => {
-                    self.read_scan_records()?;
-                }
             }
         }
         Ok(())
-    }
-
-    /// `scan <lo> <hi> [<limit>]`: collects the `(key, flags, value)`
-    /// records of the reply, in server (key) order.
-    pub fn scan(
-        &mut self,
-        lo: &str,
-        hi: &str,
-        limit: Option<usize>,
-    ) -> std::io::Result<Vec<(String, u32, Vec<u8>)>> {
-        let line = match limit {
-            Some(n) => format!("scan {lo} {hi} {n}\r\n"),
-            None => format!("scan {lo} {hi}\r\n"),
-        };
-        self.send_raw(line.as_bytes())?;
-        self.read_scan_records()
-    }
-
-    /// Drains one scan reply (`VALUE` records up to `END`), validating the
-    /// announced lengths against the stream.
-    fn read_scan_records(&mut self) -> std::io::Result<Vec<(String, u32, Vec<u8>)>> {
-        let mut out = Vec::new();
-        while let Some(r) = self.read_record("scan")? {
-            out.push((r.key, r.flags, r.data));
-        }
-        Ok(out)
     }
 
     /// `delete`, returning the reply line (`DELETED` / `NOT_FOUND`).

@@ -238,7 +238,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     // what the per-shard lines print.
     let pools = store.pool_stats_per_shard();
     let detects = store.detect_stats_per_shard();
-    let mirrors = store.ordered_mirror_bytes_per_shard();
     let epochs = store.epochs();
     // How far behind durability is, in µs: what each shard's device still
     // has to drain.
@@ -260,9 +259,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
     };
     stat("curr_items", store.len() as u64);
     stat("evictions", store.evictions() as u64);
-    // DRAM the scan index costs (ROADMAP item 3): the per-stripe ordered
-    // mirrors, reported like memcached's hash-table overhead lines.
-    stat("ordered_mirror_bytes", mirrors.iter().sum::<usize>() as u64);
     stat("curr_connections", shared.conns.used() as u64);
     stat("curr_sessions", shared.sessions.used() as u64);
     stat("total_mutations", shared.mutations.load(Ordering::Acquire));
@@ -307,7 +303,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
             .sum()
     };
     let (fences, acks) = (total(|w| &w.fences), total(|w| &w.acks));
-    stat("scan_requests", total(|w| &w.scans));
     stat("gc_batches", total(|w| &w.batches));
     stat("gc_batched_requests", total(|w| &w.requests));
     stat("gc_fences", fences);
@@ -380,9 +375,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
                 u64::from(store.shard(i).fault().is_some()),
             );
             fence_lines(&format!("shard{i}_"), &shard_fences[i]);
-        }
-        for (i, bytes) in mirrors.into_iter().enumerate() {
-            stat(&format!("shard{i}_ordered_mirror_bytes"), bytes as u64);
         }
         for (i, d) in detects.into_iter().enumerate() {
             stat(&format!("shard{i}_descriptors"), d.descriptors);

@@ -1,8 +1,9 @@
 //! Wire tests for the sharded server surface: pipelined traffic spanning
-//! every shard across a crash-restart, and per-shard quarantine counters in
-//! `stats`.
+//! every shard across a crash-restart, per-shard quarantine counters in
+//! `stats`, cross-worker atomicity, and growth under concurrent load.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use kvserver::{KvServer, ServerConfig, WireClient};
@@ -260,4 +261,99 @@ fn sessionless_mutations_are_atomic_across_workers() {
     );
     c.quit().unwrap();
     handle.shutdown();
+}
+
+/// Growth under load, end-to-end: 8 writer connections push the store from
+/// empty to 16 000 keys (every stripe's index grows live) while reader
+/// connections probe the writers' key sequences. No connection may see a
+/// protocol error, a torn frame, or a previously-written key go missing.
+#[test]
+fn growth_under_wire_load_loses_nothing() {
+    const WRITERS: usize = 8;
+    const KEYS_PER_WRITER: usize = 2_000;
+
+    let store = sharded_store();
+    let h = KvServer::start_sharded(ServerConfig::default(), Arc::clone(&store)).expect("bind");
+    let addr = h.addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut handles = Vec::new();
+    for w in 0..WRITERS {
+        handles.push(std::thread::spawn(move || {
+            let mut c = WireClient::connect(addr).unwrap();
+            // Writer w owns keys gw<w>k<i>; pipelined in bursts of 50.
+            for burst in 0..(KEYS_PER_WRITER / 50) {
+                let mut packet = Vec::new();
+                for j in 0..50 {
+                    let i = burst * 50 + j;
+                    let val = format!("w{w}v{i}");
+                    packet.extend_from_slice(
+                        format!("set gw{w}k{i:05} 0 0 {}\r\n{val}\r\n", val.len()).as_bytes(),
+                    );
+                }
+                c.send_raw(&packet).unwrap();
+                for j in 0..50 {
+                    assert_eq!(
+                        c.read_line().unwrap(),
+                        "STORED",
+                        "writer {w} burst {burst} op {j} failed"
+                    );
+                }
+            }
+        }));
+    }
+    // Readers run until the writers are done.
+    let mut observers = Vec::new();
+    for o in 0..3 {
+        let stop = stop.clone();
+        observers.push(std::thread::spawn(move || {
+            let mut c = WireClient::connect(addr).unwrap();
+            let w = o % WRITERS;
+            let (mut rounds, mut prefix) = (0u64, 0usize);
+            while !stop.load(Ordering::Relaxed) {
+                // Writer w inserts k00000, k00001, … in order, so its keys
+                // form a dense prefix that only grows: probe upward to the
+                // first miss. A shorter prefix than last round is a key that
+                // was read once and then lost.
+                let mut idx = 0;
+                while idx < KEYS_PER_WRITER {
+                    let got = c
+                        .get(&format!("gw{w}k{idx:05}"))
+                        .expect("get mid-growth must never error");
+                    match got {
+                        Some((_, v)) => assert_eq!(v, format!("w{w}v{idx}").as_bytes()),
+                        None => break,
+                    }
+                    idx += 1;
+                }
+                assert!(
+                    idx >= prefix,
+                    "writer {w}'s prefix shrank from {prefix} to {idx} mid-growth"
+                );
+                prefix = idx;
+                rounds += 1;
+            }
+            rounds
+        }));
+    }
+    for hdl in handles {
+        hdl.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let rounds: u64 = observers.into_iter().map(|o| o.join().unwrap()).sum();
+    assert!(rounds > 0, "readers never completed a probe");
+
+    // Final state: every written key reads back, no losses.
+    let mut c = WireClient::connect(addr).unwrap();
+    for w in 0..WRITERS {
+        for i in 0..KEYS_PER_WRITER {
+            assert_eq!(
+                c.get(&format!("gw{w}k{i:05}")).unwrap(),
+                Some((0, format!("w{w}v{i}").into_bytes())),
+                "writer {w} lost key {i}"
+            );
+        }
+    }
+    assert_eq!(store.len(), WRITERS * KEYS_PER_WRITER);
+    h.shutdown();
 }

@@ -12,8 +12,8 @@
 //!   persistent and recoverable.
 //!
 //! This *is* a Montage structure in the paper's sense (Sec. 3, Fig. 2): a
-//! transient index — per-stripe hash map, recency list, key-ordered mirror —
-//! over persistent [`KV_TAG`] payloads, rebuilt by [`KvStore::recover`].
+//! transient index — per-stripe hash map and recency list — over
+//! persistent [`KV_TAG`] payloads, rebuilt by [`KvStore::recover`].
 //! Every mutation (`set`, `delete`, `update`, `detected_update`) is the same
 //! sequence — lock the key's stripe, open the backend's operation window,
 //! optionally read and decide, apply — and each storage verb (read, create,
@@ -41,7 +41,7 @@ use session_table::{SessionRecord, SessionTable};
 
 use montage::sync::uninstrumented::{AtomicUsize, Ordering};
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
@@ -315,10 +315,19 @@ impl Lru {
 
     /// The least recently used key — the eviction victim.
     fn oldest(&self) -> Option<Key> {
-        match self.nodes[0].next {
-            0 => None,
-            slot => Some(self.nodes[slot as usize].key),
-        }
+        self.keys().next()
+    }
+
+    /// The live keys, oldest first, by walking the ring.
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        let mut slot = self.nodes[0].next;
+        std::iter::from_fn(move || {
+            (slot != 0).then(|| {
+                let node = &self.nodes[slot as usize];
+                slot = node.next;
+                node.key
+            })
+        })
     }
 }
 
@@ -327,10 +336,6 @@ struct Stripe {
     /// Item and recency-list slot per key.
     map: HashMap<HashedKey, (ItemRef, u32), BuildHasherDefault<PreHashed>>,
     lru: Lru,
-    /// Key-ordered mirror of `map`'s key set, maintained at every insert
-    /// and removal — what gives `scan` its per-stripe ordered walk without
-    /// sorting under the lock.
-    ordered: BTreeSet<Key>,
 }
 
 impl Stripe {
@@ -338,7 +343,6 @@ impl Stripe {
         Stripe {
             map: HashMap::default(),
             lru: Lru::new(),
-            ordered: BTreeSet::new(),
         }
     }
 
@@ -346,21 +350,18 @@ impl Stripe {
     fn insert(&mut self, at: HashedKey, item: ItemRef) {
         let slot = self.lru.push_newest(at.key);
         self.map.insert(at, (item, slot));
-        self.ordered.insert(at.key);
     }
 
     fn remove(&mut self, at: &HashedKey) -> Option<ItemRef> {
         let (item, slot) = self.map.remove(at)?;
         self.lru.remove(slot);
-        self.ordered.remove(&at.key);
         Some(item)
     }
 
     /// Indexes an empty stripe's recovered items in one go, first to last as
-    /// oldest to newest: map and recency list sized once, the mirror
-    /// bulk-built from the keys at once instead of a random insert per key.
+    /// oldest to newest: map and recency list sized once.
     fn fill(&mut self, items: Vec<(HashedKey, ItemRef)>) {
-        debug_assert!(self.map.is_empty(), "fill replaces the mirror");
+        debug_assert!(self.map.is_empty(), "fill indexes an empty stripe");
         let n = items.len();
         self.map.reserve(n);
         self.lru.nodes.reserve(n);
@@ -368,13 +369,8 @@ impl Stripe {
             let slot = self.lru.push_newest(at.key);
             self.map.insert(at, (item, slot));
         }
-        // The slab now holds every key once; collecting sorts and dedups.
-        self.ordered = self.lru.nodes[1..].iter().map(|node| node.key).collect();
-        debug_assert_eq!(
-            self.ordered.len(),
-            n,
-            "two live payloads recovered for one key"
-        );
+        // A second payload for a key replaced the first's map entry.
+        debug_assert_eq!(self.map.len(), n, "two live payloads recovered for one key");
     }
 
     /// Marks the key most recently used and hands back its item.
@@ -546,20 +542,6 @@ impl KvStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// DRAM held by the per-stripe ordered mirrors: every key the
-    /// `BTreeSet`s index, costed at the key bytes plus two words of
-    /// amortized B-tree node bookkeeping (leaves hold 5..=11 keys, so edge
-    /// pointers and lengths stay under 16 bytes per key even at worst-case
-    /// fill). An estimate by design — the 32-byte keys dominate — but it
-    /// moves with occupancy, which is what capacity planning needs.
-    pub fn ordered_mirror_bytes(&self) -> usize {
-        const PER_KEY: usize = std::mem::size_of::<Key>() + 2 * std::mem::size_of::<usize>();
-        self.stripes
-            .iter()
-            .map(|s| s.lock().ordered.len() * PER_KEY)
-            .sum()
-    }
-
     /// memcached `get`: applies `f` to the value bytes on hit.
     pub fn get<R>(&self, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let (at, stripe) = self.locate(key);
@@ -568,30 +550,17 @@ impl KvStore {
         Some(self.backend.read(item, f))
     }
 
-    /// Ordered inclusive range scan: every stripe is walked under its lock
-    /// (a per-stripe atomic snapshot — no torn view of any single stripe),
-    /// then the per-stripe runs are merged into one sorted result capped at
-    /// `limit`. Each run is already sorted, so only its first `limit` keys
-    /// can reach the result and only those values are copied. Scans are
-    /// reads: they do not touch the LRU and never persist anything.
-    pub fn scan(&self, lo: &Key, hi: &Key, limit: usize) -> Vec<(Key, Vec<u8>)> {
-        if lo > hi || limit == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let stripe = stripe.lock();
-            for key in stripe.ordered.range(*lo..=*hi).take(limit) {
-                let (item, _) = stripe
-                    .map
-                    .get(&self.hashed(key))
-                    .expect("ordered mirrors map");
-                out.push((*key, self.backend.read(item, <[u8]>::to_vec)));
-            }
-        }
-        out.sort_by_key(|e| e.0);
-        out.truncate(limit);
-        out
+    /// Each stripe's items in eviction order (oldest first), read under its
+    /// lock without touching the recency list: what tests hold to an LRU model.
+    pub fn items_by_recency(&self) -> Vec<Vec<(Key, Vec<u8>)>> {
+        let read = |stripe: &Stripe, key: Key| {
+            let (item, _) = &stripe.map[&self.hashed(&key)];
+            (key, self.backend.read(item, <[u8]>::to_vec))
+        };
+        let stripes = self.stripes.iter().map(|stripe| stripe.lock());
+        stripes
+            .map(|s| s.lru.keys().map(|key| read(&s, key)).collect())
+            .collect()
     }
 
     /// memcached `set`: insert or overwrite. Blind — the old value is never
@@ -832,15 +801,8 @@ mod tests {
         assert!(kv.get(&make_key(1), |_| ()).is_some());
     }
 
-    /// The list's keys, oldest first, by walking the ring.
     fn lru_order(lru: &Lru) -> Vec<Key> {
-        let mut order = vec![];
-        let mut slot = lru.nodes[0].next;
-        while slot != 0 {
-            order.push(lru.nodes[slot as usize].key);
-            slot = lru.nodes[slot as usize].next;
-        }
-        order
+        lru.keys().collect()
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //! dense: a session spanning shards leaves gaps in each shard's sequence,
 //! which is why the server cannot detect pipelining by rejecting skips.)
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -89,7 +88,7 @@ pub struct Verb {
 /// [`Session::execute_into`] dispatches.
 pub fn verb(cmd: &str) -> Option<Verb> {
     let (has_data, mutates) = match cmd {
-        "get" | "gets" | "scan" => (false, false),
+        "get" | "gets" => (false, false),
         "set" | "add" | "replace" | "cas" => (true, true),
         "delete" | "touch" | "incr" | "decr" => (false, true),
         _ => return None,
@@ -142,19 +141,6 @@ fn parse_item(bytes: &[u8]) -> Item<'_> {
         cas: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
         data: &bytes[META..],
     }
-}
-
-/// Scan reply cap when the client names no limit.
-const SCAN_DEFAULT_LIMIT: usize = 256;
-/// Hard scan reply cap — larger client limits are clamped, bounding any
-/// single reply (the "oversized reply" wire case).
-const SCAN_MAX_LIMIT: usize = 4096;
-
-/// The client-visible text of a padded key (strips the zero padding
-/// [`key_of`] added; lossy for keys that were never valid UTF-8).
-fn key_text(key: &Key) -> Cow<'_, str> {
-    let end = key.iter().position(|&b| b == 0).unwrap_or(key.len());
-    String::from_utf8_lossy(&key[..end])
 }
 
 /// A refused command line: the reply, verbatim.
@@ -402,7 +388,6 @@ impl Session {
                 self.do_get(args, cmd == "gets", out);
                 return Ok(());
             }
-            "scan" => return self.do_scan(args, out),
             "set" | "add" | "replace" | "cas" => store_op(cmd, args, data)?,
             "delete" => (key_of(args.next().ok_or(BAD_FORMAT)?)?, MutOp::Delete),
             "touch" => {
@@ -525,36 +510,6 @@ impl Session {
             }
         }
         out.extend_from_slice(b"END");
-    }
-
-    /// `scan <lo> <hi> [<limit>]` — ordered inclusive range scan. Keys are
-    /// compared as their padded 32-byte images (zero padding preserves the
-    /// natural order of equal-prefix keys). Replies use `get` framing:
-    /// `VALUE <key> <flags> <len>` lines in key order, closed by `END`.
-    /// Expired items are filtered (scans are pure reads — no lazy reaping)
-    /// but still count against the limit. An inverted range is simply
-    /// empty, not an error.
-    fn do_scan(&self, mut args: Args<'_>, out: &mut Vec<u8>) -> Result<(), Refused> {
-        let (Some(lo_arg), Some(hi_arg)) = (args.next(), args.next()) else {
-            return Err("CLIENT_ERROR bad scan line");
-        };
-        let (lo, hi) = (key_of(lo_arg)?, key_of(hi_arg)?);
-        let limit = match args.next() {
-            None => SCAN_DEFAULT_LIMIT,
-            Some(t) => t
-                .parse::<usize>()
-                .map_err(|_| "CLIENT_ERROR bad scan limit")?
-                .min(SCAN_MAX_LIMIT),
-        };
-        let now_ms = self.clock.now_ms();
-        for (key, raw) in self.store.scan(&lo, &hi, limit) {
-            let item = parse_item(&raw);
-            if !expired(item.expires_at, now_ms) {
-                push_value(out, &key_text(&key), &item, false);
-            }
-        }
-        out.extend_from_slice(b"END");
-        Ok(())
     }
 }
 
@@ -958,7 +913,6 @@ mod tests {
             run("set k0 nope 0 1", b"x"),
             (vec![], "CLIENT_ERROR bad command line format".into())
         );
-        assert_eq!(run("scan k0 k9", b"").0, vec![]);
     }
 
     #[test]
@@ -968,7 +922,6 @@ mod tests {
         for (name, class) in [
             ("get", read),
             ("gets", read),
-            ("scan", read),
             ("set", store),
             ("add", store),
             ("replace", store),
@@ -990,6 +943,8 @@ mod tests {
             assert_eq!(verb(unknown), None);
             assert_eq!(s.execute(unknown, b""), "ERROR");
         }
+        // The store has point reads only: a range scan is an unknown verb.
+        assert_eq!(s.execute("scan a z", b""), "ERROR");
     }
 
     #[test]
@@ -1080,97 +1035,5 @@ mod tests {
         // Each shard holds at most one descriptor per session.
         assert!(per_shard.iter().all(|d| d.descriptors <= 1));
         assert_eq!(store.detect_stats_merged().descriptors, populated as u64);
-    }
-
-    #[test]
-    fn scan_returns_sorted_inclusive_range() {
-        let s = session(KvBackend::Dram);
-        for name in ["pear", "apple", "mango", "banana", "cherry"] {
-            assert_eq!(
-                s.execute(&format!("set {name} 7 0 {}", name.len()), name.as_bytes()),
-                "STORED"
-            );
-        }
-        let r = s.execute("scan apple cherry", b"");
-        assert_eq!(
-            r,
-            "VALUE apple 7 5\r\napple\r\nVALUE banana 7 6\r\nbanana\r\nVALUE cherry 7 6\r\ncherry\r\nEND"
-        );
-        // Bounds need not be present keys.
-        let r = s.execute("scan a z", b"");
-        assert!(r.matches("VALUE ").count() == 5, "{r}");
-    }
-
-    #[test]
-    fn scan_empty_and_inverted_ranges() {
-        let s = session(KvBackend::Dram);
-        s.execute("set mango 0 0 1", b"m");
-        assert_eq!(s.execute("scan x z", b""), "END");
-        assert_eq!(s.execute("scan z a", b""), "END", "inverted range is empty");
-        assert_eq!(s.execute("scan", b""), "CLIENT_ERROR bad scan line");
-        assert_eq!(s.execute("scan a", b""), "CLIENT_ERROR bad scan line");
-        assert_eq!(
-            s.execute("scan a z bogus", b""),
-            "CLIENT_ERROR bad scan limit"
-        );
-    }
-
-    #[test]
-    fn scan_respects_and_clamps_limit() {
-        let s = session(KvBackend::Dram);
-        for i in 0..20 {
-            s.execute(&format!("set k{i:02} 0 0 1"), b"v");
-        }
-        let r = s.execute("scan k00 k99 5", b"");
-        assert_eq!(r.matches("VALUE ").count(), 5);
-        assert!(r.starts_with("VALUE k00 "), "lowest keys win: {r}");
-        // A huge limit is clamped, not an error.
-        let r = s.execute(&format!("scan k00 k99 {}", usize::MAX), b"");
-        assert_eq!(r.matches("VALUE ").count(), 20);
-    }
-
-    #[test]
-    fn scan_filters_expired_items_without_reaping() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct MockClock(AtomicU64);
-        impl Clock for MockClock {
-            fn now_ms(&self) -> u64 {
-                self.0.load(Ordering::Relaxed)
-            }
-        }
-        let clock = Arc::new(MockClock(AtomicU64::new(1_000_000)));
-        let s = session(KvBackend::Dram).with_clock(clock.clone());
-        s.execute("set dies 0 5 1", b"x");
-        s.execute("set lives 0 0 1", b"y");
-        clock.0.store(1_000_000 + 6_000, Ordering::Relaxed);
-        let r = s.execute("scan a z", b"");
-        assert!(!r.contains("VALUE dies"), "{r}");
-        assert!(r.contains("VALUE lives"), "{r}");
-    }
-
-    #[test]
-    fn scan_works_across_shards_on_a_sharded_store() {
-        let store = crate::ShardedKvStore::format(
-            4,
-            PmemConfig::strict_for_test(8 << 20),
-            EsysConfig::default(),
-            4,
-            10_000,
-        );
-        let lease = Arc::new(store.lease());
-        let s = Session::sharded(store, lease);
-        for i in 0..64 {
-            assert_eq!(s.execute(&format!("set key{i:03} 0 0 1"), b"v"), "STORED");
-        }
-        let r = s.execute("scan key000 key999", b"");
-        assert_eq!(r.matches("VALUE ").count(), 64);
-        let keys: Vec<&str> = r
-            .lines()
-            .filter(|l| l.starts_with("VALUE "))
-            .map(|l| l.split_whitespace().nth(1).unwrap())
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "cross-shard merge must stay key-ordered");
     }
 }

@@ -290,24 +290,6 @@ impl ShardedKvStore {
         self.shards[self.shard_of(key)].get(key, f)
     }
 
-    /// Ordered inclusive range scan across **every** shard: keys hash
-    /// across shards, so a range touches all of them. Each shard produces a
-    /// per-stripe-consistent snapshot of its slice (see [`KvStore::scan`]);
-    /// the slices are merged, sorted, and capped at `limit`. Like `get`,
-    /// scans are pure reads — no worker id, served even on a faulted shard.
-    pub fn scan(&self, lo: &Key, hi: &Key, limit: usize) -> Vec<(Key, Vec<u8>)> {
-        if lo > hi || limit == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
-        for shard in self.shards.iter() {
-            out.extend(shard.scan(lo, hi, limit));
-        }
-        out.sort_by_key(|e| e.0);
-        out.truncate(limit);
-        out
-    }
-
     /// Where a mutation routed to `shard` runs: that shard's store and the
     /// lease's worker id there. Refuses a faulted shard (its durable image
     /// is frozen; accepting the mutation would lie about durability). For
@@ -526,18 +508,9 @@ impl ShardedKvStore {
         self.shards.iter().map(|s| s.evictions()).sum()
     }
 
-    /// Per-shard ordered-mirror DRAM footprint
-    /// ([`KvStore::ordered_mirror_bytes`]).
-    pub fn ordered_mirror_bytes_per_shard(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.ordered_mirror_bytes())
-            .collect()
-    }
-
-    /// Ordered-mirror DRAM footprint summed across shards.
+    /// Always 0: the store keeps no ordered mirror (the benchmark's trace ledger reads it).
     pub fn ordered_mirror_bytes(&self) -> usize {
-        self.ordered_mirror_bytes_per_shard().into_iter().sum()
+        0
     }
 
     /// Per-shard pool counters (`None` for transient shards).

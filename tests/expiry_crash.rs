@@ -1,15 +1,11 @@
 //! Regression chaos test: an item that leaves the cache — evicted by LRU
-//! or reaped by lazy expiry — must leave the per-stripe ordered mirror
-//! too, and must stay gone across a crash-restart. The mirror is what
-//! `scan` walks; a stale entry would either panic the ordered walk (key in
-//! the mirror, gone from the map) or resurrect a dead item over the wire.
+//! or reaped by lazy expiry — must stay gone across a crash-restart.
 //!
 //! Also pins the deliberate asymmetry of lazy expiry across a crash: an
 //! expired-but-never-touched item *is* resident again after recovery (the
-//! index rebuild cannot consult a clock the protocol layer owns), but scan
-//! filters it, and the first touch reaps it from map and mirror together —
-//! observable as the mirror's byte accounting shrinking by exactly one
-//! key's footprint.
+//! index rebuild cannot consult a clock the protocol layer owns), and its
+//! first touch reaps it — observable as `len()` shrinking by one, and that
+//! reap survives a second crash.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +25,8 @@ impl Clock for MockClock {
 
 const STRIPES: usize = 1;
 const CAPACITY: usize = 8;
+/// The immortal keys resident at the crash (k1 was evicted).
+const LIVE: [&str; 7] = ["k2", "k3", "k4", "k5", "k6", "k7", "k9"];
 
 fn esys_cfg() -> EsysConfig {
     EsysConfig {
@@ -48,17 +46,16 @@ fn crash_restart(store: &ShardedKvStore) -> Arc<ShardedKvStore> {
     recovered
 }
 
-fn scan_keys(s: &Session) -> Vec<String> {
-    let reply = s.execute("scan a z 1000", b"");
-    reply
-        .lines()
-        .filter_map(|l| l.strip_prefix("VALUE "))
-        .map(|rest| rest.split_whitespace().next().unwrap().to_string())
-        .collect()
+/// Every [`LIVE`] key reads back its value over the protocol.
+fn assert_live_keys_read_back(s: &Session, when: &str) {
+    for k in LIVE {
+        let want = format!("VALUE {k} 0 4\r\nlive\r\nEND");
+        assert_eq!(s.execute(&format!("get {k}"), b""), want, "{when}: {k}");
+    }
 }
 
 #[test]
-fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
+fn evicted_and_reaped_items_stay_gone_across_crash_restart() {
     let store = ShardedKvStore::format(
         1,
         PmemConfig::strict_for_test(16 << 20),
@@ -77,15 +74,11 @@ fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
         assert_eq!(s.execute(&format!("set {e} 0 1 4"), b"dead"), "STORED");
     }
     assert_eq!(store.len(), 7);
-    let per_key = store.ordered_mirror_bytes() / store.len();
-    assert!(per_key >= 32, "mirror must cost at least the key bytes");
 
-    // Let the TTLs lapse; touching e1 reaps it (lazy expiry), which must
-    // drop it from the mirror too — the accounting shrinks by one key.
+    // Let the TTLs lapse; touching e1 reaps it (lazy expiry).
     clock.0.store(1_002_000, Ordering::Relaxed);
     assert_eq!(s.execute("get e1", b""), "END");
     assert_eq!(store.len(), 6);
-    assert_eq!(store.ordered_mirror_bytes(), 6 * per_key);
 
     // Fill back to capacity and overflow by one: k1 (LRU) is evicted.
     for k in ["k6", "k7"] {
@@ -97,17 +90,10 @@ fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
     assert_eq!(store.evictions(), 1);
     assert_eq!(s.execute("get k1", b""), "END", "k1 must be evicted");
 
-    // Pre-crash: the mirror serves scan; e2 is resident but expired, so it
-    // is filtered without being reaped; e1 and k1 are gone outright.
-    assert_eq!(
-        scan_keys(&s),
-        ["k2", "k3", "k4", "k5", "k6", "k7", "k9"]
-            .iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>(),
-        "scan must hide the expired survivor and the dead keys"
-    );
-    assert_eq!(store.ordered_mirror_bytes(), CAPACITY * per_key);
+    // Pre-crash: the seven live keys and the untouched, expired e2 are
+    // resident; e1 and k1 are gone outright.
+    assert_live_keys_read_back(&s, "before the crash");
+    assert_eq!(store.len(), CAPACITY, "e2 is resident until touched");
 
     store.sync().unwrap();
 
@@ -116,35 +102,25 @@ fn evicted_and_expired_items_leave_the_mirror_across_crash_restart() {
     let store2 = crash_restart(&store);
     let s2 = session(&store2).with_clock(clock.clone());
 
-    // The evicted key and the reaped key must not resurrect — not in the
-    // index, not in the mirror, not over the wire.
+    // e2 survived the crash as a resident-but-expired item: recovery
+    // cannot consult the protocol clock. Counted before anything touches
+    // it, since a `get` reaps it.
     assert_eq!(store2.len(), CAPACITY, "8 resident items synced pre-crash");
-    assert_eq!(store2.ordered_mirror_bytes(), CAPACITY * per_key);
+    // The evicted key and the reaped key must not resurrect.
     assert_eq!(s2.execute("get k1", b""), "END", "evicted key resurrected");
     assert_eq!(s2.execute("get e1", b""), "END", "reaped key resurrected");
-    assert_eq!(
-        scan_keys(&s2),
-        ["k2", "k3", "k4", "k5", "k6", "k7", "k9"]
-            .iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>(),
-        "scan after restart must hide the expired survivor and the dead keys"
-    );
+    assert_live_keys_read_back(&s2, "after the first restart");
+    assert_eq!(store2.len(), CAPACITY);
 
-    // e2 survived the crash as a resident-but-expired item (recovery cannot
-    // consult the protocol clock). Its first touch reaps it — map and
-    // mirror together, shrinking the accounting by exactly one key.
+    // e2's first touch reaps it.
     assert_eq!(s2.execute("get e2", b""), "END");
     assert_eq!(store2.len(), CAPACITY - 1);
-    assert_eq!(store2.ordered_mirror_bytes(), (CAPACITY - 1) * per_key);
-    assert_eq!(scan_keys(&s2).len(), CAPACITY - 1);
 
     // And the reap itself is durable: a second crash-restart must not
     // bring e2 back resident.
     store2.sync().unwrap();
     let store3 = crash_restart(&store2);
+    assert_eq!(store3.len(), CAPACITY - 1, "the reap of e2 was lost");
     let s3 = session(&store3).with_clock(clock);
-    assert_eq!(store3.len(), CAPACITY - 1);
-    assert_eq!(store3.ordered_mirror_bytes(), (CAPACITY - 1) * per_key);
-    assert_eq!(scan_keys(&s3).len(), CAPACITY - 1);
+    assert_live_keys_read_back(&s3, "after the second restart");
 }

@@ -1,7 +1,7 @@
 //! Property-based store correctness: random scripts over every mutation
 //! entry point (`set`, `delete`, `update`, `detected_update`, a blind retry
-//! of the last request id, and the wire protocol's plain `set`), `get` and
-//! `scan`, replayed against a `BTreeMap` model that also tracks LRU order.
+//! of the last request id, and the wire protocol's plain `set`) and `get`,
+//! replayed against a `BTreeMap` model that also tracks LRU order.
 //!
 //! The wire `set` is the one verb the protocol runs *blind* — it never reads
 //! the item it overwrites — where every other decision goes through the
@@ -9,28 +9,24 @@
 //! path yields for a `set` (an unconditional upsert of the encoded item,
 //! `STORED`, over an absent, a live or an expired key alike; under a session
 //! a first execution, a replay, a stale refusal), so replies and contents
-//! are held byte-identical to it — this file passes unchanged on the commit
-//! before the blind path existed.
+//! are held byte-identical to it.
 //!
 //! Two layers (same shape as `session_recovery_prop.rs`):
 //!
 //! 1. **Live, all three item backends** — the identical script runs on a
 //!    DRAM, an NVM (Ralloc) and a Montage-backed [`KvStore`], once roomy
 //!    and once at a capacity far below the key space. After every step the
-//!    store must agree with the model on contents and scan order, `len()`,
-//!    `evictions()` — and therefore on **which key each eviction took** —
-//!    and `ordered_mirror_bytes()`; every read and every decision must see
-//!    the model's bytes. The backends share one write path, so they may
-//!    not diverge from the model or from each other.
+//!    store must agree with the model on contents, on each stripe's
+//!    recency order (read through [`KvStore::items_by_recency`], which does
+//!    not touch it), `len()` and `evictions()` — and therefore on **which
+//!    key each eviction took**; every read and every decision must see the
+//!    model's bytes. The backends share one write path, so they may not
+//!    diverge from the model or from each other.
 //! 2. **Montage × sampled crash points** — the script runs on a
 //!    single-shard Montage store under `crash_sweep`; at each sampled cut
-//!    the recovered store's full-range scan must equal the model after
-//!    **some prefix** of the script (buffered durable linearizability,
-//!    observed through the scan path instead of point reads).
-//!
-//! Keys use `make_key`'s decimal padding, so *byte-wise* ordering — what
-//! the scan contract promises — differs from numeric ordering ("10" < "2");
-//! the model is keyed by the padded `Key` to pin exactly that contract.
+//!    the recovered store's contents, read by a point `get` of every key
+//!    the script names, must equal the model after **some prefix** of the
+//!    script (buffered durable linearizability).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +47,6 @@ const CAP: usize = 4096; // far above KEYS: the LRU must never evict mid-test
 const SMALL: (usize, usize) = (1, 6);
 /// The one durable session the detected ops run under.
 const SID: u64 = 77;
-/// `KvStore::ordered_mirror_bytes`'s per-key estimate: key + two words.
-const MIRROR_PER_KEY: usize = 32 + 2 * std::mem::size_of::<usize>();
 
 fn esys_cfg() -> EsysConfig {
     EsysConfig {
@@ -80,7 +74,7 @@ enum Wire {
     Stale,
 }
 
-/// One step of the workload. `limit == 0` means "no limit".
+/// One step of the workload.
 #[derive(Clone, Copy, Debug)]
 enum SOp {
     Put(u64, u64),
@@ -102,11 +96,6 @@ enum SOp {
     /// Blind retry of the last `Detected`'s rid: must replay, not re-apply.
     Retry,
     Get(u64),
-    Scan {
-        lo: u64,
-        hi: u64,
-        limit: u8,
-    },
     Sync,
 }
 
@@ -124,8 +113,6 @@ fn sop_strategy() -> impl Strategy<Value = SOp> {
         3 => (0..KEYS, any::<u64>()).prop_map(|(k, v)| SOp::Detected(k, v)),
         1 => Just(SOp::Retry),
         2 => (0..KEYS).prop_map(SOp::Get),
-        3 => (0..KEYS, 0..KEYS, any::<u8>())
-            .prop_map(|(lo, hi, limit)| SOp::Scan { lo, hi, limit: limit % 8 }),
         1 => Just(SOp::Sync),
     ]
 }
@@ -218,7 +205,7 @@ fn wire_item(v: u64, ttl: u8, now_ms: u64, cas: u64) -> Vec<u8> {
 
 /// The reference store: contents in key order, one LRU list (oldest
 /// first), an eviction count. Exact for a one-stripe store or one that
-/// never fills.
+/// never fills; a store's stripe holds the list cut to the stripe's keys.
 struct Model {
     items: BTreeMap<Key, Vec<u8>>,
     lru: Vec<Key>,
@@ -281,29 +268,6 @@ impl Model {
             DetectedWrite::Upsert(value) => self.upsert(key, value),
         };
         (reply, victim)
-    }
-
-    fn scan(&self, lo: &Key, hi: &Key, limit: usize) -> Vec<(Key, Vec<u8>)> {
-        if lo > hi || limit == 0 {
-            return Vec::new();
-        }
-        self.items
-            .range(*lo..=*hi)
-            .take(limit)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
-
-    fn full_scan(&self) -> Vec<(Key, Vec<u8>)> {
-        self.scan(&[0u8; 32], &[0xFFu8; 32], usize::MAX)
-    }
-}
-
-fn scan_limit(limit: u8) -> usize {
-    if limit == 0 {
-        usize::MAX
-    } else {
-        limit as usize
     }
 }
 
@@ -387,34 +351,37 @@ fn check_live(name: &str, backend: KvBackend, (stripes, cap): (usize, usize), sc
                 let got = kv.get(&make_key(k), <[u8]>::to_vec);
                 assert_eq!(got, model.get(&make_key(k)), "{at}: get");
             }
-            SOp::Scan { lo, hi, limit } => {
-                let (lo, hi, limit) = (make_key(lo), make_key(hi), scan_limit(limit));
-                let got = kv.scan(&lo, &hi, limit);
-                assert_eq!(got, model.scan(&lo, &hi, limit), "{at}: scan");
-            }
             SOp::Sync => {
                 if let Some(esys) = kv.esys() {
                     esys.sync();
                 }
             }
         }
-        // Contents in scan order (scans do not touch the LRU, so checking
-        // costs the run nothing), then the accounting.
-        let contents = kv.scan(&[0u8; 32], &[0xFFu8; 32], usize::MAX);
+        // Contents and recency order, read without touching the LRU (so
+        // checking costs the run nothing), then the accounting.
+        let stripes = kv.items_by_recency();
+        let mut contents: Vec<(Key, Vec<u8>)> = stripes.iter().flatten().cloned().collect();
         if let Some(victim) = victim {
             assert!(
                 contents.iter().all(|(k, _)| *k != victim),
                 "{at}: the LRU victim is {victim:?}, the store evicted another key"
             );
         }
-        assert_eq!(contents, model.full_scan(), "{at}: contents diverged");
+        for stripe in &stripes {
+            let order: Vec<Key> = stripe.iter().map(|(k, _)| *k).collect();
+            let want: Vec<Key> = model
+                .lru
+                .iter()
+                .filter(|k| order.contains(k))
+                .copied()
+                .collect();
+            assert_eq!(order, want, "{at}: recency order diverged");
+        }
+        contents.sort_unstable_by_key(|(k, _)| *k);
+        let want: Vec<(Key, Vec<u8>)> = model.items.clone().into_iter().collect();
+        assert_eq!(contents, want, "{at}: contents diverged");
         assert_eq!(kv.len(), model.items.len(), "{at}: len");
         assert_eq!(kv.evictions(), model.evictions, "{at}: evictions");
-        assert_eq!(
-            kv.ordered_mirror_bytes(),
-            model.items.len() * MIRROR_PER_KEY,
-            "{at}: ordered mirror accounting"
-        );
     }
 }
 
@@ -468,11 +435,6 @@ fn run_script(pool: &PmemPool, script: &[SOp]) {
             SOp::Get(k) => {
                 let _ = store.get(&make_key(k), |_| ());
             }
-            SOp::Scan { lo, hi, limit } => {
-                // Scans are pure reads: they may not disturb the durable
-                // image, whatever the crash plan does around them.
-                let _ = store.scan(&make_key(lo), &make_key(hi), scan_limit(limit));
-            }
             SOp::Sync => {
                 let _ = store.sync_shard(0);
             }
@@ -481,8 +443,8 @@ fn run_script(pool: &PmemPool, script: &[SOp]) {
     let _ = store.sync_shard(0);
 }
 
-/// Layer 2 verifier: the recovered store's full-range scan equals the model
-/// after some prefix of the script.
+/// Layer 2 verifier: the recovered store's contents, read by point `get`s
+/// over the key space, equal the model after some prefix of the script.
 fn verify_cut(pool: PmemPool, crash_at: u64, script: &[SOp]) -> Result<(), String> {
     let (store, report) = ShardedKvStore::recover(vec![pool], esys_cfg(), STRIPES, CAP, 1);
     let sr = &report.shards[0];
@@ -502,13 +464,22 @@ fn verify_cut(pool: PmemPool, crash_at: u64, script: &[SOp]) -> Result<(), Strin
 
     // Cas ids are seeded from the epoch clock at the first wire mutation;
     // the cut is compared with every item's cas field blanked.
-    let mut recovered = store.scan(&[0u8; 32], &[0xFFu8; 32], usize::MAX);
-    for (_, value) in &mut recovered {
+    let mut recovered: BTreeMap<Key, Vec<u8>> = (0..KEYS)
+        .filter_map(|k| Some((make_key(k), store.get(&make_key(k), <[u8]>::to_vec)?)))
+        .collect();
+    if recovered.len() != store.len() {
+        return Err(format!(
+            "crash_at={crash_at}: {} items recovered, {} of them under the script's keys",
+            store.len(),
+            recovered.len()
+        ));
+    }
+    for value in recovered.values_mut() {
         value[12..20].fill(0);
     }
     let mut model = Model::new(CAP);
     let mut now_ms = T0_MS;
-    if recovered == model.full_scan() {
+    if recovered == model.items {
         return Ok(());
     }
     for op in script {
@@ -528,14 +499,14 @@ fn verify_cut(pool: PmemPool, crash_at: u64, script: &[SOp]) -> Result<(), Strin
             SOp::Update(k, v) | SOp::Detected(k, v) => {
                 model.decide_and_apply(make_key(k), v);
             }
-            SOp::Retry | SOp::Get(_) | SOp::Scan { .. } | SOp::Sync => {}
+            SOp::Retry | SOp::Get(_) | SOp::Sync => {}
         }
-        if recovered == model.full_scan() {
+        if recovered == model.items {
             return Ok(());
         }
     }
     Err(format!(
-        "crash_at={crash_at}: recovered scan matches no prefix of the history: \
+        "crash_at={crash_at}: recovered contents match no prefix of the history: \
          {} entries",
         recovered.len()
     ))
@@ -576,11 +547,6 @@ fn wire_set_matches_the_reading_path_over_absent_live_and_expired_keys() {
         SOp::Put(8, 8),
         SOp::Put(7, 7),
         set(3, 0x021b, 0, Plain), // the small shape has evicted by now
-        SOp::Scan {
-            lo: 0,
-            hi: 9,
-            limit: 0,
-        },
     ];
     check_live_backends(&script);
 }
@@ -590,11 +556,11 @@ proptest! {
 
     /// Random scripts over every entry point: live equivalence with the
     /// model on all three backends (roomy and evicting), then sampled crash
-    /// points on the Montage-backed store where the recovered *scan* must
+    /// points on the Montage-backed store where the recovered contents must
     /// read as a consistent prefix. Bounded (8 scripts × ~12 points) for
     /// CI; the exhaustive sweeps in `crash_sweep.rs` cover depth.
     #[test]
-    fn scans_match_the_model_live_and_across_crash_cuts(
+    fn store_matches_the_model_live_and_across_crash_cuts(
         script in proptest::collection::vec(sop_strategy(), 20..60),
         seed in any::<u64>(),
     ) {
