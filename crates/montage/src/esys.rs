@@ -619,14 +619,6 @@ impl EpochSys {
         Ok(unsafe { self.pool.read(Header::data(h.blk)) })
     }
 
-    /// `get_unsafe`: reads without the old-see-new alert.
-    pub fn read_unsafe<T: Copy>(&self, h: PHandle<T>) -> T {
-        self.pool.touch(); // NVM payload dereference
-                           // SAFETY: same payload-validity argument as `read`; the caller opts
-                           // out of the old-see-new alert, not of memory safety.
-        unsafe { self.pool.read(Header::data(h.blk)) }
-    }
-
     /// Borrowing read of a byte payload: runs `f` on a reference into it.
     /// Safe under the paper's well-formedness constraint 2 (payload accesses
     /// are race-free because synchronization happens on transient state).
@@ -1384,7 +1376,6 @@ pub(crate) mod tests {
         let g = s.begin_op(tid);
         let h = s.pnew(&g, 3, &0x1234_5678u64);
         assert_eq!(s.read(&g, h).unwrap(), 0x1234_5678);
-        assert_eq!(s.read_unsafe(h), 0x1234_5678);
     }
 
     #[test]
@@ -1426,11 +1417,7 @@ pub(crate) mod tests {
         assert_eq!(Header::uid(s.pool(), h2.raw()), uid_before);
         assert_eq!(Header::kind(s.pool(), h2.raw()), Some(PayloadKind::Update));
         assert_eq!(s.read(&g, h2).unwrap(), 9);
-        assert_eq!(
-            s.read_unsafe::<u64>(PHandle::from_raw(h.raw())),
-            1,
-            "old version untouched"
-        );
+        assert_eq!(s.read(&g, h).unwrap(), 1, "old version untouched");
     }
 
     /// Every arm of `overwrite_tail` — in place, copy-on-write, same-epoch
@@ -1762,12 +1749,16 @@ pub(crate) mod tests {
         // Clock moves to e+1; op B creates a payload there.
         s.advance_epoch();
         let gb = s.begin_op(t1);
-        let h = s.pnew(&gb, 0, &1u64);
+        let h = s.pnew_bytes(&gb, 0, b"new");
         drop(gb);
         // A (still in epoch e) now sees a payload from e+1.
-        let err = s.read(&ga, h).unwrap_err();
+        let err = s.peek_bytes(&ga, h, <[u8]>::to_vec).unwrap_err();
         assert_eq!(err.op_epoch + 1, err.payload_epoch);
-        assert_eq!(s.read_unsafe(h), 1, "get_unsafe bypasses the alert");
+        assert_eq!(
+            s.peek_bytes_unsafe(h, <[u8]>::to_vec),
+            b"new",
+            "the unchecked read bypasses the alert"
+        );
     }
 
     #[test]
@@ -1802,7 +1793,8 @@ pub(crate) mod tests {
         assert_eq!(s.stats().pnews.load(Ordering::Relaxed), pnews);
         assert!(s.allocator().stats().allocs.load(Ordering::Relaxed) >= 2);
         // The original payload is still readable until reclamation.
-        assert_eq!(s.read_unsafe::<u64>(h), 1);
+        let g = s.begin_op(tid);
+        assert_eq!(s.read(&g, h).unwrap(), 1);
     }
 
     #[test]

@@ -1229,23 +1229,32 @@ mod tests {
 
     #[test]
     fn fence_right_after_clwb_pays_the_whole_drain() {
-        // The calibration shape: 200 lines x 100 us = 20 ms of drain.
-        let p = slow_pool(100_000);
-        let start = Instant::now();
-        p.clwb_range(POff::new(4096), 200 * CACHE_LINE);
-        let issued = start.elapsed();
-        assert!(p.device_backlog() > ms(20) - issued - ms(1));
-        p.sfence();
-        let wall = start.elapsed();
-        assert!(wall >= ms(20), "the fence returned early: {wall:?}");
+        // The calibration shape: 200 lines x 100 us = 20 ms of drain. Every
+        // run must pay it all; the ceiling holds for the fastest of five,
+        // since a descheduled waiter overshoots one run while a drain
+        // charged twice costs >= 40 ms on every run.
+        let fastest = (0..5)
+            .map(|_| {
+                let p = slow_pool(100_000);
+                let start = Instant::now();
+                p.clwb_range(POff::new(4096), 200 * CACHE_LINE);
+                let issued = start.elapsed();
+                assert!(p.device_backlog() > ms(20) - issued - ms(1));
+                p.sfence();
+                let wall = start.elapsed();
+                assert!(wall >= ms(20), "the fence returned early: {wall:?}");
+                assert!(
+                    wall - issued >= ms(19),
+                    "the fence paid {:?}",
+                    wall - issued
+                );
+                wall
+            })
+            .min()
+            .unwrap();
         assert!(
-            wall - issued >= ms(19),
-            "the fence paid {:?}",
-            wall - issued
-        );
-        assert!(
-            wall < ms(40),
-            "the fence paid more than the drain: {wall:?}"
+            fastest < ms(40),
+            "the fence paid more than the drain: {fastest:?}"
         );
     }
 

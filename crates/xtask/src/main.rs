@@ -840,11 +840,11 @@ mod census {
     /// named `pub fn` takes or returns, a paper-API verb with a test, or a
     /// shim item mirroring its upstream crate. A change that lowers the
     /// count lowers this with it.
-    pub(super) const UNNAMED_PUB_CEILING: usize = 14;
+    pub(super) const UNNAMED_PUB_CEILING: usize = 12;
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
     /// Most non-test lines under `crates/*/src`; same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 19_060;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 19_052;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {

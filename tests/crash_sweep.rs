@@ -21,6 +21,11 @@
 //!    corrupt, and the bypassing fence must still cover acked work. The same
 //!    schedule over a Montage-backed `kvstore` whose victim *resizes* values:
 //!    every cut recovers each key exactly once.
+//! 6. A shard crash at every event inside one group sync of a 2-shard
+//!    store: the healthy shard certifies and keeps every key.
+//!
+//! The store's shard sweeps (crash containment, descriptor atomicity) run
+//! on the one store crash judge in `store_model_prop.rs`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -632,371 +637,7 @@ proptest! {
     }
 }
 
-// ---- shard-aware sweep over the multi-pool store ----------------------------
-
-/// One step of the sharded-store workload. Syncs are per-shard (the server's
-/// periodic barrier works the same way), so a crash can land between them.
-#[derive(Clone, Copy, Debug)]
-enum SOp {
-    Set(u64, u64),
-    Del(u64),
-    SyncAll,
-}
-
-const S_SHARDS: usize = 4;
-const S_VICTIM: usize = 1;
-const S_KEYS: u64 = 24;
-const S_STRIPES: usize = 4;
-const S_CAP: usize = 1024;
-
-fn sharded_script(seed: u64, len: usize) -> Vec<SOp> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..len)
-        .map(|i| match rng.gen_range(0u64..10) {
-            0..=5 => SOp::Set(rng.gen_range(0..S_KEYS), i as u64 + 1),
-            6..=7 => SOp::Del(rng.gen_range(0..S_KEYS)),
-            _ => SOp::SyncAll,
-        })
-        .collect()
-}
-
-/// Runs the script over a 4-shard store built on the caller's (chaos-armed)
-/// pools. Ops on the victim degrade to errors once its plan trips; at the
-/// end every *healthy* shard is synced so it is entitled to lose nothing.
-fn run_sharded(pools: &[pmem::PmemPool], script: &[SOp]) {
-    use kvstore::ShardedKvStore;
-    let store = ShardedKvStore::format_pools(pools.to_vec(), small_esys_cfg(), S_STRIPES, S_CAP);
-    let lease = store.lease();
-    for op in script {
-        match *op {
-            SOp::Set(k, v) => {
-                let _ = store.set(&lease, kvstore::make_key(k), &v.to_le_bytes());
-            }
-            SOp::Del(k) => {
-                let _ = store.delete(&lease, &kvstore::make_key(k));
-            }
-            SOp::SyncAll => {
-                for s in 0..S_SHARDS {
-                    let _ = store.sync_shard(s);
-                }
-            }
-        }
-    }
-    for s in 0..S_SHARDS {
-        if s != S_VICTIM {
-            store
-                .sync_shard(s)
-                .expect("non-victim shards must stay healthy through the sweep");
-        }
-    }
-}
-
-/// Recovers the 4 crashed pools as one store and checks the contract:
-/// the victim holds the state after some prefix of *its* routed-op
-/// subsequence; every other shard holds exactly its final state.
-fn verify_sharded_prefix(
-    pools: Vec<pmem::PmemPool>,
-    crash_at: u64,
-    script: &[SOp],
-) -> Result<(), String> {
-    use kvstore::ShardedKvStore;
-    use std::collections::HashMap;
-
-    let (store, report) =
-        ShardedKvStore::recover(pools, small_esys_cfg(), S_STRIPES, S_CAP, S_SHARDS);
-    for sr in &report.shards {
-        if let Some(err) = &sr.fatal {
-            // Only the victim may come back fatal, and only because the
-            // crash predates its pool header (formatted-fresh ⇒ empty,
-            // which the trivial prefix below accepts).
-            if sr.shard != S_VICTIM || !matches!(err, RecoveryError::UnformattedPool) {
-                return Err(format!(
-                    "crash_at={crash_at}: shard {} fatal: {err}",
-                    sr.shard
-                ));
-            }
-        }
-        if sr.quarantined != 0 {
-            return Err(format!(
-                "crash_at={crash_at}: clean crash quarantined payloads on shard {}",
-                sr.shard
-            ));
-        }
-    }
-
-    // Read back everything, bucketed by owning shard.
-    let mut recovered: Vec<HashMap<u64, u64>> = vec![HashMap::new(); S_SHARDS];
-    for k in 0..S_KEYS {
-        let key = kvstore::make_key(k);
-        if let Some(v) = store.get(&key, |b| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&b[..8]);
-            u64::from_le_bytes(w)
-        }) {
-            recovered[store.shard_of(&key)].insert(k, v);
-        }
-    }
-
-    // Replay the script: full model per shard, plus the victim's routed
-    // subsequence for the prefix check.
-    let router = kvstore::ShardRouter::new(S_SHARDS);
-    let mut full: Vec<HashMap<u64, u64>> = vec![HashMap::new(); S_SHARDS];
-    let mut victim_ops = Vec::new();
-    for op in script {
-        if let SOp::Set(k, _) | SOp::Del(k) = op {
-            let s = router.route(&kvstore::make_key(*k));
-            if s == S_VICTIM {
-                victim_ops.push(*op);
-            }
-            match *op {
-                SOp::Set(k, v) => {
-                    full[s].insert(k, v);
-                }
-                SOp::Del(k) => {
-                    full[s].remove(&k);
-                }
-                SOp::SyncAll => unreachable!(),
-            }
-        }
-    }
-
-    for s in 0..S_SHARDS {
-        if s == S_VICTIM {
-            continue;
-        }
-        if recovered[s] != full[s] {
-            return Err(format!(
-                "crash_at={crash_at}: healthy shard {s} lost data: \
-                 recovered {:?} != expected {:?}",
-                recovered[s], full[s]
-            ));
-        }
-    }
-
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    if recovered[S_VICTIM] == model {
-        return Ok(());
-    }
-    for op in &victim_ops {
-        match *op {
-            SOp::Set(k, v) => {
-                model.insert(k, v);
-            }
-            SOp::Del(k) => {
-                model.remove(&k);
-            }
-            SOp::SyncAll => unreachable!(),
-        }
-        if recovered[S_VICTIM] == model {
-            return Ok(());
-        }
-    }
-    Err(format!(
-        "crash_at={crash_at}: victim shard matches no prefix of its {} routed ops: {:?}",
-        victim_ops.len(),
-        recovered[S_VICTIM]
-    ))
-}
-
-// ---- descriptor/payload atomicity under a shard crash -----------------------
-
-/// Sessions and request ids for the detected-operation sweep: session `s`
-/// mutates only key `1000 + s`, so its descriptor and payload live — and
-/// co-crash — on that key's shard.
-const D_SIDS: u64 = 8;
-const D_RIDS: u64 = 4;
-const D_OP_KIND: u8 = 7;
-
-/// Runs `D_RIDS` rounds of detected upserts: in round `r`, session `s`
-/// writes value `r` (8-byte LE) under rid `r` and records result `r`.
-/// Per-shard syncs between rounds give the sweep epoch boundaries to cut
-/// at; ops and syncs on the victim degrade to errors once its plan trips.
-fn run_detected_sharded(pools: &[pmem::PmemPool]) {
-    use kvstore::{DetectedWrite, ShardedKvStore};
-    let store = ShardedKvStore::format_pools(pools.to_vec(), small_esys_cfg(), S_STRIPES, S_CAP);
-    let lease = store.lease();
-    for rid in 1..=D_RIDS {
-        for sid in 0..D_SIDS {
-            let key = kvstore::make_key(1000 + sid);
-            let _ = store.detected(&lease, sid, rid, D_OP_KIND, &key, |_cur| {
-                (
-                    DetectedWrite::Upsert(rid.to_le_bytes().to_vec()),
-                    rid.to_le_bytes().to_vec(),
-                )
-            });
-        }
-        for s in 0..S_SHARDS {
-            let _ = store.sync_shard(s);
-        }
-    }
-    for s in 0..S_SHARDS {
-        if s != S_VICTIM {
-            store
-                .sync_shard(s)
-                .expect("non-victim shards must stay healthy through the sweep");
-        }
-    }
-}
-
-/// The atomicity contract, checked per session on the recovered store:
-/// a session's descriptor and its payload ride one epoch window, so the
-/// victim shard holds an *exact prefix* — descriptor at rid `r` with value
-/// `r`, or neither — never a descriptor without its mutation or a mutation
-/// without its descriptor. Healthy shards hold the full final state.
-fn verify_detected_sharded(pools: Vec<pmem::PmemPool>, crash_at: u64) -> Result<(), String> {
-    use kvstore::ShardedKvStore;
-
-    let (store, report) =
-        ShardedKvStore::recover(pools, small_esys_cfg(), S_STRIPES, S_CAP, S_SHARDS);
-    for sr in &report.shards {
-        if let Some(err) = &sr.fatal {
-            if sr.shard != S_VICTIM || !matches!(err, RecoveryError::UnformattedPool) {
-                return Err(format!(
-                    "crash_at={crash_at}: shard {} fatal: {err}",
-                    sr.shard
-                ));
-            }
-        }
-        if sr.quarantined != 0 {
-            return Err(format!(
-                "crash_at={crash_at}: clean crash quarantined payloads on shard {}",
-                sr.shard
-            ));
-        }
-    }
-
-    let mut survivors_per_shard = [0u64; S_SHARDS];
-    for sid in 0..D_SIDS {
-        let key = kvstore::make_key(1000 + sid);
-        let shard = store.shard_of(&key);
-        let desc = store.shard_session_descriptor(shard, sid);
-        let value = store.get(&key, |b| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&b[..8]);
-            u64::from_le_bytes(w)
-        });
-        match (&desc, value) {
-            (None, None) => {
-                // Pre-history cut: legal only on the crashed shard.
-                if shard != S_VICTIM {
-                    return Err(format!(
-                        "crash_at={crash_at}: healthy shard {shard} lost session {sid} entirely"
-                    ));
-                }
-            }
-            (Some((rid, kind, result)), Some(v)) => {
-                survivors_per_shard[shard] += 1;
-                let want_result = rid.to_le_bytes().to_vec();
-                if *kind != D_OP_KIND || *result != want_result || v != *rid {
-                    return Err(format!(
-                        "crash_at={crash_at}: session {sid} on shard {shard} is torn: \
-                         descriptor (rid {rid}, kind {kind}, result {result:?}) vs value {v}"
-                    ));
-                }
-                if *rid > D_RIDS || *rid == 0 {
-                    return Err(format!(
-                        "crash_at={crash_at}: session {sid} descriptor rid {rid} out of range"
-                    ));
-                }
-                if shard != S_VICTIM && *rid != D_RIDS {
-                    return Err(format!(
-                        "crash_at={crash_at}: healthy shard {shard} lost acked rounds of \
-                         session {sid}: stuck at rid {rid}"
-                    ));
-                }
-            }
-            (desc, value) => {
-                // One side without the other is exactly the half-applied
-                // state the single-epoch-window design forbids — on any
-                // shard, victim included.
-                return Err(format!(
-                    "crash_at={crash_at}: session {sid} on shard {shard} half-applied: \
-                     descriptor {desc:?} vs value {value:?}"
-                ));
-            }
-        }
-    }
-
-    // The per-shard descriptor counters the `stats` command surfaces must
-    // agree with what actually survived on each shard.
-    let per_shard = store.detect_stats_per_shard();
-    for (shard, stats) in per_shard.iter().enumerate() {
-        if stats.descriptors != survivors_per_shard[shard] {
-            return Err(format!(
-                "crash_at={crash_at}: shard {shard} reports {} descriptors, \
-                 recovery found {}",
-                stats.descriptors, survivors_per_shard[shard]
-            ));
-        }
-    }
-    let merged = store.detect_stats_merged();
-    if merged.descriptors != per_shard.iter().map(|s| s.descriptors).sum::<u64>() {
-        return Err(format!(
-            "crash_at={crash_at}: merged descriptor count disagrees with per-shard sum"
-        ));
-    }
-    Ok(())
-}
-
-/// Acceptance criterion: at every one of the victim shard's persistence
-/// events, each session's descriptor and payload survive or vanish
-/// *together* — the mutation is half-applied at no crash point — and the
-/// healthy shards keep every synced round.
-#[test]
-fn detected_descriptor_and_payload_are_atomic_per_shard() {
-    let cfg = SweepConfig {
-        exhaustive_limit: 768,
-        samples: 96,
-        seed: 0x0DE7EC,
-    };
-    let report = pmem_chaos::shard_crash_sweep(
-        &cfg,
-        PmemConfig::strict_for_test(4 << 20),
-        S_SHARDS,
-        S_VICTIM,
-        run_detected_sharded,
-        verify_detected_sharded,
-    );
-    assert!(
-        report.total_events >= 64,
-        "victim shard saw too few events for a meaningful sweep: {}",
-        report.total_events
-    );
-    report.assert_ok();
-}
-
-/// Acceptance criterion: an exhaustive crash sweep over a 4-shard store,
-/// crashing shard 1 at every one of its persistence events, always recovers
-/// a consistent prefix on the victim while the untouched shards lose
-/// nothing past their final sync.
-#[test]
-fn sharded_store_crash_is_contained_to_the_victim_shard() {
-    let script = sharded_script(0x5AA4D, 48);
-    let cfg = SweepConfig {
-        exhaustive_limit: 4096,
-        samples: 64,
-        seed: 0xD15EA5E,
-    };
-    let report = pmem_chaos::shard_crash_sweep(
-        &cfg,
-        PmemConfig::strict_for_test(4 << 20),
-        S_SHARDS,
-        S_VICTIM,
-        |pools| run_sharded(pools, &script),
-        |pools, crash_at| verify_sharded_prefix(pools, crash_at, &script),
-    );
-    assert!(
-        report.total_events >= 64,
-        "victim shard saw too few events for a meaningful sweep: {}",
-        report.total_events
-    );
-    assert_eq!(
-        report.crash_points.len() as u64,
-        report.total_events + 1,
-        "shard sweep must be exhaustive"
-    );
-    report.assert_ok();
-}
+// ---- shard crash inside a group sync ---------------------------------------
 
 /// The phased group sync under a shard crash: the victim's pool dies at
 /// every persistence event *inside* one `sync_shards` call — between its
@@ -1009,6 +650,9 @@ fn group_sync_contains_a_shard_crash_at_every_event_inside_it() {
     use kvstore::{ShardedKvStore, StoreError};
     const HEALTHY: usize = 0;
     const VICTIM: usize = 1;
+    const KEYS: u64 = 24;
+    const STRIPES: usize = 4;
+    const CAP: usize = 1024;
 
     // Sets every key, then group-syncs both shards with the victim's plan at
     // `crash_at`. Returns the victim's event count before and after the
@@ -1021,9 +665,9 @@ fn group_sync_contains_a_shard_crash_at_every_event_inside_it() {
                 PmemPool::new(cfg)
             })
             .collect();
-        let store = ShardedKvStore::format_pools(pools.clone(), small_esys_cfg(), S_STRIPES, S_CAP);
+        let store = ShardedKvStore::format_pools(pools.clone(), small_esys_cfg(), STRIPES, CAP);
         let lease = store.lease();
-        for k in 0..S_KEYS {
+        for k in 0..KEYS {
             let _ = store.set(&lease, kvstore::make_key(k), &k.to_le_bytes());
         }
         let before = pools[VICTIM].persistence_events();
@@ -1050,11 +694,10 @@ fn group_sync_contains_a_shard_crash_at_every_event_inside_it() {
         );
 
         let crashed = pools.iter().map(|p| p.crash()).collect();
-        let (store, report) =
-            ShardedKvStore::recover(crashed, small_esys_cfg(), S_STRIPES, S_CAP, 2);
+        let (store, report) = ShardedKvStore::recover(crashed, small_esys_cfg(), STRIPES, CAP, 2);
         assert!(report.shards.iter().all(|s| s.fatal.is_none()));
         assert_eq!(report.quarantined(), 0, "crash_at={crash_at}");
-        for k in 0..S_KEYS {
+        for k in 0..KEYS {
             let key = kvstore::make_key(k);
             let got = store.get(&key, |b| b.to_vec());
             if store.shard_of(&key) == HEALTHY {

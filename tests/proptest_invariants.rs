@@ -195,7 +195,7 @@ proptest! {
 
 // ---- key→shard router properties --------------------------------------------
 
-use kvstore::{make_key, ShardRouter, ShardedKvStore};
+use kvstore::{make_key, ShardRouter};
 use workloads::Zipfian;
 
 proptest! {
@@ -243,76 +243,6 @@ proptest! {
                 load <= 2 * ideal,
                 "shard {} holds {} of {} ops (ideal {}): skew concentrated",
                 s, load, SAMPLES, ideal
-            );
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum StoreOp {
-    Set(u8, u8),
-    Del(u8),
-}
-
-fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
-    prop_oneof![
-        3 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| StoreOp::Set(k % 48, v)),
-        1 => any::<u8>().prop_map(|k| StoreOp::Del(k % 48)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 5, .. ProptestConfig::default() })]
-
-    /// Routing/recovery round trip: the same op sequence applied to a
-    /// 4-shard store and to the single-pool store, both synced, crashed and
-    /// recovered, yields the same observable map — sharding changes *where*
-    /// bytes live, never *what* the store contains.
-    #[test]
-    fn sharded_and_single_pool_stores_agree_after_recovery(
-        ops in proptest::collection::vec(store_op_strategy(), 10..48),
-    ) {
-        let esys_cfg = EsysConfig::default();
-        let mk = |n: usize| ShardedKvStore::format(
-            n,
-            PmemConfig::strict_for_test(4 << 20),
-            esys_cfg,
-            4,
-            1024,
-        );
-        let mut recovered = Vec::new();
-        for n_shards in [4usize, 1] {
-            let store = mk(n_shards);
-            let lease = store.lease();
-            for op in &ops {
-                match *op {
-                    StoreOp::Set(k, v) => {
-                        store.set(&lease, make_key(k as u64), &[v]).unwrap();
-                    }
-                    StoreOp::Del(k) => {
-                        store.delete(&lease, &make_key(k as u64)).unwrap();
-                    }
-                }
-            }
-            store.sync().unwrap();
-            let (store2, report) = ShardedKvStore::recover(
-                store.crash_pools(),
-                esys_cfg,
-                4,
-                1024,
-                n_shards,
-            );
-            prop_assert!(report.is_clean(), "{report:?}");
-            recovered.push(store2);
-        }
-        let (sharded, single) = (&recovered[0], &recovered[1]);
-        prop_assert_eq!(sharded.len(), single.len());
-        for k in 0..48u64 {
-            let key = make_key(k);
-            prop_assert_eq!(
-                sharded.get(&key, |b| b.to_vec()),
-                single.get(&key, |b| b.to_vec()),
-                "key {} diverged between sharded and single-pool recovery", k
             );
         }
     }
