@@ -10,137 +10,26 @@
 //! ring writes the oldest entry back incrementally ("when these buffers
 //! overflow, the oldest entries are written back incrementally").
 //!
-//! ## Steal protocol: claim → flush → release
+//! DESIGN.md S3a states the ring protocol and why it is sound: sequence
+//! numbers; claim → flush → release, so that [`Ring::help_claimed`] (via
+//! [`Buffers::help_drainers`]) can finish a parked consumer's write-back,
+//! and a wrapping owner push likewise; why a helper's flush racing a recycle
+//! is harmless; the epoch discipline; the claim census that lets a boundary
+//! skip the help scan; and flush coalescing. Two points only this code needs:
 //!
-//! Each slot carries a sequence number. For ring capacity `C` (always ≥ 2)
-//! and a monotonically increasing global index `i`:
-//!
-//! * a slot at position `i % C` is free for the owner's push `i` when its
-//!   sequence equals `i`; the owner writes the entry and publishes it by
-//!   storing sequence `i + 1` (Release), then advances `tail`;
-//! * a consumer at head `h` may take the slot once its sequence is `h + 1`;
-//!   it claims the entry by CASing `head` from `h` to `h + 1`, **issues the
-//!   entry's write-back while the slot is still in its claimed state**, and
-//!   only then frees the slot by CASing sequence `h + 1` to `h + C`.
-//!
-//! The flush-before-release order is what makes the protocol nonblocking for
-//! everyone else: a consumer parked between its claim and its release leaves
-//! the slot in a *scannable* claimed state, so any helper
-//! ([`Ring::help_claimed`], reached via [`Buffers::help_drainers`]) can
-//! finish the write-back on its behalf and release the slot with a CAS.
-//! Duplicate `clwb`s from helper/claimant races are idempotent; the release
-//! CASes all write the same value, so losing one is benign.
-//!
-//! ### Why a helper's flush-before-release is sound
-//!
-//! A helper reads the claimed slot's `(off, len)` and flushes *before* its
-//! validating release CAS, so it can race the slot being recycled. Three
-//! facts make that safe:
-//!
-//! 1. values are published before `seq := i + 1` (Release) and the helper
-//!    reads `seq == i + 1` first (Acquire), so it can never see values older
-//!    than cycle `i`'s;
-//! 2. each field is an individual atomic, so a racing read returns cycle
-//!    `i`'s or a later cycle's value for that field — in a persist ring every
-//!    such value is a valid in-pool extent field (the flush clamps the
-//!    combined extent to the pool just in case), and `clwb` of *any* resident
-//!    extent is semantically a no-op beyond cost; in a free ring `off` is
-//!    always some retired block, which is safe to tombstone early;
-//! 3. the release CAS succeeding from `i + 1` proves `seq` never left the
-//!    claimed state (its transitions are monotone), hence no recycle
-//!    happened, hence the values the helper flushed were exactly cycle
-//!    `i`'s. If the CAS fails, whoever released the slot flushed the real
-//!    entry first — the helper's flush was at worst a spurious extra `clwb`.
-//!
-//! The owner's push uses the same trick when it wraps onto a slot whose
-//! previous consumer is still inside its claim window: it flushes the stale
-//! entry itself and releases, so the owner never blocks either.
-//!
-//! ## Epoch discipline (why concurrent push/drain is safe)
-//!
-//! A bucket only ever holds entries of a single epoch `E` at a time. Owners
-//! push into bucket `E % 4` only while registered in epoch `E`; drainers only
-//! drain stale epochs (`advance_epoch` drains `<= e − 1`; `BEGIN_OP` helping
-//! drains the owner's *own* older buckets). Bucket reuse at `E + 4` normally
-//! happens only after the drain of `E` completed, ordered by the epoch clock
-//! (SeqCst store in `advance_epoch`, SeqCst load in `BEGIN_OP`). A *bypassed*
-//! straggler (see `esys.rs`) can push an epoch-`E` entry after `E`'s boundary
-//! has already run; such an entry belongs to an incomplete, unacknowledged
-//! operation — it is drained by the next boundary, and the payload checksum
-//! quarantines it if a crash cut catches it half-flushed.
-//!
-//! A straggler bypassed for a multiple of four epochs finds those late
-//! entries still in the bucket its next operation is about to relabel. The
-//! owner keeps every label exact. Persist leftovers it writes back itself
-//! before the bucket takes the new epoch. Free leftovers — pinned behind the
-//! reclamation frontier by the owner's own registration, and not to be
-//! tombstoned before the frontier passes them — stay where they are, and the
-//! new retirements queue behind them in the bucket's spill under their own
-//! label. Merging them under the newer label would reclaim a retired payload
-//! *after* the anti-payload that cancels it, and a crash in between
-//! resurrects the deleted key.
-//!
-//! ## Crash consistency at the fence
-//!
-//! Crash consistency rests on one rule: **every entry claimed from a ring
-//! has its `clwb` issued before the epoch-boundary fence that declares its
-//! epoch durable**. Claim-flush-release keeps unflushed entries scannable,
-//! so the boundary sequence is: drain every stale bucket, then
-//! [`Buffers::help_drainers`] (finish any claim still in flight — a parked
-//! drainer, a parked overflow pop), then fence. No counter rendezvous, no
-//! waiting on any other thread's schedule.
-//!
-//! ### The claim census (why the help scan is usually free)
-//!
-//! Scanning every slot of every ring on every boundary costs thousands of
-//! atomic loads, all for a case (a consumer parked inside its claim window)
-//! that in a healthy run never happens. A single global census counter
-//! ([`Buffers::claims`]) brackets every pop pass: incremented before a
-//! consumer's first claim CAS can execute, decremented only after its last
-//! release. The boundary reads it once after its drains and skips the whole
-//! help scan when it is zero. This is a *gate*, never a rendezvous — a
-//! nonzero census triggers one bounded help scan, it is never waited on.
-//!
-//! Soundness of skipping: a claimed-but-unflushed entry the boundary's own
-//! drains did not pop implies its claimant's head-CAS preceded a head load
-//! performed by those drains (pops and emptiness checks load `head` with
-//! Acquire). The census increment is sequenced before that CAS (a Release
-//! write to `head`), so it happens-before the boundary's subsequent census
-//! read, which therefore observes it; the matching decrement cannot have
-//! run (it is sequenced after the release that has not happened), so the
-//! census reads ≥ 1 and the scan runs. Claim windows opened *after* the
-//! census read can only claim entries the drains left visible — entries
-//! pushed by a bypassed straggler (which ride the next boundary by design)
-//! or free-ring entries in buckets still pinned above the reclamation
-//! frontier (whose tombstones only need durability before their claimant —
-//! the sole dealloc authority — frees them, after *its* fence).
-//!
-//! ## Flush coalescing
-//!
-//! N in-place `set`s of one hot payload within an epoch used to enqueue N
-//! identical extents, issuing N redundant `clwb`s at the boundary. A small
-//! per-thread, epoch-tagged dedup table now recognises a push whose cache-
-//! line extent is already covered by a resident ring entry of the same epoch
-//! and skips it. Entries need no eager clearing: an epoch mismatch
-//! invalidates them implicitly. Two places need care:
-//!
-//! * the overflow pop removes a *same-epoch* entry from the ring, so any
-//!   table entry anchored at that extent must die with it;
-//! * once the epoch clock has moved past the pusher's epoch, concurrent
-//!   boundary drains may already have popped the "covering" entry, so the
-//!   caller passes a `still_current` revalidation hook and the push falls
-//!   through to a real enqueue when it fires (see `push_persist`).
-//!
-//! ## Reclamation rings
-//!
-//! `to_free` reuses the same ring (plus a mutex-protected spill vector that
-//! is only touched outside any persistence event, so a parked thread can
-//! never wedge it). The claimant tombstones + write-backs each block inside
-//! its claim window; helpers can finish that too. Deallocation authority is
-//! *never* helped: only the claimant that completes the pop returns the
-//! block for deallocation, so a parked claimant leaks its claimed block
-//! until it resumes (bounded by one entry per parked thread) instead of
-//! risking a double-free or a premature reuse.
+//! * A straggler bypassed for a multiple of four epochs finds its late
+//!   entries in the bucket its next operation is about to relabel. Persist
+//!   leftovers the owner writes back itself first. Free leftovers, pinned
+//!   behind the frontier by its own registration, stay, and new retirements
+//!   queue behind them in the spill under their own label: merged under the
+//!   newer one, a retired payload would be reclaimed *after* the
+//!   anti-payload that cancels it, and a crash in between resurrects it.
+//! * A claim window opened after a boundary read the census can claim only
+//!   what its drains left visible: entries a bypassed straggler pushed late,
+//!   which ride the next boundary, or free-ring entries (a pacing slice's, a
+//!   pinned bucket's), whose tombstones must be durable only before their
+//!   claimant — the sole dealloc authority — frees them after its own fence.
+//!   A parked claimant leaks its one block until it resumes.
 
 use crate::sync::{weaken, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering};
 
@@ -164,7 +53,7 @@ struct Slot {
 }
 
 /// Fixed-capacity single-producer / multi-consumer ring of `(off, len)`
-/// pairs. See the module docs for the sequence protocol.
+/// pairs. DESIGN.md S3a states the sequence protocol.
 ///
 /// Public (but hidden) so the `interleave` model-check harnesses can drive
 /// the claim/help/release protocol directly under the schedule explorer.
@@ -204,18 +93,24 @@ impl Ring {
     #[inline]
     #[doc(hidden)]
     pub fn is_empty(&self) -> bool {
-        // tail is read first: seeing head ≥ tail with a stale tail can only
-        // under-report emptiness transiently, never invent entries.
+        self.len() == 0
+    }
+
+    /// Entries published and not yet claimed.
+    #[inline]
+    fn len(&self) -> usize {
+        // tail is read first: a stale tail can only under-report entries
+        // transiently, never invent them.
         // ord(acquire): pairs with the tail publish in `push_with`.
         let t = self.tail.load(Ordering::Acquire);
         // ord(acquire): pairs with the head-claim CAS in `pop_with`.
-        self.head.load(Ordering::Acquire) >= t
+        t.saturating_sub(self.head.load(Ordering::Acquire))
     }
 
     /// Owner-only push. Returns `Err(())` when the ring is full. If the
     /// target slot's previous consumer is still inside its claim window, the
     /// owner finishes its write-back via `flush` and releases the slot
-    /// itself instead of waiting (module docs).
+    /// itself instead of waiting (DESIGN.md S3a).
     #[doc(hidden)]
     #[allow(clippy::result_unit_err)] // internal API, pub only for the interleave harness; Err(()) = full
     pub fn push_with(&self, off: u64, len: u32, mut flush: impl FnMut(u64, u32)) -> Result<(), ()> {
@@ -246,7 +141,7 @@ impl Ring {
                 t.wrapping_add(1).wrapping_sub(cap)
             );
             // ord(relaxed): ordered by the acquire on `seq` above; a racing
-            // recycle is tolerated (module docs, helper-flush soundness).
+            // recycle is tolerated (DESIGN.md S3a, helper write-backs).
             let o = slot.off.load(Ordering::Relaxed);
             // ord(relaxed): same argument as `off`.
             let l = slot.len.load(Ordering::Relaxed);
@@ -327,62 +222,52 @@ impl Ring {
         }
     }
 
+    /// The slots in the claimed form (claim CAS won, release CAS not yet
+    /// performed), each with its sequence value. Free and released slots
+    /// are skipped, and so are published but unclaimed ones: a drain pass
+    /// owns those, still visible to `pop_with`, not stuck.
+    fn claimed(&self) -> impl Iterator<Item = (&Slot, usize)> {
+        let cap = self.capacity();
+        self.slots.iter().enumerate().filter_map(move |(p, slot)| {
+            // ord(acquire): pairs with the owner's publish; off/len read
+            // after this must be no older than the claimed cycle's.
+            let s = slot.seq.load(Ordering::Acquire);
+            // ord(acquire): pairs with the claimant's head CAS.
+            let claimed = s != 0 && (s - 1) % cap == p && self.head.load(Ordering::Acquire) > s - 1;
+            claimed.then_some((slot, s))
+        })
+    }
+
     /// Helper scan: finish the write-back + release of every slot whose
     /// consumer is parked inside its claim window. Wait-free — one pass over
     /// the slots, a bounded number of atomic ops each, never spins on
-    /// another thread. See the module docs for the soundness argument of
-    /// flushing before the validating release CAS.
+    /// another thread. DESIGN.md S3a argues flushing before the validating
+    /// release CAS sound.
     #[doc(hidden)]
     pub fn help_claimed(&self, mut flush: impl FnMut(u64, u32)) {
-        let cap = self.capacity();
-        for (p, slot) in self.slots.iter().enumerate() {
-            // ord(acquire): pairs with the owner's publish; off/len below
-            // must be no older than the claimed cycle's.
-            let s = slot.seq.load(Ordering::Acquire);
-            if s == 0 || (s - 1) % cap != p {
-                // Free or released form; nothing pending here.
-                continue;
-            }
-            let i = s - 1;
-            // ord(acquire): pairs with the claimant's head CAS.
-            if self.head.load(Ordering::Acquire) <= i {
-                // Published but unclaimed: a drain pass owns this one; it is
-                // still visible to `pop_with`, not stuck.
-                continue;
-            }
+        for (slot, s) in self.claimed() {
             // ord(relaxed): ordered by the acquire on `seq`; a racing
-            // recycle is tolerated (module docs, helper-flush soundness).
+            // recycle is tolerated (DESIGN.md S3a, helper write-backs).
             let off = slot.off.load(Ordering::Relaxed);
             // ord(relaxed): same argument as `off`.
             let len = slot.len.load(Ordering::Relaxed);
             flush(off, len);
             // ord(acqrel): release our flush before freeing the slot.
-            let _ = slot
-                .seq
-                .compare_exchange(s, i + cap, Ordering::AcqRel, Ordering::Relaxed);
+            let _ = slot.seq.compare_exchange(
+                s,
+                s - 1 + self.capacity(),
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
         }
     }
 
-    /// Model-check probe: number of slots currently in the claimed form
-    /// (claim CAS won, release CAS not yet performed). Read-only; exists so
-    /// the `interleave` harnesses can assert the boundary's census gate
-    /// never leaves a claimed entry unhelped at a fence.
+    /// Model-check probe: how many slots are in the claimed form, so the
+    /// `interleave` harnesses can assert the boundary's census gate never
+    /// leaves a claimed entry unhelped at a fence.
     #[doc(hidden)]
     pub fn debug_claimed(&self) -> usize {
-        let cap = self.capacity();
-        let mut n = 0;
-        for (p, slot) in self.slots.iter().enumerate() {
-            // ord(acquire): same edge as `help_claimed`'s scan.
-            let s = slot.seq.load(Ordering::Acquire);
-            if s == 0 || (s - 1) % cap != p {
-                continue;
-            }
-            // ord(acquire): pairs with the claimant's head CAS.
-            if self.head.load(Ordering::Acquire) > s - 1 {
-                n += 1;
-            }
-        }
-        n
+        self.claimed().count()
     }
 }
 
@@ -402,12 +287,14 @@ struct PersistBucket {
     ring: Ring,
 }
 
-/// One epoch bucket of retired payloads awaiting reclamation. The ring is
-/// the steady-state path and holds one epoch's retirements at a time;
-/// `spill` takes `(epoch, block)` pairs the ring cannot: overflow (heap
-/// allocation only in pathological epochs with more retirements than ring
-/// capacity), and everything pushed while an older epoch's leftovers are
-/// still pinned in the bucket. Every spill label is ≥ the ring's.
+/// One epoch bucket of retired payloads awaiting reclamation. The ring holds
+/// the first ring-capacity retirements of one epoch; `spill` takes the
+/// `(epoch, block)` pairs the ring cannot: every retirement past its
+/// capacity — the steady state of a delete-heavy thread, whose epoch retires
+/// thousands of blocks against 64 slots — and everything pushed while an
+/// older epoch's leftovers are still pinned in the bucket. Every spill label
+/// is ≥ the ring's, and labels never decrease along the spill (one owner
+/// pushes, in epoch order), so the due entries are a prefix.
 struct FreeBucket {
     epoch: AtomicU64,
     ring: Ring,
@@ -496,9 +383,8 @@ fn tombstone_flush(pool: &PmemPool, off: u64) {
 /// Per-thread buffer sets for every registered thread.
 pub struct Buffers {
     threads: Box<[CachePadded<ThreadState>]>,
-    capacity: usize,
     /// Census of pop passes currently inside (or about to enter) a claim
-    /// window, across all rings. See the module docs: `advance_epoch` skips
+    /// window, across all rings. DESIGN.md S3a: `advance_epoch` skips
     /// the `help_drainers` slot scans entirely while this reads zero. A
     /// consumer parked mid-claim keeps its bracket open — the census stays
     /// positive and every boundary scans until the claim is helped *and*
@@ -519,19 +405,17 @@ impl Drop for ClaimScope<'_> {
 
 impl Buffers {
     pub fn new(max_threads: usize, capacity: usize) -> Self {
-        let capacity = capacity.max(2);
         Buffers {
             threads: (0..max_threads)
                 .map(|_| CachePadded::new(ThreadState::new(capacity)))
                 .collect(),
-            capacity,
             claims: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     fn claim_scope(&self) -> ClaimScope<'_> {
         // SeqCst: the census gate's soundness needs a total order between
-        // this increment and the boundary's one-shot read (module docs).
+        // this increment and the boundary's one-shot read (DESIGN.md S3a).
         self.claims
             .fetch_add(1, weaken("buffers.census", Ordering::SeqCst));
         ClaimScope(&self.claims)
@@ -541,11 +425,6 @@ impl Buffers {
     /// load; the boundary's cheap gate in front of [`Buffers::help_drainers`].
     pub fn claims_open(&self) -> bool {
         self.claims.load(Ordering::SeqCst) != 0
-    }
-
-    /// Ring capacity per bucket.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Records that the payload at `blk` (of `len` bytes including header)
@@ -582,7 +461,7 @@ impl Buffers {
         // Coalescing: a same-epoch resident entry already covers this extent,
         // so its boundary clwb_range subsumes ours.
         let d = st.dedup_at(first);
-        // ord(relaxed): dedup table is owner-only (module docs).
+        // ord(relaxed): dedup table is owner-only (DESIGN.md S3a).
         if d.epoch.load(Ordering::Relaxed) == epoch
             // ord(relaxed): owner-only, as above.
             && d.first.load(Ordering::Relaxed) == first
@@ -659,10 +538,8 @@ impl Buffers {
     /// entries whose consumer is parked inside its claim window (a stalled
     /// boundary drainer, a stalled overflow pop, a stalled reclamation
     /// pass). Called by `advance_epoch` after its drains and **before** the
-    /// boundary fence, in place of the old counter rendezvous: wait-free,
-    /// and duplicate `clwb`s with a claimant that later resumes are
-    /// idempotent. Deallocation of free-ring blocks is *not* helped — only
-    /// the claimant returns blocks for deallocation.
+    /// boundary fence: wait-free, and duplicate `clwb`s with a claimant that
+    /// later resumes are idempotent. Deallocation is never helped.
     pub fn help_drainers(&self, pool: &PmemPool, tid: usize) {
         let st = &self.threads[tid];
         for b in st.persist.iter() {
@@ -686,7 +563,8 @@ impl Buffers {
     }
 
     /// Schedules block `blk` (retired in `epoch`) for reclamation two epochs
-    /// later. Owner-only; allocation-free until the ring overflows.
+    /// later. Owner-only; past the ring's capacity a retirement goes to the
+    /// bucket's spill, whose `Vec` then grows (amortised) with the epoch.
     pub fn push_free(&self, pool: &PmemPool, tid: usize, epoch: u64, blk: POff) {
         let st = &self.threads[tid];
         let b = &st.free[(epoch % 4) as usize];
@@ -714,53 +592,65 @@ impl Buffers {
         }
     }
 
-    /// Reclaims thread `tid`'s retirements for all epochs `<= epoch`
-    /// (worker-local reclamation in `BEGIN_OP`, and the advance's catch-up
-    /// over buckets skipped while their epoch was pinned by a straggler):
-    /// tombstones each block header (scheduling the line for write-back, so
-    /// the sweep can never resurrect it) and returns the blocks for
-    /// deallocation. The caller fences and deallocates.
-    pub fn take_free_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) -> Vec<POff> {
-        let st = &self.threads[tid];
-        let mut out = Vec::new();
-        for b in st.free.iter() {
+    /// Reclaims thread `tid`'s retirements labelled `<= epoch` into `out`
+    /// until it holds `stop` blocks (a paced slice's budget, or `usize::MAX`):
+    /// tombstones each block header and writes the line back without a fence
+    /// (so the sweep can never resurrect it), ring first, then the spill from
+    /// its front. The caller fences and deallocates. Only the claimant that
+    /// completes a pop returns a block (helpers may tombstone it too).
+    pub fn take_free_upto(
+        &self,
+        pool: &PmemPool,
+        tid: usize,
+        epoch: u64,
+        stop: usize,
+        out: &mut Vec<POff>,
+    ) {
+        for b in self.threads[tid].free.iter() {
             // The ring's label bounds the spill's from below, so one load
             // gates both.
             // ord(acquire): pairs with the owner's bucket-epoch publish.
-            if b.epoch.load(Ordering::Acquire) <= epoch {
-                out.extend(self.drain_free_bucket(pool, b, epoch));
+            if out.len() < stop && b.epoch.load(Ordering::Acquire) <= epoch {
+                let _census = self.claim_scope();
+                while out.len() < stop {
+                    let Some((o, _)) = b.ring.pop_with(|o, _| tombstone_flush(pool, o)) else {
+                        break;
+                    };
+                    out.push(POff::new(o));
+                }
+                let from = out.len();
+                let mut spill = b.spill.lock();
+                let due = spill.partition_point(|&(e, _)| e <= epoch);
+                let take = due.min(stop - from);
+                out.extend(spill.drain(..take).map(|(_, o)| POff::new(o)));
+                drop(spill);
+                for blk in &out[from..] {
+                    tombstone_flush(pool, blk.raw());
+                }
             }
         }
-        out
     }
 
-    /// Reclaims bucket `b`'s ring (the caller checked its label) and the
-    /// spilled retirements labelled `<= epoch`.
-    fn drain_free_bucket(&self, pool: &PmemPool, b: &FreeBucket, epoch: u64) -> Vec<POff> {
-        let mut blocks = Vec::new();
-        // Tombstone + write back inside the claim window (helpers can then
-        // finish a parked pass), but collect for deallocation only what WE
-        // popped: dealloc authority is never shared.
-        {
-            let _census = self.claim_scope();
-            while let Some((o, _)) = b.ring.pop_with(|o, _| tombstone_flush(pool, o)) {
-                blocks.push(POff::new(o));
+    /// Thread `tid`'s retirements labelled `<= epoch` that wait for
+    /// reclamation: how many (the backlog the background advancer paces),
+    /// and the oldest label among them (`u64::MAX` if none).
+    pub fn free_due(&self, tid: usize, epoch: u64) -> (usize, u64) {
+        let (mut n, mut oldest) = (0, u64::MAX);
+        for b in self.threads[tid].free.iter() {
+            // ord(acquire): pairs with the owner's bucket-epoch publish.
+            let label = b.epoch.load(Ordering::Acquire);
+            if label <= epoch {
+                let spill = b.spill.lock();
+                let (ring, due) = (b.ring.len(), spill.partition_point(|&(e, _)| e <= epoch));
+                let first = match (ring, due) {
+                    (0, 0) => u64::MAX,
+                    (0, _) => spill[0].0,
+                    _ => label,
+                };
+                (n, oldest) = (n + ring + due, oldest.min(first));
             }
         }
-        let mut spilled = Vec::new();
-        // No persistence event happens under the spill lock, so a parked
-        // thread can never be holding it.
-        b.spill.lock().retain(|&(e, o)| {
-            if e <= epoch {
-                spilled.push(o);
-            }
-            e > epoch
-        });
-        for &o in &spilled {
-            tombstone_flush(pool, o);
-            blocks.push(POff::new(o));
-        }
-        blocks
+        (n, oldest)
     }
 
     /// Minimum epoch with unpersisted entries across **this thread's**
@@ -785,6 +675,13 @@ impl Buffers {
 mod tests {
     use super::*;
     use pmem::PmemConfig;
+
+    /// Everything thread 0 has due at `epoch`.
+    fn take(b: &Buffers, p: &PmemPool, epoch: u64) -> Vec<POff> {
+        let mut out = Vec::new();
+        b.take_free_upto(p, 0, epoch, usize::MAX, &mut out);
+        out
+    }
 
     fn pool() -> PmemPool {
         PmemPool::new(PmemConfig::default())
@@ -861,17 +758,11 @@ mod tests {
             Header::data_sum(&[0u8; 8]),
         );
         b.push_free(&p, 0, 7, blk);
-        assert!(
-            b.take_free_upto(&p, 0, 6).is_empty(),
-            "older epoch yields nothing"
-        );
-        let freed = b.take_free_upto(&p, 0, 7);
+        assert!(take(&b, &p, 6).is_empty(), "older epoch yields nothing");
+        let freed = take(&b, &p, 7);
         assert_eq!(freed, vec![blk]);
         assert_eq!(Header::magic(&p, blk), crate::payload::MAGIC_TOMBSTONE);
-        assert!(
-            b.take_free_upto(&p, 0, 7).is_empty(),
-            "drained bucket is empty"
-        );
+        assert!(take(&b, &p, 7).is_empty(), "drained bucket is empty");
     }
 
     #[test]
@@ -1286,13 +1177,13 @@ mod tests {
                 v.sort();
                 v
             };
-            assert!(b.take_free_upto(&p, 0, 4).is_empty());
-            assert_eq!(sorted(b.take_free_upto(&p, 0, 8)), [blk(0), blk(1), blk(2)]);
-            assert_eq!(b.take_free_upto(&p, 0, 12), [blk(3)]);
+            assert!(take(&b, &p, 4).is_empty());
+            assert_eq!(sorted(take(&b, &p, 8)), [blk(0), blk(1), blk(2)]);
+            assert_eq!(take(&b, &p, 12), [blk(3)]);
             // The ring is free again only once everything older is gone.
             b.push_free(&p, 0, 17, blk(5));
-            assert_eq!(b.take_free_upto(&p, 0, 13), [blk(4)]);
-            assert_eq!(b.take_free_upto(&p, 0, 17), [blk(5)]);
+            assert_eq!(take(&b, &p, 13), [blk(4)]);
+            assert_eq!(take(&b, &p, 17), [blk(5)]);
         }
     }
 
@@ -1316,8 +1207,21 @@ mod tests {
             b.push_free(&p, 0, 7, blk);
             blks.push(blk);
         }
-        let mut freed = b.take_free_upto(&p, 0, 7);
-        freed.sort();
+        assert_eq!(
+            (b.free_due(0, 6), b.free_due(0, 7)),
+            ((0, u64::MAX), (10, 7))
+        );
+        // Budgeted takes of 3: the ring's two, then the spill from its
+        // front, each block once and in push order, the backlog falling
+        // with every take.
+        let mut freed = Vec::new();
+        for left in [7, 4, 1, 0] {
+            b.take_free_upto(&p, 0, 7, freed.len() + 3, &mut freed);
+            assert_eq!(b.free_due(0, 7).0, left);
+        }
         assert_eq!(freed, blks, "ring + spill return every block");
+        assert!(blks
+            .iter()
+            .all(|&blk| Header::magic(&p, blk) == crate::payload::MAGIC_TOMBSTONE));
     }
 }

@@ -72,6 +72,10 @@ pub struct EsysStats {
     pub pdeletes: raw::AtomicU64,
     pub advances: raw::AtomicU64,
     pub syncs: raw::AtomicU64,
+    /// Payload blocks the background advancer reclaimed in its slices
+    /// between ticks ([`EpochSys::reclaim_slice`]), and at boundaries.
+    pub reclaimed_paced: raw::AtomicU64,
+    pub reclaimed_at_boundary: raw::AtomicU64,
     /// Cache-line flushes avoided by write-back buffer coalescing: a `set`
     /// whose extent was already covered by a same-epoch buffered entry
     /// enqueues nothing, so the boundary issues one `clwb_range` for all of
@@ -360,12 +364,13 @@ impl EpochSys {
                 // a bypassed straggler pins the frontier instead of being
                 // freed out from under.
                 let limit = Self::reclaim_limit(epoch, self.tracker.oldest_active());
-                let blocks = self.buffers.take_free_upto(&self.pool, tid.0, limit);
+                let mut blocks = Vec::new();
+                let pool = &self.pool;
+                self.buffers
+                    .take_free_upto(pool, tid.0, limit, usize::MAX, &mut blocks);
                 if !blocks.is_empty() {
                     self.pool.sfence();
-                    for b in blocks {
-                        self.ralloc.dealloc(b);
-                    }
+                    self.free_fenced(blocks);
                 }
             }
         }
@@ -1045,10 +1050,10 @@ impl EpochSys {
             }
         }
 
-        // Reclaim retirements behind the frontier (tombstones join this
-        // boundary's flush batch; deallocation happens after the fence).
-        // The frontier scan is exact for epochs < e because we read the
-        // clock at e above (see `reclaim_limit`).
+        // Reclaim what the background advancer's slices left behind the
+        // frontier (tombstones join this boundary's flush batch; deallocation
+        // happens after the fence). The frontier scan is exact for epochs < e
+        // because we read the clock at e above (see `reclaim_limit`).
         // Transient retirements ride the same frontier, whatever the
         // payloads' FreeStrategy.
         let mut reclaimed = Vec::new();
@@ -1057,9 +1062,8 @@ impl EpochSys {
         if self.cfg.free == FreeStrategy::Background || transient {
             let limit = Self::reclaim_limit(e, self.tracker.oldest_active());
             if self.cfg.free == FreeStrategy::Background {
-                for t in 0..n {
-                    reclaimed.extend(self.buffers.take_free_upto(&self.pool, t, limit));
-                }
+                let tally = &self.stats.reclaimed_at_boundary;
+                self.take_free(limit, usize::MAX, &mut reclaimed, tally);
             }
             if transient {
                 self.free_retired(limit);
@@ -1075,7 +1079,7 @@ impl EpochSys {
         // Duplicate clwbs are idempotent; the CAS makes the release exact.
         // The claim census makes the common case one atomic load: it reads
         // zero only when no pop pass can be parked inside a claim window
-        // (see the soundness note in `buffers.rs`), which is every boundary
+        // (see DESIGN.md S3a, the claim census), which is every boundary
         // of a healthy run — the full slot scan is reserved for boundaries
         // that actually have a straggling drainer to help.
         if self.buffers.claims_open() {
@@ -1139,7 +1143,69 @@ impl EpochSys {
             self.stats.advances.fetch_add(1, Ordering::Relaxed);
         }
 
-        for blk in ticket.reclaimed {
+        self.free_fenced(ticket.reclaimed);
+    }
+
+    /// Tombstones and writes back, without a fence, every thread's payload
+    /// retirements labelled `<= limit` into `out` until it holds `cap`
+    /// blocks, counting them in `tally`. Oldest label first across threads:
+    /// a fence that falls between two budgeted takes must never make an
+    /// anti-payload's or a newer version's tombstone durable while the older
+    /// version it supersedes is still live, for recovery would keep that one.
+    fn take_free(&self, limit: u64, cap: usize, out: &mut Vec<POff>, tally: &raw::AtomicU64) {
+        let (from, threads) = (out.len(), 0..self.registered());
+        while out.len() < cap {
+            let oldest = threads.clone().map(|t| self.buffers.free_due(t, limit).1);
+            let (label, before) = (oldest.min().unwrap_or(u64::MAX), out.len());
+            if label > limit {
+                break;
+            }
+            for t in threads.clone() {
+                self.buffers.take_free_upto(&self.pool, t, label, cap, out);
+            }
+            if out.len() == before {
+                break; // a concurrent taker was first
+            }
+        }
+        // ord(counter): stats tally.
+        tally.fetch_add((out.len() - from) as u64, Ordering::Relaxed);
+    }
+
+    /// The frontier of paced reclamation (0 unless the advancer's): the
+    /// `reclaim_limit` of the *durable* clock, which a sync winner parked
+    /// before its clock clwb holds back (the acquire orders the frontier
+    /// scan after its CAS). Slices apply the straggler cap; backlog counts do not.
+    fn paced_limit(&self, capped: bool) -> u64 {
+        if self.cfg.free != FreeStrategy::Background {
+            return 0;
+        }
+        // ord(acquire): pairs with the winner's durable-clock release.
+        let e = self.durable_clock.load(Ordering::Acquire);
+        let oldest = (capped && !seeded("esys.slice.cap")).then(|| self.tracker.oldest_active());
+        Self::reclaim_limit(e, oldest.unwrap_or(u64::MAX))
+    }
+
+    /// Retirements due at the durable clock: what the advancer paces.
+    pub(crate) fn reclaim_backlog(&self) -> usize {
+        let limit = self.paced_limit(false);
+        let due = (0..self.registered()).map(|t| self.buffers.free_due(t, limit).0);
+        due.sum()
+    }
+
+    /// One slice of the advancer's paced reclamation: tombstones and writes
+    /// back, each line on its own and without a fence, up to `budget`
+    /// retirements behind the boundary's own frontier cap into `paced`,
+    /// which may be freed only after a fence issued after this call.
+    #[doc(hidden)]
+    pub fn reclaim_slice(&self, budget: usize, paced: &mut Vec<POff>) {
+        let (limit, cap) = (self.paced_limit(true), paced.len().saturating_add(budget));
+        self.take_free(limit, cap, paced, &self.stats.reclaimed_paced);
+    }
+
+    /// Frees reclaimed blocks once a fence issued after their tombstones'
+    /// write-backs has been awaited.
+    pub(crate) fn free_fenced(&self, blocks: impl IntoIterator<Item = POff>) {
+        for blk in blocks {
             self.ralloc.dealloc(blk);
         }
     }

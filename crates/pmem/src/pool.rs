@@ -2,7 +2,7 @@
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,20 +69,17 @@ struct Inner {
     working: Working,
     /// Durable shadow image, present only in [`PmemMode::Strict`].
     durable: Option<Mutex<Box<[u8]>>>,
-    /// Strict mode: lines `clwb`'d but not yet made durable by a fence.
-    ///
-    /// This set is **pool-global**, not per-thread: `CLWB` initiates an
-    /// asynchronous write-back that completes regardless of who fences, and
-    /// Montage's epoch protocol depends on exactly that — workers issue
-    /// incremental write-backs and the background advancer's fence at the
-    /// epoch boundary "waits for the writes-back to complete" (paper
-    /// Sec. 3.2). A fence therefore drains every pending line. Lines that
-    /// are *never* followed by any fence before a crash are still lost,
-    /// which is the pessimistic direction tests need.
-    ///
-    /// Kept as a set: re-`clwb`ing a dirty line before the next fence is
-    /// idempotent on hardware, so duplicates would only inflate the fence's
-    /// drain work (`lines_drained` counts unique lines made durable).
+    /// Strict mode: the end of the highest line ever drained (clamped to the
+    /// pool size); `durable` is zero past it, and a `crash` copies only up to
+    /// it.
+    durable_hwm: AtomicUsize,
+    /// Strict mode: lines `clwb`'d but not yet made durable by a fence. A
+    /// **pool-global** set: `CLWB` starts a write-back that completes whoever
+    /// fences, and Montage's epoch protocol depends on exactly that (the
+    /// boundary fence "waits for the writes-back to complete", paper Sec.
+    /// 3.2), so a fence drains every pending line; lines no fence follows
+    /// before a crash are lost. A set, as re-`clwb`ing a pending line is
+    /// idempotent on hardware (`lines_drained` counts unique lines).
     pending: Mutex<HashSet<u64>>,
     /// Running persistence-event count. Only advanced while the fault plan
     /// ([`crate::ChaosConfig::crash_at_event`]) is armed; see
@@ -157,6 +154,7 @@ impl PmemPool {
                 stats: PmemStats::default(),
                 working: Working { ptr, base, layout },
                 durable,
+                durable_hwm: AtomicUsize::new(0),
                 pending: Mutex::new(HashSet::new()),
                 events: AtomicU64::new(0),
                 poisoned: AtomicBool::new(false),
@@ -612,7 +610,7 @@ impl PmemPool {
             let lines = std::mem::take(&mut *self.inner.pending.lock());
             let mut dur = durable.lock();
             for &line in &lines {
-                self.drain_line(&mut dur, line);
+                self.drain_line_prefix(&mut dur, line, CACHE_LINE);
             }
             lines.len() as u64
         } else {
@@ -670,16 +668,13 @@ impl PmemPool {
         self.check_fault().map(|()| out)
     }
 
-    fn drain_line(&self, durable: &mut [u8], line: u64) {
-        self.drain_line_prefix(durable, line, CACHE_LINE);
-    }
-
     /// Copies the first `bytes` bytes of `line` from the working image to
     /// the durable image (whole line for a normal drain, a prefix for a
     /// torn write-back).
     fn drain_line_prefix(&self, durable: &mut [u8], line: u64, bytes: usize) {
         let start = (line as usize) * CACHE_LINE;
         let end = (start + bytes.min(CACHE_LINE)).min(self.inner.config.size);
+        self.inner.durable_hwm.fetch_max(end, Ordering::Relaxed);
         // SAFETY: `start..end` is clamped to the pool size; `durable` is a
         // separate heap allocation of the same size.
         unsafe {
@@ -713,13 +708,13 @@ impl PmemPool {
 
         let mut dur = durable.lock();
         let chaos = self.inner.config.chaos;
+        let crashes = self.inner.stats.crashes.load(Ordering::Relaxed);
+        let rng = |salt: u64| SmallRng::seed_from_u64(chaos.seed ^ crashes.wrapping_mul(salt));
         // Chaos: the power cut may catch in-flight write-backs part-way
         // through a line. Each pending (clwb'd, unfenced) line may persist
         // only a prefix of itself, at 8-byte ECC-word granularity.
         if chaos.torn_line_permille > 0 {
-            let crashes = self.inner.stats.crashes.load(Ordering::Relaxed);
-            let mut rng =
-                SmallRng::seed_from_u64(chaos.seed ^ crashes.wrapping_mul(0xA24BAED4963EE407));
+            let mut rng = rng(0xA24BAED4963EE407);
             // HashSet iteration order is not deterministic; sort so the same
             // seed always tears the same lines the same way.
             let mut lines: Vec<u64> = self.inner.pending.lock().iter().copied().collect();
@@ -734,13 +729,11 @@ impl PmemPool {
         }
         // Chaos: arbitrary cache evictions may have persisted unflushed lines.
         if chaos.spontaneous_evict_permille > 0 {
-            let crashes = self.inner.stats.crashes.load(Ordering::Relaxed);
-            let mut rng =
-                SmallRng::seed_from_u64(chaos.seed ^ crashes.wrapping_mul(0x9E3779B97F4A7C15));
+            let mut rng = rng(0x9E3779B97F4A7C15);
             let nlines = self.inner.config.size / CACHE_LINE;
             for line in 0..nlines as u64 {
                 if rng.gen_range(0..1000) < chaos.spontaneous_evict_permille as u32 {
-                    self.drain_line(&mut dur, line);
+                    self.drain_line_prefix(&mut dur, line, CACHE_LINE);
                 }
             }
         }
@@ -754,15 +747,15 @@ impl PmemPool {
         let new = PmemPool::new(cfg);
         // Raw image copy: machine-internal, not a program store — it must
         // not charge persistence events or perturb sanitizer shadow state.
+        // Past the high-water mark both images are zero, and stay untouched.
+        let hwm = self.inner.durable_hwm.load(Ordering::Relaxed);
         // SAFETY: both images are `config.size` bytes (same config) and live
-        // in distinct allocations.
+        // in distinct allocations; `hwm` is a drain's end, clamped to that.
         unsafe {
-            std::ptr::copy_nonoverlapping(dur.as_ptr(), new.inner.working.ptr, dur.len());
+            std::ptr::copy_nonoverlapping(dur.as_ptr(), new.inner.working.ptr, hwm);
         }
-        {
-            let new_durable = new.inner.durable.as_ref().unwrap();
-            new_durable.lock().copy_from_slice(&dur);
-        }
+        new.inner.durable.as_ref().unwrap().lock()[..hwm].copy_from_slice(&dur[..hwm]);
+        new.inner.durable_hwm.store(hwm, Ordering::Relaxed);
         // Hand the restarted pool the crash cut's shadow knowledge: which
         // lines' contents were never made durable before the power failed.
         #[cfg(feature = "persist-san")]
@@ -828,6 +821,7 @@ impl PmemPool {
         f.read_exact(image)?;
         if let Some(durable) = &pool.inner.durable {
             durable.lock().copy_from_slice(image);
+            pool.inner.durable_hwm.store(size, Ordering::Relaxed);
         }
         // Everything in a snapshot is by definition the durable image, so a
         // recovery-time read of any of it is legitimate prefix semantics.
@@ -1260,18 +1254,26 @@ mod tests {
 
     #[test]
     fn fence_pays_only_what_is_left() {
-        // 40 ms of drain; the CPU does something else for half of it.
-        let p = slow_pool_with_pending(100_000, 400);
-        let start = Instant::now();
-        std::thread::sleep(ms(20));
-        let fence = Instant::now();
-        p.sfence();
-        let paid = fence.elapsed();
+        // 40 ms of drain; the CPU does something else for half of it. Every
+        // run must wait the drain out; the ceiling holds for the fastest of
+        // five, since a descheduled waiter overshoots one run while a fence
+        // charging the whole drain pays >= 40 ms on every run.
+        let fastest = (0..5)
+            .map(|_| {
+                let p = slow_pool_with_pending(100_000, 400);
+                let start = Instant::now();
+                std::thread::sleep(ms(20));
+                let fence = Instant::now();
+                p.sfence();
+                assert!(start.elapsed() >= ms(39), "the fence returned early");
+                fence.elapsed()
+            })
+            .min()
+            .unwrap();
         assert!(
-            paid <= ms(20 + 10),
-            "the fence paid {paid:?} of a 40 ms drain"
+            fastest <= ms(20 + 10),
+            "the fence paid {fastest:?} of a 40 ms drain"
         );
-        assert!(start.elapsed() >= ms(39), "the fence returned early");
     }
 
     #[test]

@@ -844,7 +844,7 @@ mod census {
     /// Most `// lint: allow(...)` waivers in effect; same rule.
     pub(super) const WAIVER_CEILING: usize = 12;
     /// Most non-test lines under `crates/*/src`; same rule.
-    pub(super) const NON_TEST_SRC_CEILING: usize = 19_052;
+    pub(super) const NON_TEST_SRC_CEILING: usize = 19_049;
 
     #[derive(Debug, Default, PartialEq)]
     pub(super) struct Census {
