@@ -11,9 +11,10 @@ use std::time::{Duration, Instant};
 
 use crate::esys::EpochSys;
 
-/// A slice's share of the backlog (≈ 40 µs of device time at 160 ns a
-/// line), and the shortest gap between slices, bounding their wake-ups.
-const SLICE_BLOCKS: usize = 250;
+/// A slice's share of the backlog (≈ 8 µs of device time at 160 ns a line,
+/// so one slice's write-backs never queue as one burst ahead of a worker's
+/// fence), and the shortest gap between slices, bounding their wake-ups.
+const SLICE_BLOCKS: usize = 50;
 const MIN_SLICE_GAP: Duration = Duration::from_micros(100);
 
 /// Handle to a running background advancer. Dropping it stops the thread.

@@ -371,13 +371,15 @@ fn clwb_clamped(pool: &PmemPool, off: u64, len: u32) {
     pool.clwb_range(POff::new(off), len as usize);
 }
 
-/// Tombstone + write back one retired block (free-ring flush action).
+/// Tombstones retired blocks and writes their header lines back, one
+/// write-back for the lot: a free-ring pop's one block, or a spill take.
 #[inline]
-fn tombstone_flush(pool: &PmemPool, off: u64) {
-    let blk = POff::new(off);
-    Header::tombstone(pool, blk);
+fn tombstone_flush(pool: &PmemPool, blks: &[POff]) {
+    for &blk in blks {
+        Header::tombstone(pool, blk);
+    }
     // lint: allow(flush-no-fence): tombstone write-backs ride the epoch-boundary sfence, like the persist drains (same harness_ring-checked claim protocol)
-    pool.clwb(blk);
+    pool.clwb_lines(blks);
 }
 
 /// Per-thread buffer sets for every registered thread.
@@ -546,7 +548,8 @@ impl Buffers {
             b.ring.help_claimed(|o, l| clwb_clamped(pool, o, l));
         }
         for b in st.free.iter() {
-            b.ring.help_claimed(|o, _| tombstone_flush(pool, o));
+            b.ring
+                .help_claimed(|o, _| tombstone_flush(pool, &[POff::new(o)]));
         }
     }
 
@@ -585,7 +588,7 @@ impl Buffers {
             b.epoch.store(epoch, Ordering::Release);
         }
         if b.ring
-            .push_with(blk.raw(), 0, |o, _| tombstone_flush(pool, o))
+            .push_with(blk.raw(), 0, |o, _| tombstone_flush(pool, &[POff::new(o)]))
             .is_err()
         {
             b.spill.lock().push((epoch, blk.raw()));
@@ -595,9 +598,10 @@ impl Buffers {
     /// Reclaims thread `tid`'s retirements labelled `<= epoch` into `out`
     /// until it holds `stop` blocks (a paced slice's budget, or `usize::MAX`):
     /// tombstones each block header and writes the line back without a fence
-    /// (so the sweep can never resurrect it), ring first, then the spill from
-    /// its front. The caller fences and deallocates. Only the claimant that
-    /// completes a pop returns a block (helpers may tombstone it too).
+    /// (so the sweep can never resurrect it): ring pops one at a time in their
+    /// claim windows, then the spill from its front in one write-back. The
+    /// caller fences and deallocates. Only the claimant that completes a pop
+    /// returns a block (helpers may tombstone it too).
     pub fn take_free_upto(
         &self,
         pool: &PmemPool,
@@ -613,7 +617,10 @@ impl Buffers {
             if out.len() < stop && b.epoch.load(Ordering::Acquire) <= epoch {
                 let _census = self.claim_scope();
                 while out.len() < stop {
-                    let Some((o, _)) = b.ring.pop_with(|o, _| tombstone_flush(pool, o)) else {
+                    let Some((o, _)) = b
+                        .ring
+                        .pop_with(|o, _| tombstone_flush(pool, &[POff::new(o)]))
+                    else {
                         break;
                     };
                     out.push(POff::new(o));
@@ -624,9 +631,7 @@ impl Buffers {
                 let take = due.min(stop - from);
                 out.extend(spill.drain(..take).map(|(_, o)| POff::new(o)));
                 drop(spill);
-                for blk in &out[from..] {
-                    tombstone_flush(pool, blk.raw());
-                }
+                tombstone_flush(pool, &out[from..]);
             }
         }
     }

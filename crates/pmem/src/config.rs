@@ -22,18 +22,16 @@ pub enum PmemMode {
 /// finished — the asymmetry Montage exploits by writing back early and
 /// fencing late, off the critical path.
 ///
-/// Two kinds of cost are charged differently. Issue costs (`clwb_issue_ns`,
-/// `fence_base_ns`, `media_read_ns`) are CPU time: the calling thread
-/// busy-waits, exactly as the instruction would occupy its core. Drain costs
-/// (`fence_per_line_ns` + `media_write_ns` per line) are *device* time,
-/// reserved **at write-back**: `clwb` queues them on the pool's serial device
-/// timeline — the DIMM's write-pending queue — which runs down in real time
-/// from that moment, whatever the CPU does meanwhile. A fence reserves
-/// nothing; it sleeps for whatever the timeline still holds at issue. So a
-/// fence straight after its `clwb`s pays their whole drain, one issued after
-/// the drain time has passed pays `fence_base_ns` alone, fences on one pool
-/// wait out one shared queue (shared write bandwidth), and distinct pools —
-/// the shards of a multi-pool store — drain side by side.
+/// Issue costs (`clwb_issue_ns`, `fence_base_ns`, `media_read_ns`) are CPU
+/// time: the calling thread owes them and busy-waits its debt off in ≥ 1 µs
+/// quanta and before any wait, as the instructions would occupy its core.
+/// Drain costs (`fence_per_line_ns` + `media_write_ns` per line) are
+/// *device* time, queued **at write-back** on the pool's serial timeline —
+/// the DIMM's write-pending queue — from the thread's virtual time (clock +
+/// debt), running down from then whatever the CPU does. A fence reserves
+/// nothing; it waits for what the timeline still holds. So a fence straight
+/// after its `clwb`s pays their whole drain, one issued after it has passed
+/// pays `fence_base_ns` alone, and distinct pools drain side by side.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
     /// Cost to issue one `clwb` (ns).

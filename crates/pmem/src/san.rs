@@ -373,14 +373,17 @@ impl SanState {
         }
     }
 
-    /// `clwb` of `n` lines starting at `first`, of which the first `eff`
-    /// actually take effect (the rest were cut off by the fault plan).
-    pub(crate) fn on_clwb(&self, first: u64, n: u64, eff: u64, loc: &'static Location<'static>) {
+    /// `clwb` of each of `lines`: those that take effect (the fault plan
+    /// cut off the rest), one record per line, as for one `clwb` each.
+    pub(crate) fn on_clwb(
+        &self,
+        lines: impl Iterator<Item = u64>,
+        loc: &'static Location<'static>,
+    ) {
         let site = SanSite::from_caller(loc);
         let mut s = self.inner.lock();
         let id = s.intern(site);
-        for i in 0..eff.min(n) {
-            let line = first + i;
+        for line in lines {
             let Some(&sh) = s.lines.get(line as usize) else {
                 continue;
             };

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use montage::payload::Header;
 use montage::{EpochSys, EsysConfig};
 use montage_ds::{MontageHashMap, MontageQueue};
 use montage_suite::history::{
@@ -271,17 +272,35 @@ fn crashed_map_runs_linearize_to_an_epoch_cut_prefix() {
     let mut must_exclude_total = 0usize;
     for seed in 0..24u64 {
         let (history, crashed) = record_crashed_map_run(seed);
+        // Recovery rewrites what it quarantines; a copy of the image keeps
+        // the headers for the failure message.
+        let image = crashed.crash();
         let rec = montage::try_recover(crashed, EsysConfig::default(), 1)
             .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
-        assert!(
-            rec.report.quarantined.is_empty(),
-            "seed {seed}: clean crash quarantined payloads"
-        );
-        let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, NBUCKETS, &rec);
-        let rtid = rec.esys.register_thread();
         // Recovery resumes the clock two epochs past the durable value, and
         // the cutoff is two below it: everything ≤ curr − 4 survived.
         let cutoff = rec.esys.curr_epoch() - 4;
+        let quarantined: Vec<String> = rec
+            .report
+            .quarantined
+            .iter()
+            .map(|q| {
+                format!(
+                    "{:?} kind {:?} epoch {} uid {} ({})",
+                    q.blk,
+                    Header::kind(&image, q.blk),
+                    Header::epoch(&image, q.blk),
+                    Header::uid(&image, q.blk),
+                    q.reason
+                )
+            })
+            .collect();
+        assert!(
+            quarantined.is_empty(),
+            "seed {seed}: clean crash quarantined payloads against cutoff {cutoff}: {quarantined:#?}"
+        );
+        let rmap = MontageHashMap::<Key>::recover(rec.esys.clone(), MTAG, NBUCKETS, &rec);
+        let rtid = rec.esys.register_thread();
 
         let durability = classify_by_epoch(&history, cutoff);
         must_include_total += durability
